@@ -46,6 +46,7 @@ package barrierpoint
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -340,26 +341,47 @@ type PointRunner interface {
 // LocalRunner is the default PointRunner: a bounded in-process worker pool
 // of Workers goroutines (GOMAXPROCS if <= 0) draining a shared queue of
 // barrierpoints. With MRU warmup, one functional pass over the program
-// captures every point's snapshot before simulation starts.
+// captures every point's snapshot; the pool is already running, so a point
+// starts simulating the moment the pass reaches its region and detailed
+// simulation overlaps the rest of the pass.
 type LocalRunner struct {
 	Workers int
 }
 
+// warmPoint is one unit of pool work: a region and the snapshot captured at
+// its entry (nil under ColdWarmup).
+type warmPoint struct {
+	region int
+	snap   warmup.Snapshot
+}
+
 // RunPoints implements PointRunner on the local worker pool.
 func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode WarmupMode) (map[int]RegionResult, error) {
+	return lr.RunPointsObserved(p, regions, mc, mode, nil)
+}
+
+// RunPointsObserved is RunPoints with the MRU prefix pass timed: obsrv
+// receives "warmup-capture" once, with this call's own pass time, when the
+// pass ends. The pass runs while earlier points already simulate, so the
+// stage overlaps the caller's simulation stage rather than preceding it.
+func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConfig, mode WarmupMode, obsrv StageObserver) (map[int]RegionResult, error) {
 	if p.Threads() != mc.Cores() {
 		return nil, fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
 	}
-	var snaps map[int]warmup.Snapshot
-	if mode == MRUWarmup || mode == MRUPrevWarmup {
-		capacity := mc.L3.Lines() * mc.Sockets // largest total shared LLC
-		snaps = warmup.Capture(p, regions, capacity)
+	regions = slices.Clone(regions)
+	slices.Sort(regions)
+	regions = slices.Compact(regions)
+	for _, r := range regions {
+		if r < 0 || r >= p.Regions() {
+			return nil, fmt.Errorf("barrierpoint: region %d out of range [0, %d)", r, p.Regions())
+		}
 	}
 
 	// Bounded worker pool: at most Workers goroutines drain a shared
 	// queue of barrierpoints, rather than spawning one goroutine per point
 	// gated by a semaphore — large selections would otherwise park
 	// thousands of goroutines on the semaphore and churn the scheduler.
+	// The queue holds every point, so feeding it never blocks the pass.
 	out := make(map[int]RegionResult, len(regions))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -367,26 +389,39 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(regions) {
-		workers = len(regions)
-	}
-	next := make(chan int, len(regions))
-	for _, r := range regions {
-		next <- r
-	}
-	close(next)
+	workers = min(workers, len(regions))
+	next := make(chan warmPoint, len(regions))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := range next {
-				res := runPoint(p, r, mc, mode, snaps[r])
+			for pt := range next {
+				// pt is dead after this call and runPoint is done with the
+				// snapshot once it has replayed it, so each snapshot is
+				// collectable while its point is still simulating.
+				r := pt.region
+				res := runPoint(p, r, mc, mode, pt.snap)
 				mu.Lock()
 				out[r] = res
 				mu.Unlock()
 			}
 		}()
 	}
+	if mode == ColdWarmup {
+		for _, r := range regions {
+			next <- warmPoint{region: r}
+		}
+	} else {
+		capacity := mc.L3.Lines() * mc.Sockets // largest total shared LLC
+		t0 := time.Now()
+		warmup.Stream(p, regions, capacity, func(r int, snap warmup.Snapshot) {
+			next <- warmPoint{r, snap}
+		})
+		if obsrv != nil {
+			obsrv("warmup-capture", time.Since(t0))
+		}
+	}
+	close(next)
 	wg.Wait()
 	return out, nil
 }
@@ -396,14 +431,10 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 // SimulatePoint, so in-process and farmed execution cannot diverge.
 func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot) RegionResult {
 	m := sim.New(mc)
-	if mode == MRUWarmup || mode == MRUPrevWarmup {
-		warmup.Replay(m, snap)
-	}
+	warmup.Replay(m, snap)
 	if mode == MRUPrevWarmup {
-		for q := region - prevWarmupWindow; q < region; q++ {
-			if q >= 0 {
-				m.WarmRegion(p.Region(q))
-			}
+		for q := max(region-prevWarmupWindow, 0); q < region; q++ {
+			m.WarmRegion(p.Region(q))
 		}
 	}
 	return m.RunRegion(p.Region(region))
@@ -415,20 +446,10 @@ func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap war
 // entry is a pure function of the trace prefix before it, so simulating
 // one point in isolation — on another machine, in another process —
 // yields exactly the local result. This is the unit of work a farm worker
-// (cmd/bpworker) executes.
+// (cmd/bpworker) executes: a one-point RunPoints.
 func SimulatePoint(p Program, region int, mc MachineConfig, mode WarmupMode) (RegionResult, error) {
-	if p.Threads() != mc.Cores() {
-		return RegionResult{}, fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
-	}
-	if region < 0 || region >= p.Regions() {
-		return RegionResult{}, fmt.Errorf("barrierpoint: region %d out of range [0, %d)", region, p.Regions())
-	}
-	var snap warmup.Snapshot
-	if mode == MRUWarmup || mode == MRUPrevWarmup {
-		capacity := mc.L3.Lines() * mc.Sockets
-		snap = warmup.Capture(p, []int{region}, capacity)[region]
-	}
-	return runPoint(p, region, mc, mode, snap), nil
+	res, err := LocalRunner{Workers: 1}.RunPoints(p, []int{region}, mc, mode)
+	return res[region], err
 }
 
 // SimulatePoints runs the selected barrierpoints in detail, each on its own

@@ -297,3 +297,39 @@ func BenchmarkBarrierPointSimulation(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEstimateMRUPrevColdCache measures the sampled estimate as a
+// freshly uploaded trace pays for it: an npb-cg trace (8 threads, scale 0.5,
+// gzip chunks — the end-to-end benchmark's cold-big-regions shape) replayed
+// through a ReplayCache that starts empty every iteration, so region
+// decode, the MRU prefix pass and the mru+prev point simulations are all in
+// the measurement. The selection is computed once, outside it.
+func BenchmarkEstimateMRUPrevColdCache(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "cg.bptrace")
+	prog := workload.New("npb-cg", 8, workload.WithScale(0.5))
+	if err := bp.SaveTrace(path, prog, bp.WithTraceGzip(true)); err != nil {
+		b.Fatal(err)
+	}
+	key, err := bp.TraceKey(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := bp.OpenTrace(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	a, err := bp.Analyze(f, bp.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := bp.TableIMachine(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cold := *a
+		cold.Program = bp.NewReplayCache(0).Program(f, key)
+		if _, err := cold.Estimate(mc, bp.MRUPrevWarmup); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -36,6 +36,6 @@
 // grep over coordinator and worker telemetry reconstructs a distributed
 // job end to end. Span stages partition a job's wall clock (profile,
 // cluster, simulate-points, reconstruct, adaptive-round, ...); stages
-// flagged Concurrent (trace-decode) overlap the others and are excluded
-// from the partition sum.
+// flagged Concurrent (trace-decode, warmup-capture) overlap the others and
+// are excluded from the partition sum.
 package obs

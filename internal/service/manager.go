@@ -98,8 +98,8 @@ type Snapshot struct {
 	Recovered bool `json:"recovered,omitempty"`
 	// Span is the job's stage-timing span: per-stage durations (profile,
 	// cluster, simulate-points, reconstruct, adaptive-round, ...) that
-	// partition the job's wall clock, plus concurrent stages (trace-decode)
-	// that overlap them. Present once the job has started.
+	// partition the job's wall clock, plus concurrent stages (trace-decode,
+	// warmup-capture) that overlap them. Present once the job has started.
 	Span *obs.SpanData `json:"span,omitempty"`
 }
 
@@ -836,7 +836,7 @@ func (m *Manager) recordProfileStats(j *job, stats ProfileStats) {
 // against the same artifacts inside the queue.
 func (m *Manager) pointRunner(j *job) bp.PointRunner {
 	local := func() bp.PointRunner {
-		return &farm.CachedRunner{St: m.st, TraceKey: j.req.Trace, Inner: bp.LocalRunner{}}
+		return &farm.CachedRunner{St: m.st, TraceKey: j.req.Trace, Inner: observedLocalRunner{m, j}}
 	}
 	useFarm := false
 	switch normalizeExec(j.req.Exec) {
@@ -863,6 +863,23 @@ func (m *Manager) pointRunner(j *job) bp.PointRunner {
 		m.farmFallbacks.Add(1)
 		j.span.SetAttr("farm_fallback", err.Error())
 	}}
+}
+
+// observedLocalRunner is the local pool reporting each MRU prefix pass it
+// runs for job j: the pool overlaps the pass with detailed simulation inside
+// simulate-points, so it is a concurrent span stage (warmup-capture), timed
+// by the call that ran it — never another job's pass — and it also feeds
+// the per-stage histogram. It has no journal record of its own.
+type observedLocalRunner struct {
+	m *Manager
+	j *job
+}
+
+func (r observedLocalRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfig, mode bp.WarmupMode) (map[int]bp.RegionResult, error) {
+	return bp.LocalRunner{}.RunPointsObserved(p, regions, mc, mode, func(stage string, d time.Duration) {
+		r.j.span.ObserveConcurrent(stage, d)
+		r.m.stageDur.With(stage).ObserveDuration(d)
+	})
 }
 
 // fallbackRunner tries its primary point runner and, on error, reruns

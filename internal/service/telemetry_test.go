@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"barrierpoint/internal/farm"
+	"barrierpoint/internal/obs"
 )
 
 // metricValues renders the manager's registry through its expvar bridge
@@ -84,6 +85,19 @@ func TestJobSpanAndStageTimings(t *testing.T) {
 	if sum := sp.StageSumNs(); sum > sp.DurationNs {
 		t.Fatalf("sequential stages (%d ns) exceed span wall clock (%d ns)", sum, sp.DurationNs)
 	}
+	// The MRU prefix pass overlaps detailed simulation inside
+	// simulate-points, so it is recorded as a concurrent stage: present,
+	// positive, no longer than the stage it runs inside, and not part of
+	// the sequential partition.
+	for _, stg := range sp.Stages {
+		if stg.Name == "warmup-capture" && !stg.Concurrent {
+			t.Fatalf("warmup-capture must be a concurrent stage: %+v", stg)
+		}
+	}
+	capture, simulate := stageNs(sp, "warmup-capture"), stageNs(sp, "simulate-points")
+	if capture <= 0 || capture > simulate {
+		t.Fatalf("warmup-capture = %d ns, want within (0, simulate-points = %d ns]", capture, simulate)
+	}
 
 	// The recorder holds the span under its trace ID, and the counters
 	// advanced.
@@ -96,6 +110,60 @@ func TestJobSpanAndStageTimings(t *testing.T) {
 	}
 	if vals["bp_cold_analyses_total"] < 1 {
 		t.Fatalf("cold analysis counter did not advance: %v", vals)
+	}
+}
+
+// stageNs sums a span's stages of one name.
+func stageNs(sp *obs.SpanData, name string) (ns int64) {
+	for _, stg := range sp.Stages {
+		if stg.Name == name {
+			ns += stg.DurationNs
+		}
+	}
+	return ns
+}
+
+// TestWarmupCaptureStageIsPerJob runs jobs side by side: a warm-up pass is
+// timed by the job that ran it, so jobs without an MRU pass record no
+// warmup-capture stage however they overlap one, no job's capture exceeds
+// its own simulate-points, and the histogram holds one sample per pass.
+func TestWarmupCaptureStageIsPerJob(t *testing.T) {
+	st, key := newTestStore(t)
+	m := New(st, 4, 0)
+	defer m.Shutdown(context.Background())
+
+	reqs := []Request{
+		{Kind: KindSimulate, Trace: key},
+		{Kind: KindEstimate, Trace: key, Warmup: "cold"},
+		{Kind: KindEstimate, Trace: key, Warmup: "mru"},
+		{Kind: KindEstimate, Trace: key, Warmup: "mru+prev"},
+	}
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		snap, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = snap.ID
+	}
+	for i, id := range ids {
+		done, err := m.Wait(context.Background(), id)
+		if err != nil || done.Status != StatusDone {
+			t.Fatalf("%+v: %v %s", reqs[i], err, done.Error)
+		}
+		capture, simulate := stageNs(done.Span, "warmup-capture"), stageNs(done.Span, "simulate-points")
+		if mru := strings.HasPrefix(reqs[i].Warmup, "mru"); !mru && capture != 0 {
+			t.Errorf("%+v ran no prefix pass but recorded %d ns of warmup-capture", reqs[i], capture)
+		} else if mru && (capture <= 0 || capture > simulate) {
+			t.Errorf("%+v: warmup-capture = %d ns, want within (0, simulate-points = %d ns]", reqs[i], capture, simulate)
+		}
+	}
+	var prom strings.Builder
+	if err := m.Metrics().WriteText(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), `bp_job_stage_seconds_count{stage="warmup-capture"} 2`) {
+		t.Errorf("want two warmup-capture observations, one per MRU pass:\n%s", prom.String())
 	}
 }
 

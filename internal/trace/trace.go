@@ -54,6 +54,9 @@ type Stream interface {
 type Region interface {
 	// Thread returns a fresh Stream for thread tid in [0, Threads).
 	// Thread may be called multiple times; each call restarts the stream.
+	// It is safe for concurrent use, and the streams it returns are
+	// independent: the warmup pass tracks a region's threads on separate
+	// goroutines.
 	Thread(tid int) Stream
 }
 

@@ -23,6 +23,27 @@ func drainAny(s trace.Stream) []trace.BlockExec {
 	return out
 }
 
+// sameBlocks fails the test unless got is want, block for block and access
+// for access.
+func sameBlocks(t *testing.T, what string, got, want []trace.BlockExec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d blocks, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if want[i].Block != got[i].Block || want[i].Instrs != got[i].Instrs ||
+			want[i].Branch != got[i].Branch || want[i].Taken != got[i].Taken ||
+			len(want[i].Accs) != len(got[i].Accs) {
+			t.Fatalf("%s: block %d differs", what, i)
+		}
+		for j := range want[i].Accs {
+			if want[i].Accs[j] != got[i].Accs[j] {
+				t.Fatalf("%s: block %d acc %d differs", what, i, j)
+			}
+		}
+	}
+}
+
 // TestRegionCacheBitIdentical replays every region of a recorded workload
 // through the cache and compares block-for-block with the uncached stream,
 // for both raw and gzip traces, twice (cold then warm).
@@ -40,23 +61,8 @@ func TestRegionCacheBitIdentical(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				for r := 0; r < f.Regions(); r++ {
 					for tid := 0; tid < f.Threads(); tid++ {
-						want := drainAny(f.Region(r).Thread(tid))
-						got := drainAny(cp.Region(r).Thread(tid))
-						if len(got) != len(want) {
-							t.Fatalf("pass %d region %d thread %d: %d blocks, want %d", pass, r, tid, len(got), len(want))
-						}
-						for i := range want {
-							if want[i].Block != got[i].Block || want[i].Instrs != got[i].Instrs ||
-								want[i].Branch != got[i].Branch || want[i].Taken != got[i].Taken ||
-								len(want[i].Accs) != len(got[i].Accs) {
-								t.Fatalf("pass %d region %d thread %d block %d differs", pass, r, tid, i)
-							}
-							for j := range want[i].Accs {
-								if want[i].Accs[j] != got[i].Accs[j] {
-									t.Fatalf("pass %d region %d thread %d block %d acc %d differs", pass, r, tid, i, j)
-								}
-							}
-						}
+						sameBlocks(t, fmt.Sprintf("pass %d region %d thread %d", pass, r, tid),
+							drainAny(cp.Region(r).Thread(tid)), drainAny(f.Region(r).Thread(tid)))
 					}
 				}
 			}
@@ -146,21 +152,14 @@ func TestRegionCacheOversizedRegion(t *testing.T) {
 	under := &countingProgram{Program: f}
 	c := NewRegionCache(1) // 1 byte: nothing fits
 	cp := c.Program(under, "tiny")
-	want := drainAny(f.Region(0).Thread(0))
-	got := drainAny(cp.Region(0).Thread(0))
-	if len(want) != len(got) {
-		t.Fatal("oversized region replay differs")
-	}
+	sameBlocks(t, "first replay", drainAny(cp.Region(0).Thread(0)), drainAny(f.Region(0).Thread(0)))
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("oversized region retained: %+v", st)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for tid := 0; tid < f.Threads(); tid++ {
-			w := drainAny(f.Region(0).Thread(tid))
-			g := drainAny(cp.Region(0).Thread(tid))
-			if len(w) != len(g) {
-				t.Fatalf("pass %d thread %d: %d blocks, want %d", pass, tid, len(g), len(w))
-			}
+			sameBlocks(t, fmt.Sprintf("pass %d thread %d", pass, tid),
+				drainAny(cp.Region(0).Thread(tid)), drainAny(f.Region(0).Thread(tid)))
 		}
 	}
 	// One decode attempt ever, aborted inside thread 0 (1 underlying
@@ -168,6 +167,36 @@ func TestRegionCacheOversizedRegion(t *testing.T) {
 	// a fresh decode attempt per Thread call.
 	if want := 1 + 1 + 2*f.Threads(); under.threadCalls != want {
 		t.Errorf("underlying Thread calls = %d, want %d (one aborted decode, then direct streams)", under.threadCalls, want)
+	}
+}
+
+// TestRegionCacheOverBudgetMidRegion: the budget covers the whole region,
+// not one thread. A region whose threads fit one by one but not together is
+// rejected, never retained, and replays block for block from the underlying
+// streams.
+func TestRegionCacheOverBudgetMidRegion(t *testing.T) {
+	prog := workload.New("npb-ft", 4, workload.WithScale(0.05))
+	f := record(t, prog, WithGzip(true))
+	_, size, err := decodeRegion(f, 1, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeRegion(f, 1, size); err != nil {
+		t.Fatalf("decode at exactly the region's size failed: %v", err)
+	}
+	if _, _, err := decodeRegion(f, 1, size-1); !errors.Is(err, errRegionTooLarge) {
+		t.Fatalf("decode one byte under the region's size: err = %v, want errRegionTooLarge", err)
+	}
+	c := NewRegionCache(size / 2) // any one thread fits; all four do not
+	cp := c.Program(f, "half")
+	for pass := 0; pass < 2; pass++ {
+		for tid := 0; tid < f.Threads(); tid++ {
+			sameBlocks(t, fmt.Sprintf("pass %d thread %d", pass, tid),
+				drainAny(cp.Region(1).Thread(tid)), drainAny(f.Region(1).Thread(tid)))
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 {
+		t.Errorf("over-budget region retained or served from cache: %+v", st)
 	}
 }
 
@@ -247,6 +276,61 @@ func TestRegionCacheDecodeErrorFallsBack(t *testing.T) {
 	// second replay: direct stream only, no re-decode.
 	if under.threadCalls != 3 {
 		t.Errorf("underlying Thread calls = %d, want 3 (decode once, then stream directly)", under.threadCalls)
+	}
+}
+
+// corruptThreadProgram replays a real program except that one thread of
+// every region fails after its first block, like a chunk corrupt past its
+// header.
+type corruptThreadProgram struct {
+	trace.Program
+	bad int
+}
+
+func (p corruptThreadProgram) Region(i int) trace.Region {
+	return corruptThreadRegion{Region: p.Program.Region(i), bad: p.bad}
+}
+
+type corruptThreadRegion struct {
+	trace.Region
+	bad int
+}
+
+func (r corruptThreadRegion) Thread(tid int) trace.Stream {
+	if tid == r.bad {
+		return &errStream{}
+	}
+	return r.Region.Thread(tid)
+}
+
+// TestRegionCacheDecodeErrorInOneThread: an error in any one thread of a
+// region — not just the first — fails the whole region: nothing is cached, the healthy threads replay
+// block for block from the underlying streams, and the broken one keeps its
+// Err.
+func TestRegionCacheDecodeErrorInOneThread(t *testing.T) {
+	prog := workload.New("npb-ft", 4, workload.WithScale(0.05))
+	f := record(t, prog)
+	for bad := 0; bad < f.Threads(); bad++ {
+		under := corruptThreadProgram{Program: f, bad: bad}
+		c := NewRegionCache(64 << 20)
+		cp := c.Program(under, "corrupt")
+		for pass := 0; pass < 2; pass++ {
+			for tid := 0; tid < f.Threads(); tid++ {
+				s := cp.Region(2).Thread(tid)
+				got := drainAny(s)
+				if tid == bad {
+					if es, ok := s.(interface{ Err() error }); !ok || es.Err() == nil {
+						t.Errorf("bad thread %d pass %d: fallback stream lost its Err", bad, pass)
+					}
+					continue
+				}
+				sameBlocks(t, fmt.Sprintf("bad thread %d pass %d thread %d", bad, pass, tid),
+					got, drainAny(f.Region(2).Thread(tid)))
+			}
+		}
+		if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 {
+			t.Errorf("bad thread %d: failed region retained or served from cache: %+v", bad, st)
+		}
 	}
 }
 

@@ -5,12 +5,49 @@
 // lines in LRU→MRU order through the machine's normal coherent access path,
 // restoring cache and directory state without functional simulation of the
 // full history.
+//
+// # Cost model
+//
+// The prefix pass must stay cheaper than the detailed simulation it stands
+// in for, so the per-core tracker is a recency list, not a timestamp map:
+// an index (sparse.Table) from line address into a flat node array threaded
+// on an intrusive doubly-linked list ordered LRU→MRU. Touching a line is
+// one hash probe plus a splice to the list tail — O(1), no allocation for
+// a line seen before. A snapshot walks capacity nodes back from the tail —
+// O(capacity), independent of how many lines the core has ever touched, and
+// with no sort.
+//
+// # Why the index is unbounded
+//
+// Lines are never dropped when they fall out of the capacity window. A
+// line's dirty flag is sticky for the whole pass (see tracker.touch), so a
+// line written once, pushed out of the window by capacity other lines and
+// then read again must come back dirty; a bounded LRU would have forgotten
+// the write. Memory is therefore 16 bytes of node plus one index slot per
+// distinct line a core touches over the prefix, as it always was.
+//
+// # Streaming contract
+//
+// Stream is the one prefix-pass implementation. It walks regions 0 up to
+// (not including) the last requested region once, and hands each requested
+// region's snapshot to the caller's emit function the moment the pass
+// reaches that region — in ascending region order, from the calling
+// goroutine, before any later region is tracked — so consumers can start
+// simulating early points while the pass continues. A region's threads are
+// tracked on up to GOMAXPROCS goroutines: the per-core trackers share
+// nothing, and Region.Thread is safe for concurrent use. Stream takes its
+// regions ascending, distinct and in range; Capture is a collector over it
+// for callers that want every snapshot at once, and normalises its input.
 package warmup
 
 import (
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"barrierpoint/internal/sim"
+	"barrierpoint/internal/sparse"
 	"barrierpoint/internal/trace"
 )
 
@@ -37,96 +74,149 @@ func (e Entry) Dirty() bool { return e&1 != 0 }
 // most recent lines in LRU→MRU replay order.
 type Snapshot [][]Entry
 
-// tracker accumulates one core's most-recent-access ordering.
-type tracker struct {
-	seq  uint64
-	last map[uint64]lineInfo
+// node is one tracked line on the recency list. Links are indices into
+// tracker.nodes, so growing the array moves no pointers and the garbage
+// collector sees one pointer-free allocation per core.
+type node struct {
+	entry      Entry
+	prev, next int32
 }
 
-type lineInfo struct {
-	seq   uint64
-	dirty bool
+// tracker accumulates one core's most-recent-access ordering. nodes[0] is
+// the sentinel of a circular list: nodes[0].next is the least recently used
+// line, nodes[0].prev the most recently used. index maps a line address to
+// its node; int32 links bound a core to 2^31 distinct lines (128 GiB of
+// footprint), far past anything a trace can hold.
+type tracker struct {
+	index sparse.Table[int32]
+	nodes []node
 }
 
 func newTracker() *tracker {
-	return &tracker{last: make(map[uint64]lineInfo, 1024)}
+	return &tracker{
+		index: *sparse.NewTable[int32](1024),
+		nodes: make([]node, 1, 1024),
+	}
 }
 
 func (t *tracker) touch(line uint64, write bool) {
-	t.seq++
-	li := t.last[line]
-	li.seq = t.seq
+	p, existed := t.index.Upsert(line)
+	if !existed {
+		i := int32(len(t.nodes))
+		*p = i
+		mru := t.nodes[0].prev
+		t.nodes = append(t.nodes, node{entry: NewEntry(line, write), prev: mru, next: 0})
+		t.nodes[mru].next = i
+		t.nodes[0].prev = i
+		return
+	}
+	i := *p
+	n := &t.nodes[i]
 	// Dirtiness is sticky: once written, a line that stays resident in the
 	// private hierarchy remains Modified until evicted, so replaying it as
 	// a store restores the common (cache-resident working set) case.
-	li.dirty = li.dirty || write
-	t.last[line] = li
+	if write {
+		n.entry |= 1
+	}
+	mru := t.nodes[0].prev
+	if i == mru {
+		return
+	}
+	t.nodes[n.prev].next = n.next
+	t.nodes[n.next].prev = n.prev
+	n.prev, n.next = mru, 0
+	t.nodes[mru].next = i
+	t.nodes[0].prev = i
 }
 
 // snapshot returns the capacity most recent lines in LRU→MRU order.
 func (t *tracker) snapshot(capacityLines int) []Entry {
-	type rec struct {
-		line uint64
-		li   lineInfo
-	}
-	recs := make([]rec, 0, len(t.last))
-	for line, li := range t.last {
-		recs = append(recs, rec{line, li})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].li.seq < recs[j].li.seq })
-	if len(recs) > capacityLines {
-		recs = recs[len(recs)-capacityLines:]
-	}
-	out := make([]Entry, len(recs))
-	for i, r := range recs {
-		out[i] = NewEntry(r.line, r.li.dirty)
+	n := min(capacityLines, len(t.nodes)-1)
+	out := make([]Entry, n)
+	i := t.nodes[0].prev
+	for k := n - 1; k >= 0; k-- {
+		out[k] = t.nodes[i].entry
+		i = t.nodes[i].prev
 	}
 	return out
 }
 
-// Capture replays the program's trace functionally and snapshots each
-// core's MRU state at the start of every region in atRegions. The capacity
-// is expressed in cache lines and should equal the largest shared LLC the
-// barrierpoint will ever be simulated on (paper §IV: only this one number
-// must be known).
-//
-// The returned map is keyed by region index. Regions not in atRegions cost
-// only the trace replay.
-func Capture(p trace.Program, atRegions []int, capacityLines int) map[int]Snapshot {
-	want := make(map[int]bool, len(atRegions))
-	maxRegion := -1
-	for _, r := range atRegions {
-		want[r] = true
-		if r > maxRegion {
-			maxRegion = r
+// track replays one thread's stream of one region into the tracker.
+func (t *tracker) track(s trace.Stream) {
+	var be trace.BlockExec
+	for s.Next(&be) {
+		for _, a := range be.Accs {
+			t.touch(trace.LineAddr(a.Addr), a.Write)
 		}
 	}
+}
+
+// eachThread calls fn(tid) for every tid in [0, threads) on up to GOMAXPROCS
+// goroutines and returns when every call has. Threads are claimed one at a
+// time, so uneven per-thread work still balances.
+func eachThread(threads int, fn func(tid int)) {
+	workers := min(runtime.GOMAXPROCS(0), threads)
+	if workers <= 1 {
+		for tid := 0; tid < threads; tid++ {
+			fn(tid)
+		}
+		return
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tid := int(next.Add(1)) - 1; tid < threads; tid = int(next.Add(1)) - 1 {
+				fn(tid)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Stream replays the program's trace functionally and calls emit with each
+// core's MRU state at the start of every region in atRegions, as soon as
+// the pass reaches that region. atRegions must be ascending, distinct and
+// inside the program (Capture normalises for callers that cannot promise
+// that). emit is called once per region, in order, from the calling
+// goroutine, and the pass does not advance until it returns. The pass stops
+// at the last requested region without replaying it: a snapshot depends
+// only on the regions before it.
+//
+// The capacity is expressed in cache lines and should equal the largest
+// shared LLC the barrierpoint will ever be simulated on (paper §IV: only
+// this one number must be known).
+func Stream(p trace.Program, atRegions []int, capacityLines int, emit func(region int, snap Snapshot)) {
 	threads := p.Threads()
 	trackers := make([]*tracker, threads)
 	for t := range trackers {
 		trackers[t] = newTracker()
 	}
-	out := make(map[int]Snapshot, len(atRegions))
-
-	for i := 0; i <= maxRegion && i < p.Regions(); i++ {
-		if want[i] {
-			snap := make(Snapshot, threads)
-			for t := range trackers {
-				snap[t] = trackers[t].snapshot(capacityLines)
-			}
-			out[i] = snap
+	i := 0
+	for _, at := range atRegions {
+		for ; i < at; i++ {
+			r := p.Region(i)
+			eachThread(threads, func(t int) { trackers[t].track(r.Thread(t)) })
 		}
-		r := p.Region(i)
-		for t := 0; t < threads; t++ {
-			s := r.Thread(t)
-			var be trace.BlockExec
-			for s.Next(&be) {
-				for _, a := range be.Accs {
-					trackers[t].touch(trace.LineAddr(a.Addr), a.Write)
-				}
-			}
-		}
+		snap := make(Snapshot, threads)
+		eachThread(threads, func(t int) { snap[t] = trackers[t].snapshot(capacityLines) })
+		emit(at, snap)
 	}
+}
+
+// Capture runs Stream and collects every snapshot, keyed by region index.
+// atRegions may be unordered and contain duplicates, and regions outside
+// the program are ignored. Regions not in atRegions cost only the trace
+// replay.
+func Capture(p trace.Program, atRegions []int, capacityLines int) map[int]Snapshot {
+	want := slices.Clone(atRegions)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	want = slices.DeleteFunc(want, func(r int) bool { return r < 0 || r >= p.Regions() })
+	out := make(map[int]Snapshot, len(want))
+	Stream(p, want, capacityLines, func(region int, snap Snapshot) { out[region] = snap })
 	return out
 }
 

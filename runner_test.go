@@ -1,0 +1,99 @@
+package barrierpoint_test
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	bp "barrierpoint"
+	"barrierpoint/internal/workload"
+)
+
+// goldenEstimates are the npb-ft (8 threads, scale 0.1, default config)
+// estimates as computed before the streaming prefix pass and the recency
+// list tracker replaced the collect-then-simulate runner and the map+sort
+// tracker: the rewrite must not move a single bit of any of them.
+var goldenEstimates = map[bp.WarmupMode]bp.Estimate{
+	bp.ColdWarmup: {Cycles: 2.8572643005757215e+06, TimeNs: 1.074159511494632e+06, Instrs: 580624,
+		DRAMAccs: 93612.2605600592, L3Misses: 93612.2605600592, L2Misses: 94033.48149029177, L1DAccs: 164679.06693581044},
+	bp.MRUWarmup: {Cycles: 356967.81978097535, TimeNs: 134198.4284890885, Instrs: 580624,
+		DRAMAccs: 9345.582865168539, L3Misses: 9345.582865168539, L2Misses: 9730.175888424354, L1DAccs: 164679.06693581044},
+	bp.MRUPrevWarmup: {Cycles: 355123.67269763385, TimeNs: 133505.1401118924, Instrs: 580624,
+		DRAMAccs: 9345.582865168539, L3Misses: 9345.582865168539, L2Misses: 9730.175888424354, L1DAccs: 164679.06693581044},
+}
+
+// TestRunPointsMatchesSimulatePointAndGolden: for every warm-up mode and
+// pool width, LocalRunner.RunPoints (points fed from the streaming pass
+// while it runs), per-point SimulatePoint (one prefix pass each, the farm's
+// unit of work) and the pre-change goldens agree exactly. Run under -race
+// it also covers the pass feeding a live pool.
+func TestRunPointsMatchesSimulatePointAndGolden(t *testing.T) {
+	prog := workload.New("npb-ft", 8, workload.WithScale(0.1))
+	mc := bp.TableIMachine(1)
+	a, err := bp.Analyze(prog, bp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regions []int
+	for _, pt := range a.BarrierPoints() {
+		regions = append(regions, pt.Region)
+	}
+	for _, mode := range []bp.WarmupMode{bp.ColdWarmup, bp.MRUWarmup, bp.MRUPrevWarmup} {
+		single := make(map[int]bp.RegionResult, len(regions))
+		for _, r := range regions {
+			if single[r], err = bp.SimulatePoint(prog, r, mc, mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, err := a.EstimateFrom(single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est != goldenEstimates[mode] {
+			t.Errorf("%v: estimate moved\n got  %#v\n want %#v", mode, est, goldenEstimates[mode])
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got, err := bp.LocalRunner{Workers: workers}.RunPoints(prog, regions, mc, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, single) {
+				t.Errorf("%v, %d workers: RunPoints differs from per-point SimulatePoint", mode, workers)
+			}
+		}
+	}
+}
+
+// TestRunPointsDuplicatesAndRange: duplicates are simulated once and
+// covered, and an out-of-range region is SimulatePoint's error, not an
+// index past the program.
+func TestRunPointsDuplicatesAndRange(t *testing.T) {
+	prog := workload.New("npb-is", 8, workload.WithScale(0.05))
+	mc := bp.TableIMachine(1)
+	for _, mode := range []bp.WarmupMode{bp.ColdWarmup, bp.MRUPrevWarmup} {
+		got, err := bp.LocalRunner{}.RunPoints(prog, []int{3, 1, 3, 1, 3}, mc, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("%v: %d results for 2 distinct regions", mode, len(got))
+		}
+		for _, r := range []int{1, 3} {
+			want, err := bp.SimulatePoint(prog, r, mc, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[r], want) {
+				t.Errorf("%v: region %d differs from SimulatePoint", mode, r)
+			}
+		}
+		for _, bad := range []int{-1, prog.Regions()} {
+			_, runErr := bp.LocalRunner{}.RunPoints(prog, []int{1, bad}, mc, mode)
+			_, ptErr := bp.SimulatePoint(prog, bad, mc, mode)
+			if runErr == nil || ptErr == nil || runErr.Error() != ptErr.Error() ||
+				!strings.Contains(runErr.Error(), "out of range") {
+				t.Errorf("%v: region %d: RunPoints error %v, SimulatePoint error %v", mode, bad, runErr, ptErr)
+			}
+		}
+	}
+}
