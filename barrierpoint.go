@@ -141,6 +141,8 @@ type Analysis struct {
 // StageObserver receives the wall-clock duration of each named pipeline
 // stage as it completes. A nil observer is valid and records nothing;
 // observers must not influence results — they are telemetry only.
+// RunPointsObserved calls its observer from the pool's goroutines, several
+// at once: an observer passed to it must be safe for concurrent use.
 type StageObserver func(stage string, d time.Duration)
 
 // Analyze profiles every inter-barrier region of p and selects
@@ -360,10 +362,18 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 	return lr.RunPointsObserved(p, regions, mc, mode, nil)
 }
 
-// RunPointsObserved is RunPoints with the MRU prefix pass timed: obsrv
-// receives "warmup-capture" once, with this call's own pass time, when the
-// pass ends. The pass runs while earlier points already simulate, so the
+// RunPointsObserved is RunPoints with its work timed. obsrv receives
+// "warmup-capture" once, with this call's own MRU prefix pass time, when the
+// pass ends; the pass runs while earlier points already simulate, so the
 // stage overlaps the caller's simulation stage rather than preceding it.
+// Each point then reports the phases it ran, once per point and from the
+// pool goroutine that ran it: "warm-replay" (its snapshot replayed onto a
+// fresh machine; not under ColdWarmup), "warm-prev" (the preceding regions
+// executed functionally; MRUPrevWarmup only) and "point-detail" (the
+// detailed simulation of the point itself). Summed over the points they are
+// time spent across the pool's goroutines, not the call's wall-clock time:
+// how an estimate's cost splits between functional warming and detailed
+// simulation.
 func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConfig, mode WarmupMode, obsrv StageObserver) (map[int]RegionResult, error) {
 	if p.Threads() != mc.Cores() {
 		return nil, fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
@@ -400,7 +410,7 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 				// snapshot once it has replayed it, so each snapshot is
 				// collectable while its point is still simulating.
 				r := pt.region
-				res := runPoint(p, r, mc, mode, pt.snap)
+				res := runPoint(p, r, mc, mode, pt.snap, obsrv)
 				mu.Lock()
 				out[r] = res
 				mu.Unlock()
@@ -428,16 +438,32 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 
 // runPoint simulates one barrierpoint on a fresh machine with the given
 // warmup snapshot. This is the single code path behind LocalRunner and
-// SimulatePoint, so in-process and farmed execution cannot diverge.
-func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot) RegionResult {
+// SimulatePoint, so in-process and farmed execution cannot diverge. Each
+// phase that runs is reported to obsrv as it ends; the first one includes
+// building the machine.
+func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) RegionResult {
+	t := time.Now()
+	lap := func(stage string) {
+		if obsrv != nil {
+			now := time.Now()
+			obsrv(stage, now.Sub(t))
+			t = now
+		}
+	}
 	m := sim.New(mc)
-	warmup.Replay(m, snap)
+	if mode != ColdWarmup {
+		warmup.Replay(m, snap)
+		lap("warm-replay")
+	}
 	if mode == MRUPrevWarmup {
 		for q := max(region-prevWarmupWindow, 0); q < region; q++ {
 			m.WarmRegion(p.Region(q))
 		}
+		lap("warm-prev")
 	}
-	return m.RunRegion(p.Region(region))
+	res := m.RunRegion(p.Region(region))
+	lap("point-detail")
+	return res
 }
 
 // SimulatePoint runs the detailed simulation of a single selected region,

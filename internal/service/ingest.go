@@ -79,6 +79,7 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 	}()
 
 	var cached, computed atomic.Int64
+	var flight profileFlight
 	var (
 		errMu   sync.Mutex
 		profErr error
@@ -121,20 +122,28 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 				if getErr() != nil {
 					continue
 				}
-				if m.st.HasProfile(rc.Digest, signature.CodecVersion) {
-					cached.Add(1)
-					continue
-				}
-				_, createdNow, err := profileRegion(m.st, rc.Region(), len(rc.Chunks), rc.Digest)
+				// Ingest keeps no profile in memory, so the flight carries a
+				// nil RegionData: only the claim and the error are shared.
+				_, fresh, err := flight.do(rc.Digest, func() (*signature.RegionData, bool, error) {
+					if m.st.HasProfile(rc.Digest, signature.CodecVersion) {
+						return nil, false, nil
+					}
+					_, createdNow, err := profileRegion(m.st, rc.Region(), len(rc.Chunks), rc.Digest)
+					if err == nil && createdNow {
+						createdMu.Lock()
+						created = append(created, rc.Digest)
+						createdMu.Unlock()
+					}
+					return nil, err == nil, err
+				})
 				if err != nil {
 					setErr(fmt.Errorf("service: profiling region %d during ingest: %w", rc.Index, err))
 					continue
 				}
-				computed.Add(1)
-				if createdNow {
-					createdMu.Lock()
-					created = append(created, rc.Digest)
-					createdMu.Unlock()
+				if fresh {
+					computed.Add(1)
+				} else {
+					cached.Add(1)
 				}
 			}
 		}()

@@ -9,6 +9,7 @@ import (
 
 	bp "barrierpoint"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/trace"
 	"barrierpoint/internal/tracefile"
 	"barrierpoint/internal/workload"
 )
@@ -325,5 +326,90 @@ func TestManagerMaxK(t *testing.T) {
 	}
 	if s := m.Stats(); s.ProfileComputed != int64(res.Regions) || s.ProfileCacheHits < int64(2*res.Regions) {
 		t.Errorf("manager stats %+v after ingest + two warm analyses", s)
+	}
+}
+
+// repeatedContentTrace records a program whose regions cycle through
+// `distinct` different contents, so pool workers meet the same region digest
+// at the same moment — most sharply at the start, when nothing is stored yet.
+func repeatedContentTrace(t *testing.T, regions, distinct int) []byte {
+	t.Helper()
+	const threads = 4
+	prog := &trace.SliceProgram{ProgName: "repeat", NumThreads: threads}
+	for i := 0; i < regions; i++ {
+		r := &trace.SliceRegion{Threads: make([][]trace.BlockExec, threads)}
+		for tid := range r.Threads {
+			for b := 0; b < 400; b++ {
+				r.Threads[tid] = append(r.Threads[tid], trace.BlockExec{
+					Block: i%distinct*8 + b%8, Instrs: 5,
+					Accs: []trace.Access{{Addr: uint64((tid*4096 + b*(1+i%distinct)) * trace.LineSize), Write: b%4 == 0}},
+				})
+			}
+		}
+		prog.Rgns = append(prog.Rgns, r)
+	}
+	var buf bytes.Buffer
+	if err := tracefile.Record(&buf, prog); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRepeatedRegionContentProfiledOnce: when a trace repeats region
+// content, an ingest and a cold analysis each profile every distinct digest
+// exactly once — two pool workers that meet the same digest before either
+// has stored its profile must not both compute it — and the selection is
+// byte-identical to a sequential pass that cannot race. Run with -race
+// -count=10: before the per-call claim this failed almost every time.
+func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the race needs a pool
+	const regions, distinct = 48, 3
+	data := repeatedContentTrace(t, regions, distinct)
+	cfg := bp.DefaultConfig()
+	cfg.Cluster.MaxK = 5 // three contents: keep k-means out of the -race budget
+
+	m, st := newManager(t)
+	res, err := m.IngestTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Regions != regions || res.ProfilesComputed != distinct || res.ProfilesCached != regions-distinct {
+		t.Errorf("ingest computed %d and reused %d profiles of %d regions, want %d and %d",
+			res.ProfilesComputed, res.ProfilesCached, res.Regions, distinct, regions-distinct)
+	}
+	warmSel, _, stats, err := AnalyzeCachedProfiled(st, res.Key, cfg, m.replay, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != (ProfileStats{Regions: regions, Cached: regions}) {
+		t.Errorf("analyze after ingest stats %+v, want every region cached", stats)
+	}
+
+	// Cold analysis: the trace stored without profiling.
+	_, stCold := newManager(t)
+	key, _, err := stCold.PutTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSel, _, stats, err := AnalyzeCachedProfiled(stCold, key, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != (ProfileStats{Regions: regions, Cached: regions - distinct, Computed: distinct}) {
+		t.Errorf("cold analysis stats %+v, want %d computed", stats, distinct)
+	}
+
+	// Reference: one worker, so no two regions are ever in flight together.
+	runtime.GOMAXPROCS(1)
+	_, stSeq := newManager(t)
+	if _, _, err := stSeq.PutTrace(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	seqSel, _, _, err := AnalyzeCachedProfiled(stSeq, key, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(coldSel, seqSel) || !bytes.Equal(warmSel, seqSel) {
+		t.Error("selection depends on how duplicate regions were profiled")
 	}
 }

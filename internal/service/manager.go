@@ -865,11 +865,14 @@ func (m *Manager) pointRunner(j *job) bp.PointRunner {
 	}}
 }
 
-// observedLocalRunner is the local pool reporting each MRU prefix pass it
-// runs for job j: the pool overlaps the pass with detailed simulation inside
-// simulate-points, so it is a concurrent span stage (warmup-capture), timed
-// by the call that ran it — never another job's pass — and it also feeds
-// the per-stage histogram. It has no journal record of its own.
+// observedLocalRunner is the local pool reporting what it runs for job j:
+// the MRU prefix pass (warmup-capture) and, per simulated point, the
+// warm-replay, warm-prev and point-detail phases. All of it happens inside
+// simulate-points and overlaps, so these are concurrent span stages, timed
+// by the call that ran them — never another job's work — and they also feed
+// the per-stage histogram. The point phases arrive from the pool's
+// goroutines; the span and the histogram are both safe for that. None of
+// them has a journal record.
 type observedLocalRunner struct {
 	m *Manager
 	j *job

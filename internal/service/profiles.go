@@ -69,6 +69,47 @@ func profileRegion(st *store.Store, r trace.Region, threads int, digest string) 
 	return rd, !existed, nil
 }
 
+// profileFlight is a single-flight over the region digests of one
+// profilesFor or IngestTrace call. A trace that repeats region content hands
+// the same digest to several pool workers at once; without a claim they all
+// miss the store, all profile the region and all count it as computed. The
+// first worker to claim a digest resolves it (store hit or profile + put);
+// every later one, in flight or long after, gets that result and counts as
+// a cache hit, so a call computes each distinct digest at most once. The
+// shared *signature.RegionData is never written after it is built.
+type profileFlight struct {
+	mu    sync.Mutex
+	calls map[string]*profileCall
+}
+
+type profileCall struct {
+	done chan struct{} // closed once rd and err are set
+	rd   *signature.RegionData
+	err  error
+}
+
+// do runs resolve for the first caller of digest and returns its result to
+// every caller. computed is resolve's own report for that first caller and
+// false for the others.
+func (f *profileFlight) do(digest string, resolve func() (rd *signature.RegionData, computed bool, err error)) (*signature.RegionData, bool, error) {
+	f.mu.Lock()
+	if c, ok := f.calls[digest]; ok {
+		f.mu.Unlock()
+		<-c.done
+		return c.rd, false, c.err
+	}
+	if f.calls == nil {
+		f.calls = make(map[string]*profileCall)
+	}
+	c := &profileCall{done: make(chan struct{})}
+	f.calls[digest] = c
+	f.mu.Unlock()
+	defer close(c.done) // also on a panic out of resolve: waiters must not hang
+	var computed bool
+	c.rd, computed, c.err = resolve()
+	return c.rd, computed, c.err
+}
+
 // profilesFor collects the per-region profiles of an open trace, serving
 // each region from the profile cache and computing + caching misses, in
 // parallel across regions like profile.Program. Results are ordered by
@@ -81,6 +122,7 @@ func profilesFor(st *store.Store, f *tracefile.File, prog trace.Program) ([]*sig
 	out := make([]*signature.RegionData, n)
 	stats := ProfileStats{Regions: n}
 	var cached, computed atomic.Int64
+	var flight profileFlight
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -107,14 +149,20 @@ func profilesFor(st *store.Store, f *tracefile.File, prog trace.Program) ([]*sig
 				}
 				digest, err := f.RegionDigest(i)
 				if err == nil {
-					if rd := cachedProfile(st, digest); rd != nil {
-						out[i] = rd
-						cached.Add(1)
-						continue
-					}
-					out[i], _, err = profileRegion(st, prog.Region(i), f.Threads(), digest)
+					var fresh bool
+					out[i], fresh, err = flight.do(digest, func() (*signature.RegionData, bool, error) {
+						if rd := cachedProfile(st, digest); rd != nil {
+							return rd, false, nil
+						}
+						rd, _, err := profileRegion(st, prog.Region(i), f.Threads(), digest)
+						return rd, err == nil, err
+					})
 					if err == nil {
-						computed.Add(1)
+						if fresh {
+							computed.Add(1)
+						} else {
+							cached.Add(1)
+						}
 						continue
 					}
 				}

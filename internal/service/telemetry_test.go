@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/obs"
 )
@@ -123,10 +125,23 @@ func stageNs(sp *obs.SpanData, name string) (ns int64) {
 	return ns
 }
 
+// stageCount returns the occurrence count of a span's concurrent stage.
+func stageCount(sp *obs.SpanData, name string) (n int) {
+	for _, stg := range sp.Stages {
+		if stg.Name == name && stg.Concurrent {
+			n += stg.Count
+		}
+	}
+	return n
+}
+
 // TestWarmupCaptureStageIsPerJob runs jobs side by side: a warm-up pass is
 // timed by the job that ran it, so jobs without an MRU pass record no
 // warmup-capture stage however they overlap one, no job's capture exceeds
 // its own simulate-points, and the histogram holds one sample per pass.
+// The per-point phases — reported from the pool's goroutines, so this is
+// also their -race test — land on the job that simulated the points: one
+// observation per point of exactly the phases its warm-up mode runs.
 func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 	st, key := newTestStore(t)
 	m := New(st, 4, 0)
@@ -146,6 +161,16 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 		}
 		ids[i] = snap.ID
 	}
+	// Every estimate uses the default selection of the one trace.
+	selBytes, _, err := AnalyzeCached(st, key, bp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := bp.LoadSelection(bytes.NewReader(selBytes))
+	if err != nil || len(sel.Points) == 0 {
+		t.Fatalf("selection has no points: %v", err)
+	}
+	points := len(sel.Points)
 	for i, id := range ids {
 		done, err := m.Wait(context.Background(), id)
 		if err != nil || done.Status != StatusDone {
@@ -156,6 +181,24 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 			t.Errorf("%+v ran no prefix pass but recorded %d ns of warmup-capture", reqs[i], capture)
 		} else if mru && (capture <= 0 || capture > simulate) {
 			t.Errorf("%+v: warmup-capture = %d ns, want within (0, simulate-points = %d ns]", reqs[i], capture, simulate)
+		}
+		want := map[string]int{"warm-replay": 0, "warm-prev": 0, "point-detail": 0}
+		if reqs[i].Kind == KindEstimate {
+			want["point-detail"] = points
+			if strings.HasPrefix(reqs[i].Warmup, "mru") {
+				want["warm-replay"] = points
+			}
+			if reqs[i].Warmup == "mru+prev" {
+				want["warm-prev"] = points
+			}
+		}
+		for stage, n := range want {
+			if got := stageCount(done.Span, stage); got != n {
+				t.Errorf("%+v: %d %s observations, want %d (one per simulated point)", reqs[i], got, stage, n)
+			}
+			if n > 0 && stageNs(done.Span, stage) <= 0 {
+				t.Errorf("%+v: %s recorded no time", reqs[i], stage)
+			}
 		}
 	}
 	var prom strings.Builder

@@ -9,6 +9,35 @@
 // channel per socket with both fixed latency and bandwidth-induced queueing.
 // Cores are interleaved in fixed round-robin cycle quanta, so shared-state
 // interactions are deterministic and approximately time-ordered.
+//
+// # Cache sets
+//
+// Every level is the same structure (sets in cache.go): an array of 8-byte
+// line tags and, beside it, an array of per-line payloads — the MSI state in
+// L1I/L1D/L2, the directory entry (sharers, owner, dirty) in the LLC. The
+// invariant of a set is that its resident lines are packed at the front in
+// most- to least-recently-used order and every way after them holds
+// invalidTag. LRU needs nothing else: a hit is a scan of at most Ways
+// contiguous tags plus a move to the front, the victim of a full set is its
+// last way, a set with an empty way evicts nothing, and invalidating a line
+// closes the gap. There are no timestamps.
+//
+// Which physical way a line sits in was never observable: hits, victims and
+// coherence actions depend only on which lines are resident, their payloads
+// and their recency order, and that triple is what the sets store. Replacing
+// the earlier timestamp-per-way arrays therefore moved no simulated
+// statistic; sets_test.go keeps those arrays as the reference and checks the
+// equivalence operation by operation.
+//
+// Two details of the access path look like oversights and are frozen,
+// because changing either changes every simulated statistic:
+//
+//   - When an L2 eviction updates the victim's directory entry, fillL2 finds
+//     the entry with lookup, not peek, so the LLC line of a line leaving a
+//     private cache becomes the most recently used of its LLC set.
+//   - On an LLC miss the victim is read first, its private copies are
+//     back-invalidated (and its writeback charged) next, and only then is
+//     the new line inserted.
 package sim
 
 import "fmt"
@@ -111,6 +140,9 @@ func (c Config) Validate() error {
 		}
 		if cc.c.Sets()&(cc.c.Sets()-1) != 0 {
 			return fmt.Errorf("sim: cache %s set count %d not a power of two", cc.name, cc.c.Sets())
+		}
+		if got := cc.c.Sets() * cc.c.Ways * 64; got != cc.c.SizeBytes {
+			return fmt.Errorf("sim: cache %s is %d bytes but %d sets × %d ways of 64-byte lines hold %d", cc.name, cc.c.SizeBytes, cc.c.Sets(), cc.c.Ways, got)
 		}
 	}
 	return nil

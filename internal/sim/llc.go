@@ -1,85 +1,23 @@
 package sim
 
-// dirLine is one way of one LLC set, carrying MSI directory state for the
-// private caches above it: a sharer bitmask over cores and a dirty-owner.
-type dirLine struct {
-	tag     uint64
-	lastUse uint64
+// dirEntry is what the LLC keeps beside each line: MSI directory state for
+// the private caches above it and whether the line differs from memory.
+type dirEntry struct {
 	sharers uint64 // bit c set: core c's private hierarchy may hold the line
 	owner   int8   // core holding the line Modified, or -1
-	valid   bool
-	dirty   bool // line differs from memory (needs writeback on eviction)
+	dirty   bool   // line differs from memory (needs writeback on eviction)
 }
 
 // llcSlice is one socket's shared, inclusive L3 with an integrated
 // directory, plus that socket's DRAM channel bandwidth model.
 type llcSlice struct {
-	lines   []dirLine
-	ways    int
-	setMask uint64
-	useCtr  uint64
+	sets[dirEntry]
 
 	memFree uint64 // cycle at which the DRAM channel is next free
 }
 
 func newLLC(cfg CacheConfig) *llcSlice {
-	sets := cfg.Sets()
-	return &llcSlice{
-		lines:   make([]dirLine, sets*cfg.Ways),
-		ways:    cfg.Ways,
-		setMask: uint64(sets - 1),
-	}
-}
-
-func (l *llcSlice) set(line uint64) []dirLine {
-	s := int(line&l.setMask) * l.ways
-	return l.lines[s : s+l.ways]
-}
-
-// lookup finds a line and refreshes LRU. Returns nil if absent.
-func (l *llcSlice) lookup(line uint64) *dirLine {
-	set := l.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			l.useCtr++
-			set[i].lastUse = l.useCtr
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-// victim selects the way a new line would take: an invalid way if one
-// exists, otherwise the LRU way. The caller handles back-invalidation of
-// the victim before reusing it.
-func (l *llcSlice) victim(line uint64) *dirLine {
-	set := l.set(line)
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if set[i].lastUse < set[vi].lastUse {
-			vi = i
-		}
-	}
-	return &set[vi]
-}
-
-// place overwrites way v with a fresh line.
-func (l *llcSlice) place(v *dirLine, line uint64, core int, write bool) {
-	l.useCtr++
-	*v = dirLine{
-		tag:     line,
-		lastUse: l.useCtr,
-		sharers: 1 << uint(core),
-		owner:   -1,
-		valid:   true,
-		dirty:   write,
-	}
-	if write {
-		v.owner = int8(core)
-	}
+	return &llcSlice{sets: newSets[dirEntry](cfg)}
 }
 
 // memAccess models one DRAM line transfer issued at cycle now: fixed
@@ -95,20 +33,6 @@ func (l *llcSlice) memAccess(now, latency, busy uint64) uint64 {
 }
 
 func (l *llcSlice) reset() {
-	for i := range l.lines {
-		l.lines[i] = dirLine{}
-	}
-	l.useCtr = 0
+	l.sets.reset()
 	l.memFree = 0
-}
-
-// occupancy counts valid lines.
-func (l *llcSlice) occupancy() int {
-	n := 0
-	for i := range l.lines {
-		if l.lines[i].valid {
-			n++
-		}
-	}
-	return n
 }

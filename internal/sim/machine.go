@@ -225,15 +225,14 @@ func (m *Machine) llcAccess(c int, line uint64, write bool, now uint64) uint64 {
 		m.ctr.DRAMAccs++
 		lat += slice.memAccess(now, m.memLatency, m.memBusy)
 	}
-	v := slice.victim(line)
-	if v.valid {
+	if vtag, v, full := slice.victim(line); full {
 		// Inclusive LLC: destroy all private copies of the victim.
 		mask := v.sharers
 		dirty := v.dirty
 		for mask != 0 {
 			o := trailingZeros(mask)
 			mask &^= 1 << uint(o)
-			if m.invalidatePrivate(o, v.tag) {
+			if m.invalidatePrivate(o, vtag) {
 				dirty = true
 			}
 		}
@@ -242,7 +241,11 @@ func (m *Machine) llcAccess(c int, line uint64, write bool, now uint64) uint64 {
 			slice.memAccess(now, 0, m.memBusy)
 		}
 	}
-	slice.place(v, line, c, write)
+	fresh := dirEntry{sharers: 1 << uint(c), owner: -1, dirty: write}
+	if write {
+		fresh.owner = int8(c)
+	}
+	slice.insert(line, fresh)
 	return lat
 }
 
@@ -258,7 +261,9 @@ func (m *Machine) fillL2(c int, line uint64, state uint8) {
 	if co.l1d.invalidate(victim) == stateModified {
 		vstate = stateModified
 	}
-	// Update the directory: this core no longer holds victim.
+	// Update the directory: this core no longer holds victim. The lookup
+	// makes the victim's LLC line most recently used; that is frozen
+	// behaviour (see the package comment), not an oversight to peek away.
 	home := m.homeSocket(victim)
 	if dl := m.llc[home].lookup(victim); dl != nil {
 		dl.sharers &^= 1 << uint(c)
@@ -282,7 +287,7 @@ func (m *Machine) fillL1D(c int, line uint64, state uint8) {
 	if vstate == stateModified {
 		// Write back into L2 (which holds the line by inclusion).
 		if l2 := co.l2.peek(victim); l2 != nil {
-			l2.state = stateModified
+			*l2 = stateModified
 		}
 	}
 }
@@ -296,16 +301,21 @@ func (m *Machine) dataAccess(c int, addr uint64, write bool, now uint64) uint64 
 		m.ctr.L1DAccesses++
 	}
 
+	// l points at the front of the line's set and is written after
+	// llcAccess returns. Only a lookup or insert on that same private set
+	// could move the line, and llcAccess does neither: by inclusion the
+	// upgrade hits in the LLC, which invalidates other cores' copies only
+	// (and an invalidate never moves the front of a set).
 	if l := co.l1d.lookup(line); l != nil {
-		if write && l.state != stateModified {
+		if write && *l != stateModified {
 			// Upgrade through the directory.
 			if !m.functional {
 				m.ctr.Upgrades++
 			}
 			lat := m.llcAccess(c, line, true, now)
-			l.state = stateModified
+			*l = stateModified
 			if l2 := co.l2.peek(line); l2 != nil {
-				l2.state = stateModified
+				*l2 = stateModified
 			}
 			return uint64(m.cfg.L1D.Latency) + lat
 		}
@@ -316,16 +326,16 @@ func (m *Machine) dataAccess(c int, addr uint64, write bool, now uint64) uint64 
 	}
 
 	if l := co.l2.lookup(line); l != nil {
-		if write && l.state != stateModified {
+		if write && *l != stateModified {
 			if !m.functional {
 				m.ctr.Upgrades++
 			}
 			lat := m.llcAccess(c, line, true, now)
-			l.state = stateModified
+			*l = stateModified
 			m.fillL1D(c, line, stateModified)
 			return uint64(m.cfg.L2.Latency) + lat
 		}
-		m.fillL1D(c, line, l.state)
+		m.fillL1D(c, line, *l)
 		return uint64(m.cfg.L2.Latency)
 	}
 	if !m.functional {
@@ -502,17 +512,16 @@ func (m *Machine) WarmAccess(c int, line uint64, write bool) {
 func (m *Machine) CheckInclusion() error {
 	for _, co := range m.core {
 		for _, pc := range []*cache{co.l1d, co.l2} {
-			for i := range pc.lines {
-				ln := &pc.lines[i]
-				if ln.state == stateInvalid {
+			for _, line := range pc.tags {
+				if line == invalidTag {
 					continue
 				}
-				dl := m.llc[m.homeSocket(ln.tag)].lookup(ln.tag)
+				dl := m.llc[m.homeSocket(line)].peek(line)
 				if dl == nil {
-					return fmt.Errorf("sim: core %d holds line %#x absent from LLC", co.id, ln.tag)
+					return fmt.Errorf("sim: core %d holds line %#x absent from LLC", co.id, line)
 				}
 				if dl.sharers&(1<<uint(co.id)) == 0 {
-					return fmt.Errorf("sim: core %d holds line %#x but directory mask %#x omits it", co.id, ln.tag, dl.sharers)
+					return fmt.Errorf("sim: core %d holds line %#x but directory mask %#x omits it", co.id, line, dl.sharers)
 				}
 			}
 		}
@@ -542,16 +551,7 @@ func (m *Machine) L2Has(c int, line uint64) bool { return m.core[c].l2.peek(line
 func (m *Machine) L1DHas(c int, line uint64) bool { return m.core[c].l1d.peek(line) != nil }
 
 // LLCHas reports whether the home slice holds the given line address.
-func (m *Machine) LLCHas(line uint64) bool {
-	s := m.llc[m.homeSocket(line)]
-	set := s.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
+func (m *Machine) LLCHas(line uint64) bool { return m.llc[m.homeSocket(line)].peek(line) != nil }
 
 // WarmRegion functionally executes an entire region: caches, directory,
 // branch predictors and instruction caches update through the normal paths,

@@ -13,6 +13,16 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Table I config invalid: %v", err)
 	}
+	for _, cores := range []int{1, 2, 4, 8, 16, 32} {
+		if err := Tiny(cores).Validate(); err != nil {
+			t.Errorf("Tiny(%d) invalid: %v", cores, err)
+		}
+	}
+	for sockets := 1; sockets <= 4; sockets++ {
+		if err := TableI(sockets).Validate(); err != nil {
+			t.Errorf("TableI(%d) invalid: %v", sockets, err)
+		}
+	}
 	cases := []func(*Config){
 		func(c *Config) { c.Sockets = 0 },
 		func(c *Config) { c.CoresPerSocket = 0 },
@@ -23,6 +33,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.QuantumCycles = 0 },
 		func(c *Config) { c.L1D.Ways = 0 },
 		func(c *Config) { c.L2.SizeBytes = 96 << 10 }, // non-power-of-two sets
+		// Capacity the sets do not model: Lines() would disagree with them.
+		func(c *Config) { c.L3.SizeBytes += 64 },                            // a line over
+		func(c *Config) { c.L1D.SizeBytes = 32<<10 + 32 },                   // not whole lines
+		func(c *Config) { c.L1I = CacheConfig{SizeBytes: 3 * 64, Ways: 2} }, // 1 set × 2 ways ≠ 3 lines
+		func(c *Config) { c.L2 = CacheConfig{SizeBytes: 64, Ways: 4} },      // fewer lines than ways
 	}
 	for i, mut := range cases {
 		c := TableI(1)
@@ -62,7 +77,7 @@ func TestCacheInsertLookup(t *testing.T) {
 	}
 	c.insert(5, stateShared)
 	l := c.lookup(5)
-	if l == nil || l.state != stateShared {
+	if l == nil || *l != stateShared {
 		t.Fatal("inserted line not found")
 	}
 	if c.occupancy() != 1 {
