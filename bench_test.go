@@ -219,7 +219,7 @@ func BenchmarkAnalyzeColdStore(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		_, cached, stats, err := service.AnalyzeCachedProfiled(st, key, cfg, nil, nil)
+		_, cached, stats, err := service.AnalyzeCached(st, key, cfg, nil, nil)
 		if err != nil || cached {
 			b.Fatalf("cold analyze: cached=%v err=%v", cached, err)
 		}
@@ -237,12 +237,12 @@ func BenchmarkAnalyzeColdStore(b *testing.B) {
 func BenchmarkAnalyzeCachedStore(b *testing.B) {
 	st, key := newBenchStore(b)
 	cfg := bp.DefaultConfig()
-	if _, _, err := service.AnalyzeCached(st, key, cfg); err != nil {
+	if _, _, _, err := service.AnalyzeCached(st, key, cfg, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, cached, err := service.AnalyzeCached(st, key, cfg); err != nil || !cached {
+		if _, cached, _, err := service.AnalyzeCached(st, key, cfg, nil, nil); err != nil || !cached {
 			b.Fatalf("cached analyze: cached=%v err=%v", cached, err)
 		}
 	}
@@ -257,7 +257,7 @@ func BenchmarkAnalyzeCachedStore(b *testing.B) {
 func BenchmarkRecluster(b *testing.B) {
 	st, key := newBenchStore(b)
 	// One cold analysis fills the content-addressed profile cache.
-	if _, cached, err := service.AnalyzeCached(st, key, bp.DefaultConfig()); err != nil || cached {
+	if _, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil); err != nil || cached {
 		b.Fatalf("warm-up analyze: cached=%v err=%v", cached, err)
 	}
 	cfg, err := service.ConfigFor("", 7)
@@ -270,7 +270,7 @@ func BenchmarkRecluster(b *testing.B) {
 		if err := st.RemoveArtifact(key, name); err != nil {
 			b.Fatal(err)
 		}
-		_, cached, stats, err := service.AnalyzeCachedProfiled(st, key, cfg, nil, nil)
+		_, cached, stats, err := service.AnalyzeCached(st, key, cfg, nil, nil)
 		if err != nil || cached {
 			b.Fatalf("recluster: cached=%v err=%v", cached, err)
 		}

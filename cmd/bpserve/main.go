@@ -23,8 +23,9 @@
 //	GET  /v1/jobs/{id}         job status; result embedded when done
 //	GET  /healthz              liveness + readiness: store/queue counters,
 //	                           WAL status, replay-cache and fleet state
-//	GET  /debug/vars           expvar-style metrics
 //	GET  /metrics              Prometheus text exposition (bp_-prefixed)
+//	GET  /debug/vars           the same registry as one expvar-style JSON
+//	                           object, {"metrics": {...}}
 //
 // The farm tier (see internal/farm) adds the worker-facing endpoints —
 // bpworker processes register, lease point-simulation tasks, heartbeat
@@ -49,7 +50,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -59,6 +59,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -196,48 +197,28 @@ func run(args []string, stderr io.Writer) error {
 	return mgr.Shutdown(shutCtx)
 }
 
-// server routes the HTTP API. It is an http.Handler; construction wires a
-// fresh (unregistered) expvar map so tests can build many servers without
-// colliding in expvar's process-global registry.
+// server routes the HTTP API. It is an http.Handler.
 type server struct {
 	st        *store.Store
 	mgr       *service.Manager
 	mux       *http.ServeMux
 	started   time.Time
 	maxUpload int64 // largest accepted trace body, bytes
-	uploads   expvar.Int
-	vars      expvar.Map
+	uploads   atomic.Int64
 }
 
 func newServer(st *store.Store, mgr *service.Manager) *server {
 	s := &server{st: st, mgr: mgr, mux: http.NewServeMux(), started: time.Now(), maxUpload: 1 << 30}
-	s.vars.Init()
-	s.vars.Set("trace_uploads", &s.uploads)
-	s.vars.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(s.started).Seconds()
-	}))
-	s.vars.Set("traces_stored", expvar.Func(func() any {
-		keys, err := s.st.Traces()
-		if err != nil {
-			return -1
-		}
-		return len(keys)
-	}))
-	s.vars.Set("jobs", expvar.Func(func() any { return s.mgr.Stats() }))
-	s.vars.Set("replay_cache", expvar.Func(func() any { return s.mgr.ReplayCacheStats() }))
 	if q := mgr.Farm(); q != nil {
-		s.vars.Set("farm", expvar.Func(func() any { return q.Stats() }))
-		s.vars.Set("farm_recovery", expvar.Func(func() any { return q.Recovery() }))
 		s.mux.Handle("/farm/", farm.NewServer(q, st))
 	}
 
-	// Server-level series join the manager's registry, so one /metrics
-	// scrape covers the whole coordinator; the registry is also bridged
-	// into /debug/vars under a single new "metrics" key, leaving every
-	// pre-existing expvar key shape untouched.
+	// Server-level series join the manager's registry, so that registry is
+	// the coordinator's one metrics surface: /metrics exposes it as
+	// Prometheus text and /debug/vars as expvar-style JSON.
 	reg := mgr.Metrics()
 	reg.CounterFunc("bp_trace_uploads_total", "Traces accepted by POST /v1/traces.", func() float64 {
-		return float64(s.uploads.Value())
+		return float64(s.uploads.Load())
 	})
 	reg.GaugeFunc("bp_uptime_seconds", "Seconds since the server started.", func() float64 {
 		return time.Since(s.started).Seconds()
@@ -249,7 +230,6 @@ func newServer(st *store.Store, mgr *service.Manager) *server {
 		}
 		return float64(len(keys))
 	})
-	s.vars.Set("metrics", reg.Expvar())
 
 	s.mux.HandleFunc("POST /v1/traces", s.handleUpload)
 	s.mux.HandleFunc("GET /v1/traces", s.handleListTraces)
@@ -520,48 +500,30 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if storeErr != nil {
 		body["store_error"] = storeErr.Error()
 	}
-	js := s.mgr.JournalStats()
-	body["job_journal"] = map[string]any{
-		"durable":     js.Durable,
-		"bytes":       js.Bytes,
-		"appends":     js.Appends,
-		"errors":      js.Errors,
-		"compactions": js.Compactions,
-	}
+	body["job_journal"] = s.mgr.JournalStats()
 	if rec := s.mgr.JobRecovery(); rec.Records > 0 {
 		body["job_recovery"] = rec
 	}
 	if q := s.mgr.Farm(); q != nil {
 		fs := q.Stats()
-		body["farm"] = map[string]any{
+		farmBody := map[string]any{
 			"workers_registered": len(q.Workers()),
 			"workers_live":       fs.LiveWorkers,
 			"tasks_pending":      fs.Pending,
 			"tasks_leased":       fs.Leased,
-			"wal": map[string]any{
-				"durable":     q.Durable(),
-				"bytes":       fs.WALBytes,
-				"appends":     fs.WALAppends,
-				"errors":      fs.WALErrors,
-				"compactions": fs.WALCompactions,
-			},
+			"wal":                q.JournalStats(),
 		}
+		if rec := q.Recovery(); rec.Records > 0 {
+			farmBody["recovery"] = rec
+		}
+		body["farm"] = farmBody
 	}
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleVars renders the server's private expvar map in the same format as
-// expvar's process-global /debug/vars handler.
+// handleVars renders the metrics registry in the format of expvar's
+// process-global /debug/vars handler, under the single key "metrics".
 func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{")
-	first := true
-	s.vars.Do(func(kv expvar.KeyValue) {
-		if !first {
-			fmt.Fprintf(w, ",")
-		}
-		first = false
-		fmt.Fprintf(w, "\n%q: %s", kv.Key, kv.Value)
-	})
-	fmt.Fprintf(w, "\n}\n")
+	fmt.Fprintf(w, "{\n%q: %s\n}\n", "metrics", s.mgr.Metrics().Expvar())
 }

@@ -240,14 +240,14 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("health %+v", health)
 	}
 	var vars struct {
-		TraceUploads int `json:"trace_uploads"`
-		TracesStored int `json:"traces_stored"`
-		Jobs         struct {
-			CacheHits int64 `json:"cache_hits"`
-		} `json:"jobs"`
+		Metrics struct {
+			TraceUploads float64 `json:"bp_trace_uploads_total"`
+			TracesStored float64 `json:"bp_traces_stored"`
+			CacheHits    float64 `json:"bp_job_cache_hits_total"`
+		} `json:"metrics"`
 	}
 	doJSON(t, "GET", base+"/debug/vars", nil, http.StatusOK, &vars)
-	if vars.TraceUploads != 2 || vars.TracesStored != 1 || vars.Jobs.CacheHits < 1 {
+	if m := vars.Metrics; m.TraceUploads != 2 || m.TracesStored != 1 || m.CacheHits < 1 {
 		t.Errorf("vars %+v", vars)
 	}
 }
@@ -355,7 +355,7 @@ func TestFarmEndToEnd(t *testing.T) {
 					c.Fail(task, err.Error())
 					continue
 				}
-				res, err := farm.ExecuteTask(wst, task)
+				res, err := farm.ExecuteTask(wst, task, nil)
 				if err != nil {
 					c.Fail(task, err.Error())
 					continue
@@ -385,10 +385,12 @@ func TestFarmEndToEnd(t *testing.T) {
 	if fleet.Stats.Completed == 0 {
 		t.Fatalf("no completed tasks in stats: %+v", fleet.Stats)
 	}
-	var vars map[string]json.RawMessage
+	var vars struct {
+		Metrics map[string]json.RawMessage `json:"metrics"`
+	}
 	doJSON(t, "GET", base+"/debug/vars", nil, http.StatusOK, &vars)
-	if _, ok := vars["farm"]; !ok {
-		t.Fatalf("expvar missing farm section: %v", vars)
+	if _, ok := vars.Metrics["bp_farm_tasks_completed_total"]; !ok {
+		t.Fatalf("expvar missing the farm series: %v", vars)
 	}
 
 	// The same estimate computed locally on a second, farm-free server
@@ -519,19 +521,15 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 			samples[`bp_farm_task_seconds_bucket{le="+Inf"}`], samples["bp_farm_task_seconds_count"])
 	}
 
-	// /debug/vars: pre-existing keys intact, plus the registry bridge
-	// agreeing with the exposition on a shared counter.
-	var vars struct {
-		Jobs    json.RawMessage            `json:"jobs"`
-		Farm    json.RawMessage            `json:"farm"`
-		Metrics map[string]json.RawMessage `json:"metrics"`
-	}
+	// /debug/vars: the registry bridge, and nothing else, agreeing with the
+	// exposition on a shared counter.
+	var vars map[string]map[string]json.RawMessage
 	doJSON(t, "GET", base+"/debug/vars", nil, http.StatusOK, &vars)
-	if vars.Jobs == nil || vars.Farm == nil {
-		t.Fatal("expvar lost a pre-existing key")
+	if len(vars) != 1 || vars["metrics"] == nil {
+		t.Fatalf("/debug/vars serves %d keys, want only the metrics bridge", len(vars))
 	}
 	var bridged float64
-	if err := json.Unmarshal(vars.Metrics["bp_jobs_done_total"], &bridged); err != nil {
+	if err := json.Unmarshal(vars["metrics"]["bp_jobs_done_total"], &bridged); err != nil {
 		t.Fatalf("expvar bridge bp_jobs_done_total: %v", err)
 	}
 	if bridged != samples["bp_jobs_done_total"] {

@@ -480,7 +480,7 @@ func (w *worker) runTask(t farm.Task) (bool, error) {
 		}
 		stop = span.StartStage("simulate")
 		defer stop()
-		return farm.ExecuteTaskCached(w.st, t, w.rc)
+		return farm.ExecuteTask(w.st, t, w.rc)
 	}()
 	if err != nil {
 		span.SetAttr("error", err.Error())

@@ -73,15 +73,14 @@
 // # Durability
 //
 // NewDurableQueue journals every state transition to a write-ahead log
-// (store.WAL) before applying it in memory, so a coordinator killed -9
-// mid-campaign restarts with exactly the queued and in-flight tasks it
+// (a store.Journal) before applying it in memory, so a coordinator killed
+// -9 mid-campaign restarts with exactly the queued and in-flight tasks it
 // died with. NewQueue remains purely in-memory; cmd/bpserve opens the
 // durable variant by default at <store>/farm.wal (disable with -wal off).
-//
-// Record format: the log is a sequence of frames, each a 4-byte
-// little-endian payload length, a 4-byte little-endian CRC-32C
-// (Castagnoli) of the payload, and the payload itself — a JSON walRecord
-// with an "op" tag:
+// Framing, torn-tail truncation, the compaction trigger and what a failed
+// or closed log does are the journal's and are described once, in
+// internal/store/journal.go; what is the queue's own is its records — a
+// JSON walRecord per frame, with an "op" tag:
 //
 //	enqueue   {op, task{id, trace, region, sockets, warmup, artifact,
 //	           attempt}, failures?}   a task entered the queue (compaction
@@ -102,9 +101,8 @@
 // complete record is written, so a crash in between is healed at
 // recovery by checking the store for each live task's artifact.
 //
-// Recovery (NewDurableQueue on a non-empty log) replays the valid frame
-// prefix — a torn tail from a mid-append crash is detected by length/CRC
-// and truncated away — folding records into per-task state. Tasks still
+// Recovery (NewDurableQueue on a non-empty log) folds the replayed
+// records into per-task state. Tasks still
 // pending re-enter the queue in their original order; tasks that were
 // leased re-enter pending immediately after them (their workers may be
 // gone; if not, their uploads are accepted idempotently), with the
@@ -119,10 +117,6 @@
 // re-registers, and keeps working; the queue likewise refuses to lease
 // to ids minted by a previous life.
 //
-// Compaction: the journal is rewritten (atomically, via temp file and
-// rename) to just the live tasks — one enqueue record each, plus a lease
-// record for tasks out on a worker — once it holds at least 1024 records
-// and at least 4 records per live task, and always once at startup after
-// replay. Compacted history is gone by design: the log's only job is to
-// reconstruct live state, not to audit finished work.
+// The compaction snapshot is the live tasks — one enqueue record each, in
+// pending order, plus a lease record for tasks out on a worker.
 package farm

@@ -56,7 +56,7 @@ func waitTicket(t *testing.T, tk *farm.Ticket) (bp.RegionResult, error) {
 // payload a worker would upload.
 func completeJSON(t *testing.T, st *store.Store, tk farm.Task) []byte {
 	t.Helper()
-	res, err := farm.ExecuteTask(st, tk)
+	res, err := farm.ExecuteTask(st, tk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"barrierpoint/internal/store"
 )
 
 // FuzzWALReplay hammers the journal replay with arbitrary bytes. Replay
@@ -34,8 +36,17 @@ func fuzzFrame(payload []byte) []byte {
 	return b
 }
 
-// encodeLive serializes a replayed state exactly the way compactLocked
-// would: per live task an enqueue record with its failure log, plus a
+// replayWALReader folds every intact record of data into a fresh state
+// through the shared journal replay — the same fold NewDurableQueue hands
+// store.OpenJournal.
+func replayWALReader(data []byte) (*walState, int64, int, error) {
+	s := newWALState()
+	valid, n, err := store.ReplayJournal(bytes.NewReader(data), s.apply)
+	return s, valid, n, err
+}
+
+// encodeLive serializes a replayed state exactly the way the compaction
+// snapshot (liveRecordsLocked) would: per live task an enqueue record with its failure log, plus a
 // lease record if it was in flight.
 func encodeLive(s *walState) []byte {
 	var buf bytes.Buffer
@@ -151,7 +162,7 @@ func FuzzWALReplay(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, valid, n, err := replayWALReader(bytes.NewReader(data))
+		s, valid, n, err := replayWALReader(data)
 		if err != nil {
 			t.Fatalf("replay returned error %v (must fold any byte stream)", err)
 		}
@@ -177,12 +188,12 @@ func FuzzWALReplay(f *testing.F) {
 		// journal this property does not hold for would mutate queue state
 		// on every coordinator restart.
 		c1 := encodeLive(s)
-		s2, _, _, err := replayWALReader(bytes.NewReader(c1))
+		s2, _, _, err := replayWALReader(c1)
 		if err != nil {
 			t.Fatalf("replaying compacted form: %v", err)
 		}
 		c2 := encodeLive(s2)
-		s3, _, _, err := replayWALReader(bytes.NewReader(c2))
+		s3, _, _, err := replayWALReader(c2)
 		if err != nil {
 			t.Fatalf("replaying canonical form: %v", err)
 		}

@@ -192,13 +192,12 @@ type Queue struct {
 	wseq    int
 	closed  bool
 
-	// wal, when set, journals every task transition before it is applied;
-	// walRecs counts records since the last compaction and recovery holds
-	// what replay rebuilt. crashHook is a test seam invoked between a WAL
+	// wal, when non-nil, journals every task transition before it is
+	// applied (a nil journal records nothing) and recovery holds what its
+	// replay rebuilt. crashHook is a test seam invoked between a WAL
 	// append and its in-memory apply — returning an error simulates a
 	// crash exactly on that edge.
-	wal       *store.WAL
-	walRecs   int
+	wal       *store.Journal[walRecord]
 	recovery  Recovery
 	crashHook func(op string) error
 
@@ -258,9 +257,13 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 // queue is shared; nil disables.
 func (q *Queue) SetLogger(l *slog.Logger) { q.logger = l }
 
-// Durable reports whether the queue journals its state to a write-ahead
-// log.
-func (q *Queue) Durable() bool { return q.wal != nil }
+// JournalStats returns the write-ahead log's size and activity counters
+// for health surfaces (zero-valued, not durable, for in-memory queues).
+func (q *Queue) JournalStats() store.JournalStats {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.wal.Stats()
+}
 
 // WorkerSpans returns the recorder holding spans from this queue's
 // in-process workers (RunLocalWorker) — the coordinator-side view of
@@ -724,9 +727,8 @@ func (q *Queue) Stats() Stats {
 		}
 	}
 	s.LiveWorkers = q.liveWorkersLocked(time.Now())
-	if q.wal != nil {
-		s.WALBytes = q.wal.Size()
-	}
+	ws := q.wal.Stats()
+	s.WALAppends, s.WALErrors, s.WALCompactions, s.WALBytes = ws.Appends, ws.Errors, ws.Compactions, ws.Bytes
 	return s
 }
 
@@ -755,9 +757,7 @@ func (q *Queue) Close() {
 		q.finishLocked(t, bp.RegionResult{}, ErrClosed)
 	}
 	q.pending = nil
-	if q.wal != nil {
-		q.wal.Close()
-	}
+	q.wal.Close()
 	close(q.stopSweep)
 	q.mu.Unlock()
 	<-q.sweepDone

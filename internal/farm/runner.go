@@ -25,17 +25,12 @@ func PointArtifact(region int, mc bp.MachineConfig, warmup string) string {
 // trace, simulate the single point, return the result. This is the one
 // compute path shared by in-process workers and cmd/bpworker, and it
 // funnels into bp.SimulatePoint — the same code LocalRunner runs — so
-// farmed results are bit-identical to local ones.
-func ExecuteTask(st *store.Store, t Task) (bp.RegionResult, error) {
-	return ExecuteTaskCached(st, t, nil)
-}
-
-// ExecuteTaskCached is ExecuteTask with a region replay cache: a worker
-// that leases many points of one trace (the common batch shape) decodes
-// each warmup-prefix region once instead of once per point. rc is keyed by
-// the task's trace content key; nil streams from disk. Cached and uncached
-// execution are bit-identical.
-func ExecuteTaskCached(st *store.Store, t Task, rc *bp.ReplayCache) (bp.RegionResult, error) {
+// farmed results are bit-identical to local ones. Regions decode through
+// rc (keyed by the task's trace content key): a worker that leases many
+// points of one trace — the common batch shape — decodes each
+// warmup-prefix region once instead of once per point. A nil rc streams
+// from disk; cached and uncached execution are bit-identical.
+func ExecuteTask(st *store.Store, t Task, rc *bp.ReplayCache) (bp.RegionResult, error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
 		return bp.RegionResult{}, err
@@ -187,7 +182,7 @@ func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string)
 			span.SetAttr("task", t.ID)
 			span.SetAttr("worker", id)
 			stop := span.StartStage("simulate")
-			res, err := ExecuteTaskCached(st, t, rc)
+			res, err := ExecuteTask(st, t, rc)
 			stop()
 			if err != nil {
 				q.Fail(id, t.ID, err.Error())

@@ -3,8 +3,6 @@ package farm
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -13,10 +11,13 @@ import (
 )
 
 // This file gives the queue its durability: every state transition is
-// journaled to a store.WAL before it is applied in memory, and a restarted
-// coordinator replays the journal to rebuild exactly the pending and
-// in-flight tasks it was killed with. See doc.go ("Durability") for the
-// record format and recovery semantics.
+// journaled to a store.Journal before it is applied in memory, and a
+// restarted coordinator replays the journal to rebuild exactly the pending
+// and in-flight tasks it was killed with. What is the queue's own lives
+// here — the record type, the replay fold, turning folded state back into
+// live tasks, and the compaction snapshot; framing, replay mechanics and
+// the compaction policy are store.Journal's (internal/store/journal.go).
+// See doc.go ("Durability") for the record table and recovery semantics.
 
 // WAL operation tags. The journal is the source of truth on replay: each
 // record describes one applied transition, so replay is a pure fold with
@@ -157,24 +158,6 @@ func (s *walState) live() []*walTask {
 	return out
 }
 
-// replayWALReader folds every intact record of r into a fresh state;
-// exposed at reader level so FuzzWALReplay can drive it on raw bytes.
-func replayWALReader(r io.Reader) (*walState, int64, int, error) {
-	s := newWALState()
-	valid, n, err := store.ReplayFrames(r, func(rec []byte) error {
-		var wr walRecord
-		if err := json.Unmarshal(rec, &wr); err != nil {
-			// An intact frame with an undecodable payload was written by
-			// someone else entirely; skip it rather than aborting the
-			// records around it.
-			return nil
-		}
-		s.apply(wr)
-		return nil
-	})
-	return s, valid, n, err
-}
-
 // NewDurableQueue creates a queue whose state is journaled to the
 // write-ahead log at walPath. If the log already holds records — the
 // normal case after a coordinator crash or restart — they are replayed
@@ -188,27 +171,13 @@ func replayWALReader(r io.Reader) (*walState, int64, int, error) {
 // Enqueue's TraceKey+artifact dedup.
 func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recovery, error) {
 	state := newWALState()
-	var rec Recovery
-	if f, err := os.Open(walPath); err == nil {
-		var size, valid int64
-		if fi, serr := f.Stat(); serr == nil {
-			size = fi.Size()
-		}
-		state, valid, rec.Records, err = replayWALReader(f)
-		f.Close()
-		if err != nil {
-			return nil, Recovery{}, err
-		}
-		rec.Dropped = size - valid
-	} else if !os.IsNotExist(err) {
-		return nil, Recovery{}, fmt.Errorf("farm: opening wal: %w", err)
-	}
-	rec.Completed = state.completed
-	rec.Failed = state.failed
-
-	w, err := store.OpenWAL(walPath)
+	w, replay, err := store.OpenJournal(walPath, state.apply)
 	if err != nil {
 		return nil, Recovery{}, err
+	}
+	rec := Recovery{
+		Records: replay.Records, Dropped: replay.Dropped,
+		Completed: state.completed, Failed: state.failed,
 	}
 	q := newQueue(st, cfg)
 	q.wal = w
@@ -244,7 +213,11 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 		} else {
 			rec.Pending++
 		}
-		if n := taskSeq(t.ID); n > q.seq {
+		// Fresh ids continue above every "task-%06d" id replayed; an id of
+		// any other shape (a journal written by another tool) still
+		// recovers, it just does not move the sequence.
+		var n int
+		if _, err := fmt.Sscanf(t.ID, "task-%d", &n); err == nil && n > q.seq {
 			q.seq = n
 		}
 		q.tasks[t.ID] = t
@@ -252,7 +225,7 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 		q.pending = append(q.pending, t)
 	}
 	q.recovery = rec
-	if err := q.compactLocked(); err != nil {
+	if err := w.Compact(q.liveRecordsLocked()); err != nil {
 		w.Close()
 		return nil, Recovery{}, err
 	}
@@ -260,78 +233,32 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 	return q, rec, nil
 }
 
-// taskSeq extracts the numeric suffix of a "task-%06d" id (0 for any
-// other shape — a journal written by another tool still recovers, the id
-// sequence just restarts above whatever parses).
-func taskSeq(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "task-%d", &n); err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// appendWALLocked journals one record (a no-op for in-memory queues);
-// q.mu must be held. The record is durable — framed, checksummed,
-// fsynced — before this returns nil, so callers apply the in-memory
-// transition only after the journal acknowledged it; on error they must
-// leave the in-memory state untouched. When the journal has grown far
-// past the live state it is compacted first, so the new record lands in
-// the fresh log.
+// appendWALLocked journals one record (a no-op for in-memory queues, whose
+// q.wal is nil); q.mu must be held. The record is durable before this
+// returns nil, so callers apply the in-memory transition only after the
+// journal acknowledged it; on error they must leave the in-memory state
+// untouched. A journal grown far past the live state is compacted first,
+// so the new record lands in the fresh log.
 func (q *Queue) appendWALLocked(rec walRecord) error {
-	if q.wal == nil {
-		return nil
-	}
-	if q.walRecs >= walCompactMinRecords && q.walRecs >= walCompactFactor*len(q.tasks) {
-		if err := q.compactLocked(); err != nil {
+	if q.wal.Grown(len(q.tasks)) {
+		if err := q.wal.Compact(q.liveRecordsLocked()); err != nil {
 			return err
 		}
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
+	if err := q.wal.Append(rec); err != nil {
 		return err
 	}
-	if err := q.wal.Append(b); err != nil {
-		q.stats.WALErrors++
-		return err
-	}
-	q.stats.WALAppends++
-	q.walRecs++
 	if q.crashHook != nil {
-		if err := q.crashHook(rec.Op); err != nil {
-			return err
-		}
+		return q.crashHook(rec.Op)
 	}
 	return nil
 }
 
-// Compaction triggers: the journal is rewritten to just the live tasks
-// once it holds at least walCompactMinRecords records and at least
-// walCompactFactor records per live task (so a large busy queue is not
-// compacted while the log is still mostly live state), and always once at
-// startup after replay.
-const (
-	walCompactMinRecords = 1024
-	walCompactFactor     = 4
-)
-
-// compactLocked rewrites the journal to exactly the live tasks: one
-// enqueue record per task (carrying its current attempt count and failure
-// log), plus a lease record for each task currently out on a worker.
-// q.mu must be held (or the queue not yet shared).
-func (q *Queue) compactLocked() error {
-	if q.wal == nil {
-		return nil
-	}
-	var payloads [][]byte
-	emit := func(rec walRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, b)
-		return nil
-	}
+// liveRecordsLocked is the compaction snapshot: one enqueue record per live
+// task (carrying its current attempt count and failure log), plus a lease
+// record for each task currently out on a worker. q.mu must be held (or
+// the queue not yet shared).
+func (q *Queue) liveRecordsLocked() []walRecord {
 	// Pending tasks first, in queue order, then any remaining live tasks
 	// (the leased ones) by id: replaying the compacted log must rebuild
 	// the same pending order the queue holds now.
@@ -352,23 +279,14 @@ func (q *Queue) compactLocked() error {
 	}
 	sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
 	order = append(order, rest...)
+	recs := make([]walRecord, 0, len(order))
 	for _, t := range order {
-		if err := emit(walRecord{Op: opEnqueue, Task: &t.Task, Failures: t.failures}); err != nil {
-			return err
-		}
+		recs = append(recs, walRecord{Op: opEnqueue, Task: &t.Task, Failures: t.failures})
 		if t.leased {
-			if err := emit(walRecord{Op: opLease, ID: t.ID, Worker: t.worker, Attempt: t.Attempt}); err != nil {
-				return err
-			}
+			recs = append(recs, walRecord{Op: opLease, ID: t.ID, Worker: t.worker, Attempt: t.Attempt})
 		}
 	}
-	if err := q.wal.Rewrite(payloads); err != nil {
-		q.stats.WALErrors++
-		return err
-	}
-	q.walRecs = len(payloads)
-	q.stats.WALCompactions++
-	return nil
+	return recs
 }
 
 // Recovery returns what this queue rebuilt from its journal at

@@ -8,6 +8,7 @@ package farm
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,12 +55,25 @@ func reopenDurable(t testing.TB, st *store.Store, walPath string) (*Queue, Recov
 func crash(q *Queue) {
 	q.mu.Lock()
 	q.closed = true
-	if q.wal != nil {
-		q.wal.Close()
-	}
+	q.wal.Close()
 	close(q.stopSweep)
 	q.mu.Unlock()
 	<-q.sweepDone
+}
+
+// walRecords counts the intact records in the journal file at path.
+func walRecords(t testing.TB, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, n, err := store.ReplayJournal(f, func(walRecord) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func spec(region int) Spec {
@@ -435,21 +449,18 @@ func TestCompactionFixpoint(t *testing.T) {
 	}
 	wantPending, wantLeased, wantFailures := snapshot(q1)
 
-	q1.mu.Lock()
-	if err := q1.compactLocked(); err != nil {
-		q1.mu.Unlock()
-		t.Fatal(err)
+	compact := func() int {
+		q1.mu.Lock()
+		defer q1.mu.Unlock()
+		if err := q1.wal.Compact(q1.liveRecordsLocked()); err != nil {
+			t.Fatal(err)
+		}
+		return walRecords(t, walPath)
 	}
-	recsAfterOnce := q1.walRecs
-	if err := q1.compactLocked(); err != nil {
-		q1.mu.Unlock()
-		t.Fatal(err)
+	recsAfterOnce := compact()
+	if recs := compact(); recs != recsAfterOnce {
+		t.Fatalf("second compaction changed record count %d -> %d", recsAfterOnce, recs)
 	}
-	if q1.walRecs != recsAfterOnce {
-		q1.mu.Unlock()
-		t.Fatalf("second compaction changed record count %d -> %d", recsAfterOnce, q1.walRecs)
-	}
-	q1.mu.Unlock()
 	crash(q1)
 
 	q2, rec := reopenDurable(t, st, walPath)
@@ -492,7 +503,7 @@ func TestCompactionFixpoint(t *testing.T) {
 // a small queue to cross the compaction thresholds and checks the log
 // shrinks back to the live state.
 func TestCompactionTriggersUnderChurn(t *testing.T) {
-	q, _, _, _ := newDurable(t, t.TempDir())
+	q, _, _, walPath := newDurable(t, t.TempDir())
 	defer q.Close()
 	// Each round is enqueue+lease+complete = 3 records with ~1 live task;
 	// the trigger (>= 1024 records and >= 4x live) fires during the churn.
@@ -512,10 +523,8 @@ func TestCompactionTriggersUnderChurn(t *testing.T) {
 	if s.WALCompactions < 1 {
 		t.Fatalf("no compaction after %d appends (stats %+v)", s.WALAppends, s)
 	}
-	q.mu.Lock()
-	recs := q.walRecs
-	q.mu.Unlock()
-	if recs >= walCompactMinRecords+walCompactFactor {
+	// store.Journal's thresholds: at least 1024 records, 4 per live task.
+	if recs := walRecords(t, walPath); recs >= 1024+4 {
 		t.Errorf("journal still holds %d records after compaction", recs)
 	}
 }
@@ -559,5 +568,93 @@ func TestStaleWorkerIDGetsNoLease(t *testing.T) {
 	}
 	if q1.Epoch() == q2.Epoch() {
 		t.Error("restarted queue kept the same epoch")
+	}
+}
+
+// TestRecoversParentWrittenWAL pins cross-version compatibility:
+// testdata/parent-farm.wal was written by the bpserve binary of the commit
+// before the queue moved onto store.Journal (974eda0), and must recover to
+// the same report, the same task ids and the same order that commit
+// recovered it to.
+//
+// To regenerate (together with internal/service/testdata/parent-jobs.wal,
+// which comes from the same run), build bptool and bpserve from that
+// commit and, against a fresh store:
+//
+//	bptool record -workload npb-is -cores 8 -scale 0.05 -o is.bptrace
+//	bpserve -addr $A -store $S &
+//	POST /v1/traces            is.bptrace                      → key
+//	POST /v1/jobs              {"kind":"analyze","trace":key}  → job-000001; poll until done
+//	POST /farm/register        {"name":"fixture"}              → worker w (auto mode now farms)
+//	POST /v1/jobs              {"kind":"estimate","trace":key,"warmup":"cold"} → job-000002
+//	                           (stays live: it waits on 11 farm tasks nobody will finish)
+//	POST /farm/lease           {"worker":w,"max":3}            → task-000001..3
+//	POST /farm/result          {"worker":w,"task":"task-000001","result":{}}
+//	POST /farm/result          {"worker":w,"task":"task-000002","error":"fixture failure"}
+//	POST /farm/lease           {"worker":w,"max":1}            → task-000004
+//	POST /v1/jobs              {"kind":"simulate","trace":key} → job-000003; poll until done
+//	kill -9 bpserve
+//	cp $S/farm.wal parent-farm.wal; cp $S/jobs.wal parent-jobs.wal
+//	truncate -s -10 parent-farm.wal parent-jobs.wal   # tear each final frame
+func TestRecoversParentWrittenWAL(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-farm.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "farm.wal")
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, rec, err := NewDurableQueue(st, testConfig(), walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	// 11 enqueues, 3 leases, a complete and a requeue; the 17th frame (a
+	// fourth lease) is torn, so task-000004 is still pending.
+	want := Recovery{Records: 16, Dropped: 70, Pending: 9, Requeued: 1, Completed: 1}
+	if rec != want {
+		t.Fatalf("recovery = %+v, want %+v", rec, want)
+	}
+	// Untouched tasks first in enqueue order, then the interrupted lease,
+	// then the task its worker failed back — each under its original id.
+	wantIDs := []string{"task-000004", "task-000005", "task-000006", "task-000007", "task-000008",
+		"task-000009", "task-000010", "task-000011", "task-000003", "task-000002"}
+	got := q.Lease("w-new", 20)
+	if len(got) != len(wantIDs) {
+		t.Fatalf("leased %d recovered tasks, want %d", len(got), len(wantIDs))
+	}
+	for i, task := range got {
+		wantAttempt := 1
+		if i >= 8 {
+			wantAttempt = 2 // both had used attempt 1 in the previous life
+		}
+		if task.ID != wantIDs[i] || task.Attempt != wantAttempt || task.TraceKey[:8] != "0d0f23f1" {
+			t.Errorf("task %d = %s attempt %d trace %.8s, want %s attempt %d", i, task.ID, task.Attempt, task.TraceKey, wantIDs[i], wantAttempt)
+		}
+	}
+	q.mu.Lock()
+	failed, interrupted := q.tasks["task-000002"].failures, q.tasks["task-000003"].failures
+	q.mu.Unlock()
+	if len(failed) != 1 || !strings.Contains(failed[0], "fixture failure") {
+		t.Errorf("task-000002 failures = %v, want the journaled worker failure", failed)
+	}
+	if len(interrupted) != 1 || !strings.Contains(interrupted[0], "coordinator restarted") {
+		t.Errorf("task-000003 failures = %v, want one coordinator-restart entry", interrupted)
+	}
+	// The id sequence continues above every id the parent issued.
+	if _, err := q.Enqueue(spec(99)); err != nil {
+		t.Fatal(err)
+	}
+	q.mu.Lock()
+	_, ok := q.tasks["task-000012"]
+	q.mu.Unlock()
+	if !ok {
+		t.Error("fresh enqueue after recovery did not get task-000012")
 	}
 }

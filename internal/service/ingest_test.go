@@ -49,7 +49,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := bp.DefaultConfig()
-	coldSel, _, coldStats, err := AnalyzeCachedProfiled(stCold, keyCold, cfg, mCold.replay, nil)
+	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, mCold.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatalf("ingest metadata %q/%d threads", res.Name, res.Threads)
 	}
 
-	sel, cached, stats, err := AnalyzeCachedProfiled(st, res.Key, cfg, m.replay, nil)
+	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selA, _, statsA, err := AnalyzeCachedProfiled(st, res.Key, cfgA, m.replay, nil)
+	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if SelectionArtifact(cfgA) == SelectionArtifact(cfgB) {
 		t.Fatal("different MaxK landed on the same selection artifact")
 	}
-	selB, cached, statsB, err := AnalyzeCachedProfiled(st, res.Key, cfgB, m.replay, nil)
+	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, statsC, err := AnalyzeCachedProfiled(st, res.Key, cfgC, m.replay, nil)
+	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 		t.Errorf("ingest computed %d and reused %d profiles of %d regions, want %d and %d",
 			res.ProfilesComputed, res.ProfilesCached, res.Regions, distinct, regions-distinct)
 	}
-	warmSel, _, stats, err := AnalyzeCachedProfiled(st, res.Key, cfg, m.replay, nil)
+	warmSel, _, stats, err := AnalyzeCached(st, res.Key, cfg, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSel, _, stats, err := AnalyzeCachedProfiled(stCold, key, cfg, nil, nil)
+	coldSel, _, stats, err := AnalyzeCached(stCold, key, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 	if _, _, err := stSeq.PutTrace(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	seqSel, _, _, err := AnalyzeCachedProfiled(stSeq, key, cfg, nil, nil)
+	seqSel, _, _, err := AnalyzeCached(stSeq, key, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

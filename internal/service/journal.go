@@ -3,47 +3,44 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
-	bp "barrierpoint"
 	"barrierpoint/internal/store"
 )
 
-// This file gives the job manager its durability: every job lifecycle
-// transition is journaled to a store.WAL before Submit acknowledges or a
-// worker moves on, and a restarted coordinator replays the journal to
-// rebuild exactly the jobs it was killed with — same IDs, same trace
-// IDs. Jobs whose result artifact already landed in the content-
-// addressed store resolve on the spot (the crash beat the journal's done
-// record, not the work); the rest re-enter the queue and recompute
-// through the same artifact caches, so recovered results are
-// byte-identical to an uninterrupted run. The design mirrors
-// internal/farm/wal.go, which does the same for individual farm tasks.
+// This file gives the job manager its durability: a job's acceptance and
+// its terminal state are journaled to a store.Journal before Submit
+// acknowledges or a worker moves on, and a restarted coordinator replays
+// the journal to rebuild exactly the jobs it was killed with — same IDs,
+// same trace IDs. Jobs whose result artifact already landed in the
+// content-addressed store resolve on the spot (the crash beat the
+// journal's done record, not the work); the rest re-enter the queue and
+// recompute through the same artifact caches, so recovered results are
+// byte-identical to an uninterrupted run. Framing, replay mechanics and
+// the compaction policy are store.Journal's (internal/store/journal.go,
+// shared with the farm queue); this file holds the record type, the replay
+// fold, turning folded state back into jobs, and the compaction snapshot.
 
-// Journal operation tags.
+// Journal operation tags: only what recovery reads is recorded. Progress
+// (a job starting, a stage finishing) lives in spans and
+// bp_job_stage_seconds; logs written before that split carry "running" and
+// "stage" records, which the fold skips like any op it does not know.
 const (
-	jopSubmit  = "submit"  // job accepted (or re-emitted by compaction)
-	jopRunning = "running" // a worker picked the job up
-	jopStage   = "stage"   // one pipeline stage completed
-	jopDone    = "done"    // result stored; Artifact names where
-	jopFailed  = "failed"  // terminal failure with its message
+	jopSubmit = "submit" // job accepted (or re-emitted by compaction)
+	jopDone   = "done"   // result stored; Artifact names where
+	jopFailed = "failed" // terminal failure with its message
 )
 
 // journalRecord is the JSON payload of one job-journal WAL frame.
 type journalRecord struct {
 	Op string `json:"op"`
 	ID string `json:"id"`
-	// Req, CfgHash, TraceKey, TraceID and CreatedNs describe the job on
+	// Req, CfgHash, TraceID and CreatedNs describe the job on
 	// submit records; compaction re-emits them for every retained job.
 	Req       *Request `json:"req,omitempty"`
 	CfgHash   string   `json:"cfg,omitempty"`
 	TraceID   string   `json:"trace_id,omitempty"`
 	CreatedNs int64    `json:"created_ns,omitempty"`
-	// Stage names the completed stage on stage records (observability
-	// and crash-point granularity; replay does not depend on it).
-	Stage string `json:"stage,omitempty"`
 	// Artifact names the store artifact holding the result on done
 	// records — the journal never embeds result bytes, it points into
 	// the content-addressed store.
@@ -74,30 +71,18 @@ type JobRecovery struct {
 	Unrecoverable int `json:"jobs_unrecoverable"`
 }
 
-// journalJob is one job's state as folded from the journal.
-type journalJob struct {
-	id        string
-	req       Request
-	traceID   string
-	createdNs int64
-	terminal  bool
-	failed    bool
-	cached    bool
-	artifact  string
-	errMsg    string
-	finishNs  int64
-}
-
-// journalState is the fold target of a journal replay.
+// journalState is the fold target of a journal replay: the jobs the
+// journal describes, in submission order. A job no terminal record reached
+// is still StatusQueued — it was live at the crash.
 type journalState struct {
-	jobs  map[string]*journalJob
+	jobs  map[string]*job
 	order []string
 }
 
-// applyJournal folds one record into the state. Records that do not
-// resolve against the current state (an unknown id, a malformed payload)
-// are skipped: replay must accept any intact prefix the framing layer
-// delivers.
+// apply folds one record into the state. Records that do not resolve
+// against the current state (an unknown id, an unknown op, a malformed
+// payload) are skipped: replay must accept any intact prefix the framing
+// layer delivers.
 func (s *journalState) apply(rec journalRecord) {
 	switch rec.Op {
 	case jopSubmit:
@@ -107,73 +92,43 @@ func (s *journalState) apply(rec journalRecord) {
 		if _, dup := s.jobs[rec.ID]; dup {
 			return
 		}
-		s.jobs[rec.ID] = &journalJob{
-			id: rec.ID, req: *rec.Req, traceID: rec.TraceID, createdNs: rec.CreatedNs,
+		s.jobs[rec.ID] = &job{
+			id: rec.ID, req: *rec.Req, status: StatusQueued, traceID: rec.TraceID,
+			created: time.Unix(0, rec.CreatedNs), done: make(chan struct{}), recovered: true,
 		}
 		s.order = append(s.order, rec.ID)
 	case jopDone:
 		if j, ok := s.jobs[rec.ID]; ok {
-			j.terminal, j.failed = true, false
-			j.artifact, j.cached, j.finishNs = rec.Artifact, rec.Cached, rec.FinishedNs
+			j.status, j.artifact, j.cached = StatusDone, rec.Artifact, rec.Cached
+			j.finished = time.Unix(0, rec.FinishedNs)
 		}
 	case jopFailed:
 		if j, ok := s.jobs[rec.ID]; ok {
-			j.terminal, j.failed = true, true
-			j.errMsg, j.finishNs = rec.Error, rec.FinishedNs
+			j.status, j.err = StatusFailed, rec.Error
+			j.finished = time.Unix(0, rec.FinishedNs)
 		}
-	case jopRunning, jopStage:
-		// Progress markers: a job that got this far but no further is
-		// still live and re-enqueues. Nothing to fold.
 	}
-}
-
-// replayJournalReader folds every intact record of r into a fresh state.
-func replayJournalReader(r io.Reader) (*journalState, int64, int, error) {
-	s := &journalState{jobs: make(map[string]*journalJob)}
-	valid, n, err := store.ReplayFrames(r, func(rec []byte) error {
-		var jr journalRecord
-		if err := json.Unmarshal(rec, &jr); err != nil {
-			return nil // foreign frame; skip, keep the records around it
-		}
-		s.apply(jr)
-		return nil
-	})
-	return s, valid, n, err
 }
 
 // EnableJournal makes the manager's job state durable: lifecycle records
 // are journaled to the write-ahead log at path, and any records already
 // there — the normal case after a crash or restart — are replayed first.
-// Replayed jobs keep their original IDs and trace IDs: terminal jobs are
-// restored for status polling (results reloaded from their store
-// artifacts), live jobs whose artifact already landed resolve
-// immediately, and the rest re-enter the queue. The log is then
-// compacted to exactly the retained state.
+// Replayed jobs keep their original IDs and trace IDs and are marked
+// recovered: terminal jobs are restored for status polling (results
+// reloaded from their store artifacts, never trusted from the journal),
+// live jobs whose artifact already landed resolve immediately, and the
+// rest re-enter the queue. The log is then compacted to exactly the
+// retained state.
 //
 // Call it once, after SetFarm (recovered estimates may farm their
 // points) and before the first Submit.
 func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
-	state := &journalState{jobs: make(map[string]*journalJob)}
-	var rec JobRecovery
-	if f, err := os.Open(path); err == nil {
-		var size, valid int64
-		if fi, serr := f.Stat(); serr == nil {
-			size = fi.Size()
-		}
-		state, valid, rec.Records, err = replayJournalReader(f)
-		f.Close()
-		if err != nil {
-			return JobRecovery{}, err
-		}
-		rec.Dropped = size - valid
-	} else if !os.IsNotExist(err) {
-		return JobRecovery{}, fmt.Errorf("service: opening job journal: %w", err)
-	}
-
-	w, err := store.OpenWAL(path)
+	state := &journalState{jobs: make(map[string]*job)}
+	w, replay, err := store.OpenJournal(path, state.apply)
 	if err != nil {
 		return JobRecovery{}, err
 	}
+	rec := JobRecovery{Records: replay.Records, Dropped: replay.Dropped}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -182,45 +137,25 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 		return JobRecovery{}, ErrClosed
 	}
 	m.journal = w
-	m.journalRecs = rec.Records
 	for _, id := range state.order {
-		jj := state.jobs[id]
+		j := state.jobs[id]
 		if n := jobSeq(id); n > m.seq {
 			m.seq = n
 		}
-		j := &job{
-			id:      jj.id,
-			req:     jj.req,
-			created: time.Unix(0, jj.createdNs),
-			done:    make(chan struct{}),
-			traceID: jj.traceID,
-		}
-		switch {
-		case jj.terminal && jj.failed:
-			j.recovered = true
-			j.status = StatusFailed
-			j.err = jj.errMsg
-			j.finished = time.Unix(0, jj.finishNs)
-			close(j.done)
-			rec.Terminal++
-		case jj.terminal:
-			j.recovered = true
-			b, err := m.st.GetArtifact(jj.req.Trace, jj.artifact)
-			if err != nil {
+		terminal := j.status == StatusFailed
+		if j.status == StatusDone {
+			if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
+				j.result, terminal = json.RawMessage(b), true
+			} else {
 				// The journal says done but the artifact is gone (a wiped or
-				// partial store): the work needs redoing, so fall through to
-				// the live-job path.
-				m.recoverLiveLocked(j, &rec)
-				break
+				// partial store): the work needs redoing, as for a live job.
+				j.cached, j.finished = false, time.Time{}
 			}
-			j.status = StatusDone
-			j.result = json.RawMessage(b)
-			j.artifact = jj.artifact
-			j.cached = jj.cached
-			j.finished = time.Unix(0, jj.finishNs)
+		}
+		if terminal {
 			close(j.done)
 			rec.Terminal++
-		default:
+		} else {
 			m.recoverLiveLocked(j, &rec)
 		}
 		m.jobs[j.id] = j
@@ -228,7 +163,7 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 	}
 	m.recovered.Store(int64(rec.Resolved + rec.Requeued + rec.Terminal))
 	m.jobRecovery = rec
-	if err := m.compactJournalLocked(); err != nil {
+	if err := w.Compact(m.retainedRecordsLocked()); err != nil {
 		m.journal = nil
 		w.Close()
 		return JobRecovery{}, err
@@ -238,83 +173,45 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 
 // recoverLiveLocked restores one non-terminal journal job: resolve it
 // from the store if its result artifact already landed, otherwise
-// re-validate and re-enqueue it under its original ID. m.mu must be
-// held. The job is marked recovered either way — it crossed a restart.
+// re-enqueue it under its original ID; a job that cannot be either is
+// restored as failed rather than silently dropped. m.mu must be held.
 func (m *Manager) recoverLiveLocked(j *job, rec *JobRecovery) {
-	j.recovered = true
-	cfg, mode, dedup, err := m.validate(j.req)
-	if err != nil {
-		j.status = StatusFailed
-		j.err = fmt.Sprintf("not recoverable after restart: %v", err)
-		j.finished = time.Now()
+	finish := func(status Status, errMsg string) {
+		j.status, j.err, j.finished = status, errMsg, time.Now()
 		close(j.done)
+	}
+	p, err := m.validate(j.req)
+	if err != nil {
+		finish(StatusFailed, fmt.Sprintf("not recoverable after restart: %v", err))
 		rec.Unrecoverable++
 		return
 	}
-	j.cfg, j.mode, j.dedup = cfg, mode, dedup
-	if name, err := m.artifactFor(j.req, cfg, mode); err == nil && name != "" {
-		if b, aerr := m.st.GetArtifact(j.req.Trace, name); aerr == nil {
-			// The worker (or this coordinator's dying breath) stored the
-			// result, but the crash beat the done record: the job is done,
-			// only the journal didn't know yet.
-			j.status = StatusDone
-			j.result = json.RawMessage(b)
-			j.artifact = name
-			j.cached = true
-			j.finished = time.Now()
-			close(j.done)
-			rec.Resolved++
-			return
-		}
+	j.plan = p
+	if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
+		// The worker (or this coordinator's dying breath) stored the
+		// result, but the crash beat the done record: the job is done,
+		// only the journal didn't know yet.
+		j.result, j.cached = json.RawMessage(b), true
+		finish(StatusDone, "")
+		rec.Resolved++
+		return
 	}
-	if prev, dup := m.inflight[dedup]; dup {
+	if prev, dup := m.inflight[j.dedup]; dup {
 		// Two live journal jobs with one dedup key can only come from a
-		// hand-damaged journal; coalesce onto the first like Submit would.
-		j.status = StatusFailed
-		j.err = fmt.Sprintf("duplicate of recovered job %s", prev.id)
-		j.finished = time.Now()
-		close(j.done)
+		// hand-damaged journal; Submit would have coalesced them.
+		finish(StatusFailed, fmt.Sprintf("duplicate of recovered job %s", prev.id))
 		rec.Unrecoverable++
 		return
 	}
 	if len(m.queue) == cap(m.queue) {
-		j.status = StatusFailed
-		j.err = "job queue full at recovery"
-		j.finished = time.Now()
-		close(j.done)
+		finish(StatusFailed, "job queue full at recovery")
 		rec.Unrecoverable++
 		return
 	}
 	j.status = StatusQueued
 	m.queue <- j // cannot block: len < cap observed under m.mu, workers only drain
-	m.inflight[dedup] = j
+	m.inflight[j.dedup] = j
 	rec.Requeued++
-}
-
-// artifactFor names the store artifact a request's result lands in (the
-// same name execute computes), so recovery can probe the store for work
-// that finished before the crash.
-func (m *Manager) artifactFor(req Request, cfg bp.Config, mode bp.WarmupMode) (string, error) {
-	switch req.Kind {
-	case KindAnalyze:
-		return SelectionArtifact(cfg), nil
-	case KindEstimate, KindSimulate:
-		f, err := m.st.OpenTrace(req.Trace)
-		if err != nil {
-			return "", err
-		}
-		threads := f.Threads()
-		f.Close()
-		mc, err := MachineFor(threads, req.Sockets)
-		if err != nil {
-			return "", err
-		}
-		if req.Kind == KindSimulate {
-			return ActualArtifact(mc), nil
-		}
-		return AdaptiveEstimateArtifact(cfg, mc, mode, req.TargetCI), nil
-	}
-	return "", fmt.Errorf("service: unknown job kind %q", req.Kind)
 }
 
 // jobSeq extracts the numeric suffix of a "job-%06d" id (0 for any other
@@ -329,145 +226,65 @@ func jobSeq(id string) int {
 }
 
 // submitRecord builds a job's submit journal record.
-func submitRecord(j *job, cfgHash string) journalRecord {
+func submitRecord(j *job) journalRecord {
 	req := j.req
 	return journalRecord{
-		Op: jopSubmit, ID: j.id, Req: &req, CfgHash: cfgHash,
+		Op: jopSubmit, ID: j.id, Req: &req, CfgHash: hashJSON(j.cfg),
 		TraceID: j.traceID, CreatedNs: j.created.UnixNano(),
 	}
 }
 
+// terminalRecord builds a finished job's done or failed journal record.
+func terminalRecord(j *job) journalRecord {
+	if j.status == StatusFailed {
+		return journalRecord{Op: jopFailed, ID: j.id, Error: j.err, FinishedNs: j.finished.UnixNano()}
+	}
+	return journalRecord{
+		Op: jopDone, ID: j.id, Artifact: j.artifact, Cached: j.cached,
+		FinishedNs: j.finished.UnixNano(),
+	}
+}
+
 // appendJournalLocked journals one record (a no-op for in-memory
-// managers); m.mu must be held. The record is durable — framed,
-// checksummed, fsynced — before this returns nil. Once the journal has
-// grown far past the retained job set it is compacted first, so the new
+// managers, whose m.journal is nil, and after the journal closed); m.mu
+// must be held. The record is durable before this returns nil. A journal
+// grown far past the retained job set is compacted first, so the new
 // record lands in the fresh log.
 func (m *Manager) appendJournalLocked(rec journalRecord) error {
-	if m.journal == nil || m.journalClosed {
-		return nil
-	}
-	if m.journalRecs >= journalCompactMinRecords && m.journalRecs >= journalCompactFactor*(len(m.jobs)+1) {
-		if err := m.compactJournalLocked(); err != nil {
+	if m.journal.Grown(len(m.jobs)) {
+		if err := m.journal.Compact(m.retainedRecordsLocked()); err != nil {
 			return err
 		}
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := m.journal.Append(b); err != nil {
-		m.journalErrors++
-		return err
-	}
-	m.journalAppends++
-	m.journalRecs++
-	return nil
+	return m.journal.Append(rec)
 }
 
-// journalBestEffortLocked appends a progress or terminal record, eating
-// the error: by the time these records are written the durable truth —
-// the request in the submit record and the result artifact in the store
-// — already exists, so recovery reaches the same state with or without
-// them. Failing the job over a telemetry-grade append would turn a disk
-// hiccup into a lost result. Errors still count in journalErrors.
-func (m *Manager) journalBestEffortLocked(rec journalRecord) {
-	_ = m.appendJournalLocked(rec)
-}
-
-// Compaction triggers: the journal is rewritten to the retained jobs
-// once it holds at least journalCompactMinRecords records and at least
-// journalCompactFactor records per retained job, and always once at
-// startup after replay. Jobs pruned from the retention window drop out
-// of the journal at the next compaction, so the log tracks the
-// manager's bounded memory, not its full history.
-const (
-	journalCompactMinRecords = 1024
-	journalCompactFactor     = 4
-)
-
-// compactJournalLocked rewrites the journal to exactly the retained
-// jobs: a submit record per job, plus its terminal record where one
-// applies. m.mu must be held (or the manager not yet shared).
-func (m *Manager) compactJournalLocked() error {
-	if m.journal == nil || m.journalClosed {
-		return nil
-	}
-	var payloads [][]byte
-	emit := func(rec journalRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, b)
-		return nil
-	}
+// retainedRecordsLocked is the compaction snapshot: a submit record per
+// retained job, plus its terminal record where one applies. Jobs pruned
+// from the retention window drop out of the journal here, so the log
+// tracks the manager's bounded memory, not its full history. m.mu must be
+// held (or the manager not yet shared).
+func (m *Manager) retainedRecordsLocked() []journalRecord {
+	recs := make([]journalRecord, 0, 2*len(m.order))
 	for _, id := range m.order {
 		j, ok := m.jobs[id]
 		if !ok {
 			continue
 		}
-		if err := emit(submitRecord(j, hashJSON(j.cfg))); err != nil {
-			return err
-		}
-		switch j.status {
-		case StatusDone:
-			if err := emit(journalRecord{
-				Op: jopDone, ID: j.id, Artifact: j.artifact, Cached: j.cached,
-				FinishedNs: j.finished.UnixNano(),
-			}); err != nil {
-				return err
-			}
-		case StatusFailed:
-			if err := emit(journalRecord{
-				Op: jopFailed, ID: j.id, Error: j.err, FinishedNs: j.finished.UnixNano(),
-			}); err != nil {
-				return err
-			}
+		recs = append(recs, submitRecord(j))
+		if j.status == StatusDone || j.status == StatusFailed {
+			recs = append(recs, terminalRecord(j))
 		}
 	}
-	if err := m.journal.Rewrite(payloads); err != nil {
-		m.journalErrors++
-		return err
-	}
-	m.journalRecs = len(payloads)
-	m.journalCompactions++
-	return nil
+	return recs
 }
 
-// closeJournalLocked journals nothing further and releases the file; the
-// log itself stays on disk for the next life. m.mu must be held.
-func (m *Manager) closeJournalLocked() {
-	if m.journal == nil || m.journalClosed {
-		return
-	}
-	m.journalClosed = true
-	m.journal.Close()
-}
-
-// JournalStats describes the job journal's activity for health surfaces.
-type JournalStats struct {
-	Durable     bool  `json:"durable"`
-	Bytes       int64 `json:"bytes"`
-	Appends     int64 `json:"appends"`
-	Errors      int64 `json:"errors"`
-	Compactions int64 `json:"compactions"`
-}
-
-// JournalStats returns the job journal's activity counters (zero-valued
-// when no journal is enabled).
-func (m *Manager) JournalStats() JournalStats {
+// JournalStats returns the job journal's size and activity counters for
+// health surfaces (zero-valued when no journal is enabled).
+func (m *Manager) JournalStats() store.JournalStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := JournalStats{
-		Appends:     m.journalAppends,
-		Errors:      m.journalErrors,
-		Compactions: m.journalCompactions,
-	}
-	if m.journal != nil {
-		s.Durable = true
-		s.Bytes = m.journal.Size()
-	}
-	return s
+	return m.journal.Stats()
 }
 
 // JobRecovery returns what this manager rebuilt from its job journal at

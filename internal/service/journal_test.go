@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/store"
 )
@@ -161,15 +162,21 @@ func TestJournalColdStoreRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = store.ReplayWAL(filepath.Join(jdir, "jobs.wal"), func(rec []byte) error {
+	full, err := os.Open(filepath.Join(jdir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	_, _, err = store.ReplayJournal(full, func(rec json.RawMessage) {
 		var jr journalRecord
 		if err := json.Unmarshal(rec, &jr); err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if jr.Op == jopSubmit {
-			return w.Append(rec)
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,18 +239,19 @@ func TestJournalShutdownOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, _, _, err := replayJournalReader(f)
+	state := &journalState{jobs: make(map[string]*job)}
+	_, _, err = store.ReplayJournal(f, state.apply)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	jj, ok := state.jobs[snap.ID]
-	if !ok || !jj.terminal || jj.failed {
+	if !ok || jj.status != StatusDone {
 		t.Fatalf("journal state after clean shutdown: %+v", jj)
 	}
 	// Appending after close must be refused, not crash.
 	m.mu.Lock()
-	if err := m.appendJournalLocked(journalRecord{Op: jopStage, ID: snap.ID}); err != nil {
+	if err := m.appendJournalLocked(journalRecord{Op: jopDone, ID: snap.ID}); err != nil {
 		t.Errorf("append after close returned %v, want nil no-op", err)
 	}
 	m.mu.Unlock()
@@ -380,6 +388,78 @@ func TestJournalSubmitAfterRecoveryContinuesIDs(t *testing.T) {
 	}
 	if jobSeq(second.ID) <= jobSeq(first.ID) {
 		t.Fatalf("id sequence went backwards: %s after %s", second.ID, first.ID)
+	}
+}
+
+// TestRecoversParentWrittenJournal pins cross-version compatibility:
+// testdata/parent-jobs.wal was written by the bpserve binary of the commit
+// before the journal stopped recording progress (974eda0; the recipe is on
+// farm's TestRecoversParentWrittenWAL). It holds a finished analyze
+// (job-000001), an estimate that was still running (job-000002), and a
+// simulate whose done record is the torn final frame (job-000003) — with
+// the "running" and "stage" records this code no longer writes in between.
+// All three must come back under their original IDs with the results an
+// uninterrupted run produces, and new IDs must continue above them.
+func TestRecoversParentWrittenJournal(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{`"op":"running"`, `"op":"stage"`} {
+		if !bytes.Contains(raw, []byte(op)) {
+			t.Fatalf("fixture holds no %s record; it no longer tests what it is for", op)
+		}
+	}
+
+	// The reference: the same three requests, uninterrupted, on their own
+	// store (same trace content, so the same key the fixture names).
+	stRef, key := newTestStore(t)
+	ref := New(stRef, 2, 0)
+	defer ref.Shutdown(context.Background())
+	want := map[string]Snapshot{
+		"job-000001": submitAndWait(t, ref, Request{Kind: KindAnalyze, Trace: key}),
+		"job-000002": submitAndWait(t, ref, Request{Kind: KindEstimate, Trace: key, Warmup: "cold"}),
+		"job-000003": submitAndWait(t, ref, Request{Kind: KindSimulate, Trace: key}),
+	}
+
+	// The crashed coordinator's store held the trace and the analyze's
+	// selection; the estimate and the simulate left nothing durable.
+	st, _ := newTestStore(t)
+	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := New(st, 2, 0)
+	rec, err := m.EnableJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	if want := (JobRecovery{Records: 11, Dropped: 101, Requeued: 2, Terminal: 1}); rec != want {
+		t.Fatalf("recovery = %+v, want %+v", rec, want)
+	}
+	if snap, ok := m.Get("job-000001"); !ok || snap.Status != StatusDone {
+		t.Fatalf("job-000001 restored as %+v, want done without waiting", snap)
+	}
+	for id, orig := range want {
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		got, err := m.Wait(ctx, id)
+		cancel()
+		if err != nil {
+			t.Fatalf("waiting for %s: %v", id, err)
+		}
+		if got.Status != StatusDone || !got.Recovered || got.Request != orig.Request {
+			t.Fatalf("%s recovered as %s (recovered=%v, request %+v): %s", id, got.Status, got.Recovered, got.Request, got.Error)
+		}
+		if !bytes.Equal(got.Result, orig.Result) {
+			t.Fatalf("%s result differs from the uninterrupted run", id)
+		}
+	}
+	if next := submitAndWait(t, m, Request{Kind: KindEstimate, Trace: key, Warmup: "mru"}); next.ID != "job-000004" {
+		t.Fatalf("first job after recovery is %s, want job-000004", next.ID)
 	}
 }
 

@@ -142,12 +142,22 @@ var (
 	ErrBusy   = errors.New("service: job queue is full")
 )
 
+// plan is what validate derives from a request: the parsed analysis
+// config and warmup mode, the key identical in-flight requests coalesce
+// on, and the name of the store artifact the result lands in — which the
+// journal's done record points at instead of embedding bytes, and which
+// recovery probes for work that finished before a crash.
+type plan struct {
+	cfg      bp.Config
+	mode     bp.WarmupMode
+	dedup    string
+	artifact string
+}
+
 type job struct {
+	plan
 	id                         string
 	req                        Request
-	dedup                      string
-	cfg                        bp.Config
-	mode                       bp.WarmupMode
 	status                     Status
 	err                        string
 	cached                     bool
@@ -156,10 +166,6 @@ type job struct {
 	done                       chan struct{}
 	traceID                    string
 	span                       *obs.Span // set when the job starts running
-	// artifact is the store artifact name the result landed in (set by
-	// execute); the journal's done record points at it instead of
-	// embedding bytes.
-	artifact string
 	// recovered marks a job replayed live from the job journal.
 	recovered bool
 }
@@ -198,11 +204,8 @@ type Manager struct {
 
 	// Job journal (EnableJournal): lifecycle records appended under m.mu
 	// so the log's order matches the in-memory transitions it mirrors.
-	journal                                           *store.WAL
-	journalClosed                                     bool
-	journalRecs                                       int
-	journalAppends, journalErrors, journalCompactions int64
-	jobRecovery                                       JobRecovery
+	journal     *store.Journal[journalRecord]
+	jobRecovery JobRecovery
 
 	submitted, deduped, done, failed, cacheHits, coldAnalyses, farmed   atomic.Int64
 	farmRecovered, adaptiveRounds, adaptivePromoted, recovered          atomic.Int64
@@ -371,33 +374,33 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// validate parses and normalizes a request, returning the analysis config,
-// warmup mode and the job's deduplication key. The key covers exactly the
-// parameters the kind consumes — an analyze ignores warmup and sockets, a
-// simulate ignores warmup and the analysis config, and sockets are
-// normalized against the trace's thread count — so requests that differ
-// only in irrelevant or equivalent fields coalesce onto one job.
-func (m *Manager) validate(req Request) (bp.Config, bp.WarmupMode, string, error) {
+// validate parses and normalizes a request into its plan. The dedup key
+// covers exactly the parameters the kind consumes — an analyze ignores
+// warmup and sockets, a simulate ignores warmup and the analysis config,
+// and sockets are normalized against the trace's thread count — so
+// requests that differ only in irrelevant or equivalent fields coalesce
+// onto one job.
+func (m *Manager) validate(req Request) (plan, error) {
 	if !m.st.HasTrace(req.Trace) {
-		return bp.Config{}, 0, "", fmt.Errorf("service: trace %q: %w", req.Trace, store.ErrNotFound)
+		return plan{}, fmt.Errorf("service: trace %q: %w", req.Trace, store.ErrNotFound)
 	}
 	cfg, err := ConfigFor(req.Signature, req.MaxK)
 	if err != nil {
-		return bp.Config{}, 0, "", err
+		return plan{}, err
 	}
 	if req.MaxK > 0 && req.Kind == KindSimulate {
 		// Ground truth does not cluster; rejecting keeps the dedup key honest.
-		return bp.Config{}, 0, "", fmt.Errorf("service: max_k applies only to analyze and estimate jobs, not %q", req.Kind)
+		return plan{}, fmt.Errorf("service: max_k applies only to analyze and estimate jobs, not %q", req.Kind)
 	}
 	mode, err := ParseWarmup(req.Warmup)
 	if err != nil {
-		return bp.Config{}, 0, "", err
+		return plan{}, err
 	}
 	if req.TargetCI < 0 || req.TargetCI >= 1 {
-		return bp.Config{}, 0, "", fmt.Errorf("service: target ci %v out of range [0, 1)", req.TargetCI)
+		return plan{}, fmt.Errorf("service: target ci %v out of range [0, 1)", req.TargetCI)
 	}
 	if req.TargetCI > 0 && req.Kind != KindEstimate {
-		return bp.Config{}, 0, "", fmt.Errorf("service: target ci applies only to estimate jobs, not %q", req.Kind)
+		return plan{}, fmt.Errorf("service: target ci applies only to estimate jobs, not %q", req.Kind)
 	}
 	switch req.Exec {
 	case "", ExecAuto, ExecLocal:
@@ -407,31 +410,33 @@ func (m *Manager) validate(req Request) (bp.Config, bp.WarmupMode, string, error
 			// ground-truth run — neither decomposes into farmable points.
 			// Rejecting rather than silently running locally keeps the
 			// API honest.
-			return bp.Config{}, 0, "", fmt.Errorf("service: exec %q applies only to estimate jobs, not %q", req.Exec, req.Kind)
+			return plan{}, fmt.Errorf("service: exec %q applies only to estimate jobs, not %q", req.Exec, req.Kind)
 		}
 		if m.farm == nil {
-			return bp.Config{}, 0, "", errors.New("service: farm execution requested but no farm queue is attached")
+			return plan{}, errors.New("service: farm execution requested but no farm queue is attached")
 		}
 	default:
-		return bp.Config{}, 0, "", fmt.Errorf("service: unknown exec mode %q (want auto, local or farm)", req.Exec)
+		return plan{}, fmt.Errorf("service: unknown exec mode %q (want auto, local or farm)", req.Exec)
 	}
-	var dedup string
+	p := plan{cfg: cfg, mode: mode}
 	switch req.Kind {
 	case KindAnalyze:
-		dedup = fmt.Sprintf("%s|%s|%s", req.Kind, req.Trace, hashJSON(cfg))
+		p.dedup = fmt.Sprintf("%s|%s|%s", req.Kind, req.Trace, hashJSON(cfg))
+		p.artifact = SelectionArtifact(cfg)
 	case KindSimulate, KindEstimate:
 		f, err := m.st.OpenTrace(req.Trace)
 		if err != nil {
-			return bp.Config{}, 0, "", err
+			return plan{}, err
 		}
 		threads := f.Threads()
 		f.Close()
 		mc, err := MachineFor(threads, req.Sockets)
 		if err != nil {
-			return bp.Config{}, 0, "", err
+			return plan{}, err
 		}
 		if req.Kind == KindSimulate {
-			dedup = fmt.Sprintf("%s|%s|%d", req.Kind, req.Trace, mc.Sockets)
+			p.dedup = fmt.Sprintf("%s|%s|%d", req.Kind, req.Trace, mc.Sockets)
+			p.artifact = ActualArtifact(mc)
 		} else {
 			// Exec modes produce bit-identical results but very different
 			// latencies (a forced farm job waits for workers), so they do
@@ -439,12 +444,13 @@ func (m *Manager) validate(req Request) (bp.Config, bp.WarmupMode, string, error
 			// compute across modes. The CI target is part of the identity:
 			// tighter targets simulate more regions and land on different
 			// artifacts.
-			dedup = fmt.Sprintf("%s|%s|%s|%d|%s|%s|%g", req.Kind, req.Trace, hashJSON(cfg), mc.Sockets, mode, normalizeExec(req.Exec), req.TargetCI)
+			p.dedup = fmt.Sprintf("%s|%s|%s|%d|%s|%s|%g", req.Kind, req.Trace, hashJSON(cfg), mc.Sockets, mode, normalizeExec(req.Exec), req.TargetCI)
+			p.artifact = AdaptiveEstimateArtifact(cfg, mc, mode, req.TargetCI)
 		}
 	default:
-		return bp.Config{}, 0, "", fmt.Errorf("service: unknown job kind %q", req.Kind)
+		return plan{}, fmt.Errorf("service: unknown job kind %q", req.Kind)
 	}
-	return cfg, mode, dedup, nil
+	return p, nil
 }
 
 // Exec mode labels for Request.Exec.
@@ -464,7 +470,7 @@ func normalizeExec(s string) string {
 // Submit queues a job, or returns the in-flight job already running the
 // identical request. The returned snapshot has at least StatusQueued.
 func (m *Manager) Submit(req Request) (Snapshot, error) {
-	cfg, mode, dedup, err := m.validate(req)
+	p, err := m.validate(req)
 	if err != nil {
 		return Snapshot{}, err
 	}
@@ -473,7 +479,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	if m.closed {
 		return Snapshot{}, ErrClosed
 	}
-	if j, ok := m.inflight[dedup]; ok {
+	if j, ok := m.inflight[p.dedup]; ok {
 		m.deduped.Add(1)
 		return m.snapshotLocked(j), nil
 	}
@@ -485,11 +491,9 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	}
 	m.seq++
 	j := &job{
+		plan:    p,
 		id:      fmt.Sprintf("job-%06d", m.seq),
 		req:     req,
-		dedup:   dedup,
-		cfg:     cfg,
-		mode:    mode,
 		status:  StatusQueued,
 		created: time.Now(),
 		done:    make(chan struct{}),
@@ -499,14 +503,14 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 	// is durable, so every acknowledged job survives a crash. (A crash
 	// after the append but before the client reads the response re-runs
 	// work that was never acked — harmless, the artifacts dedup.)
-	if err := m.appendJournalLocked(submitRecord(j, hashJSON(cfg))); err != nil {
+	if err := m.appendJournalLocked(submitRecord(j)); err != nil {
 		m.seq--
 		return Snapshot{}, fmt.Errorf("service: journaling job: %w", err)
 	}
 	m.queue <- j
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.inflight[dedup] = j
+	m.inflight[p.dedup] = j
 	m.submitted.Add(1)
 	return m.snapshotLocked(j), nil
 }
@@ -583,7 +587,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		// already journaled; only now is the journal closed. (Closing
 		// earlier would race job completion against the WAL handle.)
 		m.mu.Lock()
-		m.closeJournalLocked()
+		m.journal.Close()
 		m.mu.Unlock()
 		return nil
 	case <-ctx.Done():
@@ -658,7 +662,6 @@ func (m *Manager) run(j *job) {
 		// crossed a coordinator restart.
 		j.span.SetAttr("recovered", "true")
 	}
-	m.journalBestEffortLocked(journalRecord{Op: jopRunning, ID: j.id})
 	m.mu.Unlock()
 
 	// Region decoding happens inside profiling and simulation, so its time
@@ -681,17 +684,16 @@ func (m *Manager) run(j *job) {
 	if err != nil {
 		j.status = StatusFailed
 		j.err = err.Error()
-		m.journalBestEffortLocked(journalRecord{
-			Op: jopFailed, ID: j.id, Error: j.err, FinishedNs: j.finished.UnixNano()})
 	} else {
 		j.status = StatusDone
 		j.result = result
-		// Best-effort: the result artifact is already durable in the store,
-		// so recovery resolves this job even if the done record never lands.
-		m.journalBestEffortLocked(journalRecord{
-			Op: jopDone, ID: j.id, Artifact: j.artifact, Cached: cached,
-			FinishedNs: j.finished.UnixNano()})
 	}
+	// The terminal record is best-effort (its error counts in JournalStats
+	// and is otherwise dropped): the durable truth — the request in the
+	// submit record, the result artifact in the store — already exists, so
+	// recovery reaches the same state without it, and failing the job over
+	// this append would turn a disk hiccup into a lost result.
+	_ = m.appendJournalLocked(terminalRecord(j))
 	delete(m.inflight, j.dedup)
 	m.pruneLocked()
 	m.mu.Unlock()
@@ -712,9 +714,6 @@ func (m *Manager) stageObserver(j *job) bp.StageObserver {
 	return func(stage string, d time.Duration) {
 		j.span.Observe(stage, d)
 		m.stageDur.With(stage).ObserveDuration(d)
-		m.mu.Lock()
-		m.journalBestEffortLocked(journalRecord{Op: jopStage, ID: j.id, Stage: stage})
-		m.mu.Unlock()
 	}
 }
 
@@ -724,8 +723,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 	obsrv := m.stageObserver(j)
 	switch j.req.Kind {
 	case KindAnalyze:
-		j.artifact = SelectionArtifact(j.cfg)
-		sel, cached, stats, err := AnalyzeCachedProfiled(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+		sel, cached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -747,14 +745,12 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		name := AdaptiveEstimateArtifact(j.cfg, mc, j.mode, j.req.TargetCI)
-		j.artifact = name
-		if b, err := m.st.GetArtifact(j.req.Trace, name); err == nil {
+		if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
 			return json.RawMessage(b), true, nil
 		} else if !errors.Is(err, store.ErrNotFound) {
 			return nil, false, err
 		}
-		selBytes, selCached, stats, err := AnalyzeCachedProfiled(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+		selBytes, selCached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -785,7 +781,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		}
 		m.adaptiveRounds.Add(int64(len(res.Rounds)))
 		m.adaptivePromoted.Add(int64(len(res.Simulated) - len(a.Selection.Points)))
-		return m.putResult(j.req.Trace, name, newIntervalResult(
+		return m.putResult(j.req.Trace, j.artifact, newIntervalResult(
 			res.Estimate, mc, j.mode.String(), len(res.Simulated), len(res.Rounds), j.req.TargetCI, res.Met))
 
 	case KindSimulate:
@@ -798,9 +794,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		name := ActualArtifact(mc)
-		j.artifact = name
-		if b, err := m.st.GetArtifact(j.req.Trace, name); err == nil {
+		if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
 			return json.RawMessage(b), true, nil
 		} else if !errors.Is(err, store.ErrNotFound) {
 			return nil, false, err
@@ -811,7 +805,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return m.putResult(j.req.Trace, name, newEstimateResult(bp.ActualFrom(full), mc, ""))
+		return m.putResult(j.req.Trace, j.artifact, newEstimateResult(bp.ActualFrom(full), mc, ""))
 
 	default:
 		return nil, false, fmt.Errorf("service: unknown job kind %q", j.req.Kind)

@@ -162,7 +162,7 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 		ids[i] = snap.ID
 	}
 	// Every estimate uses the default selection of the one trace.
-	selBytes, _, err := AnalyzeCached(st, key, bp.DefaultConfig())
+	selBytes, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

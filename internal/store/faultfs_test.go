@@ -1,7 +1,7 @@
 package store
 
 // Fault-injection tests for the store's durability paths: the WAL's
-// append pipeline under short writes and I/O errors (via the WALHooks
+// append pipeline under short writes and I/O errors (via the walHooks
 // seam), and the campaign manifest putters under concurrent writers and
 // crash-left temp files. These prove the invariants the farm queue's
 // recovery builds on: an acknowledged record is durable, a failed append
@@ -19,7 +19,7 @@ import (
 	"testing"
 )
 
-// faultWriter is a WALHooks.WriteFrame seam that, while armed, writes
+// faultWriter is a walHooks.writeFrame seam that, while armed, writes
 // only the first partialBytes of the frame and then fails.
 type faultWriter struct {
 	mu           sync.Mutex
@@ -58,10 +58,11 @@ func TestWALShortWriteRollsBack(t *testing.T) {
 		t.Run(fmt.Sprintf("partial-%d", partial), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "test.wal")
 			fw := &faultWriter{partialBytes: partial}
-			w, err := OpenWALHooked(path, &WALHooks{WriteFrame: fw.writeFrame})
+			w, err := OpenWAL(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			w.hooks = &walHooks{writeFrame: fw.writeFrame}
 			if err := w.Append([]byte("before")); err != nil {
 				t.Fatal(err)
 			}
@@ -90,10 +91,11 @@ func TestWALShortWriteRollsBack(t *testing.T) {
 func TestWALBrokenWhenRollbackFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
 	fw := &faultWriter{partialBytes: 5, closeFile: true}
-	w, err := OpenWALHooked(path, &WALHooks{WriteFrame: fw.writeFrame})
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.hooks = &walHooks{writeFrame: fw.writeFrame}
 	if err := w.Append([]byte("good")); err != nil {
 		t.Fatal(err)
 	}

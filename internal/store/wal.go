@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,28 +14,14 @@ import (
 	"barrierpoint/internal/fault"
 )
 
-// This file is the store's write-ahead-log layer: an append-only record
-// file with per-record framing and checksums, used by internal/farm to
-// make the work queue's control-plane state durable. It follows the same
-// discipline as every other store write — atomic visibility — but where
-// PutArtifact and PutCampaign rewrite whole values via temp-file+rename,
-// a WAL appends incrementally and fsyncs each record, so a crash at any
-// byte offset leaves a valid prefix of records followed by at most one
-// torn frame, which open-time validation truncates away.
-//
-// # Frame format
-//
-// Each record is framed as
-//
-//	4 bytes  little-endian uint32   payload length n
-//	4 bytes  little-endian uint32   CRC-32C (Castagnoli) of the payload
-//	n bytes  payload
-//
-// Replay reads frames until the first frame that is truncated, oversized
-// or fails its checksum; everything after that point is discarded. The
-// payload encoding is the caller's business (internal/farm uses JSON).
+// This file is the store's write-ahead-log layer: an append-only file of
+// length+checksum framed byte records, fsynced per append, whose open-time
+// validation truncates the torn frame a crash may leave. Clients use it
+// through the typed Journal in journal.go, which documents the frame
+// format, compaction and failure semantics once for every log in the
+// repository.
 
-// walMaxRecord bounds a single record's payload. Real queue records are a
+// walMaxRecord bounds a single record's payload. Real journal records are a
 // few hundred bytes; the cap keeps a corrupted length field from forcing
 // a pathological allocation during replay.
 const walMaxRecord = 16 << 20
@@ -56,17 +43,16 @@ func walFrame(payload []byte) []byte {
 	return f
 }
 
-// ReplayFrames reads WAL frames from r, calling fn for each intact record
+// replayFrames reads WAL frames from r, calling fn for each intact record
 // in order. It returns the byte length of the valid prefix and the number
 // of records delivered. Reading stops — without error — at the first
 // truncated, oversized or checksum-failing frame: a torn tail is the
 // expected crash artifact, not corruption worth failing over. An error
-// from fn (or from r itself) aborts the replay and is returned.
-func ReplayFrames(r io.Reader, fn func(rec []byte) error) (validLen int64, n int, err error) {
-	br := &countReader{r: r}
+// from fn aborts the replay and is returned; one from r ends it like EOF.
+func replayFrames(r io.Reader, fn func(rec []byte) error) (validLen int64, n int, err error) {
 	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return validLen, n, nil // clean EOF or torn header: stop at the valid prefix
 		}
 		size := binary.LittleEndian.Uint32(hdr[0:4])
@@ -75,7 +61,7 @@ func ReplayFrames(r io.Reader, fn func(rec []byte) error) (validLen int64, n int
 			return validLen, n, nil
 		}
 		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return validLen, n, nil // torn payload
 		}
 		if crc32.Checksum(payload, walCRC) != sum {
@@ -86,68 +72,39 @@ func ReplayFrames(r io.Reader, fn func(rec []byte) error) (validLen int64, n int
 				return validLen, n, err
 			}
 		}
-		validLen = br.n
+		validLen += int64(len(hdr)) + int64(size)
 		n++
 	}
 }
 
-// countReader tracks how many bytes have been consumed from r.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ReplayWAL replays the log file at path; a missing file is an empty log.
-func ReplayWAL(path string, fn func(rec []byte) error) (validLen int64, n int, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return ReplayFrames(f, fn)
-}
-
-// WALHooks intercepts a WAL's write path; it exists purely as a seam for
+// walHooks intercepts a WAL's write path; it exists purely as a seam for
 // fault-injection tests (short writes, append errors, crash points
 // between a frame hitting the file and the caller applying it). Nil
 // fields mean default behavior.
-type WALHooks struct {
-	// WriteFrame, if set, replaces the frame write+sync. Returning an
+type walHooks struct {
+	// writeFrame, if set, replaces the frame write+sync. Returning an
 	// error (after optionally writing part of the frame to f) simulates a
 	// failed or torn append; the WAL then tries to truncate the partial
 	// frame away, exactly as it would after a real short write.
-	WriteFrame func(f *os.File, frame []byte) error
+	writeFrame func(f *os.File, frame []byte) error
 }
 
 // WAL is an append-only, checksummed, fsync-per-record log. Appends are
-// not internally locked — callers (the farm queue) serialize them under
-// their own mutex, which also keeps the log ordered identically to the
-// in-memory state transitions it journals.
+// not internally locked — callers (the farm queue, the job manager)
+// serialize them under their own mutex, which also keeps the log ordered
+// identically to the in-memory state transitions it journals.
 type WAL struct {
 	path   string
 	f      *os.File
 	size   int64 // bytes of intact frames on disk
-	hooks  *WALHooks
+	hooks  *walHooks
 	broken bool
-	// observer, when set, receives the wall-clock duration of each durable
-	// operation: op "append" per Append, "rewrite" per Rewrite (compaction).
-	// Telemetry only; it runs after the operation's outcome is decided.
+	// observer, when set (Journal.SetObserver), receives the wall-clock
+	// duration of each durable operation: op "append" per Append, "rewrite"
+	// per Rewrite (compaction). Telemetry only; it runs after the
+	// operation's outcome is decided.
 	observer func(op string, d time.Duration)
 }
-
-// SetObserver installs a per-operation timing observer (nil to remove).
-// Call it before the WAL is shared across goroutines; observers must be
-// safe for concurrent use if appends are.
-func (w *WAL) SetObserver(fn func(op string, d time.Duration)) { w.observer = fn }
 
 func (w *WAL) observe(op string, t0 time.Time) {
 	if w.observer != nil {
@@ -158,39 +115,45 @@ func (w *WAL) observe(op string, t0 time.Time) {
 // OpenWAL opens (creating if needed) the log at path for appending. Any
 // torn frame left by a crash is truncated away first, so appends always
 // start at a record boundary. The parent directory is created if missing.
-func OpenWAL(path string) (*WAL, error) { return OpenWALHooked(path, nil) }
+func OpenWAL(path string) (*WAL, error) {
+	w, _, _, err := openWAL(path, nil)
+	return w, err
+}
 
-// OpenWALHooked is OpenWAL with fault-injection hooks (tests only).
-func OpenWALHooked(path string, hooks *WALHooks) (*WAL, error) {
+// openWAL is OpenWAL delivering every intact record to fn on the way: one
+// pass over the file both replays it and finds the valid prefix. It also
+// returns the number of records delivered and the byte length of the torn
+// tail it truncated away.
+func openWAL(path string, fn func(rec []byte) error) (w *WAL, records int, dropped int64, err error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	valid, _, err := ReplayWAL(path, nil)
-	if err != nil {
-		return nil, err
+		return nil, 0, 0, fmt.Errorf("store: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, 0, 0, fmt.Errorf("store: %w", err)
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > valid {
+	fail := func(err error) (*WAL, int, int64, error) {
+		f.Close()
+		return nil, 0, 0, err
+	}
+	valid, records, err := replayFrames(bufio.NewReader(f), fn)
+	if err != nil {
+		return fail(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(fmt.Errorf("store: %w", err))
+	}
+	if fi.Size() > valid {
 		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
+			return fail(fmt.Errorf("store: truncating torn wal tail: %w", err))
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
+	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+		return fail(fmt.Errorf("store: %w", err))
 	}
-	return &WAL{path: path, f: f, size: valid, hooks: hooks}, nil
+	return &WAL{path: path, f: f, size: valid}, records, fi.Size() - valid, nil
 }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
-// Size returns the on-disk byte length of intact frames.
-func (w *WAL) Size() int64 { return w.size }
 
 // Append durably adds one record: the frame is written and fsynced before
 // Append returns, so an acknowledged record survives an immediate crash.
@@ -227,8 +190,8 @@ func (w *WAL) Append(payload []byte) error {
 }
 
 func (w *WAL) writeFrame(frame []byte) error {
-	if w.hooks != nil && w.hooks.WriteFrame != nil {
-		return w.hooks.WriteFrame(w.f, frame)
+	if w.hooks != nil && w.hooks.writeFrame != nil {
+		return w.hooks.writeFrame(w.f, frame)
 	}
 	if _, err := w.f.Write(frame); err != nil {
 		return err
@@ -236,13 +199,13 @@ func (w *WAL) writeFrame(frame []byte) error {
 	return w.f.Sync()
 }
 
-// Rewrite atomically replaces the log's contents with the given records:
+// rewrite atomically replaces the log's contents with the given records:
 // they are framed into a temp file in the same directory, fsynced, and
 // renamed over the log (the store-wide atomic-rewrite pattern), then the
 // WAL continues appending to the new file. This is the compaction
 // primitive — a crash at any point leaves either the old log or the new
 // one, never a mix.
-func (w *WAL) Rewrite(payloads [][]byte) error {
+func (w *WAL) rewrite(payloads [][]byte) error {
 	defer w.observe("rewrite", time.Now())
 	dir := filepath.Dir(w.path)
 	tmp, err := os.CreateTemp(dir, ".wal-*")

@@ -13,7 +13,12 @@ import (
 func replayAll(t *testing.T, path string) ([][]byte, int64) {
 	t.Helper()
 	var recs [][]byte
-	valid, n, err := ReplayWAL(path, func(rec []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	valid, n, err := replayFrames(f, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
 		return nil
 	})
@@ -76,7 +81,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cleanSize := w.Size()
+	cleanSize := w.size
 	w.Close()
 
 	// Simulate a crash mid-append: a partial frame after the good records.
@@ -99,8 +104,8 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.Size() != cleanSize {
-		t.Fatalf("reopened size %d, want %d", w2.Size(), cleanSize)
+	if w2.size != cleanSize {
+		t.Fatalf("reopened size %d, want %d", w2.size, cleanSize)
 	}
 	if err := w2.Append([]byte("rec-3")); err != nil {
 		t.Fatal(err)
@@ -154,11 +159,12 @@ func TestWALReplayStopsAtCorruptRecord(t *testing.T) {
 	}
 }
 
-func TestReplayWALMissingFile(t *testing.T) {
-	valid, n, err := ReplayWAL(filepath.Join(t.TempDir(), "nope.wal"), nil)
-	if err != nil || valid != 0 || n != 0 {
-		t.Fatalf("missing file: valid %d n %d err %v, want all zero", valid, n, err)
+func TestOpenWALMissingFile(t *testing.T) {
+	w, n, dropped, err := openWAL(filepath.Join(t.TempDir(), "nope.wal"), nil)
+	if err != nil || w.size != 0 || n != 0 || dropped != 0 {
+		t.Fatalf("missing file: size %d n %d dropped %d err %v, want an empty log", w.size, n, dropped, err)
 	}
+	w.Close()
 }
 
 func TestWALRewriteCompaction(t *testing.T) {
@@ -172,7 +178,7 @@ func TestWALRewriteCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Rewrite([][]byte{[]byte("live-a"), []byte("live-b")}); err != nil {
+	if err := w.rewrite([][]byte{[]byte("live-a"), []byte("live-b")}); err != nil {
 		t.Fatal(err)
 	}
 	// The handle keeps working against the new file.
