@@ -375,16 +375,11 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 // how an estimate's cost splits between functional warming and detailed
 // simulation.
 func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConfig, mode WarmupMode, obsrv StageObserver) (map[int]RegionResult, error) {
-	if p.Threads() != mc.Cores() {
-		return nil, fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
-	}
 	regions = slices.Clone(regions)
 	slices.Sort(regions)
 	regions = slices.Compact(regions)
-	for _, r := range regions {
-		if r < 0 || r >= p.Regions() {
-			return nil, fmt.Errorf("barrierpoint: region %d out of range [0, %d)", r, p.Regions())
-		}
+	if err := checkPoints(p, regions, mc); err != nil {
+		return nil, err
 	}
 
 	// Bounded worker pool: at most Workers goroutines drain a shared
@@ -422,9 +417,8 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 			next <- warmPoint{region: r}
 		}
 	} else {
-		capacity := mc.L3.Lines() * mc.Sockets // largest total shared LLC
 		t0 := time.Now()
-		warmup.Stream(p, regions, capacity, func(r int, snap warmup.Snapshot) {
+		warmup.Stream(p, regions, mruCapacity(mc), func(r int, snap warmup.Snapshot) {
 			next <- warmPoint{r, snap}
 		})
 		if obsrv != nil {
@@ -435,6 +429,22 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 	wg.Wait()
 	return out, nil
 }
+
+// checkPoints reports whether p runs on mc and holds every listed region.
+func checkPoints(p Program, regions []int, mc MachineConfig) error {
+	if p.Threads() != mc.Cores() {
+		return fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
+	}
+	for _, r := range regions {
+		if r < 0 || r >= p.Regions() {
+			return fmt.Errorf("barrierpoint: region %d out of range [0, %d)", r, p.Regions())
+		}
+	}
+	return nil
+}
+
+// mruCapacity is mc's MRU tracking depth in lines: its largest total shared LLC.
+func mruCapacity(mc MachineConfig) int { return mc.L3.Lines() * mc.Sockets }
 
 // runPoint simulates one barrierpoint on a fresh machine with the given
 // warmup snapshot. This is the single code path behind LocalRunner and
@@ -476,6 +486,46 @@ func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap war
 func SimulatePoint(p Program, region int, mc MachineConfig, mode WarmupMode) (RegionResult, error) {
 	res, err := LocalRunner{Workers: 1}.RunPoints(p, []int{region}, mc, mode)
 	return res[region], err
+}
+
+// PrefixPass is the MRU prefix pass SimulatePoint runs from region 0 on every
+// call, held by the caller instead: a snapshot is a pure function of the
+// trace prefix, so a caller simulating points of one trace in ascending
+// order (a farm worker) continues the pass rather than repeating it, with
+// bit-identical results. A pass serves one trace content on one machine and
+// is not safe for concurrent use; when to keep it and when to start over is
+// the caller's policy (see farm.Executor).
+type PrefixPass struct {
+	mc   MachineConfig
+	pass *warmup.Pass
+}
+
+// NewPrefixPass returns a pass at region 0 for points simulated on mc.
+func NewPrefixPass(mc MachineConfig) *PrefixPass {
+	return &PrefixPass{mc, warmup.NewPass(mc.Cores(), mruCapacity(mc))}
+}
+
+// Pos returns the first region the pass has not tracked; Point accepts
+// regions from Pos on.
+func (pp *PrefixPass) Pos() int { return pp.pass.Pos() }
+
+// Point is SimulatePoint under an MRU mode in two halves. The call tracks
+// regions [Pos, region) of p, snapshots, and reports both to obsrv as
+// "warmup-capture" — the advance only, not a pass from region 0. The
+// function returned is the rest, the runPoint every runner ends in; it no
+// longer touches the pass, so a caller takes a batch's snapshots in
+// ascending order and runs the simulations in parallel. p must stay open
+// until that function returns.
+func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() RegionResult, error) {
+	if err := checkPoints(p, []int{region}, pp.mc); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	snap := pp.pass.Snapshot(p, region)
+	if obsrv != nil {
+		obsrv("warmup-capture", time.Since(t0))
+	}
+	return func() RegionResult { return runPoint(p, region, pp.mc, mode, snap, obsrv) }, nil
 }
 
 // SimulatePoints runs the selected barrierpoints in detail, each on its own

@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -260,7 +261,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 type worker struct {
 	client *farm.Client
 	st     *store.Store
-	rc     *bp.ReplayCache // decoded-region cache shared across tasks
+	exec   *farm.Executor // compute path: replay cache and prefix pass shared across tasks
 	logger *slog.Logger
 
 	reg        *obs.Registry
@@ -278,7 +279,7 @@ type worker struct {
 }
 
 func newWorker(c *farm.Client, st *store.Store, rc *bp.ReplayCache, logger *slog.Logger) *worker {
-	w := &worker{client: c, st: st, rc: rc, logger: logger}
+	w := &worker{client: c, st: st, exec: farm.NewExecutor(st, rc), logger: logger}
 	r := obs.NewRegistry()
 	w.reg = r
 	w.spans = obs.NewSpanRecorder(0)
@@ -293,6 +294,9 @@ func newWorker(c *farm.Client, st *store.Store, rc *bp.ReplayCache, logger *slog
 	r.GaugeFunc("bpworker_replay_cache_entries", "Decoded-region replay cache resident regions.", func() float64 {
 		return float64(rc.Stats().Entries)
 	})
+	r.CounterFunc("bpworker_prefix_pass_resumed_total", "Warm tasks that continued the MRU prefix pass held from the previous task.", func() float64 { return float64(w.exec.PassStats().Resumed) })
+	r.CounterFunc("bpworker_prefix_pass_restarted_total", "Warm tasks that began a fresh prefix pass: first use, another trace or machine, or a region behind the held pass.", func() float64 { return float64(w.exec.PassStats().Restarted) })
+	r.CounterFunc("bpworker_prefix_pass_regions_total", "Prefix regions actually tracked for warm tasks (a pass per task would track the sum of their region indices).", func() float64 { return float64(w.exec.PassStats().Regions) })
 	r.GaugeFunc("bpworker_held_leases", "Task leases currently held (renewed by the heartbeat loop).", func() float64 {
 		w.mu.Lock()
 		defer w.mu.Unlock()
@@ -405,29 +409,21 @@ func (w *worker) process(tasks []farm.Task) int {
 		ids[i] = t.ID
 	}
 	w.hold(ids)
-	// Prefetch each distinct trace once: a fresh worker leasing a batch
-	// of tasks for one trace must not download it -concurrency times in
-	// parallel. Errors are left for runTask's own fetch (a cheap no-op
-	// retry) so they are reported per task.
-	prefetched := make(map[string]bool)
-	for _, t := range tasks {
-		if !prefetched[t.TraceKey] {
-			prefetched[t.TraceKey] = true
-			t0 := time.Now()
-			if err := w.client.FetchTrace(w.st, t.TraceKey); err != nil {
-				w.logger.Warn("trace prefetch failed", "trace", t.TraceKey, "err", err)
-			}
-			w.fetchDur.ObserveDuration(time.Since(t0))
-		}
-	}
+	// The serial half of every task runs here, in pass order: fetching (so a
+	// fresh worker downloads a batch's trace once, not -concurrency times in
+	// parallel) and taking the warm-up snapshot (so a batch of one trace is
+	// one advance of the held prefix pass, however goroutines get scheduled).
+	// Each simulation starts as soon as its own snapshot is taken.
+	slices.SortFunc(tasks, farm.PassOrder)
 	var wg sync.WaitGroup
 	settled := make([]bool, len(tasks))
 	for i, t := range tasks {
+		finish := w.runTask(t)
 		wg.Add(1)
 		go func(i int, t farm.Task) {
 			defer wg.Done()
 			defer w.release(t.ID)
-			done, err := w.runTask(t)
+			done, err := finish()
 			settled[i] = done
 			if err != nil {
 				w.logger.Warn("task failed",
@@ -462,46 +458,56 @@ func (w *worker) process(tasks []farm.Task) int {
 // Each task is recorded as a "farm-task" span carrying the submitting
 // job's trace ID (if the coordinator supplied one) with fetch, simulate
 // and upload stages — the worker-side half of the job's end-to-end trace.
-func (w *worker) runTask(t farm.Task) (bool, error) {
+//
+// runTask itself is the task's serial half (fetch, then Executor.Warm, timed
+// under simulate); the function it returns is the parallel half.
+func (w *worker) runTask(t farm.Task) func() (bool, error) {
 	start := time.Now()
 	span := obs.NewSpan(t.TraceID, "farm-task")
 	span.SetAttr("task", t.ID)
 	span.SetAttr("worker", w.client.Worker)
-	defer func() {
-		span.Finish()
-		w.spans.Record(span.Data())
-	}()
-	res, err := func() (bp.RegionResult, error) {
-		stop := span.StartStage("fetch")
-		err := w.client.FetchTrace(w.st, t.TraceKey)
-		stop()
-		if err != nil {
-			return bp.RegionResult{}, err
-		}
-		stop = span.StartStage("simulate")
-		defer stop()
-		return farm.ExecuteTask(w.st, t, w.rc)
-	}()
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		w.failed.Inc()
-		if ferr := w.client.Fail(t, err.Error()); ferr != nil {
-			w.logger.Warn("reporting failure failed", "task", t.ID, "err", ferr)
-			return false, err
-		}
-		return true, err
-	}
-	stop := span.StartStage("upload")
-	uploadErr := w.client.Complete(t, res)
+	stop := span.StartStage("fetch")
+	err := w.client.FetchTrace(w.st, t.TraceKey)
 	stop()
-	if uploadErr != nil {
-		span.SetAttr("error", uploadErr.Error())
-		return false, fmt.Errorf("uploading result: %w", uploadErr)
+	w.fetchDur.ObserveDuration(time.Since(start))
+	var run func() (bp.RegionResult, error)
+	if err == nil {
+		stop = span.StartStage("simulate")
+		run, err = w.exec.Warm(t, span)
+		stop()
 	}
-	w.completed.Inc()
-	w.taskDur.ObserveDuration(time.Since(start))
-	w.logger.Info("task done",
-		"task", t.ID, "trace_id", t.TraceID, "trace", t.TraceKey, "region", t.Region,
-		"attempt", t.Attempt, "dur", time.Since(start).Round(time.Millisecond).String())
-	return true, nil
+	return func() (bool, error) {
+		defer func() {
+			span.Finish()
+			w.spans.Record(span.Data())
+		}()
+		var res bp.RegionResult
+		if err == nil {
+			stop := span.StartStage("simulate")
+			res, err = run()
+			stop()
+		}
+		if err != nil {
+			span.SetAttr("error", err.Error())
+			w.failed.Inc()
+			if ferr := w.client.Fail(t, err.Error()); ferr != nil {
+				w.logger.Warn("reporting failure failed", "task", t.ID, "err", ferr)
+				return false, err
+			}
+			return true, err
+		}
+		stop := span.StartStage("upload")
+		uploadErr := w.client.Complete(t, res)
+		stop()
+		if uploadErr != nil {
+			span.SetAttr("error", uploadErr.Error())
+			return false, fmt.Errorf("uploading result: %w", uploadErr)
+		}
+		w.completed.Inc()
+		w.taskDur.ObserveDuration(time.Since(start))
+		w.logger.Info("task done",
+			"task", t.ID, "trace_id", t.TraceID, "trace", t.TraceKey, "region", t.Region,
+			"attempt", t.Attempt, "dur", time.Since(start).Round(time.Millisecond).String())
+		return true, nil
+	}
 }

@@ -163,3 +163,32 @@ func BenchmarkSimulatePointsFarmed(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFarmWorkerTasksOneTrace is one farm worker's share of an estimate
+// when it gets the whole job (frozen since PR 16): the end-to-end benchmark's
+// farm-estimate input — npb-ft, 8 threads, scale 0.5, mru — analyzed once,
+// then per iteration the selection's points executed one task at a time in
+// region order through one Executor, as bpworker -concurrency 1 would, over
+// a cold replay cache. No queue, no RPC: trace open, prefix pass, snapshot
+// replay and detailed simulation per task.
+func BenchmarkFarmWorkerTasksOneTrace(b *testing.B) {
+	var buf bytes.Buffer
+	if err := tracefile.Record(&buf, workload.New("npb-ft", 8, workload.WithScale(0.5))); err != nil {
+		b.Fatal(err)
+	}
+	cfg := bp.DefaultConfig()
+	st, key, a, done := freshAnalysis(b, buf.Bytes(), &cfg)
+	done()
+	points := a.BarrierPoints()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exec := farm.NewExecutor(st, bp.NewReplayCache(0))
+		for _, pt := range points {
+			if _, err := exec.Execute(farm.Task{TraceKey: key, Region: pt.Region, Sockets: 1, Warmup: "mru"}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(points)), "tasks/op")
+}

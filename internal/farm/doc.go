@@ -46,11 +46,19 @@
 // # Determinism
 //
 // Every execution path — LocalRunner's in-process pool, CachedRunner's
-// store-backed reuse, QueueRunner's farm distribution — funnels into
-// bp.SimulatePoint, which warms a fresh machine from a snapshot that
+// store-backed reuse, QueueRunner's farm distribution — ends in the same
+// point simulation, which warms a fresh machine from a snapshot that
 // depends only on the trace bytes before the region. A farmed estimate is
 // therefore bit-identical to the local one, regardless of worker count,
 // task interleaving, retries, or mid-run worker loss.
+//
+// For the same reason a worker does not rebuild the snapshot from region 0
+// per task: its Executor, the one task compute path of RunLocalWorker and
+// cmd/bpworker, keeps the MRU prefix pass of its last warm task, advances it
+// for a task of the same trace at or ahead of it and replaces it otherwise
+// (the full rule and its memory cost are on Executor), so a worker that
+// leases many points of one trace decodes and tracks each warmup-prefix
+// region once. The coordinator and the protocol know nothing of it.
 //
 // # Protocol (HTTP/JSON, mounted under /farm/ by cmd/bpserve)
 //

@@ -13,8 +13,6 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/store"
-	"barrierpoint/internal/tracefile"
-	"barrierpoint/internal/workload"
 )
 
 // newTestStore opens a fresh store holding one small recorded trace and
@@ -25,16 +23,7 @@ func newTestStore(t testing.TB) (*store.Store, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	prog := workload.New("npb-is", 8, workload.WithScale(0.05))
-	if err := tracefile.Record(&buf, prog); err != nil {
-		t.Fatal(err)
-	}
-	key, _, err := st.PutTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st, key
+	return st, putTrace(t, st, "npb-is", 8)
 }
 
 func spec(key string) farm.Spec {
@@ -56,7 +45,7 @@ func waitTicket(t *testing.T, tk *farm.Ticket) (bp.RegionResult, error) {
 // payload a worker would upload.
 func completeJSON(t *testing.T, st *store.Store, tk farm.Task) []byte {
 	t.Helper()
-	res, err := farm.ExecuteTask(st, tk, nil)
+	res, err := farm.NewExecutor(st, nil).Execute(tk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

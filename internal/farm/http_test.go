@@ -68,7 +68,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 		t.Fatalf("heartbeat: dropped %v err %v", dropped, err)
 	}
 
-	res, err := farm.ExecuteTask(wst, task, nil)
+	res, err := farm.NewExecutor(wst, nil).Execute(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := farm.ExecuteTask(st, task, nil)
+	want, err := farm.NewExecutor(st, nil).Execute(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestHTTPBodyLimits(t *testing.T) {
 	if err := c.FetchTrace(wst, task.TraceKey); err != nil {
 		t.Fatal(err)
 	}
-	out, err := farm.ExecuteTask(wst, task, nil)
+	out, err := farm.NewExecutor(wst, nil).Execute(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 package farm
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"sync"
 	"time"
 
 	bp "barrierpoint"
@@ -21,26 +24,116 @@ func PointArtifact(region int, mc bp.MachineConfig, warmup string) string {
 	return fmt.Sprintf("point-%06d-%s-%s.json", region, store.HashJSON(mc), store.SanitizeLabel(warmup))
 }
 
-// ExecuteTask performs a leased task against a local store: open the
-// trace, simulate the single point, return the result. This is the one
-// compute path shared by in-process workers and cmd/bpworker, and it
-// funnels into bp.SimulatePoint — the same code LocalRunner runs — so
-// farmed results are bit-identical to local ones. Regions decode through
-// rc (keyed by the task's trace content key): a worker that leases many
-// points of one trace — the common batch shape — decodes each
-// warmup-prefix region once instead of once per point. A nil rc streams
-// from disk; cached and uncached execution are bit-identical.
-func ExecuteTask(st *store.Store, t Task, rc *bp.ReplayCache) (bp.RegionResult, error) {
+// Executor performs leased tasks against a local store: open the trace,
+// simulate the single point, return the result. This is the one compute
+// path shared by in-process workers and cmd/bpworker, and it ends in the
+// runPoint that LocalRunner and bp.SimulatePoint end in, so farmed results
+// are bit-identical to local ones. Regions decode through rc (keyed by the
+// task's trace content key), and the Executor keeps the MRU prefix pass of
+// its last warm task: a worker that leases many points of one trace — the
+// common batch shape — decodes and tracks each warmup-prefix region once
+// instead of once per point. The pass rule: a task of the same trace content
+// and socket count (which fixes a Table I machine's thread count and
+// tracking depth) at or ahead of the held pass advances it; anything else —
+// first use, an earlier region, another trace or machine — replaces it with
+// a fresh pass from region 0, what every task cost before; cold tasks never
+// touch it. One pass is retained, 16 B of node plus one index slot per
+// distinct line per core of the current trace, until another trace arrives
+// or the worker exits. A nil rc streams from disk; cached, resumed and fresh
+// execution are all bit-identical.
+type Executor struct {
+	st *store.Store
+	rc *bp.ReplayCache
+
+	mu      sync.Mutex     // held pass + counters: advance and snapshot only, never simulation
+	pass    *bp.PrefixPass // nil until the first warm task
+	trace   string         // content key of the trace pass has tracked
+	sockets int            // Table I machine pass tracks for
+	stats   PassStats
+}
+
+// PassStats counts an Executor's warm tasks by what the held pass did for
+// them, and the prefix regions it actually tracked (a pass per task would
+// have tracked the sum of their region indices).
+type PassStats struct{ Resumed, Restarted, Regions uint64 }
+
+// NewExecutor returns an Executor over st (which must hold the tasks'
+// traces) with no pass held yet.
+func NewExecutor(st *store.Store, rc *bp.ReplayCache) *Executor {
+	return &Executor{st: st, rc: rc}
+}
+
+// PassStats returns the held pass's counters so far.
+func (e *Executor) PassStats() PassStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stats
+}
+
+// PassOrder sorts a leased batch for Warm — trace, machine, region ascending
+// — so the tasks of one trace are one advance of the held pass.
+func PassOrder(a, b Task) int {
+	return cmp.Or(cmp.Compare(a.TraceKey, b.TraceKey), cmp.Compare(a.Sockets, b.Sockets), cmp.Compare(a.Region, b.Region))
+}
+
+// Warm is the serial half of a task: open the trace and, unless the task is
+// cold, take its warm-up snapshot from the held pass. The function returned
+// is the parallel half — snapshot replay and detailed simulation — and must
+// be called exactly once (it closes the trace); a batch calls Warm in
+// PassOrder and runs the returned functions concurrently. span (may be nil)
+// gets prefix_from/prefix_to, the regions [from, to) the task made the pass
+// track, and the point's phases as concurrent stages.
+func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error), error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
-		return bp.RegionResult{}, err
+		return nil, err
 	}
-	f, err := st.OpenTrace(t.TraceKey)
+	f, err := e.st.OpenTrace(t.TraceKey)
+	if err != nil {
+		return nil, err
+	}
+	prog, mc := e.rc.Program(f, t.TraceKey), bp.TableIMachine(t.Sockets)
+	if mode == bp.ColdWarmup {
+		return func() (bp.RegionResult, error) {
+			defer f.Close()
+			return bp.SimulatePoint(prog, t.Region, mc, mode)
+		}, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	pass := e.pass
+	resumed := pass != nil && e.trace == t.TraceKey && e.sockets == t.Sockets && t.Region >= pass.Pos()
+	if !resumed {
+		pass = bp.NewPrefixPass(mc)
+	}
+	from := pass.Pos()
+	point, err := pass.Point(prog, t.Region, mode, span.ObserveConcurrent)
+	if err != nil { // rejected before tracking anything: the held pass stays
+		f.Close()
+		return nil, err
+	}
+	e.pass, e.trace, e.sockets = pass, t.TraceKey, t.Sockets
+	if resumed {
+		e.stats.Resumed++
+	} else {
+		e.stats.Restarted++
+	}
+	e.stats.Regions += uint64(t.Region - from)
+	span.SetAttr("prefix_from", strconv.Itoa(from))
+	span.SetAttr("prefix_to", strconv.Itoa(t.Region))
+	return func() (bp.RegionResult, error) {
+		defer f.Close()
+		return point(), nil
+	}, nil
+}
+
+// Execute performs one task start to finish.
+func (e *Executor) Execute(t Task, span *obs.Span) (bp.RegionResult, error) {
+	run, err := e.Warm(t, span)
 	if err != nil {
 		return bp.RegionResult{}, err
 	}
-	defer f.Close()
-	return bp.SimulatePoint(rc.Program(f, t.TraceKey), t.Region, bp.TableIMachine(t.Sockets), mode)
+	return run()
 }
 
 // QueueRunner is a bp.PointRunner that farms each point out as a queue
@@ -146,14 +239,14 @@ func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfi
 }
 
 // RunLocalWorker drives an in-process worker against the queue until ctx
-// is done or the queue closes: lease, simulate via ExecuteTask over st
-// (which must hold — or share — the traces), upload. It powers tests and
+// is done or the queue closes: lease, simulate through its own Executor over
+// st (which must hold — or share — the traces), upload. It powers tests and
 // benchmarks; cmd/bpworker is the same loop over the HTTP protocol.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
 	id := q.Register(name)
 	// All in-process workers of one queue share a single decoded-region
 	// cache: one budget, and each region decoded once for the whole fleet.
-	rc := q.replayCache()
+	exec := NewExecutor(st, q.replayCache())
 	idle := q.cfg.SweepEvery / 2
 	if idle <= 0 || idle > 50*time.Millisecond {
 		idle = 50 * time.Millisecond
@@ -182,23 +275,20 @@ func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string)
 			span.SetAttr("task", t.ID)
 			span.SetAttr("worker", id)
 			stop := span.StartStage("simulate")
-			res, err := ExecuteTask(st, t, rc)
+			res, err := exec.Execute(t, span)
 			stop()
-			if err != nil {
+			var b []byte
+			if err == nil {
+				b, err = json.Marshal(res)
+			}
+			if err != nil { // both failures, then the one Finish + Record below
 				q.Fail(id, t.ID, err.Error())
 				span.SetAttr("error", err.Error())
-				span.Finish()
-				q.workerSpans.Record(span.Data())
-				continue
+			} else {
+				stop = span.StartStage("upload")
+				q.Complete(id, t.ID, b)
+				stop()
 			}
-			b, err := json.Marshal(res)
-			if err != nil {
-				q.Fail(id, t.ID, err.Error())
-				continue
-			}
-			stop = span.StartStage("upload")
-			q.Complete(id, t.ID, b)
-			stop()
 			span.Finish()
 			q.workerSpans.Record(span.Data())
 		}

@@ -28,16 +28,29 @@
 //
 // # Streaming contract
 //
-// Stream is the one prefix-pass implementation. It walks regions 0 up to
-// (not including) the last requested region once, and hands each requested
-// region's snapshot to the caller's emit function the moment the pass
-// reaches that region — in ascending region order, from the calling
-// goroutine, before any later region is tracked — so consumers can start
-// simulating early points while the pass continues. A region's threads are
-// tracked on up to GOMAXPROCS goroutines: the per-core trackers share
-// nothing, and Region.Thread is safe for concurrent use. Stream takes its
-// regions ascending, distinct and in range; Capture is a collector over it
-// for callers that want every snapshot at once, and normalises its input.
+// Pass is the one prefix-pass implementation and Stream the loop that drives
+// a fresh one. Stream walks regions 0 up to (not including) the last
+// requested region once, and hands each requested region's snapshot to the
+// caller's emit function the moment the pass reaches that region — in
+// ascending region order, from the calling goroutine, before any later
+// region is tracked — so consumers can start simulating early points while
+// the pass continues. A region's threads are tracked on up to GOMAXPROCS
+// goroutines: the per-core trackers share nothing, and Region.Thread is safe
+// for concurrent use. Stream takes its regions ascending, distinct and in
+// range; Capture is a collector over it for callers that want every snapshot
+// at once, and normalises its input.
+//
+// # Resuming
+//
+// A snapshot is a pure function of the trace prefix before its region, so
+// the state a pass has built by region r is what any snapshot at or after r
+// continues from. Pass.Snapshot(p, at) therefore tracks only [Pos, at) and
+// stays at at: a caller that needs points one at a time in ascending order
+// (a farm worker) pays one pass in total, not one per point. A pass holds
+// trackers and a position, never a Program — each call brings its own, with
+// the content earlier calls tracked — so the caller keys it by trace content
+// and starts a new Pass for another trace, capacity or thread count, or a
+// region behind Pos. Resumed and fresh snapshots are equal entry for entry.
 package warmup
 
 import (
@@ -176,33 +189,58 @@ func eachThread(threads int, fn func(tid int)) {
 	wg.Wait()
 }
 
+// Pass is one resumable MRU prefix pass (see "Resuming"): every core's
+// tracker and the next region to track. Not safe for concurrent use.
+type Pass struct {
+	trackers []*tracker
+	capacity int
+	pos      int
+}
+
+// NewPass returns a pass at region 0 of a program with the given thread
+// count. The capacity is expressed in cache lines and should equal the
+// largest shared LLC the barrierpoint will ever be simulated on (paper §IV:
+// only this one number must be known).
+func NewPass(threads, capacityLines int) *Pass {
+	ps := &Pass{trackers: make([]*tracker, threads), capacity: capacityLines}
+	for t := range ps.trackers {
+		ps.trackers[t] = newTracker()
+	}
+	return ps
+}
+
+// Pos returns the first region the pass has not tracked yet.
+func (ps *Pass) Pos() int { return ps.pos }
+
+// Snapshot tracks regions [Pos, at) of p and returns each core's MRU state at
+// the entry of region at, leaving the pass there: region at itself is not
+// replayed, a snapshot depends only on the regions before it. at must not be
+// behind Pos.
+func (ps *Pass) Snapshot(p trace.Program, at int) Snapshot {
+	if at < ps.pos {
+		panic("warmup: Pass.Snapshot behind the pass; start a new Pass")
+	}
+	threads := len(ps.trackers)
+	for ; ps.pos < at; ps.pos++ {
+		r := p.Region(ps.pos)
+		eachThread(threads, func(t int) { ps.trackers[t].track(r.Thread(t)) })
+	}
+	snap := make(Snapshot, threads)
+	eachThread(threads, func(t int) { snap[t] = ps.trackers[t].snapshot(ps.capacity) })
+	return snap
+}
+
 // Stream replays the program's trace functionally and calls emit with each
 // core's MRU state at the start of every region in atRegions, as soon as
 // the pass reaches that region. atRegions must be ascending, distinct and
 // inside the program (Capture normalises for callers that cannot promise
 // that). emit is called once per region, in order, from the calling
 // goroutine, and the pass does not advance until it returns. The pass stops
-// at the last requested region without replaying it: a snapshot depends
-// only on the regions before it.
-//
-// The capacity is expressed in cache lines and should equal the largest
-// shared LLC the barrierpoint will ever be simulated on (paper §IV: only
-// this one number must be known).
+// at the last requested region without replaying it.
 func Stream(p trace.Program, atRegions []int, capacityLines int, emit func(region int, snap Snapshot)) {
-	threads := p.Threads()
-	trackers := make([]*tracker, threads)
-	for t := range trackers {
-		trackers[t] = newTracker()
-	}
-	i := 0
+	ps := NewPass(p.Threads(), capacityLines)
 	for _, at := range atRegions {
-		for ; i < at; i++ {
-			r := p.Region(i)
-			eachThread(threads, func(t int) { trackers[t].track(r.Thread(t)) })
-		}
-		snap := make(Snapshot, threads)
-		eachThread(threads, func(t int) { snap[t] = trackers[t].snapshot(capacityLines) })
-		emit(at, snap)
+		emit(at, ps.Snapshot(p, at))
 	}
 }
 
