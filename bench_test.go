@@ -8,13 +8,17 @@
 package barrierpoint_test
 
 import (
+	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/cluster"
 	"barrierpoint/internal/experiments"
 	"barrierpoint/internal/obs"
+	"barrierpoint/internal/profile"
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/store"
@@ -277,6 +281,58 @@ func BenchmarkRecluster(b *testing.B) {
 		if stats.Computed != 0 || stats.Cached != stats.Regions {
 			b.Fatalf("recluster profiled %d/%d regions fresh, want all %d from cache",
 				stats.Computed, stats.Regions, stats.Regions)
+		}
+	}
+}
+
+// BenchmarkReclusterManyRegions measures the server's analyze path on the
+// end-to-end benchmark's cold-many-regions shape (npb-lu x0.2: 503 regions,
+// 43 distinct): the trace arrives through the streaming ingest, which leaves
+// every region profile and the region-digest index in the store, and each
+// iteration is a selection-artifact miss (the artifact is removed first,
+// which is what a max_k not seen before amounts to at a constant amount of
+// k-means work). It should read no trace bytes beyond header and footer.
+func BenchmarkReclusterManyRegions(b *testing.B) {
+	st, err := store.Open(filepath.Join(b.TempDir(), "store"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := bp.RecordTrace(&buf, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
+		b.Fatal(err)
+	}
+	m := service.New(st, 1, 0)
+	defer m.Shutdown(context.Background())
+	res, err := m.IngestTrace(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := bp.DefaultConfig()
+	name := service.SelectionArtifact(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.RemoveArtifact(res.Key, name); err != nil {
+			b.Fatal(err)
+		}
+		_, cached, stats, err := service.AnalyzeCached(st, res.Key, cfg, nil, nil)
+		if err != nil || cached || stats.Computed != 0 {
+			b.Fatalf("recluster: cached=%v computed=%d err=%v", cached, stats.Computed, err)
+		}
+	}
+}
+
+// BenchmarkSelectManyRegions measures clustering alone on the same shape:
+// signature construction plus cluster.Select over 503 in-memory profiles.
+func BenchmarkSelectManyRegions(b *testing.B) {
+	profiles := profile.Program(workload.New("npb-lu", 8, workload.WithScale(0.2)))
+	cfg := bp.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svs, weights := signature.BuildAll(profiles, cfg.Signature)
+		if _, err := cluster.Select(svs, weights, cfg.Cluster); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

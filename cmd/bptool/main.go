@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -142,7 +143,9 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 }
 
 // runTrace fetches a job snapshot from a bpserve server and prints its
-// telemetry span: trace ID, wall clock, and the per-stage breakdown. The
+// telemetry span: trace ID, wall clock, the span's attributes (for an
+// analysis: profiles_cached, profiles_computed, and region_digests = index
+// when it read no chunk of the trace file) and the per-stage breakdown. The
 // sequential stages partition the job's wall clock (the remainder prints
 // as "(other)"); concurrent stages, like replay-cache decode work, overlap
 // them and are listed separately.
@@ -198,6 +201,13 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "running:  %v so far\n", time.Since(sp.Start).Round(time.Millisecond))
 	} else {
 		fmt.Fprintf(stdout, "wall:     %v\n", wall.Round(time.Microsecond))
+	}
+	attrs := make([]string, 0, len(sp.Attrs))
+	for k, v := range sp.Attrs {
+		attrs = append(attrs, k+"="+v)
+	}
+	if sort.Strings(attrs); len(attrs) > 0 {
+		fmt.Fprintf(stdout, "attrs:    %s\n", strings.Join(attrs, " "))
 	}
 	fmt.Fprintf(stdout, "\n%-18s %12s %7s %6s\n", "stage", "time", "share", "count")
 	var seqSum int64

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"barrierpoint/internal/obs"
+	"barrierpoint/internal/service"
 )
 
 // exec runs the tool with args and returns its stdout, failing on error.
@@ -188,5 +194,24 @@ func TestErrors(t *testing.T) {
 	}
 	if err := execErr(t, "info", junk); !strings.Contains(err.Error(), "tracefile") {
 		t.Errorf("info on junk file: unexpected error %v", err)
+	}
+}
+
+// TestTracePrintsSpanAttrs: bptool trace shows the job span's attributes,
+// sorted, so "did this analysis read the trace file" is answerable from the
+// terminal.
+func TestTracePrintsSpanAttrs(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.Snapshot{
+			ID:     "job-000001",
+			Status: service.StatusDone,
+			Span: &obs.SpanData{Attrs: map[string]string{
+				"region_digests": "index", "profiles_computed": "0", "profiles_cached": "503"}},
+		})
+	}))
+	defer srv.Close()
+	out := exec(t, "trace", "-server", srv.URL, "job-000001")
+	if want := "attrs:    profiles_cached=503 profiles_computed=0 region_digests=index\n"; !strings.Contains(out, want) {
+		t.Errorf("trace output lacks %q:\n%s", want, out)
 	}
 }

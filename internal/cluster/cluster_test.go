@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +75,7 @@ func TestProjectPreservesSeparation(t *testing.T) {
 func TestKMeansAssignmentOptimal(t *testing.T) {
 	svs, weights, _ := blobSVs(60, 4)
 	points := ProjectAll(svs, 8, 7)
-	res := kMeans(points, weights, 4, 99, 100)
+	res := kMeans(classify(points), weights, 4, 99, 100)
 	for i, p := range points {
 		best, bestD := -1, math.Inf(1)
 		for c := range res.Centroids {
@@ -90,7 +92,7 @@ func TestKMeansAssignmentOptimal(t *testing.T) {
 func TestKMeansRecoversBlobs(t *testing.T) {
 	svs, weights, truth := blobSVs(80, 4)
 	points := ProjectAll(svs, 10, 3)
-	res := kMeans(points, weights, 4, 5, 100)
+	res := kMeans(classify(points), weights, 4, 5, 100)
 	// All members of a true group must share a cluster.
 	grpCluster := map[int]int{}
 	for i := range points {
@@ -113,7 +115,7 @@ func TestWCSSDecreasesWithK(t *testing.T) {
 	points := ProjectAll(svs, 10, 3)
 	prev := math.Inf(1)
 	for k := 1; k <= 6; k++ {
-		res := kMeans(points, weights, k, uint64(k)*3, 100)
+		res := kMeans(classify(points), weights, k, uint64(k)*3, 100)
 		if res.WCSS > prev+1e-9 {
 			t.Errorf("WCSS increased at k=%d: %v > %v", k, res.WCSS, prev)
 		}
@@ -353,4 +355,275 @@ func TestSelectSpreadAndRepDists(t *testing.T) {
 	if nonzero == 0 {
 		t.Error("every cluster spread is zero over perturbed blobs")
 	}
+}
+
+// rowsCase is one seeded input for the reference comparison: n rows drawn
+// (by value) from `distinct` random rows, so classes exist only as equal
+// bit patterns, never as shared slices.
+type rowsCase struct {
+	name        string
+	n, distinct int
+	maxK        int
+	zeroWeights bool // every third weight is 0
+}
+
+func (c rowsCase) build(seed int64) (points [][]float64, weights []float64) {
+	const dim = 15
+	r := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, c.distinct)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		for d := range rows[i] {
+			rows[i][d] = r.NormFloat64()
+		}
+	}
+	for i := 0; i < c.n; i++ {
+		src := rows[i%c.distinct]
+		if i >= c.distinct {
+			src = rows[r.Intn(c.distinct)]
+		}
+		points = append(points, append([]float64(nil), src...))
+		w := float64(1 + r.Intn(5000))
+		if c.zeroWeights && i%3 == 0 {
+			w = 0
+		}
+		weights = append(weights, w)
+	}
+	return points, weights
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestRowClassesMatchPerPointReference drives the class-based kMeans, bic
+// and dataVariance against the per-point originals and demands equality of
+// every field, floats by bit pattern. The cases cover each branch where
+// duplicates matter: the k-means++ total == 0 fallback (all rows equal),
+// the empty-cluster reseed (k above the number of distinct rows), zero
+// weights, and inputs with no duplicate at all.
+func TestRowClassesMatchPerPointReference(t *testing.T) {
+	cases := []rowsCase{
+		{name: "many-duplicates", n: 300, distinct: 12, maxK: 20},
+		{name: "all-identical", n: 50, distinct: 1, maxK: 5},
+		{name: "k-above-distinct", n: 40, distinct: 3, maxK: 8},
+		{name: "k-above-n", n: 6, distinct: 2, maxK: 8},
+		{name: "zero-weights", n: 120, distinct: 9, maxK: 12, zeroWeights: true},
+		{name: "no-duplicates", n: 60, distinct: 60, maxK: 10},
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 4; seed++ {
+			points, weights := c.build(seed)
+			rc := classify(points)
+			if len(rc.rows) != c.distinct {
+				t.Fatalf("%s/%d: %d classes, want %d", c.name, seed, len(rc.rows), c.distinct)
+			}
+			var wTotal float64
+			for _, w := range weights {
+				wTotal += w
+			}
+			if got, want := dataVariance(rc, weights, wTotal), refDataVariance(points, weights, wTotal); !sameBits(got, want) {
+				t.Errorf("%s/%d: dataVariance %v, reference %v", c.name, seed, got, want)
+			}
+			for k := 1; k <= c.maxK; k++ {
+				kseed := uint64(seed)*7919 + uint64(k)
+				got, want := kMeans(rc, weights, k, kseed, 100), refKMeans(points, weights, k, kseed, 100)
+				if got.K != want.K || !reflect.DeepEqual(got.Assignment, want.Assignment) || !sameBits(got.WCSS, want.WCSS) {
+					t.Fatalf("%s/%d k=%d: K %d/%d WCSS %v/%v assignment equal=%v", c.name, seed, k,
+						got.K, want.K, got.WCSS, want.WCSS, reflect.DeepEqual(got.Assignment, want.Assignment))
+				}
+				for ci := range want.Centroids {
+					for d := range want.Centroids[ci] {
+						if !sameBits(got.Centroids[ci][d], want.Centroids[ci][d]) {
+							t.Fatalf("%s/%d k=%d: centroid %d dim %d: %v, reference %v", c.name, seed, k, ci, d,
+								got.Centroids[ci][d], want.Centroids[ci][d])
+						}
+					}
+				}
+				if g, w := bic(rc, weights, got), refBIC(points, weights, want); !sameBits(g, w) {
+					t.Errorf("%s/%d k=%d: bic %v, reference %v", c.name, seed, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// refKMeans, refBIC and refDataVariance are the per-point implementations
+// as they stood before distances were measured once per row class (commit
+// 2e71d62), kept verbatim as the reference the class-based ones must match
+// bit for bit.
+//
+// refKMeans runs weighted Lloyd's algorithm with k-means++ seeding.
+// Weights scale each point's influence on centroids and on WCSS.
+func refKMeans(points [][]float64, weights []float64, k int, seed uint64, maxIters int) KMeansResult {
+	n := len(points)
+	if k > n {
+		k = n
+	}
+	dim := len(points[0])
+	r := newRNG(seed)
+
+	// k-means++ seeding (weighted). Centroid rows share one backing array
+	// so a solution costs two allocations, not k+2.
+	backing := make([]float64, 0, k*dim)
+	centroids := make([][]float64, 0, k)
+	addCentroid := func(p []float64) {
+		backing = append(backing, p...) // cap k*dim: never reallocates
+		centroids = append(centroids, backing[len(backing)-dim:len(backing):len(backing)])
+	}
+	d2 := make([]float64, n)
+	first := weightedPick(weights, r)
+	addCentroid(points[first])
+	for len(centroids) < k {
+		var total float64
+		for i, p := range points {
+			d := sqDist(p, centroids[len(centroids)-1])
+			if len(centroids) == 1 || d < d2[i] {
+				d2[i] = d
+			}
+			total += d2[i] * weights[i]
+		}
+		if total == 0 {
+			// All remaining points coincide with centroids; duplicate one.
+			addCentroid(points[weightedPick(weights, r)])
+			continue
+		}
+		target := r.float() * total
+		pick := n - 1
+		var acc float64
+		for i := range points {
+			acc += d2[i] * weights[i]
+			if acc >= target {
+				pick = i
+				break
+			}
+		}
+		addCentroid(points[pick])
+	}
+
+	assign := make([]int, n)
+	wsum := make([]float64, k) // reused across iterations
+	for iter := 0; iter < maxIters; iter++ {
+		changed := false
+		for i, p := range points {
+			best, bestD := 0, math.Inf(1)
+			for c := range centroids {
+				if d := sqDist(p, centroids[c]); d < bestD {
+					best, bestD = c, d
+				}
+			}
+			if assign[i] != best {
+				assign[i] = best
+				changed = true
+			}
+		}
+		if !changed && iter > 0 {
+			break
+		}
+		// Recompute weighted centroids.
+		clear(wsum)
+		for c := range centroids {
+			for d := 0; d < dim; d++ {
+				centroids[c][d] = 0
+			}
+		}
+		for i, p := range points {
+			c := assign[i]
+			wsum[c] += weights[i]
+			for d := 0; d < dim; d++ {
+				centroids[c][d] += p[d] * weights[i]
+			}
+		}
+		for c := range centroids {
+			if wsum[c] == 0 {
+				// Empty cluster: reseed at the point farthest from its
+				// centroid (weighted by point weight).
+				far, farD := 0, -1.0
+				for i, p := range points {
+					d := sqDist(p, centroids[assign[i]]) * weights[i]
+					if d > farD {
+						far, farD = i, d
+					}
+				}
+				copy(centroids[c], points[far])
+				continue
+			}
+			for d := 0; d < dim; d++ {
+				centroids[c][d] /= wsum[c]
+			}
+		}
+	}
+
+	var wcss float64
+	for i, p := range points {
+		wcss += sqDist(p, centroids[assign[i]]) * weights[i]
+	}
+	return KMeansResult{K: k, Assignment: assign, Centroids: centroids, WCSS: wcss}
+}
+
+// refBIC scores a clustering with the Bayesian Information Criterion under a
+// spherical Gaussian model, as SimPoint does: higher is better; the
+// parameter penalty grows with k, trading fit against model size.
+func refBIC(points [][]float64, weights []float64, res KMeansResult) float64 {
+	n := len(points)
+	dim := len(points[0])
+	k := res.K
+
+	var wTotal float64
+	for _, w := range weights {
+		wTotal += w
+	}
+	// Cluster weights.
+	wc := make([]float64, k)
+	for i := range points {
+		wc[res.Assignment[i]] += weights[i]
+	}
+	// Pooled variance estimate, floored at a small fraction of the data's
+	// total variance. Without the floor, BIC degenerates for near-
+	// duplicate regions (repeated identical kernels): splitting an
+	// already-tight blob drives the variance toward zero and the
+	// log-likelihood toward +inf, so model selection would always pick
+	// maxK. The floor caps the reward for resolving structure finer than
+	// 1/1000 of the data spread.
+	variance := res.WCSS / math.Max(wTotal-float64(k), 1)
+	if floor := refDataVariance(points, weights, wTotal) * 1e-3; variance < floor {
+		variance = floor
+	}
+	if variance <= 0 {
+		variance = 1e-12
+	}
+	var loglik float64
+	for c := 0; c < k; c++ {
+		if wc[c] <= 0 {
+			continue
+		}
+		nc := wc[c]
+		loglik += nc*math.Log(nc/wTotal) -
+			nc*float64(dim)/2*math.Log(2*math.Pi*variance) -
+			(nc-1)/2*float64(dim)
+	}
+	params := float64(k) * (float64(dim) + 1)
+	_ = n
+	return loglik - params/2*math.Log(wTotal)
+}
+
+// refDataVariance returns the weighted variance of the points around their
+// weighted mean: the k=1 within-cluster variance, used as the BIC floor.
+func refDataVariance(points [][]float64, weights []float64, wTotal float64) float64 {
+	if wTotal <= 0 {
+		return 0
+	}
+	dim := len(points[0])
+	mean := make([]float64, dim)
+	for i, p := range points {
+		for d := 0; d < dim; d++ {
+			mean[d] += p[d] * weights[i]
+		}
+	}
+	for d := 0; d < dim; d++ {
+		mean[d] /= wTotal
+	}
+	var wcss float64
+	for i, p := range points {
+		wcss += sqDist(p, mean) * weights[i]
+	}
+	return wcss / wTotal
 }

@@ -3,6 +3,23 @@
 // to a small dimension, weighted k-means with k-means++ seeding, BIC model
 // selection over k, and representative ("barrierpoint") plus multiplier
 // extraction (paper §III-B, Table II).
+//
+// # Row classes
+//
+// A barrier-synchronized program repeats its phases, so most regions project
+// onto a few distinct rows (npb-lu at scale 0.2: 503 regions, 43 rows).
+// Select groups the projected rows by exact bit equality, once, from the rows
+// themselves — no caller has to say which regions repeat — and kMeans, bic
+// and dataVariance measure every squared distance (k-means++ seeding,
+// nearest centroid, empty-cluster reseed, WCSS, data variance) once per
+// class: a distance is a pure function of the row. No weighted sum is taken
+// per class. The k-means++ total and pick, centroid sums, cluster weights,
+// WCSS and the mean still add one term per region, in ascending region
+// order, with the per-region operands: floating-point addition is not
+// associative, and folding a class into one (distance x summed weight) term
+// would move centroids, WCSS and BIC in their last bits — enough to flip an
+// assignment or the chosen k, and with it every stored selection. The
+// per-region reference they must match bit for bit is in cluster_test.go.
 package cluster
 
 import (

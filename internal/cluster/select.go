@@ -102,6 +102,7 @@ func Select(svs []signature.SV, weights []float64, p Params) (*Result, error) {
 	}
 
 	points := ProjectAll(svs, p.Dim, p.Seed)
+	rc := classify(points)
 
 	maxK := p.MaxK
 	if maxK > n {
@@ -115,15 +116,15 @@ func Select(svs []signature.SV, weights []float64, p Params) (*Result, error) {
 	results := make([]KMeansResult, maxK+1)
 	bics := make([]float64, 0, maxK)
 	for k := 1; k <= maxK; k++ {
-		best := kMeans(points, weights, k, p.Seed+uint64(k)*7919, p.KMeansIters)
+		best := kMeans(rc, weights, k, p.Seed+uint64(k)*7919, p.KMeansIters)
 		for t := 1; t < tries; t++ {
-			cand := kMeans(points, weights, k, p.Seed+uint64(k)*7919+uint64(t)*104729, p.KMeansIters)
+			cand := kMeans(rc, weights, k, p.Seed+uint64(k)*7919+uint64(t)*104729, p.KMeansIters)
 			if cand.WCSS < best.WCSS {
 				best = cand
 			}
 		}
 		results[k] = best
-		bics = append(bics, bic(points, weights, best))
+		bics = append(bics, bic(rc, weights, best))
 	}
 
 	// SimPoint-style selection: smallest k whose BIC reaches BICThresh of

@@ -133,6 +133,10 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	if len(dead) != 1 {
 		t.Fatalf("leased %d, want 1", len(dead))
 	}
+	// Simulate the point now, while the dead lease is meant to expire: done
+	// inside the live worker's lease, a slow host outlasts that 60 ms TTL too
+	// and the sweeper expires the task a second time.
+	payload := completeJSON(t, st, dead[0])
 
 	// Second worker polls until the expired task is reassigned to it.
 	var got farm.Task
@@ -153,7 +157,7 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	if got.Attempt != 2 {
 		t.Fatalf("attempt = %d, want 2", got.Attempt)
 	}
-	if err := q.Complete("live-worker", got.ID, completeJSON(t, st, got)); err != nil {
+	if err := q.Complete("live-worker", got.ID, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := waitTicket(t, tk); err != nil {

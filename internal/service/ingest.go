@@ -35,8 +35,9 @@ type IngestResult struct {
 // persisted through a durable store.TraceWriter while, concurrently, each
 // region is profiled the moment its last byte arrives and the profile is
 // cached under the region's content digest. On success the trace is
-// committed and every region profile is already in the store — an
-// analyze submitted right after returns with 0 freshly-profiled regions.
+// committed and every region profile is already in the store, with the
+// trace's region-digest index beside it (see profiles.go) — an analyze
+// submitted right after profiles nothing and reads no chunk of the trace.
 //
 // Failure leaves no partial state: a decode error, a profiling error or a
 // commit error aborts the trace write (the temp file is removed, the key
@@ -79,7 +80,6 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 	}()
 
 	var cached, computed atomic.Int64
-	var flight profileFlight
 	var (
 		errMu   sync.Mutex
 		profErr error
@@ -122,37 +122,40 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 				if getErr() != nil {
 					continue
 				}
-				// Ingest keeps no profile in memory, so the flight carries a
-				// nil RegionData: only the claim and the error are shared.
-				_, fresh, err := flight.do(rc.Digest, func() (*signature.RegionData, bool, error) {
-					if m.st.HasProfile(rc.Digest, signature.CodecVersion) {
-						return nil, false, nil
-					}
-					_, createdNow, err := profileRegion(m.st, rc.Region(), len(rc.Chunks), rc.Digest)
-					if err == nil && createdNow {
-						createdMu.Lock()
-						created = append(created, rc.Digest)
-						createdMu.Unlock()
-					}
-					return nil, err == nil, err
-				})
+				if m.st.HasProfile(rc.Digest, signature.CodecVersion) {
+					cached.Add(1)
+					continue
+				}
+				_, createdNow, err := profileRegion(m.st, rc.Region(), len(rc.Chunks), rc.Digest)
 				if err != nil {
 					setErr(fmt.Errorf("service: profiling region %d during ingest: %w", rc.Index, err))
 					continue
 				}
-				if fresh {
-					computed.Add(1)
-				} else {
-					cached.Add(1)
+				if createdNow {
+					createdMu.Lock()
+					created = append(created, rc.Digest)
+					createdMu.Unlock()
 				}
+				computed.Add(1)
 			}
 		}()
 	}
 
+	var digests []string // every region's, in region order: the digest index
+	seen := make(map[string]bool)
 	info, derr := tracefile.DecodeStream(io.TeeReader(r, tw), func(rc tracefile.RegionChunks) error {
 		if err := getErr(); err != nil {
 			return err // a profiler failed; stop consuming the upload
 		}
+		digests = append(digests, rc.Digest)
+		if seen[rc.Digest] {
+			// Repeated region content is resolved once, by the pool worker
+			// that got its first occurrence; the repeats count as cache hits
+			// and no two workers ever hold the same digest.
+			cached.Add(1)
+			return nil
+		}
+		seen[rc.Digest] = true
 		work <- rc
 		return nil
 	})
@@ -170,6 +173,11 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		return IngestResult{}, err
 	}
 	committed = true
+	if info.Streamed && !m.st.HasArtifact(key, tracefile.DigestIndexName) {
+		// Best effort: the upload is durable and complete without its index,
+		// and the first analysis writes the one that is missing.
+		_ = m.st.PutArtifact(key, tracefile.DigestIndexName, encodeDigestIndex(digests))
+	}
 	res := IngestResult{
 		Key:              key,
 		Existed:          existed,

@@ -381,7 +381,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats != (ProfileStats{Regions: regions, Cached: regions}) {
+	if stats != (ProfileStats{Regions: regions, Cached: regions, IndexHit: true}) {
 		t.Errorf("analyze after ingest stats %+v, want every region cached", stats)
 	}
 

@@ -211,6 +211,7 @@ type Manager struct {
 	farmRecovered, adaptiveRounds, adaptivePromoted, recovered          atomic.Int64
 	farmFallbacks                                                       atomic.Int64
 	profileCacheHits, profileComputed, ingestedTraces, ingestedProfiles atomic.Int64
+	digestIndexHits, digestIndexMisses                                  atomic.Int64
 
 	// Telemetry: reg serves GET /metrics (the atomics above stay the
 	// source of truth, bridged in via CounterFuncs); jobDur and stageDur
@@ -275,6 +276,8 @@ func (m *Manager) registerMetrics() {
 	counter("bp_adaptive_promoted_total", "Regions promoted to detailed simulation by the adaptive sampler.", &m.adaptivePromoted)
 	counter("bp_profile_cache_hits_total", "Region profiles served from the content-addressed profile cache.", &m.profileCacheHits)
 	counter("bp_profile_computed_total", "Region profiles computed (and cached) on profile-cache misses.", &m.profileComputed)
+	counter("bp_region_digest_index_hits_total", "Cold analyses that took their region digests from the trace's digest index (no trace chunk read).", &m.digestIndexHits)
+	counter("bp_region_digest_index_misses_total", "Cold analyses that hashed the trace file for their region digests (index missing or invalid; rewritten).", &m.digestIndexMisses)
 	counter("bp_ingest_traces_total", "Traces ingested through the streaming upload path.", &m.ingestedTraces)
 	counter("bp_ingest_profiles_total", "Region profiles stored during streaming ingest, while the upload was still transferring.", &m.ingestedProfiles)
 
@@ -814,10 +817,17 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 
 // recordProfileStats attributes a cold analysis's profile-cache activity
 // to the job's span (profiles_cached / profiles_computed, the numbers the
-// CI smoke greps for) and to the manager-wide counters.
+// CI smoke greps for, and region_digests: index when the trace file went
+// unread, hashed otherwise) and to the manager-wide counters.
 func (m *Manager) recordProfileStats(j *job, stats ProfileStats) {
 	j.span.SetAttr("profiles_cached", fmt.Sprintf("%d", stats.Cached))
 	j.span.SetAttr("profiles_computed", fmt.Sprintf("%d", stats.Computed))
+	src, n := "hashed", &m.digestIndexMisses
+	if stats.IndexHit {
+		src, n = "index", &m.digestIndexHits
+	}
+	j.span.SetAttr("region_digests", src)
+	n.Add(1)
 	m.profileCacheHits.Add(int64(stats.Cached))
 	m.profileComputed.Add(int64(stats.Computed))
 }

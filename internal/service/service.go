@@ -52,9 +52,9 @@ var analyzeFn = analyzeProfiled
 // because no profiling happened: the analysis paid only decode + k-means.
 // Either way the resulting selection is byte-identical to a cold pass
 // (the profile codec round-trips exact float bits).
-func analyzeProfiled(st *store.Store, f *tracefile.File, prog bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+func analyzeProfiled(st *store.Store, key string, f *tracefile.File, prog bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 	t0 := time.Now()
-	profiles, stats, err := profilesFor(st, f, prog)
+	profiles, stats, err := profilesFor(st, key, f, prog)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -222,7 +222,7 @@ func computeSelection(st *store.Store, key string, cfg bp.Config, name string, r
 		return nil, ProfileStats{}, err
 	}
 	defer f.Close()
-	a, stats, err := analyzeFn(st, f, rc.Program(f, key), cfg, obsrv)
+	a, stats, err := analyzeFn(st, key, f, rc.Program(f, key), cfg, obsrv)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -55,9 +55,9 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, key string, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		t.Error("cached path invoked the profiler")
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, key, f, p, cfg, obsrv)
 	}
 
 	warm, cached, _, err := AnalyzeCached(st, key, cfg, nil, nil)
@@ -155,10 +155,10 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 	var calls atomic.Int32
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, key string, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		calls.Add(1)
 		time.Sleep(100 * time.Millisecond)
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, key, f, p, cfg, obsrv)
 	}
 
 	const n = 16
@@ -236,10 +236,10 @@ func TestCrossKindSingleFlight(t *testing.T) {
 	var calls atomic.Int32
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, key string, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond)
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, key, f, p, cfg, obsrv)
 	}
 
 	reqs := []Request{
@@ -366,9 +366,9 @@ func TestDedupIgnoresIrrelevantFields(t *testing.T) {
 	// below happens while its predecessors are still queued or running.
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, key string, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		time.Sleep(100 * time.Millisecond)
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, key, f, p, cfg, obsrv)
 	}
 	block, err := m.Submit(Request{Kind: KindAnalyze, Trace: key})
 	if err != nil {

@@ -33,11 +33,11 @@ func TestSubmitShutdownRace(t *testing.T) {
 	analyzeCalls := map[string]int{}
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, key string, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		mu.Lock()
 		analyzeCalls[cfg.Signature.Label()]++
 		mu.Unlock()
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, key, f, p, cfg, obsrv)
 	}
 
 	m := New(st, 4, 256)

@@ -242,11 +242,19 @@ func normalize(sv SV) {
 
 // BuildAll constructs signature vectors for every region, plus the region
 // weights (aggregate instruction counts) used by weighted clustering.
+// Regions that share one *RegionData (equal content, see the service's
+// profile cache) share one read-only vector.
 func BuildAll(rds []*RegionData, o Options) (svs []SV, weights []float64) {
 	svs = make([]SV, len(rds))
 	weights = make([]float64, len(rds))
+	built := make(map[*RegionData]SV)
 	for i, rd := range rds {
-		svs[i] = Build(rd, o)
+		sv, ok := built[rd]
+		if !ok {
+			sv = Build(rd, o)
+			built[rd] = sv
+		}
+		svs[i] = sv
 		weights[i] = float64(rd.TotalInstrs)
 	}
 	return svs, weights

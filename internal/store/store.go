@@ -18,7 +18,13 @@
 // machines — lands on the same path and is stored once. Artifacts are named
 // by the caller (see internal/service for the naming scheme: selection,
 // estimate and ground-truth artifacts keyed by analysis config, machine
-// config and warmup mode).
+// config and warmup mode). One artifact is not a result but an index: the
+// trace's region-digest index (tracefile.DigestIndexName) lists its regions'
+// content digests, written by the streaming ingest — or by the first
+// analysis of a trace that arrived another way — so that analyses look
+// their profiles up without re-hashing the trace. Like every artifact it is
+// keyed by the trace's content key and goes with RemoveTrace; its readers
+// validate it and treat a bad one as absent (internal/service, profiles.go).
 //
 // Per-region profiles are addressed not by trace but by the region's own
 // content digest (tracefile.File.RegionDigest) plus the encoding version

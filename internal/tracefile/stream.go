@@ -37,6 +37,12 @@ func errw(err error, format string, args ...any) error {
 // mistaken for current ones.
 const digestTag = "bprgn1"
 
+// DigestIndexName names the artifact a store keeps beside a trace to list
+// its regions' digests, so that an analysis learns its profile-cache keys
+// without re-reading the trace (internal/service, profiles.go). It carries
+// digestTag: a framing change orphans old indices with the profiles.
+const DigestIndexName = "region-digests-" + digestTag + ".idx"
+
 // maxStreamName bounds the name length a streaming decoder will accept
 // before it has a footer to sanity-check against.
 const maxStreamName = 1 << 16
@@ -50,26 +56,29 @@ const maxStreamName = 1 << 16
 // encoded payload bytes — not the decoded accesses — so it is independent
 // of where the region sits in its file and of the format version carrying
 // it.
-type regionDigester struct{ h hash.Hash }
+type regionDigester struct {
+	h hash.Hash
+	// scratch for the header and the chunk length prefixes; a local array
+	// would escape through h.Write and cost an allocation per chunk.
+	buf [len(digestTag) + 1 + binary.MaxVarintLen64]byte
+}
 
 func newRegionDigester(gz bool, threads int) *regionDigester {
-	h := sha256.New()
+	d := &regionDigester{h: sha256.New()}
 	var flags byte
 	if gz {
 		flags = flagGzip
 	}
-	var buf [len(digestTag) + 1 + binary.MaxVarintLen64]byte
-	n := copy(buf[:], digestTag)
-	buf[n] = flags
+	n := copy(d.buf[:], digestTag)
+	d.buf[n] = flags
 	n++
-	n += binary.PutUvarint(buf[n:], uint64(threads))
-	h.Write(buf[:n])
-	return &regionDigester{h: h}
+	n += binary.PutUvarint(d.buf[n:], uint64(threads))
+	d.h.Write(d.buf[:n])
+	return d
 }
 
 func (d *regionDigester) beginChunk(size uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	d.h.Write(buf[:binary.PutUvarint(buf[:], size)])
+	d.h.Write(d.buf[:binary.PutUvarint(d.buf[:], size)])
 }
 
 func (d *regionDigester) Write(p []byte) (int, error) { return d.h.Write(p) }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"barrierpoint/internal/trace"
@@ -291,3 +292,53 @@ func TestDecodeStreamErrors(t *testing.T) {
 type iotest struct{}
 
 func (iotest) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestRegionDigestReadsThroughOneBuffer: RegionDigest hashes a region
+// through one small read buffer — chunks longer than the buffer included —
+// and leaves next to no garbage behind: it is the fallback of every
+// analysis whose trace has no digest index, and a fresh 32 KB per chunk
+// (what io.Copy allocates) was 256 KB per call on an 8-thread trace.
+func TestRegionDigestReadsThroughOneBuffer(t *testing.T) {
+	big := make([]trace.BlockExec, 30000) // encodes to well over one buffer
+	for i := range big {
+		big[i] = trace.BlockExec{Block: i % 97, Instrs: 4, Accs: []trace.Access{{Addr: uint64(i) * 4096}}}
+	}
+	threads := make([][]trace.BlockExec, 8)
+	for tid := range threads {
+		threads[tid] = big[:100*(tid+1)]
+	}
+	threads[3] = big
+	p := &trace.SliceProgram{ProgName: "digest", NumThreads: 8, Rgns: []*trace.SliceRegion{{Threads: threads}, {Threads: threads}}}
+	var buf bytes.Buffer
+	if err := Record(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	_, regions := collectStream(t, data)
+	if n := len(regions[1].Chunks[3]); n <= 32<<10 { // several buffers long
+		t.Fatalf("big chunk is only %d bytes: the test needs one longer than the read buffer", n)
+	}
+	f, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.RegionDigest(1); err != nil || got != regions[1].Digest {
+		t.Fatalf("RegionDigest = %s, %v; the stream digested %s", got, err, regions[1].Digest)
+	}
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := f.RegionDigest(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if allocs > 6 {
+		t.Errorf("RegionDigest makes %v allocations per call, want a handful", allocs)
+	}
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perCall >= 8<<10 {
+		t.Errorf("RegionDigest allocates %d bytes per call, want < 8 KB", perCall)
+	}
+}
