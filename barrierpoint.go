@@ -501,29 +501,39 @@ type PrefixPass struct {
 }
 
 // NewPrefixPass returns a pass at region 0 for points simulated on mc.
-func NewPrefixPass(mc MachineConfig) *PrefixPass {
-	return &PrefixPass{mc, warmup.NewPass(mc.Cores(), mruCapacity(mc))}
-}
+func NewPrefixPass(mc MachineConfig) *PrefixPass { return &PrefixPass{mc: mc} }
 
 // Pos returns the first region the pass has not tracked; Point accepts
 // regions from Pos on.
-func (pp *PrefixPass) Pos() int { return pp.pass.Pos() }
+func (pp *PrefixPass) Pos() int {
+	if pp.pass == nil {
+		return 0
+	}
+	return pp.pass.Pos()
+}
 
-// Point is SimulatePoint under an MRU mode in two halves. The call tracks
+// Point is SimulatePoint in two halves. Under an MRU mode the call tracks
 // regions [Pos, region) of p, snapshots, and reports both to obsrv as
-// "warmup-capture" — the advance only, not a pass from region 0. The
-// function returned is the rest, the runPoint every runner ends in; it no
-// longer touches the pass, so a caller takes a batch's snapshots in
-// ascending order and runs the simulations in parallel. p must stay open
-// until that function returns.
+// "warmup-capture" — the advance only, not a pass from region 0; under
+// ColdWarmup there is no snapshot and the pass is left where it was (its
+// trackers are built by the first MRU point). The function returned is the
+// rest, the runPoint every runner ends in; it no longer touches the pass, so
+// a caller takes a batch's snapshots in ascending order and runs the
+// simulations in parallel. p must stay open until that function returns.
 func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() RegionResult, error) {
 	if err := checkPoints(p, []int{region}, pp.mc); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	snap := pp.pass.Snapshot(p, region)
-	if obsrv != nil {
-		obsrv("warmup-capture", time.Since(t0))
+	var snap warmup.Snapshot
+	if mode != ColdWarmup {
+		if pp.pass == nil {
+			pp.pass = warmup.NewPass(pp.mc.Cores(), mruCapacity(pp.mc))
+		}
+		t0 := time.Now()
+		snap = pp.pass.Snapshot(p, region)
+		if obsrv != nil {
+			obsrv("warmup-capture", time.Since(t0))
+		}
 	}
 	return func() RegionResult { return runPoint(p, region, pp.mc, mode, snap, obsrv) }, nil
 }

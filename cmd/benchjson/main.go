@@ -2,7 +2,10 @@
 // benchmark record: op name → ns/op, B/op, allocs/op plus any custom
 // b.ReportMetric units (averaged over repeated -count runs). It backs the
 // CI benchmark artifact (BENCH_<n>.json) that seeds the project's
-// measured-performance trajectory.
+// measured-performance trajectory. It converts and nothing else: the
+// -compare mode once planned here was never built, and comparing two runs
+// is `bash bench/run.sh -compare a.json b.json` (bench/compare.go), which
+// reads the end-to-end benchmark's records, not these.
 //
 // Usage:
 //

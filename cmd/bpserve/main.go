@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -168,7 +167,7 @@ func run(args []string, stderr io.Writer) error {
 	srv := newServer(st, mgr)
 	srv.maxUpload = *maxMB << 20
 	if *pprofOn {
-		srv.enablePprof()
+		obs.MountPprof(srv.mux)
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
@@ -242,16 +241,6 @@ func newServer(st *store.Store, mgr *service.Manager) *server {
 	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.Handle("GET /metrics", reg.Handler())
 	return s
-}
-
-// enablePprof mounts net/http/pprof on the server's own mux (the server
-// never uses http.DefaultServeMux, so the profiler is opt-in per process).
-func (s *server) enablePprof() {
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {

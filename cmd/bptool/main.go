@@ -393,7 +393,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 
 	// One parser serves CLI and server, so both accept the same warmup
 	// vocabulary over the shared store.
-	mode, err := service.ParseWarmup(*warmupFl)
+	mode, err := bp.ParseWarmup(*warmupFl)
 	if err != nil {
 		return err
 	}

@@ -5,20 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/fault"
 	"barrierpoint/internal/store"
@@ -503,85 +498,5 @@ func TestWorkerFaultFlagRetriesInjectedErrors(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "fault injection armed") {
 		t.Fatalf("missing fault-armed log:\n%s", stderr.String())
-	}
-}
-
-// TestWorkerBatchIsOnePrefixPass drives the worker's own batch path the way
-// -concurrency 4 does: leases of four tasks of one trace, each handed to
-// process in shuffled order. process sorts a batch into pass order and takes
-// its snapshots serially before the simulations fan out, so the job costs
-// the worker exactly one prefix pass — visible as numbers on /metrics and as
-// prefix_from/prefix_to on every farm-task span — and every uploaded result
-// is the one a fresh Executor computes. Run under -race.
-func TestWorkerBatchIsOnePrefixPass(t *testing.T) {
-	q, srv, st, key := newFarm(t)
-	regions := []int{0, 1, 2, 3, 5, 6, 8, 10}
-	var tickets []*farm.Ticket
-	for _, region := range regions {
-		tk, err := q.Enqueue(farm.Spec{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-
-	wst, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &farm.Client{Base: srv.URL}
-	if err := c.Register("batch-test-worker"); err != nil {
-		t.Fatal(err)
-	}
-	rc := bp.NewReplayCache(0)
-	w := newWorker(c, wst, rc, slog.New(slog.NewTextHandler(io.Discard, nil)))
-	rng := rand.New(rand.NewSource(16))
-	for settled := 0; settled < len(regions); {
-		tasks, err := c.Lease(4)
-		if err != nil || len(tasks) == 0 {
-			t.Fatalf("lease: %d tasks, err %v", len(tasks), err)
-		}
-		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
-		settled += w.process(tasks)
-	}
-
-	res, err := farm.WaitAll(context.Background(), tickets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, region := range regions {
-		want, err := farm.NewExecutor(st, nil).Execute(farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res[region], want) {
-			t.Errorf("region %d: batched worker result differs from a fresh Executor's", region)
-		}
-	}
-
-	var metrics bytes.Buffer
-	if err := w.reg.WriteText(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"bpworker_prefix_pass_restarted_total 1\n",
-		"bpworker_prefix_pass_resumed_total 7\n",
-		"bpworker_prefix_pass_regions_total 10\n", // one pass over regions [0, 10)
-	} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Errorf("/metrics missing %q:\n%s", want, metrics.String())
-		}
-	}
-	tracked := 0
-	for _, sp := range w.spans.Spans() {
-		from, err1 := strconv.Atoi(sp.Attrs["prefix_from"])
-		to, err2 := strconv.Atoi(sp.Attrs["prefix_to"])
-		if err1 != nil || err2 != nil || from > to {
-			t.Fatalf("span lacks prefix_from/prefix_to: %+v", sp.Attrs)
-		}
-		tracked += to - from
-	}
-	if tracked != 10 {
-		t.Errorf("spans account for %d tracked regions, want 10", tracked)
 	}
 }

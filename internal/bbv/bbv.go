@@ -14,30 +14,11 @@ import (
 // Vector is a sparse basic block vector: static block ID → dynamic
 // instruction count attributed to that block, stored as entries sorted by
 // ascending block ID. The flat representation keeps signature construction
-// and distance computation allocation-free; FromMap/ToMap are the shims for
-// callers that still speak maps.
+// and distance computation allocation-free.
 type Vector []sparse.Entry
 
 // New returns an empty vector.
 func New() Vector { return nil }
-
-// FromMap converts a block→count map into a Vector.
-func FromMap(m map[int]float64) Vector {
-	u := make(map[uint64]float64, len(m))
-	for id, c := range m {
-		u[uint64(id)] = c
-	}
-	return Vector(sparse.FromMap(u))
-}
-
-// ToMap converts v into a block→count map.
-func (v Vector) ToMap() map[int]float64 {
-	m := make(map[int]float64, len(v))
-	for _, e := range v {
-		m[int(e.Key)] = e.Val
-	}
-	return m
-}
 
 // Add records one execution of block id contributing instrs instructions.
 // It is an insert-or-update on the sorted entries: constant-time for the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"barrierpoint/internal/sparse"
 	"barrierpoint/internal/trace"
 )
 
@@ -29,10 +30,12 @@ func TestAddMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	v := New()
 	ref := make(map[int]float64)
+	var raw sparse.Vector
 	for i := 0; i < 2000; i++ {
 		id, n := rng.Intn(100), rng.Intn(50)
 		v.Add(id, n)
 		ref[id] += float64(n)
+		raw = append(raw, sparse.Entry{Key: uint64(id), Val: float64(n)})
 	}
 	if len(v) != len(ref) {
 		t.Fatalf("distinct blocks = %d, want %d", len(v), len(ref))
@@ -47,14 +50,13 @@ func TestAddMatchesMap(t *testing.T) {
 			t.Errorf("Get(%d) = %v, want %v", id, v.Get(id), c)
 		}
 	}
-	got := FromMap(ref)
-	if ManhattanDistance(v, got) != 0 {
-		t.Error("FromMap round trip differs from incremental Add")
+	if ManhattanDistance(v, Vector(sparse.SortMerge(raw))) != 0 {
+		t.Error("SortMerge of the same executions differs from incremental Add")
 	}
 }
 
 func TestNormalized(t *testing.T) {
-	v := FromMap(map[int]float64{1: 30, 2: 10})
+	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 1, Val: 30}, {Key: 2, Val: 10}}))
 	n := v.Normalized()
 	if math.Abs(n.Get(1)-0.75) > 1e-12 || math.Abs(n.Get(2)-0.25) > 1e-12 {
 		t.Errorf("Normalized = %v", n)
@@ -90,7 +92,7 @@ func TestNormalizedSumsToOne(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	v := FromMap(map[int]float64{1: 2, 3: 4})
+	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 1, Val: 2}, {Key: 3, Val: 4}}))
 	c := v.Clone()
 	c[0].Val = 99
 	if v.Get(1) != 2 {
@@ -99,7 +101,7 @@ func TestClone(t *testing.T) {
 }
 
 func TestKeys(t *testing.T) {
-	v := FromMap(map[int]float64{5: 1, 1: 1, 3: 1})
+	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 5, Val: 1}, {Key: 1, Val: 1}, {Key: 3, Val: 1}}))
 	ks := v.Keys()
 	if len(ks) != 3 || ks[0] != 1 || ks[1] != 3 || ks[2] != 5 {
 		t.Errorf("Keys = %v", ks)
@@ -107,8 +109,8 @@ func TestKeys(t *testing.T) {
 }
 
 func TestManhattanDistance(t *testing.T) {
-	a := FromMap(map[int]float64{1: 0.5, 2: 0.5})
-	b := FromMap(map[int]float64{1: 0.5, 3: 0.5})
+	a := Vector(sparse.SortMerge(sparse.Vector{{Key: 1, Val: 0.5}, {Key: 2, Val: 0.5}}))
+	b := Vector(sparse.SortMerge(sparse.Vector{{Key: 1, Val: 0.5}, {Key: 3, Val: 0.5}}))
 	if d := ManhattanDistance(a, b); math.Abs(d-1.0) > 1e-12 {
 		t.Errorf("distance = %v, want 1.0", d)
 	}
@@ -138,20 +140,26 @@ func mapManhattan(a, b map[int]float64) float64 {
 }
 
 func TestManhattanDistanceProperties(t *testing.T) {
-	mk := func(xs []uint8) Vector {
+	mk := func(xs []uint8) (Vector, map[int]float64) {
 		v := New()
 		for i, x := range xs {
 			if x > 0 {
 				v.Add(i, int(x))
 			}
 		}
-		return v.Normalized()
+		v = v.Normalized()
+		m := make(map[int]float64, len(v))
+		for _, e := range v {
+			m[int(e.Key)] = e.Val
+		}
+		return v, m
 	}
 	// Symmetry, bounds, and agreement with the map reference.
 	f := func(xs, ys []uint8) bool {
-		a, b := mk(xs), mk(ys)
+		a, ma := mk(xs)
+		b, mb := mk(ys)
 		d1, d2 := ManhattanDistance(a, b), ManhattanDistance(b, a)
-		ref := mapManhattan(a.ToMap(), b.ToMap())
+		ref := mapManhattan(ma, mb)
 		return math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 2+1e-12 &&
 			math.Abs(d1-ref) < 1e-12
 	}
@@ -193,7 +201,7 @@ func TestCollectMatchesAdd(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	v := FromMap(map[int]float64{2: 3, 1: 1})
+	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 2, Val: 3}, {Key: 1, Val: 1}}))
 	if got := v.String(); got != "bbv{1:1 2:3}" {
 		t.Errorf("String = %q", got)
 	}

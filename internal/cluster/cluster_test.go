@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"barrierpoint/internal/signature"
+	"barrierpoint/internal/sparse"
 )
 
 // blobSVs builds n signature vectors in g well-separated groups; members of
@@ -19,10 +20,10 @@ func blobSVs(n, g int) ([]signature.SV, []float64, []int) {
 	for i := 0; i < n; i++ {
 		grp := i % g
 		// Each group occupies its own feature ids.
-		svs[i] = signature.FromMap(map[uint64]float64{
-			uint64(grp * 10):   0.7,
-			uint64(grp*10 + 1): 0.3 - 0.001*float64(i/g%3),
-			uint64(grp*10 + 2): 0.001 * float64(i/g%3),
+		svs[i] = sparse.SortMerge(signature.SV{
+			{Key: uint64(grp * 10), Val: 0.7},
+			{Key: uint64(grp*10 + 1), Val: 0.3 - 0.001*float64(i/g%3)},
+			{Key: uint64(grp*10 + 2), Val: 0.001 * float64(i/g%3)},
 		})
 		weights[i] = 1000 + float64(i%7)
 		truth[i] = grp
@@ -31,7 +32,7 @@ func blobSVs(n, g int) ([]signature.SV, []float64, []int) {
 }
 
 func TestProjectDeterministic(t *testing.T) {
-	sv := signature.FromMap(map[uint64]float64{1: 0.5, 99: 0.5})
+	sv := sparse.SortMerge(signature.SV{{Key: 1, Val: 0.5}, {Key: 99, Val: 0.5}})
 	a := Project(sv, 15, 42)
 	b := Project(sv, 15, 42)
 	for d := range a {
@@ -54,8 +55,8 @@ func TestProjectDeterministic(t *testing.T) {
 func TestProjectPreservesSeparation(t *testing.T) {
 	// Distant sparse vectors stay distant after projection; identical ones
 	// coincide.
-	a := signature.FromMap(map[uint64]float64{1: 1.0})
-	b := signature.FromMap(map[uint64]float64{2: 1.0})
+	a := sparse.SortMerge(signature.SV{{Key: 1, Val: 1.0}})
+	b := sparse.SortMerge(signature.SV{{Key: 2, Val: 1.0}})
 	pa, pb := Project(a, 15, 1), Project(b, 15, 1)
 	var d2 float64
 	for d := range pa {
@@ -64,7 +65,7 @@ func TestProjectPreservesSeparation(t *testing.T) {
 	if d2 < 1e-4 {
 		t.Errorf("distinct vectors projected to distance² %v", d2)
 	}
-	pa2 := Project(signature.FromMap(map[uint64]float64{1: 1.0}), 15, 1)
+	pa2 := Project(sparse.SortMerge(signature.SV{{Key: 1, Val: 1.0}}), 15, 1)
 	for d := range pa {
 		if pa[d] != pa2[d] {
 			t.Fatal("identical vectors projected differently")
@@ -161,7 +162,7 @@ func TestSelectFindsStructure(t *testing.T) {
 }
 
 func TestSelectSingleRegion(t *testing.T) {
-	res, err := Select([]signature.SV{signature.FromMap(map[uint64]float64{1: 1.0})}, []float64{5}, DefaultParams())
+	res, err := Select([]signature.SV{sparse.SortMerge(signature.SV{{Key: 1, Val: 1.0}})}, []float64{5}, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +256,9 @@ func TestBICFloorPreventsDegenerateSplits(t *testing.T) {
 	svs := make([]signature.SV, 100)
 	weights := make([]float64, 100)
 	for i := range svs {
-		svs[i] = signature.FromMap(map[uint64]float64{
-			1: 0.999 - 1e-6*float64(i%5),
-			2: 0.001 + 1e-6*float64(i%5),
+		svs[i] = sparse.SortMerge(signature.SV{
+			{Key: 1, Val: 0.999 - 1e-6*float64(i%5)},
+			{Key: 2, Val: 0.001 + 1e-6*float64(i%5)},
 		})
 		weights[i] = 1
 	}

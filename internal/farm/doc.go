@@ -53,12 +53,28 @@
 // task interleaving, retries, or mid-run worker loss.
 //
 // For the same reason a worker does not rebuild the snapshot from region 0
-// per task: its Executor, the one task compute path of RunLocalWorker and
-// cmd/bpworker, keeps the MRU prefix pass of its last warm task, advances it
+// per task: its Executor, the compute path under Worker, keeps the MRU
+// prefix pass of its last warm task, advances it
 // for a task of the same trace at or ahead of it and replaces it otherwise
 // (the full rule and its memory cost are on Executor), so a worker that
 // leases many points of one trace decodes and tracks each warmup-prefix
 // region once. The coordinator and the protocol know nothing of it.
+//
+// # Worker
+//
+// Worker is the one worker loop, written against the five calls it makes
+// on a coordinator (Transport): Lease, Heartbeat, Complete, Fail and
+// FetchTrace. There are two transports. *Client speaks the HTTP protocol
+// below; cmd/bpworker is that plus flags, registration and a metrics
+// listener. RunLocalWorker hands the same loop the Queue in its own
+// process (tests, benchmarks, bpcamp -farm-workers), where FetchTrace has
+// nothing to move. A batch is what one Lease returned, up to Concurrency
+// tasks: its serial half — fetch, then Executor.Warm — runs task by task in
+// PassOrder, so a batch of one trace is one advance of the held prefix
+// pass; each task's parallel half — snapshot replay, detailed simulation,
+// upload — starts as soon as its own snapshot is taken. Every lease of the
+// batch is renewed at a third of the TTL until its task settles, a signal
+// included; only outcomes the coordinator received count as settled.
 //
 // # Protocol (HTTP/JSON, mounted under /farm/ by cmd/bpserve)
 //

@@ -113,7 +113,11 @@ func TestExecutorPassRule(t *testing.T) {
 		if stats := exec.PassStats(); stats != s.after {
 			t.Fatalf("step %d: pass stats %+v, want %+v", i, stats, s.after)
 		}
-		attrs := span.Data().Attrs
+		sd := span.Data()
+		if err == nil && !slices.ContainsFunc(sd.Stages, func(st obs.Stage) bool { return st.Name == "point-detail" }) {
+			t.Errorf("step %d (%s): span has no point-detail stage: %+v", i, s.task.Warmup, sd.Stages)
+		}
+		attrs := sd.Attrs
 		if attrs["prefix_from"] != s.from || (s.from != "" && attrs["prefix_to"] == "") {
 			t.Errorf("step %d: span attrs %v, want prefix_from %q", i, attrs, s.from)
 		}

@@ -206,10 +206,8 @@ type Queue struct {
 	sweepDone chan struct{}
 
 	// replay is the decoded-region cache shared by every in-process worker
-	// of this queue (see RunLocalWorker), created on first use so queues
-	// that never run local workers pay nothing.
-	replayOnce sync.Once
-	replay     *bp.ReplayCache
+	// of this queue (see RunLocalWorker).
+	replay *bp.ReplayCache
 
 	// logger, when set, gives task-attempt failures structured log lines;
 	// taskDur, when set (see Instrument), observes enqueue-to-complete
@@ -218,13 +216,6 @@ type Queue struct {
 	logger      *slog.Logger
 	taskDur     *obs.Histogram
 	workerSpans *obs.SpanRecorder
-}
-
-// replayCache returns the queue's shared decoded-region replay cache,
-// creating it (default budget) on first use.
-func (q *Queue) replayCache() *bp.ReplayCache {
-	q.replayOnce.Do(func() { q.replay = bp.NewReplayCache(0) })
-	return q.replay
 }
 
 // NewQueue creates an in-memory queue over st and starts its
@@ -248,6 +239,7 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 		workers:     make(map[string]*workerState),
 		stopSweep:   make(chan struct{}),
 		sweepDone:   make(chan struct{}),
+		replay:      bp.NewReplayCache(0),
 		workerSpans: obs.NewSpanRecorder(0),
 	}
 }

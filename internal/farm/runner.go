@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/obs"
@@ -81,8 +80,8 @@ func PassOrder(a, b Task) int {
 // is the parallel half — snapshot replay and detailed simulation — and must
 // be called exactly once (it closes the trace); a batch calls Warm in
 // PassOrder and runs the returned functions concurrently. span (may be nil)
-// gets prefix_from/prefix_to, the regions [from, to) the task made the pass
-// track, and the point's phases as concurrent stages.
+// gets the point's phases as concurrent stages and, for a warm task,
+// prefix_from/prefix_to, the regions [from, to) it made the pass track.
 func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error), error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
@@ -93,16 +92,11 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 		return nil, err
 	}
 	prog, mc := e.rc.Program(f, t.TraceKey), bp.TableIMachine(t.Sockets)
-	if mode == bp.ColdWarmup {
-		return func() (bp.RegionResult, error) {
-			defer f.Close()
-			return bp.SimulatePoint(prog, t.Region, mc, mode)
-		}, nil
-	}
+	cold := mode == bp.ColdWarmup
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pass := e.pass
-	resumed := pass != nil && e.trace == t.TraceKey && e.sockets == t.Sockets && t.Region >= pass.Pos()
+	resumed := !cold && pass != nil && e.trace == t.TraceKey && e.sockets == t.Sockets && t.Region >= pass.Pos()
 	if !resumed {
 		pass = bp.NewPrefixPass(mc)
 	}
@@ -112,15 +106,17 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 		f.Close()
 		return nil, err
 	}
-	e.pass, e.trace, e.sockets = pass, t.TraceKey, t.Sockets
-	if resumed {
-		e.stats.Resumed++
-	} else {
-		e.stats.Restarted++
+	if !cold { // a cold point tracked nothing: its pass is dropped unused
+		e.pass, e.trace, e.sockets = pass, t.TraceKey, t.Sockets
+		if resumed {
+			e.stats.Resumed++
+		} else {
+			e.stats.Restarted++
+		}
+		e.stats.Regions += uint64(t.Region - from)
+		span.SetAttr("prefix_from", strconv.Itoa(from))
+		span.SetAttr("prefix_to", strconv.Itoa(t.Region))
 	}
-	e.stats.Regions += uint64(t.Region - from)
-	span.SetAttr("prefix_from", strconv.Itoa(from))
-	span.SetAttr("prefix_to", strconv.Itoa(t.Region))
 	return func() (bp.RegionResult, error) {
 		defer f.Close()
 		return point(), nil
@@ -236,61 +232,4 @@ func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfi
 		out[region] = res
 	}
 	return out, nil
-}
-
-// RunLocalWorker drives an in-process worker against the queue until ctx
-// is done or the queue closes: lease, simulate through its own Executor over
-// st (which must hold — or share — the traces), upload. It powers tests and
-// benchmarks; cmd/bpworker is the same loop over the HTTP protocol.
-func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
-	id := q.Register(name)
-	// All in-process workers of one queue share a single decoded-region
-	// cache: one budget, and each region decoded once for the whole fleet.
-	exec := NewExecutor(st, q.replayCache())
-	idle := q.cfg.SweepEvery / 2
-	if idle <= 0 || idle > 50*time.Millisecond {
-		idle = 50 * time.Millisecond
-	}
-	for ctx.Err() == nil {
-		tasks := q.Lease(id, 1)
-		if len(tasks) == 0 {
-			q.mu.Lock()
-			closed := q.closed
-			q.mu.Unlock()
-			if closed {
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(idle):
-			}
-			continue
-		}
-		for _, t := range tasks {
-			// The span carries the enqueuing job's trace ID, so the queue's
-			// WorkerSpans recorder answers "which worker ran this job's
-			// points, and how long did each stage take".
-			span := obs.NewSpan(t.TraceID, "farm-task")
-			span.SetAttr("task", t.ID)
-			span.SetAttr("worker", id)
-			stop := span.StartStage("simulate")
-			res, err := exec.Execute(t, span)
-			stop()
-			var b []byte
-			if err == nil {
-				b, err = json.Marshal(res)
-			}
-			if err != nil { // both failures, then the one Finish + Record below
-				q.Fail(id, t.ID, err.Error())
-				span.SetAttr("error", err.Error())
-			} else {
-				stop = span.StartStage("upload")
-				q.Complete(id, t.ID, b)
-				stop()
-			}
-			span.Finish()
-			q.workerSpans.Record(span.Data())
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -378,6 +379,16 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WriteText(w)
 	})
+}
+
+// MountPprof mounts net/http/pprof under /debug/pprof/ on mux. The daemons
+// never serve http.DefaultServeMux, so the profiler is opt-in per process.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // Expvar bridges the registry into an expvar map: one key per series

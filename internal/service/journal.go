@@ -229,7 +229,7 @@ func jobSeq(id string) int {
 func submitRecord(j *job) journalRecord {
 	req := j.req
 	return journalRecord{
-		Op: jopSubmit, ID: j.id, Req: &req, CfgHash: hashJSON(j.cfg),
+		Op: jopSubmit, ID: j.id, Req: &req, CfgHash: store.HashJSON(j.cfg),
 		TraceID: j.traceID, CreatedNs: j.created.UnixNano(),
 	}
 }

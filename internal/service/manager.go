@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -143,13 +144,17 @@ var (
 )
 
 // plan is what validate derives from a request: the parsed analysis
-// config and warmup mode, the key identical in-flight requests coalesce
+// config and warmup mode, the exec mode with its default filled in, the
+// machine a simulate or estimate job runs on (zero for an analyze), the key
+// identical in-flight requests coalesce
 // on, and the name of the store artifact the result lands in — which the
 // journal's done record points at instead of embedding bytes, and which
 // recovery probes for work that finished before a crash.
 type plan struct {
 	cfg      bp.Config
 	mode     bp.WarmupMode
+	exec     string
+	mc       bp.MachineConfig
 	dedup    string
 	artifact string
 }
@@ -395,7 +400,7 @@ func (m *Manager) validate(req Request) (plan, error) {
 		// Ground truth does not cluster; rejecting keeps the dedup key honest.
 		return plan{}, fmt.Errorf("service: max_k applies only to analyze and estimate jobs, not %q", req.Kind)
 	}
-	mode, err := ParseWarmup(req.Warmup)
+	mode, err := bp.ParseWarmup(req.Warmup)
 	if err != nil {
 		return plan{}, err
 	}
@@ -421,10 +426,10 @@ func (m *Manager) validate(req Request) (plan, error) {
 	default:
 		return plan{}, fmt.Errorf("service: unknown exec mode %q (want auto, local or farm)", req.Exec)
 	}
-	p := plan{cfg: cfg, mode: mode}
+	p := plan{cfg: cfg, mode: mode, exec: cmp.Or(req.Exec, ExecAuto)}
 	switch req.Kind {
 	case KindAnalyze:
-		p.dedup = fmt.Sprintf("%s|%s|%s", req.Kind, req.Trace, hashJSON(cfg))
+		p.dedup = fmt.Sprintf("%s|%s|%s", req.Kind, req.Trace, store.HashJSON(cfg))
 		p.artifact = SelectionArtifact(cfg)
 	case KindSimulate, KindEstimate:
 		f, err := m.st.OpenTrace(req.Trace)
@@ -437,6 +442,7 @@ func (m *Manager) validate(req Request) (plan, error) {
 		if err != nil {
 			return plan{}, err
 		}
+		p.mc = mc
 		if req.Kind == KindSimulate {
 			p.dedup = fmt.Sprintf("%s|%s|%d", req.Kind, req.Trace, mc.Sockets)
 			p.artifact = ActualArtifact(mc)
@@ -447,7 +453,7 @@ func (m *Manager) validate(req Request) (plan, error) {
 			// compute across modes. The CI target is part of the identity:
 			// tighter targets simulate more regions and land on different
 			// artifacts.
-			p.dedup = fmt.Sprintf("%s|%s|%s|%d|%s|%s|%g", req.Kind, req.Trace, hashJSON(cfg), mc.Sockets, mode, normalizeExec(req.Exec), req.TargetCI)
+			p.dedup = fmt.Sprintf("%s|%s|%s|%d|%s|%s|%g", req.Kind, req.Trace, store.HashJSON(cfg), mc.Sockets, mode, p.exec, req.TargetCI)
 			p.artifact = AdaptiveEstimateArtifact(cfg, mc, mode, req.TargetCI)
 		}
 	default:
@@ -462,13 +468,6 @@ const (
 	ExecLocal = "local"
 	ExecFarm  = "farm"
 )
-
-func normalizeExec(s string) string {
-	if s == "" {
-		return ExecAuto
-	}
-	return s
-}
 
 // Submit queues a job, or returns the in-flight job already running the
 // identical request. The returned snapshot has at least StatusQueued.
@@ -724,8 +723,7 @@ func (m *Manager) stageObserver(j *job) bp.StageObserver {
 // the job's own result artifact was already in the store.
 func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 	obsrv := m.stageObserver(j)
-	switch j.req.Kind {
-	case KindAnalyze:
+	if j.req.Kind == KindAnalyze {
 		sel, cached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
 		if err != nil {
 			return nil, false, err
@@ -735,84 +733,65 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 			m.recordProfileStats(j, stats)
 		}
 		return json.RawMessage(sel), cached, nil
+	}
 
-	case KindEstimate:
-		// One open serves machine sizing and simulation; only a cold
-		// selection miss inside AnalyzeCached opens the trace again.
-		f, err := m.st.OpenTrace(j.req.Trace)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		mc, err := MachineFor(f.Threads(), j.req.Sockets)
-		if err != nil {
-			return nil, false, err
-		}
-		if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
-			return json.RawMessage(b), true, nil
-		} else if !errors.Is(err, store.ErrNotFound) {
-			return nil, false, err
-		}
-		selBytes, selCached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
-		if err != nil {
-			return nil, false, err
-		}
-		if !selCached {
-			m.coldAnalyses.Add(1)
-			m.recordProfileStats(j, stats)
-		}
-		bind0 := time.Now()
-		sel, err := bp.LoadSelection(bytes.NewReader(selBytes))
-		if err != nil {
-			return nil, false, err
-		}
-		// Bind the selection to the cached replay view: warmup capture and
-		// the local point runner then replay decoded regions from memory.
-		a, err := sel.Bind(m.replay.Program(f, j.req.Trace))
-		if err != nil {
-			return nil, false, err
-		}
-		obsrv("bind", time.Since(bind0))
-		// The adaptive controller drives the same runner the plain estimate
-		// would use, so promotions farm out (and cache per point) exactly
-		// like the initial barrierpoints. With no target it just attaches
-		// intervals to the standard one-point-per-cluster estimate.
-		res, err := adaptive.Run(a, m.pointRunner(j), mc, j.mode,
-			adaptive.Options{TargetRel: j.req.TargetCI, Observer: obsrv})
-		if err != nil {
-			return nil, false, err
-		}
-		m.adaptiveRounds.Add(int64(len(res.Rounds)))
-		m.adaptivePromoted.Add(int64(len(res.Simulated) - len(a.Selection.Points)))
-		return m.putResult(j.req.Trace, j.artifact, newIntervalResult(
-			res.Estimate, mc, j.mode.String(), len(res.Simulated), len(res.Rounds), j.req.TargetCI, res.Met))
-
-	case KindSimulate:
-		f, err := m.st.OpenTrace(j.req.Trace)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		mc, err := MachineFor(f.Threads(), j.req.Sockets)
-		if err != nil {
-			return nil, false, err
-		}
-		if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
-			return json.RawMessage(b), true, nil
-		} else if !errors.Is(err, store.ErrNotFound) {
-			return nil, false, err
-		}
+	// A simulate or an estimate: its machine and result artifact are the
+	// plan's, and the artifact may already be stored.
+	if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
+		return json.RawMessage(b), true, nil
+	} else if !errors.Is(err, store.ErrNotFound) {
+		return nil, false, err
+	}
+	// One open serves the simulation; only a cold selection miss inside
+	// AnalyzeCached opens the trace again.
+	f, err := m.st.OpenTrace(j.req.Trace)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	if j.req.Kind == KindSimulate {
 		sim0 := time.Now()
-		full, err := bp.SimulateFull(m.replay.Program(f, j.req.Trace), mc)
+		full, err := bp.SimulateFull(m.replay.Program(f, j.req.Trace), j.mc)
 		obsrv("simulate-full", time.Since(sim0))
 		if err != nil {
 			return nil, false, err
 		}
-		return m.putResult(j.req.Trace, j.artifact, newEstimateResult(bp.ActualFrom(full), mc, ""))
-
-	default:
-		return nil, false, fmt.Errorf("service: unknown job kind %q", j.req.Kind)
+		return m.putResult(j.req.Trace, j.artifact, newEstimateResult(bp.ActualFrom(full), j.mc, ""))
 	}
+
+	selBytes, selCached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+	if err != nil {
+		return nil, false, err
+	}
+	if !selCached {
+		m.coldAnalyses.Add(1)
+		m.recordProfileStats(j, stats)
+	}
+	bind0 := time.Now()
+	sel, err := bp.LoadSelection(bytes.NewReader(selBytes))
+	if err != nil {
+		return nil, false, err
+	}
+	// Bind the selection to the cached replay view: warmup capture and
+	// the local point runner then replay decoded regions from memory.
+	a, err := sel.Bind(m.replay.Program(f, j.req.Trace))
+	if err != nil {
+		return nil, false, err
+	}
+	obsrv("bind", time.Since(bind0))
+	// The adaptive controller drives the same runner the plain estimate
+	// would use, so promotions farm out (and cache per point) exactly
+	// like the initial barrierpoints. With no target it just attaches
+	// intervals to the standard one-point-per-cluster estimate.
+	res, err := adaptive.Run(a, m.pointRunner(j), j.mc, j.mode,
+		adaptive.Options{TargetRel: j.req.TargetCI, Observer: obsrv})
+	if err != nil {
+		return nil, false, err
+	}
+	m.adaptiveRounds.Add(int64(len(res.Rounds)))
+	m.adaptivePromoted.Add(int64(len(res.Simulated) - len(a.Selection.Points)))
+	return m.putResult(j.req.Trace, j.artifact, newIntervalResult(
+		res.Estimate, j.mc, j.mode.String(), len(res.Simulated), len(res.Rounds), j.req.TargetCI, res.Met))
 }
 
 // recordProfileStats attributes a cold analysis's profile-cache activity
@@ -842,19 +821,12 @@ func (m *Manager) pointRunner(j *job) bp.PointRunner {
 	local := func() bp.PointRunner {
 		return &farm.CachedRunner{St: m.st, TraceKey: j.req.Trace, Inner: observedLocalRunner{m, j}}
 	}
-	useFarm := false
-	switch normalizeExec(j.req.Exec) {
-	case ExecFarm:
-		useFarm = m.farm != nil
-	case ExecAuto:
-		useFarm = m.farm != nil && m.farm.LiveWorkers() > 0
-	}
-	if !useFarm {
+	if m.farm == nil || j.exec == ExecLocal || j.exec == ExecAuto && m.farm.LiveWorkers() == 0 {
 		return local()
 	}
 	m.farmed.Add(1)
 	fr := farm.QueueRunner{Q: m.farm, TraceKey: j.req.Trace, TraceID: j.traceID}
-	if normalizeExec(j.req.Exec) == ExecFarm {
+	if j.exec == ExecFarm {
 		// Forced farm mode fails loudly rather than quietly running local.
 		return fr
 	}
@@ -901,9 +873,7 @@ func (r *fallbackRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineCon
 	if err == nil {
 		return out, nil
 	}
-	if r.onFallback != nil {
-		r.onFallback(err)
-	}
+	r.onFallback(err)
 	return r.fallback.RunPoints(p, regions, mc, mode)
 }
 

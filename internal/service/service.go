@@ -73,19 +73,16 @@ func analyzeProfiled(st *store.Store, key string, f *tracefile.File, prog bp.Pro
 	return a, stats, err
 }
 
-// hashJSON is the store-wide artifact config hash (see store.HashJSON).
-func hashJSON(v any) string { return store.HashJSON(v) }
-
 // SelectionArtifact names the cached selection artifact for an analysis
 // config.
 func SelectionArtifact(cfg bp.Config) string {
-	return fmt.Sprintf("selection-%s-%s.json", sanitize(cfg.Signature.Label()), hashJSON(cfg))
+	return fmt.Sprintf("selection-%s-%s.json", store.SanitizeLabel(cfg.Signature.Label()), store.HashJSON(cfg))
 }
 
 // EstimateArtifact names the cached estimate artifact for a machine,
 // warmup mode and analysis config.
 func EstimateArtifact(cfg bp.Config, mc bp.MachineConfig, mode bp.WarmupMode) string {
-	return fmt.Sprintf("estimate-%s-%s-%s.json", hashJSON(mc), sanitize(mode.String()), hashJSON(cfg))
+	return fmt.Sprintf("estimate-%s-%s-%s.json", store.HashJSON(mc), store.SanitizeLabel(mode.String()), store.HashJSON(cfg))
 }
 
 // AdaptiveEstimateArtifact names the cached estimate artifact for an
@@ -97,24 +94,13 @@ func AdaptiveEstimateArtifact(cfg bp.Config, mc bp.MachineConfig, mode bp.Warmup
 		return EstimateArtifact(cfg, mc, mode)
 	}
 	return fmt.Sprintf("estimate-%s-%s-%s-ci%s.json",
-		hashJSON(mc), sanitize(mode.String()), hashJSON(cfg), sanitize(fmt.Sprintf("%g", targetCI)))
+		store.HashJSON(mc), store.SanitizeLabel(mode.String()), store.HashJSON(cfg), store.SanitizeLabel(fmt.Sprintf("%g", targetCI)))
 }
 
 // ActualArtifact names the cached ground-truth (full simulation) artifact
 // for a machine config.
 func ActualArtifact(mc bp.MachineConfig) string {
-	return fmt.Sprintf("actual-%s.json", hashJSON(mc))
-}
-
-// sanitize maps a label onto the store's artifact-name charset ("mru+prev"
-// → "mru-prev").
-func sanitize(s string) string { return store.SanitizeLabel(s) }
-
-// ParseWarmup parses a warmup mode label as printed by WarmupMode.String.
-// It delegates to bp.ParseWarmup so the CLI, service and farm protocols
-// share one vocabulary.
-func ParseWarmup(s string) (bp.WarmupMode, error) {
-	return bp.ParseWarmup(s)
+	return fmt.Sprintf("actual-%s.json", store.HashJSON(mc))
 }
 
 // ParseSignature maps a signature label ("bbv", "reuse_dist", "combine")

@@ -73,11 +73,8 @@ func Default() Options { return Options{Kind: Combined} }
 // Keys are feature identifiers unique across threads and metric kinds;
 // values are normalized weights. The flat sorted form makes Distance a
 // zero-allocation merge join and lets projection memoize per-feature rows
-// (see internal/cluster); FromMap is the shim for map-speaking callers.
+// (see internal/cluster).
 type SV = sparse.Vector
-
-// FromMap converts a feature→weight map into a sorted SV.
-func FromMap(m map[uint64]float64) SV { return sparse.FromMap(m) }
 
 // Feature key layout: | kind (1 bit) | thread (15 bits) | feature (48 bits) |
 const (

@@ -7,6 +7,7 @@ import (
 
 	"barrierpoint/internal/bbv"
 	"barrierpoint/internal/ldv"
+	"barrierpoint/internal/sparse"
 )
 
 func mkData(threads int) *RegionData {
@@ -111,11 +112,11 @@ func TestDistanceProperties(t *testing.T) {
 // Distance.
 func TestBuildWideBlockKeys(t *testing.T) {
 	rd := &RegionData{
-		BBV: []bbv.Vector{bbv.FromMap(map[int]float64{
-			5:                      1,
-			9:                      2,
-			int(uint64(1)<<48 | 5): 3, // truncates to feature 5
-		})},
+		BBV: []bbv.Vector{bbv.Vector(sparse.SortMerge(sparse.Vector{
+			{Key: 5, Val: 1},
+			{Key: 9, Val: 2},
+			{Key: 1<<48 | 5, Val: 3}, // truncates to feature 5
+		}))},
 	}
 	sv := Build(rd, Options{Kind: BBVOnly})
 	if !sortedStrict(sv) {
@@ -190,8 +191,8 @@ func refBuild(rd *RegionData, o Options) map[uint64]float64 {
 			slot = 0
 		}
 		if useBBV {
-			for id, w := range rd.BBV[t].Normalized().ToMap() {
-				sv[key(0, slot, uint64(id))] += w
+			for _, e := range rd.BBV[t].Normalized() {
+				sv[key(0, slot, e.Key)] += e.Val
 			}
 		}
 		if useLDV {
@@ -238,7 +239,11 @@ func TestBuildMatchesMapReference(t *testing.T) {
 		for _, threads := range []int{1, 2, 4} {
 			rd := mkData(threads)
 			got := Build(rd, o)
-			want := FromMap(refBuild(rd, o))
+			var want SV
+			for k, w := range refBuild(rd, o) {
+				want = append(want, sparse.Entry{Key: k, Val: w})
+			}
+			want = sparse.SortMerge(want)
 			if len(got) != len(want) {
 				t.Errorf("%v threads=%d: %d features, want %d", o, threads, len(got), len(want))
 				continue

@@ -25,18 +25,6 @@ type Entry struct {
 // The zero value is an empty vector.
 type Vector []Entry
 
-// FromMap converts a map into a sorted Vector. It exists as the conversion
-// shim for callers (tests, serialization) that still speak maps; hot paths
-// build vectors through Accumulator instead.
-func FromMap(m map[uint64]float64) Vector {
-	v := make(Vector, 0, len(m))
-	for k, val := range m {
-		v = append(v, Entry{k, val})
-	}
-	slices.SortFunc(v, cmpEntry)
-	return v
-}
-
 func cmpEntry(a, b Entry) int {
 	switch {
 	case a.Key < b.Key:
@@ -63,15 +51,6 @@ func SortMerge(v Vector) Vector {
 		out = append(out, e)
 	}
 	return out
-}
-
-// ToMap converts v into a map, the inverse shim of FromMap.
-func (v Vector) ToMap() map[uint64]float64 {
-	m := make(map[uint64]float64, len(v))
-	for _, e := range v {
-		m[e.Key] = e.Val
-	}
-	return m
 }
 
 // Get returns the value stored under k, or 0 when absent.

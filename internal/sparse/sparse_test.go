@@ -127,17 +127,12 @@ func TestAccumulator(t *testing.T) {
 }
 
 func TestVectorOps(t *testing.T) {
-	m := map[uint64]float64{9: 1, 2: 2, 5: 0.5}
-	v := FromMap(m)
+	v := SortMerge(Vector{{9, 1}, {2, 2}, {5, 0.5}})
 	if v.Get(9) != 1 || v.Get(2) != 2 || v.Get(5) != 0.5 || v.Get(4) != 0 {
 		t.Errorf("Get wrong: %v", v)
 	}
 	if v.Total() != 3.5 {
 		t.Errorf("Total = %v", v.Total())
-	}
-	back := v.ToMap()
-	if len(back) != len(m) || back[9] != 1 || back[2] != 2 {
-		t.Errorf("ToMap round trip: %v", back)
 	}
 	c := v.Clone()
 	c[0].Val = 99
@@ -175,14 +170,16 @@ func TestDistanceAgainstMap(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		ma := make(map[uint64]float64)
 		mb := make(map[uint64]float64)
+		var va, vb Vector
 		for i, x := range xs {
 			ma[uint64(i%19)] += float64(x) / 255
-			_ = i
+			va = append(va, Entry{uint64(i % 19), float64(x) / 255})
 		}
 		for i, y := range ys {
 			mb[uint64(i%23)] += float64(y) / 255
+			vb = append(vb, Entry{uint64(i % 23), float64(y) / 255})
 		}
-		got := Distance(FromMap(ma), FromMap(mb))
+		got := Distance(SortMerge(va), SortMerge(vb))
 		want := mapDistance(ma, mb)
 		return math.Abs(got-want) < 1e-9
 	}
@@ -260,8 +257,8 @@ func TestTableAdversarialCollisions(t *testing.T) {
 }
 
 func TestDistanceZeroAllocs(t *testing.T) {
-	a := FromMap(map[uint64]float64{1: 1, 5: 2, 9: 3})
-	b := FromMap(map[uint64]float64{2: 1, 5: 1, 11: 4})
+	a := SortMerge(Vector{{1, 1}, {5, 2}, {9, 3}})
+	b := SortMerge(Vector{{2, 1}, {5, 1}, {11, 4}})
 	var sink float64
 	if allocs := testing.AllocsPerRun(1000, func() { sink += Distance(a, b) }); allocs != 0 {
 		t.Errorf("Distance allocates %.2f times per call", allocs)

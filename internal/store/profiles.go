@@ -52,7 +52,7 @@ func (s *Store) PutProfile(digest, codec string, data []byte) (existed bool, err
 	if _, err := os.Stat(s.profilePath(digest, codec)); err == nil {
 		return true, nil
 	}
-	return writeDurableExcl(filepath.Join(s.root, "profiles"), digest+"."+codec, data)
+	return writeDurable(filepath.Join(s.root, "profiles"), digest+"."+codec, data, true)
 }
 
 // GetProfile returns the profile stored under (digest, codec), or an error

@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -206,8 +207,7 @@ func (s *Store) artifactDir(key string) string {
 type TraceWriter struct {
 	tmp *os.File
 	dir string
-	h   io.Writer
-	sum func() string
+	h   hash.Hash
 }
 
 // NewTraceWriter starts a trace write. Exactly one of Commit or Abort must
@@ -218,13 +218,7 @@ func (s *Store) NewTraceWriter() (*TraceWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	h := sha256.New()
-	return &TraceWriter{
-		tmp: tmp,
-		dir: dir,
-		h:   h,
-		sum: func() string { return hex.EncodeToString(h.Sum(nil)) },
-	}, nil
+	return &TraceWriter{tmp: tmp, dir: dir, h: sha256.New()}, nil
 }
 
 // Write implements io.Writer.
@@ -242,8 +236,8 @@ func (w *TraceWriter) Write(p []byte) (int, error) {
 
 // Commit publishes the written bytes under their content key, which it
 // returns. If a byte-identical trace is already stored the temp copy is
-// discarded and existed is true. The temp file is fsynced before the
-// rename and the traces directory after it, so a trace whose Commit has
+// discarded and existed is true. The temp file is fsynced before it is
+// published and the traces directory after, so a trace whose Commit has
 // returned survives a crash; a crash before Commit leaves only an
 // invisible temp file. On error the temp file is cleaned up (no Abort
 // needed).
@@ -253,34 +247,11 @@ func (w *TraceWriter) Commit() (key string, existed bool, err error) {
 	}
 	tmp := w.tmp
 	w.tmp = nil
-	fail := func(err error) (string, bool, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	key = hex.EncodeToString(w.h.Sum(nil))
+	if existed, err = publish(tmp, filepath.Join(w.dir, key+".bptrace"), true); err != nil {
 		return "", false, err
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("store: syncing trace: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", false, fmt.Errorf("store: %w", err)
-	}
-	key = w.sum()
-	dst := filepath.Join(w.dir, key+".bptrace")
-	if _, err := os.Stat(dst); err == nil {
-		os.Remove(tmp.Name())
-		return key, true, nil
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return "", false, fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(w.dir); err != nil {
-		// The rename happened; the entry is visible but not yet known
-		// durable. Report the failure rather than pretend durability.
-		return "", false, fmt.Errorf("store: syncing traces dir: %w", err)
-	}
-	return key, false, nil
+	return key, existed, nil
 }
 
 // Abort discards the written bytes. Safe to call after Commit (a no-op).
@@ -421,71 +392,55 @@ func (s *Store) HasArtifact(key, name string) bool {
 	return err == nil
 }
 
-// writeDurable writes data to dir/name via temp-write, fsync, atomic
-// rename, directory fsync. It is the one write path behind artifacts,
-// campaign manifests and profiles.
-func writeDurable(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail(fmt.Errorf("store: writing %s: %w", name, err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("store: syncing %s: %w", name, err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", dir, err)
-	}
-	return nil
-}
-
-// writeDurableExcl is writeDurable for create-once entries: the temp file
-// is published with os.Link instead of os.Rename, which fails if the name
-// already exists, so among concurrent writers of the same name exactly one
-// observes existed=false. The losers' bytes are discarded — fine for
-// content-addressed entries, where every writer's bytes are equivalent.
-func writeDurableExcl(dir, name string, data []byte) (existed bool, err error) {
-	tmp, err := os.CreateTemp(dir, ".put-*")
-	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return false, fmt.Errorf("store: writing %s: %w", name, err)
-	}
+// publish makes the bytes written to tmp durable under the name dst in
+// tmp's own directory: fsync, close, then rename over dst — or, for
+// create-once entries (excl), hard-link, which fails if dst already exists,
+// so among concurrent publishers of one name exactly one observes
+// existed=false and the losers' bytes are discarded (fine for
+// content-addressed entries, where every writer's bytes are equivalent) —
+// then fsync the directory. It is the one publish path behind traces,
+// artifacts, campaign manifests and profiles; tmp is gone when it returns.
+func publish(tmp *os.File, dst string, excl bool) (existed bool, err error) {
+	defer os.Remove(tmp.Name()) // nothing left to remove after a rename
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return false, fmt.Errorf("store: syncing %s: %w", name, err)
+		return false, fmt.Errorf("store: syncing %s: %w", filepath.Base(dst), err)
 	}
 	if err := tmp.Close(); err != nil {
 		return false, fmt.Errorf("store: %w", err)
 	}
-	if err := os.Link(tmp.Name(), filepath.Join(dir, name)); err != nil {
+	if excl {
+		err = os.Link(tmp.Name(), dst)
 		if os.IsExist(err) {
 			return true, nil
 		}
+	} else {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
 		return false, fmt.Errorf("store: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
-		return false, fmt.Errorf("store: syncing %s: %w", dir, err)
+	if err := syncDir(filepath.Dir(dst)); err != nil {
+		// The entry is visible but not yet known durable. Report the
+		// failure rather than pretend durability.
+		return false, fmt.Errorf("store: syncing %s: %w", filepath.Dir(dst), err)
 	}
 	return false, nil
+}
+
+// writeDurable writes data to a temp file in dir and publishes it as
+// dir/name: overwriting, or create-once when excl.
+func writeDurable(dir, name string, data []byte, excl bool) (existed bool, err error) {
+	tmp, err := os.CreateTemp(dir, ".put-*")
+	if err != nil {
+		return false, fmt.Errorf("store: %w", err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return false, fmt.Errorf("store: writing %s: %w", name, err)
+	}
+	return publish(tmp, filepath.Join(dir, name), excl)
 }
 
 // PutArtifact atomically stores the named artifact for the trace,
@@ -502,7 +457,8 @@ func (s *Store) PutArtifact(key, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return writeDurable(dir, name, data)
+	_, err := writeDurable(dir, name, data, false)
+	return err
 }
 
 // Campaign manifests (internal/campaign) are small JSON progress records
@@ -542,7 +498,8 @@ func (s *Store) PutCampaign(name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return writeDurable(dir, name, data)
+	_, err := writeDurable(dir, name, data, false)
+	return err
 }
 
 // Campaigns lists the saved campaign manifest names, sorted. A store with

@@ -239,7 +239,7 @@ func (w *WAL) rewrite(payloads [][]byte) error {
 	// rename itself is not yet known durable — a crash could resurface the
 	// pre-compaction log — so the caller must not treat the compaction as
 	// committed. Same "report rather than pretend durability" contract as
-	// TraceWriter.Commit and writeDurable.
+	// publish.
 	old := w.f
 	w.f = tmp
 	w.size = size
