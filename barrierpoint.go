@@ -342,19 +342,12 @@ type PointRunner interface {
 
 // LocalRunner is the default PointRunner: a bounded in-process worker pool
 // of Workers goroutines (GOMAXPROCS if <= 0) draining a shared queue of
-// barrierpoints. With MRU warmup, one functional pass over the program
-// captures every point's snapshot; the pool is already running, so a point
-// starts simulating the moment the pass reaches its region and detailed
-// simulation overlaps the rest of the pass.
+// barrierpoints. The calling goroutine takes the points from one PrefixPass
+// in ascending region order; the pool is already running, so a point starts
+// simulating the moment the pass reaches its region and detailed simulation
+// overlaps the rest of the pass.
 type LocalRunner struct {
 	Workers int
-}
-
-// warmPoint is one unit of pool work: a region and the snapshot captured at
-// its entry (nil under ColdWarmup).
-type warmPoint struct {
-	region int
-	snap   warmup.Snapshot
 }
 
 // RunPoints implements PointRunner on the local worker pool.
@@ -395,38 +388,39 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, len(regions))
-	next := make(chan warmPoint, len(regions))
+	next := make(chan func(), len(regions))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for pt := range next {
-				// pt is dead after this call and runPoint is done with the
-				// snapshot once it has replayed it, so each snapshot is
-				// collectable while its point is still simulating.
-				r := pt.region
-				res := runPoint(p, r, mc, mode, pt.snap, obsrv)
-				mu.Lock()
-				out[r] = res
-				mu.Unlock()
+			for run := range next {
+				run()
 			}
 		}()
 	}
-	if mode == ColdWarmup {
-		for _, r := range regions {
-			next <- warmPoint{region: r}
+	pass := NewPrefixPass(mc)
+	t0 := time.Now()
+	var err error
+	for _, r := range regions {
+		var point func() RegionResult
+		if point, err = pass.Point(p, r, mode, obsrv); err != nil {
+			break
 		}
-	} else {
-		t0 := time.Now()
-		warmup.Stream(p, regions, mruCapacity(mc), func(r int, snap warmup.Snapshot) {
-			next <- warmPoint{r, snap}
-		})
-		if obsrv != nil {
-			obsrv("warmup-capture", time.Since(t0))
+		next <- func() {
+			res := point()
+			mu.Lock()
+			out[r] = res
+			mu.Unlock()
 		}
+	}
+	if pass.pass != nil && obsrv != nil { // the pass tracked: an MRU mode
+		obsrv("warmup-capture", time.Since(t0))
 	}
 	close(next)
 	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -447,8 +441,8 @@ func checkPoints(p Program, regions []int, mc MachineConfig) error {
 func mruCapacity(mc MachineConfig) int { return mc.L3.Lines() * mc.Sockets }
 
 // runPoint simulates one barrierpoint on a fresh machine with the given
-// warmup snapshot. This is the single code path behind LocalRunner and
-// SimulatePoint, so in-process and farmed execution cannot diverge. Each
+// warmup snapshot. This is the single code path every runner ends in (see
+// PrefixPass.Point), so in-process and farmed execution cannot diverge. Each
 // phase that runs is reported to obsrv as it ends; the first one includes
 // building the machine.
 func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) RegionResult {
@@ -481,23 +475,26 @@ func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap war
 // compute for that region: the warmup snapshot captured at a region's
 // entry is a pure function of the trace prefix before it, so simulating
 // one point in isolation — on another machine, in another process —
-// yields exactly the local result. This is the unit of work a farm worker
-// (cmd/bpworker) executes: a one-point RunPoints.
+// yields exactly the local result. It is the first Point of a fresh
+// PrefixPass: one prefix pass from region 0 per call.
 func SimulatePoint(p Program, region int, mc MachineConfig, mode WarmupMode) (RegionResult, error) {
-	res, err := LocalRunner{Workers: 1}.RunPoints(p, []int{region}, mc, mode)
-	return res[region], err
+	point, err := NewPrefixPass(mc).Point(p, region, mode, nil)
+	if err != nil {
+		return RegionResult{}, err
+	}
+	return point(), nil
 }
 
-// PrefixPass is the MRU prefix pass SimulatePoint runs from region 0 on every
-// call, held by the caller instead: a snapshot is a pure function of the
-// trace prefix, so a caller simulating points of one trace in ascending
-// order (a farm worker) continues the pass rather than repeating it, with
-// bit-identical results. A pass serves one trace content on one machine and
-// is not safe for concurrent use; when to keep it and when to start over is
-// the caller's policy (see farm.Executor).
+// PrefixPass is the one producer of point simulations: the MRU prefix pass
+// of one trace on one machine, handing out each point it reaches. A snapshot
+// is a pure function of the trace prefix, so whoever simulates points of one
+// trace in ascending order — LocalRunner within a call, a farm worker across
+// its tasks — continues the pass rather than repeating it, with bit-identical
+// results. A pass is not safe for concurrent use; when to keep it and when to
+// start over is the caller's policy (see farm.Executor).
 type PrefixPass struct {
 	mc   MachineConfig
-	pass *warmup.Pass
+	pass *warmup.Pass // nil until the first MRU point
 }
 
 // NewPrefixPass returns a pass at region 0 for points simulated on mc.
@@ -512,14 +509,19 @@ func (pp *PrefixPass) Pos() int {
 	return pp.pass.Pos()
 }
 
-// Point is SimulatePoint in two halves. Under an MRU mode the call tracks
-// regions [Pos, region) of p, snapshots, and reports both to obsrv as
-// "warmup-capture" — the advance only, not a pass from region 0; under
+// Point is one point simulation in two halves. Under an MRU mode the call
+// tracks regions [Pos, region) of p and snapshots — the advance only, not a
+// pass from region 0; the caller times it ("warmup-capture"). Under
 // ColdWarmup there is no snapshot and the pass is left where it was (its
 // trackers are built by the first MRU point). The function returned is the
-// rest, the runPoint every runner ends in; it no longer touches the pass, so
-// a caller takes a batch's snapshots in ascending order and runs the
-// simulations in parallel. p must stay open until that function returns.
+// rest: runPoint, reporting its phases to obsrv. It touches neither the pass
+// nor its trackers, so a caller takes a batch's snapshots in ascending order
+// and runs the functions in parallel, each exactly once. A snapshot must be
+// unreachable once its point has replayed it, however long the function stays
+// queued or on a goroutine's stack: the function drops its own reference
+// before it calls runPoint, and runPoint has no use for the snapshot after
+// the replay — live snapshots are bounded by the points waiting, not by the
+// points taken. p must stay open until the function returns.
 func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() RegionResult, error) {
 	if err := checkPoints(p, []int{region}, pp.mc); err != nil {
 		return nil, err
@@ -529,13 +531,14 @@ func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageO
 		if pp.pass == nil {
 			pp.pass = warmup.NewPass(pp.mc.Cores(), mruCapacity(pp.mc))
 		}
-		t0 := time.Now()
 		snap = pp.pass.Snapshot(p, region)
-		if obsrv != nil {
-			obsrv("warmup-capture", time.Since(t0))
-		}
 	}
-	return func() RegionResult { return runPoint(p, region, pp.mc, mode, snap, obsrv) }, nil
+	mc := pp.mc
+	return func() RegionResult {
+		s := snap
+		snap = nil
+		return runPoint(p, region, mc, mode, s, obsrv)
+	}, nil
 }
 
 // SimulatePoints runs the selected barrierpoints in detail, each on its own

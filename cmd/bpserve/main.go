@@ -286,6 +286,19 @@ type ingestStats struct {
 	ProfilesComputed int  `json:"profiles_computed"`
 }
 
+// traceSize returns the stored trace's size in bytes.
+func (s *server) traceSize(key string) (int64, error) {
+	p, err := s.st.TracePath(key)
+	if err != nil {
+		return 0, err
+	}
+	fi, err := os.Stat(p)
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
 // meta opens the stored trace and summarizes it.
 func (s *server) meta(key string) (traceMeta, error) {
 	f, err := s.st.OpenTrace(key)
@@ -293,11 +306,7 @@ func (s *server) meta(key string) (traceMeta, error) {
 		return traceMeta{}, err
 	}
 	defer f.Close()
-	p, err := s.st.TracePath(key)
-	if err != nil {
-		return traceMeta{}, err
-	}
-	fi, err := os.Stat(p)
+	size, err := s.traceSize(key)
 	if err != nil {
 		return traceMeta{}, err
 	}
@@ -306,7 +315,7 @@ func (s *server) meta(key string) (traceMeta, error) {
 		Name:      f.Name(),
 		Threads:   f.Threads(),
 		Regions:   f.Regions(),
-		SizeBytes: fi.Size(),
+		SizeBytes: size,
 	}, nil
 }
 
@@ -338,17 +347,14 @@ func (s *server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	m, err := s.meta(res.Key)
+	// The ingest already parsed what the response reports; only the stored
+	// size is the store's to say.
+	size, err := s.traceSize(res.Key)
 	if err != nil {
-		// IngestTrace validated the bytes, so this is a store-side failure;
-		// mirror RemoveTrace cleanup for fresh uploads all the same.
-		if !res.Existed {
-			s.st.RemoveTrace(res.Key)
-		}
 		jsonError(w, http.StatusInternalServerError, "reading stored trace: %v", err)
 		return
 	}
-	m.Existed = res.Existed
+	m := traceMeta{Key: res.Key, Name: res.Name, Threads: res.Threads, Regions: res.Regions, SizeBytes: size, Existed: res.Existed}
 	m.Ingest = &ingestStats{
 		Streamed:         res.Streamed,
 		ProfilesCached:   res.ProfilesCached,

@@ -4,73 +4,8 @@ import (
 	"testing"
 
 	bp "barrierpoint"
-	"barrierpoint/internal/stats"
-	"barrierpoint/internal/trace"
 	"barrierpoint/internal/workload"
 )
-
-// TestUACoalescing exercises the paper's future-work extension: npb-ua has
-// ~7800 tiny regions, far beyond what the paper's implementation handled;
-// coalescing consecutive regions into windows makes it samplable with the
-// unchanged pipeline.
-func TestUACoalescing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ua coalescing skipped in -short mode")
-	}
-	base := workload.New("npb-ua", 8, workload.WithScale(0.5))
-	if base.Regions() != 7603 {
-		t.Fatalf("ua has %d regions, want 7603", base.Regions())
-	}
-	prog := trace.Coalesce(base, 19) // one super-region per adaptive step
-	if got := prog.Regions(); got != 401 {
-		t.Fatalf("coalesced ua has %d regions, want 401", got)
-	}
-	mc := bp.TableIMachine(1)
-	full, err := bp.SimulateFull(prog, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := bp.Analyze(prog, bp.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(a.BarrierPoints()); n > 25 {
-		t.Errorf("coalesced ua selected %d barrierpoints", n)
-	}
-	est, err := a.EstimateFrom(a.PerfectWarmup(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	act := bp.ActualFrom(full)
-	if e := stats.AbsPctErr(est.TimeNs, act.TimeNs); e > 5 {
-		t.Errorf("coalesced ua error %.2f%%", e)
-	}
-	if a.SerialSpeedup() < 5 {
-		t.Errorf("coalesced ua serial speedup %.1f", a.SerialSpeedup())
-	}
-}
-
-// TestCoalesceEquivalence: a coalesced program executes exactly the same
-// work as the base program.
-func TestCoalesceEquivalence(t *testing.T) {
-	base := workload.New("npb-ft", 8, workload.WithScale(0.1))
-	co := trace.Coalesce(base, 5)
-	var baseInstrs, coInstrs uint64
-	for i := 0; i < base.Regions(); i++ {
-		_, n := trace.RegionInstrs(base.Region(i), 8)
-		baseInstrs += n
-	}
-	for i := 0; i < co.Regions(); i++ {
-		_, n := trace.RegionInstrs(co.Region(i), 8)
-		coInstrs += n
-	}
-	if baseInstrs != coInstrs {
-		t.Errorf("coalescing changed work: %d vs %d", coInstrs, baseInstrs)
-	}
-	if trace.Coalesce(base, 1) != trace.Program(base) {
-		t.Error("factor 1 should return the base program")
-	}
-}
 
 // TestEPDegenerate: a single-region program degenerates to one barrierpoint
 // with multiplier 1 and exact reconstruction.

@@ -11,12 +11,18 @@ import (
 	"barrierpoint/internal/stats"
 )
 
-// Tuning defaults. SpreadAlpha converts a cluster's signature spread (L1
-// distance, in [0, 2]) into a relative standard deviation of its members'
-// per-instruction rates; RelFloor is the irreducible relative error term
-// covering warmup approximation bias. Both are calibrated on the npb suite
-// so that 95% intervals cover ground-truth runtime (see adaptive_test.go
-// and the CI adaptive smoke).
+// DefaultConfidence is the two-sided level of an interval whose Options name
+// none. The other four are the model's fixed tuning, not options: BatchSize
+// is the number of clusters promoted per round; SpreadAlpha converts a
+// cluster's signature spread (L1 distance, in [0, 2]) into a relative
+// standard deviation of its members' per-instruction rates; PilotRel is the
+// assumed relative rate dispersion of a cluster that has only one simulated
+// member but more unsimulated ones — the pilot prior that forces a second
+// sample before the cluster's measured variance is trusted; RelFloor is the
+// irreducible relative error term covering warmup approximation bias.
+// SpreadAlpha and RelFloor are calibrated on the npb suite so that 95%
+// intervals cover ground-truth runtime (see adaptive_test.go and the CI
+// adaptive smoke).
 const (
 	DefaultConfidence  = 0.95
 	DefaultBatchSize   = 4
@@ -26,27 +32,14 @@ const (
 )
 
 // Options configures interval computation and the adaptive controller.
-// Zero values take the documented defaults.
 type Options struct {
 	// TargetRel is the target relative half-width of the runtime interval
 	// (e.g. 0.02 for ±2%). <= 0 means no promotion: Run stops after the
 	// initial barrierpoint simulation, still reporting intervals.
 	TargetRel float64
-	// Confidence is the two-sided level: 0.90, 0.95 or 0.99 (default 0.95).
+	// Confidence is the two-sided level: 0.90, 0.95 or 0.99 (0 means
+	// DefaultConfidence).
 	Confidence float64
-	// BatchSize is the number of clusters promoted per round (default 4).
-	BatchSize int
-	// SpreadAlpha scales the single-member spread proxy
-	// (default DefaultSpreadAlpha).
-	SpreadAlpha float64
-	// PilotRel is the assumed relative rate dispersion of a cluster that
-	// has only one simulated member but more unsimulated ones — the pilot
-	// prior that forces a second sample before the cluster's measured
-	// variance is trusted (default DefaultPilotRel).
-	PilotRel float64
-	// RelFloor is the irreducible relative margin term
-	// (default DefaultRelFloor; negative disables it).
-	RelFloor float64
 	// Observer, when non-nil, receives stage timings as the run proceeds:
 	// "simulate-points" for the initial barrierpoint simulation,
 	// "reconstruct" for each interval evaluation/assembly pass, and
@@ -58,21 +51,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Confidence == 0 {
 		o.Confidence = DefaultConfidence
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.SpreadAlpha == 0 {
-		o.SpreadAlpha = DefaultSpreadAlpha
-	}
-	if o.PilotRel == 0 {
-		o.PilotRel = DefaultPilotRel
-	}
-	if o.RelFloor == 0 {
-		o.RelFloor = DefaultRelFloor
-	}
-	if o.RelFloor < 0 {
-		o.RelFloor = 0
 	}
 	return o
 }
@@ -168,8 +146,8 @@ type clusterEval struct {
 func (e clusterEval) timeVar() float64 { return e.unsimW * e.unsimW * e.rateVars[timeIdx] }
 
 // evaluate splits every cluster's members into simulated and not, and
-// computes each cluster's contribution and variance under opts.
-func (m *model) evaluate(results map[int]bp.RegionResult, opts Options) ([]clusterEval, error) {
+// computes each cluster's contribution and variance.
+func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error) {
 	evals := make([]clusterEval, len(m.clusters))
 	for i, c := range m.clusters {
 		e := &evals[i]
@@ -240,7 +218,7 @@ func (m *model) evaluate(results map[int]bp.RegionResult, opts Options) ([]clust
 			rep := e.simmed[0]
 			w := m.sel.RegionWeights[rep]
 			if w > 0 {
-				rel := opts.PilotRel + opts.SpreadAlpha*m.spreadOf(i)
+				rel := DefaultPilotRel + DefaultSpreadAlpha*m.spreadOf(i)
 				v := metricVec(results[rep])
 				for k := 0; k < nMetrics; k++ {
 					sigma := math.Abs(v[k]/w) * rel
@@ -301,7 +279,7 @@ func assemble(evals []clusterEval, opts Options) (reconstruct.IntervalEstimate, 
 	var marginVec [nMetrics]float64
 	for k := 0; k < nMetrics; k++ {
 		sampling := t * t * varVec[k]
-		floor := opts.RelFloor * estVec[k]
+		floor := DefaultRelFloor * estVec[k]
 		marginVec[k] = math.Sqrt(sampling + floor*floor)
 	}
 	return reconstruct.IntervalEstimate{
@@ -321,19 +299,19 @@ func Intervals(sel *bp.Selection, results map[int]bp.RegionResult, opts Options)
 	if err != nil {
 		return reconstruct.IntervalEstimate{}, err
 	}
-	evals, err := m.evaluate(results, opts)
+	evals, err := m.evaluate(results)
 	if err != nil {
 		return reconstruct.IntervalEstimate{}, err
 	}
 	return assemble(evals, opts)
 }
 
-// nextBatch picks the regions to promote this round: the top BatchSize
+// nextBatch picks the regions to promote this round: the top DefaultBatchSize
 // clusters by runtime variance contribution (ties to the lower cluster id)
 // each contribute their runner-up — the unsimulated member nearest the
 // representative in signature distance (ties to the lower region index).
 // The returned batch is in ascending region order. Empty means exhausted.
-func (m *model) nextBatch(evals []clusterEval, batchSize int) []int {
+func (m *model) nextBatch(evals []clusterEval) []int {
 	order := make([]int, 0, len(evals))
 	for i := range evals {
 		if len(evals[i].unsimmed) > 0 {
@@ -347,9 +325,7 @@ func (m *model) nextBatch(evals []clusterEval, batchSize int) []int {
 		}
 		return m.clusters[order[a]].point.Cluster < m.clusters[order[b]].point.Cluster
 	})
-	if len(order) > batchSize {
-		order = order[:batchSize]
-	}
+	order = order[:min(len(order), DefaultBatchSize)]
 	var batch []int
 	for _, i := range order {
 		best := -1
@@ -409,7 +385,7 @@ func Run(a *bp.Analysis, runner bp.PointRunner, mc bp.MachineConfig, mode bp.War
 	res := &Result{Results: results}
 	for {
 		t0 := time.Now()
-		evals, err := m.evaluate(results, opts)
+		evals, err := m.evaluate(results)
 		if err != nil {
 			return nil, err
 		}
@@ -432,7 +408,7 @@ func Run(a *bp.Analysis, runner bp.PointRunner, mc bp.MachineConfig, mode bp.War
 		if opts.TargetRel <= 0 {
 			break
 		}
-		batch := m.nextBatch(evals, opts.BatchSize)
+		batch := m.nextBatch(evals)
 		if len(batch) == 0 {
 			break // exhausted: every cluster fully simulated
 		}

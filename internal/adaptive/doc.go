@@ -27,7 +27,9 @@
 // W_sim(c), and per-member rates x_r = metric_r / w_r, the cluster
 // contributes the simulated members' metrics verbatim plus an
 // extrapolation of the unsimulated weight W_un(c) = W_c − W_sim(c) at the
-// simulated mean rate. Only the extrapolated part is uncertain:
+// simulated mean rate. Only the extrapolated part is uncertain (PilotRel,
+// SpreadAlpha and RelFloor below are the Default* constants — the model's
+// calibration, fixed, not options):
 //
 //   - n ≥ 2 simulated members: the sample variance s² of the rates gives
 //     var_c = W_un(c)² · s²/n with n−1 degrees of freedom — the standard

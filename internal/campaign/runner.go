@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -144,7 +145,7 @@ func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
 	// manager's pool overlap them. The manager dedups against sibling
 	// cells sharing a machine config (the simulate job is warmup- and
 	// signature-independent).
-	est, err := r.runJob(service.Request{
+	estJob, err := r.submit(service.Request{
 		Kind:      service.KindEstimate,
 		Trace:     key,
 		Signature: c.Signature,
@@ -157,12 +158,19 @@ func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	act, err := r.runJob(service.Request{
+	actJob, actErr := r.submit(service.Request{
 		Kind:    service.KindSimulate,
 		Trace:   key,
 		Sockets: c.Sockets,
 	})
-	if err != nil {
+	// Wait for whatever was submitted before reporting a failure: no job
+	// of a cell is still running when the cell returns.
+	est, err := r.wait(estJob)
+	var act service.EstimateResult
+	if actErr == nil {
+		act, actErr = r.wait(actJob)
+	}
+	if err = cmp.Or(err, actErr); err != nil {
 		return CellResult{}, err
 	}
 
@@ -193,27 +201,32 @@ func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
 	return res, nil
 }
 
-// runJob submits one request and waits for its terminal state.
-func (r *ServiceRunner) runJob(req service.Request) (service.EstimateResult, error) {
+// submit files one request with the manager.
+func (r *ServiceRunner) submit(req service.Request) (service.Snapshot, error) {
 	snap, err := r.M.Submit(req)
 	if err != nil {
-		return service.EstimateResult{}, fmt.Errorf("campaign: submitting %s job: %w", req.Kind, err)
+		return snap, fmt.Errorf("campaign: submitting %s job: %w", req.Kind, err)
 	}
-	snap, err = r.M.Wait(context.Background(), snap.ID)
+	return snap, nil
+}
+
+// wait blocks until a submitted job is terminal and decodes its result.
+func (r *ServiceRunner) wait(job service.Snapshot) (service.EstimateResult, error) {
+	snap, err := r.M.Wait(context.Background(), job.ID)
 	if err != nil {
 		return service.EstimateResult{}, err
 	}
 	if r.Log != nil {
 		dur := snap.Finished.Sub(snap.Started).Round(time.Millisecond)
 		fmt.Fprintf(r.Log, "job %s %s trace_id=%s status=%s dur=%v\n",
-			snap.ID, req.Kind, snap.TraceID, snap.Status, dur)
+			snap.ID, job.Request.Kind, snap.TraceID, snap.Status, dur)
 	}
 	if snap.Status != service.StatusDone {
-		return service.EstimateResult{}, fmt.Errorf("campaign: %s job %s failed: %s", req.Kind, snap.ID, snap.Error)
+		return service.EstimateResult{}, fmt.Errorf("campaign: %s job %s failed: %s", job.Request.Kind, snap.ID, snap.Error)
 	}
 	var res service.EstimateResult
 	if err := json.Unmarshal(snap.Result, &res); err != nil {
-		return service.EstimateResult{}, fmt.Errorf("campaign: parsing %s result: %w", req.Kind, err)
+		return service.EstimateResult{}, fmt.Errorf("campaign: parsing %s result: %w", job.Request.Kind, err)
 	}
 	return res, nil
 }

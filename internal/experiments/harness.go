@@ -49,8 +49,9 @@ type pointsKey struct {
 }
 
 // New returns a harness at the given workload scale with the MRU+previous-
-// regions warmup (the adaptation of the paper's §IV technique to our
-// shorter regions; see DESIGN.md).
+// regions warmup: the paper's §IV technique plus a functional run of the
+// regions just before the point, because regions this short also need their
+// branch predictors and instruction caches warm (see bp.MRUPrevWarmup).
 func New(scale float64) *Harness {
 	return &Harness{
 		Scale:  scale,

@@ -46,9 +46,10 @@
 // # Determinism
 //
 // Every execution path — LocalRunner's in-process pool, CachedRunner's
-// store-backed reuse, QueueRunner's farm distribution — ends in the same
-// point simulation, which warms a fresh machine from a snapshot that
-// depends only on the trace bytes before the region. A farmed estimate is
+// store-backed reuse, QueueRunner's farm distribution — takes its points
+// from the one producer of point simulations, bp.PrefixPass, which warms a
+// fresh machine from a snapshot that depends only on the trace bytes before
+// the region. A farmed estimate is
 // therefore bit-identical to the local one, regardless of worker count,
 // task interleaving, retries, or mid-run worker loss.
 //

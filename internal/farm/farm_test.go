@@ -103,8 +103,8 @@ func TestEnqueueDedupAndStoreReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-tk3.Done()
-	if !tk3.Cached() {
-		t.Fatal("post-completion enqueue should resolve from the store")
+	if hits := q.Stats().DedupStore; hits != 1 {
+		t.Fatalf("post-completion enqueue should resolve from the store: %d store hits", hits)
 	}
 	res3, _ := tk3.Result()
 	b1, _ := json.Marshal(res1)

@@ -23,10 +23,6 @@ var (
 	// still outstanding; its waiters fail promptly instead of hanging
 	// until lease TTLs expire.
 	ErrClosed = errors.New("farm: queue closed")
-	// ErrUnknownTask reports a result or heartbeat for a task id the
-	// queue does not hold (never enqueued, or pruned after completion in
-	// a previous process life).
-	ErrUnknownTask = errors.New("farm: unknown task")
 	// ErrBadResult reports a Complete payload that does not parse as a
 	// RegionResult — a client bug, as opposed to a server-side store
 	// failure.
@@ -90,10 +86,9 @@ type Ticket struct {
 	// Region is the task's region index, for assembling result maps.
 	Region int
 
-	done   chan struct{}
-	res    bp.RegionResult
-	err    error
-	cached bool
+	done chan struct{}
+	res  bp.RegionResult
+	err  error
 }
 
 // Done is closed when the result (or a permanent failure) is available.
@@ -102,10 +97,6 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // Result returns the simulated region result; it must only be called
 // after Done is closed.
 func (t *Ticket) Result() (bp.RegionResult, error) { return t.res, t.err }
-
-// Cached reports that the result came straight from the store without any
-// task being queued; it must only be called after Done is closed.
-func (t *Ticket) Cached() bool { return t.cached }
 
 // WorkerInfo is a point-in-time view of one registered worker.
 type WorkerInfo struct {
@@ -440,7 +431,7 @@ func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 			q.mu.Lock()
 			q.stats.DedupStore++
 			q.mu.Unlock()
-			tk := &Ticket{Region: sp.Region, done: make(chan struct{}), res: res, cached: true}
+			tk := &Ticket{Region: sp.Region, done: make(chan struct{}), res: res}
 			close(tk.done)
 			return tk, nil
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/obs"
@@ -80,8 +81,9 @@ func PassOrder(a, b Task) int {
 // is the parallel half — snapshot replay and detailed simulation — and must
 // be called exactly once (it closes the trace); a batch calls Warm in
 // PassOrder and runs the returned functions concurrently. span (may be nil)
-// gets the point's phases as concurrent stages and, for a warm task,
-// prefix_from/prefix_to, the regions [from, to) it made the pass track.
+// gets the point's phases as concurrent stages and, for a warm task, the
+// advance as "warmup-capture" with prefix_from/prefix_to, the regions
+// [from, to) it made the pass track.
 func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error), error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
@@ -100,13 +102,14 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	if !resumed {
 		pass = bp.NewPrefixPass(mc)
 	}
-	from := pass.Pos()
+	from, t0 := pass.Pos(), time.Now()
 	point, err := pass.Point(prog, t.Region, mode, span.ObserveConcurrent)
 	if err != nil { // rejected before tracking anything: the held pass stays
 		f.Close()
 		return nil, err
 	}
 	if !cold { // a cold point tracked nothing: its pass is dropped unused
+		span.ObserveConcurrent("warmup-capture", time.Since(t0))
 		e.pass, e.trace, e.sockets = pass, t.TraceKey, t.Sockets
 		if resumed {
 			e.stats.Resumed++

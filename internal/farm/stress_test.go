@@ -99,7 +99,7 @@ func TestWALQueueStress(t *testing.T) {
 					}
 					// After Close (or lease expiry) the task is gone; both are
 					// fine — the point is no race, no wedge, no bogus error.
-					if err != nil && !errors.Is(err, ErrUnknownTask) && !errors.Is(err, ErrClosed) {
+					if err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("worker %s: %v", id, err)
 						return
 					}
@@ -193,7 +193,7 @@ func TestWALQueueStressRepeated(t *testing.T) {
 					}
 					for _, task := range q.Lease(id, 1) {
 						err := q.Complete(id, task.ID, result)
-						if err != nil && !errors.Is(err, ErrUnknownTask) && !errors.Is(err, ErrClosed) {
+						if err != nil && !errors.Is(err, ErrClosed) {
 							t.Errorf("round %d: %v", round, err)
 						}
 					}

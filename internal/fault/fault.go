@@ -42,11 +42,10 @@ func (r Rule) matches(site string) bool {
 type Injector struct {
 	armed atomic.Bool
 
-	mu       sync.Mutex
-	rules    []Rule
-	rng      *rand.Rand
-	hits     map[string]int
-	injected map[string]int
+	mu    sync.Mutex
+	rules []Rule
+	rng   *rand.Rand
+	hits  map[string]int
 }
 
 // New returns an injector whose probabilistic rules draw from a PRNG
@@ -71,7 +70,6 @@ func (in *Injector) Reset() {
 	in.armed.Store(false)
 	in.rules = nil
 	in.hits = nil
-	in.injected = nil
 }
 
 // Seed replaces the injector's PRNG (Configure's seed= option).
@@ -103,7 +101,6 @@ func (in *Injector) Inject(site string) error {
 	}
 	if in.hits == nil {
 		in.hits = make(map[string]int)
-		in.injected = make(map[string]int)
 	}
 	in.hits[site]++
 	hit := in.hits[site]
@@ -117,9 +114,6 @@ func (in *Injector) Inject(site string) error {
 		}
 		fail = in.rng.Float64() < rule.P
 	}
-	if fail {
-		in.injected[site]++
-	}
 	delay := rule.Delay
 	in.mu.Unlock()
 	if delay > 0 {
@@ -131,30 +125,11 @@ func (in *Injector) Inject(site string) error {
 	return nil
 }
 
-// Hits returns how often the site was consulted while armed; Injected
-// returns how many of those hits failed.
+// Hits returns how often the site was consulted while armed.
 func (in *Injector) Hits(site string) int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.hits[site]
-}
-
-// Injected returns the number of failures injected at site.
-func (in *Injector) Injected(site string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected[site]
-}
-
-// InjectedTotal returns the number of failures injected across all sites.
-func (in *Injector) InjectedTotal() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for _, v := range in.injected {
-		n += v
-	}
-	return n
 }
 
 // Configure resets the injector and arms it from a spec string (see the

@@ -43,14 +43,6 @@ func Bucket(dist int) int {
 	return b
 }
 
-// BucketLow returns the smallest distance stored in bucket b.
-func BucketLow(b int) int {
-	if b <= 0 {
-		return 0
-	}
-	return 1 << (b - 1)
-}
-
 // Add records one access with the given finite stack distance.
 func (h *Histogram) Add(dist int) { h.Buckets[Bucket(dist)]++ }
 
@@ -197,9 +189,6 @@ func (p *Profiler) Access(line uint64) (dist int, cold bool) {
 	p.bitAdd(t, 1)
 	return dist, cold
 }
-
-// Footprint returns the number of distinct lines seen so far.
-func (p *Profiler) Footprint() int { return p.last.Len() }
 
 // Collect profiles a full stream and returns its LDV. Instruction fetches
 // are not included; only data accesses contribute, as in the paper's

@@ -15,16 +15,11 @@ import (
 	"time"
 )
 
-// Default histogram bounds. Latency buckets span 100µs to 30s — point
-// simulations and WAL fsyncs live at the low end, whole farmed estimates
-// at the high end. Size buckets span 1KiB to 1GiB in powers of four
-// (traces, decoded regions, WAL files).
-var (
-	DefLatencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-		0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-	DefSizeBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
-		1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30}
-)
+// DefLatencyBuckets are the default histogram bounds, 100µs to 30s: point
+// simulations and WAL fsyncs live at the low end, whole farmed estimates at
+// the high end.
+var DefLatencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
+	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
 // metricKind is the Prometheus family type.
 type metricKind int
@@ -52,30 +47,8 @@ type Counter struct{ n atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.n.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution. Buckets are cumulative upper
 // bounds; an implicit +Inf bucket always exists. All methods are safe for
@@ -221,12 +194,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.get("", func() any { return funcMetric(fn) })
 }
 
-// Gauge registers and returns a scalar gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.newFamily(name, help, gaugeKind, "", nil)
-	return f.get("", func() any { return new(Gauge) }).(*Gauge)
-}
-
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.newFamily(name, help, gaugeKind, "", nil)
@@ -289,8 +256,6 @@ func sampleValue(c any) float64 {
 	switch m := c.(type) {
 	case *Counter:
 		return float64(m.Value())
-	case *Gauge:
-		return m.Value()
 	case funcMetric:
 		return m()
 	}

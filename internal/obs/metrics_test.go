@@ -44,13 +44,12 @@ func render(t *testing.T, r *Registry) string {
 func TestCountersGaugesAndFuncs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "ops")
-	g := r.Gauge("test_depth", "depth")
+	r.GaugeFunc("test_depth", "depth", func() float64 { return 4.5 })
 	r.CounterFunc("test_fn_total", "fn", func() float64 { return 42 })
 	r.GaugeFunc("test_fn_gauge", "fn gauge", func() float64 { return -1.5 })
-	c.Add(3)
-	c.Inc()
-	g.Set(7)
-	g.Add(-2.5)
+	for i := 0; i < 4; i++ {
+		c.Inc()
+	}
 
 	text := render(t, r)
 	samples := parseText(t, text)
@@ -129,7 +128,8 @@ func TestHistogramVecLabels(t *testing.T) {
 func TestCounterVec(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("test_kind_total", "by kind", "kind")
-	v.With("a").Add(2)
+	v.With("a").Inc()
+	v.With("a").Inc()
 	v.With("b").Inc()
 	samples := parseText(t, render(t, r))
 	if samples[`test_kind_total{kind="a"}`] != 2 || samples[`test_kind_total{kind="b"}`] != 1 {
@@ -142,9 +142,8 @@ func TestCounterVec(t *testing.T) {
 func TestExpvarParity(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("par_ops_total", "ops")
-	c.Add(9)
-	g := r.Gauge("par_level", "level")
-	g.Set(3.25)
+	c.Inc()
+	r.GaugeFunc("par_level", "level", func() float64 { return 3.25 })
 	h := r.Histogram("par_lat_seconds", "lat", []float64{0.5})
 	h.Observe(0.1)
 	h.Observe(0.9)

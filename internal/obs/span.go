@@ -66,14 +66,6 @@ func NewSpan(traceID, name string) *Span {
 	return &Span{d: SpanData{TraceID: traceID, Name: name, Start: time.Now()}}
 }
 
-// TraceID returns the span's trace ID ("" for nil spans).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.d.TraceID
-}
-
 // SetAttr attaches a key/value attribute.
 func (s *Span) SetAttr(k, v string) {
 	if s == nil {

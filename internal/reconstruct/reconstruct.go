@@ -106,22 +106,3 @@ func PerfectWarmupResults(sel *cluster.Result, full []sim.RegionResult) map[int]
 	}
 	return out
 }
-
-// Series reconstructs the per-region metric series (paper Fig. 3): each
-// region's value is taken from its representative's detailed result. The
-// returned slice is indexed by region.
-func Series(sel *cluster.Result, bpResults map[int]sim.RegionResult, metric func(sim.RegionResult) float64) ([]float64, error) {
-	out := make([]float64, len(sel.Assignment))
-	for i := range sel.Assignment {
-		p := sel.PointFor(i)
-		if p == nil {
-			return nil, fmt.Errorf("reconstruct: region %d has no barrierpoint", i)
-		}
-		r, ok := bpResults[p.Region]
-		if !ok {
-			return nil, fmt.Errorf("reconstruct: missing result for barrierpoint region %d", p.Region)
-		}
-		out[i] = metric(r)
-	}
-	return out, nil
-}

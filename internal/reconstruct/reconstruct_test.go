@@ -124,32 +124,6 @@ func TestEstimateDerivedMetrics(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	full := []sim.RegionResult{
-		mkResult(100, 1000, 0),
-		mkResult(300, 1000, 0),
-		mkResult(100, 1000, 0),
-	}
-	sel := &cluster.Result{
-		K:          2,
-		Assignment: []int{0, 1, 0},
-		Points: []cluster.BarrierPoint{
-			{Region: 0, Cluster: 0, Multiplier: 2},
-			{Region: 1, Cluster: 1, Multiplier: 1},
-		},
-	}
-	s, err := Series(sel, PerfectWarmupResults(sel, full), func(r sim.RegionResult) float64 { return float64(r.Cycles) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{100, 300, 100}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Errorf("series[%d] = %v, want %v", i, s[i], want[i])
-		}
-	}
-}
-
 func TestActualSums(t *testing.T) {
 	full := []sim.RegionResult{mkResult(10, 100, 1), mkResult(20, 200, 2)}
 	a := Actual(full)

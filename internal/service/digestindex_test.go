@@ -26,6 +26,18 @@ func recordWith(t *testing.T, opts ...tracefile.Option) []byte {
 	return buf.Bytes()
 }
 
+// v1Upload is recordWith's program in the legacy version-1 layout, as its last
+// writer recorded it: nothing writes v1 any more, uploads of it are still
+// accepted.
+func v1Upload(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile("../tracefile/testdata/npb-is-x0.05-v1.bptrace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // fileDigests hashes every region of the stored trace: the ground truth an
 // index must equal.
 func fileDigests(t *testing.T, st *store.Store, key string) []string {
@@ -120,7 +132,7 @@ func TestFirstAnalysisWritesDigestIndex(t *testing.T) {
 		m, st := newManager(t)
 		switch how {
 		case "v1-upload":
-			res, err := m.IngestTrace(bytes.NewReader(recordWith(t, tracefile.WithVersion(1))))
+			res, err := m.IngestTrace(bytes.NewReader(v1Upload(t)))
 			if err != nil || res.Streamed {
 				t.Fatalf("v1 ingest: %+v, %v", res, err)
 			}

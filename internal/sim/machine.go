@@ -535,9 +535,6 @@ func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 // Introspection helpers: cache occupancy and content queries, used by tests
 // and warmup validation tooling.
 
-// L1DOccupancy returns the number of valid lines in core c's L1D.
-func (m *Machine) L1DOccupancy(c int) int { return m.core[c].l1d.occupancy() }
-
 // L2Occupancy returns the number of valid lines in core c's L2.
 func (m *Machine) L2Occupancy(c int) int { return m.core[c].l2.occupancy() }
 
@@ -549,9 +546,6 @@ func (m *Machine) L2Has(c int, line uint64) bool { return m.core[c].l2.peek(line
 
 // L1DHas reports whether core c's L1D holds the given line address.
 func (m *Machine) L1DHas(c int, line uint64) bool { return m.core[c].l1d.peek(line) != nil }
-
-// LLCHas reports whether the home slice holds the given line address.
-func (m *Machine) LLCHas(line uint64) bool { return m.llc[m.homeSocket(line)].peek(line) != nil }
 
 // WarmRegion functionally executes an entire region: caches, directory,
 // branch predictors and instruction caches update through the normal paths,

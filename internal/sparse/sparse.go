@@ -79,20 +79,6 @@ func (v Vector) Total() float64 {
 	return s
 }
 
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Scale multiplies every value by f in place.
-func (v Vector) Scale(f float64) {
-	for i := range v {
-		v[i].Val *= f
-	}
-}
-
 // Distance returns the L1 (Manhattan) distance between two sorted sparse
 // vectors, treating missing entries as zero. It is a single merge join and
 // never allocates.

@@ -160,26 +160,6 @@ retry:
 	}
 }
 
-// Get returns the value stored under k.
-func (t *Table[V]) Get(k uint64) (v V, ok bool) {
-	if t.n == 0 {
-		return v, false
-	}
-	i := hash(k) & t.mask
-	d := uint8(1)
-	for {
-		di := t.dist[i]
-		if di == 0 || di < d {
-			return v, false
-		}
-		if t.keys[i] == k {
-			return t.vals[i], true
-		}
-		i = (i + 1) & t.mask
-		d++
-	}
-}
-
 // Swap stores v under k and returns the previous value, if any. It is the
 // single-operation form of the LDV profiler's "read last access time, write
 // new one" step.

@@ -65,9 +65,6 @@ var tTable = map[float64][30]float64{
 // large degrees of freedom.
 var zTable = map[float64]float64{0.90: 1.645, 0.95: 1.960, 0.99: 2.576}
 
-// Confidences lists the supported two-sided confidence levels.
-func Confidences() []float64 { return []float64{0.90, 0.95, 0.99} }
-
 // TCritical returns the two-sided Student-t critical value for the given
 // degrees of freedom and confidence level (0.90, 0.95 or 0.99). Fractional
 // degrees of freedom (Welch–Satterthwaite) round down conservatively;

@@ -210,9 +210,9 @@ func TestProfileCache(t *testing.T) {
 	if st.HasProfile(digest, "rd2") {
 		t.Fatal("codec versions share entries")
 	}
-	names, err := st.Profiles()
-	if err != nil || len(names) != 1 || names[0] != digest+".rd1" {
-		t.Fatalf("Profiles() = %v, %v", names, err)
+	ents, err := os.ReadDir(filepath.Join(st.Root(), "profiles"))
+	if err != nil || len(ents) != 1 || ents[0].Name() != digest+".rd1" {
+		t.Fatalf("profiles directory = %v, %v", ents, err)
 	}
 	if err := st.RemoveProfile(digest, "rd1"); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 )
 
 // Per-region profile cache.
@@ -91,25 +90,4 @@ func (s *Store) RemoveProfile(digest, codec string) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// Profiles lists the stored (digest, codec) pairs as "digest.codec" names,
-// sorted. An empty cache yields an empty list, not an error.
-func (s *Store) Profiles() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(s.root, "profiles"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var names []string
-	for _, e := range ents {
-		name := e.Name()
-		if len(name) > KeyLen+1 && name[KeyLen] == '.' && keyRe.MatchString(name[:KeyLen]) && codecRe.MatchString(name[KeyLen+1:]) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }

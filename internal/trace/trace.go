@@ -146,83 +146,3 @@ func RegionInstrs(r Region, threads int) (perThread []uint64, total uint64) {
 	}
 	return perThread, total
 }
-
-// ConcatRegion chains several regions into one: each thread runs the
-// sub-regions back to back. It is the building block for region coalescing
-// (merging many tiny inter-barrier regions into analyzable units, the
-// extension the paper sketches for npb-ua-like workloads).
-type ConcatRegion struct {
-	Parts []Region
-}
-
-// Thread returns a stream chaining the thread's streams of every part.
-func (r *ConcatRegion) Thread(tid int) Stream {
-	ss := make([]Stream, len(r.Parts))
-	for i, p := range r.Parts {
-		ss[i] = p.Thread(tid)
-	}
-	return &chainStream{streams: ss}
-}
-
-type chainStream struct {
-	streams []Stream
-	idx     int
-}
-
-// Next implements Stream.
-func (s *chainStream) Next(be *BlockExec) bool {
-	for s.idx < len(s.streams) {
-		if s.streams[s.idx].Next(be) {
-			return true
-		}
-		s.idx++
-	}
-	return false
-}
-
-// CoalescedProgram groups a program's regions into fixed-size windows of
-// consecutive regions, reducing the region count by Factor. Sampling then
-// operates on super-regions; reconstruction semantics are unchanged because
-// a super-region is still barrier-delimited on both sides (interior
-// barriers execute inside the unit of work).
-type CoalescedProgram struct {
-	Base   Program
-	Factor int
-}
-
-// Name labels the coalesced view.
-func (p *CoalescedProgram) Name() string { return p.Base.Name() + "-coalesced" }
-
-// Threads is the base program's thread count.
-func (p *CoalescedProgram) Threads() int { return p.Base.Threads() }
-
-// Regions is ceil(base regions / Factor).
-func (p *CoalescedProgram) Regions() int {
-	return (p.Base.Regions() + p.Factor - 1) / p.Factor
-}
-
-// Region returns super-region i.
-func (p *CoalescedProgram) Region(i int) Region {
-	lo := i * p.Factor
-	hi := lo + p.Factor
-	if hi > p.Base.Regions() {
-		hi = p.Base.Regions()
-	}
-	parts := make([]Region, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		parts = append(parts, p.Base.Region(r))
-	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return &ConcatRegion{Parts: parts}
-}
-
-// Coalesce wraps p so that factor consecutive inter-barrier regions form
-// one sampling unit. factor < 2 returns p unchanged.
-func Coalesce(p Program, factor int) Program {
-	if factor < 2 {
-		return p
-	}
-	return &CoalescedProgram{Base: p, Factor: factor}
-}

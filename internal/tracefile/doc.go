@@ -39,10 +39,11 @@
 // rejected, not silently accepted.
 //
 // Version 1 ("BPTRACE1"/"BPTIDX1\n") is the same layout minus the
-// streaming header and the inline length prefixes. It remains fully
-// readable — Open handles both — and Record(WithVersion(1)) still writes
-// it; it just cannot be decoded incrementally, so a v1 upload is stored
-// first and profiled later.
+// streaming header and the inline length prefixes. Nothing writes it any
+// more (Record writes version 2 only), but it remains fully readable — Open
+// handles both, and testdata/ holds files of it recorded by its last writer —
+// it just cannot be decoded incrementally, so a v1 upload is stored first
+// and profiled later.
 //
 // # Footer
 //

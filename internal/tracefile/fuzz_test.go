@@ -22,7 +22,8 @@ import (
 // -update-corpus` rewrites the committed corpus under testdata/fuzz.
 
 // fuzzSeeds returns recorded example traces: the hand-built edge-case
-// program (plain and gzip) and a small real workload recording.
+// program (plain and gzip, in both format versions) and a small real
+// workload recording.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
@@ -35,8 +36,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	rec(handBuilt())
 	rec(handBuilt(), WithGzip(true))
-	rec(handBuilt(), WithVersion(1))
-	rec(handBuilt(), WithGzip(true), WithVersion(1))
+	seeds = append(seeds, v1Fixture(tb, false), v1Fixture(tb, true))
 	rec(workload.New("npb-is", 8, workload.WithScale(0.01)))
 	return seeds
 }

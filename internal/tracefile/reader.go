@@ -21,7 +21,6 @@ type File struct {
 	ra      io.ReaderAt
 	closer  io.Closer
 	name    string
-	version int
 	threads int
 	regions int
 	gzip    bool
@@ -129,7 +128,6 @@ func NewReader(ra io.ReaderAt, size int64) (*File, error) {
 	f := &File{
 		ra:      ra,
 		name:    string(name),
-		version: version,
 		threads: int(threads),
 		regions: int(regions),
 		gzip:    flags&flagGzip != 0,
@@ -239,12 +237,6 @@ func (f *File) Regions() int { return f.regions }
 
 // Gzipped reports whether chunks are gzip-compressed.
 func (f *File) Gzipped() bool { return f.gzip }
-
-// Version reports the on-disk format version (1 or 2). Only version 2
-// carries the streaming header and inline chunk framing that DecodeStream
-// needs; version 1 files replay identically but cannot be consumed
-// incrementally.
-func (f *File) Version() int { return f.version }
 
 // RegionDigest returns the content digest of region i: the SHA-256 of the
 // region's encoded chunk payloads under the canonical framing (see

@@ -137,11 +137,7 @@ func TestDigestIndependentOfPlacement(t *testing.T) {
 // DecodeStream must drain them fully (the tee'd store copy depends on it)
 // and report Streamed=false without invoking the callback.
 func TestDecodeStreamV1Fallback(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Record(&buf, handBuilt(), WithVersion(1)); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(v1Fixture(t, false))
 	info, err := DecodeStream(r, func(RegionChunks) error {
 		t.Fatal("callback invoked for v1 input")
 		return nil
@@ -162,9 +158,13 @@ func TestDecodeStreamV1Fallback(t *testing.T) {
 func TestV1StillReadable(t *testing.T) {
 	p := handBuilt()
 	for _, gz := range []bool{false, true} {
-		f := record(t, p, WithGzip(gz), WithVersion(1))
-		if f.Version() != 1 {
-			t.Fatalf("Version() = %d, want 1", f.Version())
+		data := v1Fixture(t, gz)
+		f, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("NewReader: %v", err)
+		}
+		if !bytes.HasPrefix(data, []byte(magicV1)) {
+			t.Fatalf("fixture starts %q, want the version-1 magic", data[:magicLen])
 		}
 		if f.Name() != p.Name() || f.Threads() != p.Threads() || f.Regions() != p.Regions() {
 			t.Fatalf("v1 metadata = (%q,%d,%d)", f.Name(), f.Threads(), f.Regions())
@@ -187,18 +187,18 @@ func TestV1StillReadable(t *testing.T) {
 // profiles cached from a v2 upload serve analyses of an equivalent v1 file.
 func TestV1V2DigestsAgree(t *testing.T) {
 	p := handBuilt()
-	open := func(version int) *File {
-		var buf bytes.Buffer
-		if err := Record(&buf, p, WithVersion(version)); err != nil {
-			t.Fatal(err)
-		}
-		f, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	var buf bytes.Buffer
+	if err := Record(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	open := func(data []byte) *File {
+		f, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	f1, f2 := open(1), open(2)
+	f1, f2 := open(v1Fixture(t, false)), open(buf.Bytes())
 	for i := 0; i < p.Regions(); i++ {
 		d1, err1 := f1.RegionDigest(i)
 		d2, err2 := f2.RegionDigest(i)

@@ -30,6 +30,22 @@ func record(t *testing.T, p trace.Program, opts ...Option) *File {
 	return f
 }
 
+// v1Fixture returns handBuilt() as the last writer of the legacy version-1
+// layout recorded it (testdata/handbuilt-v1*.bptrace). Nothing writes that
+// layout any more; the committed bytes pin the reader that still accepts it.
+func v1Fixture(tb testing.TB, gz bool) []byte {
+	tb.Helper()
+	name := "handbuilt-v1.bptrace"
+	if gz {
+		name = "handbuilt-v1-gzip.bptrace"
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // drain collects every block of a stream, deep-copying Accs (streams reuse
 // the backing array).
 func drain(t *testing.T, s trace.Stream) []trace.BlockExec {

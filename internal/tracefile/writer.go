@@ -18,11 +18,6 @@ type Options struct {
 	// the entropy of the access patterns; random access is preserved
 	// because no chunk depends on another.
 	Gzip bool
-	// Version selects the on-disk format: 2 (default) writes the
-	// streamable layout, 1 writes the legacy layout. Version 1 exists for
-	// compatibility tests only; it replays identically but cannot be
-	// profiled during upload.
-	Version int
 }
 
 // Option mutates recording Options.
@@ -33,26 +28,16 @@ func WithGzip(on bool) Option {
 	return func(o *Options) { o.Gzip = on }
 }
 
-// WithVersion selects the format version (1 or 2). Use only to produce
-// legacy files for compatibility testing; new recordings should stay on
-// the default.
-func WithVersion(v int) Option {
-	return func(o *Options) { o.Version = v }
-}
-
 // Record writes p to w in the binary trace format (see doc.go). It is a
 // single forward pass: every region's thread streams are drained in order,
 // so w never needs to seek and memory stays O(largest chunk encoding).
-// The default version 2 layout is self-framing on the way in, so a reader
+// The version 2 layout it writes is self-framing on the way in, so a reader
 // on the other end of a pipe can decode regions as they arrive
 // (DecodeStream) while the trailing index still serves random access.
 func Record(w io.Writer, p trace.Program, opts ...Option) error {
-	o := Options{Version: 2}
+	var o Options
 	for _, f := range opts {
 		f(&o)
-	}
-	if o.Version != 1 && o.Version != 2 {
-		return fmt.Errorf("tracefile: unsupported format version %d", o.Version)
 	}
 	threads, regions := p.Threads(), p.Regions()
 	if threads <= 0 {
@@ -69,22 +54,15 @@ func Record(w io.Writer, p trace.Program, opts ...Option) error {
 	meta = binary.AppendUvarint(meta, uint64(regions))
 	meta = append(meta, flags)
 
-	hdr := magicV1
-	if o.Version == 2 {
-		hdr = magicV2
-	}
-	if _, err := io.WriteString(w, hdr); err != nil {
+	if _, err := io.WriteString(w, magicV2); err != nil {
 		return fmt.Errorf("tracefile: writing header: %w", err)
 	}
-	offset := int64(magicLen)
-	if o.Version == 2 {
-		// Streaming header: the footer metadata, up front, so a pipe
-		// consumer knows the trace's shape before the first chunk.
-		if _, err := w.Write(meta); err != nil {
-			return fmt.Errorf("tracefile: writing header: %w", err)
-		}
-		offset += int64(len(meta))
+	// Streaming header: the footer metadata, up front, so a pipe
+	// consumer knows the trace's shape before the first chunk.
+	if _, err := w.Write(meta); err != nil {
+		return fmt.Errorf("tracefile: writing header: %w", err)
 	}
+	offset := int64(magicLen + len(meta))
 
 	lengths := make([]uint64, 0, regions*threads)
 	var raw []byte // reused chunk encoding buffer
@@ -114,13 +92,11 @@ func Record(w io.Writer, p trace.Program, opts ...Option) error {
 				}
 				chunk = zbuf.Bytes()
 			}
-			if o.Version == 2 {
-				n := binary.PutUvarint(pfx[:], uint64(len(chunk)))
-				if _, err := w.Write(pfx[:n]); err != nil {
-					return fmt.Errorf("tracefile: writing region %d thread %d: %w", r, t, err)
-				}
-				offset += int64(n)
+			n := binary.PutUvarint(pfx[:], uint64(len(chunk)))
+			if _, err := w.Write(pfx[:n]); err != nil {
+				return fmt.Errorf("tracefile: writing region %d thread %d: %w", r, t, err)
 			}
+			offset += int64(n)
 			if _, err := w.Write(chunk); err != nil {
 				return fmt.Errorf("tracefile: writing region %d thread %d: %w", r, t, err)
 			}
@@ -140,11 +116,7 @@ func Record(w io.Writer, p trace.Program, opts ...Option) error {
 	}
 	var tail [tailLen]byte
 	binary.LittleEndian.PutUint64(tail[:8], uint64(offset))
-	trailer := trailerMagicV1
-	if o.Version == 2 {
-		trailer = trailerMagicV2
-	}
-	copy(tail[8:], trailer)
+	copy(tail[8:], trailerMagicV2)
 	if _, err := w.Write(tail[:]); err != nil {
 		return fmt.Errorf("tracefile: writing trailer: %w", err)
 	}

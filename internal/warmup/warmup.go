@@ -28,17 +28,16 @@
 //
 // # Streaming contract
 //
-// Pass is the one prefix-pass implementation and Stream the loop that drives
-// a fresh one. Stream walks regions 0 up to (not including) the last
-// requested region once, and hands each requested region's snapshot to the
-// caller's emit function the moment the pass reaches that region — in
-// ascending region order, from the calling goroutine, before any later
-// region is tracked — so consumers can start simulating early points while
-// the pass continues. A region's threads are tracked on up to GOMAXPROCS
-// goroutines: the per-core trackers share nothing, and Region.Thread is safe
-// for concurrent use. Stream takes its regions ascending, distinct and in
-// range; Capture is a collector over it for callers that want every snapshot
-// at once, and normalises its input.
+// Pass is the one prefix-pass implementation. Pass.Snapshot(p, at) tracks
+// regions up to (not including) at and returns the snapshot at its entry, so
+// a caller asking for its regions in ascending order walks the prefix once,
+// gets each snapshot the moment the pass reaches that region — before any
+// later region is tracked — and can start simulating early points while the
+// pass continues; the pass stops at the last region asked for. A region's
+// threads are tracked on up to GOMAXPROCS goroutines: the per-core trackers
+// share nothing, and Region.Thread is safe for concurrent use. Capture is a
+// collector over a fresh Pass for callers that want every snapshot at once,
+// and normalises its input.
 //
 // # Resuming
 //
@@ -230,31 +229,20 @@ func (ps *Pass) Snapshot(p trace.Program, at int) Snapshot {
 	return snap
 }
 
-// Stream replays the program's trace functionally and calls emit with each
-// core's MRU state at the start of every region in atRegions, as soon as
-// the pass reaches that region. atRegions must be ascending, distinct and
-// inside the program (Capture normalises for callers that cannot promise
-// that). emit is called once per region, in order, from the calling
-// goroutine, and the pass does not advance until it returns. The pass stops
-// at the last requested region without replaying it.
-func Stream(p trace.Program, atRegions []int, capacityLines int, emit func(region int, snap Snapshot)) {
-	ps := NewPass(p.Threads(), capacityLines)
-	for _, at := range atRegions {
-		emit(at, ps.Snapshot(p, at))
-	}
-}
-
-// Capture runs Stream and collects every snapshot, keyed by region index.
-// atRegions may be unordered and contain duplicates, and regions outside
-// the program are ignored. Regions not in atRegions cost only the trace
-// replay.
+// Capture collects the snapshot at the entry of every region in atRegions
+// from one fresh Pass, keyed by region index. atRegions may be unordered and
+// contain duplicates, and regions outside the program are ignored. Regions
+// not in atRegions cost only the trace replay.
 func Capture(p trace.Program, atRegions []int, capacityLines int) map[int]Snapshot {
 	want := slices.Clone(atRegions)
 	slices.Sort(want)
 	want = slices.Compact(want)
 	want = slices.DeleteFunc(want, func(r int) bool { return r < 0 || r >= p.Regions() })
 	out := make(map[int]Snapshot, len(want))
-	Stream(p, want, capacityLines, func(region int, snap Snapshot) { out[region] = snap })
+	ps := NewPass(p.Threads(), capacityLines)
+	for _, at := range want {
+		out[at] = ps.Snapshot(p, at)
+	}
 	return out
 }
 

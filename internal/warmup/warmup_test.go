@@ -305,11 +305,11 @@ func (p *countingProgram) Region(i int) trace.Region {
 	return p.Program.Region(i)
 }
 
-// TestStreamContract: snapshots arrive once per region, in order, each before
-// any later region is replayed; the pass stops at the last requested region
-// without replaying it; every snapshot equals what the reference tracker
-// computes over the same prefix; and Capture collects the same snapshots from
-// unordered input with duplicates and out-of-range regions.
+// TestStreamContract: a Pass asked for ascending regions hands each snapshot
+// over before any later region is replayed; the pass stops at the last
+// requested region without replaying it; every snapshot equals what the
+// reference tracker computes over the same prefix; and Capture collects the
+// same snapshots from unordered input with duplicates and out-of-range regions.
 func TestStreamContract(t *testing.T) {
 	base := workload.New("npb-is", 4, workload.WithScale(0.05))
 	p := &countingProgram{Program: base}
@@ -317,11 +317,13 @@ func TestStreamContract(t *testing.T) {
 	var emitted []int
 	replayedAt := make(map[int]int) // region → regions replayed when emitted
 	snaps := make(map[int]Snapshot)
-	Stream(p, []int{0, 2, 5}, capacity, func(r int, s Snapshot) {
+	ps := NewPass(p.Threads(), capacity)
+	for _, r := range []int{0, 2, 5} {
+		s := ps.Snapshot(p, r)
 		emitted = append(emitted, r)
 		replayedAt[r] = len(p.regionCalls)
 		snaps[r] = s
-	})
+	}
 	if want := []int{0, 2, 5}; !slices.Equal(emitted, want) {
 		t.Fatalf("emitted regions %v, want %v", emitted, want)
 	}
@@ -359,7 +361,7 @@ func TestStreamContract(t *testing.T) {
 
 	messy := []int{5, 2, -1, 5, 0, base.Regions() + 3, 2}
 	if got := Capture(base, messy, capacity); !reflect.DeepEqual(got, snaps) {
-		t.Error("Capture differs from the snapshots Stream emitted")
+		t.Error("Capture differs from the snapshots the Pass handed over")
 	}
 	if got := Capture(base, []int{-4, base.Regions()}, capacity); len(got) != 0 {
 		t.Errorf("Capture of out-of-range regions returned %d snapshots", len(got))

@@ -64,9 +64,6 @@ const (
 	blockStep = 16 // ids per kernel
 )
 
-// BodyBlock returns the static id of the kernel's loop body block.
-func (k *Kernel) BodyBlock() int { return k.ID*blockStep + subBody }
-
 // outerEvery controls how often the outer-loop bookkeeping block fires.
 const outerEvery = 8
 
@@ -285,7 +282,7 @@ func (s *kernelStream) Next(be *trace.BlockExec) bool {
 		s.outer = false
 	}
 	*be = trace.BlockExec{
-		Block:  k.ID * blockStep,
+		Block:  k.ID*blockStep + subBody,
 		Instrs: k.BodyInstrs,
 		Accs:   s.genAccs(),
 		Branch: true,

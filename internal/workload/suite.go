@@ -515,15 +515,15 @@ func buildBodytrack(threads int, scale float64) *Program {
 	return b.build()
 }
 
-// Extended workloads: the two NPB benchmarks the paper excluded, provided
-// here because the methodology extensions that handle them are implemented
-// (see trace.Coalesce and the degenerate single-region path).
+// Extended workloads: the two NPB benchmarks the paper excluded. EP runs
+// through the degenerate single-region path; UA is here as the stress case
+// the paper names.
 
 // buildUA models NPB UA (unstructured adaptive mesh): a very large number
 // of small inter-barrier regions — 7603 barriers from 400 time steps of a
 // cyclic 19-phase adaptive schedule plus setup. The paper's BarrierPoint
 // could not process this many regions and leaves "filtering or combining
-// regions" to future work; use trace.Coalesce to sample it.
+// regions" to future work.
 func buildUA(threads int, scale float64) *Program {
 	b := newBuilder("npb-ua", threads)
 	baseU := arrayBase(8, 0)

@@ -3,7 +3,9 @@ package barrierpoint_test
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/workload"
@@ -94,6 +96,34 @@ func TestRunPointsDuplicatesAndRange(t *testing.T) {
 				!strings.Contains(runErr.Error(), "out of range") {
 				t.Errorf("%v: region %d: RunPoints error %v, SimulatePoint error %v", mode, bad, runErr, ptErr)
 			}
+		}
+	}
+}
+
+// TestRunPointsReportsOneCapture: a RunPointsObserved call owns one prefix
+// pass and reports it once, however many points it hands out — exactly one
+// "warmup-capture" under an MRU mode, none under cold — beside one set of
+// phases per point.
+func TestRunPointsReportsOneCapture(t *testing.T) {
+	prog := workload.New("npb-is", 8, workload.WithScale(0.05))
+	regions := []int{1, 3, 6}
+	for mode, phases := range map[bp.WarmupMode]map[string]int{
+		bp.ColdWarmup:    {"point-detail": 3},
+		bp.MRUWarmup:     {"warmup-capture": 1, "warm-replay": 3, "point-detail": 3},
+		bp.MRUPrevWarmup: {"warmup-capture": 1, "warm-replay": 3, "warm-prev": 3, "point-detail": 3},
+	} {
+		var mu sync.Mutex
+		got := make(map[string]int)
+		_, err := bp.LocalRunner{Workers: 2}.RunPointsObserved(prog, regions, bp.TableIMachine(1), mode, func(stage string, d time.Duration) {
+			mu.Lock()
+			got[stage]++
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, phases) {
+			t.Errorf("%v: observed stages %v, want %v", mode, got, phases)
 		}
 	}
 }
