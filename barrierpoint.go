@@ -141,8 +141,8 @@ type Analysis struct {
 // StageObserver receives the wall-clock duration of each named pipeline
 // stage as it completes. A nil observer is valid and records nothing;
 // observers must not influence results — they are telemetry only.
-// RunPointsObserved calls its observer from the pool's goroutines, several
-// at once: an observer passed to it must be safe for concurrent use.
+// LocalRunner calls its Observer from the pool's goroutines, several at
+// once: it must be safe for concurrent use.
 type StageObserver func(stage string, d time.Duration)
 
 // Analyze profiles every inter-barrier region of p and selects
@@ -161,7 +161,7 @@ func AnalyzeObserved(p Program, cfg Config, obsrv StageObserver) (*Analysis, err
 		obsrv("profile", time.Since(t0))
 	}
 	t1 := time.Now()
-	a, err := analyzeProfiles(p, cfg, profiles)
+	a, err := AnalyzeWithProfiles(p, cfg, profiles)
 	if obsrv != nil {
 		obsrv("cluster", time.Since(t1))
 	}
@@ -171,10 +171,6 @@ func AnalyzeObserved(p Program, cfg Config, obsrv StageObserver) (*Analysis, err
 // AnalyzeWithProfiles runs selection over pre-collected profiles (e.g. to
 // explore signature options without re-profiling).
 func AnalyzeWithProfiles(p Program, cfg Config, profiles []*signature.RegionData) (*Analysis, error) {
-	return analyzeProfiles(p, cfg, profiles)
-}
-
-func analyzeProfiles(p Program, cfg Config, profiles []*signature.RegionData) (*Analysis, error) {
 	svs, weights := signature.BuildAll(profiles, cfg.Signature)
 	sel, err := cluster.Select(svs, weights, cfg.Cluster)
 	if err != nil {
@@ -257,8 +253,8 @@ func (a *Analysis) ResourceReduction() float64 {
 // SimulateFull runs the complete detailed ("ground truth") simulation of p
 // on a fresh machine: every region in order, with persistent state.
 func SimulateFull(p Program, mc MachineConfig) ([]RegionResult, error) {
-	if p.Threads() != mc.Cores() {
-		return nil, fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
+	if err := checkPoints(p, nil, mc); err != nil {
+		return nil, err
 	}
 	m := sim.New(mc)
 	out := make([]RegionResult, p.Regions())
@@ -348,26 +344,23 @@ type PointRunner interface {
 // overlaps the rest of the pass.
 type LocalRunner struct {
 	Workers int
+	// Observer, if set, times the work. It receives "warmup-capture" once per
+	// RunPoints call, with the call's own MRU prefix pass time, when the pass
+	// ends; the pass runs while earlier points already simulate, so the stage
+	// overlaps the caller's simulation stage rather than preceding it. Each
+	// point then reports the phases it ran, once per point and from the pool
+	// goroutine that ran it: "warm-replay" (its snapshot replayed onto a
+	// fresh machine; not under ColdWarmup), "warm-prev" (the preceding regions
+	// executed functionally; MRUPrevWarmup only) and "point-detail" (the
+	// detailed simulation of the point itself). Summed over the points they
+	// are time spent across the pool's goroutines, not the call's wall-clock
+	// time: how an estimate's cost splits between functional warming and
+	// detailed simulation.
+	Observer StageObserver
 }
 
 // RunPoints implements PointRunner on the local worker pool.
 func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode WarmupMode) (map[int]RegionResult, error) {
-	return lr.RunPointsObserved(p, regions, mc, mode, nil)
-}
-
-// RunPointsObserved is RunPoints with its work timed. obsrv receives
-// "warmup-capture" once, with this call's own MRU prefix pass time, when the
-// pass ends; the pass runs while earlier points already simulate, so the
-// stage overlaps the caller's simulation stage rather than preceding it.
-// Each point then reports the phases it ran, once per point and from the
-// pool goroutine that ran it: "warm-replay" (its snapshot replayed onto a
-// fresh machine; not under ColdWarmup), "warm-prev" (the preceding regions
-// executed functionally; MRUPrevWarmup only) and "point-detail" (the
-// detailed simulation of the point itself). Summed over the points they are
-// time spent across the pool's goroutines, not the call's wall-clock time:
-// how an estimate's cost splits between functional warming and detailed
-// simulation.
-func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConfig, mode WarmupMode, obsrv StageObserver) (map[int]RegionResult, error) {
 	regions = slices.Clone(regions)
 	slices.Sort(regions)
 	regions = slices.Compact(regions)
@@ -403,7 +396,7 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 	var err error
 	for _, r := range regions {
 		var point func() RegionResult
-		if point, err = pass.Point(p, r, mode, obsrv); err != nil {
+		if point, err = pass.Point(p, r, mode, lr.Observer); err != nil {
 			break
 		}
 		next <- func() {
@@ -413,8 +406,8 @@ func (lr LocalRunner) RunPointsObserved(p Program, regions []int, mc MachineConf
 			mu.Unlock()
 		}
 	}
-	if pass.pass != nil && obsrv != nil { // the pass tracked: an MRU mode
-		obsrv("warmup-capture", time.Since(t0))
+	if pass.pass != nil && lr.Observer != nil { // the pass tracked: an MRU mode
+		lr.Observer("warmup-capture", time.Since(t0))
 	}
 	close(next)
 	wg.Wait()
@@ -553,8 +546,8 @@ func (a *Analysis) SimulatePoints(mc MachineConfig, mode WarmupMode) (map[int]Re
 // execution strategy: LocalRunner for the in-process pool, or a
 // store-backed or farm-distributed runner from internal/farm.
 func (a *Analysis) SimulatePointsWith(runner PointRunner, mc MachineConfig, mode WarmupMode) (map[int]RegionResult, error) {
-	if a.Program.Threads() != mc.Cores() {
-		return nil, fmt.Errorf("barrierpoint: program has %d threads but machine has %d cores", a.Program.Threads(), mc.Cores())
+	if err := checkPoints(a.Program, nil, mc); err != nil {
+		return nil, err
 	}
 	regions := make([]int, len(a.Selection.Points))
 	for i, p := range a.Selection.Points {

@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -300,11 +299,12 @@ func runInfo(args []string, stdout, stderr io.Writer) error {
 
 // cachedAnalysis runs the analyze stage through a content-addressed store
 // shared with bpserve: the trace is filed under its content key (in-memory
-// workloads are recorded first), and the selection is served from the store
-// when already cached — profiling and clustering are skipped entirely. The
-// returned program replays from the store's copy of the trace, so later
-// stages stream exactly the bytes the key addresses.
-func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.ReplayCache) (*bp.Analysis, bp.Program, string, string, error) {
+// workloads are recorded first), and the service's binder — the one bpserve
+// jobs and campaign cells run — serves the selection from the store when
+// already cached, skipping profiling and clustering entirely, and binds it
+// to the store's copy of the trace: the analysis' program replays exactly the
+// bytes the key addresses. The caller closes the returned closer.
+func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.ReplayCache) (*bp.Analysis, io.Closer, string, string, error) {
 	var key string
 	var err error
 	if tracePath != "" {
@@ -320,40 +320,16 @@ func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.R
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	selBytes, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), rc, nil)
+	a, closer, cached, _, err := service.BindCached(st, key, bp.DefaultConfig(), rc, nil)
 	if err != nil {
-		return nil, nil, "", "", err
-	}
-	sel, err := bp.LoadSelection(bytes.NewReader(selBytes))
-	if err != nil {
-		return nil, nil, "", "", err
-	}
-	f, err := st.OpenTrace(key)
-	if err != nil {
-		return nil, nil, "", "", err
-	}
-	replayProg := &storeTrace{Program: rc.Program(f, key), f: f}
-	a, err := sel.Bind(replayProg)
-	if err != nil {
-		f.Close()
 		return nil, nil, "", "", err
 	}
 	note := ", selection computed and cached"
 	if cached {
 		note = ", selection reused from cache"
 	}
-	return a, replayProg, fmt.Sprintf("%s, trace %s", note, key[:12]), key, nil
+	return a, closer, fmt.Sprintf("%s, trace %s", note, key[:12]), key, nil
 }
-
-// storeTrace pairs a store trace's cached replay view with the file handle
-// it reads, so the caller can close the file when done.
-type storeTrace struct {
-	bp.Program
-	f *bp.TraceFile
-}
-
-// Close releases the underlying trace file.
-func (t *storeTrace) Close() error { return t.f.Close() }
 
 // runAnalyze is the classic pipeline: analyze, estimate, and (optionally)
 // validate against a full simulation — from a built-in workload or from a
@@ -441,13 +417,13 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		var key string
-		analysis, prog, note, key, err = cachedAnalysis(st, prog, *tracePath, rc)
+		var closer io.Closer
+		analysis, closer, note, key, err = cachedAnalysis(st, prog, *tracePath, rc)
 		if err != nil {
 			return err
 		}
-		if closer, ok := prog.(interface{ Close() error }); ok {
-			defer closer.Close()
-		}
+		defer closer.Close()
+		prog = analysis.Program
 		pointRunner = &farm.CachedRunner{St: st, TraceKey: key, Inner: bp.LocalRunner{}}
 	} else {
 		var err error

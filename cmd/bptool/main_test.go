@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,8 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	bp "barrierpoint"
+	"barrierpoint/internal/campaign"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/service"
+	"barrierpoint/internal/store"
 )
 
 // exec runs the tool with args and returns its stdout, failing on error.
@@ -151,6 +156,80 @@ func TestAnalyzeWithCache(t *testing.T) {
 	out = exec(t, "-workload", "npb-is", "-cores", "8", "-scale", "0.05", "-cache", cacheDir, "-warmup", "cold", "-skip-full")
 	if !strings.Contains(out, "selection reused from cache") {
 		t.Errorf("workload run did not hit the cache of its identical recording:\n%s", out)
+	}
+
+	// bpserve's job manager and bpcamp's cell runner over that store go
+	// through the binder bptool just went through: they find its selection
+	// (no cold analysis) and its point results (the estimate is computed
+	// from them), and the campaign cell binds the very bytes bptool cached.
+	st, err := store.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := st.Traces()
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("store holds traces %v (%v), want the one recording", keys, err)
+	}
+	key, cfg := keys[0], bp.DefaultConfig()
+	want, err := service.CachedSelection(st, key, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := service.New(st, 2, 0)
+	defer m.Shutdown(context.Background())
+	cell := campaign.Cell{Workload: "npb-is", Threads: 8, Signature: "combine", Warmup: "cold", Scale: 0.05}
+	res, err := (&campaign.ServiceRunner{M: m}).RunCell(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := m.Stats(); res.TraceKey != key || stats.ColdAnalyses != 0 {
+		t.Errorf("campaign cell over bptool's store: trace %.12s (want %.12s), %d cold analyses (want 0)", res.TraceKey, key, stats.ColdAnalyses)
+	}
+	if got, err := service.CachedSelection(st, key, cfg); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("selection artifact changed under the service and the campaign (%v)", err)
+	}
+	a, closer, cached, _, err := service.BindCached(st, key, cfg, nil, nil)
+	if err != nil || !cached {
+		t.Fatalf("binding bptool's selection: cached=%v err=%v", cached, err)
+	}
+	defer closer.Close()
+	if res.SerialSpeedup != a.SerialSpeedup() || res.ParallelSpeedup != a.ParallelSpeedup() {
+		t.Errorf("cell speedups %v / %v differ from the bound selection's %v / %v",
+			res.SerialSpeedup, res.ParallelSpeedup, a.SerialSpeedup(), a.ParallelSpeedup())
+	}
+
+	// Each of the three on a store of its own computes those same bytes.
+	for name, fill := range map[string]func(st *store.Store){
+		"bpserve": func(st *store.Store) {
+			m := service.New(st, 2, 0)
+			defer m.Shutdown(context.Background())
+			if _, _, err := st.ImportTrace(tracePath); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := m.Submit(service.Request{Kind: service.KindEstimate, Trace: key, Warmup: "cold"})
+			if err == nil {
+				snap, err = m.Wait(context.Background(), snap.ID)
+			}
+			if err != nil || snap.Status != service.StatusDone {
+				t.Fatalf("estimate job: %+v, %v", snap, err)
+			}
+		},
+		"bpcamp": func(st *store.Store) {
+			m := service.New(st, 2, 0)
+			defer m.Shutdown(context.Background())
+			if _, err := (&campaign.ServiceRunner{M: m}).RunCell(cell); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		fresh, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(fresh)
+		if got, err := service.CachedSelection(fresh, key, cfg); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s on its own store selected differently from bptool -cache (%v)", name, err)
+		}
 	}
 }
 

@@ -82,15 +82,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Keys returns the block IDs present in v in ascending order.
-func (v Vector) Keys() []int {
-	ks := make([]int, len(v))
-	for i, e := range v {
-		ks[i] = int(e.Key)
-	}
-	return ks
-}
-
 // ManhattanDistance returns the L1 distance between two vectors, treating
 // missing entries as zero. For normalized vectors this lies in [0, 2].
 // Both vectors are sorted, so this is a zero-allocation merge join.

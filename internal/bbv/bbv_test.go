@@ -102,9 +102,8 @@ func TestClone(t *testing.T) {
 
 func TestKeys(t *testing.T) {
 	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 5, Val: 1}, {Key: 1, Val: 1}, {Key: 3, Val: 1}}))
-	ks := v.Keys()
-	if len(ks) != 3 || ks[0] != 1 || ks[1] != 3 || ks[2] != 5 {
-		t.Errorf("Keys = %v", ks)
+	if len(v) != 3 || v[0].Key != 1 || v[1].Key != 3 || v[2].Key != 5 {
+		t.Errorf("block IDs not ascending: %v", v)
 	}
 }
 

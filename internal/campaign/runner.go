@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -174,10 +173,18 @@ func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
 		return CellResult{}, err
 	}
 
-	serial, parallel, err := r.speedups(key, c)
+	// The Fig. 9 instruction-count reductions come from the selection the
+	// estimate job cached, through the binder that job ran — no profiling,
+	// no simulation, just the stored artifact bound to the stored trace.
+	cfg, err := service.ConfigFor(c.Signature, c.MaxK)
 	if err != nil {
 		return CellResult{}, err
 	}
+	a, closer, _, _, err := service.BindCached(r.M.Store(), key, cfg, nil, nil)
+	if err != nil {
+		return CellResult{}, fmt.Errorf("campaign: binding selection for cell %s: %w", c.ID(), err)
+	}
+	defer closer.Close()
 	res := CellResult{
 		TraceKey:        key,
 		EstTimeNs:       est.TimeNs,
@@ -186,8 +193,8 @@ func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
 		ActAPKI:         act.DRAMAPKI,
 		RunErrPct:       stats.AbsPctErr(est.TimeNs, act.TimeNs),
 		APKIDelta:       math.Abs(est.DRAMAPKI - act.DRAMAPKI),
-		SerialSpeedup:   serial,
-		ParallelSpeedup: parallel,
+		SerialSpeedup:   a.SerialSpeedup(),
+		ParallelSpeedup: a.ParallelSpeedup(),
 	}
 	// Artifacts cached by versions without intervals carry no CI block;
 	// the cell then simply renders without error bars.
@@ -229,32 +236,4 @@ func (r *ServiceRunner) wait(job service.Snapshot) (service.EstimateResult, erro
 		return service.EstimateResult{}, fmt.Errorf("campaign: parsing %s result: %w", job.Request.Kind, err)
 	}
 	return res, nil
-}
-
-// speedups reads the selection the estimate job cached and derives the
-// cell's Fig. 9 instruction-count reductions from it — no profiling, no
-// simulation, just the stored artifact bound to the stored trace.
-func (r *ServiceRunner) speedups(key string, c Cell) (serial, parallel float64, err error) {
-	cfg, err := service.ConfigFor(c.Signature, c.MaxK)
-	if err != nil {
-		return 0, 0, err
-	}
-	selBytes, err := service.CachedSelection(r.M.Store(), key, cfg)
-	if err != nil {
-		return 0, 0, fmt.Errorf("campaign: reading selection for cell %s: %w", c.ID(), err)
-	}
-	sel, err := bp.LoadSelection(bytes.NewReader(selBytes))
-	if err != nil {
-		return 0, 0, err
-	}
-	f, err := r.M.Store().OpenTrace(key)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	a, err := sel.Bind(f)
-	if err != nil {
-		return 0, 0, err
-	}
-	return a.SerialSpeedup(), a.ParallelSpeedup(), nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -78,6 +79,11 @@ type task struct {
 	created  time.Time // enqueue (or recovery) time, for task-latency telemetry
 	failures []string
 	ticket   *Ticket
+	// seq orders a journal replay's tasks for deterministic requeueing:
+	// assigned when a task (re-)enters the pending queue, or when a lease
+	// record is replayed (so in-flight tasks requeue in lease order after the
+	// pending ones). The running queue does not read it.
+	seq int
 }
 
 // Ticket is a handle on an enqueued task's eventual result. Tasks
@@ -106,10 +112,6 @@ type WorkerInfo struct {
 	Leased    int       `json:"leased"`
 	Completed int64     `json:"completed"`
 	Failed    int64     `json:"failed"`
-}
-
-type workerState struct {
-	info WorkerInfo
 }
 
 // Stats counts queue activity since construction.
@@ -178,7 +180,7 @@ type Queue struct {
 	tasks   map[string]*task // live (queued or leased) tasks by id
 	pending []*task          // FIFO of queued tasks
 	byDedup map[string]*task // dedup key → live task
-	workers map[string]*workerState
+	workers map[string]*WorkerInfo
 	seq     int
 	wseq    int
 	closed  bool
@@ -227,7 +229,7 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 		epoch:       newEpoch(),
 		tasks:       make(map[string]*task),
 		byDedup:     make(map[string]*task),
-		workers:     make(map[string]*workerState),
+		workers:     make(map[string]*WorkerInfo),
 		stopSweep:   make(chan struct{}),
 		sweepDone:   make(chan struct{}),
 		replay:      bp.NewReplayCache(0),
@@ -366,39 +368,26 @@ func (q *Queue) endAttemptLocked(t *task, msg string) error {
 			"err", msg,
 			"permanent", permanent)
 	}
+	op := opRequeue
 	if permanent {
-		if err := q.appendWALLocked(walRecord{Op: opFail, ID: t.ID, Msg: msg}); err != nil {
-			return err
-		}
-		t.failures = append(t.failures, msg)
-		t.leased = false
-		t.worker = ""
-		q.finishLocked(t, bp.RegionResult{}, fmt.Errorf(
-			"farm: task %s (trace %.12s region %d) failed after %d attempts: %s",
-			t.ID, t.TraceKey, t.Region, t.Attempt, joinFailures(t.failures)))
-		q.stats.Failed++
-		return nil
+		op = opFail
 	}
-	if err := q.appendWALLocked(walRecord{Op: opRequeue, ID: t.ID, Msg: msg}); err != nil {
+	if err := q.appendWALLocked(walRecord{Op: op, ID: t.ID, Msg: msg}); err != nil {
 		return err
 	}
 	t.failures = append(t.failures, msg)
 	t.leased = false
 	t.worker = ""
+	if permanent {
+		q.finishLocked(t, bp.RegionResult{}, fmt.Errorf(
+			"farm: task %s (trace %.12s region %d) failed after %d attempts: %s",
+			t.ID, t.TraceKey, t.Region, t.Attempt, strings.Join(t.failures, "; ")))
+		q.stats.Failed++
+		return nil
+	}
 	q.stats.Retries++
 	q.pending = append(q.pending, t)
 	return nil
-}
-
-func joinFailures(fs []string) string {
-	out := ""
-	for i, f := range fs {
-		if i > 0 {
-			out += "; "
-		}
-		out += f
-	}
-	return out
 }
 
 // finishLocked resolves a live task's ticket and forgets the task;
@@ -425,20 +414,15 @@ func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 	dedup := sp.TraceKey + "|" + artifact
 
 	// Store dedup outside the lock: reads are cheap and idempotent.
-	if b, err := q.st.GetArtifact(sp.TraceKey, artifact); err == nil {
-		var res bp.RegionResult
-		if err := json.Unmarshal(b, &res); err == nil {
-			q.mu.Lock()
-			q.stats.DedupStore++
-			q.mu.Unlock()
-			tk := &Ticket{Region: sp.Region, done: make(chan struct{}), res: res}
-			close(tk.done)
-			return tk, nil
-		}
-		// Unparseable artifact: fall through and recompute (the fresh
-		// result overwrites it).
-	} else if !errors.Is(err, store.ErrNotFound) {
+	if res, ok, err := loadPoint(q.st, sp.TraceKey, artifact); err != nil {
 		return nil, err
+	} else if ok {
+		q.mu.Lock()
+		q.stats.DedupStore++
+		q.mu.Unlock()
+		tk := &Ticket{Region: sp.Region, done: make(chan struct{}), res: res}
+		close(tk.done)
+		return tk, nil
 	}
 
 	q.mu.Lock()
@@ -487,7 +471,7 @@ func (q *Queue) Register(name string) string {
 	// The epoch in the id keeps ids from a previous coordinator life from
 	// colliding with this one's (wseq restarts at 1 after a recovery).
 	id := fmt.Sprintf("w-%s-%04d", q.epoch, q.wseq)
-	q.workers[id] = &workerState{info: WorkerInfo{ID: id, Name: name, LastSeen: time.Now()}}
+	q.workers[id] = &WorkerInfo{ID: id, Name: name, LastSeen: time.Now()}
 	return id
 }
 
@@ -510,13 +494,13 @@ func (q *Queue) staleWorkerLocked(id string) bool {
 	return epoch != q.epoch
 }
 
-func (q *Queue) touchWorkerLocked(id string, now time.Time) *workerState {
+func (q *Queue) touchWorkerLocked(id string, now time.Time) *WorkerInfo {
 	w, ok := q.workers[id]
 	if !ok {
-		w = &workerState{info: WorkerInfo{ID: id, Name: id}}
+		w = &WorkerInfo{ID: id, Name: id}
 		q.workers[id] = w
 	}
-	w.info.LastSeen = now
+	w.LastSeen = now
 	return w
 }
 
@@ -626,7 +610,7 @@ func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
 		return err
 	}
 	q.stats.Completed++
-	w.info.Completed++
+	w.Completed++
 	if !t.created.IsZero() {
 		q.taskDur.ObserveDuration(time.Since(t.created))
 	}
@@ -650,7 +634,7 @@ func (q *Queue) Fail(workerID, id, msg string) error {
 		// was reassigned. The current lease's outcome governs.
 		return nil
 	}
-	w.info.Failed++
+	w.Failed++
 	return q.endAttemptLocked(t, fmt.Sprintf("attempt %d on worker %s: %s", t.Attempt, workerID, msg))
 }
 
@@ -667,7 +651,7 @@ func (q *Queue) liveWorkersLocked(now time.Time) int {
 	live := 0
 	window := 3 * q.cfg.LeaseTTL
 	for _, w := range q.workers {
-		if now.Sub(w.info.LastSeen) <= window {
+		if now.Sub(w.LastSeen) <= window {
 			live++
 		}
 	}
@@ -680,7 +664,7 @@ func (q *Queue) Workers() []WorkerInfo {
 	defer q.mu.Unlock()
 	out := make([]WorkerInfo, 0, len(q.workers))
 	for _, w := range q.workers {
-		info := w.info
+		info := *w
 		for _, t := range q.tasks {
 			if t.leased && t.worker == info.ID {
 				info.Leased++

@@ -24,6 +24,20 @@ func PointArtifact(region int, mc bp.MachineConfig, warmup string) string {
 	return fmt.Sprintf("point-%06d-%s-%s.json", region, store.HashJSON(mc), store.SanitizeLabel(warmup))
 }
 
+// loadPoint reads a cached point result. ok is false when the artifact is
+// absent or does not parse as a RegionResult — a miss: the caller recomputes
+// and the fresh result overwrites it; any other read failure is an error.
+func loadPoint(st *store.Store, traceKey, artifact string) (res bp.RegionResult, ok bool, err error) {
+	b, err := st.GetArtifact(traceKey, artifact)
+	if errors.Is(err, store.ErrNotFound) {
+		return res, false, nil
+	} else if err != nil {
+		return res, false, err
+	}
+	ok = json.Unmarshal(b, &res) == nil
+	return res, ok, nil
+}
+
 // Executor performs leased tasks against a local store: open the trace,
 // simulate the single point, return the result. This is the one compute
 // path shared by in-process workers and cmd/bpworker, and it ends in the
@@ -203,16 +217,12 @@ func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfi
 			continue
 		}
 		seen[region] = true
-		name := PointArtifact(region, mc, mode.String())
-		if b, err := r.St.GetArtifact(r.TraceKey, name); err == nil {
-			var res bp.RegionResult
-			if err := json.Unmarshal(b, &res); err == nil {
-				out[region] = res
-				r.Hits++
-				continue
-			}
-		} else if !errors.Is(err, store.ErrNotFound) {
+		if res, ok, err := loadPoint(r.St, r.TraceKey, PointArtifact(region, mc, mode.String())); err != nil {
 			return nil, err
+		} else if ok {
+			out[region] = res
+			r.Hits++
+			continue
 		}
 		missing = append(missing, region)
 		r.Misses++

@@ -1,12 +1,10 @@
 package farm
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
 
-	bp "barrierpoint"
 	"barrierpoint/internal/store"
 )
 
@@ -70,28 +68,18 @@ type Recovery struct {
 	Failed    int `json:"tasks_failed"`
 }
 
-// walTask is a task's state as reconstructed from the journal.
-type walTask struct {
-	Task
-	failures []string
-	leased   bool
-	worker   string
-	// seq orders tasks for deterministic requeueing: assigned when a task
-	// (re-)enters the pending queue, or when a lease record is replayed
-	// (so in-flight tasks requeue in lease order after the pending ones).
-	seq int
-}
-
-// walState is the fold target of a journal replay.
+// walState is the fold target of a journal replay: the live tasks as the
+// journal leaves them (Task, failures, leased, worker and seq set; the
+// runtime-only fields are NewDurableQueue's to fill).
 type walState struct {
-	tasks     map[string]*walTask
+	tasks     map[string]*task
 	nextSeq   int
 	completed int
 	failed    int
 }
 
 func newWALState() *walState {
-	return &walState{tasks: make(map[string]*walTask)}
+	return &walState{tasks: make(map[string]*task)}
 }
 
 // apply folds one journal record into the state. Records that do not
@@ -104,7 +92,7 @@ func (s *walState) apply(rec walRecord) {
 		if rec.Task == nil || rec.Task.ID == "" {
 			return
 		}
-		t := &walTask{Task: *rec.Task, failures: rec.Failures, seq: s.nextSeq}
+		t := &task{Task: *rec.Task, failures: rec.Failures, seq: s.nextSeq}
 		s.nextSeq++
 		s.tasks[t.ID] = t
 	case opLease:
@@ -149,8 +137,8 @@ func (s *walState) apply(rec walRecord) {
 // live returns the recovered tasks ordered for requeueing: by seq, which
 // interleaves pending tasks in their queue order and puts each in-flight
 // lease where its lease record fell in the journal.
-func (s *walState) live() []*walTask {
-	out := make([]*walTask, 0, len(s.tasks))
+func (s *walState) live() []*task {
+	out := make([]*task, 0, len(s.tasks))
 	for _, t := range s.tasks {
 		out = append(out, t)
 	}
@@ -181,34 +169,28 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 	}
 	q := newQueue(st, cfg)
 	q.wal = w
-	for _, wt := range state.live() {
+	for _, t := range state.live() {
 		// A result uploaded between the artifact store write and the
 		// journal's complete record shows up here as a live task with a
 		// finished artifact: count it done instead of re-simulating (the
 		// next Enqueue for this point dedups against the store).
-		if b, err := st.GetArtifact(wt.TraceKey, wt.Artifact); err == nil {
-			var res bp.RegionResult
-			if json.Unmarshal(b, &res) == nil {
-				rec.StoreHits++
-				continue
-			}
+		if _, ok, _ := loadPoint(st, t.TraceKey, t.Artifact); ok {
+			rec.StoreHits++
+			continue
 		}
-		t := &task{
-			Task:     wt.Task,
-			dedup:    wt.TraceKey + "|" + wt.Artifact,
-			failures: wt.failures,
-			created:  time.Now(), // latency telemetry restarts at recovery
-			ticket:   &Ticket{Region: wt.Region, done: make(chan struct{})},
-		}
+		t.dedup = t.TraceKey + "|" + t.Artifact
 		if _, dup := q.byDedup[t.dedup]; dup {
 			// Two live tasks for one dedup key can only come from a
 			// hand-damaged or fuzzed journal; keep the first so the runtime
 			// invariant (one live task per key) holds.
 			continue
 		}
-		if wt.leased {
+		t.created = time.Now() // latency telemetry restarts at recovery
+		t.ticket = &Ticket{Region: t.Region, done: make(chan struct{})}
+		if t.leased {
 			t.failures = append(t.failures,
-				fmt.Sprintf("attempt %d: coordinator restarted while leased to worker %s", wt.Attempt, wt.worker))
+				fmt.Sprintf("attempt %d: coordinator restarted while leased to worker %s", t.Attempt, t.worker))
+			t.leased, t.worker = false, ""
 			rec.Requeued++
 		} else {
 			rec.Pending++
@@ -237,15 +219,9 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 // q.wal is nil); q.mu must be held. The record is durable before this
 // returns nil, so callers apply the in-memory transition only after the
 // journal acknowledged it; on error they must leave the in-memory state
-// untouched. A journal grown far past the live state is compacted first,
-// so the new record lands in the fresh log.
+// untouched.
 func (q *Queue) appendWALLocked(rec walRecord) error {
-	if q.wal.Grown(len(q.tasks)) {
-		if err := q.wal.Compact(q.liveRecordsLocked()); err != nil {
-			return err
-		}
-	}
-	if err := q.wal.Append(rec); err != nil {
+	if err := q.wal.AppendLive(rec, len(q.tasks), q.liveRecordsLocked); err != nil {
 		return err
 	}
 	if q.crashHook != nil {

@@ -220,19 +220,6 @@ func (v *HistogramVec) With(labelValue string) *Histogram {
 	return v.f.get(labelValue, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
 }
 
-// CounterVec is a counter family partitioned by one label.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a single-label counter family.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{r.newFamily(name, help, counterKind, label, nil)}
-}
-
-// With returns the counter for one label value, creating it on first use.
-func (v *CounterVec) With(labelValue string) *Counter {
-	return v.f.get(labelValue, func() any { return new(Counter) }).(*Counter)
-}
-
 // fmtFloat renders a sample value the way Prometheus clients do.
 func fmtFloat(v float64) string {
 	switch {
@@ -293,11 +280,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 				writeHistogram(bw, f, lv, h)
 				continue
 			}
-			if f.label == "" {
-				fmt.Fprintf(bw, "%s %s\n", f.name, fmtFloat(sampleValue(series[i])))
-			} else {
-				fmt.Fprintf(bw, "%s{%s=%q} %s\n", f.name, f.label, escapeLabel(lv), fmtFloat(sampleValue(series[i])))
-			}
+			// Only histogram families carry a label: a scalar series has none.
+			fmt.Fprintf(bw, "%s %s\n", f.name, fmtFloat(sampleValue(series[i])))
 		}
 	}
 	return bw.err

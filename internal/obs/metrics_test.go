@@ -125,18 +125,6 @@ func TestHistogramVecLabels(t *testing.T) {
 	}
 }
 
-func TestCounterVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("test_kind_total", "by kind", "kind")
-	v.With("a").Inc()
-	v.With("a").Inc()
-	v.With("b").Inc()
-	samples := parseText(t, render(t, r))
-	if samples[`test_kind_total{kind="a"}`] != 2 || samples[`test_kind_total{kind="b"}`] != 1 {
-		t.Errorf("unexpected vec samples: %v", samples)
-	}
-}
-
 // TestExpvarParity proves the expvar bridge reports exactly the values the
 // exposition format serves, for scalars and histograms alike.
 func TestExpvarParity(t *testing.T) {

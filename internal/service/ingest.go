@@ -202,9 +202,9 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		res.Name, res.Threads, res.Regions = f.Name(), f.Threads(), f.Regions()
 		f.Close()
 	}
-	m.ingestedTraces.Add(1)
-	m.ingestedProfiles.Add(computed.Load())
-	m.profileCacheHits.Add(cached.Load())
-	m.profileComputed.Add(computed.Load())
+	m.pipe.ingestedTraces.Add(1)
+	m.pipe.ingestedProfiles.Add(computed.Load())
+	m.pipe.profileCacheHits.Add(cached.Load())
+	m.pipe.profileComputed.Add(computed.Load())
 	return res, nil
 }

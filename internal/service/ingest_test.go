@@ -51,7 +51,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := bp.DefaultConfig()
-	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, mCold.replay, nil)
+	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, mCold.pipe.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatalf("ingest metadata %q/%d threads", res.Name, res.Threads)
 	}
 
-	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, m.replay, nil)
+	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, m.pipe.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, m.replay, nil)
+	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, m.pipe.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if SelectionArtifact(cfgA) == SelectionArtifact(cfgB) {
 		t.Fatal("different MaxK landed on the same selection artifact")
 	}
-	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, m.replay, nil)
+	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, m.pipe.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, m.replay, nil)
+	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, m.pipe.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 		t.Errorf("ingest computed %d and reused %d profiles of %d regions, want %d and %d",
 			res.ProfilesComputed, res.ProfilesCached, res.Regions, distinct, regions-distinct)
 	}
-	warmSel, _, stats, err := AnalyzeCached(st, res.Key, cfg, m.replay, nil)
+	warmSel, _, stats, err := AnalyzeCached(st, res.Key, cfg, m.pipe.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

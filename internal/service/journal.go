@@ -93,19 +93,22 @@ func (s *journalState) apply(rec journalRecord) {
 			return
 		}
 		s.jobs[rec.ID] = &job{
-			id: rec.ID, req: *rec.Req, status: StatusQueued, traceID: rec.TraceID,
-			created: time.Unix(0, rec.CreatedNs), done: make(chan struct{}), recovered: true,
+			Snapshot: Snapshot{
+				ID: rec.ID, Request: *rec.Req, Status: StatusQueued, TraceID: rec.TraceID,
+				Created: time.Unix(0, rec.CreatedNs), Recovered: true,
+			},
+			done: make(chan struct{}),
 		}
 		s.order = append(s.order, rec.ID)
 	case jopDone:
 		if j, ok := s.jobs[rec.ID]; ok {
-			j.status, j.artifact, j.cached = StatusDone, rec.Artifact, rec.Cached
-			j.finished = time.Unix(0, rec.FinishedNs)
+			j.Status, j.artifact, j.Cached = StatusDone, rec.Artifact, rec.Cached
+			j.Finished = time.Unix(0, rec.FinishedNs)
 		}
 	case jopFailed:
 		if j, ok := s.jobs[rec.ID]; ok {
-			j.status, j.err = StatusFailed, rec.Error
-			j.finished = time.Unix(0, rec.FinishedNs)
+			j.Status, j.Error = StatusFailed, rec.Error
+			j.Finished = time.Unix(0, rec.FinishedNs)
 		}
 	}
 }
@@ -142,14 +145,14 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 		if n := jobSeq(id); n > m.seq {
 			m.seq = n
 		}
-		terminal := j.status == StatusFailed
-		if j.status == StatusDone {
-			if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
-				j.result, terminal = json.RawMessage(b), true
+		terminal := j.Status == StatusFailed
+		if j.Status == StatusDone {
+			if b, err := m.st.GetArtifact(j.Request.Trace, j.artifact); err == nil {
+				j.Result, terminal = json.RawMessage(b), true
 			} else {
 				// The journal says done but the artifact is gone (a wiped or
 				// partial store): the work needs redoing, as for a live job.
-				j.cached, j.finished = false, time.Time{}
+				j.Cached, j.Finished = false, time.Time{}
 			}
 		}
 		if terminal {
@@ -158,8 +161,8 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 		} else {
 			m.recoverLiveLocked(j, &rec)
 		}
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		m.jobs[j.ID] = j
+		m.order = append(m.order, j.ID)
 	}
 	m.recovered.Store(int64(rec.Resolved + rec.Requeued + rec.Terminal))
 	m.jobRecovery = rec
@@ -177,21 +180,21 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 // restored as failed rather than silently dropped. m.mu must be held.
 func (m *Manager) recoverLiveLocked(j *job, rec *JobRecovery) {
 	finish := func(status Status, errMsg string) {
-		j.status, j.err, j.finished = status, errMsg, time.Now()
+		j.Status, j.Error, j.Finished = status, errMsg, time.Now()
 		close(j.done)
 	}
-	p, err := m.validate(j.req)
+	p, err := m.plan(j.Request)
 	if err != nil {
 		finish(StatusFailed, fmt.Sprintf("not recoverable after restart: %v", err))
 		rec.Unrecoverable++
 		return
 	}
 	j.plan = p
-	if b, err := m.st.GetArtifact(j.req.Trace, j.artifact); err == nil {
+	if b, err := m.st.GetArtifact(j.Request.Trace, j.artifact); err == nil {
 		// The worker (or this coordinator's dying breath) stored the
 		// result, but the crash beat the done record: the job is done,
 		// only the journal didn't know yet.
-		j.result, j.cached = json.RawMessage(b), true
+		j.Result, j.Cached = json.RawMessage(b), true
 		finish(StatusDone, "")
 		rec.Resolved++
 		return
@@ -199,7 +202,7 @@ func (m *Manager) recoverLiveLocked(j *job, rec *JobRecovery) {
 	if prev, dup := m.inflight[j.dedup]; dup {
 		// Two live journal jobs with one dedup key can only come from a
 		// hand-damaged journal; Submit would have coalesced them.
-		finish(StatusFailed, fmt.Sprintf("duplicate of recovered job %s", prev.id))
+		finish(StatusFailed, fmt.Sprintf("duplicate of recovered job %s", prev.ID))
 		rec.Unrecoverable++
 		return
 	}
@@ -208,7 +211,7 @@ func (m *Manager) recoverLiveLocked(j *job, rec *JobRecovery) {
 		rec.Unrecoverable++
 		return
 	}
-	j.status = StatusQueued
+	j.Status = StatusQueued
 	m.queue <- j // cannot block: len < cap observed under m.mu, workers only drain
 	m.inflight[j.dedup] = j
 	rec.Requeued++
@@ -227,36 +230,29 @@ func jobSeq(id string) int {
 
 // submitRecord builds a job's submit journal record.
 func submitRecord(j *job) journalRecord {
-	req := j.req
+	req := j.Request
 	return journalRecord{
-		Op: jopSubmit, ID: j.id, Req: &req, CfgHash: store.HashJSON(j.cfg),
-		TraceID: j.traceID, CreatedNs: j.created.UnixNano(),
+		Op: jopSubmit, ID: j.ID, Req: &req, CfgHash: store.HashJSON(j.cfg),
+		TraceID: j.TraceID, CreatedNs: j.Created.UnixNano(),
 	}
 }
 
 // terminalRecord builds a finished job's done or failed journal record.
 func terminalRecord(j *job) journalRecord {
-	if j.status == StatusFailed {
-		return journalRecord{Op: jopFailed, ID: j.id, Error: j.err, FinishedNs: j.finished.UnixNano()}
+	if j.Status == StatusFailed {
+		return journalRecord{Op: jopFailed, ID: j.ID, Error: j.Error, FinishedNs: j.Finished.UnixNano()}
 	}
 	return journalRecord{
-		Op: jopDone, ID: j.id, Artifact: j.artifact, Cached: j.cached,
-		FinishedNs: j.finished.UnixNano(),
+		Op: jopDone, ID: j.ID, Artifact: j.artifact, Cached: j.Cached,
+		FinishedNs: j.Finished.UnixNano(),
 	}
 }
 
 // appendJournalLocked journals one record (a no-op for in-memory
 // managers, whose m.journal is nil, and after the journal closed); m.mu
-// must be held. The record is durable before this returns nil. A journal
-// grown far past the retained job set is compacted first, so the new
-// record lands in the fresh log.
+// must be held. The record is durable before this returns nil.
 func (m *Manager) appendJournalLocked(rec journalRecord) error {
-	if m.journal.Grown(len(m.jobs)) {
-		if err := m.journal.Compact(m.retainedRecordsLocked()); err != nil {
-			return err
-		}
-	}
-	return m.journal.Append(rec)
+	return m.journal.AppendLive(rec, len(m.jobs), m.retainedRecordsLocked)
 }
 
 // retainedRecordsLocked is the compaction snapshot: a submit record per
@@ -272,7 +268,7 @@ func (m *Manager) retainedRecordsLocked() []journalRecord {
 			continue
 		}
 		recs = append(recs, submitRecord(j))
-		if j.status == StatusDone || j.status == StatusFailed {
+		if j.Terminal() {
 			recs = append(recs, terminalRecord(j))
 		}
 	}

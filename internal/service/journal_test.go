@@ -246,7 +246,7 @@ func TestJournalShutdownOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	jj, ok := state.jobs[snap.ID]
-	if !ok || jj.status != StatusDone {
+	if !ok || jj.Status != StatusDone {
 		t.Fatalf("journal state after clean shutdown: %+v", jj)
 	}
 	// Appending after close must be refused, not crash.
@@ -483,7 +483,7 @@ func TestAutoFallsBackMidRunWhenFarmFails(t *testing.T) {
 	if snap.Status != StatusDone {
 		t.Fatalf("auto job failed instead of falling back: %s", snap.Error)
 	}
-	if got := m.farmFallbacks.Load(); got != 1 {
+	if got := m.pipe.farmFallbacks.Load(); got != 1 {
 		t.Fatalf("farm_fallbacks = %d, want 1", got)
 	}
 	if snap.Span == nil || snap.Span.Attrs["farm_fallback"] == "" {

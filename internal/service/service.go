@@ -1,7 +1,24 @@
-// Package service is the analysis service behind cmd/bpserve and cmd/bptool
-// -cache: cached single-flight access to the expensive BarrierPoint pipeline
-// stages over a content-addressed store (see internal/store), plus an async
-// job manager (see manager.go) that runs them on a bounded worker pool.
+// Package service is the analysis service behind cmd/bpserve, cmd/bpcamp and
+// cmd/bptool -cache: cached single-flight access to the expensive BarrierPoint
+// pipeline stages over a content-addressed store (see internal/store), plus
+// an async job service that runs them on a bounded worker pool.
+//
+// # Two halves
+//
+// The job service is a lifecycle and a pipeline. The lifecycle (Manager, in
+// manager.go and journal.go) owns Submit/Get/Jobs/Wait/Shutdown, the pool,
+// in-flight deduplication, retention, the journal and recovery; it reads
+// result artifacts by name and never opens a trace. The pipeline (the
+// unexported pipeline type, pipeline.go) owns what a job computes: request
+// validation, the analyze / simulate / estimate execution, the point-runner
+// choice and the stage telemetry; it sees no job ID, queue or journal. Two
+// calls connect them: plan turns a Request into a plan — or rejects it —
+// and run computes a plan into result bytes, timing it into the span it is
+// handed. Both are fields of the Manager, so each half tests alone.
+//
+// This file holds what every store caller shares, job or not: artifact
+// names, AnalyzeCached (trace → selection bytes) and BindCached (trace →
+// bound Analysis), the one place a cached selection becomes an Analysis.
 //
 // # Cache keys
 //
@@ -29,6 +46,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -198,6 +216,38 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCach
 		close(ch)
 		return sel, false, stats, err
 	}
+}
+
+// BindCached is the one road from a stored trace to an Analysis bound to it,
+// taken by the pipeline's estimate jobs, bptool -cache and campaign cells
+// alike: the selection comes from AnalyzeCached (computed and cached on a
+// miss; cached, stats and what obsrv hears of it are AnalyzeCached's), is
+// parsed, and is bound to the store's copy of the trace replaying through rc
+// — so every later stage streams exactly the bytes the key addresses. obsrv
+// additionally receives "bind": parse, open and bind. The caller closes
+// closer when it is done with the analysis' program.
+func BindCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (a *bp.Analysis, closer io.Closer, cached bool, stats ProfileStats, err error) {
+	selBytes, cached, stats, err := AnalyzeCached(st, key, cfg, rc, obsrv)
+	if err != nil {
+		return nil, nil, false, stats, err
+	}
+	t0 := time.Now()
+	sel, err := bp.LoadSelection(bytes.NewReader(selBytes))
+	if err != nil {
+		return nil, nil, false, stats, err
+	}
+	f, err := st.OpenTrace(key)
+	if err != nil {
+		return nil, nil, false, stats, err
+	}
+	if a, err = sel.Bind(rc.Program(f, key)); err != nil {
+		f.Close()
+		return nil, nil, false, stats, err
+	}
+	if obsrv != nil {
+		obsrv("bind", time.Since(t0))
+	}
+	return a, f, cached, stats, nil
 }
 
 // computeSelection runs the cold path: profile (through the per-region

@@ -21,15 +21,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdErr returns the standard error of the mean of xs: sqrt(Variance/n).
-// It returns 0 for fewer than two samples.
-func StdErr(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return math.Sqrt(Variance(xs) / float64(len(xs)))
-}
-
 // WeightedSumVariance propagates independent per-term variances through the
 // weighted sum Σ w_i·X_i: Var(Σ w_i·X_i) = Σ w_i²·Var(X_i). This is the
 // SMARTS-style propagation step of the adaptive sampler: each cluster's
@@ -114,18 +105,4 @@ func (iv Interval) Covers(x float64) bool {
 // String renders the interval as "center ± half".
 func (iv Interval) String() string {
 	return fmt.Sprintf("%.6g ± %.3g", iv.Center, iv.Half)
-}
-
-// TInterval returns the two-sided Student-t confidence interval of a sample
-// of n observations with the given mean and standard error: mean ± t·se with
-// n-1 degrees of freedom. n <= 1 yields a degenerate zero-width interval.
-func TInterval(mean, stderr float64, n int, confidence float64) (Interval, error) {
-	if n <= 1 || stderr == 0 {
-		return Interval{Center: mean}, nil
-	}
-	t, err := TCritical(float64(n-1), confidence)
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Center: mean, Half: t * stderr}, nil
 }

@@ -2,11 +2,7 @@
 // experiment harness: means, absolute percentage errors, and summaries.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -47,32 +43,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // AbsPctErr returns |est-actual|/actual × 100. It returns 0 when actual is
 // zero and est is zero, and +Inf when only actual is zero.
 func AbsPctErr(est, actual float64) float64 {
@@ -83,20 +53,4 @@ func AbsPctErr(est, actual float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(est-actual) / math.Abs(actual) * 100
-}
-
-// Summary describes a sample compactly.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{N: len(xs), Mean: Mean(xs), Min: Min(xs), Max: Max(xs)}
-}
-
-// String renders the summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f", s.N, s.Mean, s.Min, s.Max)
 }

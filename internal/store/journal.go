@@ -36,7 +36,7 @@ import (
 // A journal's only job is to reconstruct live state, not to audit finished
 // work, so it is periodically rewritten (atomically: temp file, fsync,
 // rename) to a snapshot of exactly that state. Clients compact once at
-// startup after replay, and before an append whenever Grown reports that
+// startup after replay, and AppendLive compacts before an append whenever
 // the log holds at least journalCompactMinRecords records and at least
 // journalCompactFactor records per live item — so a small log is never
 // rewritten and a large busy one is not rewritten while it is still mostly
@@ -139,11 +139,22 @@ func (j *Journal[R]) Append(rec R) error {
 	return nil
 }
 
-// Grown reports whether the log has outgrown live items of live state far
-// enough (see Compaction above) that the owner should Compact before its
-// next Append.
-func (j *Journal[R]) Grown(live int) bool {
+// grown reports whether the log has outgrown live items of live state far
+// enough (see Compaction above) to be compacted before the next append.
+func (j *Journal[R]) grown(live int) bool {
 	return !j.off() && j.recs >= journalCompactMinRecords && j.recs >= journalCompactFactor*live
+}
+
+// AppendLive is the owners' append: Append behind the compaction policy. A
+// log grown far past the owner's live items of state is first compacted to
+// snapshot() — called only then — so rec lands in the fresh log.
+func (j *Journal[R]) AppendLive(rec R, live int, snapshot func() []R) error {
+	if j.grown(live) {
+		if err := j.Compact(snapshot()); err != nil {
+			return err
+		}
+	}
+	return j.Append(rec)
 }
 
 // Compact atomically replaces the log's contents with snapshot. A crash at

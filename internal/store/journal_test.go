@@ -211,7 +211,7 @@ func TestJournalBrokenUntilCompacted(t *testing.T) {
 
 // TestJournalCompactionFixpointAndBound churns 10⁴ add/retire pairs
 // through a small live set, compacting whenever the journal says it has
-// Grown: the file must stay bounded by the live state, and compacting an
+// grown: the file must stay bounded by the live state, and compacting an
 // already-compact journal must not change a byte.
 func TestJournalCompactionFixpointAndBound(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "churn.wal")
@@ -226,12 +226,7 @@ func TestJournalCompactionFixpointAndBound(t *testing.T) {
 	var maxBytes int64
 	put := func(r toyRec) {
 		t.Helper()
-		if j.Grown(len(s.live)) {
-			if err := j.Compact(s.snapshot()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := j.Append(r); err != nil {
+		if err := j.AppendLive(r, len(s.live), s.snapshot); err != nil {
 			t.Fatal(err)
 		}
 		s.apply(r)
@@ -295,7 +290,7 @@ func TestJournalClosedAndNilRecordNothing(t *testing.T) {
 	if err := j.Compact(nil); err != nil {
 		t.Errorf("compact after close: %v, want nil no-op", err)
 	}
-	if j.Grown(0) {
+	if j.grown(0) {
 		t.Error("closed journal asks for compaction")
 	}
 	if err := j.Close(); err != nil {
@@ -318,7 +313,7 @@ func TestJournalClosedAndNilRecordNothing(t *testing.T) {
 	if err := none.Compact(nil); err != nil {
 		t.Errorf("nil compact: %v", err)
 	}
-	if none.Grown(0) || none.Close() != nil || none.Stats() != (JournalStats{}) {
+	if none.grown(0) || none.Close() != nil || none.Stats() != (JournalStats{}) {
 		t.Errorf("nil journal is not inert: stats %+v", none.Stats())
 	}
 }

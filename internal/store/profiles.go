@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 )
@@ -48,7 +47,7 @@ func (s *Store) PutProfile(digest, codec string, data []byte) (existed bool, err
 	if err := s.checkProfile(digest, codec); err != nil {
 		return false, err
 	}
-	if _, err := os.Stat(s.profilePath(digest, codec)); err == nil {
+	if hasBlob(s.profilePath(digest, codec)) {
 		return true, nil
 	}
 	return writeDurable(filepath.Join(s.root, "profiles"), digest+"."+codec, data, true)
@@ -61,23 +60,12 @@ func (s *Store) GetProfile(digest, codec string) ([]byte, error) {
 	if err := s.checkProfile(digest, codec); err != nil {
 		return nil, err
 	}
-	b, err := os.ReadFile(s.profilePath(digest, codec))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: profile %s.%s: %w", digest, codec, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return b, nil
+	return readBlob(s.profilePath(digest, codec), "profile ", digest, ".", codec)
 }
 
 // HasProfile reports whether a profile is stored under (digest, codec).
 func (s *Store) HasProfile(digest, codec string) bool {
-	if s.checkProfile(digest, codec) != nil {
-		return false
-	}
-	_, err := os.Stat(s.profilePath(digest, codec))
-	return err == nil
+	return s.checkProfile(digest, codec) == nil && hasBlob(s.profilePath(digest, codec))
 }
 
 // RemoveProfile deletes one cached profile. Removing a profile that does
@@ -86,8 +74,5 @@ func (s *Store) RemoveProfile(digest, codec string) error {
 	if err := s.checkProfile(digest, codec); err != nil {
 		return err
 	}
-	if err := os.Remove(s.profilePath(digest, codec)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return removeBlob(s.profilePath(digest, codec))
 }

@@ -293,11 +293,7 @@ func (s *Store) ImportTrace(path string) (key string, existed bool, err error) {
 
 // HasTrace reports whether the store holds a trace with the given key.
 func (s *Store) HasTrace(key string) bool {
-	if !ValidKey(key) {
-		return false
-	}
-	_, err := os.Stat(s.tracePath(key))
-	return err == nil
+	return ValidKey(key) && hasBlob(s.tracePath(key))
 }
 
 // TracePath returns the on-disk path of the stored trace, or ErrNotFound.
@@ -306,7 +302,7 @@ func (s *Store) TracePath(key string) (string, error) {
 		return "", fmt.Errorf("store: malformed trace key %q", key)
 	}
 	p := s.tracePath(key)
-	if _, err := os.Stat(p); err != nil {
+	if !hasBlob(p) {
 		return "", fmt.Errorf("store: trace %s: %w", key, ErrNotFound)
 	}
 	return p, nil
@@ -326,8 +322,8 @@ func (s *Store) RemoveTrace(key string) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: malformed trace key %q", key)
 	}
-	if err := os.Remove(s.tracePath(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
+	if err := removeBlob(s.tracePath(key)); err != nil {
+		return err
 	}
 	if err := os.RemoveAll(s.artifactDir(key)); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -354,6 +350,66 @@ func (s *Store) Traces() ([]string, error) {
 	return keys, nil
 }
 
+// readBlob, hasBlob, removeBlob, listBlobs and putBlob are the file-level
+// halves of the artifact, campaign-manifest and profile methods; checking
+// keys and names and the fault-injection sites stay with those.
+
+// readBlob reads the blob at path; a missing one is ErrNotFound, named by
+// what's parts joined (only then: reads that hit build no string).
+func readBlob(path string, what ...string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("store: %s: %w", strings.Join(what, ""), ErrNotFound)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return b, nil
+}
+
+// hasBlob reports whether a blob exists at path.
+func hasBlob(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// removeBlob deletes the blob at path, if there is one.
+func removeBlob(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// listBlobs returns the well-formed blob names in dir, sorted; a directory
+// that does not exist yet lists as empty.
+func listBlobs(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	var names []string
+	for _, e := range ents {
+		if artifactRe.MatchString(e.Name()) {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// putBlob durably writes data as dir/name, creating dir, replacing the blob.
+func putBlob(dir, name string, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, err := writeDurable(dir, name, data, false)
+	return err
+}
+
 func (s *Store) checkArtifact(key, name string) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: malformed trace key %q", key)
@@ -373,23 +429,12 @@ func (s *Store) GetArtifact(key, name string) ([]byte, error) {
 	if err := fault.Inject("store.get-artifact"); err != nil {
 		return nil, err
 	}
-	b, err := os.ReadFile(filepath.Join(s.artifactDir(key), name))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: artifact %s/%s: %w", key, name, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return b, nil
+	return readBlob(filepath.Join(s.artifactDir(key), name), "artifact ", key, "/", name)
 }
 
 // HasArtifact reports whether the named artifact is cached for the trace.
 func (s *Store) HasArtifact(key, name string) bool {
-	if s.checkArtifact(key, name) != nil {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(s.artifactDir(key), name))
-	return err == nil
+	return s.checkArtifact(key, name) == nil && hasBlob(filepath.Join(s.artifactDir(key), name))
 }
 
 // publish makes the bytes written to tmp durable under the name dst in
@@ -453,12 +498,7 @@ func (s *Store) PutArtifact(key, name string, data []byte) error {
 	if err := fault.Inject("store.put-artifact"); err != nil {
 		return err
 	}
-	dir := s.artifactDir(key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, err := writeDurable(dir, name, data, false)
-	return err
+	return putBlob(s.artifactDir(key), name, data)
 }
 
 // Campaign manifests (internal/campaign) are small JSON progress records
@@ -467,24 +507,13 @@ func (s *Store) PutArtifact(key, name string, data []byte) error {
 // goes: copy the store to another machine and the sweep picks up from its
 // last completed cell there.
 
-func (s *Store) campaignPath(name string) string {
-	return filepath.Join(s.root, "campaigns", name)
-}
-
 // GetCampaign returns the named campaign manifest, or an error wrapping
 // ErrNotFound when no campaign of that name has been saved.
 func (s *Store) GetCampaign(name string) ([]byte, error) {
 	if !artifactRe.MatchString(name) {
 		return nil, fmt.Errorf("store: malformed campaign name %q", name)
 	}
-	b, err := os.ReadFile(s.campaignPath(name))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: campaign %s: %w", name, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return b, nil
+	return readBlob(filepath.Join(s.root, "campaigns", name), "campaign ", name)
 }
 
 // PutCampaign atomically stores the named campaign manifest, overwriting
@@ -494,32 +523,13 @@ func (s *Store) PutCampaign(name string, data []byte) error {
 	if !artifactRe.MatchString(name) {
 		return fmt.Errorf("store: malformed campaign name %q", name)
 	}
-	dir := filepath.Join(s.root, "campaigns")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, err := writeDurable(dir, name, data, false)
-	return err
+	return putBlob(filepath.Join(s.root, "campaigns"), name, data)
 }
 
 // Campaigns lists the saved campaign manifest names, sorted. A store with
 // no campaigns yields an empty list, not an error.
 func (s *Store) Campaigns() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(s.root, "campaigns"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var names []string
-	for _, e := range ents {
-		if artifactRe.MatchString(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
+	return listBlobs(filepath.Join(s.root, "campaigns"))
 }
 
 // RemoveArtifact invalidates one cached artifact. Removing an artifact
@@ -528,10 +538,7 @@ func (s *Store) RemoveArtifact(key, name string) error {
 	if err := s.checkArtifact(key, name); err != nil {
 		return err
 	}
-	if err := os.Remove(filepath.Join(s.artifactDir(key), name)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return removeBlob(filepath.Join(s.artifactDir(key), name))
 }
 
 // Artifacts lists the artifact names cached for the trace, sorted. A trace
@@ -540,19 +547,5 @@ func (s *Store) Artifacts(key string) ([]string, error) {
 	if !ValidKey(key) {
 		return nil, fmt.Errorf("store: malformed trace key %q", key)
 	}
-	ents, err := os.ReadDir(s.artifactDir(key))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var names []string
-	for _, e := range ents {
-		if artifactRe.MatchString(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
+	return listBlobs(s.artifactDir(key))
 }

@@ -82,7 +82,7 @@ func LoadSelection(r io.Reader) (*SavedSelection, error) {
 // barrierpoints and estimate without re-profiling or re-clustering — the
 // "per-simulation costs" path of the paper's Fig. 2.
 func (s *SavedSelection) Bind(p Program) (*Analysis, error) {
-	if p.Name() != s.Program && p.Name() != s.Program+"-coalesced" {
+	if p.Name() != s.Program {
 		return nil, fmt.Errorf("barrierpoint: selection is for %q, program is %q", s.Program, p.Name())
 	}
 	if p.Regions() != s.Regions {

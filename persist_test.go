@@ -75,7 +75,22 @@ func TestBindValidation(t *testing.T) {
 	if _, err := s.Bind(workload.New("npb-is", 8, workload.WithScale(0.2))); err == nil {
 		t.Error("binding to a different program accepted")
 	}
+	// Same shape, another name: the region count cannot catch it, the name
+	// must — including the suffix a deleted trace transform used to append.
+	for _, name := range []string{"npb-ft2", "npb-ft-coalesced"} {
+		if _, err := s.Bind(renamed{prog, name}); err == nil {
+			t.Errorf("binding to a program named %q accepted", name)
+		}
+	}
 }
+
+// renamed is a program under another name.
+type renamed struct {
+	bp.Program
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
 
 // TestTraceKey checks the public content-address helpers: file and reader
 // keys agree, are stable for identical content, and differ across content.

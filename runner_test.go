@@ -100,7 +100,7 @@ func TestRunPointsDuplicatesAndRange(t *testing.T) {
 	}
 }
 
-// TestRunPointsReportsOneCapture: a RunPointsObserved call owns one prefix
+// TestRunPointsReportsOneCapture: an observed RunPoints call owns one prefix
 // pass and reports it once, however many points it hands out — exactly one
 // "warmup-capture" under an MRU mode, none under cold — beside one set of
 // phases per point.
@@ -114,11 +114,12 @@ func TestRunPointsReportsOneCapture(t *testing.T) {
 	} {
 		var mu sync.Mutex
 		got := make(map[string]int)
-		_, err := bp.LocalRunner{Workers: 2}.RunPointsObserved(prog, regions, bp.TableIMachine(1), mode, func(stage string, d time.Duration) {
+		lr := bp.LocalRunner{Workers: 2, Observer: func(stage string, d time.Duration) {
 			mu.Lock()
 			got[stage]++
 			mu.Unlock()
-		})
+		}}
+		_, err := lr.RunPoints(prog, regions, bp.TableIMachine(1), mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,6 @@ var surfaceAllow = map[string]bool{
 	"internal/fault.Reset":                true,
 	"internal/obs.SpanRecorder.ByTrace":   true,
 	"internal/service.Manager.Spans":      true,
-	"internal/service.Snapshot.Terminal":  true,
 	"internal/sim.Machine.CheckInclusion": true,
 	"internal/sim.Machine.Counters":       true,
 	"internal/sim.Machine.L1DHas":         true,
@@ -62,19 +61,13 @@ var surfaceAllow = map[string]bool{
 	"internal/store.Store.RemoveArtifact": true,
 
 	// Dead by the rule above, and still here: each is reached only by its own
-	// unit test, and each goes together with that test (a PR may retire only
-	// a few tests at a time). Do not add to this group.
-	"internal/bbv.Vector.Clone":        true,
-	"internal/bbv.Vector.Keys":         true,
-	"internal/bbv.Vector.Normalized":   true,
-	"internal/obs.CounterVec.With":     true,
-	"internal/obs.Registry.CounterVec": true,
-	"internal/report.BarChart":         true,
-	"internal/report.Table.AddRowf":    true,
-	"internal/stats.Median":            true,
-	"internal/stats.StdErr":            true,
-	"internal/stats.Summarize":         true,
-	"internal/stats.TInterval":         true,
+	// unit tests — seven of them between these four — and each goes together
+	// with those tests (a PR may retire only a few tests at a time). Do not
+	// add to this group.
+	"internal/bbv.Vector.Clone":      true,
+	"internal/bbv.Vector.Normalized": true,
+	"internal/report.BarChart":       true,
+	"internal/report.Table.AddRowf":  true,
 }
 
 // TestSurface type-checks every non-test file of the module (bench/ is its
