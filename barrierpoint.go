@@ -435,9 +435,12 @@ func mruCapacity(mc MachineConfig) int { return mc.L3.Lines() * mc.Sockets }
 
 // runPoint simulates one barrierpoint on a fresh machine with the given
 // warmup snapshot. This is the single code path every runner ends in (see
-// PrefixPass.Point), so in-process and farmed execution cannot diverge. Each
+// PrefixPass.Point), so in-process and farmed execution cannot diverge. Fresh
+// means in the state of sim.New, not newly allocated: the machine is a Reset
+// one from sim's free list (exact: see that package's comment) and returns
+// there once the result, which shares no memory with it, is in hand. Each
 // phase that runs is reported to obsrv as it ends; the first one includes
-// building the machine.
+// obtaining the machine.
 func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) RegionResult {
 	t := time.Now()
 	lap := func(stage string) {
@@ -447,7 +450,8 @@ func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap war
 			t = now
 		}
 	}
-	m := sim.New(mc)
+	m := sim.Acquire(mc)
+	defer sim.Release(m)
 	if mode != ColdWarmup {
 		warmup.Replay(m, snap)
 		lap("warm-replay")

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -354,38 +355,78 @@ func BenchmarkBarrierPointSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateMRUPrevColdCache measures the sampled estimate as a
-// freshly uploaded trace pays for it: an npb-cg trace (8 threads, scale 0.5,
-// gzip chunks — the end-to-end benchmark's cold-big-regions shape) replayed
-// through a ReplayCache that starts empty every iteration, so region
-// decode, the MRU prefix pass and the mru+prev point simulations are all in
-// the measurement. The selection is computed once, outside it.
-func BenchmarkEstimateMRUPrevColdCache(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "cg.bptrace")
-	prog := workload.New("npb-cg", 8, workload.WithScale(0.5))
-	if err := bp.SaveTrace(path, prog, bp.WithTraceGzip(true)); err != nil {
-		b.Fatal(err)
+// coldCacheEstimator records an 8-thread trace of the named workload,
+// analyzes it once, and returns the sampled estimate as a freshly uploaded
+// trace pays for it: replayed through a ReplayCache that starts empty on
+// every call, so region decode, the MRU prefix pass and the point
+// simulations are all inside the call and the selection is outside it.
+func coldCacheEstimator(tb testing.TB, name string, scale float64, gz bool, mode bp.WarmupMode) func() {
+	path := filepath.Join(tb.TempDir(), name+".bptrace")
+	if err := bp.SaveTrace(path, workload.New(name, 8, workload.WithScale(scale)), bp.WithTraceGzip(gz)); err != nil {
+		tb.Fatal(err)
 	}
 	key, err := bp.TraceKey(path)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f, err := bp.OpenTrace(path)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer f.Close()
+	tb.Cleanup(func() { f.Close() })
 	a, err := bp.Analyze(f, bp.DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mc := bp.TableIMachine(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		cold := *a
 		cold.Program = bp.NewReplayCache(0).Program(f, key)
-		if _, err := cold.Estimate(mc, bp.MRUPrevWarmup); err != nil {
-			b.Fatal(err)
+		if _, err := cold.Estimate(mc, mode); err != nil {
+			tb.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEstimateMRUPrevColdCache is the end-to-end benchmark's
+// cold-big-regions shape: npb-cg at scale 0.5, gzip chunks, mru+prev.
+func BenchmarkEstimateMRUPrevColdCache(b *testing.B) {
+	estimate := coldCacheEstimator(b, "npb-cg", 0.5, true, bp.MRUPrevWarmup)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		estimate()
+	}
+}
+
+// BenchmarkEstimateMRUColdCacheManyRegions is its cold-many-regions shape:
+// npb-lu at scale 0.2, 503 small regions, uncompressed, mru. Per-point and
+// per-region fixed costs — obtaining a machine, decoding a region into the
+// cache — carry this one; TestColdEstimateAllocCeiling caps its B/op.
+func BenchmarkEstimateMRUColdCacheManyRegions(b *testing.B) {
+	estimate := coldCacheEstimator(b, "npb-lu", 0.2, false, bp.MRUWarmup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		estimate()
+	}
+}
+
+// TestColdEstimateAllocCeiling caps what BenchmarkEstimateMRUColdCacheManyRegions
+// allocates per estimate at 9 MB. A machine allocated per point put it at
+// 37.5 MB, regions decoded into doubling slices at 10.7 MB; with machines
+// from the free list and exact-size decodes it measures 3.5 MB, which is
+// the decoded trace plus the MRU snapshots.
+func TestColdEstimateAllocCeiling(t *testing.T) {
+	estimate := coldCacheEstimator(t, "npb-lu", 0.2, false, bp.MRUWarmup)
+	estimate() // the free list and the decode scratch fill on the first one
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		estimate()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 9<<20 {
+		t.Errorf("a cold-cache estimate allocates %d bytes, want <= 9 MB", perOp)
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"barrierpoint/internal/fault"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/service"
+	"barrierpoint/internal/sim"
 	"barrierpoint/internal/store"
 	"barrierpoint/internal/tracefile"
 )
@@ -216,6 +217,7 @@ func newServer(st *store.Store, mgr *service.Manager) *server {
 	// the coordinator's one metrics surface: /metrics exposes it as
 	// Prometheus text and /debug/vars as expvar-style JSON.
 	reg := mgr.Metrics()
+	obs.RegisterProcess(reg, sim.FreeListStats)
 	reg.CounterFunc("bp_trace_uploads_total", "Traces accepted by POST /v1/traces.", func() float64 {
 		return float64(s.uploads.Load())
 	})

@@ -46,6 +46,7 @@ import (
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/fault"
 	"barrierpoint/internal/obs"
+	"barrierpoint/internal/sim"
 	"barrierpoint/internal/store"
 )
 
@@ -118,6 +119,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	spans := obs.NewSpanRecorder(0)
 	w := farm.NewWorker(c, st, rc, spans, logger)
 	w.Concurrency, w.Poll, w.MaxTasks, w.IdleExit = *concurrency, *poll, *maxTasks, *idleExit
+	obs.RegisterProcess(w.Metrics, sim.FreeListStats)
 	rpcRetries := w.Metrics.Counter("bp_rpc_retries_total", "Farm RPC attempts that failed transiently and were retried with backoff.")
 	c.OnRetry = func(op string, attempt int, err error) {
 		rpcRetries.Inc()

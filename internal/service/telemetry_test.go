@@ -10,6 +10,7 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/obs"
+	"barrierpoint/internal/sim"
 )
 
 // metricValues renders the manager's registry through its expvar bridge
@@ -207,6 +208,48 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 	}
 	if !strings.Contains(prom.String(), `bp_job_stage_seconds_count{stage="warmup-capture"} 2`) {
 		t.Errorf("want two warmup-capture observations, one per MRU pass:\n%s", prom.String())
+	}
+}
+
+// TestProcessTelemetry: the process-level series the daemons register
+// (obs.RegisterProcess) appear beside the manager's own, the runtime gauges
+// read real values, and the machine free list's counters tell a reused
+// machine from a built one — an estimate whose points find idle machines on
+// the list counts one reuse per point and builds nothing.
+func TestProcessTelemetry(t *testing.T) {
+	st, key := newTestStore(t)
+	m := New(st, 1, 0)
+	defer m.Shutdown(context.Background())
+	obs.RegisterProcess(m.Metrics(), sim.FreeListStats) // as cmd/bpserve and cmd/bpworker do
+
+	mc := bp.TableIMachine(1) // what an 8-thread trace's estimate runs on
+	a, b := sim.Acquire(mc), sim.Acquire(mc)
+	sim.Release(a)
+	sim.Release(b) // a warm list: two idle machines for MaxK = 2's two points
+
+	before := metricValues(t, m)
+	for _, name := range []string{"bp_go_heap_live_bytes", "bp_go_memory_mapped_bytes", "bp_go_gc_cycles_total",
+		"bp_go_gc_cpu_fraction", "bp_go_gc_last_pause_seconds", "bp_go_goroutines",
+		"bp_sim_machines_built_total", "bp_sim_machines_reused_total"} {
+		if _, ok := before[name]; !ok {
+			t.Errorf("metric %s is not exported", name)
+		}
+	}
+	if before["bp_go_goroutines"] < 1 || before["bp_go_memory_mapped_bytes"] <= 0 {
+		t.Errorf("runtime gauges read nothing: goroutines %v, mapped bytes %v",
+			before["bp_go_goroutines"], before["bp_go_memory_mapped_bytes"])
+	}
+
+	done := submitAndWait(t, m, Request{Kind: KindEstimate, Trace: key, Warmup: "mru", MaxK: 2})
+	if done.Status != StatusDone {
+		t.Fatalf("estimate failed: %s", done.Error)
+	}
+	points := stageCount(done.Span, "point-detail")
+	after := metricValues(t, m)
+	built := after["bp_sim_machines_built_total"] - before["bp_sim_machines_built_total"]
+	reused := after["bp_sim_machines_reused_total"] - before["bp_sim_machines_reused_total"]
+	if points != 2 || built != 0 || reused != float64(points) {
+		t.Errorf("%d points on a warm free list: %v machines built, %v reused; want 2 points, 0 built, 2 reused", points, built, reused)
 	}
 }
 

@@ -125,11 +125,13 @@ func (s *sets[P]) invalidate(line uint64) (p P) {
 	return p
 }
 
-// reset empties every set. Payloads of empty ways are never read.
+// reset empties every set. Payloads of empty ways are never read; clearing
+// them makes a reset array equal to a new one, which TestReset checks.
 func (s *sets[P]) reset() {
 	for i := range s.tags {
 		s.tags[i] = invalidTag
 	}
+	clear(s.pay)
 }
 
 // occupancy counts resident lines (used by tests and inclusion checks).

@@ -38,6 +38,14 @@
 //   - On an LLC miss the victim is read first, its private copies are
 //     back-invalidated (and its writeback charged) next, and only then is
 //     the new line inserted.
+//
+// # Reuse
+//
+// A point simulation needs a machine nothing has run on, and gets one from
+// a free list (Acquire, Release) rather than from New: Reset writes every
+// tag, payload, predictor entry, clock, DRAM queue and counter back to what
+// New allocates — TestReset compares the two field by field — so the result
+// is the same and the megabytes of arrays are not garbage after each point.
 package sim
 
 import "fmt"

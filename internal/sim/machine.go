@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"barrierpoint/internal/trace"
 )
@@ -132,6 +133,45 @@ func (m *Machine) Config() Config { return m.cfg }
 // Counters returns cumulative event counts since construction or Reset.
 func (m *Machine) Counters() Counters { return m.ctr }
 
+// free is the process-wide list of idle machines by configuration (see the
+// package comment): at most as many per configuration as ever ran at once.
+var free = struct {
+	sync.Mutex
+	idle          map[Config][]*Machine
+	built, reused uint64
+}{idle: make(map[Config][]*Machine)}
+
+// Acquire returns a machine in the state of New(cfg): an idle one, Reset, if
+// the free list has one, else a new one. Hand it back with Release.
+func Acquire(cfg Config) *Machine {
+	free.Lock()
+	l := free.idle[cfg]
+	if len(l) == 0 {
+		free.built++
+		free.Unlock()
+		return New(cfg)
+	}
+	m := l[len(l)-1]
+	free.idle[cfg], free.reused = l[:len(l)-1], free.reused+1
+	free.Unlock()
+	m.Reset()
+	return m
+}
+
+// Release puts m, which the caller is done with, on the free list.
+func Release(m *Machine) {
+	free.Lock()
+	free.idle[m.cfg] = append(free.idle[m.cfg], m)
+	free.Unlock()
+}
+
+// FreeListStats counts the machines Acquire has built and has reused.
+func FreeListStats() (built, reused uint64) {
+	free.Lock()
+	defer free.Unlock()
+	return free.built, free.reused
+}
+
 // Reset restores the machine to its post-construction state.
 func (m *Machine) Reset() {
 	for _, c := range m.core {
@@ -147,6 +187,7 @@ func (m *Machine) Reset() {
 		l.reset()
 	}
 	m.ctr = Counters{}
+	m.functional = false
 }
 
 // homeSocket maps a line address to the socket owning its LLC slice and

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -389,18 +390,46 @@ func TestWarmRegionEquivalentState(t *testing.T) {
 	_ = r
 }
 
+// TestReset is the proof under the machine free list: a machine driven
+// through every entry point and then Reset is New's machine field for field —
+// tags, payloads, predictor tables, clocks, DRAM queues, counters, the
+// functional flag — so a point simulated on a reused machine cannot differ
+// from one simulated on a fresh one.
 func TestReset(t *testing.T) {
-	m := New(Tiny(2))
-	m.RunRegion(seqRegion(2, 32, 2, true))
-	m.Reset()
-	if m.Counters() != (Counters{}) {
-		t.Error("counters survive Reset")
-	}
-	if m.L2Occupancy(0) != 0 || m.LLCOccupancy(0) != 0 {
-		t.Error("cache contents survive Reset")
-	}
-	if m.core[0].cycle != 0 {
-		t.Error("clock survives Reset")
+	for _, cfg := range []Config{TableI(1), TableI(4)} {
+		n := cfg.Cores()
+		region := seqRegion(n, 3000, 2, true) // spills L1D and L2 into the LLC
+		m := New(cfg)
+		for c := 0; c < n; c++ {
+			for line := uint64(0); line < 600; line++ {
+				m.WarmAccess(c, line, c%2 == 0) // every core on the same lines: sharers, owners, invalidations
+			}
+		}
+		m.WarmRegion(region)
+		m.RunRegion(seqRegion(n, 500, 1, false))
+		m.RunRegion(region)
+		if m.Counters() == (Counters{}) || m.LLCOccupancy(0) == 0 || m.core[n-1].cycle == 0 {
+			t.Fatal("the drive left no state to reset")
+		}
+		m.functional = true // as a panic inside WarmAccess would leave it
+		m.Reset()
+		fresh := New(cfg)
+		if !reflect.DeepEqual(m, fresh) {
+			t.Fatalf("%d sockets: a Reset machine differs from a new one", cfg.Sockets)
+		}
+		if got, want := m.RunRegion(region), fresh.RunRegion(region); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d sockets: region on a Reset machine = %+v, on a new one %+v", cfg.Sockets, got, want)
+		}
+
+		// The free list hands that machine back, Reset again.
+		built, reused := FreeListStats()
+		Release(m)
+		if got := Acquire(cfg); got != m || !reflect.DeepEqual(got, New(cfg)) {
+			t.Fatalf("%d sockets: Acquire after Release did not return the released machine in New's state", cfg.Sockets)
+		}
+		if b, r := FreeListStats(); b != built || r != reused+1 {
+			t.Fatalf("free list counted built %d→%d reused %d→%d, want one reuse", built, b, reused, r)
+		}
 	}
 }
 

@@ -26,15 +26,17 @@ func TestConcurrentIdenticalPutTrace(t *testing.T) {
 	const n = 16
 	keys := make([]string, n)
 	errs := make([]error, n)
+	existed := make([]bool, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			keys[i], _, errs[i] = st.PutTrace(bytes.NewReader(data))
+			keys[i], existed[i], errs[i] = st.PutTrace(bytes.NewReader(data))
 		}(i)
 	}
 	wg.Wait()
+	created := 0
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("put %d: %v", i, errs[i])
@@ -42,6 +44,14 @@ func TestConcurrentIdenticalPutTrace(t *testing.T) {
 		if keys[i] != keys[0] {
 			t.Fatalf("put %d produced key %s, put 0 produced %s", i, keys[i], keys[0])
 		}
+		if !existed[i] {
+			created++
+		}
+	}
+	// Whether a loser found the entry before syncing its copy or lost the
+	// link after, exactly one publisher created it.
+	if created != 1 {
+		t.Fatalf("%d writers reported existed=false, want exactly 1", created)
 	}
 	stored, err := os.ReadFile(st.tracePath(keys[0]))
 	if err != nil {
@@ -56,6 +66,53 @@ func TestConcurrentIdenticalPutTrace(t *testing.T) {
 	}
 	if len(traces) != 1 {
 		t.Fatalf("store holds %d traces, want 1", len(traces))
+	}
+	assertNoTemps(t, st)
+}
+
+// TestRepublishExisting: publishing content a create-once entry already
+// holds — a re-upload through PutTrace or a TraceWriter, a profile writer
+// that lost the race after its HasProfile check — reports existed, leaves the
+// stored bytes as they were and leaves no temp file behind.
+func TestRepublishExisting(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := recordBytes(t)
+	key, existed, err := st.PutTrace(bytes.NewReader(data))
+	if err != nil || existed {
+		t.Fatalf("first put: existed=%v err=%v", existed, err)
+	}
+	if k, existed, err := st.PutTrace(bytes.NewReader(data)); err != nil || !existed || k != key {
+		t.Fatalf("re-PutTrace: key %s existed=%v err=%v, want %s true", k, existed, err, key)
+	}
+	w, err := st.NewTraceWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if k, existed, err := w.Commit(); err != nil || !existed || k != key {
+		t.Fatalf("re-Commit: key %s existed=%v err=%v, want %s true", k, existed, err, key)
+	}
+	if stored, err := os.ReadFile(st.tracePath(key)); err != nil || !bytes.Equal(stored, data) {
+		t.Fatalf("stored trace changed by re-publishing: %v", err)
+	}
+
+	digest, blob := strings.Repeat("ef", 32), []byte("profile bytes")
+	if existed, err := st.PutProfile(digest, "rd1", blob); err != nil || existed {
+		t.Fatalf("first profile put: existed=%v err=%v", existed, err)
+	}
+	// PutProfile returns before it writes when the entry is there; the
+	// writer that saw it missing and then lost the race gets here.
+	existed, err = writeDurable(filepath.Join(st.Root(), "profiles"), digest+".rd1", []byte("a loser's bytes"), true)
+	if err != nil || !existed {
+		t.Fatalf("losing profile publish: existed=%v err=%v", existed, err)
+	}
+	if got, err := st.GetProfile(digest, "rd1"); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("profile after losing publish: %q, %v", got, err)
 	}
 	assertNoTemps(t, st)
 }

@@ -443,10 +443,17 @@ func (s *Store) HasArtifact(key, name string) bool {
 // so among concurrent publishers of one name exactly one observes
 // existed=false and the losers' bytes are discarded (fine for
 // content-addressed entries, where every writer's bytes are equivalent) —
-// then fsync the directory. It is the one publish path behind traces,
-// artifacts, campaign manifests and profiles; tmp is gone when it returns.
+// then fsync the directory. A create-once entry found already there was made
+// durable by its creator: tmp is discarded without the sync, so a re-upload
+// does not write back megabytes it is about to delete. It is the one publish
+// path behind traces, artifacts, campaign manifests and profiles; tmp is
+// gone when it returns.
 func publish(tmp *os.File, dst string, excl bool) (existed bool, err error) {
 	defer os.Remove(tmp.Name()) // nothing left to remove after a rename
+	if excl && hasBlob(dst) {
+		tmp.Close()
+		return true, nil
+	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return false, fmt.Errorf("store: syncing %s: %w", filepath.Base(dst), err)

@@ -3,8 +3,10 @@ package tracefile
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"barrierpoint/internal/trace"
 	"barrierpoint/internal/workload"
@@ -119,6 +121,59 @@ func TestRegionCacheEviction(t *testing.T) {
 	got := drainAny(cp.Region(0).Thread(1))
 	if len(want) != len(got) {
 		t.Fatalf("post-eviction replay differs: %d vs %d blocks", len(got), len(want))
+	}
+}
+
+// TestRegionCacheHoldsExactlyWhatItCounts: every cached thread is two slices
+// with no spare capacity, and Stats().Bytes — what the budget is checked
+// against and bp_replay_cache_bytes reports — is their capacity in bytes.
+func TestRegionCacheHoldsExactlyWhatItCounts(t *testing.T) {
+	prog := workload.New("npb-ft", 4, workload.WithScale(0.05))
+	f := record(t, prog, WithGzip(true))
+	c := NewRegionCache(64 << 20)
+	cp := c.Program(f, "exact")
+	for r := 0; r < f.Regions(); r++ {
+		drainAny(cp.Region(r).Thread(0))
+	}
+	var held int64
+	for k, el := range c.entries {
+		e := el.Value.(*cacheEntry)
+		for tid, th := range e.threads {
+			if cap(th.blocks) != len(th.blocks) || cap(th.accs) != len(th.accs) {
+				t.Errorf("region %d thread %d: blocks %d/%d, accs %d/%d (len/cap): spare capacity the budget does not count",
+					k.region, tid, len(th.blocks), cap(th.blocks), len(th.accs), cap(th.accs))
+			}
+			held += int64(cap(th.blocks))*int64(unsafe.Sizeof(blockRec{})) + int64(cap(th.accs))*int64(unsafe.Sizeof(trace.Access{}))
+		}
+	}
+	if st := c.Stats(); st.Entries != f.Regions() || st.Bytes != held {
+		t.Errorf("stats = %+v, but %d entries hold %d bytes", st, len(c.entries), held)
+	}
+}
+
+// TestDecodedRegionsArePointerFree: neither element type of a cached region
+// may hold anything the collector would follow — a later field of pointer,
+// slice, string, map, channel, function or interface type would make every
+// cached byte scannable again. blockRec must also stay within 24 bytes.
+func TestDecodedRegionsArePointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: cached regions must hold no pointers", path, typ.Kind())
+		}
+	}
+	walk("blockRec", reflect.TypeOf(blockRec{}))
+	walk("trace.Access", reflect.TypeOf(trace.Access{}))
+	if n := unsafe.Sizeof(blockRec{}); n > 24 {
+		t.Errorf("blockRec is %d bytes, want <= 24", n)
 	}
 }
 

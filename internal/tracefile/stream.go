@@ -192,10 +192,11 @@ func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) 
 				return info, errw(err, "region %d thread %d: reading chunk length", ri, t)
 			}
 			d.beginChunk(n)
-			// Grow-as-read: a lying length prefix hits EOF before it can
-			// force a giant allocation.
-			var buf bytes.Buffer
-			if _, err := io.CopyN(io.MultiWriter(&buf, d), br, int64(n)); err != nil {
+			// One buffer of the declared size, up to 1 MiB; only past that
+			// does it grow as read, so a lying length prefix hits EOF before
+			// it can force a giant allocation.
+			buf := bytes.NewBuffer(make([]byte, 0, min(n, 1<<20)))
+			if _, err := io.CopyN(io.MultiWriter(buf, d), br, int64(n)); err != nil {
 				return info, errw(err, "region %d thread %d: reading chunk", ri, t)
 			}
 			chunks = append(chunks, buf.Bytes())

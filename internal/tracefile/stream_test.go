@@ -285,6 +285,25 @@ func TestDecodeStreamErrors(t *testing.T) {
 			}
 		}
 	})
+	t.Run("huge-chunk-length", func(t *testing.T) {
+		// A 20-byte upload whose first chunk claims 2 GiB: the decoder may
+		// take the prefix's word for 1 MiB, no more, before
+		// the missing payload fails it.
+		hdr := []byte(magicV2)
+		hdr = append(hdr, 1, 'x', 1, 1, 0) // name "x", 1 thread, 1 region, no flags
+		hdr = binary.AppendUvarint(hdr, 2<<30)
+		hdr = append(hdr, 1, 2, 3, 4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeStream(bytes.NewReader(hdr), nop)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("err = %v, want ErrFormat", err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+			t.Fatalf("decoding a %d-byte body allocated %d bytes, want < 2 MiB", len(hdr), got)
+		}
+	})
 }
 
 // iotest is a reader that always fails, standing in for a dropped network

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/sim"
+	"barrierpoint/internal/warmup"
 	"barrierpoint/internal/workload"
 )
 
@@ -126,5 +128,50 @@ func TestRunPointsReportsOneCapture(t *testing.T) {
 		if !reflect.DeepEqual(got, phases) {
 			t.Errorf("%v: observed stages %v, want %v", mode, got, phases)
 		}
+	}
+}
+
+// TestPointsOnReusedMachinesMatchNewOnes: eight goroutines simulate points
+// through the machine free list, alternating between the one-socket and the
+// four-socket machine so both lists are taken from and returned to at once,
+// and every result equals the point simulated here by hand on a sim.New
+// machine that was never on a list. Run under -race it is also the free
+// list's concurrency test.
+func TestPointsOnReusedMachinesMatchNewOnes(t *testing.T) {
+	type point struct {
+		prog   bp.Program
+		mc     bp.MachineConfig
+		region int
+		want   bp.RegionResult
+	}
+	var points []point
+	for _, sockets := range []int{1, 4} {
+		prog, mc := workload.New("npb-is", 8*sockets, workload.WithScale(0.05)), bp.TableIMachine(sockets)
+		regions := []int{1, 4, 7}
+		snaps := warmup.Capture(prog, regions, mc.L3.Lines()*mc.Sockets)
+		for _, r := range regions {
+			m := sim.New(mc)
+			warmup.Replay(m, snaps[r])
+			points = append(points, point{prog, mc, r, m.RunRegion(prog.Region(r))})
+		}
+	}
+	_, reusedBefore := sim.FreeListStats()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, half := 0, len(points)/2; i < 2*len(points); i++ {
+				pt := points[i%2*half+(g+i)%half] // even i: one socket; odd i: four
+				got, err := bp.SimulatePoint(pt.prog, pt.region, pt.mc, bp.MRUWarmup)
+				if err != nil || !reflect.DeepEqual(got, pt.want) {
+					t.Errorf("%d-socket region %d on a free-list machine: %+v, %v; on a new one %+v", pt.mc.Sockets, pt.region, got, err, pt.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, reused := sim.FreeListStats(); reused == reusedBefore {
+		t.Error("no point ran on a reused machine: the test did not exercise the free list")
 	}
 }

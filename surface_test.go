@@ -55,7 +55,6 @@ var surfaceAllow = map[string]bool{
 	"internal/sim.Machine.L2Has":          true,
 	"internal/sim.Machine.L2Occupancy":    true,
 	"internal/sim.Machine.LLCOccupancy":   true,
-	"internal/sim.Machine.Reset":          true,
 	"internal/sim.Tiny":                   true,
 	"internal/store.ReplayJournal":        true,
 	"internal/store.Store.RemoveArtifact": true,
