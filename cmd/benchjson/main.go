@@ -37,8 +37,8 @@ type Metrics struct {
 	BPerOp      float64 `json:"b_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	Samples     int     `json:"samples"`
-	// Extra holds custom b.ReportMetric units ("rounds/op",
-	// "points/op", ...), averaged like the standard three, keyed by unit.
+	// Extra holds custom b.ReportMetric units ("rounds/op", "Minstr/s",
+	// ...), averaged like the standard three, keyed by unit.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -130,13 +130,12 @@ func parse(r io.Reader) (Output, error) {
 			case "allocs/op":
 				a.allocs += v
 			default:
-				// b.ReportMetric emits "<val> <unit>/op" for custom units.
-				if strings.HasSuffix(unit, "/op") {
-					if a.extra == nil {
-						a.extra = make(map[string]float64)
-					}
-					a.extra[unit] += v
+				// b.ReportMetric emits "<val> <unit>" for custom units, per
+				// op ("points/op") or rates ("Minstr/s").
+				if a.extra == nil {
+					a.extra = make(map[string]float64)
 				}
+				a.extra[unit] += v
 			}
 		}
 		if got {

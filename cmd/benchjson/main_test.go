@@ -53,6 +53,27 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseKeepsRateUnits: a custom unit that is a rate rather than a per-op
+// count is kept beside the per-op ones, and the standard columns around it
+// still parse.
+func TestParseKeepsRateUnits(t *testing.T) {
+	const lines = `BenchmarkRunRegion-2          	       2	 527349538 ns/op	        21.25 Minstr/s	 3679464 B/op	    1609 allocs/op
+BenchmarkRunRegion-2          	       2	 533010335 ns/op	        20.75 Minstr/s	 3679472 B/op	    1609 allocs/op
+BenchmarkAdaptiveTargetCI-8   	       4	 120000000 ns/op	         5.000 rounds/op
+`
+	o, err := parse(strings.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := o.Benchmarks["BenchmarkRunRegion"]
+	if r.Samples != 2 || r.Extra["Minstr/s"] != 21 || r.AllocsPerOp != 1609 || len(r.Extra) != 1 {
+		t.Errorf("BenchmarkRunRegion wrong: %+v", r)
+	}
+	if ad := o.Benchmarks["BenchmarkAdaptiveTargetCI"]; ad.Extra["rounds/op"] != 5 {
+		t.Errorf("BenchmarkAdaptiveTargetCI wrong: %+v", ad)
+	}
+}
+
 func TestParseEmpty(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\n")); err == nil {
 		t.Error("no-result input accepted")

@@ -21,11 +21,10 @@
 //	                           "signature"} → job snapshot (202)
 //	GET  /v1/jobs              list jobs
 //	GET  /v1/jobs/{id}         job status; result embedded when done
-//	GET  /healthz              liveness + readiness: store/queue counters,
-//	                           WAL status, replay-cache and fleet state
-//	GET  /metrics              Prometheus text exposition (bp_-prefixed)
-//	GET  /debug/vars           the same registry as one expvar-style JSON
-//	                           object, {"metrics": {...}}
+//	GET  /healthz              liveness + readiness, and the state of the
+//	                           job journal and farm WAL (recovery included)
+//	GET  /metrics              Prometheus text exposition (bp_-prefixed):
+//	                           every counter, gauge and histogram
 //
 // The farm tier (see internal/farm) adds the worker-facing endpoints —
 // bpworker processes register, lease point-simulation tasks, heartbeat
@@ -213,9 +212,8 @@ func newServer(st *store.Store, mgr *service.Manager) *server {
 		s.mux.Handle("/farm/", farm.NewServer(q, st))
 	}
 
-	// Server-level series join the manager's registry, so that registry is
-	// the coordinator's one metrics surface: /metrics exposes it as
-	// Prometheus text and /debug/vars as expvar-style JSON.
+	// Server-level series join the manager's registry, so that registry,
+	// served at /metrics, is the coordinator's one metrics surface.
 	reg := mgr.Metrics()
 	obs.RegisterProcess(reg, sim.FreeListStats)
 	reg.CounterFunc("bp_trace_uploads_total", "Traces accepted by POST /v1/traces.", func() float64 {
@@ -240,7 +238,6 @@ func newServer(st *store.Store, mgr *service.Manager) *server {
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.Handle("GET /metrics", reg.Handler())
 	return s
 }
@@ -477,50 +474,30 @@ func (s *server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// handleHealth reports liveness plus readiness detail: job-manager
-// counters, replay-cache occupancy, and — when a farm queue is wired —
-// fleet and write-ahead-log state. "ready" is true once the store is
-// readable; orchestration probes can gate worker traffic on it.
+// handleHealth reports liveness, readiness, and the durability and
+// recovery state of the job journal and — when a farm queue is wired — the
+// farm WAL. "ready" is true once the store is readable; orchestration
+// probes can gate worker traffic on it. Activity counters live on /metrics
+// only.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_, storeErr := s.st.Traces()
-	rcs := s.mgr.ReplayCacheStats()
 	body := map[string]any{
-		"status":         "ok",
-		"ready":          storeErr == nil,
-		"uptime_seconds": time.Since(s.started).Seconds(),
-		"stats":          s.mgr.Stats(),
-		"replay_cache": map[string]any{
-			"bytes":     rcs.Bytes,
-			"max_bytes": rcs.MaxBytes,
-		},
+		"status":      "ok",
+		"ready":       storeErr == nil,
+		"job_journal": s.mgr.JournalStats(),
 	}
 	if storeErr != nil {
 		body["store_error"] = storeErr.Error()
 	}
-	body["job_journal"] = s.mgr.JournalStats()
 	if rec := s.mgr.JobRecovery(); rec.Records > 0 {
 		body["job_recovery"] = rec
 	}
 	if q := s.mgr.Farm(); q != nil {
-		fs := q.Stats()
-		farmBody := map[string]any{
-			"workers_registered": len(q.Workers()),
-			"workers_live":       fs.LiveWorkers,
-			"tasks_pending":      fs.Pending,
-			"tasks_leased":       fs.Leased,
-			"wal":                q.JournalStats(),
-		}
+		farmBody := map[string]any{"wal": q.JournalStats()}
 		if rec := q.Recovery(); rec.Records > 0 {
 			farmBody["recovery"] = rec
 		}
 		body["farm"] = farmBody
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// handleVars renders the metrics registry in the format of expvar's
-// process-global /debug/vars handler, under the single key "metrics".
-func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\n%q: %s\n}\n", "metrics", s.mgr.Metrics().Expvar())
 }

@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/store"
@@ -231,24 +235,15 @@ func TestEndToEnd(t *testing.T) {
 	// Health and metrics.
 	var health struct {
 		Status string `json:"status"`
-		Stats  struct {
-			Done int64 `json:"jobs_done"`
-		} `json:"stats"`
 	}
 	doJSON(t, "GET", base+"/healthz", nil, http.StatusOK, &health)
-	if health.Status != "ok" || health.Stats.Done < 3 {
+	if health.Status != "ok" {
 		t.Errorf("health %+v", health)
 	}
-	var vars struct {
-		Metrics struct {
-			TraceUploads float64 `json:"bp_trace_uploads_total"`
-			TracesStored float64 `json:"bp_traces_stored"`
-			CacheHits    float64 `json:"bp_job_cache_hits_total"`
-		} `json:"metrics"`
-	}
-	doJSON(t, "GET", base+"/debug/vars", nil, http.StatusOK, &vars)
-	if m := vars.Metrics; m.TraceUploads != 2 || m.TracesStored != 1 || m.CacheHits < 1 {
-		t.Errorf("vars %+v", vars)
+	m := scrape(t, base)
+	if m["bp_jobs_done_total"] < 3 || m["bp_trace_uploads_total"] != 2 || m["bp_traces_stored"] != 1 || m["bp_job_cache_hits_total"] < 1 {
+		t.Errorf("metrics: %v jobs done, %v uploads, %v traces stored, %v cache hits",
+			m["bp_jobs_done_total"], m["bp_trace_uploads_total"], m["bp_traces_stored"], m["bp_job_cache_hits_total"])
 	}
 }
 
@@ -373,7 +368,7 @@ func TestFarmEndToEnd(t *testing.T) {
 		t.Fatalf("farmed estimate failed: %s", farmed.Error)
 	}
 
-	// Fleet status shows the worker; expvar exposes farm stats.
+	// Fleet status shows the worker; /metrics counts its tasks.
 	var fleet struct {
 		Workers []farm.WorkerInfo `json:"workers"`
 		Stats   farm.Stats        `json:"stats"`
@@ -385,12 +380,8 @@ func TestFarmEndToEnd(t *testing.T) {
 	if fleet.Stats.Completed == 0 {
 		t.Fatalf("no completed tasks in stats: %+v", fleet.Stats)
 	}
-	var vars struct {
-		Metrics map[string]json.RawMessage `json:"metrics"`
-	}
-	doJSON(t, "GET", base+"/debug/vars", nil, http.StatusOK, &vars)
-	if _, ok := vars.Metrics["bp_farm_tasks_completed_total"]; !ok {
-		t.Fatalf("expvar missing the farm series: %v", vars)
+	if got := scrape(t, base)["bp_farm_tasks_completed_total"]; got != float64(fleet.Stats.Completed) {
+		t.Fatalf("bp_farm_tasks_completed_total = %v, /farm/workers says %d", got, fleet.Stats.Completed)
 	}
 
 	// The same estimate computed locally on a second, farm-free server
@@ -421,9 +412,9 @@ func TestFarmEndToEnd(t *testing.T) {
 
 // TestMetricsAndHealthEndpoints drives a farmed estimate through the full
 // server and then checks the observability surface: /metrics serves valid
-// Prometheus text with monotone histogram buckets, /debug/vars bridges
-// the same registry under the "metrics" key with matching values, and
-// /healthz reports readiness with replay-cache, fleet and WAL state.
+// Prometheus text with monotone histogram buckets and carries the
+// replay-cache and fleet gauges, and /healthz reports readiness and WAL
+// state.
 func TestMetricsAndHealthEndpoints(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -464,33 +455,7 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 
 	// /metrics: valid exposition, expected series nonzero, buckets
 	// cumulative (monotone non-decreasing, ending at the count).
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Fatalf("/metrics content type %q", ct)
-	}
-	samples := make(map[string]float64)
-	for _, line := range strings.Split(string(text), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		var f float64
-		if _, err := fmt.Sscanf(val, "%g", &f); err != nil {
-			t.Fatalf("non-numeric sample %q: %v", line, err)
-		}
-		samples[name] = f
-	}
+	samples := scrape(t, base)
 	for _, name := range []string{
 		"bp_jobs_submitted_total", "bp_jobs_done_total", "bp_trace_uploads_total",
 		"bp_farm_tasks_enqueued_total", "bp_farm_tasks_completed_total",
@@ -521,33 +486,20 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 			samples[`bp_farm_task_seconds_bucket{le="+Inf"}`], samples["bp_farm_task_seconds_count"])
 	}
 
-	// /debug/vars: the registry bridge, and nothing else, agreeing with the
-	// exposition on a shared counter.
-	var vars map[string]map[string]json.RawMessage
-	doJSON(t, "GET", base+"/debug/vars", nil, http.StatusOK, &vars)
-	if len(vars) != 1 || vars["metrics"] == nil {
-		t.Fatalf("/debug/vars serves %d keys, want only the metrics bridge", len(vars))
+	// The replay cache and the fleet are on /metrics.
+	if samples["bp_replay_cache_max_bytes"] <= 0 {
+		t.Errorf("bp_replay_cache_max_bytes = %v", samples["bp_replay_cache_max_bytes"])
 	}
-	var bridged float64
-	if err := json.Unmarshal(vars["metrics"]["bp_jobs_done_total"], &bridged); err != nil {
-		t.Fatalf("expvar bridge bp_jobs_done_total: %v", err)
-	}
-	if bridged != samples["bp_jobs_done_total"] {
-		t.Errorf("expvar bridge bp_jobs_done_total = %v, exposition says %v",
-			bridged, samples["bp_jobs_done_total"])
+	if samples["bp_farm_live_workers"] != 1 {
+		t.Errorf("bp_farm_live_workers = %v, want 1", samples["bp_farm_live_workers"])
 	}
 
-	// /healthz: readiness plus replay-cache, fleet and WAL detail.
+	// /healthz: readiness plus WAL state.
 	var health struct {
-		Status      string `json:"status"`
-		Ready       bool   `json:"ready"`
-		ReplayCache struct {
-			MaxBytes int64 `json:"max_bytes"`
-		} `json:"replay_cache"`
-		Farm struct {
-			WorkersRegistered int `json:"workers_registered"`
-			WorkersLive       int `json:"workers_live"`
-			WAL               struct {
+		Status string `json:"status"`
+		Ready  bool   `json:"ready"`
+		Farm   struct {
+			WAL struct {
 				Durable bool `json:"durable"`
 			} `json:"wal"`
 		} `json:"farm"`
@@ -556,14 +508,203 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 	if health.Status != "ok" || !health.Ready {
 		t.Fatalf("health: %+v", health)
 	}
-	if health.ReplayCache.MaxBytes <= 0 {
-		t.Errorf("health replay_cache.max_bytes = %d", health.ReplayCache.MaxBytes)
-	}
-	if health.Farm.WorkersRegistered != 1 || health.Farm.WorkersLive != 1 {
-		t.Errorf("health farm fleet: %+v", health.Farm)
-	}
 	if health.Farm.WAL.Durable {
 		t.Error("in-memory queue reported a durable WAL")
+	}
+}
+
+// scrape fetches base's /metrics and returns every sample keyed by its
+// series name, labels included.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
+		t.Fatalf("/metrics content type %q", ct)
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(text), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+		var f float64
+		if _, err := fmt.Sscanf(val, "%g", &f); err != nil {
+			t.Fatalf("non-numeric sample %q: %v", line, err)
+		}
+		samples[name] = f
+	}
+	return samples
+}
+
+// TestHealthzKeySet: /healthz carries liveness, readiness and the state of
+// the two journals — exactly those keys — on a bare server, a farm server
+// and a server that replayed both journals of an earlier life. Every value
+// it once copied from a counter reads on /metrics, checked against the
+// sources it was copied from: the job list, /farm/workers, the replay
+// budget and the recovery reports /healthz still carries.
+func TestHealthzKeySet(t *testing.T) {
+	var trace bytes.Buffer
+	if err := tracefile.Record(&trace, workload.New("npb-is", 8, workload.WithScale(0.05))); err != nil {
+		t.Fatal(err)
+	}
+	// open builds one coordinator life over dir: with a farm queue when
+	// farmOn, and with the farm WAL and job journal in dir — replaying
+	// whatever an earlier life left there — when durable.
+	open := func(t *testing.T, dir string, farmOn, durable bool) *service.Manager {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := service.New(st, 2, 0)
+		if farmOn {
+			cfg := farm.Config{LeaseTTL: 5 * time.Second}
+			var q *farm.Queue
+			if durable {
+				if q, _, err = farm.NewDurableQueue(st, cfg, filepath.Join(dir, "farm.wal")); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				q = farm.NewQueue(st, cfg)
+			}
+			m.SetFarm(q)
+		}
+		if durable {
+			if _, err := m.EnableJournal(filepath.Join(dir, "jobs.wal")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	// estimate ingests the trace and runs one estimate of it to completion:
+	// farmed to an in-process worker when m has a queue, local otherwise.
+	estimate := func(t *testing.T, m *service.Manager) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		exec := service.ExecLocal
+		if q := m.Farm(); q != nil {
+			exec = service.ExecFarm
+			go farm.RunLocalWorker(ctx, q, m.Store(), "healthz-test")
+		}
+		res, err := m.IngestTrace(bytes.NewReader(trace.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.Submit(service.Request{Kind: service.KindEstimate, Trace: res.Key, Warmup: "mru", Exec: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = m.Wait(ctx, snap.ID); err != nil || snap.Status != service.StatusDone {
+			t.Fatalf("estimate: %v %s", err, snap.Error)
+		}
+	}
+
+	for _, tc := range []struct {
+		name           string
+		farm, recovery bool
+		keys, farmKeys []string
+	}{
+		{"bare", false, false, []string{"job_journal", "ready", "status"}, nil},
+		{"farm", true, false, []string{"farm", "job_journal", "ready", "status"}, []string{"wal"}},
+		{"recovered", true, true, []string{"farm", "job_journal", "job_recovery", "ready", "status"}, []string{"recovery", "wal"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mgr := open(t, dir, tc.farm, tc.recovery)
+			estimate(t, mgr)
+			if tc.recovery {
+				if err := mgr.Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				mgr = open(t, dir, tc.farm, tc.recovery)
+			}
+			ts := httptest.NewServer(newServer(mgr.Store(), mgr))
+			defer func() {
+				ts.Close()
+				mgr.Shutdown(context.Background())
+			}()
+			base := ts.URL
+
+			var health map[string]json.RawMessage
+			doJSON(t, "GET", base+"/healthz", nil, http.StatusOK, &health)
+			if got := slices.Sorted(maps.Keys(health)); !slices.Equal(got, tc.keys) {
+				t.Errorf("/healthz keys %v, want %v", got, tc.keys)
+			}
+			var farmBody map[string]json.RawMessage
+			if raw, ok := health["farm"]; ok {
+				if err := json.Unmarshal(raw, &farmBody); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := slices.Sorted(maps.Keys(farmBody)); !slices.Equal(got, tc.farmKeys) {
+				t.Errorf("/healthz farm keys %v, want %v", got, tc.farmKeys)
+			}
+
+			want := map[string]float64{"bp_replay_cache_max_bytes": float64(bp.DefaultReplayCacheBytes)}
+			for _, name := range []string{"bp_jobs_submitted_total", "bp_jobs_deduped_total", "bp_jobs_done_total",
+				"bp_jobs_failed_total", "bp_job_cache_hits_total", "bp_jobs_farmed_total", "bp_jobs_recovered_total",
+				"bp_farm_tasks_recovered_total"} {
+				want[name] = 0
+			}
+			var jobs struct {
+				Jobs []service.Snapshot `json:"jobs"`
+			}
+			doJSON(t, "GET", base+"/v1/jobs", nil, http.StatusOK, &jobs)
+			for _, j := range jobs.Jobs {
+				if j.Recovered {
+					want["bp_jobs_recovered_total"]++
+					continue
+				}
+				want["bp_jobs_submitted_total"]++
+				if j.Status == service.StatusDone {
+					want["bp_jobs_done_total"]++
+				}
+				if j.Request.Exec == service.ExecFarm {
+					want["bp_jobs_farmed_total"]++
+				}
+			}
+			if tc.farm {
+				var fleet struct {
+					Stats farm.Stats `json:"stats"`
+				}
+				doJSON(t, "GET", base+"/farm/workers", nil, http.StatusOK, &fleet)
+				want["bp_farm_live_workers"] = float64(fleet.Stats.LiveWorkers)
+				want["bp_farm_tasks_pending"] = float64(fleet.Stats.Pending)
+				want["bp_farm_tasks_leased"] = float64(fleet.Stats.Leased)
+				var rec farm.Recovery
+				if raw, ok := farmBody["recovery"]; ok {
+					if err := json.Unmarshal(raw, &rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want["bp_farm_tasks_recovered_total"] = float64(rec.Pending + rec.Requeued)
+			}
+			got := scrape(t, base)
+			for name, v := range want {
+				if g, ok := got[name]; !ok || g != v {
+					t.Errorf("/metrics %s = %v (exported: %v), want %v", name, g, ok, v)
+				}
+			}
+			for _, name := range []string{"bp_uptime_seconds", "bp_replay_cache_bytes", "bp_cold_analyses_total",
+				"bp_adaptive_rounds_total", "bp_adaptive_promoted_total", "bp_profile_cache_hits_total",
+				"bp_profile_computed_total", "bp_ingest_traces_total", "bp_ingest_profiles_total"} {
+				if _, ok := got[name]; !ok {
+					t.Errorf("/metrics lacks %s", name)
+				}
+			}
+		})
 	}
 }
 

@@ -182,8 +182,12 @@ func TestAnalyzeWithCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := m.Stats(); res.TraceKey != key || stats.ColdAnalyses != 0 {
-		t.Errorf("campaign cell over bptool's store: trace %.12s (want %.12s), %d cold analyses (want 0)", res.TraceKey, key, stats.ColdAnalyses)
+	var metrics strings.Builder
+	if err := m.Metrics().WriteText(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if res.TraceKey != key || !strings.Contains(metrics.String(), "\nbp_cold_analyses_total 0\n") {
+		t.Errorf("campaign cell over bptool's store: trace %.12s (want %.12s), want bp_cold_analyses_total 0 in\n%s", res.TraceKey, key, metrics.String())
 	}
 	if got, err := service.CachedSelection(st, key, cfg); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("selection artifact changed under the service and the campaign (%v)", err)

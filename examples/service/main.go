@@ -12,6 +12,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/service"
@@ -74,7 +75,14 @@ func main() {
 	snap = run(service.Request{Kind: service.KindAnalyze, Trace: key})
 	fmt.Printf("%s: analyzed again (cached=%v)\n", snap.ID, snap.Cached)
 
-	s := mgr.Stats()
-	fmt.Printf("stats: %d jobs done, %d cache hits, %d cold analyses\n",
-		s.Done, s.CacheHits, s.ColdAnalyses)
+	// 4. The manager counts its activity in one metrics registry: what
+	//    bpserve serves at GET /metrics.
+	var text strings.Builder
+	mgr.Metrics().WriteText(&text)
+	for _, line := range strings.Split(text.String(), "\n") {
+		switch name, _, _ := strings.Cut(line, " "); name {
+		case "bp_jobs_done_total", "bp_job_cache_hits_total", "bp_cold_analyses_total":
+			fmt.Println(line)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,6 +38,27 @@ func newManager(t *testing.T, st *store.Store) *service.Manager {
 	m := service.New(st, 2, 0)
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	return m
+}
+
+// metric reads one unlabeled series off the manager's registry, as
+// /metrics serves it.
+func metric(t *testing.T, m *service.Manager, name string) float64 {
+	t.Helper()
+	var text strings.Builder
+	if err := m.Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if val, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", name)
+	return 0
 }
 
 // renderAll renders the matrix in every format, concatenated, so one
@@ -325,8 +347,8 @@ func TestFarmedCampaignMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mF.Stats().Farmed; got != 2 {
-		t.Fatalf("jobs_farmed = %d, want 2 (one per cell estimate)", got)
+	if got := metric(t, mF, "bp_jobs_farmed_total"); got != 2 {
+		t.Fatalf("bp_jobs_farmed_total = %v, want 2 (one per cell estimate)", got)
 	}
 	if local, farmed := renderAll(t, outL), renderAll(t, outF); local != farmed {
 		t.Fatalf("farmed matrix differs from local:\n--- farmed ---\n%s\n--- local ---\n%s", farmed, local)

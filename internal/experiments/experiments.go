@@ -8,6 +8,7 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/campaign"
 	"barrierpoint/internal/cluster"
+	"barrierpoint/internal/profile"
 	"barrierpoint/internal/report"
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/signature"
@@ -284,11 +285,7 @@ func (h *Harness) Fig6() *report.Table {
 				aSV := h.DefaultAnalysis(b, svCores)
 				// Transfer the selection to the simulated machine's
 				// region weights.
-				weights := make([]float64, len(h.Profiles(b, simCores)))
-				for i, rd := range h.Profiles(b, simCores) {
-					weights[i] = float64(rd.TotalInstrs)
-				}
-				sel := cluster.Rebind(aSV.Selection, weights)
+				sel := cluster.Rebind(aSV.Selection, profile.Weights(h.Profiles(b, simCores)))
 				transferred := &bp.Analysis{
 					Program:   h.Program(b, simCores),
 					Config:    bp.DefaultConfig(),

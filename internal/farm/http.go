@@ -562,12 +562,16 @@ func (c *Client) FetchTrace(st *store.Store, key string) error {
 		if hr.StatusCode != http.StatusOK {
 			return &statusError{hr.StatusCode, fmt.Sprintf("farm: fetching trace %.12s: HTTP %d", key, hr.StatusCode)}
 		}
-		got, _, err := st.PutTrace(hr.Body)
+		got, existed, err := st.PutTrace(hr.Body)
 		if err != nil {
 			return err
 		}
 		if got != key {
-			st.RemoveTrace(got)
+			// Drop only what this transfer added: a trace the worker already
+			// held keeps its bytes and every artifact derived from it.
+			if !existed {
+				st.RemoveTrace(got)
+			}
 			return fmt.Errorf("farm: trace %.12s: server sent content %.12s (corrupt transfer?)", key, got)
 		}
 		return nil

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"log/slog"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"reflect"
 	"slices"
 	"strconv"
@@ -344,5 +347,45 @@ func TestLocalWorkerKeepsLeasePastTTL(t *testing.T) {
 	}
 	if s := q.Stats(); s.Expired != 0 || s.Completed != 1 {
 		t.Errorf("stats %+v, want the one lease held to completion (Expired 0, Completed 1)", s)
+	}
+}
+
+// TestFetchTraceCorruptKeepsHeldTrace: a transfer whose bytes hash to a trace
+// the worker already holds fails as corrupt, and leaves that trace and the
+// results cached under it in place.
+func TestFetchTraceCorruptKeepsHeldTrace(t *testing.T) {
+	st, held := workerStore(t, "npb-is", 0.05)
+	const cached = "point-result.json"
+	if err := st.PutArtifact(held, cached, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	p, err := st.TracePath(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldBytes, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wanted := strings.Repeat("0", store.KeyLen)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/farm/trace/"+wanted {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(heldBytes)
+	}))
+	defer srv.Close()
+
+	c := &Client{Base: srv.URL, Retry: RetryPolicy{Attempts: 1}}
+	if err := c.FetchTrace(st, wanted); err == nil || !strings.Contains(err.Error(), "corrupt transfer") {
+		t.Fatalf("FetchTrace = %v, want the corrupt-transfer error", err)
+	}
+	if !st.HasTrace(held) || !st.HasArtifact(held, cached) {
+		t.Errorf("corrupt transfer deleted the held trace (present %v) or its cached result (present %v)",
+			st.HasTrace(held), st.HasArtifact(held, cached))
+	}
+	if st.HasTrace(wanted) {
+		t.Error("the requested key is stored although its bytes never arrived")
 	}
 }

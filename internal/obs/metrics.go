@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -187,8 +186,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for pre-existing atomic counters (service.Stats,
-// farm.Stats), which stay the single source of truth.
+// time — the bridge for atomic counters kept elsewhere (the service
+// manager's and pipeline's, farm.Stats), which stay the single source of
+// truth.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.newFamily(name, help, counterKind, "", nil)
 	f.get("", func() any { return funcMetric(fn) })
@@ -338,39 +338,4 @@ func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// Expvar bridges the registry into an expvar map: one key per series
-// ("name" or "name{label}"), histograms as {count, sum, buckets}. Publish
-// it under a single var so existing expvar consumers see the new metrics
-// without any existing key changing shape.
-func (r *Registry) Expvar() expvar.Func {
-	return expvar.Func(func() any {
-		out := make(map[string]any)
-		r.mu.Lock()
-		fams := append([]*family(nil), r.families...)
-		r.mu.Unlock()
-		for _, f := range fams {
-			f.mu.Lock()
-			for lv, c := range f.series {
-				key := f.name
-				if f.label != "" {
-					key = fmt.Sprintf("%s{%s=%q}", f.name, f.label, lv)
-				}
-				if h, ok := c.(*Histogram); ok {
-					cum, sum, count := h.snapshot()
-					buckets := make(map[string]uint64, len(cum))
-					for i, upper := range h.upper {
-						buckets[fmtFloat(upper)] = cum[i]
-					}
-					buckets["+Inf"] = cum[len(cum)-1]
-					out[key] = map[string]any{"count": count, "sum": sum, "buckets": buckets}
-				} else {
-					out[key] = sampleValue(c)
-				}
-			}
-			f.mu.Unlock()
-		}
-		return out
-	})
 }

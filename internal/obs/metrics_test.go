@@ -125,42 +125,6 @@ func TestHistogramVecLabels(t *testing.T) {
 	}
 }
 
-// TestExpvarParity proves the expvar bridge reports exactly the values the
-// exposition format serves, for scalars and histograms alike.
-func TestExpvarParity(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("par_ops_total", "ops")
-	c.Inc()
-	r.GaugeFunc("par_level", "level", func() float64 { return 3.25 })
-	h := r.Histogram("par_lat_seconds", "lat", []float64{0.5})
-	h.Observe(0.1)
-	h.Observe(0.9)
-
-	bridged := r.Expvar()().(map[string]any)
-	samples := parseText(t, render(t, r))
-
-	if got := bridged["par_ops_total"].(float64); got != samples["par_ops_total"] {
-		t.Errorf("bridge par_ops_total = %v, exposition %v", got, samples["par_ops_total"])
-	}
-	if got := bridged["par_level"].(float64); got != samples["par_level"] {
-		t.Errorf("bridge par_level = %v, exposition %v", got, samples["par_level"])
-	}
-	hb := bridged["par_lat_seconds"].(map[string]any)
-	if got := float64(hb["count"].(uint64)); got != samples["par_lat_seconds_count"] {
-		t.Errorf("bridge count = %v, exposition %v", got, samples["par_lat_seconds_count"])
-	}
-	if got := hb["sum"].(float64); got != samples["par_lat_seconds_sum"] {
-		t.Errorf("bridge sum = %v, exposition %v", got, samples["par_lat_seconds_sum"])
-	}
-	buckets := hb["buckets"].(map[string]uint64)
-	if got := float64(buckets["0.5"]); got != samples[`par_lat_seconds_bucket{le="0.5"}`] {
-		t.Errorf("bridge bucket 0.5 = %v, exposition %v", got, samples[`par_lat_seconds_bucket{le="0.5"}`])
-	}
-	if got := float64(buckets["+Inf"]); got != samples[`par_lat_seconds_bucket{le="+Inf"}`] {
-		t.Errorf("bridge bucket +Inf = %v, exposition %v", got, samples[`par_lat_seconds_bucket{le="+Inf"}`])
-	}
-}
-
 func TestInvalidAndDuplicateNamesPanic(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {

@@ -49,7 +49,7 @@ func TestFarmedEstimateMatchesLocal(t *testing.T) {
 	if farmed.Status != StatusDone {
 		t.Fatalf("farmed job failed: %s", farmed.Error)
 	}
-	if got := m.Stats().Farmed; got != 1 {
+	if got := m.pipe.farmed.Load(); got != 1 {
 		t.Fatalf("jobs_farmed = %d, want 1", got)
 	}
 
@@ -245,7 +245,7 @@ func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 	m2 := New(st, 2, 0)
 	m2.SetFarm(q2)
 	defer m2.Shutdown(context.Background())
-	if got := m2.Stats().FarmRecovered; got != enqueuedBefore {
+	if got := m2.farmRecovered.Load(); got != enqueuedBefore {
 		t.Fatalf("farm_tasks_recovered = %d, want %d", got, enqueuedBefore)
 	}
 
@@ -335,7 +335,7 @@ func TestAutoFallsBackToLocal(t *testing.T) {
 	if snap.Status != StatusDone {
 		t.Fatalf("auto job failed: %s", snap.Error)
 	}
-	if got := m.Stats().Farmed; got != 0 {
+	if got := m.pipe.farmed.Load(); got != 0 {
 		t.Fatalf("job farmed with no workers (jobs_farmed = %d)", got)
 	}
 	// Local execution populated the shared per-point cache.

@@ -197,8 +197,8 @@ func TestJournalColdStoreRecomputes(t *testing.T) {
 	if rec.Requeued != len(want) {
 		t.Fatalf("cold recovery requeued %d jobs, want %d (%+v)", rec.Requeued, len(want), rec)
 	}
-	if m2.Stats().Recovered != int64(len(want)) {
-		t.Fatalf("jobs_recovered = %d, want %d", m2.Stats().Recovered, len(want))
+	if m2.recovered.Load() != int64(len(want)) {
+		t.Fatalf("jobs_recovered = %d, want %d", m2.recovered.Load(), len(want))
 	}
 	for id, orig := range want {
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -361,7 +361,7 @@ func TestJournalRecoveryConcurrentSubmitStress(t *testing.T) {
 		}
 	}
 	// Recovered jobs all ran: the gauge-backing counter saw each one.
-	if got := m.Stats().Recovered; got != int64(len(reqs)) {
+	if got := m.recovered.Load(); got != int64(len(reqs)) {
 		t.Fatalf("jobs_recovered = %d, want %d", got, len(reqs))
 	}
 }

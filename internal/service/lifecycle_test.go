@@ -82,8 +82,8 @@ func TestLifecycleCoalescesInflightRequests(t *testing.T) {
 	if again.ID != first.ID || other.ID == first.ID {
 		t.Fatalf("ids %s, %s, %s: want the identical request on the first job and the other on its own", first.ID, again.ID, other.ID)
 	}
-	if s := m.Stats(); s.Submitted != 2 || s.Deduped != 1 {
-		t.Fatalf("stats %+v, want 2 submitted and 1 deduped", s)
+	if m.submitted.Load() != 2 || m.deduped.Load() != 1 {
+		t.Fatalf("%d submitted, %d deduped; want 2 and 1", m.submitted.Load(), m.deduped.Load())
 	}
 	close(release)
 	if snap := waitDone(t, m, first.ID); snap.Status != StatusDone || string(snap.Result) != `"computed stub-a.json"` {
@@ -178,8 +178,8 @@ func TestLifecycleFailedSubmitAppendLeavesNoTrace(t *testing.T) {
 	if seq != 0 || jobs != 0 || order != 0 || inflight != 0 || queued != 0 {
 		t.Fatalf("failed submit left seq=%d jobs=%d order=%d inflight=%d queued=%d", seq, jobs, order, inflight, queued)
 	}
-	if s := m.Stats(); s.Submitted != 0 {
-		t.Fatalf("failed submit counted: %+v", s)
+	if m.submitted.Load() != 0 {
+		t.Fatalf("failed submit counted: %d submitted", m.submitted.Load())
 	}
 	select {
 	case a := <-started:
@@ -238,8 +238,8 @@ func TestLifecycleRecoveryTaxonomy(t *testing.T) {
 	if want := (JobRecovery{Records: 10, Terminal: 2, Resolved: 1, Requeued: 2, Unrecoverable: 2}); rec != want {
 		t.Fatalf("recovery = %+v, want %+v", rec, want)
 	}
-	if s := m.Stats(); s.Recovered != 5 {
-		t.Errorf("jobs_recovered = %d, want 5 (terminal + resolved + requeued)", s.Recovered)
+	if m.recovered.Load() != 5 {
+		t.Errorf("jobs_recovered = %d, want 5 (terminal + resolved + requeued)", m.recovered.Load())
 	}
 	for _, want := range []struct {
 		id, result, errPart string

@@ -56,36 +56,6 @@ type Snapshot struct {
 // Terminal reports whether the job has finished (successfully or not).
 func (s Snapshot) Terminal() bool { return s.Status == StatusDone || s.Status == StatusFailed }
 
-// Stats counts manager activity since construction.
-type Stats struct {
-	Submitted    int64 `json:"jobs_submitted"`
-	Deduped      int64 `json:"jobs_deduped"`
-	Done         int64 `json:"jobs_done"`
-	Failed       int64 `json:"jobs_failed"`
-	CacheHits    int64 `json:"cache_hits"`
-	ColdAnalyses int64 `json:"cold_analyses"`
-	Farmed       int64 `json:"jobs_farmed"`
-	// FarmRecovered counts tasks the attached farm queue rebuilt from its
-	// write-ahead log at startup (pending + requeued in-flight leases).
-	FarmRecovered int64 `json:"farm_tasks_recovered"`
-	// Recovered counts jobs replayed live from the job journal at startup
-	// (resolved from the store or re-enqueued under their original IDs).
-	Recovered int64 `json:"jobs_recovered"`
-	// AdaptiveRounds and AdaptivePromoted count promotion rounds and
-	// promoted regions across all CI-targeted estimate jobs.
-	AdaptiveRounds   int64 `json:"adaptive_rounds"`
-	AdaptivePromoted int64 `json:"adaptive_promoted"`
-	// ProfileCacheHits and ProfileComputed count region profiles served
-	// from the content-addressed profile cache vs. computed (and cached),
-	// across cold analyses and streaming ingests.
-	ProfileCacheHits int64 `json:"profile_cache_hits"`
-	ProfileComputed  int64 `json:"profile_computed"`
-	// IngestedTraces and IngestedProfiles count streaming trace uploads and
-	// the region profiles they stored while bytes were still arriving.
-	IngestedTraces   int64 `json:"ingested_traces"`
-	IngestedProfiles int64 `json:"ingested_profiles"`
-}
-
 // Errors returned by Submit.
 var (
 	ErrClosed = errors.New("service: manager is shut down")
@@ -218,27 +188,6 @@ func (m *Manager) SetFarm(q *farm.Queue) {
 // Farm returns the attached work queue, or nil when execution is
 // local-only.
 func (m *Manager) Farm() *farm.Queue { return m.pipe.farm }
-
-// Stats returns activity counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Submitted:        m.submitted.Load(),
-		Deduped:          m.deduped.Load(),
-		Done:             m.done.Load(),
-		Failed:           m.failed.Load(),
-		CacheHits:        m.cacheHits.Load(),
-		ColdAnalyses:     m.pipe.coldAnalyses.Load(),
-		Farmed:           m.pipe.farmed.Load(),
-		FarmRecovered:    m.farmRecovered.Load(),
-		Recovered:        m.recovered.Load(),
-		AdaptiveRounds:   m.pipe.adaptiveRounds.Load(),
-		AdaptivePromoted: m.pipe.adaptivePromoted.Load(),
-		ProfileCacheHits: m.pipe.profileCacheHits.Load(),
-		ProfileComputed:  m.pipe.profileComputed.Load(),
-		IngestedTraces:   m.pipe.ingestedTraces.Load(),
-		IngestedProfiles: m.pipe.ingestedProfiles.Load(),
-	}
-}
 
 // Submit queues a job, or returns the in-flight job already running the
 // identical request. The returned snapshot has at least StatusQueued.

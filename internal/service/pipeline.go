@@ -164,10 +164,6 @@ func (m *Manager) SetReplayCacheBytes(n int64) {
 	m.pipe.replay = bp.NewReplayCache(n)
 }
 
-// ReplayCacheStats returns the replay cache's activity counters (zeros
-// when caching is disabled).
-func (m *Manager) ReplayCacheStats() bp.ReplayCacheStats { return m.pipe.replay.Stats() }
-
 // counterFunc registers a counter family that reads a at scrape time.
 func counterFunc(r *obs.Registry, name, help string, a *atomic.Int64) {
 	r.CounterFunc(name, help, func() float64 { return float64(a.Load()) })

@@ -125,7 +125,7 @@ func TestReplayCacheSharedAcrossJobs(t *testing.T) {
 				act = done.Result
 			}
 		}
-		return est, act, m.ReplayCacheStats()
+		return est, act, m.pipe.replay.Stats()
 	}
 	estC, actC, stats := runBoth(t, false)
 	if stats.Hits == 0 || stats.Misses == 0 {
@@ -213,13 +213,13 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("analysis ran %d times, want 1", got)
 	}
-	if got := m.Stats().ColdAnalyses; got != 1 {
+	if got := m.pipe.coldAnalyses.Load(); got != 1 {
 		t.Errorf("cold analyses = %d, want 1", got)
 	}
-	if got := m.Stats().Submitted; got != 1 {
+	if got := m.submitted.Load(); got != 1 {
 		t.Errorf("jobs submitted = %d, want 1 (rest deduped)", got)
 	}
-	if got := m.Stats().Deduped; got != n-1 {
+	if got := m.deduped.Load(); got != n-1 {
 		t.Errorf("jobs deduped = %d, want %d", got, n-1)
 	}
 }
@@ -536,8 +536,8 @@ func TestAdaptiveEstimateJob(t *testing.T) {
 	if ar.CI.AdaptiveRounds < 1 {
 		t.Errorf("adaptive run reports %d rounds", ar.CI.AdaptiveRounds)
 	}
-	if s := m.Stats(); s.AdaptiveRounds < 1 || s.AdaptivePromoted < 1 {
-		t.Errorf("manager stats missing adaptive counters: %+v", s)
+	if m.pipe.adaptiveRounds.Load() < 1 || m.pipe.adaptivePromoted.Load() < 1 {
+		t.Errorf("adaptive counters did not advance: %d rounds, %d promoted", m.pipe.adaptiveRounds.Load(), m.pipe.adaptivePromoted.Load())
 	}
 
 	// The adaptive artifact is distinct from the plain one, and repeats of

@@ -3,7 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,21 +13,25 @@ import (
 	"barrierpoint/internal/sim"
 )
 
-// metricValues renders the manager's registry through its expvar bridge
-// and returns the flat name → value view (histograms appear as objects
-// and are skipped here; read them from the raw map when needed).
+// metricValues renders the manager's registry as /metrics serves it and
+// returns every sample keyed by its series name, labels included.
 func metricValues(t *testing.T, m *Manager) map[string]float64 {
 	t.Helper()
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(m.Metrics().Expvar().String()), &raw); err != nil {
-		t.Fatalf("expvar bridge is not valid JSON: %v", err)
+	var text strings.Builder
+	if err := m.Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
 	}
-	out := make(map[string]float64, len(raw))
-	for name, v := range raw {
-		var f float64
-		if err := json.Unmarshal(v, &f); err == nil {
-			out[name] = f
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
+		name, val, _ := strings.Cut(line, " ")
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[name] = f
 	}
 	return out
 }
@@ -302,15 +306,5 @@ func TestFarmedJobTraceIDReachesWorkers(t *testing.T) {
 	}
 	if vals["bp_jobs_farmed_total"] != 1 {
 		t.Fatalf("farmed jobs counter = %v, want 1", vals["bp_jobs_farmed_total"])
-	}
-
-	// The exposition text agrees with the expvar bridge for the same
-	// counter (one source of truth behind two views).
-	var text strings.Builder
-	if err := m.Metrics().WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "bp_farm_tasks_completed_total") {
-		t.Fatal("exposition text is missing bp_farm_tasks_completed_total")
 	}
 }
