@@ -30,13 +30,42 @@ func main() {
 	}
 }
 
+type harness = experiments.Harness
+
+// tableOf drops the per-row data of an experiment that returns it.
+func tableOf[R any](f func(*harness) (R, *report.Table)) func(*harness) *report.Table {
+	return func(h *harness) *report.Table {
+		_, t := f(h)
+		return t
+	}
+}
+
+// experimentTables maps each -exp name to the table it renders.
+var experimentTables = map[string]func(*harness) *report.Table{
+	"table1":           (*harness).Table1,
+	"table2":           (*harness).Table2,
+	"table3":           (*harness).Table3,
+	"fig1":             (*harness).Fig1,
+	"fig3":             tableOf((*harness).Fig3),
+	"fig4":             tableOf((*harness).Fig4),
+	"fig5":             (*harness).Fig5,
+	"fig6":             (*harness).Fig6,
+	"fig7":             tableOf((*harness).Fig7),
+	"fig8":             tableOf((*harness).Fig8),
+	"fig9":             tableOf((*harness).Fig9),
+	"ablation-scaling": (*harness).AblationScaling,
+	"ablation-threads": (*harness).AblationThreads,
+	"ablation-warmup":  (*harness).AblationWarmup,
+	"scale-error":      tableOf((*harness).ScaleError),
+}
+
 // run parses flags and executes the requested experiments; it is the
 // testable entry point of the tool.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bpexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "", "experiment to run: table1 table2 table3 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation-scaling ablation-threads ablation-warmup")
+		exp      = fs.String("exp", "", "experiment to run: table1 table2 table3 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation-scaling ablation-threads ablation-warmup scale-error")
 		all      = fs.Bool("all", false, "run every experiment in paper order")
 		scale    = fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper-shaped)")
 		bench    = fs.String("bench", "", "comma-separated benchmark subset (default: all)")
@@ -67,53 +96,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		h.Benches = names
 	}
 
-	render := func(t *report.Table) {
-		if *markdown {
+	run1 := func(name string) error {
+		table, ok := experimentTables[name]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+		start := time.Now()
+		if t := table(h); *markdown {
 			fmt.Fprintln(stdout, t.Markdown())
 		} else {
 			t.Render(stdout)
 			fmt.Fprintln(stdout)
-		}
-	}
-
-	run1 := func(name string) error {
-		start := time.Now()
-		switch name {
-		case "table1":
-			render(h.Table1())
-		case "table2":
-			render(h.Table2())
-		case "table3":
-			render(h.Table3())
-		case "fig1":
-			render(h.Fig1())
-		case "fig3":
-			_, t := h.Fig3()
-			render(t)
-		case "fig4":
-			_, t := h.Fig4()
-			render(t)
-		case "fig5":
-			render(h.Fig5())
-		case "fig6":
-			render(h.Fig6())
-		case "fig7":
-			_, t := h.Fig7()
-			render(t)
-		case "fig8":
-			_, t := h.Fig8()
-			render(t)
-		case "fig9":
-			_, t := h.Fig9()
-			render(t)
-		case "ablation-scaling":
-			render(h.AblationScaling())
-		case "ablation-threads":
-			render(h.AblationThreads())
-		case "ablation-warmup":
-			render(h.AblationWarmup())
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))

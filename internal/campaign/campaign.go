@@ -93,24 +93,3 @@ func (r *Runner) logf(format string, args ...any) {
 		fmt.Fprintf(r.Log, format+"\n", args...)
 	}
 }
-
-// RunGrid expands and runs a spec synchronously with no store and no
-// manifest: the in-process core used by the experiments harness (the
-// paper's Fig. 4/7 rows are campaign grids over the harness runner) and
-// by tests.
-func RunGrid(spec Spec, runner CellRunner) ([]CellOutcome, error) {
-	spec.ApplyDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cells := spec.Expand()
-	out := make([]CellOutcome, 0, len(cells))
-	for _, c := range cells {
-		res, err := runner.RunCell(c)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: cell %s: %w", c.ID(), err)
-		}
-		out = append(out, CellOutcome{c, res})
-	}
-	return out, nil
-}

@@ -95,6 +95,7 @@ func TestSpecValidate(t *testing.T) {
 		"negative-ci":      func(s *Spec) { s.TargetCI = -0.1 },
 		"huge-ci":          func(s *Spec) { s.TargetCI = 1.5 },
 		"negative-max-k":   func(s *Spec) { s.MaxKs = []int{-3} },
+		"perfect-warmup":   func(s *Spec) { s.Warmups = []string{"perfect"} },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -397,11 +398,12 @@ func TestAdaptiveCampaignCells(t *testing.T) {
 	}
 }
 
-// TestServiceRunnerRejectsPerfectWarmup: "perfect" is harness-only.
+// TestServiceRunnerRejectsPerfectWarmup: "perfect" is no warmup mode of the
+// service, so a cell naming it fails instead of estimating.
 func TestServiceRunnerRejectsPerfectWarmup(t *testing.T) {
 	st := newStore(t)
 	r := &ServiceRunner{M: newManager(t, st)}
-	_, err := r.RunCell(Cell{Workload: "npb-is", Threads: 8, Signature: "combine", Warmup: WarmupPerfect, Scale: 0.05})
+	_, err := r.RunCell(Cell{Workload: "npb-is", Threads: 8, Signature: "combine", Warmup: "perfect", Scale: 0.05})
 	if err == nil || !strings.Contains(err.Error(), "perfect") {
 		t.Fatalf("perfect warmup accepted by the service runner: %v", err)
 	}

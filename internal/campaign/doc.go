@@ -4,9 +4,9 @@
 // scale) expands into a grid of cells, each cell runs through the analysis
 // service (internal/service) as an estimate plus a ground-truth simulate
 // job, and the completed grid aggregates into an accuracy/speedup matrix
-// rendered by internal/report. Reproducing the paper's Figures 4 and 7 is
-// the degenerate case: one signature, one warmup mode, the paper's
-// benchmark suite at 8 and 32 threads (see internal/experiments).
+// rendered by internal/report. The paper's Figure 7 is one such grid: one
+// signature, one warmup mode, the paper's benchmark suite at 8 and 32
+// threads.
 //
 // # Spec
 //
@@ -27,8 +27,7 @@
 // Sockets size the Table I machine; 0 (the default) derives the socket
 // count from the thread count. Signatures use the service vocabulary
 // ("bbv", "reuse_dist", "combine"), warmups likewise ("cold", "mru",
-// "mru+prev") plus "perfect", which only in-memory runners (the
-// experiments harness) accept. A positive target_ci makes every estimate
+// "mru+prev"). A positive target_ci makes every estimate
 // adaptive — extra regions are promoted to detailed simulation until the
 // runtime estimate's relative confidence interval reaches the target (see
 // internal/adaptive) — and joins the identity hash, since it changes cell

@@ -132,9 +132,6 @@ func (r *ServiceRunner) ensureTrace(c Cell) (string, error) {
 // accuracy metrics from their results, speedups from the cached
 // selection.
 func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
-	if c.Warmup == WarmupPerfect {
-		return CellResult{}, fmt.Errorf("campaign: warmup %q needs in-memory full-simulation results; run the cell through the experiments harness instead", c.Warmup)
-	}
 	key, err := r.ensureTrace(c)
 	if err != nil {
 		return CellResult{}, err

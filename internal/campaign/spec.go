@@ -12,12 +12,6 @@ import (
 	"barrierpoint/internal/workload"
 )
 
-// WarmupPerfect is the extra warmup label specs may use alongside the
-// service vocabulary: estimate from the full simulation's own region
-// results (the paper's "perfect warmup" baseline, Fig. 4). Only runners
-// with in-memory ground truth accept it; ServiceRunner rejects it.
-const WarmupPerfect = "perfect"
-
 // Spec declares a sweep: the cross product of workloads, thread counts,
 // machine configs (socket counts), signature variants and warmup modes,
 // at one workload scale. See the package documentation for the JSON form
@@ -147,11 +141,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, wm := range s.Warmups {
-		if wm == WarmupPerfect {
-			continue
-		}
 		if _, err := bp.ParseWarmup(wm); err != nil {
-			return fmt.Errorf("campaign: %w (or %q)", err, WarmupPerfect)
+			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	switch s.Exec {

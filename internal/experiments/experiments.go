@@ -6,11 +6,9 @@ import (
 	"strings"
 
 	bp "barrierpoint"
-	"barrierpoint/internal/campaign"
 	"barrierpoint/internal/cluster"
 	"barrierpoint/internal/profile"
 	"barrierpoint/internal/report"
-	"barrierpoint/internal/service"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/stats"
 )
@@ -108,87 +106,38 @@ type ErrRow struct {
 	APKIDelta [2]float64 // abs DRAM APKI difference at 8 and 32 cores
 }
 
-// AccuracySpec is the campaign spec whose grid is the paper's accuracy
-// evaluation (Figs. 4 and 7): every benchmark of the harness crossed with
-// the Table I core counts, under one warmup mode ("perfect" for Fig. 4,
-// the §IV technique for Fig. 7).
-func (h *Harness) AccuracySpec(warmup string) campaign.Spec {
-	return campaign.Spec{
-		Name:      "paper-accuracy-" + warmup,
-		Workloads: h.BenchNames(),
-		Threads:   CoreCounts,
-		Warmups:   []string{warmup},
-		Scale:     h.Scale,
-	}
-}
-
-// errRows computes runtime error and APKI difference per benchmark by
-// expanding the accuracy campaign spec and running its grid against the
-// in-memory harness — the same cells bpcamp would dispatch through the
-// service tier, minus the store.
-func (h *Harness) errRows(mode bp.WarmupMode, perfect bool) []ErrRow {
-	warmup := mode.String()
-	if perfect {
-		warmup = campaign.WarmupPerfect
-	}
-	outcomes, err := campaign.RunGrid(h.AccuracySpec(warmup), harnessRunner{h})
-	if err != nil {
-		panic(err)
-	}
-	// Expand order is workloads outermost, threads inner, so each
-	// benchmark's cells arrive contiguously in CoreCounts order.
-	var rows []ErrRow
-	for i, o := range outcomes {
-		ci := i % len(CoreCounts)
-		if ci == 0 {
-			rows = append(rows, ErrRow{Bench: o.Cell.Workload})
-		}
-		row := &rows[len(rows)-1]
-		row.RunErr[ci] = o.Result.RunErrPct
-		row.APKIDelta[ci] = o.Result.APKIDelta
-	}
-	return rows
-}
-
-// harnessRunner adapts the in-memory Harness to campaign.CellRunner: the
-// full simulation is the harness' cached ground truth, and "perfect"
-// warmup estimates from its region results directly.
-type harnessRunner struct{ h *Harness }
-
-// RunCell implements campaign.CellRunner.
-func (r harnessRunner) RunCell(c campaign.Cell) (campaign.CellResult, error) {
-	h := r.h
-	cfg, err := service.ParseSignature(c.Signature)
-	if err != nil {
-		return campaign.CellResult{}, err
-	}
-	full := h.Full(c.Workload, c.Threads)
-	a := h.Analysis(c.Workload, c.Threads, cfg)
-	var results map[int]bp.RegionResult
-	if c.Warmup == campaign.WarmupPerfect {
-		results = a.PerfectWarmup(full)
-	} else {
-		mode, err := bp.ParseWarmup(c.Warmup)
-		if err != nil {
-			return campaign.CellResult{}, err
-		}
-		results = h.Points(c.Workload, c.Threads, a, mode, "default")
-	}
+// runErr is the paper's accuracy measure: the estimate a reconstructs from
+// results against the full simulation of the benchmark, as the absolute
+// runtime % error and the absolute DRAM APKI difference.
+func (h *Harness) runErr(bench string, cores int, a *bp.Analysis, results map[int]bp.RegionResult) (pct, apki float64) {
 	est, err := a.EstimateFrom(results)
 	if err != nil {
-		return campaign.CellResult{}, err
+		panic(fmt.Sprintf("experiments: estimate of %s/%d: %v", bench, cores, err))
 	}
-	act := bp.ActualFrom(full)
-	return campaign.CellResult{
-		EstTimeNs:       est.TimeNs,
-		ActTimeNs:       act.TimeNs,
-		EstAPKI:         est.DRAMAPKI(),
-		ActAPKI:         act.DRAMAPKI(),
-		RunErrPct:       stats.AbsPctErr(est.TimeNs, act.TimeNs),
-		APKIDelta:       math.Abs(est.DRAMAPKI() - act.DRAMAPKI()),
-		SerialSpeedup:   a.SerialSpeedup(),
-		ParallelSpeedup: a.ParallelSpeedup(),
-	}, nil
+	act := bp.ActualFrom(h.Full(bench, cores))
+	return stats.AbsPctErr(est.TimeNs, act.TimeNs), math.Abs(est.DRAMAPKI() - act.DRAMAPKI())
+}
+
+// errRows measures the default analysis of every benchmark at both core
+// counts, from perfect warmup (the full simulation's own region results) or
+// from barrierpoints simulated under the harness warmup.
+func (h *Harness) errRows(perfect bool) []ErrRow {
+	var rows []ErrRow
+	for _, b := range h.BenchNames() {
+		row := ErrRow{Bench: b}
+		for ci, cores := range CoreCounts {
+			a := h.DefaultAnalysis(b, cores)
+			var results map[int]bp.RegionResult
+			if perfect {
+				results = a.PerfectWarmup(h.Full(b, cores))
+			} else {
+				results = h.Points(b, cores, a, h.Warmup)
+			}
+			row.RunErr[ci], row.APKIDelta[ci] = h.runErr(b, cores, a, results)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 func errTable(title string, rows []ErrRow) *report.Table {
@@ -212,15 +161,71 @@ func errTable(title string, rows []ErrRow) *report.Table {
 // Fig4 evaluates barrierpoint selection with perfect warmup (paper Fig. 4):
 // absolute runtime prediction error and absolute DRAM APKI difference.
 func (h *Harness) Fig4() ([]ErrRow, *report.Table) {
-	rows := h.errRows(0, true)
+	rows := h.errRows(true)
 	return rows, errTable("Figure 4: prediction error with perfect warmup", rows)
 }
 
 // Fig7 is Fig4 with the §IV warmup technique instead of perfect warmup
 // (paper Fig. 7).
 func (h *Harness) Fig7() ([]ErrRow, *report.Table) {
-	rows := h.errRows(h.Warmup, false)
+	rows := h.errRows(false)
 	return rows, errTable(fmt.Sprintf("Figure 7: prediction error with %s warmup", h.Warmup), rows)
+}
+
+// ScaleFactors are the workload scales ScaleError measures, as multiples of
+// the harness scale.
+var ScaleFactors = []float64{1, 0.5, 0.2}
+
+// ScaleErrRow is one benchmark and core count's runtime error at each of
+// the ScaleFactors.
+type ScaleErrRow struct {
+	Bench     string
+	Cores     int
+	Selection []float64 // abs runtime % error with perfect warmup (Fig. 4)
+	Total     []float64 // abs runtime % error with the harness warmup (Fig. 7)
+}
+
+// ScaleError splits runtime error at shrinking workload scales into a
+// selection part (the perfect-warmup error) and a warmup part (the harness
+// warmup's error minus the selection part).
+func (h *Harness) ScaleError() ([]ScaleErrRow, *report.Table) {
+	var rows []ScaleErrRow
+	headers := []string{"benchmark", "cores"}
+	for fi, f := range ScaleFactors {
+		x := h
+		if f != 1 {
+			x = New(h.Scale * f)
+			x.Warmup, x.Benches = h.Warmup, h.Benches
+		}
+		headers = append(headers, fmt.Sprintf("selection x%.3g", x.Scale), fmt.Sprintf("warmup x%.3g", x.Scale))
+		sel, tot := x.errRows(true), x.errRows(false)
+		for i := range len(sel) * len(CoreCounts) {
+			b, ci := i/len(CoreCounts), i%len(CoreCounts)
+			if fi == 0 {
+				rows = append(rows, ScaleErrRow{Bench: sel[b].Bench, Cores: CoreCounts[ci]})
+			}
+			rows[i].Selection = append(rows[i].Selection, sel[b].RunErr[ci])
+			rows[i].Total = append(rows[i].Total, tot[b].RunErr[ci])
+		}
+	}
+	t := report.NewTable(fmt.Sprintf("Scale error: abs runtime %% error from selection (perfect warmup) and from %s warmup", h.Warmup), headers...)
+	cols := make([][]float64, 2*len(ScaleFactors))
+	for _, r := range rows {
+		cells := []string{r.Bench, fmt.Sprintf("%d", r.Cores)}
+		for fi := range ScaleFactors {
+			for k, v := range []float64{r.Selection[fi], r.Total[fi] - r.Selection[fi]} {
+				cols[2*fi+k] = append(cols[2*fi+k], v)
+				cells = append(cells, fmt.Sprintf("%.2f", v))
+			}
+		}
+		t.AddRow(cells...)
+	}
+	avg := []string{"average", ""}
+	for _, c := range cols {
+		avg = append(avg, fmt.Sprintf("%.2f", stats.Mean(c)))
+	}
+	t.AddRow(avg...)
+	return rows, t
 }
 
 // Fig5Variants are the signature configurations of the paper's Figure 5.
@@ -255,13 +260,9 @@ func (h *Harness) Fig5() *report.Table {
 			var errs []float64
 			for _, b := range h.BenchNames() {
 				for _, cores := range CoreCounts {
-					full := h.Full(b, cores)
 					a := h.Analysis(b, cores, cfg)
-					est, err := a.EstimateFrom(a.PerfectWarmup(full))
-					if err != nil {
-						panic(err)
-					}
-					errs = append(errs, stats.AbsPctErr(est.TimeNs, bp.ActualFrom(full).TimeNs))
+					e, _ := h.runErr(b, cores, a, a.PerfectWarmup(h.Full(b, cores)))
+					errs = append(errs, e)
 				}
 			}
 			row = append(row, fmt.Sprintf("%.2f", stats.Mean(errs)))
@@ -279,28 +280,19 @@ func (h *Harness) Fig6() *report.Table {
 	for _, b := range h.BenchNames() {
 		row := []string{b}
 		for _, simCores := range CoreCounts {
-			full := h.Full(b, simCores)
-			act := bp.ActualFrom(full)
 			for _, svCores := range CoreCounts {
-				aSV := h.DefaultAnalysis(b, svCores)
-				// Transfer the selection to the simulated machine's
+				// Transfer the svCores selection to the simulated machine's
 				// region weights.
-				sel := cluster.Rebind(aSV.Selection, profile.Weights(h.Profiles(b, simCores)))
 				transferred := &bp.Analysis{
 					Program:   h.Program(b, simCores),
 					Config:    bp.DefaultConfig(),
 					Profiles:  h.Profiles(b, simCores),
-					Selection: sel,
+					Selection: cluster.Rebind(h.DefaultAnalysis(b, svCores).Selection, profile.Weights(h.Profiles(b, simCores))),
 				}
-				est, err := transferred.EstimateFrom(transferred.PerfectWarmup(full))
-				if err != nil {
-					panic(err)
-				}
-				row = append(row, fmt.Sprintf("%.2f", stats.AbsPctErr(est.TimeNs, act.TimeNs)))
+				e, _ := h.runErr(b, simCores, transferred, transferred.PerfectWarmup(h.Full(b, simCores)))
+				row = append(row, fmt.Sprintf("%.2f", e))
 			}
 		}
-		// Reorder: the paper lists (8c/8cSV, 8c/32cSV, 32c/8cSV, 32c/32cSV);
-		// the loop above produced exactly that order.
 		t.AddRow(row...)
 	}
 	return t
@@ -349,18 +341,15 @@ func (h *Harness) Fig8() ([]Fig8Row, *report.Table) {
 	t := report.NewTable("Figure 8: relative scaling, 8-core vs 32-core speedup",
 		"benchmark", "actual", "predicted")
 	for _, b := range h.BenchNames() {
-		var est [2]float64
-		var act [2]float64
+		var est, act [2]float64
 		for ci, cores := range CoreCounts {
-			full := h.Full(b, cores)
 			a := h.DefaultAnalysis(b, cores)
-			results := h.Points(b, cores, a, h.Warmup, "default")
-			e, err := a.EstimateFrom(results)
+			e, err := a.EstimateFrom(h.Points(b, cores, a, h.Warmup))
 			if err != nil {
 				panic(err)
 			}
 			est[ci] = e.TimeNs
-			act[ci] = bp.ActualFrom(full).TimeNs
+			act[ci] = bp.ActualFrom(h.Full(b, cores)).TimeNs
 		}
 		r := Fig8Row{Bench: b, Actual: act[0] / act[1], Predicted: est[0] / est[1]}
 		rows = append(rows, r)
@@ -428,17 +417,12 @@ func (h *Harness) AblationScaling() *report.Table {
 			full := h.Full(b, cores)
 			a := h.DefaultAnalysis(b, cores)
 			perfect := a.PerfectWarmup(full)
-			act := bp.ActualFrom(full)
-			est, err := a.EstimateFrom(perfect)
-			if err != nil {
-				panic(err)
-			}
+			e1, _ := h.runErr(b, cores, a, perfect)
 			estU, err := bp.EstimateUnscaled(a.Selection, perfect)
 			if err != nil {
 				panic(err)
 			}
-			e1 := stats.AbsPctErr(est.TimeNs, act.TimeNs)
-			e2 := stats.AbsPctErr(estU.TimeNs, act.TimeNs)
+			e2 := stats.AbsPctErr(estU.TimeNs, bp.ActualFrom(full).TimeNs)
 			sc, un = append(sc, e1), append(un, e2)
 			t.AddRow(b, fmt.Sprintf("%d", cores), fmt.Sprintf("%.2f", e1), fmt.Sprintf("%.2f", e2))
 		}
@@ -455,18 +439,12 @@ func (h *Harness) AblationThreads() *report.Table {
 	var ce, se []float64
 	for _, b := range h.BenchNames() {
 		for _, cores := range CoreCounts {
-			full := h.Full(b, cores)
-			act := bp.ActualFrom(full)
 			var errs [2]float64
 			for vi, sum := range []bool{false, true} {
 				cfg := bp.DefaultConfig()
 				cfg.Signature.SumThreads = sum
 				a := h.Analysis(b, cores, cfg)
-				est, err := a.EstimateFrom(a.PerfectWarmup(full))
-				if err != nil {
-					panic(err)
-				}
-				errs[vi] = stats.AbsPctErr(est.TimeNs, act.TimeNs)
+				errs[vi], _ = h.runErr(b, cores, a, a.PerfectWarmup(h.Full(b, cores)))
 			}
 			ce, se = append(ce, errs[0]), append(se, errs[1])
 			t.AddRow(b, fmt.Sprintf("%d", cores), fmt.Sprintf("%.2f", errs[0]), fmt.Sprintf("%.2f", errs[1]))
@@ -480,28 +458,19 @@ func (h *Harness) AblationThreads() *report.Table {
 func (h *Harness) AblationWarmup() *report.Table {
 	t := report.NewTable("Ablation: warmup strategies (abs runtime % error)",
 		"benchmark", "cores", "perfect", "cold", "mru", "mru+prev")
-	modes := []bp.WarmupMode{bp.ColdWarmup, bp.MRUWarmup, bp.MRUPrevWarmup}
 	sums := make([][]float64, 4)
 	for _, b := range h.BenchNames() {
 		for _, cores := range CoreCounts {
-			full := h.Full(b, cores)
 			a := h.DefaultAnalysis(b, cores)
-			act := bp.ActualFrom(full)
 			row := []string{b, fmt.Sprintf("%d", cores)}
-			est, err := a.EstimateFrom(a.PerfectWarmup(full))
-			if err != nil {
-				panic(err)
-			}
-			e := stats.AbsPctErr(est.TimeNs, act.TimeNs)
-			sums[0] = append(sums[0], e)
-			row = append(row, fmt.Sprintf("%.2f", e))
-			for mi, mode := range modes {
-				est, err := a.EstimateFrom(h.Points(b, cores, a, mode, "default"))
-				if err != nil {
-					panic(err)
-				}
-				e := stats.AbsPctErr(est.TimeNs, act.TimeNs)
-				sums[mi+1] = append(sums[mi+1], e)
+			for mi, results := range []map[int]bp.RegionResult{
+				a.PerfectWarmup(h.Full(b, cores)),
+				h.Points(b, cores, a, bp.ColdWarmup),
+				h.Points(b, cores, a, bp.MRUWarmup),
+				h.Points(b, cores, a, bp.MRUPrevWarmup),
+			} {
+				e, _ := h.runErr(b, cores, a, results)
+				sums[mi] = append(sums[mi], e)
 				row = append(row, fmt.Sprintf("%.2f", e))
 			}
 			t.AddRow(row...)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	bp "barrierpoint"
@@ -30,6 +31,27 @@ func TestHarnessCaching(t *testing.T) {
 	r2 := h.Profiles("npb-ft", 8)
 	if r1[0] != r2[0] {
 		t.Error("Profiles not cached")
+	}
+}
+
+// TestHarnessCachingConcurrent: callers racing on a cold entry all get the
+// one value the harness keeps.
+func TestHarnessCachingConcurrent(t *testing.T) {
+	h := testHarness()
+	progs := make([]bp.Program, 8)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progs[i] = h.Program("npb-is", 8)
+		}()
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p != h.Program("npb-is", 8) {
+			t.Errorf("caller %d got a program the harness did not keep", i)
+		}
 	}
 }
 
@@ -148,6 +170,31 @@ func TestAblations(t *testing.T) {
 	}
 	if out := h.AblationThreads().String(); !strings.Contains(out, "sum") {
 		t.Error("threads ablation malformed")
+	}
+}
+
+// TestScaleErrorMatchesFigures: at factor 1 the selection part is Fig. 4's
+// error and selection plus warmup part is Fig. 7's, cell for cell.
+func TestScaleErrorMatchesFigures(t *testing.T) {
+	h := testHarness()
+	rows, tbl := h.ScaleError()
+	fig4, _ := h.Fig4()
+	fig7, _ := h.Fig7()
+	if len(rows) != len(fig4)*len(CoreCounts) {
+		t.Fatalf("ScaleError rows = %d, want %d", len(rows), len(fig4)*len(CoreCounts))
+	}
+	for i, r := range rows {
+		b, ci := i/len(CoreCounts), i%len(CoreCounts)
+		if r.Bench != fig4[b].Bench || r.Cores != CoreCounts[ci] || len(r.Selection) != len(ScaleFactors) {
+			t.Fatalf("row %d = %+v, want %s at %d cores over %d scales", i, r, fig4[b].Bench, CoreCounts[ci], len(ScaleFactors))
+		}
+		if r.Selection[0] != fig4[b].RunErr[ci] || r.Total[0] != fig7[b].RunErr[ci] {
+			t.Errorf("%s/%d at factor 1: selection %v total %v, want Fig4 %v Fig7 %v",
+				r.Bench, r.Cores, r.Selection[0], r.Total[0], fig4[b].RunErr[ci], fig7[b].RunErr[ci])
+		}
+	}
+	if out := tbl.String(); !strings.Contains(out, "selection x0.05") || !strings.Contains(out, "average") {
+		t.Errorf("scale-error table malformed:\n%s", out)
 	}
 }
 

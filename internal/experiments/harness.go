@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§V-VI) on the synthetic workload suite and the Go
-// timing simulator. Each ExpXxx method returns a rendered report; the
-// Harness memoizes the expensive artifacts (full detailed simulations and
-// region profiles) across experiments.
+// timing simulator. Each Harness method renders one of them as a report
+// table; the Harness memoizes what they share (workloads, profiles, full
+// and point simulations), and runErr is the one accuracy measure.
 package experiments
 
 import (
@@ -42,10 +42,8 @@ type progKey struct {
 }
 
 type pointsKey struct {
-	bench  string
-	cores  int
+	progKey
 	warmup bp.WarmupMode
-	label  string
 }
 
 // New returns a harness at the given workload scale with the MRU+previous-
@@ -76,54 +74,48 @@ func (h *Harness) Machine(cores int) bp.MachineConfig {
 	return bp.TableIMachine(cores / 8)
 }
 
-// Program returns the (cached) workload instance.
-func (h *Harness) Program(bench string, cores int) bp.Program {
+// memo returns m[k], computing it with f on first use. f runs unlocked, so
+// racing first callers may both compute; the first value stored wins.
+func memo[K comparable, V any](h *Harness, m map[K]V, k K, f func() V) V {
+	h.mu.Lock()
+	v, ok := m[k]
+	h.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = f()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	k := progKey{bench, cores}
-	if p, ok := h.progs[k]; ok {
-		return p
+	if prev, ok := m[k]; ok {
+		return prev
 	}
-	p := workload.New(bench, cores, workload.WithScale(h.Scale))
-	h.progs[k] = p
-	return p
+	m[k] = v
+	return v
+}
+
+// Program returns the (cached) workload instance.
+func (h *Harness) Program(bench string, cores int) bp.Program {
+	return memo(h, h.progs, progKey{bench, cores}, func() bp.Program {
+		return workload.New(bench, cores, workload.WithScale(h.Scale))
+	})
 }
 
 // Full returns the (cached) full detailed simulation of a benchmark.
 func (h *Harness) Full(bench string, cores int) []bp.RegionResult {
-	p := h.Program(bench, cores)
-	h.mu.Lock()
-	k := progKey{bench, cores}
-	if r, ok := h.fulls[k]; ok {
-		h.mu.Unlock()
+	return memo(h, h.fulls, progKey{bench, cores}, func() []bp.RegionResult {
+		r, err := bp.SimulateFull(h.Program(bench, cores), h.Machine(cores))
+		if err != nil {
+			panic(fmt.Sprintf("experiments: full simulation of %s/%d: %v", bench, cores, err))
+		}
 		return r
-	}
-	h.mu.Unlock()
-	r, err := bp.SimulateFull(p, h.Machine(cores))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: full simulation of %s/%d: %v", bench, cores, err))
-	}
-	h.mu.Lock()
-	h.fulls[k] = r
-	h.mu.Unlock()
-	return r
+	})
 }
 
 // Profiles returns the (cached) per-region profiles of a benchmark.
 func (h *Harness) Profiles(bench string, cores int) []*signature.RegionData {
-	p := h.Program(bench, cores)
-	h.mu.Lock()
-	k := progKey{bench, cores}
-	if r, ok := h.profs[k]; ok {
-		h.mu.Unlock()
-		return r
-	}
-	h.mu.Unlock()
-	r := profile.Program(p)
-	h.mu.Lock()
-	h.profs[k] = r
-	h.mu.Unlock()
-	return r
+	return memo(h, h.profs, progKey{bench, cores}, func() []*signature.RegionData {
+		return profile.Program(h.Program(bench, cores))
+	})
 }
 
 // Analysis runs barrierpoint selection for a benchmark under cfg, reusing
@@ -141,23 +133,14 @@ func (h *Harness) DefaultAnalysis(bench string, cores int) *bp.Analysis {
 	return h.Analysis(bench, cores, bp.DefaultConfig())
 }
 
-// Points simulates the barrierpoints of an analysis under a warmup mode,
-// caching by (bench, cores, warmup, label). label distinguishes analyses
-// with different selections (e.g. cross-validated ones).
-func (h *Harness) Points(bench string, cores int, a *bp.Analysis, mode bp.WarmupMode, label string) map[int]bp.RegionResult {
-	k := pointsKey{bench, cores, mode, label}
-	h.mu.Lock()
-	if r, ok := h.points[k]; ok {
-		h.mu.Unlock()
+// Points simulates the barrierpoints of a under a warmup mode, caching by
+// (bench, cores, warmup): a must be the benchmark's DefaultAnalysis.
+func (h *Harness) Points(bench string, cores int, a *bp.Analysis, mode bp.WarmupMode) map[int]bp.RegionResult {
+	return memo(h, h.points, pointsKey{progKey{bench, cores}, mode}, func() map[int]bp.RegionResult {
+		r, err := a.SimulatePoints(h.Machine(cores), mode)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: point simulation of %s/%d: %v", bench, cores, err))
+		}
 		return r
-	}
-	h.mu.Unlock()
-	r, err := a.SimulatePoints(h.Machine(cores), mode)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: point simulation of %s/%d: %v", bench, cores, err))
-	}
-	h.mu.Lock()
-	h.points[k] = r
-	h.mu.Unlock()
-	return r
+	})
 }

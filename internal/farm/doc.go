@@ -136,11 +136,12 @@
 // fresh tickets with no waiters — a re-submitted job re-attaches through
 // Enqueue's dedup, so no simulation is lost or repeated.
 //
-// Each queue instance mints a random epoch embedded in the worker ids it
-// issues and echoed in register/lease responses. A worker leasing from a
-// restarted coordinator sees the epoch change (ErrServerRestarted),
-// re-registers, and keeps working; the queue likewise refuses to lease
-// to ids minted by a previous life.
+// Each queue instance mints a random epoch embedded in the task and worker
+// ids it issues and echoed in register/lease responses. A worker leasing
+// from a restarted coordinator sees the epoch change (ErrServerRestarted),
+// re-registers, and keeps working; the queue likewise refuses to lease to
+// ids minted by a previous life. Since no life reissues another's task ids,
+// a late upload from before a restart completes its own task or nothing.
 //
 // The compaction snapshot is the live tasks — one enqueue record each, in
 // pending order, plus a lease record for tasks out on a worker.

@@ -170,8 +170,8 @@ type Queue struct {
 	st  *store.Store
 	cfg Config
 
-	// epoch identifies this queue instance: a random tag embedded in
-	// worker ids and echoed in protocol responses, so clients detect a
+	// epoch identifies this queue instance: a random tag embedded in task
+	// and worker ids and echoed in protocol responses, so clients detect a
 	// coordinator restart (their epoch no longer matches) and re-register
 	// instead of carrying void leases. Immutable after construction.
 	epoch string
@@ -301,7 +301,7 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 	}
 }
 
-// newEpoch draws a random instance tag for worker ids and restart
+// newEpoch draws a random instance tag for task and worker ids and restart
 // detection.
 func newEpoch() string {
 	var b [4]byte
@@ -437,7 +437,8 @@ func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 	q.seq++
 	t := &task{
 		Task: Task{
-			ID:       fmt.Sprintf("task-%06d", q.seq),
+			// The epoch keeps a previous life's late uploads off this life's tasks.
+			ID:       fmt.Sprintf("task-%s-%06d", q.epoch, q.seq),
 			TraceKey: sp.TraceKey,
 			Region:   sp.Region,
 			Sockets:  sp.Sockets,

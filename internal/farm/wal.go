@@ -195,13 +195,6 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 		} else {
 			rec.Pending++
 		}
-		// Fresh ids continue above every "task-%06d" id replayed; an id of
-		// any other shape (a journal written by another tool) still
-		// recovers, it just does not move the sequence.
-		var n int
-		if _, err := fmt.Sscanf(t.ID, "task-%d", &n); err == nil && n > q.seq {
-			q.seq = n
-		}
 		q.tasks[t.ID] = t
 		q.byDedup[t.dedup] = t
 		q.pending = append(q.pending, t)

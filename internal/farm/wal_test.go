@@ -144,16 +144,29 @@ func TestDurableQueueRecoversPendingAndInFlight(t *testing.T) {
 	}
 
 	// Task ids must not collide with the previous life's.
-	tk, err := q2.Enqueue(Spec{TraceKey: fakeTraceKey, Region: 9, Sockets: 1, Warmup: "cold"})
-	if err != nil {
+	assertFreshID(t, q2, got)
+}
+
+// assertFreshID enqueues a new point and checks that its task ID carries
+// the queue's epoch and is none of the replayed IDs.
+func assertFreshID(t *testing.T, q *Queue, replayed []Task) {
+	t.Helper()
+	if _, err := q.Enqueue(spec(99)); err != nil {
 		t.Fatal(err)
 	}
-	_ = tk
-	q2.mu.Lock()
-	if _, clash := q2.tasks["task-000004"]; !clash {
-		t.Error("fresh enqueue after recovery did not continue the id sequence (want task-000004)")
+	fresh := q.Lease("w-fresh", 1)
+	if len(fresh) != 1 {
+		t.Fatalf("fresh enqueue after recovery leased %d tasks, want 1", len(fresh))
 	}
-	q2.mu.Unlock()
+	id := fresh[0].ID
+	if !strings.Contains(id, q.Epoch()) {
+		t.Errorf("fresh task id %s does not carry the queue epoch %s", id, q.Epoch())
+	}
+	for _, r := range replayed {
+		if r.ID == id {
+			t.Errorf("fresh task id %s reuses a replayed id", id)
+		}
+	}
 }
 
 func TestRecoveredTicketsReattachViaDedup(t *testing.T) {
@@ -649,14 +662,64 @@ func TestRecoversParentWrittenWAL(t *testing.T) {
 	if len(interrupted) != 1 || !strings.Contains(interrupted[0], "coordinator restarted") {
 		t.Errorf("task-000003 failures = %v, want one coordinator-restart entry", interrupted)
 	}
-	// The id sequence continues above every id the parent issued.
-	if _, err := q.Enqueue(spec(99)); err != nil {
-		t.Fatal(err)
+	// Fresh ids cannot collide with any id the parent issued.
+	assertFreshID(t, q, got)
+}
+
+// TestLateUploadAfterRestartCompletesNothing: a worker finishing a lease
+// from the previous coordinator life uploads under that life's task ID. Had
+// the restarted queue reissued the ID, the result would be filed under
+// another region's artifact; IDs carry the queue epoch, so the upload
+// matches no live task.
+func TestLateUploadAfterRestartCompletesNothing(t *testing.T) {
+	check := func(t *testing.T, q *Queue, st *store.Store, oldID string) {
+		t.Helper()
+		if _, err := q.Enqueue(spec(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Complete("w1", oldID, resultJSON(t)); err != nil {
+			t.Fatal(err)
+		}
+		if st.HasArtifact(fakeTraceKey, PointArtifact(1, bp.TableIMachine(1), "cold")) {
+			t.Error("late upload under a previous life's task ID was stored as region 1's result")
+		}
+		if s := q.Stats(); s.Pending != 1 || s.Completed != 0 {
+			t.Errorf("stats = %+v, want region 1's task still pending", s)
+		}
 	}
-	q.mu.Lock()
-	_, ok := q.tasks["task-000012"]
-	q.mu.Unlock()
-	if !ok {
-		t.Error("fresh enqueue after recovery did not get task-000012")
-	}
+	t.Run("in-memory", func(t *testing.T) {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1 := NewQueue(st, testConfig())
+		if _, err := q1.Enqueue(spec(0)); err != nil {
+			t.Fatal(err)
+		}
+		tasks := q1.Lease("w1", 1)
+		if len(tasks) != 1 {
+			t.Fatal("no task leased")
+		}
+		q1.Close()
+		q2 := NewQueue(st, testConfig())
+		defer q2.Close()
+		check(t, q2, st, tasks[0].ID)
+	})
+	t.Run("durable", func(t *testing.T) {
+		q1, _, st, walPath := newDurable(t, t.TempDir())
+		if _, err := q1.Enqueue(spec(0)); err != nil {
+			t.Fatal(err)
+		}
+		tasks := q1.Lease("w1", 1)
+		if len(tasks) != 1 {
+			t.Fatal("no task leased")
+		}
+		if err := q1.Complete("w1", tasks[0].ID, resultJSON(t)); err != nil {
+			t.Fatal(err)
+		}
+		crash(q1)
+		q2, _ := reopenDurable(t, st, walPath)
+		defer q2.Close()
+		check(t, q2, st, tasks[0].ID)
+	})
 }

@@ -117,11 +117,10 @@ func (h *Histogram) String() string {
 // Profiler computes LRU stack distances of a cache line access stream.
 // The zero value is not usable; call NewProfiler.
 //
-// The per-line last-access index is an open-addressing robin-hood table
-// (see internal/sparse) rather than a Go map: Access is the innermost loop
-// of the profiling pass (one call per memory reference in the trace), and
-// the flat table roughly halves its cost while making Reset a metadata
-// clear, so profilers pool cleanly across regions (see internal/profile).
+// The per-line last-access index is a sparse.Table, not a Go map: Access
+// is the innermost loop of the profiling pass, the map measured slower end
+// to end (see sparse.Table), and Reset is a metadata clear, so profilers
+// pool cleanly across regions (see internal/profile).
 type Profiler struct {
 	last sparse.Table[int] // line -> most recent access time (1-based)
 	bit  []int             // Fenwick tree over access times; bit[0] unused

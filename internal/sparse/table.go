@@ -15,11 +15,12 @@ func hash(x uint64) uint64 {
 	return x
 }
 
-// Table is an open-addressing robin-hood hash table keyed by uint64. It
-// exists for the profiling hot loops, where the runtime map's overhead
-// (hash interface, bucket pointers, write barriers) dominates: storage is
-// two flat arrays plus one metadata byte per slot, lookups are a linear
-// probe bounded by robin-hood displacement, and Reset reuses all storage.
+// Table is an open-addressing robin-hood hash table keyed by uint64, for
+// the profiling hot loops: two flat arrays plus one metadata byte per
+// slot, linear probes bounded by robin-hood displacement, and a Reset that
+// reuses all storage. Go 1.24's built-in map in its place passed every
+// test and pin, but bench/run.sh cold-big-regions (2-core Xeon VM, two
+// alternating pairs) read upload_ms 130.1 / 138.6 → 160.3 / 163.8 ms.
 //
 // Entries cannot be deleted; the profiler only ever upserts. The zero
 // value is ready to use.
