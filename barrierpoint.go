@@ -130,11 +130,11 @@ func DefaultConfig() Config {
 }
 
 // Analysis is the one-time, microarchitecture-independent analysis of a
-// program: its region profiles and the barrierpoint selection.
+// program: its barrierpoint selection under an analysis configuration. The
+// selection's RegionWeights are the program's per-region instruction counts.
 type Analysis struct {
 	Program   Program
 	Config    Config
-	Profiles  []*signature.RegionData
 	Selection *Selection
 }
 
@@ -176,19 +176,14 @@ func AnalyzeWithProfiles(p Program, cfg Config, profiles []*signature.RegionData
 	if err != nil {
 		return nil, fmt.Errorf("barrierpoint: selection failed: %w", err)
 	}
-	return &Analysis{Program: p, Config: cfg, Profiles: profiles, Selection: sel}, nil
+	return &Analysis{Program: p, Config: cfg, Selection: sel}, nil
 }
 
 // BarrierPoints returns the selected representative regions.
 func (a *Analysis) BarrierPoints() []BarrierPoint { return a.Selection.Points }
 
-// TotalInstrs returns the program's aggregate instruction count. It works
-// both for freshly analyzed programs and for selections restored via
-// LoadSelection/Bind (which carry region weights but no profiles).
+// TotalInstrs returns the program's aggregate instruction count.
 func (a *Analysis) TotalInstrs() uint64 {
-	if a.Profiles != nil {
-		return profile.TotalInstrs(a.Profiles)
-	}
 	var t float64
 	for _, w := range a.Selection.RegionWeights {
 		t += w
@@ -201,11 +196,7 @@ func (a *Analysis) TotalInstrs() uint64 {
 func (a *Analysis) pointInstrs() []uint64 {
 	out := make([]uint64, len(a.Selection.Points))
 	for i, p := range a.Selection.Points {
-		if a.Profiles != nil {
-			out[i] = a.Profiles[p.Region].TotalInstrs
-		} else {
-			out[i] = uint64(a.Selection.RegionWeights[p.Region])
-		}
+		out[i] = uint64(a.Selection.RegionWeights[p.Region])
 	}
 	return out
 }
@@ -567,17 +558,14 @@ func (a *Analysis) EstimateFrom(results map[int]RegionResult) (Estimate, error) 
 }
 
 // Estimate is the one-call convenience: simulate barrierpoints under the
-// given machine and warmup mode, then reconstruct whole-program metrics.
+// given machine and warmup mode on the local pool, then reconstruct
+// whole-program metrics. With another execution strategy it is
+// SimulatePointsWith then EstimateFrom: reconstruction sums the per-point
+// results in selection order, so any two runners that simulate the same
+// points bit-identically — as all runners must — produce bit-identical
+// estimates.
 func (a *Analysis) Estimate(mc MachineConfig, mode WarmupMode) (Estimate, error) {
-	return a.EstimateWith(LocalRunner{}, mc, mode)
-}
-
-// EstimateWith is Estimate with an explicit point execution strategy.
-// Reconstruction sums the per-point results in selection order, so any two
-// runners that simulate the same points bit-identically — as all runners
-// must — produce bit-identical estimates.
-func (a *Analysis) EstimateWith(runner PointRunner, mc MachineConfig, mode WarmupMode) (Estimate, error) {
-	res, err := a.SimulatePointsWith(runner, mc, mode)
+	res, err := a.SimulatePoints(mc, mode)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -591,11 +579,4 @@ func ActualFrom(results []RegionResult) Estimate { return reconstruct.Actual(res
 // the paper's perfect-warmup evaluation mode isolating selection error.
 func (a *Analysis) PerfectWarmup(full []RegionResult) map[int]RegionResult {
 	return reconstruct.PerfectWarmupResults(a.Selection, full)
-}
-
-// EstimateUnscaled reconstructs whole-program metrics using raw cluster
-// member counts instead of instruction-count multipliers — the §VI-A
-// ablation showing why scaling matters (0.6% vs 19.4% error in the paper).
-func EstimateUnscaled(sel *Selection, results map[int]RegionResult) (Estimate, error) {
-	return reconstruct.ReconstructUnscaled(sel, results)
 }

@@ -57,6 +57,7 @@ var experimentTables = map[string]func(*harness) *report.Table{
 	"ablation-threads": (*harness).AblationThreads,
 	"ablation-warmup":  (*harness).AblationWarmup,
 	"scale-error":      tableOf((*harness).ScaleError),
+	"cluster-error":    tableOf((*harness).ClusterError),
 }
 
 // run parses flags and executes the requested experiments; it is the
@@ -65,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bpexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "", "experiment to run: table1 table2 table3 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation-scaling ablation-threads ablation-warmup scale-error")
+		exp      = fs.String("exp", "", "experiment to run: table1 table2 table3 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation-scaling ablation-threads ablation-warmup scale-error cluster-error")
 		all      = fs.Bool("all", false, "run every experiment in paper order")
 		scale    = fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper-shaped)")
 		bench    = fs.String("bench", "", "comma-separated benchmark subset (default: all)")

@@ -34,7 +34,7 @@
 //	POST /farm/lease           pull up to N leased tasks
 //	POST /farm/heartbeat       renew held leases
 //	POST /farm/result          upload a RegionResult (idempotent) or error
-//	GET  /farm/workers         fleet status + queue stats
+//	GET  /farm/workers         fleet status (queue counters are on /metrics)
 //	GET  /farm/trace/{key}     raw trace bytes for worker-side replay
 //
 // Estimate jobs choose their execution with "exec": "local", "farm", or

@@ -371,17 +371,17 @@ func TestFarmEndToEnd(t *testing.T) {
 	// Fleet status shows the worker; /metrics counts its tasks.
 	var fleet struct {
 		Workers []farm.WorkerInfo `json:"workers"`
-		Stats   farm.Stats        `json:"stats"`
 	}
 	doJSON(t, "GET", base+"/farm/workers", nil, http.StatusOK, &fleet)
 	if len(fleet.Workers) != 1 || fleet.Workers[0].Name != "e2e-worker" {
 		t.Fatalf("fleet: %+v", fleet.Workers)
 	}
-	if fleet.Stats.Completed == 0 {
-		t.Fatalf("no completed tasks in stats: %+v", fleet.Stats)
+	completed := mgr.Farm().Stats().Completed
+	if completed == 0 {
+		t.Fatal("no completed tasks in the queue's stats")
 	}
-	if got := scrape(t, base)["bp_farm_tasks_completed_total"]; got != float64(fleet.Stats.Completed) {
-		t.Fatalf("bp_farm_tasks_completed_total = %v, /farm/workers says %d", got, fleet.Stats.Completed)
+	if got := scrape(t, base)["bp_farm_tasks_completed_total"]; got != float64(completed) {
+		t.Fatalf("bp_farm_tasks_completed_total = %v, the queue says %d", got, completed)
 	}
 
 	// The same estimate computed locally on a second, farm-free server
@@ -551,7 +551,7 @@ func scrape(t *testing.T, base string) map[string]float64 {
 // the two journals — exactly those keys — on a bare server, a farm server
 // and a server that replayed both journals of an earlier life. Every value
 // it once copied from a counter reads on /metrics, checked against the
-// sources it was copied from: the job list, /farm/workers, the replay
+// sources it was copied from: the job list, the farm queue, the replay
 // budget and the recovery reports /healthz still carries.
 func TestHealthzKeySet(t *testing.T) {
 	var trace bytes.Buffer
@@ -676,13 +676,10 @@ func TestHealthzKeySet(t *testing.T) {
 				}
 			}
 			if tc.farm {
-				var fleet struct {
-					Stats farm.Stats `json:"stats"`
-				}
-				doJSON(t, "GET", base+"/farm/workers", nil, http.StatusOK, &fleet)
-				want["bp_farm_live_workers"] = float64(fleet.Stats.LiveWorkers)
-				want["bp_farm_tasks_pending"] = float64(fleet.Stats.Pending)
-				want["bp_farm_tasks_leased"] = float64(fleet.Stats.Leased)
+				s := mgr.Farm().Stats()
+				want["bp_farm_live_workers"] = float64(s.LiveWorkers)
+				want["bp_farm_tasks_pending"] = float64(s.Pending)
+				want["bp_farm_tasks_leased"] = float64(s.Leased)
 				var rec farm.Recovery
 				if raw, ok := farmBody["recovery"]; ok {
 					if err := json.Unmarshal(raw, &rec); err != nil {

@@ -2,9 +2,11 @@ package barrierpoint_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/cluster"
 	"barrierpoint/internal/stats"
 	"barrierpoint/internal/workload"
 )
@@ -260,7 +262,10 @@ func TestUnscaledAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unscaled, err := bp.EstimateUnscaled(a.Selection, perfect)
+	// Rebound to unit region weights, every multiplier is its cluster's
+	// member count.
+	ones := slices.Repeat([]float64{1}, prog.Regions())
+	unscaled, err := (&bp.Analysis{Program: prog, Selection: cluster.Rebind(a.Selection, ones)}).EstimateFrom(perfect)
 	if err != nil {
 		t.Fatal(err)
 	}

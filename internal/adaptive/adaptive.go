@@ -7,6 +7,7 @@ import (
 	"time"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/cluster"
 	"barrierpoint/internal/reconstruct"
 	"barrierpoint/internal/stats"
 )
@@ -55,67 +56,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// The additive metrics carried through reconstruction, in Estimate field
-// order. timeIdx is the runtime slot the controller targets and ranks by.
-const (
-	nMetrics = 7
-	timeIdx  = 1
-)
-
-func metricVec(r bp.RegionResult) [nMetrics]float64 {
-	return [nMetrics]float64{
-		float64(r.Cycles),
-		r.TimeNs,
-		float64(r.Counters.Instrs),
-		float64(r.Counters.DRAMAccs),
-		float64(r.Counters.L3Misses),
-		float64(r.Counters.L2Misses),
-		float64(r.Counters.L1DAccesses),
-	}
-}
-
-func vecEstimate(v [nMetrics]float64) reconstruct.Estimate {
-	return reconstruct.Estimate{
-		Cycles: v[0], TimeNs: v[1], Instrs: v[2], DRAMAccs: v[3],
-		L3Misses: v[4], L2Misses: v[5], L1DAccs: v[6],
-	}
-}
+// timeIdx is the runtime slot of reconstruct.Metrics, the one the controller
+// targets and ranks by.
+const timeIdx = 1
 
 // model is the per-cluster view of a selection the sampler works over.
 type model struct {
 	sel      *bp.Selection
-	clusters []clusterInfo // in sel.Points order
+	clusters []cluster.Cluster // in sel.Points order
 }
 
-// clusterInfo is the static structure of one cluster.
-type clusterInfo struct {
-	point   bp.BarrierPoint
-	members []int   // region indices, ascending
-	weight  float64 // Σ member instruction weights, summed ascending
-}
-
+// newModel takes the selection's per-cluster view. Its member lists and
+// weights are summed in the order cluster.Select sums a multiplier's
+// operands, so the scale Weight/w_rep of a single-rep cluster is
+// bit-identical to the stored Multiplier.
 func newModel(sel *bp.Selection) (*model, error) {
 	if len(sel.RegionWeights) != len(sel.Assignment) {
 		return nil, fmt.Errorf("adaptive: selection has %d weights for %d regions",
 			len(sel.RegionWeights), len(sel.Assignment))
 	}
-	m := &model{sel: sel, clusters: make([]clusterInfo, len(sel.Points))}
-	byCluster := make(map[int]int, len(sel.Points)) // cluster id -> index
-	for i, p := range sel.Points {
-		m.clusters[i] = clusterInfo{point: p}
-		byCluster[p.Cluster] = i
+	m := &model{sel: sel, clusters: sel.Clusters()}
+	members := 0
+	for _, c := range m.clusters {
+		members += len(c.Members)
 	}
-	// Ascending region order everywhere: member lists and weight sums use
-	// the same iteration order as cluster.Select, so a cluster's recomputed
-	// weight — and therefore the scale clusterW/w_rep of a single-rep
-	// cluster — is bit-identical to the stored Multiplier's operands.
-	for r, c := range sel.Assignment {
-		i, ok := byCluster[c]
-		if !ok {
-			return nil, fmt.Errorf("adaptive: region %d assigned to cluster %d with no barrierpoint", r, c)
-		}
-		m.clusters[i].members = append(m.clusters[i].members, r)
-		m.clusters[i].weight += sel.RegionWeights[r]
+	if n := len(sel.Assignment); members != n {
+		return nil, fmt.Errorf("adaptive: %d of %d regions assigned to a cluster with no barrierpoint", n-members, n)
 	}
 	return m, nil
 }
@@ -133,12 +99,12 @@ func (m *model) repDist(r int) float64 {
 // clusterEval is one cluster's reconstruction contribution and uncertainty
 // given the currently simulated regions.
 type clusterEval struct {
-	contrib  [nMetrics]float64 // scaled metric contribution
-	unsimW   float64           // unsimulated instruction weight
-	rateVars [nMetrics]float64 // variance of the per-instruction rate estimate
-	dof      float64           // degrees of freedom (Inf for proxy / exact)
-	simmed   []int             // simulated members, ascending
-	unsimmed []int             // unsimulated members, ascending
+	contrib  reconstruct.Metrics // scaled metric contribution
+	unsimW   float64             // unsimulated instruction weight
+	rateVars reconstruct.Metrics // variance of the per-instruction rate estimate
+	dof      float64             // degrees of freedom (Inf for proxy / exact)
+	simmed   []int               // simulated members, ascending
+	unsimmed []int               // unsimulated members, ascending
 }
 
 // timeVar is the cluster's contribution to runtime variance — the
@@ -152,21 +118,20 @@ func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error)
 	for i, c := range m.clusters {
 		e := &evals[i]
 		var simW float64
-		var sumVec [nMetrics]float64
-		for _, r := range c.members {
+		var sumVec reconstruct.Metrics
+		for _, r := range c.Members {
 			if _, ok := results[r]; !ok {
 				e.unsimmed = append(e.unsimmed, r)
 				continue
 			}
 			e.simmed = append(e.simmed, r)
 			simW += m.sel.RegionWeights[r]
-			v := metricVec(results[r])
-			for k := range sumVec {
-				sumVec[k] += v[k]
+			for k, x := range reconstruct.Of(results[r]) {
+				sumVec[k] += x
 			}
 		}
 		if len(e.simmed) == 0 {
-			return nil, fmt.Errorf("adaptive: cluster %d has no simulated member", c.point.Cluster)
+			return nil, fmt.Errorf("adaptive: cluster %d has no simulated member", c.Point.Cluster)
 		}
 
 		// Contribution. A single simulated representative uses the stored
@@ -174,12 +139,12 @@ func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error)
 		// reconstruct.Reconstruct; otherwise scale the simulated metric sum
 		// by remaining weight. A fully simulated cluster's scale is exactly
 		// 1.0: simW sums the same weights in the same ascending order as
-		// c.weight.
+		// c.Weight.
 		scale := 0.0
-		if len(e.simmed) == 1 && e.simmed[0] == c.point.Region {
-			scale = c.point.Multiplier
+		if len(e.simmed) == 1 && e.simmed[0] == c.Point.Region {
+			scale = c.Point.Multiplier
 		} else if simW > 0 {
-			scale = c.weight / simW
+			scale = c.Weight / simW
 		}
 		for k := range sumVec {
 			e.contrib[k] = sumVec[k] * scale
@@ -187,7 +152,7 @@ func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error)
 
 		// Uncertainty: only the extrapolation onto unsimulated weight is
 		// uncertain (see doc.go).
-		e.unsimW = c.weight - simW
+		e.unsimW = c.Weight - simW
 		if e.unsimW < 0 {
 			e.unsimW = 0
 		}
@@ -197,10 +162,10 @@ func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error)
 		}
 		if n := len(e.simmed); n >= 2 {
 			rates := make([]float64, n)
-			for k := 0; k < nMetrics; k++ {
+			for k := range e.rateVars {
 				for j, r := range e.simmed {
 					if w := m.sel.RegionWeights[r]; w > 0 {
-						rates[j] = metricVec(results[r])[k] / w
+						rates[j] = reconstruct.Of(results[r])[k] / w
 					} else {
 						rates[j] = 0
 					}
@@ -218,10 +183,9 @@ func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error)
 			rep := e.simmed[0]
 			w := m.sel.RegionWeights[rep]
 			if w > 0 {
-				rel := DefaultPilotRel + DefaultSpreadAlpha*m.spreadOf(i)
-				v := metricVec(results[rep])
-				for k := 0; k < nMetrics; k++ {
-					sigma := math.Abs(v[k]/w) * rel
+				rel := DefaultPilotRel + DefaultSpreadAlpha*c.Point.Spread
+				for k, x := range reconstruct.Of(results[rep]) {
+					sigma := math.Abs(x/w) * rel
 					e.rateVars[k] = sigma * sigma
 				}
 			}
@@ -230,16 +194,13 @@ func (m *model) evaluate(results map[int]bp.RegionResult) ([]clusterEval, error)
 	return evals, nil
 }
 
-// spreadOf returns cluster i's signature spread.
-func (m *model) spreadOf(i int) float64 { return m.clusters[i].point.Spread }
-
 // intervals assembles the interval estimate from per-cluster evaluations:
 // contributions sum in selection order, cluster variances propagate as the
 // weighted sum Σ W_un²·var_rate, degrees of freedom combine per
 // Welch–Satterthwaite, and the t-margin widens in quadrature by the
 // relative floor.
 func assemble(evals []clusterEval, opts Options) (reconstruct.IntervalEstimate, error) {
-	var estVec, varVec [nMetrics]float64
+	var estVec, varVec reconstruct.Metrics
 	wuns := make([]float64, len(evals))
 	rvars := make([]float64, len(evals))
 	for i := range evals {
@@ -248,7 +209,7 @@ func assemble(evals []clusterEval, opts Options) (reconstruct.IntervalEstimate, 
 		}
 		wuns[i] = evals[i].unsimW
 	}
-	for k := 0; k < nMetrics; k++ {
+	for k := range varVec {
 		for i := range evals {
 			rvars[i] = evals[i].rateVars[k]
 		}
@@ -276,15 +237,15 @@ func assemble(evals []clusterEval, opts Options) (reconstruct.IntervalEstimate, 
 		return reconstruct.IntervalEstimate{}, err
 	}
 
-	var marginVec [nMetrics]float64
-	for k := 0; k < nMetrics; k++ {
+	var marginVec reconstruct.Metrics
+	for k := range marginVec {
 		sampling := t * t * varVec[k]
 		floor := DefaultRelFloor * estVec[k]
 		marginVec[k] = math.Sqrt(sampling + floor*floor)
 	}
 	return reconstruct.IntervalEstimate{
-		Estimate:   vecEstimate(estVec),
-		Margin:     vecEstimate(marginVec),
+		Estimate:   estVec.Estimate(),
+		Margin:     marginVec.Estimate(),
 		Confidence: opts.Confidence,
 	}, nil
 }
@@ -323,7 +284,7 @@ func (m *model) nextBatch(evals []clusterEval) []int {
 		if va != vb {
 			return va > vb
 		}
-		return m.clusters[order[a]].point.Cluster < m.clusters[order[b]].point.Cluster
+		return m.clusters[order[a]].Point.Cluster < m.clusters[order[b]].Point.Cluster
 	})
 	order = order[:min(len(order), DefaultBatchSize)]
 	var batch []int

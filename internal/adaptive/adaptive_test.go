@@ -68,6 +68,11 @@ func TestIntervalsRequireEveryCluster(t *testing.T) {
 	if _, err := Intervals(a.Selection, results, Options{}); err == nil {
 		t.Error("Intervals accepted a cluster with no simulated member")
 	}
+	orphaned := *a.Selection
+	orphaned.Points = orphaned.Points[1:]
+	if _, err := Intervals(&orphaned, results, Options{}); err == nil {
+		t.Error("Intervals accepted regions assigned to a cluster with no barrierpoint")
+	}
 }
 
 // TestRunDeterminism: the same trace, selection and target produce

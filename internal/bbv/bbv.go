@@ -61,27 +61,6 @@ func (v Vector) Len() int { return len(v) }
 // Total returns the sum of all entries (the region's instruction count).
 func (v Vector) Total() float64 { return sparse.Vector(v).Total() }
 
-// Normalized returns a copy of v scaled so its entries sum to 1.
-// A zero vector normalizes to an empty vector.
-func (v Vector) Normalized() Vector {
-	t := v.Total()
-	if t == 0 {
-		return nil
-	}
-	out := make(Vector, len(v))
-	for i, e := range v {
-		out[i] = sparse.Entry{Key: e.Key, Val: e.Val / t}
-	}
-	return out
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
 // ManhattanDistance returns the L1 distance between two vectors, treating
 // missing entries as zero. For normalized vectors this lies in [0, 2].
 // Both vectors are sorted, so this is a zero-allocation merge join.

@@ -55,51 +55,6 @@ func TestAddMatchesMap(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 1, Val: 30}, {Key: 2, Val: 10}}))
-	n := v.Normalized()
-	if math.Abs(n.Get(1)-0.75) > 1e-12 || math.Abs(n.Get(2)-0.25) > 1e-12 {
-		t.Errorf("Normalized = %v", n)
-	}
-	// Original unchanged.
-	if v.Get(1) != 30 {
-		t.Error("Normalized mutated its receiver")
-	}
-	// Zero vector stays zero.
-	if z := New().Normalized(); z.Len() != 0 {
-		t.Errorf("zero vector normalized to %v", z)
-	}
-}
-
-func TestNormalizedSumsToOne(t *testing.T) {
-	f := func(counts []uint16) bool {
-		v := New()
-		any := false
-		for i, c := range counts {
-			if c > 0 {
-				v.Add(i, int(c))
-				any = true
-			}
-		}
-		if !any {
-			return true
-		}
-		return math.Abs(v.Normalized().Total()-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClone(t *testing.T) {
-	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 1, Val: 2}, {Key: 3, Val: 4}}))
-	c := v.Clone()
-	c[0].Val = 99
-	if v.Get(1) != 2 {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestKeys(t *testing.T) {
 	v := Vector(sparse.SortMerge(sparse.Vector{{Key: 5, Val: 1}, {Key: 1, Val: 1}, {Key: 3, Val: 1}}))
 	if len(v) != 3 || v[0].Key != 1 || v[1].Key != 3 || v[2].Key != 5 {
@@ -146,10 +101,11 @@ func TestManhattanDistanceProperties(t *testing.T) {
 				v.Add(i, int(x))
 			}
 		}
-		v = v.Normalized()
+		total := v.Total()
 		m := make(map[int]float64, len(v))
-		for _, e := range v {
-			m[int(e.Key)] = e.Val
+		for i, e := range v {
+			v[i].Val = e.Val / total
+			m[int(e.Key)] = v[i].Val
 		}
 		return v, m
 	}

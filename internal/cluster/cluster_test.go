@@ -249,6 +249,56 @@ func TestRebind(t *testing.T) {
 	}
 }
 
+// TestClusters: the per-cluster view partitions the regions among the points,
+// members ascending, and each multiplier is exactly the view's weight over the
+// representative's.
+func TestClusters(t *testing.T) {
+	svs, weights, _ := blobSVs(40, 4)
+	sel, _ := Select(svs, weights, DefaultParams())
+	seen := 0
+	for i, c := range sel.Clusters() {
+		if c.Point != sel.Points[i] {
+			t.Fatalf("cluster %d: point %+v, want %+v", i, c.Point, sel.Points[i])
+		}
+		var w float64
+		for j, r := range c.Members {
+			if sel.Assignment[r] != c.Point.Cluster || (j > 0 && r <= c.Members[j-1]) {
+				t.Fatalf("cluster %d: members %v", c.Point.Cluster, c.Members)
+			}
+			w += weights[r]
+		}
+		seen += len(c.Members)
+		if c.Weight != w || c.Point.Multiplier != w/weights[c.Point.Region] {
+			t.Errorf("cluster %d: weight %v, multiplier %v; want %v, %v",
+				c.Point.Cluster, c.Weight, c.Point.Multiplier, w, w/weights[c.Point.Region])
+		}
+	}
+	if seen != len(weights) {
+		t.Errorf("clusters hold %d of %d regions", seen, len(weights))
+	}
+}
+
+// TestRebindZeroWeight: a representative with no instructions under the new
+// weights gets multiplier 0, as Select gives it, not the source machine's;
+// with no weight at all every point's Weight is 0. The source is untouched.
+func TestRebindZeroWeight(t *testing.T) {
+	svs, weights, _ := blobSVs(40, 4)
+	sel, _ := Select(svs, weights, DefaultParams())
+	w := append([]float64(nil), weights...)
+	w[sel.Points[0].Region] = 0
+	if m := Rebind(sel, w).Points[0].Multiplier; m != 0 {
+		t.Errorf("zero-weight representative: multiplier %v, want 0", m)
+	}
+	for _, p := range Rebind(sel, make([]float64, len(weights))).Points {
+		if p.Multiplier != 0 || p.Weight != 0 {
+			t.Errorf("all-zero weights: point %+v", p)
+		}
+	}
+	if sel.Points[0].Multiplier == 0 || sel.Points[0].Weight == 0 {
+		t.Errorf("Rebind wrote through to its source: %+v", sel.Points[0])
+	}
+}
+
 func TestBICFloorPreventsDegenerateSplits(t *testing.T) {
 	// 100 near-identical regions with 5 micro-variants: without the
 	// variance floor, BIC degenerates and picks maxK (20); with it, K

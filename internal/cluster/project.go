@@ -20,6 +20,12 @@
 // would move centroids, WCSS and BIC in their last bits — enough to flip an
 // assignment or the chosen k, and with it every stored selection. The
 // per-region reference they must match bit for bit is in cluster_test.go.
+//
+// Result.Clusters is the one per-cluster view of a selection, and weigh the one
+// pass that turns it into multipliers and weights; Select and Rebind end in it
+// and the adaptive sampler models the view. A producer of more clusters (strata
+// of a cluster, say) adds points and assignments before weigh, and no consumer
+// changes.
 package cluster
 
 import (

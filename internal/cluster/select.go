@@ -53,7 +53,6 @@ type Result struct {
 	Assignment    []int          // region -> cluster
 	Points        []BarrierPoint // one per cluster, sorted by region index
 	RegionWeights []float64      // the instruction-count weights used
-	BIC           []float64      // BIC score per candidate k (index k-1)
 	// RepDists holds each region's signature distance (L1) to its cluster
 	// representative: the adaptive sampler's runner-up ordering — the
 	// unsimulated member closest to the representative is promoted first.
@@ -148,67 +147,47 @@ func Select(svs []signature.SV, weights []float64, p Params) (*Result, error) {
 		K:             chosenK,
 		Assignment:    km.Assignment,
 		RegionWeights: weights,
-		BIC:           bics,
-	}
-
-	var totalW float64
-	for _, w := range weights {
-		totalW += w
+		RepDists:      make([]float64, n),
 	}
 
 	// Per cluster: representative = member closest to the centroid, ties
 	// broken toward the heavier (longer) region, as weighted SimPoint does.
-	res.RepDists = make([]float64, n)
 	for c := 0; c < chosenK; c++ {
 		rep, repD := -1, math.Inf(1)
-		var clusterW float64
 		for i := range points {
 			if km.Assignment[i] != c {
 				continue
 			}
-			clusterW += weights[i]
 			d := sqDist(points[i], km.Centroids[c])
 			if rep == -1 || d < repD-1e-12 ||
 				(math.Abs(d-repD) <= 1e-12 && weights[i] > weights[rep]) {
 				rep, repD = i, d
 			}
 		}
-		if rep == -1 {
-			continue // empty cluster: nothing to represent
+		if rep != -1 { // an empty cluster has nothing to represent
+			res.Points = append(res.Points, BarrierPoint{Region: rep, Cluster: c})
 		}
-		// Within-cluster heterogeneity, measured in the original signature
-		// space (not the projection): per-member distance to the
-		// representative, and its instruction-weighted mean as the
-		// cluster's spread.
-		var spread float64
-		for i := range points {
-			if km.Assignment[i] != c || i == rep {
-				continue
-			}
-			d := signature.Distance(svs[i], svs[rep])
-			res.RepDists[i] = d
-			if clusterW > 0 {
-				spread += d * weights[i] / clusterW
-			}
-		}
-		mult := 0.0
-		if weights[rep] > 0 {
-			mult = clusterW / weights[rep]
-		}
-		w := 0.0
-		if totalW > 0 {
-			w = clusterW / totalW
-		}
-		res.Points = append(res.Points, BarrierPoint{
-			Region:     rep,
-			Cluster:    c,
-			Multiplier: mult,
-			Weight:     w,
-			Spread:     spread,
-		})
 	}
 	sort.Slice(res.Points, func(i, j int) bool {
 		return res.Points[i].Region < res.Points[j].Region
 	})
+
+	// Within-cluster heterogeneity, measured in the original signature space
+	// (not the projection): per-member distance to the representative, and
+	// its instruction-weighted mean as the cluster's spread.
+	for i, c := range res.Clusters() {
+		p := &res.Points[i]
+		for _, m := range c.Members {
+			if m == p.Region {
+				continue
+			}
+			d := signature.Distance(svs[m], svs[p.Region])
+			res.RepDists[m] = d
+			if c.Weight > 0 {
+				p.Spread += d * weights[m] / c.Weight
+			}
+		}
+	}
+	res.weigh()
 	return res, nil
 }

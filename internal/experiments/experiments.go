@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 
 	bp "barrierpoint"
@@ -228,6 +230,65 @@ func (h *Harness) ScaleError() ([]ScaleErrRow, *report.Table) {
 	return rows, t
 }
 
+// ClusterErrRow is one cluster of a benchmark's default selection against
+// the full simulation: how alike its members are, how typical its
+// representative is, and how much of the perfect-warmup error it makes.
+type ClusterErrRow struct {
+	Bench      string
+	Cores      int
+	Cluster    cluster.Cluster
+	Signatures int     // distinct signatures among the members
+	RepRank    int     // the representative's occurrence among members with its signature (1 = first)
+	RepNs      float64 // representative ns per instruction
+	MeanNs     float64 // Σ member ns / Σ member instructions
+	ErrShare   float64 // |rep ns × multiplier − Σ member ns| / Σ all ns, in %
+}
+
+// ClusterError breaks the Fig. 4 error of every benchmark and core count
+// down by cluster, worst cluster first.
+func (h *Harness) ClusterError() ([]ClusterErrRow, *report.Table) {
+	t := report.NewTable("Cluster error: per-cluster share of the perfect-warmup runtime error",
+		"benchmark", "cores", "cluster", "members", "signatures", "rep", "rep rank",
+		"rep ns/instr", "cluster ns/instr", "error share (%)")
+	var rows []ClusterErrRow
+	for _, b := range h.BenchNames() {
+		for _, cores := range CoreCounts {
+			full := h.Full(b, cores)
+			total := bp.ActualFrom(full).TimeNs
+			svs, _ := signature.BuildAll(h.Profiles(b, cores), bp.DefaultConfig().Signature)
+			var cell []ClusterErrRow
+			for _, c := range h.DefaultAnalysis(b, cores).Selection.Clusters() {
+				rep := c.Point.Region
+				r := ClusterErrRow{Bench: b, Cores: cores, Cluster: c, RepNs: full[rep].TimeNs / float64(full[rep].Counters.Instrs)}
+				var ns, instrs float64
+				var seen []signature.SV
+				for _, m := range c.Members {
+					ns += full[m].TimeNs
+					instrs += float64(full[m].Counters.Instrs)
+					if !slices.ContainsFunc(seen, func(sv signature.SV) bool { return slices.Equal(sv, svs[m]) }) {
+						seen = append(seen, svs[m])
+					}
+					if m <= rep && slices.Equal(svs[m], svs[rep]) {
+						r.RepRank++
+					}
+				}
+				r.Signatures, r.MeanNs = len(seen), ns/instrs
+				r.ErrShare = 100 * math.Abs(full[rep].TimeNs*c.Point.Multiplier-ns) / total
+				cell = append(cell, r)
+			}
+			sort.SliceStable(cell, func(i, j int) bool { return cell[i].ErrShare > cell[j].ErrShare })
+			for _, r := range cell {
+				t.AddRow(b, fmt.Sprintf("%d", cores), fmt.Sprintf("%d", r.Cluster.Point.Cluster),
+					fmt.Sprintf("%d", len(r.Cluster.Members)), fmt.Sprintf("%d", r.Signatures),
+					fmt.Sprintf("%d", r.Cluster.Point.Region), fmt.Sprintf("%d", r.RepRank),
+					fmt.Sprintf("%.4f", r.RepNs), fmt.Sprintf("%.4f", r.MeanNs), fmt.Sprintf("%.2f", r.ErrShare))
+			}
+			rows = append(rows, cell...)
+		}
+	}
+	return rows, t
+}
+
 // Fig5Variants are the signature configurations of the paper's Figure 5.
 var Fig5Variants = []bp.SignatureOptions{
 	{Kind: signature.BBVOnly},
@@ -286,7 +347,6 @@ func (h *Harness) Fig6() *report.Table {
 				transferred := &bp.Analysis{
 					Program:   h.Program(b, simCores),
 					Config:    bp.DefaultConfig(),
-					Profiles:  h.Profiles(b, simCores),
 					Selection: cluster.Rebind(h.DefaultAnalysis(b, svCores).Selection, profile.Weights(h.Profiles(b, simCores))),
 				}
 				e, _ := h.runErr(b, simCores, transferred, transferred.PerfectWarmup(h.Full(b, simCores)))
@@ -414,15 +474,14 @@ func (h *Harness) AblationScaling() *report.Table {
 	var sc, un []float64
 	for _, b := range h.BenchNames() {
 		for _, cores := range CoreCounts {
-			full := h.Full(b, cores)
 			a := h.DefaultAnalysis(b, cores)
-			perfect := a.PerfectWarmup(full)
+			perfect := a.PerfectWarmup(h.Full(b, cores))
+			// Unit region weights make every multiplier its cluster's member
+			// count.
+			unscaled := *a
+			unscaled.Selection = cluster.Rebind(a.Selection, slices.Repeat([]float64{1}, len(a.Selection.RegionWeights)))
 			e1, _ := h.runErr(b, cores, a, perfect)
-			estU, err := bp.EstimateUnscaled(a.Selection, perfect)
-			if err != nil {
-				panic(err)
-			}
-			e2 := stats.AbsPctErr(estU.TimeNs, bp.ActualFrom(full).TimeNs)
+			e2, _ := h.runErr(b, cores, &unscaled, perfect)
 			sc, un = append(sc, e1), append(un, e2)
 			t.AddRow(b, fmt.Sprintf("%d", cores), fmt.Sprintf("%.2f", e1), fmt.Sprintf("%.2f", e2))
 		}

@@ -84,7 +84,7 @@
 //	POST /farm/heartbeat {worker, tasks}       → {renewed, dropped}
 //	POST /farm/result    {worker, task,
 //	                      result | error}      → {status}
-//	GET  /farm/workers                         → {workers, stats}
+//	GET  /farm/workers                         → {workers}
 //	GET  /farm/trace/{key}                     → raw .bptrace bytes
 //
 // Workers are stateless: they hold no queue state, fetch any trace they

@@ -241,10 +241,7 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	if workers == nil {
 		workers = []WorkerInfo{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"workers": workers,
-		"stats":   s.q.Stats(),
-	})
+	s.writeJSON(w, http.StatusOK, map[string]any{"workers": workers})
 }
 
 // handleTrace serves the raw bytes of a stored trace so workers can pull

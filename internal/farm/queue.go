@@ -114,24 +114,20 @@ type WorkerInfo struct {
 	Failed    int64     `json:"failed"`
 }
 
-// Stats counts queue activity since construction.
+// Stats counts queue activity since construction (the bp_farm_* series);
+// the write-ahead log's own counters are JournalStats.
 type Stats struct {
-	Enqueued      int64 `json:"tasks_enqueued"`
-	DedupStore    int64 `json:"dedup_store_hits"`
-	DedupInflight int64 `json:"dedup_inflight_hits"`
-	Completed     int64 `json:"tasks_completed"`
-	Failed        int64 `json:"tasks_failed"`
-	Expired       int64 `json:"leases_expired"`
-	Retries       int64 `json:"task_retries"`
-	RequeuedClose int64 `json:"requeued_on_close"`
-	Pending       int   `json:"tasks_pending"`
-	Leased        int   `json:"tasks_leased"`
-	LiveWorkers   int   `json:"live_workers"`
-	// Write-ahead-log activity; all zero for in-memory queues.
-	WALAppends     int64 `json:"wal_appends"`
-	WALErrors      int64 `json:"wal_errors"`
-	WALCompactions int64 `json:"wal_compactions"`
-	WALBytes       int64 `json:"wal_bytes"`
+	Enqueued      int64
+	DedupStore    int64
+	DedupInflight int64
+	Completed     int64
+	Failed        int64
+	Expired       int64
+	Retries       int64
+	RequeuedClose int64
+	Pending       int
+	Leased        int
+	LiveWorkers   int
 }
 
 // Config tunes a Queue.
@@ -262,6 +258,9 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 	stat := func(f func(s Stats) float64) func() float64 {
 		return func() float64 { return f(q.Stats()) }
 	}
+	walStat := func(f func(s store.JournalStats) float64) func() float64 {
+		return func() float64 { return f(q.JournalStats()) }
+	}
 	reg.CounterFunc("bp_farm_tasks_enqueued_total", "Tasks enqueued (post-dedup).",
 		stat(func(s Stats) float64 { return float64(s.Enqueued) }))
 	reg.CounterFunc("bp_farm_dedup_store_total", "Enqueues resolved from the store's point-result cache.",
@@ -283,13 +282,13 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("bp_farm_live_workers", "Workers seen within three lease TTLs.",
 		stat(func(s Stats) float64 { return float64(s.LiveWorkers) }))
 	reg.CounterFunc("bp_wal_appends_total", "Write-ahead-log records appended.",
-		stat(func(s Stats) float64 { return float64(s.WALAppends) }))
+		walStat(func(s store.JournalStats) float64 { return float64(s.Appends) }))
 	reg.CounterFunc("bp_wal_errors_total", "Write-ahead-log append/compaction errors.",
-		stat(func(s Stats) float64 { return float64(s.WALErrors) }))
+		walStat(func(s store.JournalStats) float64 { return float64(s.Errors) }))
 	reg.CounterFunc("bp_wal_compactions_total", "Write-ahead-log compactions.",
-		stat(func(s Stats) float64 { return float64(s.WALCompactions) }))
+		walStat(func(s store.JournalStats) float64 { return float64(s.Compactions) }))
 	reg.GaugeFunc("bp_wal_bytes", "Write-ahead-log size in bytes of intact frames.",
-		stat(func(s Stats) float64 { return float64(s.WALBytes) }))
+		walStat(func(s store.JournalStats) float64 { return float64(s.Bytes) }))
 	q.taskDur = reg.Histogram("bp_farm_task_seconds",
 		"Farm task latency from enqueue to stored result.", obs.DefLatencyBuckets)
 	if q.wal != nil {
@@ -695,8 +694,6 @@ func (q *Queue) Stats() Stats {
 		}
 	}
 	s.LiveWorkers = q.liveWorkersLocked(time.Now())
-	ws := q.wal.Stats()
-	s.WALAppends, s.WALErrors, s.WALCompactions, s.WALBytes = ws.Appends, ws.Errors, ws.Compactions, ws.Bytes
 	return s
 }
 

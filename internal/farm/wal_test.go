@@ -534,9 +534,9 @@ func TestCompactionTriggersUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := q.Stats()
-	if s.WALCompactions < 1 {
-		t.Fatalf("no compaction after %d appends (stats %+v)", s.WALAppends, s)
+	s := q.JournalStats()
+	if s.Compactions < 1 {
+		t.Fatalf("no compaction after %d appends (stats %+v)", s.Appends, s)
 	}
 	// store.Journal's thresholds: at least 1024 records, 4 per live task.
 	if recs := walRecords(t, walPath); recs >= 1024+4 {
@@ -554,8 +554,8 @@ func TestInMemoryQueueUnaffected(t *testing.T) {
 	if _, err := q.Enqueue(spec(0)); err != nil {
 		t.Fatal(err)
 	}
-	s := q.Stats()
-	if s.WALAppends != 0 || s.WALBytes != 0 {
+	s := q.JournalStats()
+	if s.Appends != 0 || s.Bytes != 0 {
 		t.Fatalf("in-memory queue touched a WAL: %+v", s)
 	}
 	if q.Recovery() != (Recovery{}) {

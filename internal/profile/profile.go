@@ -94,15 +94,6 @@ func Program(p trace.Program) []*signature.RegionData {
 	return out
 }
 
-// TotalInstrs sums aggregate instruction counts over all regions.
-func TotalInstrs(rds []*signature.RegionData) uint64 {
-	var t uint64
-	for _, rd := range rds {
-		t += rd.TotalInstrs
-	}
-	return t
-}
-
 // Weights extracts the per-region aggregate instruction counts as float64
 // clustering weights.
 func Weights(rds []*signature.RegionData) []float64 {

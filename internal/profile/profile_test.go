@@ -50,17 +50,20 @@ func TestProgramParallelConsistent(t *testing.T) {
 func TestTotalsAndWeights(t *testing.T) {
 	p := workload.New("npb-ft", 8, workload.WithScale(0.1))
 	rds := Program(p)
-	total := TotalInstrs(rds)
 	weights := Weights(rds)
-	var sum uint64
+	var total uint64
 	for i, rd := range rds {
 		if weights[i] != float64(rd.TotalInstrs) {
 			t.Errorf("weight %d mismatch", i)
 		}
-		sum += rd.TotalInstrs
-	}
-	if total != sum {
-		t.Errorf("TotalInstrs = %d, want %d", total, sum)
+		var threads uint64
+		for _, n := range rd.ThreadInstrs {
+			threads += n
+		}
+		if rd.TotalInstrs != threads {
+			t.Errorf("region %d: TotalInstrs = %d, threads sum to %d", i, rd.TotalInstrs, threads)
+		}
+		total += rd.TotalInstrs
 	}
 	if total == 0 {
 		t.Error("empty program profile")

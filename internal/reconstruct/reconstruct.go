@@ -39,61 +39,58 @@ func (e Estimate) IPC() float64 {
 	return e.Instrs / e.Cycles
 }
 
-// Estimate reconstructs whole-program metrics from barrierpoint results.
-// bpResults maps representative region index → its detailed simulation.
+// Metrics are a region's additive metrics in Estimate field order: the one
+// list of what reconstruction sums.
+type Metrics [7]float64
+
+// Of returns r's additive metrics.
+func Of(r sim.RegionResult) Metrics {
+	return Metrics{
+		float64(r.Cycles),
+		r.TimeNs,
+		float64(r.Counters.Instrs),
+		float64(r.Counters.DRAMAccs),
+		float64(r.Counters.L3Misses),
+		float64(r.Counters.L2Misses),
+		float64(r.Counters.L1DAccesses),
+	}
+}
+
+// Estimate returns v as the Estimate of the same metrics.
+func (v Metrics) Estimate() Estimate {
+	return Estimate{
+		Cycles: v[0], TimeNs: v[1], Instrs: v[2], DRAMAccs: v[3],
+		L3Misses: v[4], L2Misses: v[5], L1DAccs: v[6],
+	}
+}
+
+// Reconstruct reconstructs whole-program metrics from barrierpoint results,
+// summed in selection order. bpResults maps representative region index →
+// its detailed simulation.
 func Reconstruct(sel *cluster.Result, bpResults map[int]sim.RegionResult) (Estimate, error) {
-	var est Estimate
+	var sum Metrics
 	for _, p := range sel.Points {
 		r, ok := bpResults[p.Region]
 		if !ok {
 			return Estimate{}, fmt.Errorf("reconstruct: missing simulation result for barrierpoint region %d", p.Region)
 		}
-		m := p.Multiplier
-		est.Cycles += float64(r.Cycles) * m
-		est.TimeNs += r.TimeNs * m
-		est.Instrs += float64(r.Counters.Instrs) * m
-		est.DRAMAccs += float64(r.Counters.DRAMAccs) * m
-		est.L3Misses += float64(r.Counters.L3Misses) * m
-		est.L2Misses += float64(r.Counters.L2Misses) * m
-		est.L1DAccs += float64(r.Counters.L1DAccesses) * m
+		for k, v := range Of(r) {
+			sum[k] += v * p.Multiplier
+		}
 	}
-	return est, nil
-}
-
-// ReconstructUnscaled is the ablation of §VI-A: multipliers are replaced by
-// raw cluster member counts, ignoring instruction-count scaling. The paper
-// reports average error growing from 0.6% to 19.4% without scaling.
-func ReconstructUnscaled(sel *cluster.Result, bpResults map[int]sim.RegionResult) (Estimate, error) {
-	counts := make(map[int]float64)
-	for _, c := range sel.Assignment {
-		counts[c]++
-	}
-	scaled := &cluster.Result{
-		K:          sel.K,
-		Assignment: sel.Assignment,
-	}
-	for _, p := range sel.Points {
-		q := p
-		q.Multiplier = counts[p.Cluster]
-		scaled.Points = append(scaled.Points, q)
-	}
-	return Reconstruct(scaled, bpResults)
+	return sum.Estimate(), nil
 }
 
 // Actual sums ground-truth per-region results into the same Estimate shape
 // for error computation.
 func Actual(results []sim.RegionResult) Estimate {
-	var est Estimate
+	var sum Metrics
 	for _, r := range results {
-		est.Cycles += float64(r.Cycles)
-		est.TimeNs += r.TimeNs
-		est.Instrs += float64(r.Counters.Instrs)
-		est.DRAMAccs += float64(r.Counters.DRAMAccs)
-		est.L3Misses += float64(r.Counters.L3Misses)
-		est.L2Misses += float64(r.Counters.L2Misses)
-		est.L1DAccs += float64(r.Counters.L1DAccesses)
+		for k, v := range Of(r) {
+			sum[k] += v
+		}
 	}
-	return est
+	return sum.Estimate()
 }
 
 // PerfectWarmupResults extracts barrierpoint results from a full detailed

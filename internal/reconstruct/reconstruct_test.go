@@ -77,9 +77,9 @@ func TestReconstructMissingResult(t *testing.T) {
 }
 
 func TestReconstructUnscaled(t *testing.T) {
-	// Two regions of very different lengths in one cluster: the unscaled
-	// variant uses the member count (2) instead of the instruction-ratio
-	// multiplier.
+	// Two regions of very different lengths in one cluster: rebound to unit
+	// weights (the §VI-A ablation), the multiplier is the member count (2)
+	// instead of the instruction ratio (5).
 	full := []sim.RegionResult{
 		mkResult(100, 1000, 0),
 		mkResult(400, 4000, 0),
@@ -93,7 +93,7 @@ func TestReconstructUnscaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unscaled, err := ReconstructUnscaled(sel, PerfectWarmupResults(sel, full))
+	unscaled, err := Reconstruct(cluster.Rebind(sel, []float64{1, 1}), PerfectWarmupResults(sel, full))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,5 @@
-// Package report renders experiment results as aligned ASCII tables and
-// simple horizontal bar charts, so every paper table and figure can be
-// regenerated as text.
+// Package report renders experiment results as aligned text, markdown and
+// JSON tables, so every paper table and figure can be regenerated as text.
 package report
 
 import (
@@ -49,11 +48,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
-}
-
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
 
 // Render writes the table to w.
@@ -137,35 +131,4 @@ func (t *Table) JSON() string {
 		panic(fmt.Sprintf("report: marshaling table: %v", err))
 	}
 	return string(b) + "\n"
-}
-
-// Bar renders one horizontal bar of a chart: the label, a bar scaled to
-// width characters at value/max, and the numeric value.
-func Bar(w io.Writer, label string, value, max float64, width int) {
-	n := 0
-	if max > 0 {
-		n = int(value / max * float64(width))
-	}
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	fmt.Fprintf(w, "%-28s |%s%s| %.3g\n", label,
-		strings.Repeat("#", n), strings.Repeat(" ", width-n), value)
-}
-
-// BarChart renders a labeled chart of values with a shared scale.
-func BarChart(w io.Writer, title string, labels []string, values []float64, width int) {
-	fmt.Fprintln(w, title)
-	var max float64
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	for i := range labels {
-		Bar(w, labels[i], values[i], max, width)
-	}
 }

@@ -31,14 +31,6 @@ func TestTableRowClamping(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tbl := NewTable("", "x", "y")
-	tbl.AddRowf("%d\t%.1f", 3, 2.5)
-	if tbl.Rows[0][0] != "3" || tbl.Rows[0][1] != "2.5" {
-		t.Errorf("AddRowf row = %v", tbl.Rows[0])
-	}
-}
-
 func TestMarkdown(t *testing.T) {
 	tbl := NewTable("T", "a", "b")
 	tbl.AddRow("1", "2")
@@ -47,34 +39,6 @@ func TestMarkdown(t *testing.T) {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
-	}
-}
-
-func TestBarClamps(t *testing.T) {
-	var sb strings.Builder
-	Bar(&sb, "x", 5, 10, 20)
-	out := sb.String()
-	if strings.Count(out, "#") != 10 {
-		t.Errorf("half bar should have 10 #: %q", out)
-	}
-	sb.Reset()
-	Bar(&sb, "x", 50, 10, 20) // over max: clamp to width
-	if strings.Count(sb.String(), "#") != 20 {
-		t.Errorf("over-max bar not clamped: %q", sb.String())
-	}
-	sb.Reset()
-	Bar(&sb, "x", 1, 0, 20) // zero max: no bar
-	if strings.Count(sb.String(), "#") != 0 {
-		t.Errorf("zero-max bar not empty: %q", sb.String())
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	var sb strings.Builder
-	BarChart(&sb, "chart", []string{"a", "b"}, []float64{1, 2}, 10)
-	out := sb.String()
-	if !strings.Contains(out, "chart") || strings.Count(out, "\n") != 3 {
-		t.Errorf("chart output wrong:\n%s", out)
 	}
 }
 

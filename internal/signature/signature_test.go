@@ -191,8 +191,9 @@ func refBuild(rd *RegionData, o Options) map[uint64]float64 {
 			slot = 0
 		}
 		if useBBV {
-			for _, e := range rd.BBV[t].Normalized() {
-				sv[key(0, slot, e.Key)] += e.Val
+			total := rd.BBV[t].Total()
+			for _, e := range rd.BBV[t] {
+				sv[key(0, slot, e.Key)] += e.Val / total
 			}
 		}
 		if useLDV {

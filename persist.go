@@ -12,7 +12,7 @@ import (
 // SavedSelection is the serializable form of a barrierpoint selection: the
 // durable artifact of the one-time analysis (paper Fig. 2, "one-time
 // costs"). It is machine-independent and can be reused across simulator
-// configurations and core counts (with ReboundTo for different counts).
+// configurations and core counts (with cluster.Rebind for different counts).
 type SavedSelection struct {
 	Program      string         `json:"program"`
 	Threads      int            `json:"threads"`
@@ -32,9 +32,9 @@ type SavedSelection struct {
 
 // Save serializes the analysis' selection to w as JSON.
 func (a *Analysis) Save(w io.Writer) error {
-	instrs := make([]uint64, len(a.Profiles))
-	for i, rd := range a.Profiles {
-		instrs[i] = rd.TotalInstrs
+	instrs := make([]uint64, len(a.Selection.RegionWeights))
+	for i, w := range a.Selection.RegionWeights {
+		instrs[i] = uint64(w)
 	}
 	s := SavedSelection{
 		Program:      a.Program.Name(),
@@ -99,7 +99,7 @@ func (s *SavedSelection) Bind(p Program) (*Analysis, error) {
 		weights[i] = float64(n)
 	}
 	sel.RegionWeights = weights
-	return &Analysis{Program: p, Config: DefaultConfig(), Profiles: nil, Selection: sel}, nil
+	return &Analysis{Program: p, Config: DefaultConfig(), Selection: sel}, nil
 }
 
 // Trace persistence: alongside saved selections, whole program traces can

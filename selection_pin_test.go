@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/cluster"
 	"barrierpoint/internal/workload"
 )
 
@@ -67,6 +68,35 @@ func TestSelectionPins(t *testing.T) {
 			sum := sha256.Sum256(buf.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != selectionPins[key] {
 				t.Errorf("%q: %q,", key, got)
+			}
+		}
+	}
+}
+
+// TestRebindReproducesPins: Rebind onto a selection's own region weights goes
+// through the weighing pass Select ends in, so every multiplier and weight
+// comes back bit for bit and the saved selection still matches its pin.
+func TestRebindReproducesPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles 24 programs")
+	}
+	for _, name := range workload.Names() {
+		for _, sz := range []struct {
+			scale   float64
+			threads int
+		}{{0.2, 8}, {0.2, 32}, {0.5, 8}} {
+			key := fmt.Sprintf("%s/x%g/%dt", name, sz.scale, sz.threads)
+			a, err := bp.Analyze(workload.New(name, sz.threads, workload.WithScale(sz.scale)), bp.DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			a.Selection = cluster.Rebind(a.Selection, a.Selection.RegionWeights)
+			var buf bytes.Buffer
+			if err := a.Save(&buf); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != selectionPins[key] {
+				t.Errorf("%s: rebound selection differs from its pin", key)
 			}
 		}
 	}

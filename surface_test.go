@@ -58,15 +58,6 @@ var surfaceAllow = map[string]bool{
 	"internal/sim.Tiny":                   true,
 	"internal/store.ReplayJournal":        true,
 	"internal/store.Store.RemoveArtifact": true,
-
-	// Dead by the rule above, and still here: each is reached only by its own
-	// unit tests — seven of them between these four — and each goes together
-	// with those tests (a PR may retire only a few tests at a time). Do not
-	// add to this group.
-	"internal/bbv.Vector.Clone":      true,
-	"internal/bbv.Vector.Normalized": true,
-	"internal/report.BarChart":       true,
-	"internal/report.Table.AddRowf":  true,
 }
 
 // TestSurface type-checks every non-test file of the module (bench/ is its
