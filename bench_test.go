@@ -10,6 +10,7 @@ package barrierpoint_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -320,6 +321,38 @@ func BenchmarkReclusterManyRegions(b *testing.B) {
 		if err != nil || cached || stats.Computed != 0 {
 			b.Fatalf("recluster: cached=%v computed=%d err=%v", cached, stats.Computed, err)
 		}
+	}
+}
+
+// BenchmarkIngestColdManyRegions measures a cold upload on the same shape:
+// Manager.IngestTrace of npb-lu x0.2 into a fresh store per iteration, so
+// every one of the 43 distinct profiles is computed and published, with the
+// trace and its digest index (three durable publishes; see
+// TestDurablePublishCounts in internal/service).
+func BenchmarkIngestColdManyRegions(b *testing.B) {
+	var buf bytes.Buffer
+	if err := bp.RecordTrace(&buf, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "store")
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := service.New(st, 1, 0)
+		b.StartTimer()
+		res, err := m.IngestTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil || res.ProfilesComputed == 0 {
+			b.Fatalf("cold ingest: %+v, %v", res, err)
+		}
+		b.StopTimer()
+		m.Shutdown(context.Background())
+		os.RemoveAll(dir)
+		b.StartTimer()
 	}
 }
 

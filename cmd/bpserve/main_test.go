@@ -282,7 +282,7 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Jobs against unknown traces 404; malformed bodies 400.
-	missing := strings.Repeat("0", store.KeyLen)
+	missing := strings.Repeat("0", 64)
 	doJSON(t, "POST", base+"/v1/jobs",
 		[]byte(fmt.Sprintf(`{"kind":"analyze","trace":%q}`, missing)),
 		http.StatusNotFound, nil)

@@ -82,12 +82,12 @@ func checkCores(cores int) error {
 }
 
 // checkWorkload validates a benchmark name before construction
-// (workload.New panics on unknown names).
-func checkWorkload(name string) error {
+// (workload.New panics on unknown names), then its core count.
+func checkWorkload(name string, cores int) error {
 	if !workload.Exists(name) {
 		return fmt.Errorf("unknown workload %q (see bptool -list)", name)
 	}
-	return nil
+	return checkCores(cores)
 }
 
 // parse wraps FlagSet.Parse, mapping -h/-help to a clean success.
@@ -115,10 +115,7 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 	if help, err := parse(fs, args); help || err != nil {
 		return err
 	}
-	if err := checkWorkload(*name); err != nil {
-		return err
-	}
-	if err := checkCores(*cores); err != nil {
+	if err := checkWorkload(*name, *cores); err != nil {
 		return err
 	}
 	path := *out
@@ -391,10 +388,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 		defer f.Close()
 		prog = f
 	} else {
-		if err := checkWorkload(*name); err != nil {
-			return err
-		}
-		if err := checkCores(*cores); err != nil {
+		if err := checkWorkload(*name, *cores); err != nil {
 			return err
 		}
 		prog = workload.New(*name, *cores, workload.WithScale(*scale))

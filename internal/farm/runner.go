@@ -195,8 +195,9 @@ func (r QueueRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfig,
 
 // CachedRunner is a bp.PointRunner that serves points from the
 // content-addressed store when their artifacts exist and delegates the
-// misses to Inner, caching what it computes. It is how local execution
-// (bptool -cache, bpserve local jobs) shares per-point work with the farm.
+// misses to Inner, caching what it computes as one batch. It is how local
+// execution (bptool -cache, bpserve local jobs) shares per-point work with
+// the farm.
 type CachedRunner struct {
 	St       *store.Store
 	TraceKey string
@@ -234,15 +235,15 @@ func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfi
 	if err != nil {
 		return nil, err
 	}
+	batch := make(map[string][]byte, len(computed))
 	for region, res := range computed {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := r.St.PutArtifact(r.TraceKey, PointArtifact(region, mc, mode.String()), b); err != nil {
+		if batch[PointArtifact(region, mc, mode.String())], err = json.MarshalIndent(res, "", "  "); err != nil {
 			return nil, err
 		}
 		out[region] = res
+	}
+	if err := r.St.PutArtifacts(r.TraceKey, batch); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -367,7 +367,7 @@ func TestFetchTraceCorruptKeepsHeldTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wanted := strings.Repeat("0", store.KeyLen)
+	wanted := strings.Repeat("0", 64)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/farm/trace/"+wanted {
 			http.NotFound(w, r)

@@ -9,11 +9,11 @@
 package profile
 
 import (
-	"runtime"
 	"sync"
 
 	"barrierpoint/internal/bbv"
 	"barrierpoint/internal/ldv"
+	"barrierpoint/internal/par"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/sparse"
 	"barrierpoint/internal/trace"
@@ -69,28 +69,8 @@ func Region(r trace.Region, threads int) *signature.RegionData {
 
 // Program profiles every region of a program, in parallel across regions.
 func Program(p trace.Program) []*signature.RegionData {
-	n := p.Regions()
-	out := make([]*signature.RegionData, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = Region(p.Region(i), p.Threads())
-			}
-		}()
-	}
-	wg.Wait()
+	out := make([]*signature.RegionData, p.Regions())
+	par.For(len(out), func(i int) { out[i] = Region(p.Region(i), p.Threads()) })
 	return out
 }
 

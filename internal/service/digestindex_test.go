@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -229,6 +230,7 @@ func TestIndexedAnalysisReadsNoTraceBytes(t *testing.T) {
 // analysis hashes the file, selects the same bytes as over a clean store,
 // and leaves a correct index for the next one.
 func TestBadDigestIndexIsAMissAndHeals(t *testing.T) {
+	const keyLen = 64 // a digest: hex SHA-256
 	data := recordTrace(t)
 	cfgA, _ := ConfigFor("", 0)
 	cfgB, _ := ConfigFor("", 7)
@@ -248,17 +250,17 @@ func TestBadDigestIndexIsAMissAndHeals(t *testing.T) {
 		}
 	}
 
-	upper := bytes.Replace(good, good[:store.KeyLen], []byte(strings.ToUpper(string(good[:store.KeyLen]))), 1)
+	upper := bytes.Replace(good, good[:keyLen], []byte(strings.ToUpper(string(good[:keyLen]))), 1)
 	if bytes.Equal(upper, good) {
 		t.Fatal("first digest has no letter to upper-case") // 1 in 10^13
 	}
 	noNewline := append([]byte(nil), good...)
-	noNewline[store.KeyLen] = 'a'
+	noNewline[keyLen] = 'a'
 	for name, bad := range map[string][]byte{
 		"empty":             {},
 		"truncated":         good[:len(good)-10],
-		"one-digest-short":  good[store.KeyLen+1:],
-		"one-digest-long":   append(append([]byte(nil), good...), good[:store.KeyLen+1]...),
+		"one-digest-short":  good[keyLen+1:],
+		"one-digest-long":   append(append([]byte(nil), good...), good[:keyLen+1]...),
 		"foreign-bytes":     bytes.Repeat([]byte{0xfe}, len(good)),
 		"upper-case-digest": upper,
 		"run-on-line":       noNewline,
@@ -296,27 +298,71 @@ func TestBadDigestIndexIsAMissAndHeals(t *testing.T) {
 
 // TestCorruptProfileBlobIsRepaired: an undecodable profile blob is
 // recomputed once and replaced, not recomputed by every later analysis
-// (PutProfile publishes exclusively, so the bad entry has to go first).
+// (profiles publish exclusively, so the bad entry has to go first). The
+// corruption is one name replaced by a bad plain blob, what a store written
+// before packs can hold; the upload's pack under the other names is intact.
 func TestCorruptProfileBlobIsRepaired(t *testing.T) {
-	data := recordTrace(t)
-	cfgA, _ := ConfigFor("", 0)
-	cfgB, _ := ConfigFor("", 7)
-	mClean, stClean := newManager(t)
-	clean, err := mClean.IngestTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, st := newManager(t)
-	res, err := m.IngestTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, res := ingested(t)
 	digest := fileDigests(t, st, res.Key)[res.Regions/2]
 	blob := filepath.Join(st.Root(), "profiles", digest+"."+signature.CodecVersion)
+	if err := os.Remove(blob); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(blob, []byte("not a profile"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i, cfg := range []bp.Config{cfgA, cfgB} {
+	wantRepairs(t, st, res, 1)
+	if rd := cachedProfile(st, digest, st.GetProfiles(signature.CodecVersion, []string{digest})[0]); rd == nil {
+		t.Error("repaired profile does not decode")
+	}
+}
+
+// TestTruncatedProfilePackIsRepaired: truncating the upload's profile pack
+// turns every one of its names into a miss; the next analysis recomputes and
+// republishes them all, as one new pack, and the one after computes none.
+func TestTruncatedProfilePackIsRepaired(t *testing.T) {
+	st, res := ingested(t)
+	digests := fileDigests(t, st, res.Key)
+	blob := filepath.Join(st.Root(), "profiles", digests[0]+"."+signature.CodecVersion)
+	fi, err := os.Stat(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(blob, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[string]bool)
+	for _, d := range digests {
+		distinct[d] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("%d distinct regions: the upload published no pack", len(distinct))
+	}
+	wantRepairs(t, st, res, len(distinct))
+	if n := profileFiles(t, st); n != 1 {
+		t.Errorf("republished profiles in %d files, want one pack", n)
+	}
+}
+
+// ingested streams recordTrace's upload into a fresh manager's store.
+func ingested(t *testing.T) (*store.Store, IngestResult) {
+	t.Helper()
+	m, st := newManager(t)
+	res, err := m.IngestTrace(bytes.NewReader(recordTrace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, res
+}
+
+// wantRepairs runs two analyses of different configs over st, whose profile
+// cache a test has damaged: the first must recompute exactly `damaged`
+// profiles, the second none, and both must select what a clean store does.
+func wantRepairs(t *testing.T, st *store.Store, res IngestResult, damaged int) {
+	t.Helper()
+	stClean, clean := ingested(t)
+	for i, maxK := range []int{0, 7} {
+		cfg, _ := ConfigFor("", maxK)
 		want, _, _, err := AnalyzeCached(stClean, clean.Key, cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -325,16 +371,33 @@ func TestCorruptProfileBlobIsRepaired(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantComputed := 1 - i; stats.Computed != wantComputed || stats.Cached != stats.Regions-wantComputed {
-			t.Errorf("analysis %d over a corrupt blob: stats %+v, want %d computed", i, stats, wantComputed)
+		if wantComputed := damaged * (1 - i); stats.Computed != wantComputed || stats.Cached != stats.Regions-wantComputed {
+			t.Errorf("analysis %d over a damaged cache: stats %+v, want %d computed", i, stats, wantComputed)
 		}
 		if !bytes.Equal(sel, want) {
-			t.Errorf("analysis %d: selection differs from the uncorrupted store's", i)
+			t.Errorf("analysis %d: selection differs from the undamaged store's", i)
 		}
 	}
-	if rd := cachedProfile(st, digest); rd == nil {
-		t.Error("repaired profile does not decode")
+}
+
+// profileFiles counts the distinct files behind the store's profile names.
+func profileFiles(t *testing.T, st *store.Store) int {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(st.Root(), "profiles"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var files []os.FileInfo
+	for _, e := range ents {
+		fi, err := os.Stat(filepath.Join(st.Root(), "profiles", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(files, func(f os.FileInfo) bool { return os.SameFile(f, fi) }) {
+			files = append(files, fi)
+		}
+	}
+	return len(files)
 }
 
 // TestDigestIndexTelemetry: the analyze span says where the digests came

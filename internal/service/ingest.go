@@ -7,7 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"barrierpoint/internal/profile"
 	"barrierpoint/internal/signature"
+	"barrierpoint/internal/store"
 	"barrierpoint/internal/tracefile"
 )
 
@@ -16,10 +18,8 @@ type IngestResult struct {
 	Key     string `json:"key"`     // content key of the stored trace
 	Existed bool   `json:"existed"` // the store already held these bytes
 	// Streamed reports the upload was decoded incrementally (version-2
-	// format): per-region profiles were computed and cached while the body
-	// was still transferring, so by the time the caller sees this result a
-	// subsequent analyze pays zero profiling. Version-1 uploads are stored
-	// and validated but not profiled in flight.
+	// format) and profiled in flight, so an analyze right after it pays no
+	// profiling; version-1 uploads are stored and validated only.
 	Streamed bool   `json:"streamed"`
 	Name     string `json:"name"`
 	Threads  int    `json:"threads"`
@@ -33,13 +33,15 @@ type IngestResult struct {
 
 // IngestTrace consumes one trace upload: the bytes are hashed and
 // persisted through a durable store.TraceWriter while, concurrently, each
-// region is profiled the moment its last byte arrives and the profile is
-// cached under the region's content digest. On success the trace is
-// committed and every region profile is already in the store, with the
-// trace's region-digest index beside it (see profiles.go) — an analyze
-// submitted right after profiles nothing and reads no chunk of the trace.
+// region is profiled into memory the moment its last byte arrives. Once the
+// stream has validated, the new profiles are published as one batch under
+// their regions' content digests (store.PutProfiles), early too whenever
+// store.MaxPack are pending, and only then is the trace committed: on
+// success every region profile is already in the store, with the trace's
+// region-digest index beside it (see profiles.go) — an analyze submitted
+// right after profiles nothing and reads no chunk of the trace.
 //
-// Failure leaves no partial state: a decode error, a profiling error or a
+// Failure leaves no partial state: a decode error, a publish error or a
 // commit error aborts the trace write (the temp file is removed, the key
 // never becomes visible) and removes exactly the profile entries this
 // call created — profiles that pre-existed (shared region content) are
@@ -54,9 +56,23 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		return IngestResult{}, err
 	}
 	var (
-		createdMu sync.Mutex
-		created   []string // digests whose profile entry this ingest created
+		mu       sync.Mutex
+		pending  = make(map[string][]byte) // profiled, not yet published
+		created  []string                  // digests whose profile entry this ingest created
+		computed int
+		cached   atomic.Int64
 	)
+	// publish publishes the pending profiles if at least atLeast are pending.
+	publish := func(atLeast int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(pending) < atLeast {
+			return nil
+		}
+		c, err := m.st.PutProfiles(signature.CodecVersion, pending)
+		created, computed, pending = append(created, c...), computed+len(pending), make(map[string][]byte)
+		return err
+	}
 	committed := false
 	defer func() {
 		if committed {
@@ -64,7 +80,7 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		}
 		tw.Abort()
 		// Mirror RemoveTrace cleanup: a failed upload must not orphan
-		// profile artifacts for a trace that was never stored. PutProfile
+		// profile artifacts for a trace that was never stored. PutProfiles
 		// publishes exclusively, so each digest here was created by this
 		// ingest alone — cleanup cannot race another ingest's claim of
 		// creation. One narrow window remains: a concurrent ingest of
@@ -72,30 +88,10 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		// as a cache hit before we remove it; its trace's first analyze
 		// recomputes the profile from the stored bytes, so the result is
 		// unchanged and the cache self-heals.
-		createdMu.Lock()
-		defer createdMu.Unlock()
 		for _, d := range created {
 			_ = m.st.RemoveProfile(d, signature.CodecVersion)
 		}
 	}()
-
-	var cached, computed atomic.Int64
-	var (
-		errMu   sync.Mutex
-		profErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if profErr == nil {
-			profErr = err
-		}
-		errMu.Unlock()
-	}
-	getErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return profErr
-	}
 
 	// Profiling runs on a bounded pool beside the decode; the small channel
 	// buffer gives backpressure, so a fast uploader cannot queue unbounded
@@ -103,69 +99,50 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 	workers := runtime.GOMAXPROCS(0)
 	work := make(chan tracefile.RegionChunks, workers)
 	var wg sync.WaitGroup
-	var closeOnce sync.Once
-	closeWork := func() { closeOnce.Do(func() { close(work) }) }
-	// Drain the pool on every exit, including a panic out of DecodeStream
-	// or the tee'd writer: an HTTP server recovers handler panics, and a
-	// stranded pool of workers per bad request would accumulate silently.
-	// Registered after the cleanup defer above so the workers are gone
-	// (LIFO order) before cleanup reads the digests they created.
-	defer func() {
-		closeWork()
-		wg.Wait()
-	}()
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for rc := range work {
-				if getErr() != nil {
-					continue
-				}
 				if m.st.HasProfile(rc.Digest, signature.CodecVersion) {
 					cached.Add(1)
 					continue
 				}
-				_, createdNow, err := profileRegion(m.st, rc.Region(), len(rc.Chunks), rc.Digest)
-				if err != nil {
-					setErr(fmt.Errorf("service: profiling region %d during ingest: %w", rc.Index, err))
-					continue
-				}
-				if createdNow {
-					createdMu.Lock()
-					created = append(created, rc.Digest)
-					createdMu.Unlock()
-				}
-				computed.Add(1)
+				blob := signature.EncodeRegionData(profile.Region(rc.Region(), len(rc.Chunks)))
+				mu.Lock()
+				pending[rc.Digest] = blob
+				mu.Unlock()
 			}
 		}()
 	}
 
 	var digests []string // every region's, in region order: the digest index
 	seen := make(map[string]bool)
-	info, derr := tracefile.DecodeStream(io.TeeReader(r, tw), func(rc tracefile.RegionChunks) error {
-		if err := getErr(); err != nil {
-			return err // a profiler failed; stop consuming the upload
-		}
-		digests = append(digests, rc.Digest)
-		if seen[rc.Digest] {
-			// Repeated region content is resolved once, by the pool worker
-			// that got its first occurrence; the repeats count as cache hits
-			// and no two workers ever hold the same digest.
-			cached.Add(1)
-			return nil
-		}
-		seen[rc.Digest] = true
-		work <- rc
-		return nil
-	})
-	closeWork()
-	wg.Wait()
-	if derr == nil {
-		derr = getErr()
+	decode := func() (tracefile.StreamInfo, error) {
+		// Drain the pool on every exit, including a panic out of DecodeStream
+		// or the tee'd writer: an HTTP server recovers handler panics, and a
+		// stranded pool of workers per bad request would accumulate silently.
+		defer func() { close(work); wg.Wait() }()
+		return tracefile.DecodeStream(io.TeeReader(r, tw), func(rc tracefile.RegionChunks) error {
+			digests = append(digests, rc.Digest)
+			if seen[rc.Digest] {
+				// Repeated region content is resolved once, by the pool worker
+				// that got its first occurrence; the repeats count as cache
+				// hits and no two workers ever hold the same digest.
+				cached.Add(1)
+				return nil
+			}
+			seen[rc.Digest] = true
+			work <- rc
+			return publish(store.MaxPack)
+		})
 	}
-	if derr != nil {
-		return IngestResult{}, derr
+	info, err := decode()
+	if err == nil {
+		err = publish(0)
+	}
+	if err != nil {
+		return IngestResult{}, err
 	}
 
 	key, existed, err := tw.Commit()
@@ -186,7 +163,7 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		Threads:          info.Threads,
 		Regions:          info.Regions,
 		ProfilesCached:   int(cached.Load()),
-		ProfilesComputed: int(computed.Load()),
+		ProfilesComputed: computed,
 	}
 	if !info.Streamed {
 		// Legacy v1 bytes were stored unvalidated (no inline framing to
@@ -203,8 +180,8 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		f.Close()
 	}
 	m.pipe.ingestedTraces.Add(1)
-	m.pipe.ingestedProfiles.Add(computed.Load())
+	m.pipe.ingestedProfiles.Add(int64(computed))
 	m.pipe.profileCacheHits.Add(cached.Load())
-	m.pipe.profileComputed.Add(computed.Load())
+	m.pipe.profileComputed.Add(int64(computed))
 	return res, nil
 }

@@ -201,6 +201,46 @@ func TestIngestFailureLeavesNoOrphans(t *testing.T) {
 	}
 }
 
+// TestDurablePublishCounts pins the store's fsync budget on the end-to-end
+// benchmark's cold-many-regions shape (npb-lu x0.2: 503 regions, 43
+// distinct). A cold upload is three durable publishes — the profile pack,
+// the trace, the digest index — where one per profile made it 45; a local
+// estimate is two — its point results as one batch, then the estimate
+// artifact — where one per point made it 9. /metrics reports the count.
+func TestDurablePublishCounts(t *testing.T) {
+	var buf bytes.Buffer
+	if err := tracefile.Record(&buf, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
+		t.Fatal(err)
+	}
+	m, st := newManager(t)
+	res, err := m.IngestTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Publishes(); n != 3 || res.ProfilesComputed != 43 {
+		t.Fatalf("cold upload of %d distinct profiles made %d durable publishes, want 3", res.ProfilesComputed, n)
+	}
+	run := func(req Request) {
+		t.Helper()
+		snap, err := m.Submit(req)
+		if err == nil {
+			snap, err = m.Wait(context.Background(), snap.ID)
+		}
+		if err != nil || snap.Status != StatusDone {
+			t.Fatalf("%s job: %v %+v", req.Kind, err, snap)
+		}
+	}
+	run(Request{Kind: KindAnalyze, Trace: res.Key})
+	before := st.Publishes()
+	run(Request{Kind: KindEstimate, Trace: res.Key, Warmup: "mru", Exec: ExecLocal})
+	if n := st.Publishes() - before; n != 2 {
+		t.Errorf("local estimate made %d durable publishes, want 2", n)
+	}
+	if got := metricValues(t, m)["bp_store_publishes_total"]; got != float64(st.Publishes()) {
+		t.Errorf("bp_store_publishes_total = %v, want %d", got, st.Publishes())
+	}
+}
+
 // storedProfiles counts the store's profile cache entries on disk.
 func storedProfiles(t *testing.T, st *store.Store) int {
 	t.Helper()

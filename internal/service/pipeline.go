@@ -130,6 +130,8 @@ func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
 	counterFunc(r, "bp_region_digest_index_misses_total", "Cold analyses that hashed the trace file for their region digests (index missing or invalid; rewritten).", &p.digestIndexMisses)
 	counterFunc(r, "bp_ingest_traces_total", "Traces ingested through the streaming upload path.", &p.ingestedTraces)
 	counterFunc(r, "bp_ingest_profiles_total", "Region profiles stored during streaming ingest, while the upload was still transferring.", &p.ingestedProfiles)
+	r.CounterFunc("bp_store_publishes_total", "Durable store publishes: one data fsync and one directory fsync each, however many entries.",
+		func() float64 { return float64(st.Publishes()) })
 
 	r.CounterFunc("bp_replay_cache_hits_total", "Replay cache region hits.",
 		func() float64 { return float64(p.replay.Stats().Hits) })

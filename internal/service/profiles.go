@@ -2,11 +2,10 @@ package service
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"barrierpoint/internal/par"
 	"barrierpoint/internal/profile"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/store"
@@ -14,17 +13,11 @@ import (
 	"barrierpoint/internal/tracefile"
 )
 
-// Per-region profile cache plumbing.
-//
-// Region profiles (per-thread BBV + LDV + instruction counts) are keyed in
-// the store by (region content digest, codec version) — see
-// store.PutProfile. The digest is computed from the region's encoded chunk
-// payloads (tracefile.File.RegionDigest), so a profile cached while a
-// trace streamed in (Manager.IngestTrace) is found by any later analysis
-// of any trace containing that region. The profile is independent of every
-// signature and clustering knob (signature.Options are applied by
-// signature.Build after the fact), so re-clustering with a different K,
-// scale or signature variant reuses all profiles and pays only k-means.
+// Per-region profile cache plumbing. Region profiles are keyed in the store
+// by region content digest and codec version (see the store package doc),
+// so a profile cached while a trace streamed in (Manager.IngestTrace) serves
+// any later analysis of any trace containing that region, under any
+// signature or clustering knob.
 //
 // The digests are kept too: the region-digest index is an ordinary artifact
 // of the trace (tracefile.DigestIndexName: keyed by the trace's content key
@@ -48,15 +41,12 @@ type ProfileStats struct {
 	IndexHit bool `json:"index_hit"`
 }
 
-// cachedProfile loads and decodes the profile for one region digest. A
-// missing entry is a miss; so is an undecodable blob (foreign bytes, torn
-// write from a pre-fsync store version), which is removed here because
-// PutProfile publishes exclusively and would otherwise leave it in place
-// for every later analysis to trip over. Either way the caller recomputes
-// and stores the profile.
-func cachedProfile(st *store.Store, digest string) *signature.RegionData {
-	blob, err := st.GetProfile(digest, signature.CodecVersion)
-	if err != nil {
+// cachedProfile decodes a region's cached profile blob. A nil blob is a
+// miss; so is an undecodable one (foreign bytes, a torn write from a
+// pre-fsync store version), removed here because profiles publish
+// exclusively and it would otherwise trip every later analysis.
+func cachedProfile(st *store.Store, digest string, blob []byte) *signature.RegionData {
+	if blob == nil {
 		return nil
 	}
 	rd, err := signature.DecodeRegionData(blob)
@@ -65,21 +55,6 @@ func cachedProfile(st *store.Store, digest string) *signature.RegionData {
 		return nil
 	}
 	return rd
-}
-
-// profileRegion profiles one region and caches the result under its
-// digest, reporting whether this call created the store entry (false when
-// a concurrent writer got there first). Cache-write failures fail the
-// call: a store that cannot write profiles will not get further than the
-// selection artifact either, and failing here keeps the ingest/analyze
-// invariants ("by 201 the profiles are in the store") honest.
-func profileRegion(st *store.Store, r trace.Region, threads int, digest string) (*signature.RegionData, bool, error) {
-	rd := profile.Region(r, threads)
-	existed, err := st.PutProfile(digest, signature.CodecVersion, signature.EncodeRegionData(rd))
-	if err != nil {
-		return nil, false, err
-	}
-	return rd, !existed, nil
 }
 
 // encodeDigestIndex renders region digests as a digest index.
@@ -124,15 +99,15 @@ func regionDigests(st *store.Store, key string, f *tracefile.File) (digests []st
 }
 
 // profilesFor collects the per-region profiles of a stored, open trace.
-// Each distinct region digest is resolved once — from the profile cache,
-// else by profiling the first region that carries it and caching the
-// result — in parallel across digests like profile.Program; regions with
-// equal content share one read-only *signature.RegionData and count as
-// cached. Results are ordered by region index and bit-identical to a
-// direct profiling pass (the codec round-trips exact float bits), so
-// selections built from them match the cold path byte for byte. prog is
-// the replay view to profile misses through (the caller's replay-cache
-// wrapper of f, or f itself).
+// Each distinct region digest is resolved once, in parallel across digests
+// — from the profile cache (store.GetProfiles, one read per file), else by
+// profiling the first region that carries it — and the profiles computed
+// are published as one batch (store.PutProfiles; a failure fails the call).
+// Regions with equal content share one read-only *signature.RegionData and
+// count as cached. Results are ordered by region index and bit-identical to
+// a direct profiling pass (the codec round-trips exact float bits). prog is
+// the replay view to profile misses through (a replay-cache wrapper of f,
+// or f itself).
 func profilesFor(st *store.Store, key string, f *tracefile.File, prog trace.Program) ([]*signature.RegionData, ProfileStats, error) {
 	n := f.Regions()
 	stats := ProfileStats{Regions: n}
@@ -143,50 +118,36 @@ func profilesFor(st *store.Store, key string, f *tracefile.File, prog trace.Prog
 	stats.IndexHit = indexed
 	classOf := make(map[string]int, n) // digest -> position in first
 	var first []int                    // the first region carrying each distinct digest
+	var firstDigests []string
 	for i, d := range digests {
 		if _, ok := classOf[d]; !ok {
 			classOf[d] = len(first)
-			first = append(first, i)
+			first, firstDigests = append(first, i), append(firstDigests, d)
 		}
 	}
 
+	blobs := st.GetProfiles(signature.CodecVersion, firstDigests)
 	distinct := make([]*signature.RegionData, len(first))
-	errs := make([]error, len(first))
-	var computed atomic.Int64
-	var failed atomic.Bool
-	next := make(chan int, len(first))
-	for c := range first {
-		next <- c
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(first)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				i := first[c]
-				if distinct[c] = cachedProfile(st, digests[i]); distinct[c] != nil || failed.Load() {
-					continue
-				}
-				if distinct[c], _, errs[c] = profileRegion(st, prog.Region(i), f.Threads(), digests[i]); errs[c] != nil {
-					failed.Store(true) // the analysis is lost: stop profiling for it
-				}
-				computed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			return nil, stats, fmt.Errorf("service: profiling region %d: %w", first[c], err)
+	var mu sync.Mutex
+	fresh := make(map[string][]byte) // computed here, published below
+	par.For(len(first), func(c int) {
+		if distinct[c] = cachedProfile(st, firstDigests[c], blobs[c]); distinct[c] != nil {
+			return
 		}
+		distinct[c] = profile.Region(prog.Region(first[c]), f.Threads())
+		blob := signature.EncodeRegionData(distinct[c])
+		mu.Lock()
+		fresh[firstDigests[c]] = blob
+		mu.Unlock()
+	})
+	if _, err := st.PutProfiles(signature.CodecVersion, fresh); err != nil {
+		return nil, stats, fmt.Errorf("service: storing profiles: %w", err)
 	}
 	out := make([]*signature.RegionData, n)
 	for i, d := range digests {
 		out[i] = distinct[classOf[d]]
 	}
-	stats.Computed = int(computed.Load())
+	stats.Computed = len(fresh)
 	stats.Cached = n - stats.Computed
 	return out, stats, nil
 }

@@ -128,14 +128,7 @@ func Build(rd *RegionData, o Options) SV {
 
 	if useBBV {
 		for t := 0; t < threads; t++ {
-			v := rd.BBV[t]
-			total := v.Total()
-			if total == 0 {
-				continue
-			}
-			for _, e := range v {
-				sv = append(sv, sparse.Entry{Key: key(0, t, e.Key), Val: e.Val / total})
-			}
+			sv = appendBBV(sv, rd.BBV[t], t)
 		}
 	}
 	if useLDV {
@@ -163,6 +156,16 @@ func sortedStrict(sv SV) bool {
 		}
 	}
 	return true
+}
+
+// appendBBV appends thread slot's normalized BBV entries in block order.
+func appendBBV(sv SV, v bbv.Vector, slot int) SV {
+	if total := v.Total(); total != 0 {
+		for _, e := range v {
+			sv = append(sv, sparse.Entry{Key: key(0, slot, e.Key), Val: e.Val / total})
+		}
+	}
+	return sv
 }
 
 // appendLDV appends thread slot's weighted, normalized LDV entries in
@@ -193,30 +196,17 @@ func buildSummed(rd *RegionData, o Options) SV {
 	useLDV := o.Kind == LDVOnly || o.Kind == Combined
 
 	acc := sparse.NewAccumulator(64)
+	var part SV
 	for t := 0; t < threads; t++ {
+		part = part[:0]
 		if useBBV {
-			v := rd.BBV[t]
-			total := v.Total()
-			if total != 0 {
-				for _, e := range v {
-					acc.Add(key(0, 0, e.Key), e.Val/total)
-				}
-			}
+			part = appendBBV(part, rd.BBV[t], 0)
 		}
 		if useLDV {
-			hh := rd.LDV[t]
-			if o.LDVWeightV > 0 {
-				hh = hh.Weighted(o.LDVWeightV)
-			}
-			hh = hh.Normalized()
-			for n, w := range hh.Buckets {
-				if w != 0 {
-					acc.Add(key(1, 0, uint64(n)), w)
-				}
-			}
-			if hh.Cold != 0 {
-				acc.Add(key(1, 0, uint64(ldv.NumBuckets)), hh.Cold)
-			}
+			part = appendLDV(part, &rd.LDV[t], 0, o)
+		}
+		for _, e := range part {
+			acc.Add(e.Key, e.Val)
 		}
 	}
 	sv := acc.AppendSorted(make(SV, 0, acc.Len()))

@@ -71,9 +71,10 @@ func TestConcurrentIdenticalPutTrace(t *testing.T) {
 }
 
 // TestRepublishExisting: publishing content a create-once entry already
-// holds — a re-upload through PutTrace or a TraceWriter, a profile writer
-// that lost the race after its HasProfile check — reports existed, leaves the
-// stored bytes as they were and leaves no temp file behind.
+// holds — a re-upload through PutTrace or a TraceWriter, a profile batch
+// from a writer that lost the race after its HasProfile check — reports
+// existed, leaves the stored bytes as they were and leaves no temp file
+// behind.
 func TestRepublishExisting(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -105,14 +106,18 @@ func TestRepublishExisting(t *testing.T) {
 	if existed, err := st.PutProfile(digest, "rd1", blob); err != nil || existed {
 		t.Fatalf("first profile put: existed=%v err=%v", existed, err)
 	}
-	// PutProfile returns before it writes when the entry is there; the
-	// writer that saw it missing and then lost the race gets here.
-	existed, err = writeDurable(filepath.Join(st.Root(), "profiles"), digest+".rd1", []byte("a loser's bytes"), true)
-	if err != nil || !existed {
-		t.Fatalf("losing profile publish: existed=%v err=%v", existed, err)
+	// A batch that lost the race for one of its digests creates only the
+	// others, and the stored entry keeps its creator's bytes.
+	other := strings.Repeat("fe", 32)
+	created, err := st.PutProfiles("rd1", map[string][]byte{digest: []byte("a loser's bytes"), other: []byte("new")})
+	if err != nil || len(created) != 1 || created[0] != other {
+		t.Fatalf("losing profile batch: created %v, err %v; want [%s]", created, err, other)
 	}
 	if got, err := st.GetProfile(digest, "rd1"); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("profile after losing publish: %q, %v", got, err)
+	}
+	if got, err := st.GetProfile(other, "rd1"); err != nil || string(got) != "new" {
+		t.Fatalf("profile the losing batch created: %q, %v", got, err)
 	}
 	assertNoTemps(t, st)
 }

@@ -13,18 +13,16 @@
 //	<root>/artifacts/<key>/<name>      derived artifacts for that trace
 //	<root>/profiles/<digest>.<codec>   per-region profiles, named by region content
 //
+// A name is a plain file or a link to a pack, one file of entries published
+// together (see putBlobs); a read of a name returns its own entry.
+//
 // The key of a trace is the lowercase hex SHA-256 of its file bytes, so a
 // byte-identical trace uploaded twice — or recorded independently on two
 // machines — lands on the same path and is stored once. Artifacts are named
 // by the caller (see internal/service for the naming scheme: selection,
 // estimate and ground-truth artifacts keyed by analysis config, machine
-// config and warmup mode). One artifact is not a result but an index: the
-// trace's region-digest index (tracefile.DigestIndexName) lists its regions'
-// content digests, written by the streaming ingest — or by the first
-// analysis of a trace that arrived another way — so that analyses look
-// their profiles up without re-hashing the trace. Like every artifact it is
-// keyed by the trace's content key and goes with RemoveTrace; its readers
-// validate it and treat a bad one as absent (internal/service, profiles.go).
+// config and warmup mode). One artifact is not a result but an index, the
+// trace's region-digest index (see internal/service, profiles.go).
 //
 // Per-region profiles are addressed not by trace but by the region's own
 // content digest (tracefile.File.RegionDigest) plus the encoding version
@@ -33,17 +31,20 @@
 // different K or signature variant reuses all of them and pays only
 // k-means (see internal/service).
 //
-// All writes go through a temp file in the destination directory followed
-// by an atomic rename, so concurrent writers (several jobs, or a CLI racing
-// a server on the same store) can only ever observe absent or complete
-// entries, never torn ones. Writes additionally fsync the temp file before
-// the rename and the directory after it, so an entry whose write has been
-// acknowledged (an upload's 201, a WAL-logged artifact) survives a crash —
-// a half-written temp file from a crashed writer is invisible to readers
-// and swept on the next Open.
+// All writes go through a temp file in the destination directory, renamed or
+// linked to its names, so concurrent writers (several jobs, or a CLI racing
+// a server on the same store) only ever observe absent or complete entries.
+// A batch fsyncs its temp file before the first name appears and the
+// directory after the last — one data and one directory fsync however many
+// names — so an acknowledged write (an upload's 201, a WAL-logged artifact)
+// survives a crash, which leaves a temp file (invisible, swept on the next
+// Open), some of a batch's names linked to its complete pack (the rest are
+// misses), or all of them. A pack damaged later, its header and length in
+// disagreement, is a miss under every name, healed where misses recompute.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -51,11 +52,16 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"barrierpoint/internal/fault"
@@ -64,9 +70,6 @@ import (
 
 // ErrNotFound reports a missing trace or artifact.
 var ErrNotFound = errors.New("store: not found")
-
-// KeyLen is the length of a trace key: a lowercase hex SHA-256 digest.
-const KeyLen = 2 * sha256.Size
 
 var (
 	keyRe      = regexp.MustCompile(`^[0-9a-f]{64}$`)
@@ -127,8 +130,12 @@ func FileKey(path string) (string, error) {
 // directory. Methods are safe for concurrent use from multiple goroutines
 // (and, thanks to atomic renames, from multiple processes).
 type Store struct {
-	root string
+	root      string
+	publishes atomic.Int64
 }
+
+// Publishes counts s's durable publishes: one data and one directory fsync each.
+func (s *Store) Publishes() int64 { return s.publishes.Load() }
 
 // Open opens (creating if needed) the store rooted at dir. Stale temp
 // files left behind by crashed writers are swept from the content
@@ -150,26 +157,18 @@ func Open(dir string) (*Store, error) {
 // process mid-PutTrace on the same store) safe from the sweep.
 const tempMaxAge = time.Hour
 
-// sweepTemps removes orphaned write temps older than tempMaxAge from the
-// traces and profiles directories. Errors are deliberately ignored: the
-// sweep is best-effort hygiene, and a failure (permissions, races with
-// another sweeper) must not block opening the store.
+// sweepTemps removes `.put-*` temps older than tempMaxAge anywhere in the
+// store. It is best-effort: no failure may block opening the store.
 func (s *Store) sweepTemps() {
 	cutoff := time.Now().Add(-tempMaxAge)
-	for _, d := range []string{"traces", "profiles"} {
-		ents, err := os.ReadDir(filepath.Join(s.root, d))
-		if err != nil {
-			continue
-		}
-		for _, e := range ents {
-			if !strings.HasPrefix(e.Name(), ".put-") {
-				continue
-			}
+	filepath.WalkDir(s.root, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(e.Name(), ".put-") {
 			if info, err := e.Info(); err == nil && info.ModTime().Before(cutoff) {
-				os.Remove(filepath.Join(s.root, d, e.Name()))
+				os.Remove(path)
 			}
 		}
-	}
+		return nil
+	})
 }
 
 // syncDir fsyncs a directory, making a just-renamed entry durable. An
@@ -206,19 +205,18 @@ func (s *Store) artifactDir(key string) string {
 // A TraceWriter is single-use and not safe for concurrent Writes.
 type TraceWriter struct {
 	tmp *os.File
-	dir string
+	s   *Store
 	h   hash.Hash
 }
 
 // NewTraceWriter starts a trace write. Exactly one of Commit or Abort must
 // eventually be called.
 func (s *Store) NewTraceWriter() (*TraceWriter, error) {
-	dir := filepath.Join(s.root, "traces")
-	tmp, err := os.CreateTemp(dir, ".put-*")
+	tmp, err := os.CreateTemp(filepath.Join(s.root, "traces"), ".put-*")
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &TraceWriter{tmp: tmp, dir: dir, h: sha256.New()}, nil
+	return &TraceWriter{tmp: tmp, s: s, h: sha256.New()}, nil
 }
 
 // Write implements io.Writer.
@@ -234,13 +232,10 @@ func (w *TraceWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// Commit publishes the written bytes under their content key, which it
-// returns. If a byte-identical trace is already stored the temp copy is
-// discarded and existed is true. The temp file is fsynced before it is
-// published and the traces directory after, so a trace whose Commit has
-// returned survives a crash; a crash before Commit leaves only an
-// invisible temp file. On error the temp file is cleaned up (no Abort
-// needed).
+// Commit durably publishes the written bytes under their content key, which
+// it returns; existed reports a byte-identical trace was already stored and
+// the copy discarded. A crash before Commit leaves only an invisible temp
+// file. On error the temp file is cleaned up (no Abort needed).
 func (w *TraceWriter) Commit() (key string, existed bool, err error) {
 	if w.tmp == nil {
 		return "", false, fmt.Errorf("store: Commit after Commit/Abort")
@@ -248,10 +243,11 @@ func (w *TraceWriter) Commit() (key string, existed bool, err error) {
 	tmp := w.tmp
 	w.tmp = nil
 	key = hex.EncodeToString(w.h.Sum(nil))
-	if existed, err = publish(tmp, filepath.Join(w.dir, key+".bptrace"), true); err != nil {
+	created, err := w.s.publish(tmp, []string{key + ".bptrace"}, true)
+	if err != nil {
 		return "", false, err
 	}
-	return key, existed, nil
+	return key, len(created) == 0, nil
 }
 
 // Abort discards the written bytes. Safe to call after Commit (a no-op).
@@ -333,31 +329,33 @@ func (s *Store) RemoveTrace(key string) error {
 
 // Traces lists the keys of all stored traces, sorted.
 func (s *Store) Traces() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(s.root, "traces"))
+	ents, err := os.ReadDir(filepath.Join(s.root, "traces")) // sorted by name
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var keys []string
 	for _, e := range ents {
-		name := e.Name()
-		if len(name) == KeyLen+len(".bptrace") && filepath.Ext(name) == ".bptrace" {
-			if k := name[:KeyLen]; ValidKey(k) {
-				keys = append(keys, k)
-			}
+		if k, ok := strings.CutSuffix(e.Name(), ".bptrace"); ok && ValidKey(k) {
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
 	return keys, nil
 }
 
-// readBlob, hasBlob, removeBlob, listBlobs and putBlob are the file-level
+// readBlob, hasBlob, removeBlob, listBlobs and putBlobs are the file-level
 // halves of the artifact, campaign-manifest and profile methods; checking
 // keys and names and the fault-injection sites stay with those.
 
-// readBlob reads the blob at path; a missing one is ErrNotFound, named by
-// what's parts joined (only then: reads that hit build no string).
+// readBlob reads the blob at path, or its own entry of the pack it links to.
+// A missing one (or a bad pack) is ErrNotFound, named by what's parts joined
+// (only then: reads that hit build no string).
 func readBlob(path string, what ...string) ([]byte, error) {
 	b, err := os.ReadFile(path)
+	if err == nil && isPack(b) {
+		if b = unpack(b)[filepath.Base(path)]; b == nil {
+			err = os.ErrNotExist
+		}
+	}
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %s: %w", strings.Join(what, ""), ErrNotFound)
 	}
@@ -401,13 +399,71 @@ func listBlobs(dir string) ([]string, error) {
 	return names, nil
 }
 
-// putBlob durably writes data as dir/name, creating dir, replacing the blob.
-func putBlob(dir, name string, data []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+// A pack is a batch of blobs in one file: packMagic, a "name length" line
+// per blob, an empty line, then the blobs in that order. No blob the store
+// holds starts with the magic's NUL byte, so none reads as a pack.
+const packMagic = "\x00bppack1\n"
+
+// MaxPack is the most blobs one publish packs, which bounds a batch's memory
+// and a pack's link count; putBlobs splits larger batches.
+const MaxPack = 256
+
+func isPack(b []byte) bool { return bytes.HasPrefix(b, []byte(packMagic)) }
+
+// unpack returns pack b's blobs by name, nil if its header and length disagree.
+func unpack(b []byte) map[string][]byte {
+	head, body, ok := bytes.Cut(b[len(packMagic):], []byte("\n\n"))
+	blobs := make(map[string][]byte)
+	for _, line := range strings.Split(string(head), "\n") {
+		name, size, _ := strings.Cut(line, " ")
+		n, err := strconv.Atoi(size)
+		if !ok || err != nil || n < 0 || n > len(body) {
+			return nil
+		}
+		blobs[name], body = body[:n:n], body[n:]
 	}
-	_, err := writeDurable(dir, name, data, false)
-	return err
+	if len(body) != 0 {
+		return nil
+	}
+	return blobs
+}
+
+// putBlobs durably writes blobs (name → bytes) into dir, creating it, in one
+// publish per MaxPack names: a plain file when it carries one name, a pack
+// otherwise. It returns the names it published, also on error.
+func (s *Store) putBlobs(dir string, blobs map[string][]byte, excl bool) (published []string, err error) {
+	for names := slices.Sorted(maps.Keys(blobs)); len(names) > 0; {
+		batch := names[:min(len(names), MaxPack)]
+		names = names[len(batch):]
+		data := blobs[batch[0]]
+		if len(batch) > 1 {
+			data = []byte(packMagic)
+			for _, name := range batch {
+				data = fmt.Appendf(data, "%s %d\n", name, len(blobs[name]))
+			}
+			data = append(data, '\n')
+			for _, name := range batch {
+				data = append(data, blobs[name]...)
+			}
+		}
+		tmp, err := os.CreateTemp(dir, ".put-*")
+		if os.IsNotExist(err) && os.MkdirAll(dir, 0o755) == nil {
+			tmp, err = os.CreateTemp(dir, ".put-*")
+		}
+		if err != nil {
+			return published, fmt.Errorf("store: %w", err)
+		}
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return published, fmt.Errorf("store: writing %s: %w", batch[0], err)
+		}
+		p, err := s.publish(tmp, batch, excl)
+		if published = append(published, p...); err != nil {
+			return published, err
+		}
+	}
+	return published, nil
 }
 
 func (s *Store) checkArtifact(key, name string) error {
@@ -437,75 +493,79 @@ func (s *Store) HasArtifact(key, name string) bool {
 	return s.checkArtifact(key, name) == nil && hasBlob(filepath.Join(s.artifactDir(key), name))
 }
 
-// publish makes the bytes written to tmp durable under the name dst in
-// tmp's own directory: fsync, close, then rename over dst — or, for
-// create-once entries (excl), hard-link, which fails if dst already exists,
-// so among concurrent publishers of one name exactly one observes
-// existed=false and the losers' bytes are discarded (fine for
-// content-addressed entries, where every writer's bytes are equivalent) —
-// then fsync the directory. A create-once entry found already there was made
-// durable by its creator: tmp is discarded without the sync, so a re-upload
-// does not write back megabytes it is about to delete. It is the one publish
-// path behind traces, artifacts, campaign manifests and profiles; tmp is
-// gone when it returns.
-func publish(tmp *os.File, dst string, excl bool) (existed bool, err error) {
+// publish makes the bytes written to tmp durable under names in tmp's own
+// directory: fsync and close tmp, give it every name, fsync the directory. A
+// create-once (excl) name is a hard link, which fails if it exists, so among
+// concurrent publishers of one name exactly one creates it (every writer's
+// bytes are equivalent); one already there was made durable by its creator
+// and is dropped before the sync, so a re-upload does not write back
+// megabytes it is about to delete. Any other name is replaced by renaming tmp,
+// or a link to it, over it. It is the one publish path behind traces,
+// artifacts, campaign manifests and profiles; it removes tmp and returns the
+// names it created or replaced, also on error.
+func (s *Store) publish(tmp *os.File, names []string, excl bool) (published []string, err error) {
 	defer os.Remove(tmp.Name()) // nothing left to remove after a rename
-	if excl && hasBlob(dst) {
-		tmp.Close()
-		return true, nil
+	defer tmp.Close()
+	dir := filepath.Dir(tmp.Name())
+	if excl {
+		names = slices.DeleteFunc(names, func(name string) bool { return hasBlob(filepath.Join(dir, name)) })
+	}
+	if len(names) == 0 {
+		return nil, nil
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return false, fmt.Errorf("store: syncing %s: %w", filepath.Base(dst), err)
+		return nil, fmt.Errorf("store: syncing %s: %w", names[0], err)
 	}
 	if err := tmp.Close(); err != nil {
-		return false, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if excl {
-		err = os.Link(tmp.Name(), dst)
-		if os.IsExist(err) {
-			return true, nil
+	s.publishes.Add(1)
+	for i, name := range names {
+		dst := filepath.Join(dir, name)
+		switch {
+		case excl:
+			if err = os.Link(tmp.Name(), dst); os.IsExist(err) {
+				continue
+			}
+		case i == len(names)-1:
+			err = os.Rename(tmp.Name(), dst)
+		default:
+			aside := fmt.Sprintf("%s.%d", tmp.Name(), i)
+			if err = os.Link(tmp.Name(), aside); err == nil {
+				err = os.Rename(aside, dst)
+			}
 		}
-	} else {
-		err = os.Rename(tmp.Name(), dst)
+		if err != nil {
+			return published, fmt.Errorf("store: %w", err)
+		}
+		published = append(published, name)
 	}
-	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(filepath.Dir(dst)); err != nil {
-		// The entry is visible but not yet known durable. Report the
+	if err := syncDir(dir); err != nil {
+		// The entries are visible but not yet known durable. Report the
 		// failure rather than pretend durability.
-		return false, fmt.Errorf("store: syncing %s: %w", filepath.Dir(dst), err)
+		return published, fmt.Errorf("store: syncing %s: %w", dir, err)
 	}
-	return false, nil
+	return published, nil
 }
 
-// writeDurable writes data to a temp file in dir and publishes it as
-// dir/name: overwriting, or create-once when excl.
-func writeDurable(dir, name string, data []byte, excl bool) (existed bool, err error) {
-	tmp, err := os.CreateTemp(dir, ".put-*")
-	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("store: writing %s: %w", name, err)
-	}
-	return publish(tmp, filepath.Join(dir, name), excl)
-}
-
-// PutArtifact atomically stores the named artifact for the trace,
-// overwriting any previous value. The write is durable: temp file and
-// directory are fsynced around the rename.
+// PutArtifact atomically and durably stores the named artifact for the
+// trace, overwriting any previous value.
 func (s *Store) PutArtifact(key, name string, data []byte) error {
-	if err := s.checkArtifact(key, name); err != nil {
-		return err
+	return s.PutArtifacts(key, map[string][]byte{name: data})
+}
+
+// PutArtifacts is PutArtifact for a batch, published as one (see putBlobs).
+func (s *Store) PutArtifacts(key string, blobs map[string][]byte) error {
+	for name := range blobs {
+		if err := s.checkArtifact(key, name); err != nil {
+			return err
+		}
 	}
 	if err := fault.Inject("store.put-artifact"); err != nil {
 		return err
 	}
-	return putBlob(s.artifactDir(key), name, data)
+	_, err := s.putBlobs(s.artifactDir(key), blobs, false)
+	return err
 }
 
 // Campaign manifests (internal/campaign) are small JSON progress records
@@ -530,7 +590,8 @@ func (s *Store) PutCampaign(name string, data []byte) error {
 	if !artifactRe.MatchString(name) {
 		return fmt.Errorf("store: malformed campaign name %q", name)
 	}
-	return putBlob(filepath.Join(s.root, "campaigns"), name, data)
+	_, err := s.putBlobs(filepath.Join(s.root, "campaigns"), map[string][]byte{name: data}, false)
+	return err
 }
 
 // Campaigns lists the saved campaign manifest names, sorted. A store with

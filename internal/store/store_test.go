@@ -195,7 +195,7 @@ func TestMalformedKeysAndNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"", "abc", "../../etc/passwd", strings.Repeat("Z", KeyLen)} {
+	for _, k := range []string{"", "abc", "../../etc/passwd", strings.Repeat("Z", 64)} {
 		if st.HasTrace(k) {
 			t.Errorf("HasTrace(%q) = true", k)
 		}
@@ -203,7 +203,7 @@ func TestMalformedKeysAndNames(t *testing.T) {
 			t.Errorf("TracePath(%q) succeeded", k)
 		}
 	}
-	key := strings.Repeat("a", KeyLen)
+	key := strings.Repeat("a", 64)
 	for _, name := range []string{"", ".hidden", "../escape", "a/b", "a b"} {
 		if err := st.PutArtifact(key, name, nil); err == nil {
 			t.Errorf("PutArtifact(%q) succeeded", name)

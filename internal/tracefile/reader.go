@@ -260,7 +260,7 @@ func (f *File) RegionDigest(i int) (string, error) {
 			if n, err := f.ra.ReadAt(b, off); n < len(b) {
 				return "", fmt.Errorf("tracefile: digesting region %d thread %d: %w", i, t, err)
 			}
-			d.Write(b)
+			d.h.Write(b)
 			off += int64(len(b))
 		}
 	}

@@ -81,8 +81,6 @@ func (d *regionDigester) beginChunk(size uint64) {
 	d.h.Write(d.buf[:binary.PutUvarint(d.buf[:], size)])
 }
 
-func (d *regionDigester) Write(p []byte) (int, error) { return d.h.Write(p) }
-
 func (d *regionDigester) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // StreamInfo describes a trace consumed by DecodeStream.
@@ -192,14 +190,20 @@ func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) 
 				return info, errw(err, "region %d thread %d: reading chunk length", ri, t)
 			}
 			d.beginChunk(n)
-			// One buffer of the declared size, up to 1 MiB; only past that
-			// does it grow as read, so a lying length prefix hits EOF before
-			// it can force a giant allocation.
-			buf := bytes.NewBuffer(make([]byte, 0, min(n, 1<<20)))
-			if _, err := io.CopyN(io.MultiWriter(buf, d), br, int64(n)); err != nil {
+			// Up to 1 MiB a chunk is read straight into a buffer of its
+			// declared size; past that it grows as bytes arrive, so a lying
+			// length prefix hits EOF before forcing a giant allocation.
+			chunk := make([]byte, min(n, 1<<20))
+			if _, err = io.ReadFull(br, chunk); err == nil && n > 1<<20 {
+				var rest bytes.Buffer
+				_, err = io.CopyN(&rest, br, int64(n)-1<<20)
+				chunk = append(chunk, rest.Bytes()...)
+			}
+			if err != nil {
 				return info, errw(err, "region %d thread %d: reading chunk", ri, t)
 			}
-			chunks = append(chunks, buf.Bytes())
+			d.h.Write(chunk)
+			chunks = append(chunks, chunk)
 			lengths = append(lengths, n)
 			pos += int64(uvarintLen(n)) + int64(n)
 		}

@@ -94,6 +94,33 @@ func TestStreamDigestMatchesFile(t *testing.T) {
 	}
 }
 
+// TestStreamChunkOverOneMiB: a chunk longer than the 1 MiB DecodeStream
+// reads straight into place arrives in two parts and still matches the file,
+// byte for byte and by digest.
+func TestStreamChunkOverOneMiB(t *testing.T) {
+	blocks := make([]trace.BlockExec, 300000)
+	for i := range blocks {
+		blocks[i] = trace.BlockExec{Block: i, Instrs: 3, Accs: []trace.Access{{Addr: uint64(i) * 4096}}}
+	}
+	p := &trace.SliceProgram{ProgName: "big", NumThreads: 1, Rgns: []*trace.SliceRegion{{Threads: [][]trace.BlockExec{blocks}}}}
+	var buf bytes.Buffer
+	if err := Record(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	_, regions := collectStream(t, buf.Bytes())
+	f, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.RegionDigest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunk := regions[0].Chunks[0]; len(chunk) <= 1<<20 || !bytes.Contains(buf.Bytes(), chunk) || regions[0].Digest != want {
+		t.Fatalf("%d-byte chunk: in the file %v, digest %s, file digest %s", len(chunk), bytes.Contains(buf.Bytes(), chunk), regions[0].Digest, want)
+	}
+}
+
 // TestDigestIndependentOfPlacement asserts that a region's digest does not
 // depend on which trace carries it: the same region content recorded in two
 // different programs (different neighbors, different file offsets) digests

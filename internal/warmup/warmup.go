@@ -53,11 +53,9 @@
 package warmup
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"barrierpoint/internal/par"
 	"barrierpoint/internal/sim"
 	"barrierpoint/internal/sparse"
 	"barrierpoint/internal/trace"
@@ -163,31 +161,6 @@ func (t *tracker) track(s trace.Stream) {
 	}
 }
 
-// eachThread calls fn(tid) for every tid in [0, threads) on up to GOMAXPROCS
-// goroutines and returns when every call has. Threads are claimed one at a
-// time, so uneven per-thread work still balances.
-func eachThread(threads int, fn func(tid int)) {
-	workers := min(runtime.GOMAXPROCS(0), threads)
-	if workers <= 1 {
-		for tid := 0; tid < threads; tid++ {
-			fn(tid)
-		}
-		return
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tid := int(next.Add(1)) - 1; tid < threads; tid = int(next.Add(1)) - 1 {
-				fn(tid)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Pass is one resumable MRU prefix pass (see "Resuming"): every core's
 // tracker and the next region to track. Not safe for concurrent use.
 type Pass struct {
@@ -222,10 +195,10 @@ func (ps *Pass) Snapshot(p trace.Program, at int) Snapshot {
 	threads := len(ps.trackers)
 	for ; ps.pos < at; ps.pos++ {
 		r := p.Region(ps.pos)
-		eachThread(threads, func(t int) { ps.trackers[t].track(r.Thread(t)) })
+		par.For(threads, func(t int) { ps.trackers[t].track(r.Thread(t)) })
 	}
 	snap := make(Snapshot, threads)
-	eachThread(threads, func(t int) { snap[t] = ps.trackers[t].snapshot(ps.capacity) })
+	par.For(threads, func(t int) { snap[t] = ps.trackers[t].snapshot(ps.capacity) })
 	return snap
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -365,17 +364,5 @@ func TestStreamContract(t *testing.T) {
 	}
 	if got := Capture(base, []int{-4, base.Regions()}, capacity); len(got) != 0 {
 		t.Errorf("Capture of out-of-range regions returned %d snapshots", len(got))
-	}
-}
-
-func TestEachThreadCoversEveryThreadOnce(t *testing.T) {
-	for _, threads := range []int{0, 1, 3, 64} {
-		calls := make([]int32, threads)
-		eachThread(threads, func(tid int) { atomic.AddInt32(&calls[tid], 1) })
-		for tid, n := range calls {
-			if n != 1 {
-				t.Errorf("threads=%d: fn(%d) called %d times", threads, tid, n)
-			}
-		}
 	}
 }

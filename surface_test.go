@@ -24,6 +24,8 @@ var surfaceAllow = map[string]bool{
 	"internal/farm.Queue.WorkerSpans":  true,
 	"internal/obs.SpanData.StageSumNs": true,
 	"internal/store.OpenWAL":           true,
+	"internal/store.Store.GetProfile":  true,
+	"internal/store.Store.PutProfile":  true,
 	"internal/warmup.Capture":          true,
 
 	// Methods of a type package barrierpoint re-exports (bp.RegionResult).
