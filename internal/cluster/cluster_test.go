@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"barrierpoint/internal/profile"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/sparse"
+	"barrierpoint/internal/workload"
 )
 
 // blobSVs builds n signature vectors in g well-separated groups; members of
@@ -31,16 +36,21 @@ func blobSVs(n, g int) ([]signature.SV, []float64, []int) {
 	return svs, weights, truth
 }
 
+// project1 projects one signature vector.
+func project1(sv signature.SV, dim int, seed uint64) []float64 {
+	return ProjectAll([]signature.SV{sv}, dim, seed)[0]
+}
+
 func TestProjectDeterministic(t *testing.T) {
 	sv := sparse.SortMerge(signature.SV{{Key: 1, Val: 0.5}, {Key: 99, Val: 0.5}})
-	a := Project(sv, 15, 42)
-	b := Project(sv, 15, 42)
+	a := project1(sv, 15, 42)
+	b := project1(sv, 15, 42)
 	for d := range a {
 		if a[d] != b[d] {
 			t.Fatal("projection not deterministic")
 		}
 	}
-	c := Project(sv, 15, 43)
+	c := project1(sv, 15, 43)
 	same := true
 	for d := range a {
 		if a[d] != c[d] {
@@ -57,7 +67,7 @@ func TestProjectPreservesSeparation(t *testing.T) {
 	// coincide.
 	a := sparse.SortMerge(signature.SV{{Key: 1, Val: 1.0}})
 	b := sparse.SortMerge(signature.SV{{Key: 2, Val: 1.0}})
-	pa, pb := Project(a, 15, 1), Project(b, 15, 1)
+	pa, pb := project1(a, 15, 1), project1(b, 15, 1)
 	var d2 float64
 	for d := range pa {
 		d2 += (pa[d] - pb[d]) * (pa[d] - pb[d])
@@ -65,7 +75,7 @@ func TestProjectPreservesSeparation(t *testing.T) {
 	if d2 < 1e-4 {
 		t.Errorf("distinct vectors projected to distance² %v", d2)
 	}
-	pa2 := Project(sparse.SortMerge(signature.SV{{Key: 1, Val: 1.0}}), 15, 1)
+	pa2 := project1(sparse.SortMerge(signature.SV{{Key: 1, Val: 1.0}}), 15, 1)
 	for d := range pa {
 		if pa[d] != pa2[d] {
 			t.Fatal("identical vectors projected differently")
@@ -339,10 +349,10 @@ func TestProjectMemoizationExact(t *testing.T) {
 				t.Fatalf("sv %d dim %d: memoized %v != direct %v", i, d, got[i][d], want[d])
 			}
 		}
-		single := Project(sv, dim, seed)
+		single := project1(sv, dim, seed)
 		for d := 0; d < dim; d++ {
 			if single[d] != got[i][d] {
-				t.Fatalf("sv %d dim %d: Project differs from ProjectAll", i, d)
+				t.Fatalf("sv %d dim %d: a projection of one differs from ProjectAll", i, d)
 			}
 		}
 	}
@@ -405,6 +415,77 @@ func TestSelectSpreadAndRepDists(t *testing.T) {
 	}
 	if nonzero == 0 {
 		t.Error("every cluster spread is zero over perturbed blobs")
+	}
+}
+
+// TestSelectSameAtAnyWidth: Select fits its k values concurrently on the par
+// pool, and the saved selection is byte-identical at every pool width.
+func TestSelectSameAtAnyWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	// npb-lu x0.2 (503 regions, 43 distinct rows), with regions of equal
+	// content sharing one *RegionData as the service's profile cache hands
+	// them over, so BuildAll shares their vectors too.
+	rds := profile.Program(workload.New("npb-lu", 8, workload.WithScale(0.2)))
+	byContent := make(map[string]*signature.RegionData)
+	for i, rd := range rds {
+		key := string(signature.EncodeRegionData(rd))
+		if first, ok := byContent[key]; ok {
+			rds[i] = first
+		} else {
+			byContent[key] = rd
+		}
+	}
+	luSVs, luWeights := signature.BuildAll(rds, signature.Default())
+
+	// Seeded random blobs: 6 centres, members perturbed around them.
+	r := rand.New(rand.NewSource(7))
+	rndSVs, rndWeights := make([]signature.SV, 240), make([]float64, 240)
+	for i := range rndSVs {
+		g := uint64(i % 6)
+		rndSVs[i] = sparse.SortMerge(signature.SV{
+			{Key: g * 8, Val: 0.6 + 0.05*r.Float64()},
+			{Key: g*8 + 1, Val: 0.3 * r.Float64()},
+			{Key: uint64(r.Intn(48)), Val: 0.02 * r.Float64()},
+		})
+		rndWeights[i] = float64(1 + r.Intn(10000))
+	}
+
+	// maxK above the 3 distinct rows: duplicated k-means++ seeds and the
+	// empty-cluster reseed.
+	fewSVs, fewWeights := make([]signature.SV, 40), make([]float64, 40)
+	for i := range fewSVs {
+		fewSVs[i] = sparse.SortMerge(signature.SV{{Key: uint64(i % 3), Val: 1}})
+		fewWeights[i] = float64(100 + i)
+	}
+
+	cases := []struct {
+		name    string
+		svs     []signature.SV
+		weights []float64
+	}{
+		{"npb-lu", luSVs, luWeights},
+		{"random-blobs", rndSVs, rndWeights},
+		{"k-above-distinct", fewSVs, fewWeights},
+	}
+	for _, c := range cases {
+		var want []byte
+		for _, width := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(width)
+			res, err := Select(c.svs, c.weights, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: selection at GOMAXPROCS=%d differs from GOMAXPROCS=1", c.name, width)
+			}
+		}
 	}
 }
 
@@ -489,7 +570,7 @@ func TestRowClassesMatchPerPointReference(t *testing.T) {
 						}
 					}
 				}
-				if g, w := bic(rc, weights, got), refBIC(points, weights, want); !sameBits(g, w) {
+				if g, w := bic(rc, weights, got, wTotal, dataVariance(rc, weights, wTotal)), refBIC(points, weights, want); !sameBits(g, w) {
 					t.Errorf("%s/%d k=%d: bic %v, reference %v", c.name, seed, k, g, w)
 				}
 			}

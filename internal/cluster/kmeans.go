@@ -214,15 +214,12 @@ func weightedPick(weights []float64, r *rng) int {
 
 // bic scores a clustering with the Bayesian Information Criterion under a
 // spherical Gaussian model, as SimPoint does: higher is better; the
-// parameter penalty grows with k, trading fit against model size.
-func bic(rc rowClasses, weights []float64, res KMeansResult) float64 {
+// parameter penalty grows with k, trading fit against model size. wTotal
+// and dataVar, the weights' sum and dataVariance, are the same for every k.
+func bic(rc rowClasses, weights []float64, res KMeansResult, wTotal, dataVar float64) float64 {
 	dim := len(rc.rows[0])
 	k := res.K
 
-	var wTotal float64
-	for _, w := range weights {
-		wTotal += w
-	}
 	// Cluster weights.
 	wc := make([]float64, k)
 	for i, w := range weights {
@@ -236,7 +233,7 @@ func bic(rc rowClasses, weights []float64, res KMeansResult) float64 {
 	// maxK. The floor caps the reward for resolving structure finer than
 	// 1/1000 of the data spread.
 	variance := res.WCSS / math.Max(wTotal-float64(k), 1)
-	if floor := dataVariance(rc, weights, wTotal) * 1e-3; variance < floor {
+	if floor := dataVar * 1e-3; variance < floor {
 		variance = floor
 	}
 	if variance <= 0 {

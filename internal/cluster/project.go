@@ -9,17 +9,27 @@
 // A barrier-synchronized program repeats its phases, so most regions project
 // onto a few distinct rows (npb-lu at scale 0.2: 503 regions, 43 rows).
 // Select groups the projected rows by exact bit equality, once, from the rows
-// themselves — no caller has to say which regions repeat — and kMeans, bic
-// and dataVariance measure every squared distance (k-means++ seeding,
-// nearest centroid, empty-cluster reseed, WCSS, data variance) once per
-// class: a distance is a pure function of the row. No weighted sum is taken
-// per class. The k-means++ total and pick, centroid sums, cluster weights,
-// WCSS and the mean still add one term per region, in ascending region
-// order, with the per-region operands: floating-point addition is not
-// associative, and folding a class into one (distance x summed weight) term
-// would move centroids, WCSS and BIC in their last bits — enough to flip an
-// assignment or the chosen k, and with it every stored selection. The
-// per-region reference they must match bit for bit is in cluster_test.go.
+// themselves — no caller has to say which regions repeat — and kMeans and
+// dataVariance (once per selection, for bic's floor) measure every squared
+// distance (k-means++ seeding, nearest centroid, empty-cluster reseed, WCSS,
+// data variance) once per class: a distance is a pure function of the row.
+// No weighted sum is taken per class. The k-means++ total and pick, centroid
+// sums, cluster weights, WCSS and the mean still add one term per region, in
+// ascending region order, with the per-region operands: floating-point
+// addition is not associative, and folding a class into one (distance x
+// summed weight) term would move centroids, WCSS and BIC in their last bits —
+// enough to flip an assignment or the chosen k, and with it every stored
+// selection. The per-region reference they must match bit for bit is in
+// cluster_test.go.
+//
+// # Concurrent fits
+//
+// Select fits each k as one task on the par pool. A fit is a pure function
+// of (row classes, weights, k, seed) that only reads the shared classes and
+// weights; a task keeps its best of Tries fits (strict < on WCSS, in try
+// order) in k's own result and BIC slots, and the chosen-k scan reads them in
+// ascending k. Nothing is summed across tasks, so a selection is
+// byte-identical at any GOMAXPROCS (TestSelectSameAtAnyWidth).
 //
 // Result.Clusters is the one per-cluster view of a selection, and weigh the one
 // pass that turns it into multipliers and weights; Select and Rebind end in it
@@ -101,16 +111,9 @@ func (pj *projector) project(sv signature.SV, out []float64) {
 	}
 }
 
-// Project maps a sparse signature vector into dim dense dimensions via a
-// fixed random ±uniform projection (Table II: dim = 15).
-func Project(sv signature.SV, dim int, seed uint64) []float64 {
-	out := make([]float64, dim)
-	newProjector(dim, seed).project(sv, out)
-	return out
-}
-
-// ProjectAll projects every signature vector through one shared projector,
-// so each distinct feature's row is derived exactly once.
+// ProjectAll maps sparse signature vectors into dim dense dimensions via a
+// fixed random ±uniform projection (Table II: dim = 15), through one shared
+// projector, so each distinct feature's row is derived exactly once.
 func ProjectAll(svs []signature.SV, dim int, seed uint64) [][]float64 {
 	pj := newProjector(dim, seed)
 	backing := make([]float64, dim*len(svs))

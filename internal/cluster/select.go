@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"barrierpoint/internal/par"
 	"barrierpoint/internal/signature"
 )
 
@@ -103,18 +104,17 @@ func Select(svs []signature.SV, weights []float64, p Params) (*Result, error) {
 	points := ProjectAll(svs, p.Dim, p.Seed)
 	rc := classify(points)
 
-	maxK := p.MaxK
-	if maxK > n {
-		maxK = n
+	maxK, tries := min(p.MaxK, n), max(p.Tries, 1)
+	var wTotal float64
+	for _, w := range weights {
+		wTotal += w
 	}
-	tries := p.Tries
-	if tries < 1 {
-		tries = 1
-	}
+	dataVar := dataVariance(rc, weights, wTotal)
 
-	results := make([]KMeansResult, maxK+1)
-	bics := make([]float64, 0, maxK)
-	for k := 1; k <= maxK; k++ {
+	// One task per k, largest first so the pool drains evenly (see package doc).
+	results, bics := make([]KMeansResult, maxK+1), make([]float64, maxK+1)
+	par.For(maxK, func(i int) {
+		k := maxK - i
 		best := kMeans(rc, weights, k, p.Seed+uint64(k)*7919, p.KMeansIters)
 		for t := 1; t < tries; t++ {
 			cand := kMeans(rc, weights, k, p.Seed+uint64(k)*7919+uint64(t)*104729, p.KMeansIters)
@@ -123,20 +123,20 @@ func Select(svs []signature.SV, weights []float64, p Params) (*Result, error) {
 			}
 		}
 		results[k] = best
-		bics = append(bics, bic(rc, weights, best))
-	}
+		bics[k] = bic(rc, weights, best, wTotal, dataVar)
+	})
 
 	// SimPoint-style selection: smallest k whose BIC reaches BICThresh of
 	// the way from the worst to the best BIC.
 	bestBIC, worstBIC := math.Inf(-1), math.Inf(1)
-	for _, b := range bics {
+	for _, b := range bics[1:] {
 		bestBIC = math.Max(bestBIC, b)
 		worstBIC = math.Min(worstBIC, b)
 	}
 	thresh := worstBIC + p.BICThresh*(bestBIC-worstBIC)
 	chosenK := maxK
 	for k := 1; k <= maxK; k++ {
-		if bics[k-1] >= thresh {
+		if bics[k] >= thresh {
 			chosenK = k
 			break
 		}

@@ -1,6 +1,6 @@
 // Package par runs independent, index-addressed work on a bounded pool: the
-// one parallel loop behind region profiling, profile-cache misses and a
-// warm-up pass's per-core tracking.
+// one parallel loop behind region profiling, profile-cache misses, a warm-up
+// pass's per-core tracking and k-means fits.
 package par
 
 import (

@@ -35,7 +35,6 @@ var surfaceAllow = map[string]bool{
 	// Reference implementations the optimized paths are tested against.
 	"internal/bbv.Collect":           true,
 	"internal/bbv.ManhattanDistance": true,
-	"internal/cluster.Project":       true,
 	"internal/cluster.projEntry":     true,
 	"internal/ldv.Collect":           true,
 
