@@ -148,24 +148,7 @@ type StageObserver func(stage string, d time.Duration)
 // Analyze profiles every inter-barrier region of p and selects
 // barrierpoints. This is the "one-time cost" path of the paper's Fig. 2.
 func Analyze(p Program, cfg Config) (*Analysis, error) {
-	return AnalyzeObserved(p, cfg, nil)
-}
-
-// AnalyzeObserved is Analyze with per-stage timing: "profile" covers
-// BBV/LDV collection across all inter-barrier regions, "cluster" covers
-// signature assembly and barrierpoint selection.
-func AnalyzeObserved(p Program, cfg Config, obsrv StageObserver) (*Analysis, error) {
-	t0 := time.Now()
-	profiles := profile.Program(p)
-	if obsrv != nil {
-		obsrv("profile", time.Since(t0))
-	}
-	t1 := time.Now()
-	a, err := AnalyzeWithProfiles(p, cfg, profiles)
-	if obsrv != nil {
-		obsrv("cluster", time.Since(t1))
-	}
-	return a, err
+	return AnalyzeWithProfiles(p, cfg, profile.Program(p))
 }
 
 // AnalyzeWithProfiles runs selection over pre-collected profiles (e.g. to

@@ -14,12 +14,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/cluster"
 	"barrierpoint/internal/experiments"
-	"barrierpoint/internal/obs"
 	"barrierpoint/internal/profile"
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/signature"
@@ -147,28 +145,6 @@ func BenchmarkProfiling(b *testing.B) {
 		if _, err := bp.Analyze(prog, bp.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkInstrumentedProfile is BenchmarkProfiling with the telemetry
-// observer live: every stage lands in a span and a latency histogram,
-// exactly as a bpserve job records it. Its delta against
-// BenchmarkProfiling bounds the instrumentation overhead.
-func BenchmarkInstrumentedProfile(b *testing.B) {
-	prog := workload.New("npb-ft", 8, workload.WithScale(benchScale))
-	reg := obs.NewRegistry()
-	stageDur := reg.HistogramVec("bench_stage_seconds", "per-stage latency", "stage", obs.DefLatencyBuckets)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		span := obs.NewSpan(obs.NewTraceID(), "bench")
-		obsrv := func(stage string, d time.Duration) {
-			span.Observe(stage, d)
-			stageDur.With(stage).ObserveDuration(d)
-		}
-		if _, err := bp.AnalyzeObserved(prog, bp.DefaultConfig(), obsrv); err != nil {
-			b.Fatal(err)
-		}
-		span.Finish()
 	}
 }
 

@@ -275,14 +275,13 @@ type traceMeta struct {
 	Ingest *ingestStats `json:"ingest,omitempty"`
 }
 
-// ingestStats is the upload-time profiling summary: with a streamed
-// (version-2) upload, every region profile is already cached by the time
-// the client sees the 201, so profiles_computed regions were profiled
-// in-flight and a following analyze computes none.
+// ingestStats is the upload-time profiling summary: every region profile
+// is already cached by the time the client sees the 201, so
+// profiles_computed regions were profiled in flight and a following
+// analyze computes none.
 type ingestStats struct {
-	Streamed         bool `json:"streamed"`
-	ProfilesCached   int  `json:"profiles_cached"`
-	ProfilesComputed int  `json:"profiles_computed"`
+	ProfilesCached   int `json:"profiles_cached"`
+	ProfilesComputed int `json:"profiles_computed"`
 }
 
 // traceSize returns the stored trace's size in bytes.
@@ -319,11 +318,11 @@ func (s *server) meta(key string) (traceMeta, error) {
 }
 
 // handleUpload streams the request body into the store as a trace: the
-// bytes are hashed, durably persisted and — for version-2 uploads —
-// profiled region by region while the transfer is still in progress, so
-// by the time the 201 is written every region profile is cached. The body
-// is capped at maxUpload bytes; invalid or oversized uploads are rejected
-// and leave nothing behind (no trace, no partial profiles).
+// bytes are hashed, durably persisted and profiled region by region while
+// the transfer is still in progress, so by the time the 201 is written
+// every region profile is cached. The body is capped at maxUpload bytes;
+// invalid uploads (a version-1 trace among them) and oversized ones are
+// rejected and leave nothing behind (no trace, no partial profiles).
 func (s *server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxUpload)
 	res, err := s.mgr.IngestTrace(body)
@@ -354,11 +353,7 @@ func (s *server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := traceMeta{Key: res.Key, Name: res.Name, Threads: res.Threads, Regions: res.Regions, SizeBytes: size, Existed: res.Existed}
-	m.Ingest = &ingestStats{
-		Streamed:         res.Streamed,
-		ProfilesCached:   res.ProfilesCached,
-		ProfilesComputed: res.ProfilesComputed,
-	}
+	m.Ingest = &ingestStats{ProfilesCached: res.ProfilesCached, ProfilesComputed: res.ProfilesComputed}
 	s.uploads.Add(1)
 	code := http.StatusCreated
 	if res.Existed {

@@ -251,14 +251,23 @@ func TestBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t)
 	base := ts.URL
 
-	// Invalid trace upload is rejected and not stored.
-	doJSON(t, "POST", base+"/v1/traces", []byte("not a trace"), http.StatusBadRequest, nil)
+	// Invalid trace uploads are rejected and not stored: garbage, and a
+	// recording with version 1's magics, a layout no reader accepts.
+	var v1 bytes.Buffer
+	if err := tracefile.Record(&v1, workload.New("npb-is", 8, workload.WithScale(0.05))); err != nil {
+		t.Fatal(err)
+	}
+	copy(v1.Bytes(), "BPTRACE1")
+	copy(v1.Bytes()[v1.Len()-8:], "BPTIDX1\n")
 	var list struct {
 		Traces []string `json:"traces"`
 	}
-	doJSON(t, "GET", base+"/v1/traces", nil, http.StatusOK, &list)
-	if len(list.Traces) != 0 {
-		t.Errorf("invalid upload was stored: %v", list.Traces)
+	for _, body := range [][]byte{[]byte("not a trace"), v1.Bytes()} {
+		doJSON(t, "POST", base+"/v1/traces", body, http.StatusBadRequest, nil)
+		doJSON(t, "GET", base+"/v1/traces", nil, http.StatusOK, &list)
+		if len(list.Traces) != 0 {
+			t.Errorf("invalid upload %.8q was stored: %v", body, list.Traces)
+		}
 	}
 
 	// Oversized uploads are rejected (413) and not stored.
@@ -723,14 +732,13 @@ func TestStreamingIngestEndToEnd(t *testing.T) {
 		Key     string `json:"key"`
 		Regions int    `json:"regions"`
 		Ingest  *struct {
-			Streamed         bool `json:"streamed"`
-			ProfilesCached   int  `json:"profiles_cached"`
-			ProfilesComputed int  `json:"profiles_computed"`
+			ProfilesCached   int `json:"profiles_cached"`
+			ProfilesComputed int `json:"profiles_computed"`
 		} `json:"ingest"`
 	}
 	doJSON(t, "POST", base+"/v1/traces", buf.Bytes(), http.StatusCreated, &meta)
-	if meta.Ingest == nil || !meta.Ingest.Streamed {
-		t.Fatalf("upload not streamed: %+v", meta.Ingest)
+	if meta.Ingest == nil {
+		t.Fatal("upload response has no ingest summary")
 	}
 	if meta.Ingest.ProfilesComputed != meta.Regions || meta.Ingest.ProfilesCached != 0 {
 		t.Fatalf("upload profiled %d/%d regions (%d cached)",

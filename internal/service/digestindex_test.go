@@ -27,18 +27,6 @@ func recordWith(t *testing.T, opts ...tracefile.Option) []byte {
 	return buf.Bytes()
 }
 
-// v1Upload is recordWith's program in the legacy version-1 layout, as its last
-// writer recorded it: nothing writes v1 any more, uploads of it are still
-// accepted.
-func v1Upload(t *testing.T) []byte {
-	t.Helper()
-	data, err := os.ReadFile("../tracefile/testdata/npb-is-x0.05-v1.bptrace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // fileDigests hashes every region of the stored trace: the ground truth an
 // index must equal.
 func fileDigests(t *testing.T, st *store.Store, key string) []string {
@@ -123,56 +111,41 @@ func TestIngestWritesDigestIndex(t *testing.T) {
 	}
 }
 
-// TestFirstAnalysisWritesDigestIndex: a trace that did not stream in (a v1
-// upload, a PutTrace/ImportTrace'd file) gets its index from the first
-// analysis, and the second analysis hits it.
+// TestFirstAnalysisWritesDigestIndex: a trace that did not stream in (a
+// PutTrace/ImportTrace'd file) gets its index from the first analysis, and
+// the second analysis hits it.
 func TestFirstAnalysisWritesDigestIndex(t *testing.T) {
 	cfgA, _ := ConfigFor("", 0)
 	cfgB, _ := ConfigFor("", 7)
-	store := func(t *testing.T, how string) (*store.Store, string) {
-		m, st := newManager(t)
-		switch how {
-		case "v1-upload":
-			res, err := m.IngestTrace(bytes.NewReader(v1Upload(t)))
-			if err != nil || res.Streamed {
-				t.Fatalf("v1 ingest: %+v, %v", res, err)
-			}
-			return st, res.Key
-		default:
-			path := filepath.Join(t.TempDir(), "t.bptrace")
-			if err := os.WriteFile(path, recordWith(t), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			key, _, err := st.ImportTrace(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st, key
+	t.Run("imported", func(t *testing.T) {
+		_, st := newManager(t)
+		path := filepath.Join(t.TempDir(), "t.bptrace")
+		if err := os.WriteFile(path, recordWith(t), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, how := range []string{"v1-upload", "imported"} {
-		t.Run(how, func(t *testing.T) {
-			st, key := store(t, how)
-			if st.HasArtifact(key, tracefile.DigestIndexName) {
-				t.Fatal("index exists before any analysis")
-			}
-			_, _, stats, err := AnalyzeCached(st, key, cfgA, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.IndexHit || stats.Computed != stats.Regions {
-				t.Fatalf("first analysis stats %+v, want hashed digests and every region profiled", stats)
-			}
-			wantIndex(t, st, key)
-			_, _, stats, err = AnalyzeCached(st, key, cfgB, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !stats.IndexHit || stats.Computed != 0 {
-				t.Fatalf("second analysis stats %+v, want an index hit and nothing profiled", stats)
-			}
-		})
-	}
+		key, _, err := st.ImportTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HasArtifact(key, tracefile.DigestIndexName) {
+			t.Fatal("index exists before any analysis")
+		}
+		_, _, stats, err := AnalyzeCached(st, key, cfgA, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.IndexHit || stats.Computed != stats.Regions {
+			t.Fatalf("first analysis stats %+v, want hashed digests and every region profiled", stats)
+		}
+		wantIndex(t, st, key)
+		_, _, stats, err = AnalyzeCached(st, key, cfgB, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.IndexHit || stats.Computed != 0 {
+			t.Fatalf("second analysis stats %+v, want an index hit and nothing profiled", stats)
+		}
+	})
 }
 
 // countingReaderAt counts the reads that reach a trace's bytes.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -17,13 +16,9 @@ import (
 type IngestResult struct {
 	Key     string `json:"key"`     // content key of the stored trace
 	Existed bool   `json:"existed"` // the store already held these bytes
-	// Streamed reports the upload was decoded incrementally (version-2
-	// format) and profiled in flight, so an analyze right after it pays no
-	// profiling; version-1 uploads are stored and validated only.
-	Streamed bool   `json:"streamed"`
-	Name     string `json:"name"`
-	Threads  int    `json:"threads"`
-	Regions  int    `json:"regions"`
+	Name    string `json:"name"`
+	Threads int    `json:"threads"`
+	Regions int    `json:"regions"`
 	// ProfilesCached counts regions whose profile was already in the store
 	// (re-upload of shared content); ProfilesComputed counts profiles this
 	// ingest computed and cached.
@@ -46,10 +41,6 @@ type IngestResult struct {
 // never becomes visible) and removes exactly the profile entries this
 // call created — profiles that pre-existed (shared region content) are
 // untouched, as is everything else in the store.
-//
-// Version-1 uploads carry no inline framing, so they are stored, then
-// validated by reopening the committed file; profiling happens lazily at
-// first analyze instead.
 func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 	tw, err := m.st.NewTraceWriter()
 	if err != nil {
@@ -150,38 +141,22 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		return IngestResult{}, err
 	}
 	committed = true
-	if info.Streamed && !m.st.HasArtifact(key, tracefile.DigestIndexName) {
+	if !m.st.HasArtifact(key, tracefile.DigestIndexName) {
 		// Best effort: the upload is durable and complete without its index,
 		// and the first analysis writes the one that is missing.
 		_ = m.st.PutArtifact(key, tracefile.DigestIndexName, encodeDigestIndex(digests))
-	}
-	res := IngestResult{
-		Key:              key,
-		Existed:          existed,
-		Streamed:         info.Streamed,
-		Name:             info.Name,
-		Threads:          info.Threads,
-		Regions:          info.Regions,
-		ProfilesCached:   int(cached.Load()),
-		ProfilesComputed: computed,
-	}
-	if !info.Streamed {
-		// Legacy v1 bytes were stored unvalidated (no inline framing to
-		// check); reopen the committed file so a corrupt upload is rejected
-		// now, not at first analyze.
-		f, err := m.st.OpenTrace(key)
-		if err != nil {
-			if !existed {
-				_ = m.st.RemoveTrace(key)
-			}
-			return IngestResult{}, fmt.Errorf("%w: uploaded v1 trace does not parse: %v", tracefile.ErrFormat, err)
-		}
-		res.Name, res.Threads, res.Regions = f.Name(), f.Threads(), f.Regions()
-		f.Close()
 	}
 	m.pipe.ingestedTraces.Add(1)
 	m.pipe.ingestedProfiles.Add(int64(computed))
 	m.pipe.profileCacheHits.Add(cached.Load())
 	m.pipe.profileComputed.Add(int64(computed))
-	return res, nil
+	return IngestResult{
+		Key:              key,
+		Existed:          existed,
+		Name:             info.Name,
+		Threads:          info.Threads,
+		Regions:          info.Regions,
+		ProfilesCached:   int(cached.Load()),
+		ProfilesComputed: computed,
+	}, nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -65,8 +66,8 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Streamed || res.Existed {
-		t.Fatalf("ingest result %+v, want streamed fresh upload", res)
+	if res.Existed {
+		t.Fatalf("ingest result %+v, want a fresh upload", res)
 	}
 	if res.Key != keyCold {
 		t.Fatalf("ingest key %s, cold key %s", res.Key, keyCold)
@@ -286,37 +287,24 @@ func TestIngestPanicDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestIngestV1Fallback: a legacy v1 upload stores and validates but does
-// not profile in flight; corrupt v1 bytes are rejected and not stored.
+// TestIngestV1Fallback: an upload in version 1's layout, here a recording
+// with its two magics rewritten, is malformed: it is refused with ErrFormat
+// and leaves no trace, profile or artifact behind.
 func TestIngestV1Fallback(t *testing.T) {
-	v1 := v1Upload(t)
+	v1 := recordTrace(t)
+	copy(v1, "BPTRACE1")
+	copy(v1[len(v1)-8:], "BPTIDX1\n")
 	m, st := newManager(t)
-	res, err := m.IngestTrace(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Streamed || res.ProfilesComputed != 0 {
-		t.Fatalf("v1 ingest result %+v", res)
-	}
-	if res.Name != "npb-is" || res.Threads != 8 || res.Regions == 0 {
-		t.Fatalf("v1 ingest metadata %+v", res)
-	}
-	if !st.HasTrace(res.Key) {
-		t.Fatal("v1 trace not stored")
-	}
-
-	// Corrupt v1 bytes: stored bytes fail validation, key must not linger.
-	bad := append([]byte(nil), v1...)
-	bad[len(bad)-3] ^= 0xff // inside the trailer
-	if _, err := m.IngestTrace(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupt v1 ingest succeeded")
+	if _, err := m.IngestTrace(bytes.NewReader(v1)); !errors.Is(err, tracefile.ErrFormat) {
+		t.Fatalf("v1 ingest: err = %v, want ErrFormat", err)
 	}
 	traces, err := st.Traces()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 1 {
-		t.Fatalf("store holds %d traces after corrupt upload, want 1", len(traces))
+	artifacts, _ := filepath.Glob(filepath.Join(st.Root(), "artifacts", "*", "*"))
+	if n := storedProfiles(t, st); len(traces) != 0 || n != 0 || len(artifacts) != 0 {
+		t.Fatalf("refused v1 upload left traces %v, %d profiles, artifacts %v", traces, n, artifacts)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // and the digest framing version) listing every region's digest in region
 // order, one hex line each. IngestTrace writes it from the digests the
 // streaming decode computed anyway; the first analysis writes it for a trace
-// that arrived another way (v1 upload, ImportTrace, a worker's fetch). It
+// that arrived another way (ImportTrace, a worker's fetch). It
 // only ever saves work: an index that is missing, unreadable, of the wrong
 // length or not made of digests is a miss — regionDigests hashes the trace
 // file and overwrites it — so a bad index can change how long an analysis

@@ -6,7 +6,7 @@
 // chunks are independently addressable and os.File supports concurrent
 // ReadAt.
 //
-// # File layout (version 2, the default)
+// # File layout (version 2)
 //
 //	+--------------------------------------------------------------+
 //	| magic "BPTRACE2" (8 bytes)                                    |
@@ -25,25 +25,17 @@
 //	+--------------------------------------------------------------+
 //
 // Chunks are laid out region-major: all T thread streams of region 0, then
-// region 1, and so on. Version 2 duplicates the footer metadata in a
-// streaming header right after the magic and prefixes every chunk with its
-// uvarint byte length, so a consumer reading from a pipe or network body
+// region 1, and so on. The footer metadata is duplicated in a streaming
+// header right after the magic and every chunk is prefixed with its uvarint
+// byte length, so a consumer reading from a pipe or network body
 // (DecodeStream) knows each region's extent the moment its bytes arrive —
-// no seeking, no waiting for the trailer. The trailing footer remains the
-// random-access index: Open seeks to the end, validates the trailer magic,
-// reads the footer offset and parses the footer to learn the chunk
-// boundaries, exactly as in version 1. Appending the index lets Record
-// work on a pure io.Writer in one pass, without buffering the whole
-// program; DecodeStream cross-checks the footer against the streaming
-// header and the inline lengths, so a truncated or spliced stream is
-// rejected, not silently accepted.
-//
-// Version 1 ("BPTRACE1"/"BPTIDX1\n") is the same layout minus the
-// streaming header and the inline length prefixes. Nothing writes it any
-// more (Record writes version 2 only), but it remains fully readable — Open
-// handles both, and testdata/ holds files of it recorded by its last writer —
-// it just cannot be decoded incrementally, so a v1 upload is stored first
-// and profiled later.
+// no seeking, no waiting for the trailer. The trailing footer is the
+// random-access index: Open seeks to the end, reads the footer offset and
+// parses the footer to learn the chunk boundaries. Appending the index lets
+// Record work on a pure io.Writer in one pass, without buffering the whole
+// program. Open and DecodeStream validate the index through one function,
+// and DecodeStream also checks every inline length against the footer's,
+// so a truncated or spliced stream is rejected, not silently accepted.
 //
 // # Footer
 //
@@ -58,8 +50,9 @@
 //	                         region-major, in file order
 //
 // Chunk byte offsets are not stored; they are the prefix sums of the
-// lengths, starting immediately after the 8-byte magic. The footer is
-// self-validating: the lengths must sum exactly to footerOffset-8.
+// lengths, each behind its inline prefix, starting immediately after the
+// streaming header. The footer is self-validating: the prefixed chunks must
+// end exactly at the footer offset.
 //
 // # Chunk encoding
 //
@@ -98,8 +91,7 @@
 // Regions are content-addressed too: RegionDigest (and the Digest field of
 // DecodeStream's RegionChunks) is a SHA-256 over the region's chunk
 // payloads plus the parameters that determine how they decode (gzip flag,
-// thread count). The digest is deliberately independent of the container —
-// a v1 and a v2 recording of the same program agree region by region, and
+// thread count). The digest is deliberately independent of the container:
 // DecodeStream computes it incrementally while Open computes it by random
 // access, to the same value. internal/service keys per-region BBV+LDV
 // profiles by (region digest, signature codec version), which is what lets
@@ -124,11 +116,12 @@
 //
 // # Versioning
 //
-// The format version lives in the leading magic ("BPTRACE1", "BPTRACE2")
-// and the trailer magic ("BPTIDX1\n", "BPTIDX2\n"). Incompatible revisions
-// bump the digit in both; Open rejects files whose magics it does not
-// recognize, and the flags byte leaves room for backward-compatible
-// feature bits. Decode failures caused by the input bytes (rather than the
-// source reader) are tagged with ErrFormat, so transport layers can tell
-// "you sent garbage" from "the connection broke".
+// The format version lives in the leading magic ("BPTRACE2") and the
+// trailer magic ("BPTIDX2\n"). Incompatible revisions bump the digit in
+// both; Open and DecodeStream reject any other magic, version 1's
+// "BPTRACE1" (no streaming header, no inline lengths) included, and the
+// flags byte leaves room for backward-compatible feature bits. Decode
+// failures caused by the input bytes (rather than the source reader) are
+// tagged with ErrFormat, so transport layers can tell "you sent garbage"
+// from "the connection broke".
 package tracefile

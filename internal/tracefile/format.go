@@ -9,13 +9,10 @@ import (
 	"barrierpoint/internal/trace"
 )
 
-// File format constants; see doc.go for the layout. Version 2 adds a
-// streaming header after the magic and an inline uvarint length prefix
-// before every chunk, so consumers can decode region-by-region as bytes
-// arrive; version 1 remains fully readable.
+// File format constants; see doc.go for the layout. The streaming header
+// after the magic and the inline uvarint length prefix before every chunk
+// let consumers decode region by region as bytes arrive.
 const (
-	magicV1        = "BPTRACE1"
-	trailerMagicV1 = "BPTIDX1\n"
 	magicV2        = "BPTRACE2"
 	trailerMagicV2 = "BPTIDX2\n"
 	magicLen       = 8

@@ -22,8 +22,9 @@ import (
 // -update-corpus` rewrites the committed corpus under testdata/fuzz.
 
 // fuzzSeeds returns recorded example traces: the hand-built edge-case
-// program (plain and gzip, in both format versions) and a small real
-// workload recording.
+// program (plain and gzip, and plain with version 1's magics, which every
+// reader rejects), a program of no regions and a small real workload
+// recording.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
@@ -36,7 +37,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	rec(handBuilt())
 	rec(handBuilt(), WithGzip(true))
-	seeds = append(seeds, v1Fixture(tb, false), v1Fixture(tb, true))
+	seeds = append(seeds, asV1(seeds[0]))
+	rec(&trace.SliceProgram{ProgName: "empty", NumThreads: 3})
 	rec(workload.New("npb-is", 8, workload.WithScale(0.01)))
 	return seeds
 }
@@ -128,16 +130,19 @@ func FuzzReplay(f *testing.F) {
 }
 
 // FuzzDecodeStream covers the incremental path: hostile bytes fed to the
-// streaming decoder must error out (or drain, for v1 magic), never panic
-// or allocate unboundedly, and any region it does deliver must replay
-// without panicking.
+// streaming decoder must error out, never panic or allocate unboundedly,
+// and any region it does deliver must replay without panicking. Whatever
+// it accepts, NewReader accepts too, with the same shape and the same
+// region digests: a trace an upload stores always opens.
 func FuzzDecodeStream(f *testing.F) {
 	for _, s := range allSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var be trace.BlockExec
-		_, _ = DecodeStream(bytes.NewReader(data), func(rc RegionChunks) error {
+		var digests []string
+		info, err := DecodeStream(bytes.NewReader(data), func(rc RegionChunks) error {
+			digests = append(digests, rc.Digest)
 			region := rc.Region()
 			for tid := range rc.Chunks {
 				s := region.Thread(tid)
@@ -149,6 +154,21 @@ func FuzzDecodeStream(f *testing.F) {
 			}
 			return nil
 		})
+		if err != nil {
+			return
+		}
+		tf, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("DecodeStream accepted what NewReader rejects: %v", err)
+		}
+		if got := (StreamInfo{Name: tf.Name(), Threads: tf.Threads(), Regions: tf.Regions(), Gzip: tf.Gzipped()}); got != info {
+			t.Fatalf("NewReader reads %+v, DecodeStream %+v", got, info)
+		}
+		for i, want := range digests {
+			if got, err := tf.RegionDigest(i); err != nil || got != want {
+				t.Fatalf("region %d: file digest %s (%v), stream digest %s", i, got, err, want)
+			}
+		}
 	})
 }
 

@@ -24,9 +24,8 @@ type File struct {
 	threads int
 	regions int
 	gzip    bool
-	// off and end bound chunk i's payload: [off[i], end[i]). In version 1
-	// chunks abut; in version 2 each payload is preceded by its inline
-	// uvarint length prefix, so off[i] > end[i-1].
+	// off and end bound chunk i's payload: [off[i], end[i]). Each payload
+	// is preceded by its inline uvarint length prefix, so off[i] > end[i-1].
 	off, end []int64
 }
 
@@ -51,139 +50,155 @@ func Open(path string) (*File, error) {
 }
 
 // NewReader opens a trace stored in an arbitrary io.ReaderAt of the given
-// total size (a memory buffer, an mmap, a remote object). Both format
-// versions are accepted. The caller keeps ownership of ra; Close on the
-// returned File is a no-op.
+// total size (a memory buffer, an mmap, a remote object). The caller keeps
+// ownership of ra; Close on the returned File is a no-op.
 func NewReader(ra io.ReaderAt, size int64) (*File, error) {
 	if size < magicLen+tailLen {
-		return nil, fmt.Errorf("tracefile: file too short (%d bytes)", size)
+		return nil, errf("file too short (%d bytes)", size)
 	}
-	head := make([]byte, magicLen)
-	if _, err := ra.ReadAt(head, 0); err != nil {
-		return nil, fmt.Errorf("tracefile: reading header: %w", err)
-	}
-	var version int
-	switch string(head) {
-	case magicV1:
-		version = 1
-	case magicV2:
-		version = 2
-	default:
-		return nil, fmt.Errorf("tracefile: bad magic %q (not a trace file, or unsupported version)", head)
+	hdr, err := readHeader(bufio.NewReader(io.NewSectionReader(ra, 0, size)), int(size))
+	if err != nil {
+		return nil, err
 	}
 	tail := make([]byte, tailLen)
 	if _, err := ra.ReadAt(tail, size-tailLen); err != nil {
 		return nil, fmt.Errorf("tracefile: reading trailer: %w", err)
 	}
-	wantTrailer := trailerMagicV1
-	if version == 2 {
-		wantTrailer = trailerMagicV2
+	// Read the index from where the trailer says the footer starts; an offset
+	// out of range reads the trailer alone, and checkIndex rejects it.
+	footerOff := size - tailLen
+	if off := binary.LittleEndian.Uint64(tail[:8]); off >= magicLen && off <= uint64(footerOff) {
+		footerOff = int64(off)
 	}
-	if string(tail[8:]) != wantTrailer {
-		return nil, fmt.Errorf("tracefile: bad trailer magic %q (truncated file?)", tail[8:])
-	}
-	footerOff := int64(binary.LittleEndian.Uint64(tail[:8]))
-	if footerOff < magicLen || footerOff > size-tailLen {
-		return nil, fmt.Errorf("tracefile: footer offset %d out of range [%d, %d]", footerOff, magicLen, size-tailLen)
-	}
-
-	footer := make([]byte, size-tailLen-footerOff)
-	if _, err := ra.ReadAt(footer, footerOff); err != nil {
+	idx := make([]byte, size-footerOff)
+	if _, err := ra.ReadAt(idx, footerOff); err != nil {
 		return nil, fmt.Errorf("tracefile: reading footer: %w", err)
 	}
-	fr := bytes.NewReader(footer)
-	name, threads, regions, flags, err := parseMeta(fr, len(footer))
+	lengths, err := checkIndex(idx, footerOff, hdr)
 	if err != nil {
 		return nil, err
 	}
-
-	nchunks := regions * threads
-	if nchunks > uint64(len(footer)) { // each length takes >= 1 footer byte
-		return nil, fmt.Errorf("tracefile: corrupt footer: %d chunks exceed footer size", nchunks)
-	}
-	off := make([]int64, nchunks)
-	end := make([]int64, nchunks)
-	pos := int64(magicLen)
-	if version == 2 {
-		pos += int64(metaLen(name, threads, regions))
-	}
-	for i := uint64(0); i < nchunks; i++ {
-		n, err := binary.ReadUvarint(fr)
-		if err != nil {
-			return nil, fmt.Errorf("tracefile: corrupt footer: chunk %d length: %w", i, err)
-		}
-		if version == 2 {
-			pos += int64(uvarintLen(n))
-		}
-		off[i] = pos
-		end[i] = pos + int64(n)
-		if end[i] < off[i] || end[i] > footerOff {
-			return nil, fmt.Errorf("tracefile: corrupt footer: chunk %d overruns footer", i)
-		}
-		pos = end[i]
-	}
-	if pos != footerOff {
-		return nil, fmt.Errorf("tracefile: corrupt footer: chunks end at %d, footer starts at %d", pos, footerOff)
-	}
 	f := &File{
 		ra:      ra,
-		name:    string(name),
-		threads: int(threads),
-		regions: int(regions),
-		gzip:    flags&flagGzip != 0,
-		off:     off,
-		end:     end,
+		name:    hdr.name,
+		threads: int(hdr.threads),
+		regions: int(hdr.regions),
+		gzip:    hdr.flags&flagGzip != 0,
+		off:     make([]int64, len(lengths)),
+		end:     make([]int64, len(lengths)),
 	}
-	if version == 2 {
-		// The streaming header duplicates the footer metadata so uploads
-		// can profile before the index arrives; the two copies must agree.
-		if err := f.checkHeader(name, threads, regions, flags); err != nil {
-			return nil, err
-		}
+	pos := int64(magicLen + metaLen(hdr))
+	for i, n := range lengths {
+		f.off[i] = pos + int64(uvarintLen(n))
+		f.end[i] = f.off[i] + int64(n)
+		pos = f.end[i]
 	}
 	return f, nil
 }
 
-// parseMeta decodes the shared metadata block (name, threads, regions,
-// flags) used verbatim by the v2 streaming header and both footers. limit
-// bounds the accepted name length.
-func parseMeta(fr io.ByteReader, limit int) (name []byte, threads, regions uint64, flags byte, err error) {
-	nameLen, err := binary.ReadUvarint(fr)
-	if err != nil || nameLen > uint64(limit) {
-		return nil, 0, 0, 0, fmt.Errorf("tracefile: corrupt metadata: bad name length")
-	}
-	name = make([]byte, nameLen)
-	if r, ok := fr.(io.Reader); ok {
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("tracefile: corrupt metadata: %w", err)
-		}
-	} else {
-		for i := range name {
-			b, err := fr.ReadByte()
-			if err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("tracefile: corrupt metadata: %w", err)
-			}
-			name[i] = b
-		}
-	}
-	threads, err = binary.ReadUvarint(fr)
-	if err != nil || threads == 0 || threads > 1<<20 {
-		return nil, 0, 0, 0, fmt.Errorf("tracefile: corrupt metadata: bad thread count")
-	}
-	regions, err = binary.ReadUvarint(fr)
-	if err != nil || regions > 1<<40 {
-		return nil, 0, 0, 0, fmt.Errorf("tracefile: corrupt metadata: bad region count")
-	}
-	flags, err = fr.ReadByte()
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("tracefile: corrupt metadata: %w", err)
-	}
-	return name, threads, regions, flags, nil
+// meta is the metadata block a trace carries twice, in the streaming header
+// and in the footer; the two copies of a valid trace are equal.
+type meta struct {
+	name             string
+	threads, regions uint64
+	flags            byte
 }
 
-// metaLen returns the encoded size of the metadata block.
-func metaLen(name []byte, threads, regions uint64) int {
-	return uvarintLen(uint64(len(name))) + len(name) + uvarintLen(threads) + uvarintLen(regions) + 1
+// readHeader checks the leading magic and parses the streaming header after
+// it. limit bounds the accepted name length.
+func readHeader(r *bufio.Reader, limit int) (meta, error) {
+	head := make([]byte, magicLen)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return meta{}, errw(err, "reading header")
+	}
+	if string(head) != magicV2 {
+		return meta{}, errf("bad magic %q (not a trace file, or unsupported version)", head)
+	}
+	return parseMeta(r, limit)
+}
+
+// parseMeta decodes one metadata block. limit bounds the accepted name
+// length.
+func parseMeta(r interface {
+	io.Reader
+	io.ByteReader
+}, limit int) (meta, error) {
+	nameLen, err := binary.ReadUvarint(r)
+	if err != nil || nameLen > uint64(limit) {
+		return meta{}, errf("corrupt metadata: bad name length")
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(r, name); err != nil {
+		return meta{}, errw(err, "corrupt metadata")
+	}
+	m := meta{name: string(name)}
+	if m.threads, err = binary.ReadUvarint(r); err != nil || m.threads == 0 || m.threads > 1<<20 {
+		return meta{}, errf("corrupt metadata: bad thread count")
+	}
+	if m.regions, err = binary.ReadUvarint(r); err != nil || m.regions > 1<<40 {
+		return meta{}, errf("corrupt metadata: bad region count")
+	}
+	if m.flags, err = r.ReadByte(); err != nil {
+		return meta{}, errw(err, "corrupt metadata")
+	}
+	return m, nil
+}
+
+// checkIndex validates a trace's trailing index against its header and
+// returns the footer's chunk lengths; NewReader and DecodeStream both call
+// it, so they accept the same indices. idx holds the footer and the
+// trailer, and chunksEnd is its file offset: where the last chunk ends. The
+// trailer must carry its magic and point at chunksEnd, and the footer must
+// repeat the header's metadata and list R·T lengths that, each behind its
+// inline prefix, fill the file from the header to chunksEnd, then end.
+func checkIndex(idx []byte, chunksEnd int64, hdr meta) ([]uint64, error) {
+	if len(idx) < tailLen {
+		return nil, errf("truncated trailer")
+	}
+	tail := idx[len(idx)-tailLen:]
+	if string(tail[8:]) != trailerMagicV2 {
+		return nil, errf("bad trailer magic %q (truncated file?)", tail[8:])
+	}
+	if off := binary.LittleEndian.Uint64(tail[:8]); off != uint64(chunksEnd) {
+		return nil, errf("footer offset %d, but chunks end at %d", off, chunksEnd)
+	}
+	fr := bytes.NewReader(idx[:len(idx)-tailLen])
+	fm, err := parseMeta(fr, fr.Len())
+	if err != nil {
+		return nil, err
+	}
+	if fm != hdr {
+		return nil, errf("footer disagrees with streaming header (corrupt file)")
+	}
+	nchunks := hdr.regions * hdr.threads
+	if nchunks > uint64(fr.Len()) { // each length takes >= 1 footer byte
+		return nil, errf("corrupt footer: %d chunks exceed footer size", nchunks)
+	}
+	lengths := make([]uint64, nchunks)
+	pos := int64(magicLen + metaLen(hdr))
+	for i := range lengths {
+		n, err := binary.ReadUvarint(fr)
+		if err != nil {
+			return nil, errw(err, "corrupt footer: chunk %d length", i)
+		}
+		if pos > chunksEnd || n > uint64(chunksEnd-pos) {
+			return nil, errf("corrupt footer: chunk %d overruns footer", i)
+		}
+		lengths[i] = n
+		pos += int64(uvarintLen(n)) + int64(n)
+	}
+	if pos != chunksEnd {
+		return nil, errf("corrupt footer: chunks end at %d, footer starts at %d", pos, chunksEnd)
+	}
+	if fr.Len() != 0 {
+		return nil, errf("%d trailing bytes after footer", fr.Len())
+	}
+	return lengths, nil
+}
+
+// metaLen returns the encoded size of a metadata block.
+func metaLen(m meta) int {
+	return uvarintLen(uint64(len(m.name))) + len(m.name) + uvarintLen(m.threads) + uvarintLen(m.regions) + 1
 }
 
 // uvarintLen returns the encoded length of n as a uvarint.
@@ -194,25 +209,6 @@ func uvarintLen(n uint64) int {
 		l++
 	}
 	return l
-}
-
-// checkHeader re-reads the v2 streaming header and verifies it matches the
-// footer metadata, so a reader and a streaming consumer of the same bytes
-// can never disagree about the trace's shape.
-func (f *File) checkHeader(name []byte, threads, regions uint64, flags byte) error {
-	hdr := make([]byte, metaLen(name, threads, regions))
-	if _, err := f.ra.ReadAt(hdr, magicLen); err != nil {
-		return fmt.Errorf("tracefile: reading streaming header: %w", err)
-	}
-	hr := bytes.NewReader(hdr)
-	hname, hthreads, hregions, hflags, err := parseMeta(hr, len(hdr))
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(hname, name) || hthreads != threads || hregions != regions || hflags != flags {
-		return fmt.Errorf("tracefile: streaming header disagrees with footer (corrupt file)")
-	}
-	return nil
 }
 
 // Close releases the underlying file handle (if Open created one). Streams
@@ -241,9 +237,8 @@ func (f *File) Gzipped() bool { return f.gzip }
 // RegionDigest returns the content digest of region i: the SHA-256 of the
 // region's encoded chunk payloads under the canonical framing (see
 // digestRegion). Two regions digest equal exactly when they replay
-// identically, independent of which trace file — or format version —
-// carries them, so per-region derived artifacts (profiles) content-address
-// across traces.
+// identically, independent of which trace file carries them, so
+// per-region derived artifacts (profiles) content-address across traces.
 func (f *File) RegionDigest(i int) (string, error) {
 	if i < 0 || i >= f.regions {
 		return "", fmt.Errorf("tracefile: region %d out of range [0,%d)", i, f.regions)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 
 	"barrierpoint/internal/trace"
 )
@@ -54,8 +55,7 @@ const maxStreamName = 1 << 16
 // framing, which is what lets a profile computed mid-upload be found
 // later by a reader that only has the stored file. The digest covers the
 // encoded payload bytes — not the decoded accesses — so it is independent
-// of where the region sits in its file and of the format version carrying
-// it.
+// of where the region sits in its file.
 type regionDigester struct {
 	h hash.Hash
 	// scratch for the header and the chunk length prefixes; a local array
@@ -89,12 +89,6 @@ type StreamInfo struct {
 	Threads int
 	Regions int
 	Gzip    bool
-	// Streamed reports whether regions were decoded incrementally. It is
-	// false for version-1 input, which has no inline framing: the bytes
-	// were drained in full (so an upstream tee still completes) but the
-	// callback never ran and the other fields are zero; the caller must
-	// profile from the stored file instead.
-	Streamed bool
 }
 
 // RegionChunks is one region's encoded payload, handed to the DecodeStream
@@ -136,45 +130,25 @@ var _ trace.Region = (*memRegion)(nil)
 
 // DecodeStream consumes one trace from r — typically the request body of
 // an upload, tee'd so the same bytes also land in the store — invoking fn
-// once per region as soon as that region is complete. For version-2 input
-// the whole stream is consumed and validated: chunk framing, the trailing
-// footer's agreement with the streaming header, and the footer's chunk
-// lengths against what was actually read, so a corrupt or truncated
-// upload fails here rather than surfacing at first replay. An error from
-// fn aborts the decode and is returned as-is.
-//
-// Version-1 input cannot be decoded incrementally (its chunk boundaries
-// exist only in the trailing footer); it is drained to EOF and reported
-// with Streamed=false so the caller can fall back to profiling from the
-// stored file.
+// once per region as soon as that region is complete. The whole stream is
+// consumed and validated: chunk framing, the trailing footer's agreement
+// with the streaming header, and the footer's chunk lengths against what
+// was actually read, so a corrupt or truncated upload fails here rather
+// than surfacing at first replay. An error from fn aborts the decode and is
+// returned as-is.
 func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, magicLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return StreamInfo{}, errw(err, "reading header")
-	}
-	switch string(head) {
-	case magicV1:
-		if _, err := io.Copy(io.Discard, br); err != nil {
-			return StreamInfo{}, fmt.Errorf("tracefile: draining v1 stream: %w", err)
-		}
-		return StreamInfo{}, nil
-	case magicV2:
-	default:
-		return StreamInfo{}, errf("bad magic %q (not a trace file, or unsupported version)", head)
-	}
-	name, threads, regions, flags, err := parseMeta(br, maxStreamName)
+	cr := &countingReader{r: r}
+	br := bufio.NewReaderSize(cr, 1<<16)
+	hdr, err := readHeader(br, maxStreamName)
 	if err != nil {
-		return StreamInfo{}, fmt.Errorf("%w: %v", ErrFormat, err)
+		return StreamInfo{}, err
 	}
 	info := StreamInfo{
-		Name:     string(name),
-		Threads:  int(threads),
-		Regions:  int(regions),
-		Gzip:     flags&flagGzip != 0,
-		Streamed: true,
+		Name:    hdr.name,
+		Threads: int(hdr.threads),
+		Regions: int(hdr.regions),
+		Gzip:    hdr.flags&flagGzip != 0,
 	}
-	pos := int64(magicLen) + int64(metaLen(name, threads, regions))
 	// Never size an allocation from the header's thread/region counts: they
 	// are untrusted (threads*regions can exceed any sane cap, or overflow
 	// int outright) and nothing backs them yet. Both lengths and chunks grow
@@ -205,7 +179,6 @@ func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) 
 			d.h.Write(chunk)
 			chunks = append(chunks, chunk)
 			lengths = append(lengths, n)
-			pos += int64(uvarintLen(n)) + int64(n)
 		}
 		if err := fn(RegionChunks{Index: ri, Digest: d.sum(), Gzip: info.Gzip, Chunks: chunks}); err != nil {
 			return info, err
@@ -213,37 +186,31 @@ func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) 
 	}
 
 	// What remains is the trailing index. Validate it against the streamed
-	// prefix: the upload is rejected before commit if the two disagree.
+	// prefix: the upload is rejected before commit if the two disagree. It
+	// starts where the bytes read end, so checkIndex rejects any overlong
+	// varint before it, as it would for NewReader.
 	rest, err := io.ReadAll(br)
 	if err != nil {
 		return info, errw(err, "reading footer")
 	}
-	if len(rest) < tailLen {
-		return info, errf("truncated trailer")
-	}
-	tail := rest[len(rest)-tailLen:]
-	if string(tail[8:]) != trailerMagicV2 {
-		return info, errf("bad trailer magic %q (truncated file?)", tail[8:])
-	}
-	if got := int64(binary.LittleEndian.Uint64(tail[:8])); got != pos {
-		return info, errf("footer offset %d, but chunks ended at %d", got, pos)
-	}
-	fr := bytes.NewReader(rest[:len(rest)-tailLen])
-	fname, fthreads, fregions, fflags, err := parseMeta(fr, len(rest))
+	footer, err := checkIndex(rest, cr.n-int64(len(rest)), hdr)
 	if err != nil {
-		return info, fmt.Errorf("%w: %v", ErrFormat, err)
+		return info, err
 	}
-	if !bytes.Equal(fname, name) || fthreads != threads || fregions != regions || fflags != flags {
-		return info, errf("footer disagrees with streaming header (corrupt stream)")
-	}
-	for i := range lengths {
-		n, err := binary.ReadUvarint(fr)
-		if err != nil || n != lengths[i] {
-			return info, errf("footer length for chunk %d disagrees with stream", i)
-		}
-	}
-	if fr.Len() != 0 {
-		return info, errf("%d trailing bytes after footer", fr.Len())
+	if !slices.Equal(footer, lengths) {
+		return info, errf("footer chunk lengths disagree with stream")
 	}
 	return info, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

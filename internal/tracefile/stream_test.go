@@ -36,9 +36,6 @@ func TestDecodeStreamRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		info, regions := collectStream(t, buf.Bytes())
-		if !info.Streamed {
-			t.Fatalf("gzip=%v: v2 stream not streamed", gz)
-		}
 		if info.Name != p.Name() || info.Threads != p.Threads() || info.Regions != p.Regions() || info.Gzip != gz {
 			t.Fatalf("gzip=%v: info = %+v", gz, info)
 		}
@@ -160,84 +157,6 @@ func TestDigestIndependentOfPlacement(t *testing.T) {
 	}
 }
 
-// TestDecodeStreamV1Fallback: version-1 bytes carry no inline framing, so
-// DecodeStream must drain them fully (the tee'd store copy depends on it)
-// and report Streamed=false without invoking the callback.
-func TestDecodeStreamV1Fallback(t *testing.T) {
-	r := bytes.NewReader(v1Fixture(t, false))
-	info, err := DecodeStream(r, func(RegionChunks) error {
-		t.Fatal("callback invoked for v1 input")
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("DecodeStream: %v", err)
-	}
-	if info.Streamed {
-		t.Fatal("v1 input reported as streamed")
-	}
-	if r.Len() != 0 {
-		t.Fatalf("v1 input not drained: %d bytes left", r.Len())
-	}
-}
-
-// TestV1StillReadable: files recorded in the legacy layout open, replay and
-// verify exactly as before the version bump.
-func TestV1StillReadable(t *testing.T) {
-	p := handBuilt()
-	for _, gz := range []bool{false, true} {
-		data := v1Fixture(t, gz)
-		f, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("NewReader: %v", err)
-		}
-		if !bytes.HasPrefix(data, []byte(magicV1)) {
-			t.Fatalf("fixture starts %q, want the version-1 magic", data[:magicLen])
-		}
-		if f.Name() != p.Name() || f.Threads() != p.Threads() || f.Regions() != p.Regions() {
-			t.Fatalf("v1 metadata = (%q,%d,%d)", f.Name(), f.Threads(), f.Regions())
-		}
-		for r := 0; r < p.Regions(); r++ {
-			for tid := 0; tid < p.Threads(); tid++ {
-				if !reflect.DeepEqual(drain(t, f.Region(r).Thread(tid)), drain(t, p.Region(r).Thread(tid))) {
-					t.Errorf("v1 gzip=%v region %d thread %d differs", gz, r, tid)
-				}
-			}
-		}
-		if err := f.Verify(); err != nil {
-			t.Errorf("v1 Verify: %v", err)
-		}
-	}
-}
-
-// TestV1V2DigestsAgree: the region digest covers encoded payloads, not file
-// framing, so the same program recorded in both versions shares digests —
-// profiles cached from a v2 upload serve analyses of an equivalent v1 file.
-func TestV1V2DigestsAgree(t *testing.T) {
-	p := handBuilt()
-	var buf bytes.Buffer
-	if err := Record(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	open := func(data []byte) *File {
-		f, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	f1, f2 := open(v1Fixture(t, false)), open(buf.Bytes())
-	for i := 0; i < p.Regions(); i++ {
-		d1, err1 := f1.RegionDigest(i)
-		d2, err2 := f2.RegionDigest(i)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if d1 != d2 {
-			t.Fatalf("region %d: v1 digest %s != v2 digest %s", i, d1, d2)
-		}
-	}
-}
-
 func TestDecodeStreamErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Record(&buf, handBuilt()); err != nil {
@@ -250,6 +169,11 @@ func TestDecodeStreamErrors(t *testing.T) {
 		data := append([]byte("XXTRACE9"), good[8:]...)
 		if _, err := DecodeStream(bytes.NewReader(data), nop); err == nil {
 			t.Fatal("accepted bad magic")
+		}
+	})
+	t.Run("version-1-magic", func(t *testing.T) {
+		if _, err := DecodeStream(bytes.NewReader(asV1(good)), nop); !errors.Is(err, ErrFormat) {
+			t.Fatalf("err = %v, want ErrFormat", err)
 		}
 	})
 	t.Run("truncated-mid-chunk", func(t *testing.T) {
@@ -267,6 +191,20 @@ func TestDecodeStreamErrors(t *testing.T) {
 		data[len(data)-tailLen-1] ^= 0x01 // last footer byte: a chunk length
 		if _, err := DecodeStream(bytes.NewReader(data), nop); err == nil {
 			t.Fatal("accepted footer disagreeing with stream")
+		}
+	})
+	t.Run("overlong-chunk-length", func(t *testing.T) {
+		// The first chunk's length in one more varint byte than it needs:
+		// the value holds, but every later byte sits one past where the
+		// footer offset says, which would misplace NewReader's chunks.
+		f, err := NewReader(bytes.NewReader(good), int64(len(good)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := f.off[0] - 1
+		data := append(append(append([]byte(nil), good[:at]...), good[at]|0x80, 0), good[at+1:]...)
+		if _, err := DecodeStream(bytes.NewReader(data), nop); !errors.Is(err, ErrFormat) {
+			t.Fatalf("err = %v, want ErrFormat", err)
 		}
 	})
 	t.Run("callback-error-aborts", func(t *testing.T) {

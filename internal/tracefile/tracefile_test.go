@@ -30,20 +30,13 @@ func record(t *testing.T, p trace.Program, opts ...Option) *File {
 	return f
 }
 
-// v1Fixture returns handBuilt() as the last writer of the legacy version-1
-// layout recorded it (testdata/handbuilt-v1*.bptrace). Nothing writes that
-// layout any more; the committed bytes pin the reader that still accepts it.
-func v1Fixture(tb testing.TB, gz bool) []byte {
-	tb.Helper()
-	name := "handbuilt-v1.bptrace"
-	if gz {
-		name = "handbuilt-v1-gzip.bptrace"
-	}
-	data, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+// asV1 returns a copy of a recording with its two magics rewritten to
+// version 1's, a layout no reader accepts any more.
+func asV1(data []byte) []byte {
+	b := append([]byte(nil), data...)
+	copy(b, "BPTRACE1")
+	copy(b[len(b)-8:], "BPTIDX1\n")
+	return b
 }
 
 // drain collects every block of a stream, deep-copying Accs (streams reuse
@@ -234,6 +227,10 @@ func TestOpenErrors(t *testing.T) {
 		"bad-magic":   append([]byte("XXTRACE1"), good[8:]...),
 		"bad-trailer": append(append([]byte{}, good[:len(good)-1]...), 'X'),
 		"truncated":   good[:len(good)-20],
+		// One junk byte between the footer and the trailer: the footer
+		// offset still holds, but the footer has bytes left over.
+		"footer-trailing-bytes": append(append(append([]byte{}, good[:len(good)-tailLen]...), 0), good[len(good)-tailLen:]...),
+		"version-1-magic":       asV1(good),
 	}
 	// Footer offset pointing past the end.
 	broken := append([]byte{}, good...)
