@@ -339,7 +339,7 @@ func TestFarmEndToEnd(t *testing.T) {
 
 	// A worker joins over the public protocol and drains the queue.
 	c := &farm.Client{Base: base}
-	if err := c.Register("e2e-worker"); err != nil {
+	if _, _, err := c.Register("e2e-worker"); err != nil {
 		t.Fatal(err)
 	}
 	wst, err := store.Open(t.TempDir())

@@ -3,7 +3,7 @@
 // which pulls leased point-simulation tasks, fetches any trace it is
 // missing into its own content-addressed store, simulates each point, and
 // uploads the results. This file is the daemon around that loop: flags,
-// logging, fault injection, the metrics listener and (re-)registration.
+// logging, fault injection and the metrics listener.
 // Workers are stateless and interchangeable — start as many as there are
 // machines, kill them at will; the server's lease queue requeues whatever
 // a lost worker was holding.
@@ -30,7 +30,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -116,7 +115,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if *replayMB > 0 {
 		rc = bp.NewReplayCache(*replayMB << 20)
 	}
-	spans := obs.NewSpanRecorder(0)
+	spans := obs.NewSpanRecorder()
 	w := farm.NewWorker(c, st, rc, spans, logger)
 	w.Concurrency, w.Poll, w.MaxTasks, w.IdleExit = *concurrency, *poll, *maxTasks, *idleExit
 	obs.RegisterProcess(w.Metrics, sim.FreeListStats)
@@ -138,44 +137,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		logger.Info("metrics listening", "addr", ln.Addr().String(), "pprof", *pprofOn)
 	}
 
-	// The server may still be starting (CI launches both at once), or may
-	// be mid-restart when we need to re-register: retry registration
-	// briefly before giving up.
-	register := func() error {
-		for attempt := 0; ; attempt++ {
-			err := c.Register(*name)
-			if err == nil {
-				return nil
-			}
-			if attempt >= 20 || ctx.Err() != nil {
-				return fmt.Errorf("registering with %s: %w", *server, err)
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(250 * time.Millisecond):
-			}
-		}
-	}
-	if err := register(); err != nil {
-		return err
-	}
-	logger.Info("registered as "+c.Worker,
-		"worker", c.Worker, "name", *name, "server", *server, "concurrency", *concurrency)
-	for {
-		err := w.Run(ctx, c.Worker, c.LeaseTTL)
-		if !errors.Is(err, farm.ErrServerRestarted) {
-			return err
-		}
-		// The coordinator restarted: our worker id and leases are void, but
-		// its write-ahead log already requeued whatever we held. Re-register
-		// under the new epoch and keep serving instead of exiting mid-fleet.
-		logger.Warn("coordinator restarted, re-registering", "server", *server)
-		if err := register(); err != nil {
-			return err
-		}
-		logger.Info("re-registered as "+c.Worker, "worker", c.Worker)
-	}
+	return w.Run(ctx, *name)
 }
 
 // metricsMux is the worker's observability surface: Prometheus metrics,

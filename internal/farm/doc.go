@@ -63,13 +63,15 @@
 //
 // # Worker
 //
-// Worker is the one worker loop, written against the five calls it makes
-// on a coordinator (Transport): Lease, Heartbeat, Complete, Fail and
-// FetchTrace. There are two transports. *Client speaks the HTTP protocol
-// below; cmd/bpworker is that plus flags, registration and a metrics
-// listener. RunLocalWorker hands the same loop the Queue in its own
-// process (tests, benchmarks, bpcamp -farm-workers), where FetchTrace has
-// nothing to move. A batch is what one Lease returned, up to Concurrency
+// Worker is the one worker loop, written against the six calls it makes
+// on a coordinator (Transport): Register, Lease, Heartbeat, Complete, Fail
+// and FetchTrace. Worker.Run owns the whole session: it registers, serves,
+// and registers again when Lease reports a coordinator restart, with one
+// back-off for failed registrations and leases. There are two transports.
+// *Client speaks the HTTP protocol below; cmd/bpworker is that plus flags
+// and a metrics listener. RunLocalWorker hands the same loop the Queue in
+// its own process (tests, benchmarks, bpcamp -farm-workers), where
+// FetchTrace has nothing to move. A batch is what one Lease returned, up to Concurrency
 // tasks: its serial half — fetch, then Executor.Warm — runs task by task in
 // PassOrder, so a batch of one trace is one advance of the held prefix
 // pass; each task's parallel half — snapshot replay, detailed simulation,
@@ -79,9 +81,9 @@
 //
 // # Protocol (HTTP/JSON, mounted under /farm/ by cmd/bpserve)
 //
-//	POST /farm/register  {name}                → {worker, lease_ms}
-//	POST /farm/lease     {worker, max}         → {tasks, lease_ms}
-//	POST /farm/heartbeat {worker, tasks}       → {renewed, dropped}
+//	POST /farm/register  {name}                → {worker, lease_ms, epoch}
+//	POST /farm/lease     {worker, max}         → {tasks, epoch}
+//	POST /farm/heartbeat {worker, tasks}       → {dropped}
 //	POST /farm/result    {worker, task,
 //	                      result | error}      → {status}
 //	GET  /farm/workers                         → {workers}
@@ -141,7 +143,8 @@
 // from a restarted coordinator sees the epoch change (ErrServerRestarted),
 // re-registers, and keeps working; the queue likewise refuses to lease to
 // ids minted by a previous life. Since no life reissues another's task ids,
-// a late upload from before a restart completes its own task or nothing.
+// a late upload from before a restart completes its own task or nothing,
+// and no call from such an id adds it to the fleet.
 //
 // The compaction snapshot is the live tasks — one enqueue record each, in
 // pending order, plus a lease record for tasks out on a worker.

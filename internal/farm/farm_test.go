@@ -186,9 +186,8 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 
 	// Heartbeat for ~4 TTLs; the task must never be leased to anyone else.
 	for i := 0; i < 16; i++ {
-		renewed, dropped := q.Heartbeat("w1", []string{id})
-		if len(renewed) != 1 || len(dropped) != 0 {
-			t.Fatalf("heartbeat %d: renewed %v dropped %v", i, renewed, dropped)
+		if dropped := q.Heartbeat("w1", []string{id}); len(dropped) != 0 {
+			t.Fatalf("heartbeat %d: dropped %v", i, dropped)
 		}
 		if stolen := q.Lease("w2", 1); len(stolen) != 0 {
 			t.Fatalf("heartbeat %d: task reassigned while heartbeating", i)
@@ -211,9 +210,8 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	renewed, dropped := q.Heartbeat("w1", []string{id})
-	if len(renewed) != 0 || len(dropped) != 1 {
-		t.Fatalf("late heartbeat: renewed %v dropped %v", renewed, dropped)
+	if dropped := q.Heartbeat("w1", []string{id}); len(dropped) != 1 {
+		t.Fatalf("late heartbeat: dropped %v", dropped)
 	}
 }
 

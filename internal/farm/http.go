@@ -9,25 +9,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strings"
 	"time"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/fault"
 	"barrierpoint/internal/store"
-)
-
-// Trace-propagation headers. The lease response lists the distinct job
-// trace IDs of the handed-out tasks; result uploads echo the task's trace
-// ID so coordinator-side logs and traces correlate without re-parsing
-// bodies. Tasks also carry the ID in their JSON (Task.TraceID) — the
-// headers are the protocol-level mirror, visible to proxies and tcpdump.
-const (
-	// TraceIDHeader carries one trace ID (result uploads).
-	TraceIDHeader = "X-Bp-Trace-Id"
-	// TraceIDsHeader carries a comma-joined list of distinct trace IDs
-	// (lease responses handing out tasks from several jobs).
-	TraceIDsHeader = "X-Bp-Trace-Ids"
 )
 
 // DefaultMaxBody caps farm request bodies (result uploads are the big
@@ -123,9 +109,8 @@ type leaseRequest struct {
 }
 
 type leaseResponse struct {
-	Tasks   []Task `json:"tasks"`
-	LeaseMs int64  `json:"lease_ms"`
-	Epoch   string `json:"epoch,omitempty"`
+	Tasks []Task `json:"tasks"`
+	Epoch string `json:"epoch,omitempty"`
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -141,10 +126,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if tasks == nil {
 		tasks = []Task{}
 	}
-	if ids := distinctTraceIDs(tasks); ids != "" {
-		w.Header().Set(TraceIDsHeader, ids)
-	}
-	s.writeJSON(w, http.StatusOK, leaseResponse{Tasks: tasks, LeaseMs: s.q.LeaseTTL().Milliseconds(), Epoch: s.q.Epoch()})
+	s.writeJSON(w, http.StatusOK, leaseResponse{Tasks: tasks, Epoch: s.q.Epoch()})
 }
 
 type heartbeatRequest struct {
@@ -153,7 +135,6 @@ type heartbeatRequest struct {
 }
 
 type heartbeatResponse struct {
-	Renewed []string `json:"renewed"`
 	Dropped []string `json:"dropped"`
 }
 
@@ -166,32 +147,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "missing worker id")
 		return
 	}
-	renewed, dropped := s.q.Heartbeat(req.Worker, req.Tasks)
-	if renewed == nil {
-		renewed = []string{}
-	}
+	dropped := s.q.Heartbeat(req.Worker, req.Tasks)
 	if dropped == nil {
 		dropped = []string{}
 	}
-	s.writeJSON(w, http.StatusOK, heartbeatResponse{Renewed: renewed, Dropped: dropped})
-}
-
-// distinctTraceIDs joins the distinct, non-empty task trace IDs in first-
-// appearance order for the TraceIDsHeader.
-func distinctTraceIDs(tasks []Task) string {
-	var sb strings.Builder
-	seen := make(map[string]bool, len(tasks))
-	for _, t := range tasks {
-		if t.TraceID == "" || seen[t.TraceID] {
-			continue
-		}
-		seen[t.TraceID] = true
-		if sb.Len() > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(t.TraceID)
-	}
-	return sb.String()
+	s.writeJSON(w, http.StatusOK, heartbeatResponse{Dropped: dropped})
 }
 
 type resultRequest struct {
@@ -258,8 +218,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, p)
 }
 
-// Client is a worker-side handle on a farm server. Register assigns the
-// worker identity; the remaining calls map one-to-one onto the protocol.
+// Client is a worker-side handle on a farm server: the HTTP Transport.
+// Register opens the session the remaining calls act in; each call maps
+// one-to-one onto the protocol.
 //
 // Every RPC runs under a per-attempt deadline (Timeout) and — because
 // the whole protocol is idempotent (registration mints a fresh id,
@@ -272,17 +233,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:8080".
 	Base string
-	// HTTP is the transport (http.DefaultClient if nil).
-	HTTP *http.Client
-
-	// Worker is the server-assigned id, set by Register.
-	Worker string
-	// LeaseTTL is the server's lease duration, set by Register/Lease.
-	LeaseTTL time.Duration
-	// Epoch is the queue-instance tag observed at Register; a Lease
-	// response carrying a different epoch means the coordinator restarted
-	// and Lease returns ErrServerRestarted so the caller re-registers.
-	Epoch string
 	// MaxResponse caps a response body read, DefaultMaxResponse if 0. A
 	// larger response is an explicit error, never a silently truncated
 	// (and then misparsed) payload.
@@ -298,6 +248,11 @@ type Client struct {
 	// operation ("register", "lease", "heartbeat", "result", "fetch"),
 	// attempt the 1-based number of the attempt that just failed.
 	OnRetry func(op string, attempt int, err error)
+
+	// worker is the id Register was given and epoch the queue instance that
+	// minted it; a Lease response carrying another epoch means the
+	// coordinator restarted, and Lease returns ErrServerRestarted.
+	worker, epoch string
 }
 
 // RetryPolicy shapes the client's capped jittered exponential backoff.
@@ -402,43 +357,28 @@ func (c *Client) call(op string, fn func(ctx context.Context) error) error {
 // responses carrying a batch of tasks are the big ones).
 const DefaultMaxResponse = 16 << 20
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // post sends a JSON request and decodes a JSON response under the
 // retry policy, mapping non-2xx statuses onto errors carrying the
 // server's error payload.
 func (c *Client) post(op, path string, req, resp any) error {
-	return c.postHeaders(op, path, req, resp, nil)
-}
-
-// postHeaders is post with extra request headers (trace propagation).
-func (c *Client) postHeaders(op, path string, req, resp any, headers map[string]string) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	return c.call(op, func(ctx context.Context) error {
-		return c.doPost(ctx, path, body, resp, headers)
+		return c.doPost(ctx, path, body, resp)
 	})
 }
 
 // doPost is one POST attempt: marshal-free (the body is pre-encoded so
 // every retry sends identical bytes), bounded read, status mapping.
-func (c *Client) doPost(ctx context.Context, path string, body []byte, resp any, headers map[string]string) error {
+func (c *Client) doPost(ctx context.Context, path string, body []byte, resp any) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	for k, v := range headers {
-		hreq.Header.Set(k, v)
-	}
-	hr, err := c.httpClient().Do(hreq)
+	hr, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return err
 	}
@@ -471,16 +411,15 @@ func (c *Client) doPost(ctx context.Context, path string, body []byte, resp any,
 	return json.Unmarshal(b, resp)
 }
 
-// Register obtains a worker identity from the server.
-func (c *Client) Register(name string) error {
+// Register obtains a worker identity from the server, which every later
+// call of this Client uses, and the server's lease duration.
+func (c *Client) Register(name string) (id string, leaseTTL time.Duration, err error) {
 	var resp registerResponse
 	if err := c.post("register", "/farm/register", registerRequest{Name: name}, &resp); err != nil {
-		return err
+		return "", 0, err
 	}
-	c.Worker = resp.Worker
-	c.LeaseTTL = time.Duration(resp.LeaseMs) * time.Millisecond
-	c.Epoch = resp.Epoch
-	return nil
+	c.worker, c.epoch = resp.Worker, resp.Epoch
+	return resp.Worker, time.Duration(resp.LeaseMs) * time.Millisecond, nil
 }
 
 // Lease asks for up to max tasks. If the server's queue epoch no longer
@@ -490,13 +429,12 @@ func (c *Client) Register(name string) error {
 // taking tasks; the caller should Register again and retry.
 func (c *Client) Lease(max int) ([]Task, error) {
 	var resp leaseResponse
-	if err := c.post("lease", "/farm/lease", leaseRequest{Worker: c.Worker, Max: max}, &resp); err != nil {
+	if err := c.post("lease", "/farm/lease", leaseRequest{Worker: c.worker, Max: max}, &resp); err != nil {
 		return nil, err
 	}
-	if resp.Epoch != "" && c.Epoch != "" && resp.Epoch != c.Epoch {
+	if resp.Epoch != "" && c.epoch != "" && resp.Epoch != c.epoch {
 		return nil, ErrServerRestarted
 	}
-	c.LeaseTTL = time.Duration(resp.LeaseMs) * time.Millisecond
 	return resp.Tasks, nil
 }
 
@@ -504,21 +442,19 @@ func (c *Client) Lease(max int) ([]Task, error) {
 // server no longer recognizes as this worker's (abandon those).
 func (c *Client) Heartbeat(ids []string) (dropped []string, err error) {
 	var resp heartbeatResponse
-	if err := c.post("heartbeat", "/farm/heartbeat", heartbeatRequest{Worker: c.Worker, Tasks: ids}, &resp); err != nil {
+	if err := c.post("heartbeat", "/farm/heartbeat", heartbeatRequest{Worker: c.worker, Tasks: ids}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Dropped, nil
 }
 
-// Complete uploads a task's simulation result, echoing the task's trace
-// ID in the TraceIDHeader so the upload correlates with its job.
+// Complete uploads a task's simulation result.
 func (c *Client) Complete(t Task, res bp.RegionResult) error {
 	b, err := json.Marshal(res)
 	if err != nil {
 		return err
 	}
-	return c.postHeaders("result", "/farm/result",
-		resultRequest{Worker: c.Worker, Task: t.ID, Result: b}, nil, traceHeader(t))
+	return c.post("result", "/farm/result", resultRequest{Worker: c.worker, Task: t.ID, Result: b}, nil)
 }
 
 // Fail reports a task failure with a message for the task's failure log.
@@ -526,15 +462,7 @@ func (c *Client) Fail(t Task, msg string) error {
 	if msg == "" {
 		msg = "unknown error"
 	}
-	return c.postHeaders("result", "/farm/result",
-		resultRequest{Worker: c.Worker, Task: t.ID, Error: msg}, nil, traceHeader(t))
-}
-
-func traceHeader(t Task) map[string]string {
-	if t.TraceID == "" {
-		return nil
-	}
-	return map[string]string{TraceIDHeader: t.TraceID}
+	return c.post("result", "/farm/result", resultRequest{Worker: c.worker, Task: t.ID, Error: msg}, nil)
 }
 
 // FetchTrace downloads the trace with the given content key into the
@@ -551,7 +479,7 @@ func (c *Client) FetchTrace(st *store.Store, key string) error {
 		if err != nil {
 			return err
 		}
-		hr, err := c.httpClient().Do(hreq)
+		hr, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			return err
 		}

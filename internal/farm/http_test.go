@@ -32,11 +32,12 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	}
 
 	c := &farm.Client{Base: srv.URL}
-	if err := c.Register("http-test-worker"); err != nil {
+	id, ttl, err := c.Register("http-test-worker")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Worker == "" || c.LeaseTTL != 5*time.Second {
-		t.Fatalf("registration: worker %q ttl %v", c.Worker, c.LeaseTTL)
+	if id == "" || ttl != 5*time.Second {
+		t.Fatalf("registration: worker %q ttl %v", id, ttl)
 	}
 
 	tasks, err := c.Lease(4)
@@ -136,7 +137,8 @@ func TestHTTPBodyLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &farm.Client{Base: srv.URL}
-	if err := c.Register("limit-test-worker"); err != nil {
+	id, _, err := c.Register("limit-test-worker")
+	if err != nil {
 		t.Fatal(err)
 	}
 	tasks, err := c.Lease(1)
@@ -148,13 +150,12 @@ func TestHTTPBodyLimits(t *testing.T) {
 	// A result blown up past the body cap must be rejected explicitly.
 	res := bp.RegionResult{}
 	res.Counters.Instrs = 1
-	big := farm.Client{Base: srv.URL, Worker: c.Worker}
 	padded := struct {
 		Worker  string          `json:"worker"`
 		Task    string          `json:"task"`
 		Result  json.RawMessage `json:"result"`
 		Padding string          `json:"padding"`
-	}{Worker: big.Worker, Task: task.ID, Padding: strings.Repeat("x", 8<<10)}
+	}{Worker: id, Task: task.ID, Padding: strings.Repeat("x", 8<<10)}
 	if padded.Result, err = json.Marshal(res); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,11 @@ func TestHTTPBodyLimits(t *testing.T) {
 
 	// A tiny client-side response cap turns a large lease response into an
 	// explicit error instead of a truncated parse.
-	tiny := &farm.Client{Base: srv.URL, Worker: c.Worker, MaxResponse: 8}
+	tiny := &farm.Client{Base: srv.URL}
+	if _, _, err := tiny.Register("tiny-cap-worker"); err != nil {
+		t.Fatal(err)
+	}
+	tiny.MaxResponse = 8
 	if _, err := tiny.Lease(1); err == nil || !strings.Contains(err.Error(), "exceeds the 8 byte limit") {
 		t.Fatalf("tiny-cap lease error = %v, want explicit response-limit error", err)
 	}

@@ -229,7 +229,7 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 		stopSweep:   make(chan struct{}),
 		sweepDone:   make(chan struct{}),
 		replay:      bp.NewReplayCache(0),
-		workerSpans: obs.NewSpanRecorder(0),
+		workerSpans: obs.NewSpanRecorder(),
 	}
 }
 
@@ -494,7 +494,14 @@ func (q *Queue) staleWorkerLocked(id string) bool {
 	return epoch != q.epoch
 }
 
+// touchWorkerLocked marks id seen at now, adding it to the fleet if new. An
+// id minted by a previous queue life joins no fleet: it gets a throwaway
+// entry, so a late heartbeat, result or failure from before a restart
+// leaves no ghost in Workers or LiveWorkers.
 func (q *Queue) touchWorkerLocked(id string, now time.Time) *WorkerInfo {
+	if q.staleWorkerLocked(id) {
+		return &WorkerInfo{}
+	}
 	w, ok := q.workers[id]
 	if !ok {
 		w = &WorkerInfo{ID: id, Name: id}
@@ -554,7 +561,7 @@ func (q *Queue) Lease(workerID string, max int) []Task {
 // Heartbeat renews the worker's leases on the listed tasks. Tasks the
 // queue no longer recognizes as leased to this worker come back in
 // dropped: the worker should abandon them.
-func (q *Queue) Heartbeat(workerID string, ids []string) (renewed, dropped []string) {
+func (q *Queue) Heartbeat(workerID string, ids []string) (dropped []string) {
 	now := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -566,9 +573,8 @@ func (q *Queue) Heartbeat(workerID string, ids []string) (renewed, dropped []str
 			continue
 		}
 		t.expires = now.Add(q.cfg.LeaseTTL)
-		renewed = append(renewed, id)
 	}
-	return renewed, dropped
+	return dropped
 }
 
 // Complete uploads a task's result. Uploads are idempotent and accepted

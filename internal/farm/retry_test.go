@@ -42,7 +42,7 @@ func TestClientRetriesTransientServerErrors(t *testing.T) {
 		}
 		retries.Add(1)
 	}
-	if err := c.Register("retry-test"); err != nil {
+	if _, _, err := c.Register("retry-test"); err != nil {
 		t.Fatalf("register through flaky proxy: %v", err)
 	}
 	if got := retries.Load(); got != 2 {
@@ -67,7 +67,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	c.OnRetry = func(op string, attempt int, err error) {
 		t.Errorf("retried a 4xx (op %s attempt %d: %v)", op, attempt, err)
 	}
-	if err := c.Register("no-retry-test"); err == nil {
+	if _, _, err := c.Register("no-retry-test"); err == nil {
 		t.Fatal("404 register reported success")
 	}
 	if got := hits.Load(); got != 1 {
@@ -86,7 +86,7 @@ func TestClientRetriesExhaust(t *testing.T) {
 	defer srv.Close()
 
 	c := &farm.Client{Base: srv.URL, Retry: fastRetry}
-	err := c.Register("exhaust-test")
+	_, _, err := c.Register("exhaust-test")
 	if err == nil {
 		t.Fatal("register against a dead server reported success")
 	}
@@ -111,7 +111,7 @@ func TestClientAbsorbsInjectedRPCFaults(t *testing.T) {
 	}
 
 	c := &farm.Client{Base: srv.URL, Retry: fastRetry}
-	if err := c.Register("fault-test"); err != nil {
+	if _, _, err := c.Register("fault-test"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fault.Configure("seed=11;rpc.lease:n=2"); err != nil {
@@ -158,7 +158,7 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 		Retry:   farm.RetryPolicy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	}
 	start := time.Now()
-	if err := c.Register("timeout-test"); err == nil {
+	if _, _, err := c.Register("timeout-test"); err == nil {
 		t.Fatal("register against a hung server reported success")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

@@ -563,18 +563,40 @@ func TestInMemoryQueueUnaffected(t *testing.T) {
 	}
 }
 
+// TestStaleWorkerIDGetsNoLease: a worker id minted by a previous queue life
+// leases nothing from the restarted queue, and its late heartbeat, result
+// and failure report make it no member of the new fleet. The result is
+// still accepted.
 func TestStaleWorkerIDGetsNoLease(t *testing.T) {
 	q1, _, st, walPath := newDurable(t, t.TempDir())
 	staleID := q1.Register("old-life")
-	if _, err := q1.Enqueue(spec(0)); err != nil {
-		t.Fatal(err)
+	for region := range 2 {
+		if _, err := q1.Enqueue(spec(region)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	held := q1.Lease(staleID, 2)
 	crash(q1)
 
 	q2, _ := reopenDurable(t, st, walPath)
 	defer q2.Close()
 	if tasks := q2.Lease(staleID, 1); len(tasks) != 0 {
 		t.Fatalf("restarted queue leased %d tasks to a previous-epoch worker id", len(tasks))
+	}
+	if dropped := q2.Heartbeat(staleID, []string{held[0].ID, held[1].ID}); len(dropped) != 2 {
+		t.Errorf("stale heartbeat dropped %v, want both leases", dropped)
+	}
+	if err := q2.Complete(staleID, held[0].ID, resultJSON(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q2.Fail(staleID, held[1].ID, "late failure"); err != nil {
+		t.Fatal(err)
+	}
+	if w, live := q2.Workers(), q2.LiveWorkers(); len(w) != 0 || live != 0 {
+		t.Errorf("a previous-life id joined the fleet: workers %+v, %d live", w, live)
+	}
+	if s := q2.Stats(); s.Completed != 1 || s.Retries != 0 {
+		t.Errorf("stats %+v, want the late result accepted and the late failure ignored", s)
 	}
 	// Free-form ids still auto-register and lease (test and ad-hoc
 	// clients depend on it), and a fresh registration works.

@@ -17,12 +17,16 @@ import (
 	"barrierpoint/internal/store"
 )
 
-// Transport is the coordinator as a Worker sees it: the five calls the
+// Transport is the coordinator as a Worker sees it: the six calls the
 // worker loop makes. *Client is the HTTP transport; RunLocalWorker runs the
 // same loop over a Queue in the same process.
 type Transport interface {
+	// Register opens a session as name: the calls after it act as the
+	// returned worker id, whose leases last leaseTTL between heartbeats.
+	Register(name string) (id string, leaseTTL time.Duration, err error)
 	// Lease asks for up to max tasks; none is not an error. ErrServerRestarted
-	// and ErrClosed end Worker.Run, any other error is retried with back-off.
+	// voids the session (Worker.Run registers again), ErrClosed ends Run, and
+	// any other error is retried with back-off.
 	Lease(max int) ([]Task, error)
 	// Heartbeat renews the listed leases and returns the ones the coordinator
 	// no longer counts as this worker's.
@@ -34,13 +38,18 @@ type Transport interface {
 }
 
 // queueTransport is the in-process Transport: the queue's own methods under
-// one registered worker id.
+// the worker id Register took.
 type queueTransport struct {
 	q  *Queue
 	id string
 }
 
-func (l queueTransport) Lease(max int) ([]Task, error) {
+func (l *queueTransport) Register(name string) (string, time.Duration, error) {
+	l.id = l.q.Register(name)
+	return l.id, l.q.cfg.LeaseTTL, nil
+}
+
+func (l *queueTransport) Lease(max int) ([]Task, error) {
 	select {
 	case <-l.q.stopSweep: // Close closes it
 		return nil, ErrClosed
@@ -49,12 +58,11 @@ func (l queueTransport) Lease(max int) ([]Task, error) {
 	}
 }
 
-func (l queueTransport) Heartbeat(ids []string) ([]string, error) {
-	_, dropped := l.q.Heartbeat(l.id, ids)
-	return dropped, nil
+func (l *queueTransport) Heartbeat(ids []string) ([]string, error) {
+	return l.q.Heartbeat(l.id, ids), nil
 }
 
-func (l queueTransport) Complete(t Task, res bp.RegionResult) error {
+func (l *queueTransport) Complete(t Task, res bp.RegionResult) error {
 	b, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -62,11 +70,11 @@ func (l queueTransport) Complete(t Task, res bp.RegionResult) error {
 	return l.q.Complete(l.id, t.ID, b)
 }
 
-func (l queueTransport) Fail(t Task, msg string) error { return l.q.Fail(l.id, t.ID, msg) }
+func (l *queueTransport) Fail(t Task, msg string) error { return l.q.Fail(l.id, t.ID, msg) }
 
 // FetchTrace has nothing to move: an in-process worker reads the store it was
 // given, and a trace missing from it fails the task in Executor.Warm.
-func (queueTransport) FetchTrace(*store.Store, string) error { return nil }
+func (*queueTransport) FetchTrace(*store.Store, string) error { return nil }
 
 // Worker is the farm's one worker loop: lease a batch, fetch and warm its
 // tasks serially in PassOrder, simulate and upload them in parallel, settle,
@@ -94,12 +102,7 @@ type Worker struct {
 	taskDur   *obs.Histogram
 	fetchDur  *obs.Histogram
 
-	// id is the coordinator-assigned worker id of the current Run. settled and
-	// idleSince outlive a Run, so a re-registration resets neither the
-	// MaxTasks budget nor the IdleExit clock.
-	id        string
-	settled   int
-	idleSince time.Time
+	id string // the worker id of the current registration, "" between them
 
 	mu   sync.Mutex
 	held map[string]bool // leases the heartbeat loop renews
@@ -135,67 +138,99 @@ func NewWorker(tr Transport, st *store.Store, rc *bp.ReplayCache, spans *obs.Spa
 	return w
 }
 
-// Run serves tasks as worker id, heartbeating held leases at a third of
-// leaseTTL, until ctx is done, the MaxTasks budget is spent or the queue
-// stayed empty past IdleExit (all nil), or Lease reports ErrServerRestarted
-// or ErrClosed (returned: the id is void, register again or stop). The batch
-// in hand is always finished first, with its leases renewed to the end.
-func (w *Worker) Run(ctx context.Context, id string, leaseTTL time.Duration) error {
-	w.id = id
-	defer w.heartbeats(leaseTTL)()
+// maxRegisterFailures is how many registrations in a row may fail before Run
+// gives up: the coordinator may still be starting (CI launches both at once)
+// or be mid-restart, but a worker pointed at nothing should not wait forever.
+const maxRegisterFailures = 21
 
-	// Lease failures back off exponentially (reset on any success) so a
-	// down or flapping coordinator sees a thinning poll rate, not a
-	// constant hammer, and the worker never exits on transient trouble.
-	leaseDelay := w.Poll
-	maxLeaseDelay := max(w.Poll, 10*time.Second)
+// Run is the worker's whole session: it registers as name, serves tasks
+// while heartbeating held leases at a third of the lease TTL, and registers
+// again whenever Lease reports ErrServerRestarted. It returns nil once ctx is
+// done, the MaxTasks budget is spent or the queue stayed empty past IdleExit,
+// and an error once maxRegisterFailures registrations in a row failed or
+// Lease reports ErrClosed. The batch in hand is always finished first, with
+// its leases renewed to the end.
+func (w *Worker) Run(ctx context.Context, name string) error {
+	// Failed registrations and leases back off exponentially (reset on any
+	// success) so a down or flapping coordinator sees a thinning poll rate,
+	// not a constant hammer, and lease trouble never ends the session.
+	delay, maxDelay := w.Poll, max(w.Poll, 10*time.Second)
+	sleep := func(d time.Duration) {
+		select {
+		case <-ctx.Done():
+		case <-time.After(d):
+		}
+	}
+	backOff := func(what string, err error) {
+		w.logger.Warn(what+" failed", "backoff", delay.String(), "err", err)
+		sleep(delay)
+		delay = min(2*delay, maxDelay)
+	}
+	// settled and idleSince span registrations, so a coordinator restart
+	// resets neither the MaxTasks budget nor the IdleExit clock.
+	var (
+		settled, regFailures int
+		idleSince            time.Time
+		registered           = "registered as "
+		stopBeats            = func() {}
+	)
+	defer func() { stopBeats(); w.id = "" }()
 	for ctx.Err() == nil {
+		if w.id == "" {
+			id, leaseTTL, err := w.tr.Register(name)
+			if err != nil {
+				if regFailures++; regFailures >= maxRegisterFailures {
+					return fmt.Errorf("registering: %w", err)
+				}
+				backOff("register", err)
+				continue
+			}
+			w.id, regFailures, delay = id, 0, w.Poll
+			w.logger.Info(registered+id, "worker", id, "name", name, "concurrency", w.Concurrency)
+			registered = "re-registered as "
+			stopBeats = w.heartbeats(leaseTTL)
+		}
 		want := w.Concurrency
 		if w.MaxTasks > 0 {
-			want = min(want, w.MaxTasks-w.settled)
+			want = min(want, w.MaxTasks-settled)
 		}
 		tasks, err := w.tr.Lease(want)
-		if errors.Is(err, ErrServerRestarted) || errors.Is(err, ErrClosed) {
-			// Nothing is held between batches, so there is nothing to drain:
-			// a restarted coordinator's write-ahead log already requeued
-			// whatever this id had leased.
+		if errors.Is(err, ErrServerRestarted) {
+			// The worker id is void, but nothing is held between batches, so
+			// there is nothing to drain: a restarted coordinator's write-ahead
+			// log already requeued whatever this id had leased.
+			w.logger.Warn("coordinator restarted, re-registering")
+			stopBeats()
+			w.id, stopBeats = "", func() {}
+			continue
+		}
+		if errors.Is(err, ErrClosed) {
 			return err
 		}
 		if err != nil {
-			// Transient server trouble (including the restart window while
-			// the new coordinator comes up): back off and retry rather
-			// than dying mid-fleet. Only ctx cancellation ends the loop.
-			w.logger.Warn("lease failed", "backoff", leaseDelay.String(), "err", err)
-			select {
-			case <-ctx.Done():
-			case <-time.After(leaseDelay):
-			}
-			leaseDelay = min(2*leaseDelay, maxLeaseDelay)
+			backOff("lease", err)
 			continue
 		}
-		leaseDelay = w.Poll
+		delay = w.Poll
 		if len(tasks) == 0 {
-			if w.idleSince.IsZero() {
-				w.idleSince = time.Now()
-			} else if w.IdleExit > 0 && time.Since(w.idleSince) >= w.IdleExit {
+			if idleSince.IsZero() {
+				idleSince = time.Now()
+			} else if w.IdleExit > 0 && time.Since(idleSince) >= w.IdleExit {
 				w.logger.Info(fmt.Sprintf("idle for %v, exiting", w.IdleExit))
 				return nil
 			}
-			select {
-			case <-ctx.Done():
-			case <-time.After(w.Poll):
-			}
+			sleep(w.Poll)
 			continue
 		}
-		w.idleSince = time.Time{}
+		idleSince = time.Time{}
 		// Only settled tasks — an outcome (result or failure report)
 		// durably delivered to the server — consume the MaxTasks budget.
 		// A task whose upload failed even after the transport's own retries
 		// is left for its lease to lapse and does not count: transient
 		// RPC trouble must not drain the budget and stop the worker early.
-		w.settled += w.process(tasks)
-		if w.MaxTasks > 0 && w.settled >= w.MaxTasks {
-			w.logger.Info(fmt.Sprintf("settled %d tasks, exiting", w.settled))
+		settled += w.process(tasks)
+		if w.MaxTasks > 0 && settled >= w.MaxTasks {
+			w.logger.Info(fmt.Sprintf("settled %d tasks, exiting", settled))
 			return nil
 		}
 	}
@@ -379,13 +414,12 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 // its spans on q.WorkerSpans(). It powers tests, benchmarks and bpcamp
 // -farm-workers.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
-	id := q.Register(name)
 	// All in-process workers of one queue share a single decoded-region
 	// cache: one budget, and each region decoded once for the whole fleet.
-	w := NewWorker(queueTransport{q, id}, st, q.replay, q.workerSpans, nil)
+	w := NewWorker(&queueTransport{q: q}, st, q.replay, q.workerSpans, nil)
 	w.Poll = q.cfg.SweepEvery / 2
 	if w.Poll <= 0 || w.Poll > 50*time.Millisecond {
 		w.Poll = 50 * time.Millisecond
 	}
-	w.Run(ctx, id, q.cfg.LeaseTTL) //nolint:errcheck // ErrClosed: the queue is gone, which is the other way to stop
+	w.Run(ctx, name) //nolint:errcheck // ErrClosed: the queue is gone, which is the other way to stop
 }

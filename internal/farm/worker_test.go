@@ -46,6 +46,10 @@ func workerStore(t testing.TB, name string, scale float64) (*store.Store, string
 // against, with no queue, no HTTP and no clock of its own.
 type fakeCoord struct {
 	mu        sync.Mutex
+	ttl       time.Duration    // the lease TTL every registration gets
+	regErrs   []error          // Register fails with these, in order, before it succeeds
+	leaseErrs []error          // Lease fails with these, in order, before it hands out tasks (nil: no failure)
+	sessions  int              // successful Register calls; the n-th registers as "w<n>"
 	queue     []Task           // handed out in order, up to max per Lease
 	asked     []int            // max of every Lease call
 	uploadErr map[string]error // Complete and Fail refuse delivery for these task ids
@@ -59,12 +63,30 @@ type fakeCoord struct {
 }
 
 func newFakeCoord(tasks ...Task) *fakeCoord {
-	return &fakeCoord{queue: tasks, results: map[string]bp.RegionResult{}, failures: map[string]string{}, beats: make(chan []string, 4096)}
+	return &fakeCoord{ttl: time.Minute, queue: tasks, results: map[string]bp.RegionResult{}, failures: map[string]string{}, beats: make(chan []string, 4096)}
+}
+
+func (f *fakeCoord) Register(string) (string, time.Duration, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.regErrs) > 0 {
+		err := f.regErrs[0]
+		f.regErrs = f.regErrs[1:]
+		return "", 0, err
+	}
+	f.sessions++
+	return "w" + strconv.Itoa(f.sessions), f.ttl, nil
 }
 
 func (f *fakeCoord) Lease(max int) ([]Task, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if len(f.leaseErrs) > 0 {
+		err := f.leaseErrs[0]
+		if f.leaseErrs = f.leaseErrs[1:]; err != nil {
+			return nil, err
+		}
+	}
 	f.asked = append(f.asked, max)
 	n := min(max, len(f.queue))
 	out := slices.Clone(f.queue[:n])
@@ -144,9 +166,9 @@ func TestWorkerBudgetCountsDeliveredOutcomes(t *testing.T) {
 	coord.uploadErr = map[string]error{"result-lost": lost, "failure-lost": lost}
 
 	var log bytes.Buffer
-	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(0), slog.New(slog.NewTextHandler(&log, nil)))
+	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(), slog.New(slog.NewTextHandler(&log, nil)))
 	w.Concurrency, w.MaxTasks, w.Poll = 4, 2, time.Millisecond
-	if err := w.Run(context.Background(), "w", time.Minute); err != nil {
+	if err := w.Run(context.Background(), "w"); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{2, 1, 1}; !slices.Equal(coord.asked, want) {
@@ -177,11 +199,12 @@ func TestWorkerStopsRenewingDroppedLease(t *testing.T) {
 		Task{ID: "kept", TraceKey: key, Region: 2, Sockets: 1, Warmup: "cold"})
 	coord.drop = map[string]bool{"dropped": true}
 	coord.gate = make(chan struct{})
+	coord.ttl = 15 * time.Millisecond
 
-	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(0), nil)
+	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(), nil)
 	w.Concurrency, w.Poll, w.IdleExit = 2, time.Millisecond, time.Millisecond
 	done := make(chan error, 1)
-	go func() { done <- w.Run(context.Background(), "w", 15*time.Millisecond) }()
+	go func() { done <- w.Run(context.Background(), "w") }()
 
 	if ids, want := coord.nextBeat(t), []string{"dropped", "kept"}; !slices.Equal(ids, want) {
 		t.Errorf("first heartbeat renews %v, want %v", ids, want)
@@ -209,13 +232,14 @@ func TestWorkerRenewsLeasesWhileDraining(t *testing.T) {
 		Task{ID: "held", TraceKey: key, Region: 1, Sockets: 1, Warmup: "cold"},
 		Task{ID: "after-signal", TraceKey: key, Region: 2, Sockets: 1, Warmup: "cold"})
 	coord.gate = make(chan struct{})
+	coord.ttl = 15 * time.Millisecond
 
-	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(0), nil)
+	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(), nil)
 	w.Poll = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- w.Run(ctx, "w", 15*time.Millisecond) }()
+	go func() { done <- w.Run(ctx, "w") }()
 
 	coord.nextBeat(t) // the batch is held
 	cancel()
@@ -236,6 +260,91 @@ func TestWorkerRenewsLeasesWhileDraining(t *testing.T) {
 	}
 }
 
+// TestWorkerReRegistersAfterRestart: a Lease that reports
+// ErrServerRestarted voids the session; Run registers again and serves the
+// next task under the new worker id instead of returning.
+func TestWorkerReRegistersAfterRestart(t *testing.T) {
+	st, key := workerStore(t, "npb-is", 0.05)
+	coord := newFakeCoord(Task{ID: "after-restart", TraceKey: key, Region: 1, Sockets: 1, Warmup: "cold"})
+	coord.leaseErrs = []error{ErrServerRestarted}
+
+	var log bytes.Buffer
+	spans := obs.NewSpanRecorder()
+	w := NewWorker(coord, st, nil, spans, slog.New(slog.NewTextHandler(&log, nil)))
+	w.Poll, w.MaxTasks = time.Millisecond, 1
+	if err := w.Run(context.Background(), "w"); err != nil {
+		t.Fatal(err)
+	}
+	if coord.sessions != 2 {
+		t.Errorf("%d registrations, want 2", coord.sessions)
+	}
+	if _, ok := coord.results["after-restart"]; !ok {
+		t.Error("no result uploaded after the restart")
+	}
+	for _, want := range []string{"registered as w1", "coordinator restarted, re-registering", "re-registered as w2"} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("log lacks %q:\n%s", want, log.String())
+		}
+	}
+	if sp := spans.Spans(); len(sp) != 1 || sp[0].Attrs["worker"] != "w2" {
+		t.Errorf("task spans %+v, want one recorded as worker w2", sp)
+	}
+}
+
+// TestWorkerRegistrationGivesUp: Run gives up after maxRegisterFailures
+// failed registrations in a row, and one fewer followed by a success serves
+// as usual. Poll is a nanosecond so the doubling back-off stays short.
+func TestWorkerRegistrationGivesUp(t *testing.T) {
+	down := errors.New("coordinator down")
+	for _, failures := range []int{maxRegisterFailures, maxRegisterFailures - 1} {
+		coord := newFakeCoord()
+		for range failures {
+			coord.regErrs = append(coord.regErrs, down)
+		}
+		w := NewWorker(coord, nil, nil, nil, nil)
+		w.Poll, w.IdleExit = time.Nanosecond, time.Nanosecond
+		err := w.Run(context.Background(), "w")
+		if gaveUp := failures == maxRegisterFailures; gaveUp != errors.Is(err, down) {
+			t.Errorf("after %d failed registrations Run = %v, want giving up %v", failures, err, gaveUp)
+		}
+		if want := min(1, maxRegisterFailures-failures); coord.sessions != want {
+			t.Errorf("after %d failed registrations: %d sessions, want %d", failures, coord.sessions, want)
+		}
+	}
+}
+
+// TestWorkerBackOffResetsOnSuccess: failed registrations and leases share one
+// back-off that doubles from Poll, and any success resets it to Poll.
+func TestWorkerBackOffResetsOnSuccess(t *testing.T) {
+	down := errors.New("coordinator down")
+	coord := newFakeCoord()
+	coord.regErrs = []error{down, down}
+	coord.leaseErrs = []error{down, down, nil, down}
+
+	var log bytes.Buffer
+	w := NewWorker(coord, nil, nil, nil, slog.New(slog.NewTextHandler(&log, nil)))
+	w.Poll, w.IdleExit = time.Microsecond, time.Microsecond
+	if err := w.Run(context.Background(), "w"); err != nil {
+		t.Fatal(err)
+	}
+	var backoffs []string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if _, after, ok := strings.Cut(line, "backoff="); ok {
+			_, msg, _ := strings.Cut(line, `msg="`)
+			msg, _, _ = strings.Cut(msg, `"`)
+			backoffs = append(backoffs, msg+" "+strings.Fields(after)[0])
+		}
+	}
+	want := []string{
+		"register failed 1µs", "register failed 2µs",
+		"lease failed 1µs", "lease failed 2µs", // reset by the registration
+		"lease failed 1µs", // reset by the lease that succeeded in between
+	}
+	if !slices.Equal(backoffs, want) {
+		t.Errorf("back-offs %q, want %q\n%s", backoffs, want, log.String())
+	}
+}
+
 // TestWorkerBatchIsOnePrefixPass drives the worker's batch path the way
 // -concurrency 4 does: leases of four tasks of one trace, each handed to
 // process in shuffled order. process sorts a batch into pass order and takes
@@ -250,7 +359,7 @@ func TestWorkerBatchIsOnePrefixPass(t *testing.T) {
 	for _, region := range regions {
 		coord.queue = append(coord.queue, Task{ID: strconv.Itoa(region), TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"})
 	}
-	spans := obs.NewSpanRecorder(0)
+	spans := obs.NewSpanRecorder()
 	w := NewWorker(coord, st, bp.NewReplayCache(0), spans, nil)
 	rng := rand.New(rand.NewSource(16))
 	for settled := 0; settled < len(regions); {

@@ -31,11 +31,11 @@
 // A trace ID is minted once per service job (service.Manager.Submit) and
 // follows the work everywhere it goes: into the job's Span (queryable via
 // GET /v1/jobs/{id} and `bptool trace`), onto every farm task the job
-// enqueues (farm.Task.TraceID, the X-Bp-Trace-Id(s) HTTP headers), and
-// into the span each worker records while simulating that task — so one
-// grep over coordinator and worker telemetry reconstructs a distributed
-// job end to end. Span stages partition a job's wall clock (profile,
-// cluster, simulate-points, reconstruct, adaptive-round, ...); stages
-// flagged Concurrent (trace-decode, warmup-capture) overlap the others and
-// are excluded from the partition sum.
+// enqueues (farm.Task.TraceID), and into the span each worker records
+// while simulating that task — so one grep over coordinator and worker
+// telemetry reconstructs a distributed job end to end. Span stages
+// partition a job's wall clock (profile, cluster, simulate-points,
+// reconstruct, adaptive-round, ...); stages flagged Concurrent
+// (trace-decode, warmup-capture) overlap the others and are excluded from
+// the partition sum.
 package obs

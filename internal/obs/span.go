@@ -149,18 +149,14 @@ func (s *Span) Data() SpanData {
 // coordinator job. A nil recorder discards records.
 type SpanRecorder struct {
 	mu    sync.Mutex
-	cap   int
 	spans []SpanData // oldest first
 }
 
-// NewSpanRecorder returns a recorder keeping the last capacity spans
-// (256 if <= 0).
-func NewSpanRecorder(capacity int) *SpanRecorder {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &SpanRecorder{cap: capacity}
-}
+// spanRecorderCap is how many finished spans a SpanRecorder keeps.
+const spanRecorderCap = 256
+
+// NewSpanRecorder returns a recorder keeping the last spanRecorderCap spans.
+func NewSpanRecorder() *SpanRecorder { return &SpanRecorder{} }
 
 // Record appends a span snapshot, evicting the oldest past capacity.
 func (r *SpanRecorder) Record(d SpanData) {
@@ -170,8 +166,8 @@ func (r *SpanRecorder) Record(d SpanData) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.spans = append(r.spans, d)
-	if len(r.spans) > r.cap {
-		r.spans = append(r.spans[:0], r.spans[len(r.spans)-r.cap:]...)
+	if len(r.spans) > spanRecorderCap {
+		r.spans = append(r.spans[:0], r.spans[len(r.spans)-spanRecorderCap:]...)
 	}
 }
 

@@ -90,20 +90,20 @@ func TestNilSpanIsNoop(t *testing.T) {
 }
 
 func TestSpanRecorderRingAndByTrace(t *testing.T) {
-	r := NewSpanRecorder(3)
-	for i := 0; i < 5; i++ {
+	r := NewSpanRecorder()
+	for i := 0; i <= spanRecorderCap; i++ {
 		r.Record(SpanData{TraceID: fmt.Sprintf("t%d", i%2), Name: fmt.Sprintf("s%d", i)})
 	}
 	spans := r.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("ring should keep 3, got %d", len(spans))
+	if len(spans) != spanRecorderCap {
+		t.Fatalf("ring should keep %d, got %d", spanRecorderCap, len(spans))
 	}
-	if spans[0].Name != "s2" || spans[2].Name != "s4" {
-		t.Fatalf("ring kept wrong spans (want oldest-first s2..s4): %+v", spans)
+	if spans[0].Name != "s1" || spans[len(spans)-1].Name != "s256" {
+		t.Fatalf("ring kept wrong spans (want oldest-first s1..s256): first %s, last %s", spans[0].Name, spans[len(spans)-1].Name)
 	}
 	byT := r.ByTrace("t0")
-	if len(byT) != 2 || byT[0].Name != "s2" || byT[1].Name != "s4" {
-		t.Fatalf("ByTrace(t0) wrong: %+v", byT)
+	if len(byT) != 128 || byT[0].Name != "s2" || byT[127].Name != "s256" {
+		t.Fatalf("ByTrace(t0) wrong: %d spans, %+v", len(byT), byT)
 	}
 	if got := r.ByTrace("missing"); len(got) != 0 {
 		t.Fatalf("ByTrace(missing) = %+v", got)

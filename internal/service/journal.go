@@ -35,10 +35,9 @@ const (
 type journalRecord struct {
 	Op string `json:"op"`
 	ID string `json:"id"`
-	// Req, CfgHash, TraceID and CreatedNs describe the job on
-	// submit records; compaction re-emits them for every retained job.
+	// Req, TraceID and CreatedNs describe the job on submit records;
+	// compaction re-emits them for every retained job.
 	Req       *Request `json:"req,omitempty"`
-	CfgHash   string   `json:"cfg,omitempty"`
 	TraceID   string   `json:"trace_id,omitempty"`
 	CreatedNs int64    `json:"created_ns,omitempty"`
 	// Artifact names the store artifact holding the result on done
@@ -232,8 +231,7 @@ func jobSeq(id string) int {
 func submitRecord(j *job) journalRecord {
 	req := j.Request
 	return journalRecord{
-		Op: jopSubmit, ID: j.ID, Req: &req, CfgHash: store.HashJSON(j.cfg),
-		TraceID: j.TraceID, CreatedNs: j.Created.UnixNano(),
+		Op: jopSubmit, ID: j.ID, Req: &req, TraceID: j.TraceID, CreatedNs: j.Created.UnixNano(),
 	}
 }
 

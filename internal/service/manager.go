@@ -135,7 +135,7 @@ func New(st *store.Store, workers, depth int) *Manager {
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
 		reg:      obs.NewRegistry(),
-		spans:    obs.NewSpanRecorder(0),
+		spans:    obs.NewSpanRecorder(),
 	}
 	m.pipe = newPipeline(st, m.reg)
 	m.plan, m.compute = m.pipe.plan, m.pipe.run
