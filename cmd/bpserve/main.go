@@ -138,8 +138,8 @@ func run(args []string, stderr io.Writer) error {
 		}
 		if recov.Records > 0 {
 			logger.Info(fmt.Sprintf(
-				"farm wal %s: replayed %d records (%d bytes torn tail dropped): %d pending, %d in-flight requeued, %d resolved from store",
-				wal, recov.Records, recov.Dropped, recov.Pending, recov.Requeued, recov.StoreHits))
+				"farm wal %s: replayed %d records (%d bytes torn tail dropped): %d pending, %d resolved from store",
+				wal, recov.Records, recov.Dropped, recov.Pending, recov.StoreHits))
 		}
 		mgr.SetFarm(fq)
 	}

@@ -695,7 +695,7 @@ func TestHealthzKeySet(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				want["bp_farm_tasks_recovered_total"] = float64(rec.Pending + rec.Requeued)
+				want["bp_farm_tasks_recovered_total"] = float64(rec.Pending)
 			}
 			got := scrape(t, base)
 			for name, v := range want {

@@ -61,9 +61,10 @@ func freshAnalysis(b *testing.B, data []byte, cfg *bp.Config) (*store.Store, str
 // BenchmarkQueueEnqueueComplete measures the queue's bookkeeping cost per
 // task — one enqueue, lease and complete round trip with a synthetic
 // payload — with and without the write-ahead log, isolating what
-// durability (three fsynced journal appends plus an artifact write per
-// round) costs on the coordinator. The spread between the two is the
-// number the bpserve -wal flag trades against crash recovery.
+// durability (one fsynced journal append, the enqueue's, per round; both
+// variants publish the result artifact) costs on the coordinator. The
+// spread between the two is the number the bpserve -wal flag trades
+// against crash recovery.
 func BenchmarkQueueEnqueueComplete(b *testing.B) {
 	// A well-formed content key; the queue never opens the trace for
 	// bookkeeping, so no recording is needed.

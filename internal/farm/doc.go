@@ -99,10 +99,10 @@
 //
 // # Durability
 //
-// NewDurableQueue journals every state transition to a write-ahead log
-// (a store.Journal) before applying it in memory, so a coordinator killed
-// -9 mid-campaign restarts with exactly the queued and in-flight tasks it
-// died with. NewQueue remains purely in-memory; cmd/bpserve opens the
+// NewDurableQueue journals the transitions whose facts nothing else keeps
+// to a write-ahead log (a store.Journal) before applying them in memory,
+// so a coordinator killed -9 mid-campaign restarts with every task it had
+// not finished. NewQueue remains purely in-memory; cmd/bpserve opens the
 // durable variant by default at <store>/farm.wal (disable with -wal off).
 // Framing, torn-tail truncation, the compaction trigger and what a failed
 // or closed log does are the journal's and are described once, in
@@ -112,31 +112,31 @@
 //	enqueue   {op, task{id, trace, region, sockets, warmup, artifact,
 //	           attempt}, failures?}   a task entered the queue (compaction
 //	                                  re-emits live tasks in this form)
-//	lease     {op, id, worker, attempt}   a worker took the task
-//	requeue   {op, id, msg}               a lease ended; task back to pending
-//	complete  {op, id}                    result stored as artifact; done
-//	fail      {op, id, msg}               attempts exhausted; failed for good
+//	requeue   {op, id, msg}           an attempt failed or its lease
+//	                                  expired; task back to pending
+//	fail      {op, id, msg}           attempts exhausted; failed for good
 //
-// Every append is fsynced before the transition is acknowledged, and the
-// in-memory apply happens only after the append returns — so the journal
-// is always at or ahead of memory, never behind. A crash between an
-// append and its apply is therefore safe in every direction: the record
-// describes work the caller was told had NOT happened yet (it got an
-// error), and replay converges on the journaled state, which Enqueue's
-// dedup then reconciles with the retrying caller. Complete orders its
-// effects store-first: the result artifact is durable before the
-// complete record is written, so a crash in between is healed at
-// recovery by checking the store for each live task's artifact.
+// A lease is not journaled: a coordinator never runs tasks, so its crash
+// says nothing about the task a worker held. Nor is a completion: Complete
+// publishes the result artifact, fsynced, before it wakes any waiter, and
+// that artifact is the record. A successful task costs the journal one
+// append. Replay skips the "lease" and "complete" records of older logs.
+//
+// Every append is fsynced before its transition is applied in memory, so
+// the journal is never behind memory. A crash between the two is safe:
+// the caller got an error for work the record says happened, and replay
+// converges on the journaled state, which Enqueue's dedup then reconciles
+// with the retrying caller.
 //
 // Recovery (NewDurableQueue on a non-empty log) folds the replayed
-// records into per-task state. Tasks still
-// pending re-enter the queue in their original order; tasks that were
-// leased re-enter pending immediately after them (their workers may be
-// gone; if not, their uploads are accepted idempotently), with the
-// interruption logged as an attempt failure; tasks whose result artifact
-// already reached the store resolve on the spot. Recovered tasks carry
-// fresh tickets with no waiters — a re-submitted job re-attaches through
-// Enqueue's dedup, so no simulation is lost or repeated.
+// records into per-task state. Every live task re-enters the pending
+// queue, in the order it last entered it, under its original id (a worker
+// that held it before the crash may still upload, which completes it),
+// having used as many attempts as the journal logged failures; tasks
+// whose result artifact is in the store resolve on the spot. Recovered
+// tasks carry fresh tickets with no waiters — a re-submitted job
+// re-attaches through Enqueue's dedup, so no simulation is lost or
+// repeated.
 //
 // Each queue instance mints a random epoch embedded in the task and worker
 // ids it issues and echoed in register/lease responses. A worker leasing
@@ -147,5 +147,6 @@
 // and no call from such an id adds it to the fleet.
 //
 // The compaction snapshot is the live tasks — one enqueue record each, in
-// pending order, plus a lease record for tasks out on a worker.
+// pending order, then the tasks out on a worker, each carrying its failed
+// attempts.
 package farm

@@ -46,8 +46,8 @@ func replayWALReader(data []byte) (*walState, int64, int, error) {
 }
 
 // encodeLive serializes a replayed state exactly the way the compaction
-// snapshot (liveRecordsLocked) would: per live task an enqueue record with its failure log, plus a
-// lease record if it was in flight.
+// snapshot (liveRecordsLocked) would: per live task an enqueue record with
+// its failure log (a replayed task is never in flight).
 func encodeLive(s *walState) []byte {
 	var buf bytes.Buffer
 	emit := func(rec walRecord) {
@@ -59,15 +59,14 @@ func encodeLive(s *walState) []byte {
 	}
 	for _, wt := range s.live() {
 		emit(walRecord{Op: opEnqueue, Task: &wt.Task, Failures: wt.failures})
-		if wt.leased {
-			emit(walRecord{Op: opLease, ID: wt.ID, Worker: wt.worker, Attempt: wt.Attempt})
-		}
 	}
 	return buf.Bytes()
 }
 
 // walFuzzSeeds records real journals: a fresh queue driven through every
-// record type, and the compacted journal a restart of it leaves behind.
+// record type, and the compacted journal a restart of it leaves behind;
+// plus a hand-built one holding the lease and complete records older
+// binaries wrote.
 func walFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -103,7 +102,8 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 
 	// Hand-built pathological records replay must shrug off: references to
 	// unknown tasks, an id-less enqueue, a duplicate enqueue, a negative
-	// attempt, and an intact frame that is not JSON at all.
+	// attempt, an intact frame that is not JSON at all, and the lease and
+	// complete records of older binaries (raw JSON: the ops are gone).
 	rec := func(w walRecord) []byte {
 		b, err := json.Marshal(w)
 		if err != nil {
@@ -112,14 +112,15 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 		return fuzzFrame(b)
 	}
 	var odd bytes.Buffer
-	odd.Write(rec(walRecord{Op: opLease, ID: "task-999999", Worker: "ghost"}))
+	odd.Write(fuzzFrame([]byte(`{"op":"lease","id":"task-999999","worker":"ghost"}`)))
 	odd.Write(rec(walRecord{Op: opEnqueue, Task: &Task{}}))
-	odd.Write(rec(walRecord{Op: opComplete, ID: "never-existed"}))
+	odd.Write(fuzzFrame([]byte(`{"op":"complete","id":"never-existed"}`)))
 	odd.Write(rec(walRecord{Op: opEnqueue, Task: &Task{ID: "task-000001", TraceKey: fakeTraceKey, Region: 1, Attempt: -3}}))
 	odd.Write(rec(walRecord{Op: opEnqueue, Task: &Task{ID: "task-000001", TraceKey: fakeTraceKey, Region: 2}}))
-	odd.Write(rec(walRecord{Op: opLease, ID: "task-000001", Worker: "w1"}))
+	odd.Write(fuzzFrame([]byte(`{"op":"lease","id":"task-000001","worker":"w1","attempt":1}`)))
 	odd.Write(fuzzFrame([]byte("not json at all")))
 	odd.Write(rec(walRecord{Op: opRequeue, ID: "task-000001", Msg: "requeued"}))
+	odd.Write(fuzzFrame([]byte(`{"op":"complete","id":"task-000001"}`)))
 
 	return [][]byte{full, compacted, odd.Bytes()}
 }

@@ -80,9 +80,8 @@ type task struct {
 	failures []string
 	ticket   *Ticket
 	// seq orders a journal replay's tasks for deterministic requeueing:
-	// assigned when a task (re-)enters the pending queue, or when a lease
-	// record is replayed (so in-flight tasks requeue in lease order after the
-	// pending ones). The running queue does not read it.
+	// assigned when a replayed record puts the task (back) in the pending
+	// queue. The running queue does not read it.
 	seq int
 }
 
@@ -159,8 +158,8 @@ func (c Config) withDefaults() Config {
 // NewQueue builds an in-memory queue: tasks do not survive a server
 // restart, but their results do — completed work lands in the store, so a
 // restarted server re-enqueues only the points that never finished.
-// NewDurableQueue additionally journals every transition to a write-ahead
-// log and rebuilds pending and in-flight tasks from it on startup (see
+// NewDurableQueue additionally journals enqueues and failed attempts to a
+// write-ahead log and rebuilds the live tasks from it on startup (see
 // wal.go and the package documentation's Durability section).
 type Queue struct {
 	st  *store.Store
@@ -181,9 +180,9 @@ type Queue struct {
 	wseq    int
 	closed  bool
 
-	// wal, when non-nil, journals every task transition before it is
-	// applied (a nil journal records nothing) and recovery holds what its
-	// replay rebuilt. crashHook is a test seam invoked between a WAL
+	// wal, when non-nil, journals enqueues and ended attempts before they
+	// are applied (a nil journal records nothing) and recovery holds what
+	// its replay rebuilt. crashHook is a test seam invoked between a WAL
 	// append and its in-memory apply — returning an error simulates a
 	// crash exactly on that edge.
 	wal       *store.Journal[walRecord]
@@ -539,16 +538,6 @@ func (q *Queue) Lease(workerID string, max int) []Task {
 		if q.tasks[t.ID] != t || t.leased {
 			continue // finished or re-leased since it entered pending
 		}
-		// Journal the lease (with its attempt number, so a compacted log
-		// replays to the same count) before handing the task out. On an
-		// append error the task goes back to the front of the queue and no
-		// more work is handed out this call; if the record did land before
-		// the error, recovery sees an in-flight lease and requeues it —
-		// both sides converge on "not leased".
-		if err := q.appendWALLocked(walRecord{Op: opLease, ID: t.ID, Worker: workerID, Attempt: t.Attempt + 1}); err != nil {
-			q.pending = append([]*task{t}, q.pending...)
-			break
-		}
 		t.leased = true
 		t.worker = workerID
 		t.expires = now.Add(q.cfg.LeaseTTL)
@@ -607,14 +596,8 @@ func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
 	if cur, ok := q.tasks[id]; !ok || cur != t {
 		return nil // raced with another completion
 	}
-	// The artifact is already durable in the store; the journal's complete
-	// record makes the queue agree. If this append fails the worker gets
-	// an error and retries the idempotent upload — and even a crash right
-	// here recovers cleanly, because replay re-checks the store for the
-	// artifact and resolves the task without re-running it.
-	if err := q.appendWALLocked(walRecord{Op: opComplete, ID: id}); err != nil {
-		return err
-	}
+	// The durable artifact is the completion's only record: a recovering
+	// queue finds it in the store and resolves the task without re-running.
 	q.stats.Completed++
 	w.Completed++
 	if !t.created.IsZero() {
@@ -708,9 +691,9 @@ func (q *Queue) Stats() Stats {
 // ErrClosed, and the sweeper stops. Close is idempotent. Completed
 // results remain in the store, so re-running the same jobs after a
 // restart redoes only the points that never finished. A durable queue
-// deliberately journals nothing here — its live tasks stay in the
+// deliberately journals nothing here — its unfinished tasks stay in the
 // write-ahead log, so the next NewDurableQueue over the same path
-// recovers them; only the file handle is released.
+// recovers them as pending; only the file handle is released.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	if q.closed {

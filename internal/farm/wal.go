@@ -1,17 +1,16 @@
 package farm
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"barrierpoint/internal/store"
 )
 
-// This file gives the queue its durability: every state transition is
-// journaled to a store.Journal before it is applied in memory, and a
-// restarted coordinator replays the journal to rebuild exactly the pending
-// and in-flight tasks it was killed with. What is the queue's own lives
+// This file gives the queue its durability: the transitions whose facts
+// nothing else keeps are journaled to a store.Journal before they are
+// applied in memory, and a restarted coordinator replays the journal to
+// rebuild the live tasks it was killed with. What is the queue's own lives
 // here — the record type, the replay fold, turning folded state back into
 // live tasks, and the compaction snapshot; framing, replay mechanics and
 // the compaction policy are store.Journal's (internal/store/journal.go).
@@ -20,29 +19,26 @@ import (
 // WAL operation tags. The journal is the source of truth on replay: each
 // record describes one applied transition, so replay is a pure fold with
 // no dependence on queue configuration (MaxAttempts may even change
-// between restarts without invalidating the log).
+// between restarts without invalidating the log). Leases and completions
+// are not journaled (doc.go's "Durability" says why); the fold skips the
+// "lease" and "complete" records of older logs like any unknown op.
 const (
-	opEnqueue  = "enqueue"  // a new task entered the queue (or survived a compaction)
-	opLease    = "lease"    // a worker took the task; Attempt is the lease's attempt number
-	opRequeue  = "requeue"  // a lease ended in failure/expiry; task back to pending
-	opComplete = "complete" // result stored as a store artifact; task done
-	opFail     = "fail"     // attempts exhausted; task failed permanently
+	opEnqueue = "enqueue" // a new task entered the queue (or survived a compaction)
+	opRequeue = "requeue" // an attempt failed or expired; task back to pending
+	opFail    = "fail"    // attempts exhausted; task failed permanently
 )
 
 // walRecord is the JSON payload of one WAL frame.
 type walRecord struct {
 	Op string `json:"op"`
 	// Task is set on enqueue records; compaction re-emits live tasks as
-	// enqueue records carrying their current Attempt.
+	// enqueue records carrying their failed-attempt count.
 	Task *Task `json:"task,omitempty"`
 	// Failures carries a task's accumulated per-attempt failure log across
 	// compaction.
 	Failures []string `json:"failures,omitempty"`
-	// ID names the task for lease/requeue/complete/fail records.
+	// ID names the task for requeue/fail records.
 	ID string `json:"id,omitempty"`
-	// Worker and Attempt describe a lease.
-	Worker  string `json:"worker,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
 	// Msg is the failure message logged by requeue/fail records.
 	Msg string `json:"msg,omitempty"`
 }
@@ -53,29 +49,25 @@ type Recovery struct {
 	// is the byte length of the torn tail (if any) discarded after them.
 	Records int   `json:"wal_records"`
 	Dropped int64 `json:"wal_dropped_bytes"`
-	// Pending tasks were queued (never leased, or requeued) at the crash;
-	// Requeued tasks were leased in flight — their workers may be gone, so
-	// they re-enter the pending queue immediately.
-	Pending  int `json:"tasks_pending"`
-	Requeued int `json:"leases_requeued"`
-	// StoreHits are recovered tasks whose result artifact already sits in
-	// the store (the worker uploaded it, but the crash beat the journal's
-	// complete record); they resolve instantly instead of re-running.
+	// Pending tasks re-entered the queue: every live task whose result
+	// is not in the store, whether or not a worker held it at the crash.
+	Pending int `json:"tasks_pending"`
+	// StoreHits are live tasks whose result artifact already sits in the
+	// store (a worker uploaded it before the crash); they resolve
+	// instantly instead of re-running.
 	StoreHits int `json:"store_hits"`
-	// Completed and Failed count terminal transitions observed in the
-	// journal — work that needed nothing at recovery beyond compaction.
-	Completed int `json:"tasks_completed"`
-	Failed    int `json:"tasks_failed"`
+	// Failed counts permanent failures observed in the journal — work that
+	// needed nothing at recovery beyond compaction.
+	Failed int `json:"tasks_failed"`
 }
 
 // walState is the fold target of a journal replay: the live tasks as the
-// journal leaves them (Task, failures, leased, worker and seq set; the
-// runtime-only fields are NewDurableQueue's to fill).
+// journal leaves them (Task, failures and seq set; the runtime-only
+// fields are NewDurableQueue's to fill).
 type walState struct {
-	tasks     map[string]*task
-	nextSeq   int
-	completed int
-	failed    int
+	tasks   map[string]*task
+	nextSeq int
+	failed  int
 }
 
 func newWALState() *walState {
@@ -83,9 +75,9 @@ func newWALState() *walState {
 }
 
 // apply folds one journal record into the state. Records that do not
-// resolve against the current state (an unknown id, a lease of a finished
-// task) are skipped: replay must accept any intact prefix the framing
-// layer delivers, including logs from a fuzzer.
+// resolve against the current state (an unknown id or op) are skipped:
+// replay must accept any intact prefix the framing layer delivers,
+// including logs from older binaries and from a fuzzer.
 func (s *walState) apply(rec walRecord) {
 	switch rec.Op {
 	case opEnqueue:
@@ -95,20 +87,6 @@ func (s *walState) apply(rec walRecord) {
 		t := &task{Task: *rec.Task, failures: rec.Failures, seq: s.nextSeq}
 		s.nextSeq++
 		s.tasks[t.ID] = t
-	case opLease:
-		t, ok := s.tasks[rec.ID]
-		if !ok {
-			return
-		}
-		t.leased = true
-		t.worker = rec.Worker
-		if rec.Attempt > 0 {
-			t.Attempt = rec.Attempt
-		} else {
-			t.Attempt++
-		}
-		t.seq = s.nextSeq
-		s.nextSeq++
 	case opRequeue:
 		t, ok := s.tasks[rec.ID]
 		if !ok {
@@ -117,15 +95,9 @@ func (s *walState) apply(rec walRecord) {
 		if rec.Msg != "" {
 			t.failures = append(t.failures, rec.Msg)
 		}
-		t.leased = false
-		t.worker = ""
+		t.Attempt++
 		t.seq = s.nextSeq
 		s.nextSeq++
-	case opComplete:
-		if _, ok := s.tasks[rec.ID]; ok {
-			delete(s.tasks, rec.ID)
-			s.completed++
-		}
 	case opFail:
 		if _, ok := s.tasks[rec.ID]; ok {
 			delete(s.tasks, rec.ID)
@@ -134,9 +106,8 @@ func (s *walState) apply(rec walRecord) {
 	}
 }
 
-// live returns the recovered tasks ordered for requeueing: by seq, which
-// interleaves pending tasks in their queue order and puts each in-flight
-// lease where its lease record fell in the journal.
+// live returns the recovered tasks in queue order: by seq, the order in
+// which each last entered the pending queue.
 func (s *walState) live() []*task {
 	out := make([]*task, 0, len(s.tasks))
 	for _, t := range s.tasks {
@@ -149,11 +120,11 @@ func (s *walState) live() []*task {
 // NewDurableQueue creates a queue whose state is journaled to the
 // write-ahead log at walPath. If the log already holds records — the
 // normal case after a coordinator crash or restart — they are replayed
-// first: tasks that were pending return to the pending queue in order,
-// tasks that were leased re-enter pending immediately (the leasing worker
-// may be gone; if it is not, its eventual upload is accepted
-// idempotently), and tasks whose result artifact already reached the
-// store resolve on the spot. The log is then compacted to exactly the
+// first: every live task returns to the pending queue in order under its
+// original ID (a worker that held it before the crash may still upload
+// its result, which completes it), with as many attempts used as the
+// journal logged failures, and tasks whose result artifact already reached
+// the store resolve on the spot. The log is then compacted to exactly the
 // live state before the queue starts. Recovered tasks carry fresh
 // tickets with no waiters; a re-submitted job re-attaches to them through
 // Enqueue's TraceKey+artifact dedup.
@@ -163,17 +134,13 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	rec := Recovery{
-		Records: replay.Records, Dropped: replay.Dropped,
-		Completed: state.completed, Failed: state.failed,
-	}
+	rec := Recovery{Records: replay.Records, Dropped: replay.Dropped, Failed: state.failed}
 	q := newQueue(st, cfg)
 	q.wal = w
 	for _, t := range state.live() {
-		// A result uploaded between the artifact store write and the
-		// journal's complete record shows up here as a live task with a
-		// finished artifact: count it done instead of re-simulating (the
-		// next Enqueue for this point dedups against the store).
+		// Completions are not journaled: a task whose result reached the
+		// store is done (the next Enqueue for this point dedups against
+		// the store).
 		if _, ok, _ := loadPoint(st, t.TraceKey, t.Artifact); ok {
 			rec.StoreHits++
 			continue
@@ -187,14 +154,7 @@ func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recov
 		}
 		t.created = time.Now() // latency telemetry restarts at recovery
 		t.ticket = &Ticket{Region: t.Region, done: make(chan struct{})}
-		if t.leased {
-			t.failures = append(t.failures,
-				fmt.Sprintf("attempt %d: coordinator restarted while leased to worker %s", t.Attempt, t.worker))
-			t.leased, t.worker = false, ""
-			rec.Requeued++
-		} else {
-			rec.Pending++
-		}
+		rec.Pending++
 		q.tasks[t.ID] = t
 		q.byDedup[t.dedup] = t
 		q.pending = append(q.pending, t)
@@ -224,9 +184,8 @@ func (q *Queue) appendWALLocked(rec walRecord) error {
 }
 
 // liveRecordsLocked is the compaction snapshot: one enqueue record per live
-// task (carrying its current attempt count and failure log), plus a lease
-// record for each task currently out on a worker. q.mu must be held (or
-// the queue not yet shared).
+// task, carrying its failure log and its failed-attempt count (a lease in
+// flight is not one). q.mu must be held (or the queue not yet shared).
 func (q *Queue) liveRecordsLocked() []walRecord {
 	// Pending tasks first, in queue order, then any remaining live tasks
 	// (the leased ones) by id: replaying the compacted log must rebuild
@@ -250,10 +209,11 @@ func (q *Queue) liveRecordsLocked() []walRecord {
 	order = append(order, rest...)
 	recs := make([]walRecord, 0, len(order))
 	for _, t := range order {
-		recs = append(recs, walRecord{Op: opEnqueue, Task: &t.Task, Failures: t.failures})
+		snap := t.Task
 		if t.leased {
-			recs = append(recs, walRecord{Op: opLease, ID: t.ID, Worker: t.worker, Attempt: t.Attempt})
+			snap.Attempt--
 		}
+		recs = append(recs, walRecord{Op: opEnqueue, Task: &snap, Failures: t.failures})
 	}
 	return recs
 }

@@ -1,15 +1,19 @@
 package farm
 
-// White-box tests of the queue's write-ahead log: exact recovery of
-// pending and in-flight tasks, crash points injected between every WAL
-// append and its in-memory apply (the crashHook seam), the
-// artifact-already-stored race, and compaction as a replay fixpoint.
+// White-box tests of the queue's write-ahead log: what it journals (one
+// record per enqueue and per ended attempt, nothing per lease or
+// completion), exact recovery of live tasks, crash points injected between
+// every WAL append and its in-memory apply (the crashHook seam), completion
+// recovered from the store alone, and compaction as a replay fixpoint.
 
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -107,44 +111,134 @@ func TestDurableQueueRecoversPendingAndInFlight(t *testing.T) {
 
 	q2, rec := reopenDurable(t, st, walPath)
 	defer q2.Close()
-	if rec.Pending != 2 || rec.Requeued != 1 || rec.StoreHits != 0 {
-		t.Fatalf("recovery = %+v, want 2 pending, 1 requeued", rec)
-	}
-	if rec.Records != 4 { // 3 enqueues + 1 lease
-		t.Errorf("recovery replayed %d records, want 4", rec.Records)
+	if want := (Recovery{Records: 3, Pending: 3}); rec != want { // the 3 enqueues; the lease is not journaled
+		t.Fatalf("recovery = %+v, want %+v", rec, want)
 	}
 
-	// Pending tasks come back first in their original order, then the
-	// interrupted lease; the recovered lease keeps its attempt count, so
-	// re-leasing it is attempt 2.
+	// Every task comes back pending in enqueue order under its original
+	// id, the one in flight at the crash included, and none has used an
+	// attempt: the interrupted lease failed nothing.
 	got := q2.Lease("w2", 10)
 	if len(got) != 3 {
 		t.Fatalf("recovered queue leased %d tasks, want 3", len(got))
 	}
-	wantRegions := []int{1, 2, 0}
-	wantAttempts := []int{1, 1, 2}
 	for i, task := range got {
-		if task.Region != wantRegions[i] || task.Attempt != wantAttempts[i] {
-			t.Errorf("task %d = region %d attempt %d, want region %d attempt %d",
-				i, task.Region, task.Attempt, wantRegions[i], wantAttempts[i])
+		if task.Region != i || task.Attempt != 1 {
+			t.Errorf("task %d = region %d attempt %d, want region %d attempt 1", i, task.Region, task.Attempt, i)
 		}
 	}
-	// The interruption is on the record for the requeued task.
+	if got[0].ID != leased[0].ID {
+		t.Errorf("in-flight task came back as %s, want its original id %s", got[0].ID, leased[0].ID)
+	}
 	q2.mu.Lock()
-	var interrupted *task
 	for _, tk := range q2.tasks {
-		if tk.Region == 0 {
-			interrupted = tk
+		if len(tk.failures) != 0 {
+			t.Errorf("task %s failures = %v after a restart, want none", tk.ID, tk.failures)
 		}
 	}
 	q2.mu.Unlock()
-	if interrupted == nil || len(interrupted.failures) != 1 ||
-		!strings.Contains(interrupted.failures[0], "coordinator restarted") {
-		t.Errorf("requeued task failures = %v, want one coordinator-restart entry", interrupted.failures)
-	}
 
 	// Task ids must not collide with the previous life's.
 	assertFreshID(t, q2, got)
+}
+
+// TestJournalAppendsPerTransition pins what the farm journal records: one
+// append per enqueue and one per ended attempt (requeue on a Fail or a
+// lease expiry, fail when the attempts run out), and none for a lease or
+// a completion, whose facts the queue and the store already keep.
+func TestJournalAppendsPerTransition(t *testing.T) {
+	q, _, _, _ := newDurable(t, t.TempDir())
+	defer q.Close()
+	appends := func(want int64, after string) {
+		t.Helper()
+		if got := q.JournalStats().Appends; got != want {
+			t.Fatalf("journal appends after %s = %d, want %d", after, got, want)
+		}
+	}
+	leaseOne := func() Task {
+		t.Helper()
+		tasks := q.Lease("w1", 1)
+		if len(tasks) != 1 {
+			t.Fatal("no task leased")
+		}
+		return tasks[0]
+	}
+
+	if _, err := q.Enqueue(spec(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Complete("w1", leaseOne().ID, resultJSON(t)); err != nil {
+		t.Fatal(err)
+	}
+	appends(1, "enqueue, lease, complete")
+
+	if _, err := q.Enqueue(spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Fail("w1", leaseOne().ID, "worker failure"); err != nil {
+		t.Fatal(err)
+	}
+	appends(3, "a second enqueue and a failed attempt")
+	leaseOne()
+	q.mu.Lock()
+	q.requeueExpiredLocked(time.Now().Add(2 * q.cfg.LeaseTTL))
+	q.mu.Unlock()
+	appends(4, "a lease expiry")
+	if err := q.Fail("w1", leaseOne().ID, "final failure"); err != nil {
+		t.Fatal(err)
+	}
+	appends(5, "a permanent failure")
+	if s := q.Stats(); s.Completed != 1 || s.Retries != 2 || s.Failed != 1 {
+		t.Fatalf("stats = %+v, want 1 completed, 2 retries, 1 failed", s)
+	}
+}
+
+// TestRestartCostsNoAttempt: a coordinator restart says nothing about the
+// task a worker held, so the recovered task has used no attempt and a
+// later failure is retried rather than final.
+func TestRestartCostsNoAttempt(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(st.Root(), "farm.wal")
+	cfg := testConfig()
+	cfg.MaxAttempts = 2
+	q1, _, err := NewDurableQueue(st, cfg, walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q1.Enqueue(spec(0)); err != nil {
+		t.Fatal(err)
+	}
+	if tasks := q1.Lease("w1", 1); len(tasks) != 1 {
+		t.Fatal("no task leased")
+	}
+	crash(q1)
+
+	q2, _, err := NewDurableQueue(st, cfg, walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	tasks := q2.Lease("w2", 1)
+	if len(tasks) != 1 || tasks[0].Attempt != 1 {
+		t.Fatalf("recovered lease = %+v, want attempt 1", tasks)
+	}
+	q2.mu.Lock()
+	failures := q2.tasks[tasks[0].ID].failures
+	q2.mu.Unlock()
+	for _, f := range failures {
+		if strings.Contains(f, "coordinator restarted") {
+			t.Errorf("recovered task failures = %v, want no coordinator-restart entry", failures)
+		}
+	}
+	if err := q2.Fail("w2", tasks[0].ID, "first real failure"); err != nil {
+		t.Fatal(err)
+	}
+	if s := q2.Stats(); s.Retries != 1 || s.Failed != 0 || s.Pending != 1 {
+		t.Fatalf("stats after the first failure = %+v, want the task requeued, not failed", s)
+	}
 }
 
 // assertFreshID enqueues a new point and checks that its task ID carries
@@ -216,8 +310,8 @@ func TestRecoveryResolvesStoredArtifacts(t *testing.T) {
 	if len(tasks) != 1 {
 		t.Fatal("no task leased")
 	}
-	// The worker's upload reached the store, but the crash beat the
-	// journal's complete record.
+	// The worker's upload reached the store before the crash; the store
+	// holds the completion's only record.
 	if err := st.PutArtifact(fakeTraceKey, tasks[0].Artifact, resultJSON(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +319,7 @@ func TestRecoveryResolvesStoredArtifacts(t *testing.T) {
 
 	q2, rec := reopenDurable(t, st, walPath)
 	defer q2.Close()
-	if rec.StoreHits != 1 || rec.Pending != 0 || rec.Requeued != 0 {
+	if rec.StoreHits != 1 || rec.Pending != 0 {
 		t.Fatalf("recovery = %+v, want exactly one store hit", rec)
 	}
 	// And the point is served from cache on re-enqueue.
@@ -284,34 +378,6 @@ func TestCrashPointPerOp(t *testing.T) {
 		}
 	})
 
-	t.Run("lease", func(t *testing.T) {
-		q1, _, st, walPath := newDurable(t, t.TempDir())
-		if _, err := q1.Enqueue(spec(0)); err != nil {
-			t.Fatal(err)
-		}
-		fired := armHook(q1, opLease)
-		if tasks := q1.Lease("w1", 1); len(tasks) != 0 {
-			t.Fatalf("crashed lease handed out %d tasks", len(tasks))
-		}
-		if *fired != 1 {
-			t.Fatalf("crash hook fired %d times, want 1", *fired)
-		}
-		// In memory the task went back to pending; disarm and verify it
-		// leases cleanly.
-		q1.crashHook = nil
-		if tasks := q1.Lease("w1", 1); len(tasks) != 1 {
-			t.Fatal("task lost after crashed lease")
-		}
-		crash(q1)
-		// The journal holds two lease records; replay treats the task as
-		// in-flight and requeues it.
-		q2, rec := reopenDurable(t, st, walPath)
-		defer q2.Close()
-		if rec.Requeued != 1 || rec.Pending != 0 {
-			t.Fatalf("recovery = %+v, want 1 requeued", rec)
-		}
-	})
-
 	t.Run("requeue", func(t *testing.T) {
 		q1, _, st, walPath := newDurable(t, t.TempDir())
 		if _, err := q1.Enqueue(spec(0)); err != nil {
@@ -336,7 +402,7 @@ func TestCrashPointPerOp(t *testing.T) {
 		crash(q1)
 		q2, rec := reopenDurable(t, st, walPath)
 		defer q2.Close()
-		if rec.Pending != 1 || rec.Requeued != 0 {
+		if rec.Pending != 1 {
 			t.Fatalf("recovery = %+v, want 1 pending (requeue applied by replay)", rec)
 		}
 		q2.mu.Lock()
@@ -347,36 +413,6 @@ func TestCrashPointPerOp(t *testing.T) {
 		q2.mu.Unlock()
 		if len(failures) != 1 || !strings.Contains(failures[0], "simulated failure") {
 			t.Errorf("recovered failure log = %v, want the journaled attempt failure", failures)
-		}
-	})
-
-	t.Run("complete", func(t *testing.T) {
-		q1, _, st, walPath := newDurable(t, t.TempDir())
-		tk, err := q1.Enqueue(spec(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks := q1.Lease("w1", 1)
-		if len(tasks) != 1 {
-			t.Fatal("no task leased")
-		}
-		fired := armHook(q1, opComplete)
-		if err := q1.Complete("w1", tasks[0].ID, resultJSON(t)); err == nil {
-			t.Fatal("crashed complete reported success")
-		}
-		if *fired != 1 {
-			t.Fatalf("crash hook fired %d times, want 1", *fired)
-		}
-		select {
-		case <-tk.Done():
-			t.Fatal("ticket resolved although the apply never ran")
-		default:
-		}
-		crash(q1)
-		q2, rec := reopenDurable(t, st, walPath)
-		defer q2.Close()
-		if rec.Completed != 1 || rec.Pending != 0 || rec.Requeued != 0 {
-			t.Fatalf("recovery = %+v, want the completion applied by replay", rec)
 		}
 	})
 
@@ -415,16 +451,16 @@ func TestCrashPointPerOp(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer q2.Close()
-		if rec.Failed != 1 || rec.Pending != 0 || rec.Requeued != 0 {
+		if rec.Failed != 1 || rec.Pending != 0 {
 			t.Fatalf("recovery = %+v, want the permanent failure applied by replay", rec)
 		}
 	})
 }
 
 // TestCompactionFixpoint verifies that compacting and then replaying the
-// journal reconstructs exactly the queue's live state, including pending
-// order, attempt counts and failure logs — and that compaction is
-// idempotent.
+// journal reconstructs exactly the queue's live state — pending order,
+// failed-attempt counts and failure logs, with a task in flight pending
+// again at the attempts it had failed — and that compaction is idempotent.
 func TestCompactionFixpoint(t *testing.T) {
 	q1, _, st, walPath := newDurable(t, t.TempDir())
 	for r := 0; r < 5; r++ {
@@ -432,7 +468,8 @@ func TestCompactionFixpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Build history: lease two, fail one back to pending, complete one.
+	// Build history: lease two, fail one back to pending, complete one,
+	// then lease the next so one task is in flight at the compaction.
 	tasks := q1.Lease("w1", 2)
 	if len(tasks) != 2 {
 		t.Fatalf("leased %d, want 2", len(tasks))
@@ -443,26 +480,42 @@ func TestCompactionFixpoint(t *testing.T) {
 	if err := q1.Complete("w1", tasks[1].ID, resultJSON(t)); err != nil {
 		t.Fatal(err)
 	}
+	inFlight := q1.Lease("w1", 1)
+	if len(inFlight) != 1 {
+		t.Fatal("no task leased")
+	}
 
-	snapshot := func(q *Queue) (pending []string, leased map[string]int, failures map[string]int) {
+	type state struct {
+		attempts, failures int
+	}
+	// snapshot lists the queue's live tasks in the order a restart hands
+	// them out (pending in queue order, then any in flight by id), each
+	// with its failed attempts.
+	snapshot := func(q *Queue) (order []string, live map[string]state) {
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		leased = make(map[string]int)
-		failures = make(map[string]int)
+		live = make(map[string]state)
+		var leased []string
 		for _, tk := range q.pending {
 			if q.tasks[tk.ID] == tk && !tk.leased {
-				pending = append(pending, tk.ID)
+				order = append(order, tk.ID)
 			}
 		}
 		for id, tk := range q.tasks {
+			failed := tk.Attempt
 			if tk.leased {
-				leased[id] = tk.Attempt
+				failed--
+				leased = append(leased, id)
 			}
-			failures[id] = len(tk.failures)
+			live[id] = state{failed, len(tk.failures)}
 		}
-		return
+		sort.Strings(leased)
+		return append(order, leased...), live
 	}
-	wantPending, wantLeased, wantFailures := snapshot(q1)
+	wantOrder, wantLive := snapshot(q1)
+	if len(wantOrder) != 4 || wantLive[tasks[0].ID] != (state{1, 1}) || wantLive[inFlight[0].ID] != (state{0, 0}) {
+		t.Fatalf("history built order %v, live %+v", wantOrder, wantLive)
+	}
 
 	compact := func() int {
 		q1.mu.Lock()
@@ -480,37 +533,15 @@ func TestCompactionFixpoint(t *testing.T) {
 
 	q2, rec := reopenDurable(t, st, walPath)
 	defer q2.Close()
-	if rec.Pending+rec.Requeued != len(wantPending)+len(wantLeased) {
-		t.Fatalf("recovery = %+v, want %d live tasks", rec, len(wantPending)+len(wantLeased))
+	if rec.Pending != len(wantOrder) {
+		t.Fatalf("recovery = %+v, want %d live tasks", rec, len(wantOrder))
 	}
-	gotPending, _, gotFailures := snapshot(q2)
-	// Recovered order: the compacted pending order first, then requeued
-	// leases.
-	for i, id := range wantPending {
-		if i >= len(gotPending) || gotPending[i] != id {
-			t.Fatalf("pending after recovery = %v, want prefix %v", gotPending, wantPending)
-		}
+	gotOrder, gotLive := snapshot(q2)
+	if !slices.Equal(gotOrder, wantOrder) {
+		t.Errorf("pending after recovery = %v, want %v", gotOrder, wantOrder)
 	}
-	for id, attempt := range wantLeased {
-		q2.mu.Lock()
-		tk, ok := q2.tasks[id]
-		q2.mu.Unlock()
-		if !ok {
-			t.Fatalf("leased task %s lost in compaction", id)
-		}
-		if tk.Attempt != attempt {
-			t.Errorf("task %s attempt %d after recovery, want %d", id, tk.Attempt, attempt)
-		}
-	}
-	for id, n := range wantFailures {
-		// Requeued in-flight tasks gain one coordinator-restart entry.
-		extra := 0
-		if _, wasLeased := wantLeased[id]; wasLeased {
-			extra = 1
-		}
-		if got := gotFailures[id]; got != n+extra {
-			t.Errorf("task %s has %d failure entries after recovery, want %d", id, got, n+extra)
-		}
+	if !maps.Equal(gotLive, wantLive) {
+		t.Errorf("live tasks after recovery = %+v, want %+v", gotLive, wantLive)
 	}
 }
 
@@ -520,9 +551,9 @@ func TestCompactionFixpoint(t *testing.T) {
 func TestCompactionTriggersUnderChurn(t *testing.T) {
 	q, _, _, walPath := newDurable(t, t.TempDir())
 	defer q.Close()
-	// Each round is enqueue+lease+complete = 3 records with ~1 live task;
+	// Each round is enqueue+lease+complete = 1 record with ~1 live task;
 	// the trigger (>= 1024 records and >= 4x live) fires during the churn.
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 1100; i++ {
 		if _, err := q.Enqueue(spec(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -610,9 +641,10 @@ func TestStaleWorkerIDGetsNoLease(t *testing.T) {
 
 // TestRecoversParentWrittenWAL pins cross-version compatibility:
 // testdata/parent-farm.wal was written by the bpserve binary of the commit
-// before the queue moved onto store.Journal (974eda0), and must recover to
-// the same report, the same task ids and the same order that commit
-// recovered it to.
+// before the queue moved onto store.Journal (974eda0), which journaled
+// lease and complete records too. Replay skips those, so the log recovers
+// to the same task ids in a stable order, with attempts counted from its
+// requeue records, and the store alone decides which task completed.
 //
 // To regenerate (together with internal/service/testdata/parent-jobs.wal,
 // which comes from the same run), build bptool and bpserve from that
@@ -638,54 +670,76 @@ func TestRecoversParentWrittenWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	st, err := store.Open(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	walPath := filepath.Join(dir, "farm.wal")
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	q, rec, err := NewDurableQueue(st, testConfig(), walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
 	// 11 enqueues, 3 leases, a complete and a requeue; the 17th frame (a
-	// fourth lease) is torn, so task-000004 is still pending.
-	want := Recovery{Records: 16, Dropped: 70, Pending: 9, Requeued: 1, Completed: 1}
-	if rec != want {
-		t.Fatalf("recovery = %+v, want %+v", rec, want)
-	}
-	// Untouched tasks first in enqueue order, then the interrupted lease,
-	// then the task its worker failed back — each under its original id.
-	wantIDs := []string{"task-000004", "task-000005", "task-000006", "task-000007", "task-000008",
-		"task-000009", "task-000010", "task-000011", "task-000003", "task-000002"}
-	got := q.Lease("w-new", 20)
-	if len(got) != len(wantIDs) {
-		t.Fatalf("leased %d recovered tasks, want %d", len(got), len(wantIDs))
-	}
-	for i, task := range got {
-		wantAttempt := 1
-		if i >= 8 {
-			wantAttempt = 2 // both had used attempt 1 in the previous life
+	// fourth lease) is torn. Only the enqueues and the requeue shape the
+	// recovered queue.
+	enqueueOrder := []string{"task-000001", "task-000003", "task-000004", "task-000005", "task-000006",
+		"task-000007", "task-000008", "task-000009", "task-000010", "task-000011", "task-000002"}
+	recoverFixture := func(t *testing.T, stored bool) {
+		dir := t.TempDir()
+		st, err := store.Open(filepath.Join(dir, "store"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if task.ID != wantIDs[i] || task.Attempt != wantAttempt || task.TraceKey[:8] != "0d0f23f1" {
-			t.Errorf("task %d = %s attempt %d trace %.8s, want %s attempt %d", i, task.ID, task.Attempt, task.TraceKey, wantIDs[i], wantAttempt)
+		wantIDs, want := enqueueOrder, Recovery{Records: 16, Dropped: 70, Pending: 11}
+		if stored {
+			// The parent's store held task-000001's result when the log
+			// was captured; put it back.
+			s, _, _, err := replayWALReader(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, ok := s.tasks["task-000001"]
+			if !ok {
+				t.Fatal("replay dropped task-000001")
+			}
+			if err := st.PutArtifact(done.TraceKey, done.Artifact, resultJSON(t)); err != nil {
+				t.Fatal(err)
+			}
+			wantIDs, want = enqueueOrder[1:], Recovery{Records: 16, Dropped: 70, Pending: 10, StoreHits: 1}
 		}
+		walPath := filepath.Join(dir, "farm.wal")
+		if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		q, rec, err := NewDurableQueue(st, testConfig(), walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		if rec != want {
+			t.Fatalf("recovery = %+v, want %+v", rec, want)
+		}
+		// Every live task in enqueue order under its original id, except
+		// the one its worker failed back, which comes last on its second
+		// attempt; the tasks leased at the crash have used no attempt.
+		got := q.Lease("w-new", 20)
+		if len(got) != len(wantIDs) {
+			t.Fatalf("leased %d recovered tasks, want %d", len(got), len(wantIDs))
+		}
+		for i, task := range got {
+			wantAttempt := 1
+			if task.ID == "task-000002" {
+				wantAttempt = 2
+			}
+			if task.ID != wantIDs[i] || task.Attempt != wantAttempt || task.TraceKey[:8] != "0d0f23f1" {
+				t.Errorf("task %d = %s attempt %d trace %.8s, want %s attempt %d", i, task.ID, task.Attempt, task.TraceKey, wantIDs[i], wantAttempt)
+			}
+		}
+		q.mu.Lock()
+		failed, interrupted := q.tasks["task-000002"].failures, q.tasks["task-000003"].failures
+		q.mu.Unlock()
+		if len(failed) != 1 || !strings.Contains(failed[0], "fixture failure") {
+			t.Errorf("task-000002 failures = %v, want the journaled worker failure", failed)
+		}
+		if len(interrupted) != 0 {
+			t.Errorf("task-000003 failures = %v, want none", interrupted)
+		}
+		// Fresh ids cannot collide with any id the parent issued.
+		assertFreshID(t, q, got)
 	}
-	q.mu.Lock()
-	failed, interrupted := q.tasks["task-000002"].failures, q.tasks["task-000003"].failures
-	q.mu.Unlock()
-	if len(failed) != 1 || !strings.Contains(failed[0], "fixture failure") {
-		t.Errorf("task-000002 failures = %v, want the journaled worker failure", failed)
-	}
-	if len(interrupted) != 1 || !strings.Contains(interrupted[0], "coordinator restarted") {
-		t.Errorf("task-000003 failures = %v, want one coordinator-restart entry", interrupted)
-	}
-	// Fresh ids cannot collide with any id the parent issued.
-	assertFreshID(t, q, got)
+	t.Run("fresh-store", func(t *testing.T) { recoverFixture(t, false) })
+	t.Run("stored-result", func(t *testing.T) { recoverFixture(t, true) })
 }
 
 // TestLateUploadAfterRestartCompletesNothing: a worker finishing a lease

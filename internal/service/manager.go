@@ -172,15 +172,14 @@ func (m *Manager) Store() *store.Store { return m.st }
 // SetFarm attaches a distributed work queue; estimates may then farm
 // their barrierpoint simulations out to registered workers. Call it once,
 // before the first Submit. A durable queue (farm.NewDurableQueue) may
-// arrive already holding tasks recovered from its write-ahead log; a
-// re-submitted estimate job re-attaches to them through the queue's
-// TraceKey+artifact dedup in Enqueue, so a coordinator restart loses no
-// queued or in-flight simulation work.
+// arrive already holding tasks recovered from its write-ahead log, all
+// pending; a re-submitted estimate job re-attaches to them through the
+// queue's TraceKey+artifact dedup in Enqueue, so a coordinator restart
+// loses no queued or in-flight simulation work.
 func (m *Manager) SetFarm(q *farm.Queue) {
 	m.pipe.farm = q
 	if q != nil {
-		rec := q.Recovery()
-		m.farmRecovered.Store(int64(rec.Pending + rec.Requeued))
+		m.farmRecovered.Store(int64(q.Recovery().Pending))
 		q.Instrument(m.reg)
 	}
 }
@@ -288,8 +287,8 @@ func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
 // farm.ErrClosed instead of hanging until lease TTLs expire — their
 // completed points are already cached in the store, so a retry after
 // restart redoes only the unfinished ones. A durable farm queue keeps its
-// live tasks journaled in the write-ahead log across Close, so the next
-// coordinator recovers them outright.
+// unfinished tasks journaled in the write-ahead log across Close, so the
+// next coordinator recovers them as pending.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.closed {
