@@ -38,12 +38,13 @@
 // The same content keys drive in-memory replay caching: a ReplayCache
 // (NewReplayCache, OpenTraceCached) holds fully decoded regions of
 // recorded traces in a byte-bounded LRU, so pipeline stages that revisit
-// regions — warmup capture before SimulatePoints, estimate plus ground
-// truth over one trace — decode each region once and replay it zero-copy.
+// regions — mru+prev windows, estimate plus ground truth over one trace —
+// decode each region once and replay it zero-copy.
 // Cached and uncached replays produce bit-identical results.
 package barrierpoint
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -367,16 +368,16 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 	}
 	pass := NewPrefixPass(mc)
 	t0 := time.Now()
-	var err error
+	var err, pointErr error
 	for _, r := range regions {
-		var point func() RegionResult
+		var point func() (RegionResult, error)
 		if point, err = pass.Point(p, r, mode, lr.Observer); err != nil {
 			break
 		}
 		next <- func() {
-			res := point()
+			res, err := point()
 			mu.Lock()
-			out[r] = res
+			out[r], pointErr = res, cmp.Or(pointErr, err)
 			mu.Unlock()
 		}
 	}
@@ -385,7 +386,7 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 	}
 	close(next)
 	wg.Wait()
-	if err != nil {
+	if err = cmp.Or(err, pointErr); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -414,8 +415,9 @@ func mruCapacity(mc MachineConfig) int { return mc.L3.Lines() * mc.Sockets }
 // one from sim's free list (exact: see that package's comment) and returns
 // there once the result, which shares no memory with it, is in hand. Each
 // phase that runs is reported to obsrv as it ends; the first one includes
-// obtaining the machine.
-func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) RegionResult {
+// obtaining the machine. The pass that took the snapshot checked that the
+// regions before the point decode; the point's own region is checked here.
+func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) (RegionResult, error) {
 	t := time.Now()
 	lap := func(stage string) {
 		if obsrv != nil {
@@ -436,9 +438,10 @@ func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap war
 		}
 		lap("warm-prev")
 	}
-	res := m.RunRegion(p.Region(region))
+	r := trace.CheckedRegion{Region: p.Region(region)}
+	res := m.RunRegion(&r)
 	lap("point-detail")
-	return res
+	return res, r.Err()
 }
 
 // SimulatePoint runs the detailed simulation of a single selected region,
@@ -453,7 +456,7 @@ func SimulatePoint(p Program, region int, mc MachineConfig, mode WarmupMode) (Re
 	if err != nil {
 		return RegionResult{}, err
 	}
-	return point(), nil
+	return point()
 }
 
 // PrefixPass is the one producer of point simulations: the MRU prefix pass
@@ -493,7 +496,11 @@ func (pp *PrefixPass) Pos() int {
 // before it calls runPoint, and runPoint has no use for the snapshot after
 // the replay — live snapshots are bounded by the points waiting, not by the
 // points taken. p must stay open until the function returns.
-func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() RegionResult, error) {
+//
+// A region that fails to decode is an error: of the call if the pass tracked
+// it (the pass, half advanced, then starts over from region 0), and of the
+// function if it is the point's own region.
+func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() (RegionResult, error), error) {
 	if err := checkPoints(p, []int{region}, pp.mc); err != nil {
 		return nil, err
 	}
@@ -502,10 +509,18 @@ func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageO
 		if pp.pass == nil {
 			pp.pass = warmup.NewPass(pp.mc.Cores(), mruCapacity(pp.mc))
 		}
-		snap = pp.pass.Snapshot(p, region)
+		window := 0 // the regions runPoint replays in full before the point
+		if mode == MRUPrevWarmup {
+			window = prevWarmupWindow
+		}
+		var err error
+		if snap, err = pp.pass.Snapshot(p, region, window); err != nil {
+			pp.pass = nil
+			return nil, err
+		}
 	}
 	mc := pp.mc
-	return func() RegionResult {
+	return func() (RegionResult, error) {
 		s := snap
 		snap = nil
 		return runPoint(p, region, mc, mode, s, obsrv)

@@ -22,6 +22,7 @@ import (
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/warmup"
 	"barrierpoint/internal/workload"
 )
 
@@ -329,6 +330,31 @@ func BenchmarkIngestColdManyRegions(b *testing.B) {
 		m.Shutdown(context.Background())
 		os.RemoveAll(dir)
 		b.StartTimer()
+	}
+}
+
+// BenchmarkPrefixPassManyRegions measures the MRU prefix pass alone on the
+// same shape: a fresh pass over all 503 regions of npb-lu x0.2, read
+// access-only from the stored file with no replay cache, at the capacity of
+// one Table I LLC. Its target is to cost no more than the profiling inside
+// BenchmarkIngestColdManyRegions, measured in the same run.
+func BenchmarkPrefixPassManyRegions(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "npb-lu.bptrace")
+	if err := bp.SaveTrace(path, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
+		b.Fatal(err)
+	}
+	f, err := bp.OpenTrace(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	mc := bp.TableIMachine(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := warmup.NewPass(f.Threads(), mc.L3.Lines()*mc.Sockets).Snapshot(f, f.Regions(), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

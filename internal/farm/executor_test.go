@@ -3,7 +3,10 @@ package farm_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"sync"
@@ -270,5 +273,74 @@ func TestLocalWorkerRecordsFailedTaskSpan(t *testing.T) {
 	sp := q.WorkerSpans().ByTrace(traceID)[0]
 	if sp.End.IsZero() || sp.Attrs["error"] == "" {
 		t.Errorf("failed task's span not finished with its error: %+v", sp)
+	}
+}
+
+// TestExecutorDropsPassAfterDecodeError: a warm task whose advance hits a
+// chunk that does not decode fails, and the executor drops the pass it held,
+// since the pass half advanced: the next warm task of the trace restarts
+// from region 0 rather than resuming.
+func TestExecutorDropsPassAfterDecodeError(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := putTrace(t, st, "npb-ft", 8)
+	fresh := &freshPoints{st: st}
+	exec := farm.NewExecutor(st, bp.NewReplayCache(0))
+	task := func(region int) farm.Task {
+		return farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}
+	}
+	if _, err := exec.Execute(task(2), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.want(t, task(2))
+	path, err := st.TracePath(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptChunk(t, path, 3)
+	if res, err := exec.Execute(task(5), nil); err == nil {
+		t.Fatalf("a pass over a corrupt chunk returned %+v, and no error", res)
+	}
+	got, err := exec.Execute(task(2), nil)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("region 2 after the failure: %+v, %v; want %+v", got, err, want)
+	}
+	if stats, want := exec.PassStats(), (farm.PassStats{Restarted: 2, Regions: 4}); stats != want {
+		t.Errorf("pass stats %+v, want %+v: the failed pass was kept", stats, want)
+	}
+}
+
+// corruptChunk sets the continuation bit on the last byte of the chunk of
+// (region, thread 0) of the trace file at path, in place: the framing holds,
+// and the chunk's last varint runs off its end.
+func corruptChunk(t *testing.T, path string, region int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data[8:]) // past the magic: the streaming header
+	nameLen, _ := binary.ReadUvarint(r)
+	r.Seek(int64(nameLen), io.SeekCurrent)
+	threads, _ := binary.ReadUvarint(r)
+	binary.ReadUvarint(r) // regions
+	r.ReadByte()          // flags
+	for c := 0; c <= region*int(threads); c++ {
+		n, _ := binary.ReadUvarint(r)
+		r.Seek(int64(n), io.SeekCurrent)
+	}
+	end := len(data) - r.Len()
+	if err := os.Chmod(path, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{data[end-1] | 0x80}, int64(end-1)); err != nil {
+		t.Fatal(err)
 	}
 }

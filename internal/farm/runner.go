@@ -118,7 +118,12 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	}
 	from, t0 := pass.Pos(), time.Now()
 	point, err := pass.Point(prog, t.Region, mode, span.ObserveConcurrent)
-	if err != nil { // rejected before tracking anything: the held pass stays
+	if err != nil {
+		// A rejected task leaves the pass where it was; a decode error sends it
+		// back to region 0, and the next warm task counts a restart.
+		if pass.Pos() != from {
+			e.pass = nil
+		}
 		f.Close()
 		return nil, err
 	}
@@ -136,7 +141,7 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	}
 	return func() (bp.RegionResult, error) {
 		defer f.Close()
-		return point(), nil
+		return point()
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"cmp"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"barrierpoint/internal/profile"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/trace"
 	"barrierpoint/internal/tracefile"
 )
 
@@ -52,6 +55,7 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		created  []string                  // digests whose profile entry this ingest created
 		computed int
 		cached   atomic.Int64
+		corrupt  error // the first region that failed to decode
 	)
 	// publish publishes the pending profiles if at least atLeast are pending.
 	publish := func(atLeast int) error {
@@ -99,9 +103,14 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 					cached.Add(1)
 					continue
 				}
-				blob := signature.EncodeRegionData(profile.Region(rc.Region(), len(rc.Chunks)))
+				r := trace.CheckedRegion{Region: rc.Region()}
+				blob := signature.EncodeRegionData(profile.Region(&r, len(rc.Chunks)))
 				mu.Lock()
-				pending[rc.Digest] = blob
+				if err := r.Err(); err != nil {
+					corrupt = cmp.Or(corrupt, fmt.Errorf("%w: region %d: %w", tracefile.ErrFormat, rc.Index, err))
+				} else {
+					pending[rc.Digest] = blob
+				}
 				mu.Unlock()
 			}
 		}()
@@ -129,7 +138,7 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		})
 	}
 	info, err := decode()
-	if err == nil {
+	if err = cmp.Or(err, corrupt); err == nil {
 		err = publish(0)
 	}
 	if err != nil {

@@ -202,6 +202,35 @@ func TestIngestFailureLeavesNoOrphans(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsUndecodableChunk: a chunk whose framing is intact but
+// whose records do not decode — the continuation bit set on its last byte,
+// so its last varint runs off the end — fails the upload with ErrFormat and
+// stores nothing, rather than profiling the truncated stream.
+func TestIngestRejectsUndecodableChunk(t *testing.T) {
+	data := recordTrace(t)
+	var first []byte // chunk (region 0, thread 0): nothing before it but the header
+	if _, err := tracefile.DecodeStream(bytes.NewReader(data), func(rc tracefile.RegionChunks) error {
+		if rc.Index == 0 {
+			first = rc.Chunks[0]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data[bytes.Index(data, first)+len(first)-1] |= 0x80
+	m, st := newManager(t)
+	if _, err := m.IngestTrace(bytes.NewReader(data)); !errors.Is(err, tracefile.ErrFormat) {
+		t.Fatalf("ingest of an undecodable chunk: err = %v, want ErrFormat", err)
+	}
+	traces, err := st.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := storedProfiles(t, st); len(traces) != 0 || n != 0 {
+		t.Fatalf("refused upload left traces %v and %d profiles", traces, n)
+	}
+}
+
 // TestDurablePublishCounts pins the store's fsync budget on the end-to-end
 // benchmark's cold-many-regions shape (npb-lu x0.2: 503 regions, 43
 // distinct). A cold upload is three durable publishes — the profile pack,

@@ -105,6 +105,11 @@ func TestJobSpanAndStageTimings(t *testing.T) {
 	if capture <= 0 || capture > simulate {
 		t.Fatalf("warmup-capture = %d ns, want within (0, simulate-points = %d ns]", capture, simulate)
 	}
+	// The job's decodes are on the trace-decode clock, the prefix pass's
+	// included, though it reads past the replay cache.
+	if stageNs(sp, "trace-decode") <= 0 {
+		t.Fatalf("a cold mru estimate recorded no trace-decode: %+v", sp.Stages)
+	}
 
 	// The recorder holds the span under its trace ID, and the counters
 	// advanced.

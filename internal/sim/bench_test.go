@@ -74,7 +74,11 @@ func BenchmarkWarmAccessReplay(b *testing.B) {
 	prog := benchProgram()
 	cfg := sim.TableI(1)
 	last := prog.Regions() - 1
-	snap := warmup.Capture(prog, []int{last}, cfg.L3.Lines()*cfg.Sockets)[last]
+	snaps, err := warmup.Capture(prog, []int{last}, cfg.L3.Lines()*cfg.Sockets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := snaps[last]
 	var accesses uint64
 	for _, entries := range snap {
 		accesses += uint64(len(entries))

@@ -49,6 +49,39 @@ type Stream interface {
 	Next(be *BlockExec) bool
 }
 
+// Err returns the error s ended on, once Next has returned false: a stream
+// decoded from a recorded trace reports a corrupt chunk through an Err
+// method, and a stream without one never fails.
+func Err(s Stream) error {
+	if es, ok := s.(interface{ Err() error }); ok {
+		return es.Err()
+	}
+	return nil
+}
+
+// CheckedRegion keeps the streams it hands out, so that the errors they end
+// on outlive a consumer that has none of its own (sim.Machine.RunRegion,
+// profile.Region). Unlike a Region, it is not safe for concurrent use.
+type CheckedRegion struct {
+	Region
+	streams []Stream
+}
+
+func (r *CheckedRegion) Thread(tid int) Stream {
+	r.streams = append(r.streams, r.Region.Thread(tid))
+	return r.streams[len(r.streams)-1]
+}
+
+// Err returns the first error a stream handed out ended on.
+func (r *CheckedRegion) Err() error {
+	for _, s := range r.streams {
+		if err := Err(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Region is one inter-barrier region: the work done by every thread between
 // two consecutive global barriers.
 type Region interface {

@@ -19,12 +19,13 @@ const DefaultRegionCacheBytes int64 = 256 << 20
 
 // RegionCache is a bounded, content-keyed LRU cache of fully decoded
 // inter-barrier regions. Replaying a region from a recorded trace costs a
-// gunzip plus a varint decode of every chunk, and the pipeline replays the
-// same regions many times over — warmup capture walks the prefix before
-// every selected point, estimate and ground-truth jobs revisit identical
-// regions, and campaign grids sweep many configurations over one trace.
-// The cache pays the decode once and serves every later replay from
-// memory as a zero-copy, zero-allocation trace.Stream.
+// gunzip plus a varint decode of every chunk, and the pipeline replays some
+// regions many times over — mru+prev points replay the windows before them,
+// estimate and ground-truth jobs revisit identical regions, and campaign
+// grids sweep many configurations over one trace. The cache pays the decode
+// once and serves every later replay from memory as a zero-copy,
+// zero-allocation trace.Stream. The prefix pass, which reads each region
+// once, goes past it (cachedProgram.AppendAccesses).
 //
 // # Keys and identity
 //
@@ -211,6 +212,47 @@ func (r *cachedRegion) Thread(tid int) trace.Stream {
 	return s
 }
 
+// AppendAccesses is File.AppendAccesses through the cache, for the MRU
+// prefix pass: a region the cache holds (or is decoding) is read from
+// memory, and any other is decoded straight from the underlying program and
+// not inserted, so a pass over a whole trace leaves the cache holding only
+// the regions replayed in full. Such a decode counts as a miss, and its time
+// goes on the decode clock.
+func (cp *cachedProgram) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
+	c := cp.c
+	c.mu.Lock()
+	el, ok := c.entries[regionKey{cp.id, region}]
+	if ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+	}
+	c.mu.Unlock()
+	if ok {
+		e := el.Value.(*cacheEntry)
+		<-e.ready
+		if e.err == nil {
+			return appendEntries(dst, e.threads[tid].accs), nil
+		}
+	}
+	t0 := time.Now()
+	var err error
+	if f, ok := cp.p.(*File); ok {
+		dst, err = f.AppendAccesses(dst, region, tid)
+	} else {
+		s := cp.p.Region(region).Thread(tid)
+		var be trace.BlockExec
+		for s.Next(&be) {
+			dst = appendEntries(dst, be.Accs)
+		}
+		err = trace.Err(s)
+	}
+	c.mu.Lock()
+	c.misses++
+	c.decodeNs += time.Since(t0).Nanoseconds()
+	c.mu.Unlock()
+	return dst, err
+}
+
 // region returns the decoded entry for one region, decoding at most once
 // per key across concurrent callers. A nil return means the region is
 // known uncacheable and the caller must stream it directly.
@@ -324,10 +366,8 @@ func decodeRegion(p trace.Program, idx int, limit int64) ([]decodedThread, int64
 			sc.blocks = append(sc.blocks, blockRec{int64(be.Block), int64(be.Instrs), uint32(len(be.Accs)), be.Branch, be.Taken})
 			sc.accs = append(sc.accs, be.Accs...)
 		}
-		if es, ok := s.(interface{ Err() error }); ok {
-			if err := es.Err(); err != nil {
-				return nil, 0, err
-			}
+		if err := trace.Err(s); err != nil {
+			return nil, 0, err
 		}
 		out[t] = decodedThread{slices.Clip(slices.Clone(sc.blocks)), slices.Clip(slices.Clone(sc.accs))}
 	}

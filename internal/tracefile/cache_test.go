@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -73,6 +74,44 @@ func TestRegionCacheBitIdentical(t *testing.T) {
 				t.Errorf("stats = %+v, want %d misses and some hits", st, f.Regions())
 			}
 		})
+	}
+}
+
+// TestAppendAccessesThroughCache: the access-only read of a cache view
+// equals the file's, cached or not; a region the cache does not hold is
+// decoded past it — a miss on the decode clock, nothing inserted — and one
+// it holds is a hit.
+func TestAppendAccessesThroughCache(t *testing.T) {
+	for _, gz := range []bool{false, true} {
+		f := record(t, workload.New("npb-ft", 4, workload.WithScale(0.05)), WithGzip(gz))
+		c := NewRegionCache(64 << 20)
+		cp := c.Program(f, "access-only").(*cachedProgram)
+		n := int64(f.Regions() * f.Threads())
+		check := func(what string) {
+			for r := 0; r < f.Regions(); r++ {
+				for tid := 0; tid < f.Threads(); tid++ {
+					want, err := f.AppendAccesses(nil, r, tid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := cp.AppendAccesses(nil, r, tid); err != nil || !slices.Equal(got, want) {
+						t.Fatalf("gzip=%v region %d thread %d: %s read differs (%v)", gz, r, tid, what, err)
+					}
+				}
+			}
+		}
+		check("uncached")
+		if st := c.Stats(); st.Entries != 0 || st.Misses != n || st.Hits != 0 || st.DecodeNs <= 0 {
+			t.Errorf("gzip=%v: uncached reads left stats %+v, want %d misses on the decode clock and nothing held", gz, st, n)
+		}
+		for r := 0; r < f.Regions(); r++ {
+			drainAny(cp.Region(r).Thread(0))
+		}
+		before := c.Stats()
+		check("cached")
+		if st := c.Stats(); st.Entries != f.Regions() || st.Misses != before.Misses || st.Hits-before.Hits != n || st.DecodeNs != before.DecodeNs {
+			t.Errorf("gzip=%v: cached reads moved stats %+v to %+v, want %d hits and nothing else", gz, before, st, n)
+		}
 	}
 }
 

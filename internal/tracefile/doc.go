@@ -101,18 +101,21 @@
 //
 // # Replay caching
 //
-// Replay is a cold decode by default: every Region/Thread call re-reads,
-// re-inflates (for gzip traces) and re-varint-decodes its chunk. Decoding
-// state is pooled process-wide — gzip inflaters and bufio buffers are
-// reused across streams — so even cold replay allocates only per-stream
-// bookkeeping. For workloads that replay regions repeatedly (warmup
-// capture, estimate+simulate pairs, campaign grids), RegionCache keeps
-// fully decoded regions in a byte-bounded LRU keyed by trace content, and
-// serves them as zero-copy, zero-allocation streams; see RegionCache for
-// the keying, bounding and equivalence contract. The cache defaults to
-// DefaultRegionCacheBytes (256 MiB) and is exposed as -replay-cache-mb on
-// cmd/bpserve and cmd/bpworker, and as barrierpoint.NewReplayCache in the
-// public API.
+// Replay is a cold decode by default: every Region/Thread call reads its
+// chunk's payload with one ReadAt (inflating a gzip chunk whole) into a
+// pooled buffer and varint-decodes it from memory, so an open stream costs
+// O(chunk) and cold replay allocates only per-stream bookkeeping. The MRU
+// prefix pass reads even less: AppendAccesses decodes a chunk straight into
+// line addresses and write flags, building no block records. For regions
+// replayed in full more than once (point regions and their mru+prev
+// windows, estimate+simulate pairs, campaign grids), RegionCache keeps fully
+// decoded regions in a byte-bounded LRU keyed by trace content and serves
+// them as zero-copy, zero-allocation streams; the prefix pass reads from it
+// but never fills it, so it holds the point regions, not the trace's prefix.
+// See RegionCache for the keying, bounding and equivalence contract. The
+// cache defaults to DefaultRegionCacheBytes (256 MiB) and is exposed as
+// -replay-cache-mb on cmd/bpserve and cmd/bpworker, and as
+// barrierpoint.NewReplayCache in the public API.
 //
 // # Versioning
 //

@@ -1,8 +1,9 @@
 package tracefile
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -74,117 +75,184 @@ func encodeChunk(buf []byte, s trace.Stream) ([]byte, error) {
 	return buf, nil
 }
 
-// chunkStream decodes one chunk back into a trace.Stream. It reads lazily
-// from r (a bounded view of the file, already decompressed if needed), so
-// its memory footprint is one bufio buffer regardless of chunk size.
+// errOverflow is what a varint longer than 64 bits fails with; the text is
+// encoding/binary's.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// chunkStream decodes one chunk back into a trace.Stream from the chunk's
+// whole payload in memory (see openChunkStream): the chunk's bytes in place
+// for an uncompressed in-memory region, otherwise a pooled buffer. Its
+// footprint is that payload plus one record's accesses.
 type chunkStream struct {
-	br        *bufio.Reader
-	cr        *chunkReader // pooled readers, returned when the stream ends
+	buf []byte // the payload; records decode from buf[pos:]
+	pos int
+	// tail is the error the payload ended on, if it ended early (a failed
+	// inflate): records before it decode, and it is reported where the bytes
+	// run out, as a lazily read stream would have.
+	tail      error
+	cb        *chunkBuf // pooled storage, returned when the stream stops
 	prevBlock int64
 	prevAddr  uint64
-	accs      []trace.Access
-	writeMask []byte
+	accs      []trace.Access // the current record's accesses
 	err       error
 	done      bool
-}
-
-func newChunkStream(r io.Reader) *chunkStream {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	return &chunkStream{br: br}
 }
 
 // Next implements trace.Stream. The Accs backing array is reused between
 // calls, as the Stream contract allows. Decoding errors terminate the
 // stream and are reported by Err.
 func (s *chunkStream) Next(be *trace.BlockExec) bool {
-	if s.done {
+	hdr, instrs, ok := s.record()
+	if !ok {
 		return false
 	}
-	hdr, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		s.done = true
-		if err != io.EOF { // EOF at a record boundary is the clean end
-			s.fail(err)
-		} else {
-			s.releaseReader()
-		}
-		return false
+	be.Block, be.Instrs = int(s.prevBlock), int(instrs)
+	be.Branch, be.Taken = hdr&2 != 0, hdr&1 != 0
+	be.Accs = nil
+	if len(s.accs) > 0 {
+		be.Accs = s.accs
 	}
-	naccs := hdr >> 2
-	if naccs > maxAccs {
-		s.fail(fmt.Errorf("block declares %d accesses (max %d)", naccs, maxAccs))
-		return false
-	}
-	delta, err := binary.ReadVarint(s.br)
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	s.prevBlock += delta
-	instrs, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	*be = trace.BlockExec{
-		Block:  int(s.prevBlock),
-		Instrs: int(instrs),
-		Branch: hdr&2 != 0,
-		Taken:  hdr&1 != 0,
-	}
-	if naccs == 0 {
-		be.Accs = nil
-		return true
-	}
-	maskLen := int(naccs+7) / 8
-	if cap(s.writeMask) < maskLen {
-		s.writeMask = make([]byte, maskLen)
-	}
-	mask := s.writeMask[:maskLen]
-	if _, err := io.ReadFull(s.br, mask); err != nil {
-		s.fail(err)
-		return false
-	}
-	if cap(s.accs) < int(naccs) {
-		s.accs = make([]trace.Access, naccs)
-	}
-	accs := s.accs[:naccs]
-	for i := range accs {
-		d, err := binary.ReadVarint(s.br)
-		if err != nil {
-			s.fail(err)
-			return false
-		}
-		s.prevAddr += uint64(d)
-		accs[i] = trace.Access{
-			Addr:  s.prevAddr,
-			Write: mask[i/8]&(1<<(i%8)) != 0,
-		}
-	}
-	be.Accs = accs
 	return true
 }
 
-func (s *chunkStream) fail(err error) {
-	s.done = true
-	if s.err == nil {
-		s.err = fmt.Errorf("tracefile: corrupt chunk: %w", err)
+// appendAccesses drains the stream, appending LineAddr(addr)<<1 | write for
+// every access to dst, and returns dst and the stream's Err. It decodes
+// every record through record, as Next does, so the two accept and reject
+// the same bytes; it just builds no BlockExec.
+func (s *chunkStream) appendAccesses(dst []uint64) ([]uint64, error) {
+	for {
+		if _, _, ok := s.record(); !ok {
+			return dst, s.err
+		}
+		dst = appendEntries(dst, s.accs)
 	}
-	s.releaseReader()
 }
 
-// releaseReader returns the pooled chunk readers once the stream has no
-// further use for them (clean EOF or decode failure). The stream object
-// itself — including the Err state — stays valid for the caller.
-func (s *chunkStream) releaseReader() {
-	if s.cr != nil {
-		chunkReaderPool.Put(s.cr)
-		s.cr = nil
-		s.br = nil
+// appendEntries appends LineAddr(addr)<<1 | write for every access to dst.
+func appendEntries(dst []uint64, accs []trace.Access) []uint64 {
+	for _, a := range accs {
+		e := trace.LineAddr(a.Addr) << 1
+		if a.Write {
+			e |= 1
+		}
+		dst = append(dst, e)
 	}
+	return dst
+}
+
+// record decodes the next block record: it returns the header and
+// instruction count, advances prevBlock and leaves the accesses in s.accs.
+// At the end of the payload or on a decode error it stops the stream and
+// returns false; reads past a stop return zeros, checked where they count.
+func (s *chunkStream) record() (hdr, instrs uint64, ok bool) {
+	if !s.done && s.pos == len(s.buf) { // between records: the clean end
+		s.stop(s.tail)
+	}
+	if s.done {
+		return 0, 0, false
+	}
+	hdr = s.uvarint()
+	naccs := hdr >> 2
+	if naccs > maxAccs {
+		s.stop(fmt.Errorf("block declares %d accesses (max %d)", naccs, maxAccs))
+	}
+	s.prevBlock += zigzag(s.uvarint())
+	instrs = s.uvarint()
+	maskLen := int(naccs+7) / 8
+	if !s.done && len(s.buf)-s.pos < maskLen {
+		s.short(s.pos < len(s.buf))
+	}
+	if s.done {
+		return 0, 0, false
+	}
+	mask := s.buf[s.pos : s.pos+maskLen]
+	s.pos += maskLen
+	if cap(s.accs) < int(naccs) {
+		s.accs = make([]trace.Access, naccs)
+	}
+	accs, addr := s.accs[:naccs], s.prevAddr
+	for i := range accs {
+		addr += uint64(zigzag(s.uvarint()))
+		if s.done { // accs is back in the pool
+			return 0, 0, false
+		}
+		accs[i] = trace.Access{Addr: addr, Write: mask[i/8]&(1<<(i%8)) != 0}
+	}
+	s.accs, s.prevAddr = accs, addr
+	return hdr, instrs, true
+}
+
+// uvarint decodes the next uvarint. Where binary.Uvarint decodes one, the
+// io.ByteReader decoder (ReadUvarint) decodes the same; uvarintLong does the
+// rest.
+func (s *chunkStream) uvarint() uint64 {
+	x, n := binary.Uvarint(s.buf[s.pos:])
+	if n <= 0 {
+		return s.uvarintLong()
+	}
+	s.pos += n
+	return x
+}
+
+// zigzag maps a uvarint back to the signed value a varint encodes.
+func zigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// uvarintLong is uvarint's general case. It accepts and rejects exactly what
+// encoding/binary's ReadUvarint does, and fails with the same errors.
+func (s *chunkStream) uvarintLong() uint64 {
+	var x uint64
+	var shift uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if s.pos == len(s.buf) {
+			s.short(i > 0)
+			return 0
+		}
+		b := s.buf[s.pos]
+		s.pos++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<shift
+		}
+		x |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	s.stop(errOverflow)
+	return 0
+}
+
+// short stops the stream where the payload ends inside a record, with the
+// errors of ReadUvarint and io.ReadFull: io.ErrUnexpectedEOF inside a field,
+// io.EOF before one — or the tail error, if the payload ended on one.
+func (s *chunkStream) short(inField bool) {
+	err := io.EOF
+	if inField {
+		err = io.ErrUnexpectedEOF
+	}
+	s.stop(cmp.Or(s.tail, err))
+}
+
+// stop ends the stream on err (nil at the clean end) and returns its pooled
+// storage. The stream object itself — including the Err state — stays
+// valid for the caller.
+func (s *chunkStream) stop(err error) {
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("tracefile: corrupt chunk: %w", err)
+	}
+	s.done, s.buf, s.pos = true, nil, 0
+	if s.cb != nil {
+		s.cb.accs = s.accs
+		chunkBufPool.Put(s.cb)
+		s.cb = nil
+	}
+	s.accs = nil
 }
 
 // Err reports the first decoding error encountered, if any. A truncated or

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -101,7 +102,9 @@ func FuzzOpen(f *testing.F) {
 
 // FuzzReplay goes further: any file the reader accepts is fully decoded,
 // chunk by chunk. Corrupt chunk contents must surface as stream errors
-// (or clean truncation), never as panics or unbounded allocations.
+// (or clean truncation), never as panics or unbounded allocations. The
+// access-only reader must agree with the stream on every chunk: the same
+// (line, write) sequence, and an error exactly when the stream has one.
 func FuzzReplay(f *testing.F) {
 	for _, s := range allSeeds(f) {
 		f.Add(s)
@@ -116,14 +119,19 @@ func FuzzReplay(f *testing.F) {
 			region := tf.Region(r)
 			for tid := 0; tid < tf.Threads(); tid++ {
 				s := region.Thread(tid)
+				var streamed []uint64
 				for s.Next(&be) {
 					if len(be.Accs) > maxAccs {
 						t.Fatalf("region %d thread %d: block with %d accesses escaped the cap", r, tid, len(be.Accs))
 					}
+					streamed = appendEntries(streamed, be.Accs)
 				}
 				// A decode error is fine; it just must be reported, not
-				// swallowed by a panic.
-				_ = s.(*chunkStream).Err()
+				// swallowed by a panic, and by both readers.
+				only, err := tf.AppendAccesses(nil, r, tid)
+				if serr := s.(*chunkStream).Err(); (err == nil) != (serr == nil) || !slices.Equal(only, streamed) {
+					t.Fatalf("region %d thread %d: access-only reader %d entries (%v), stream %d (%v)", r, tid, len(only), err, len(streamed), serr)
+				}
 			}
 		}
 	})
@@ -133,7 +141,9 @@ func FuzzReplay(f *testing.F) {
 // streaming decoder must error out, never panic or allocate unboundedly,
 // and any region it does deliver must replay without panicking. Whatever
 // it accepts, NewReader accepts too, with the same shape and the same
-// region digests: a trace an upload stores always opens.
+// region digests: a trace an upload stores always opens. Its access-only
+// reader then agrees with the regions the decoder delivered, chunk by chunk,
+// on the (line, write) sequence and on whether the chunk decodes.
 func FuzzDecodeStream(f *testing.F) {
 	for _, s := range allSeeds(f) {
 		f.Add(s)
@@ -141,16 +151,21 @@ func FuzzDecodeStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var be trace.BlockExec
 		var digests []string
+		var streamed [][]uint64 // per chunk, in file order
+		var decodes []bool
 		info, err := DecodeStream(bytes.NewReader(data), func(rc RegionChunks) error {
 			digests = append(digests, rc.Digest)
 			region := rc.Region()
 			for tid := range rc.Chunks {
 				s := region.Thread(tid)
+				var entries []uint64
 				for s.Next(&be) {
 					if len(be.Accs) > maxAccs {
 						t.Fatalf("region %d thread %d: block with %d accesses escaped the cap", rc.Index, tid, len(be.Accs))
 					}
+					entries = appendEntries(entries, be.Accs)
 				}
+				streamed, decodes = append(streamed, entries), append(decodes, s.(*chunkStream).Err() == nil)
 			}
 			return nil
 		})
@@ -167,6 +182,12 @@ func FuzzDecodeStream(f *testing.F) {
 		for i, want := range digests {
 			if got, err := tf.RegionDigest(i); err != nil || got != want {
 				t.Fatalf("region %d: file digest %s (%v), stream digest %s", i, got, err, want)
+			}
+			for tid := 0; tid < tf.Threads(); tid++ {
+				c := i*tf.Threads() + tid
+				if only, err := tf.AppendAccesses(nil, i, tid); (err == nil) != decodes[c] || !slices.Equal(only, streamed[c]) {
+					t.Fatalf("region %d thread %d: access-only reader %d entries (%v), streamed region %d (decodes %v)", i, tid, len(only), err, len(streamed[c]), decodes[c])
+				}
 			}
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"barrierpoint/internal/trace"
@@ -271,66 +272,38 @@ func (f *File) Region(i int) trace.Region {
 	return &fileRegion{f: f, idx: i}
 }
 
-// sectReader is a resettable equivalent of io.SectionReader, so a pooled
-// chunkReader carries no per-stream allocations.
-type sectReader struct {
-	ra       io.ReaderAt
-	off, end int64
+// chunkBuf is the pooled storage behind a chunkStream: the payload read off
+// the file, the inflated payload, the gzip inflater (~40 KiB of state fresh)
+// and the record access buffer. A stream returns it when it stops; abandoned
+// streams leave theirs to the GC, and the pool refills on demand.
+type chunkBuf struct {
+	raw  []byte
+	out  bytes.Buffer
+	src  bytes.Reader // over the compressed payload while inflating
+	zr   gzip.Reader
+	accs []trace.Access
 }
 
-func (r *sectReader) Read(p []byte) (int, error) {
-	if r.off >= r.end {
-		return 0, io.EOF
-	}
-	if max := r.end - r.off; int64(len(p)) > max {
-		p = p[:max]
-	}
-	n, err := r.ra.ReadAt(p, r.off)
-	r.off += int64(n)
-	return n, err
-}
+var chunkBufPool = sync.Pool{New: func() any { return new(chunkBuf) }}
 
-// chunkReader bundles the readers a replay stream needs — the bounded file
-// view, its bufio buffer, and (for compressed traces) the gzip inflater
-// plus its own bufio buffer. A fresh gzip.Reader costs ~40 KiB of window
-// and Huffman state per chunk, and the seed allocated one per thread per
-// region per replay; the pool reuses them across every stream opened by
-// any File in the process. chunkStream returns its reader to the pool when
-// the stream is exhausted or fails (abandoned streams are simply collected
-// by the GC and the pool refills on demand).
-type chunkReader struct {
-	sect sectReader
-	br   *bufio.Reader // over sect
-	zr   gzip.Reader   // over br (gzip traces only)
-	zbr  *bufio.Reader // over zr (gzip traces only)
-}
-
-var chunkReaderPool = sync.Pool{New: func() any {
-	return &chunkReader{
-		br:  bufio.NewReader(nil),
-		zbr: bufio.NewReader(nil),
-	}
-}}
-
-// openChunkStream builds a pooled-reader decode stream over the payload
-// bytes [off, end) of ra, inflating when gz is set. This is the single
-// path behind File replay and the in-memory regions DecodeStream hands to
-// the ingest profiler, so the two cannot decode differently.
-func openChunkStream(ra io.ReaderAt, off, end int64, gz bool) (*chunkStream, error) {
-	cr := chunkReaderPool.Get().(*chunkReader)
-	cr.sect = sectReader{ra: ra, off: off, end: end}
-	cr.br.Reset(&cr.sect)
-	src := cr.br
+// openChunkStream returns a decode stream over one chunk's payload: in place
+// if uncompressed, else inflated whole into cb, keeping what an inflate that
+// fails midway produced (the stream delivers those records, then the
+// error). This is the single path behind File replay and the in-memory
+// regions DecodeStream hands to the ingest profiler.
+func openChunkStream(cb *chunkBuf, payload []byte, gz bool) (*chunkStream, error) {
+	s := &chunkStream{buf: payload, cb: cb, accs: cb.accs}
 	if gz {
-		if err := cr.zr.Reset(cr.br); err != nil {
-			chunkReaderPool.Put(cr)
+		cb.src.Reset(payload)
+		if err := cb.zr.Reset(&cb.src); err != nil {
+			chunkBufPool.Put(cb)
 			return nil, err
 		}
-		cr.zbr.Reset(&cr.zr)
-		src = cr.zbr
+		cb.out.Reset()
+		_, s.tail = cb.out.ReadFrom(&cb.zr)
+		cb.src.Reset(nil) // hold no reference to an in-memory region's bytes
+		s.buf = cb.out.Bytes()
 	}
-	s := newChunkStream(src)
-	s.cr = cr
 	return s, nil
 }
 
@@ -338,26 +311,44 @@ func openChunkStream(ra io.ReaderAt, off, end int64, gz bool) (*chunkStream, err
 // Replay itself never requires this; it exists for integrity checks
 // (bptool info -verify) and tests.
 func (f *File) Verify() error {
-	var be trace.BlockExec
-	for r := 0; r < f.regions; r++ {
-		for t := 0; t < f.threads; t++ {
-			s, err := f.stream(r, t)
-			if err != nil {
-				return err
-			}
-			for s.Next(&be) {
-			}
-			if err := s.Err(); err != nil {
-				return fmt.Errorf("tracefile: region %d thread %d: %w", r, t, err)
-			}
-		}
+	var buf []uint64
+	var err error
+	for c := 0; c < len(f.off) && err == nil; c++ {
+		buf, err = f.AppendAccesses(buf[:0], c/f.threads, c%f.threads)
 	}
-	return nil
+	return err
 }
 
+// AppendAccesses appends LineAddr(addr)<<1 | write for every access of thread
+// tid in region to dst, in stream order, and returns dst and the chunk's
+// decode error. It decodes the chunk as Region(region).Thread(tid) does, and
+// accepts and rejects the same bytes, but builds no block records: the MRU
+// prefix pass (internal/warmup) reads nothing else.
+func (f *File) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
+	s, err := f.stream(region, tid)
+	if err != nil {
+		return dst, err
+	}
+	if dst, err = s.appendAccesses(dst); err != nil {
+		return dst, fmt.Errorf("tracefile: region %d thread %d: %w", region, tid, err)
+	}
+	return dst, nil
+}
+
+// stream opens the chunk of one region and thread, reading its payload with
+// one ReadAt.
 func (f *File) stream(region, tid int) (*chunkStream, error) {
 	i := region*f.threads + tid
-	s, err := openChunkStream(f.ra, f.off[i], f.end[i], f.gzip)
+	n := int(f.end[i] - f.off[i])
+	cb := chunkBufPool.Get().(*chunkBuf)
+	cb.raw = slices.Grow(cb.raw[:0], n)[:n]
+	var s *chunkStream
+	got, err := f.ra.ReadAt(cb.raw, f.off[i])
+	if got == n { // a short read's err is never nil
+		s, err = openChunkStream(cb, cb.raw, f.gzip)
+	} else {
+		chunkBufPool.Put(cb)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tracefile: region %d thread %d: %w", region, tid, err)
 	}

@@ -102,9 +102,9 @@ type RegionChunks struct {
 }
 
 // Region returns an in-memory trace.Region replaying the chunks. Decoding
-// goes through the same pooled chunk readers as File replay, so a region
-// profiled during upload and the same region profiled later from the
-// stored file observe bit-identical streams.
+// goes through the same chunk decoder as File replay, so a region profiled
+// during upload and the same region profiled later from the stored file
+// observe bit-identical streams; an uncompressed chunk decodes in place.
 func (rc RegionChunks) Region() trace.Region {
 	return &memRegion{chunks: rc.Chunks, gz: rc.Gzip}
 }
@@ -118,8 +118,7 @@ func (r *memRegion) Thread(tid int) trace.Stream {
 	if tid < 0 || tid >= len(r.chunks) {
 		panic(fmt.Sprintf("tracefile: thread %d out of range [0,%d)", tid, len(r.chunks)))
 	}
-	b := r.chunks[tid]
-	s, err := openChunkStream(bytes.NewReader(b), 0, int64(len(b)), r.gz)
+	s, err := openChunkStream(chunkBufPool.Get().(*chunkBuf), r.chunks[tid], r.gz)
 	if err != nil {
 		return &chunkStream{err: fmt.Errorf("tracefile: thread %d: %w", tid, err), done: true}
 	}

@@ -15,7 +15,7 @@ func BenchmarkWarmupCapture(b *testing.B) {
 	points := []int{3, 10, 18, 25, 33, 44}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := Capture(p, points, 131072); len(got) != len(points) {
+		if got := capture(b, p, points, 131072); len(got) != len(points) {
 			b.Fatalf("captured %d snapshots, want %d", len(got), len(points))
 		}
 	}

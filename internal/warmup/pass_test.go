@@ -64,7 +64,10 @@ func TestPassResumesBitIdentical(t *testing.T) {
 				}
 				from := ps.Pos()
 				p := &countingProgram{Program: base}
-				got := ps.Snapshot(p, at)
+				got, err := ps.Snapshot(p, at, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if ps.Pos() != at {
 					t.Fatalf("%s seed %d: Pos = %d after Snapshot(%d)", name, seed, ps.Pos(), at)
 				}
@@ -79,7 +82,7 @@ func TestPassResumesBitIdentical(t *testing.T) {
 					t.Fatalf("%s seed %d: region %d (pass from %d) differs from the reference tracker", name, seed, at, from)
 				}
 				if _, ok := fresh[at]; !ok {
-					fresh[at] = Capture(base, []int{at}, capacity)[at]
+					fresh[at] = capture(t, base, []int{at}, capacity)[at]
 				}
 				if !reflect.DeepEqual(got, fresh[at]) {
 					t.Fatalf("%s seed %d: region %d (pass from %d) differs from a fresh Capture", name, seed, at, from)
@@ -97,11 +100,11 @@ func TestPassResumesBitIdentical(t *testing.T) {
 func TestPassSnapshotBehindPanics(t *testing.T) {
 	p := workload.New("npb-is", 4, workload.WithScale(0.05))
 	ps := NewPass(p.Threads(), 64)
-	ps.Snapshot(p, 2)
+	ps.Snapshot(p, 2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Snapshot behind Pos did not panic")
 		}
 	}()
-	ps.Snapshot(p, 1)
+	ps.Snapshot(p, 1, 0)
 }

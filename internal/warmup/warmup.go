@@ -15,7 +15,12 @@
 // one hash probe plus a splice to the list tail — O(1), no allocation for
 // a line seen before. A snapshot walks capacity nodes back from the tail —
 // O(capacity), independent of how many lines the core has ever touched, and
-// with no sort.
+// with no sort. The pass decodes only what the tracker reads: a recorded
+// trace, read directly or through a replay cache, hands each thread's
+// accesses over as packed entries (accessReader), with no block records,
+// and the pass never fills the cache. The window regions a caller replays
+// in full itself are the exception: they are tracked through the program's
+// streams, so a caching view decodes them once for both.
 //
 // # Why the index is unbounded
 //
@@ -28,22 +33,23 @@
 //
 // # Streaming contract
 //
-// Pass is the one prefix-pass implementation. Pass.Snapshot(p, at) tracks
-// regions up to (not including) at and returns the snapshot at its entry, so
-// a caller asking for its regions in ascending order walks the prefix once,
-// gets each snapshot the moment the pass reaches that region — before any
-// later region is tracked — and can start simulating early points while the
-// pass continues; the pass stops at the last region asked for. A region's
-// threads are tracked on up to GOMAXPROCS goroutines: the per-core trackers
-// share nothing, and Region.Thread is safe for concurrent use. Capture is a
-// collector over a fresh Pass for callers that want every snapshot at once,
-// and normalises its input.
+// Pass is the one prefix-pass implementation. Pass.Snapshot(p, at, window)
+// tracks regions up to (not including) at and returns the snapshot at its
+// entry, or the first decode error, which spends the pass. So a caller
+// asking for its regions in ascending order walks the prefix once, gets each
+// snapshot the moment the pass reaches that region — before any later region
+// is tracked — and can start simulating early points while the pass
+// continues; the pass stops at the last region asked for. A region's threads
+// are tracked on up to GOMAXPROCS goroutines: the per-core trackers share
+// nothing, and a program reads one region's threads concurrently. Capture is
+// a collector over a fresh Pass for callers that want every snapshot at
+// once, and normalises its input.
 //
 // # Resuming
 //
 // A snapshot is a pure function of the trace prefix before its region, so
 // the state a pass has built by region r is what any snapshot at or after r
-// continues from. Pass.Snapshot(p, at) therefore tracks only [Pos, at) and
+// continues from. Pass.Snapshot therefore tracks only [Pos, at) and
 // stays at at: a caller that needs points one at a time in ascending order
 // (a farm worker) pays one pass in total, not one per point. A pass holds
 // trackers and a position, never a Program — each call brings its own, with
@@ -53,7 +59,9 @@
 package warmup
 
 import (
+	"errors"
 	"slices"
+	"sync"
 
 	"barrierpoint/internal/par"
 	"barrierpoint/internal/sim"
@@ -151,14 +159,39 @@ func (t *tracker) snapshot(capacityLines int) []Entry {
 	return out
 }
 
-// track replays one thread's stream of one region into the tracker.
-func (t *tracker) track(s trace.Stream) {
+// track replays one thread's stream of one region into the tracker and
+// returns the error the stream ended on.
+func (t *tracker) track(s trace.Stream) error {
 	var be trace.BlockExec
 	for s.Next(&be) {
 		for _, a := range be.Accs {
 			t.touch(trace.LineAddr(a.Addr), a.Write)
 		}
 	}
+	return trace.Err(s)
+}
+
+// accessReader is a program that appends one thread's accesses in one region
+// to dst as Entry values, LineAddr(addr)<<1 | write, with no block records,
+// and returns the decode error: tracefile.File and its replay-cache view.
+type accessReader interface {
+	AppendAccesses(dst []uint64, region, tid int) ([]uint64, error)
+}
+
+// accessScratch holds the entry buffers an accessReader fills, one per
+// thread being tracked; pooled, so a pass reuses them region after region.
+var accessScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// trackAccesses tracks one thread of one region from ar.
+func (t *tracker) trackAccesses(ar accessReader, region, tid int) error {
+	buf := accessScratch.Get().(*[]uint64)
+	defer accessScratch.Put(buf)
+	var err error
+	*buf, err = ar.AppendAccesses((*buf)[:0], region, tid)
+	for _, e := range *buf {
+		t.touch(e>>1, e&1 != 0)
+	}
+	return err
 }
 
 // Pass is one resumable MRU prefix pass (see "Resuming"): every core's
@@ -187,26 +220,40 @@ func (ps *Pass) Pos() int { return ps.pos }
 // Snapshot tracks regions [Pos, at) of p and returns each core's MRU state at
 // the entry of region at, leaving the pass there: region at itself is not
 // replayed, a snapshot depends only on the regions before it. at must not be
-// behind Pos.
-func (ps *Pass) Snapshot(p trace.Program, at int) Snapshot {
+// behind Pos. Regions are tracked through p's access-only reader when it has
+// one, except the window regions before at: the caller replays those in full
+// itself, so they are tracked through p's streams, and a caching view
+// decodes them once for both (see "Cost model"). A region that fails to
+// decode fails the call, and the pass is spent: start a new one.
+func (ps *Pass) Snapshot(p trace.Program, at, window int) (Snapshot, error) {
 	if at < ps.pos {
 		panic("warmup: Pass.Snapshot behind the pass; start a new Pass")
 	}
 	threads := len(ps.trackers)
+	ar, _ := p.(accessReader)
+	errs := make([]error, threads)
 	for ; ps.pos < at; ps.pos++ {
-		r := p.Region(ps.pos)
-		par.For(threads, func(t int) { ps.trackers[t].track(r.Thread(t)) })
+		q := ps.pos
+		if ar != nil && q < at-window {
+			par.For(threads, func(t int) { errs[t] = ps.trackers[t].trackAccesses(ar, q, t) })
+		} else {
+			r := p.Region(q)
+			par.For(threads, func(t int) { errs[t] = ps.trackers[t].track(r.Thread(t)) })
+		}
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
 	}
 	snap := make(Snapshot, threads)
 	par.For(threads, func(t int) { snap[t] = ps.trackers[t].snapshot(ps.capacity) })
-	return snap
+	return snap, nil
 }
 
 // Capture collects the snapshot at the entry of every region in atRegions
 // from one fresh Pass, keyed by region index. atRegions may be unordered and
 // contain duplicates, and regions outside the program are ignored. Regions
 // not in atRegions cost only the trace replay.
-func Capture(p trace.Program, atRegions []int, capacityLines int) map[int]Snapshot {
+func Capture(p trace.Program, atRegions []int, capacityLines int) (map[int]Snapshot, error) {
 	want := slices.Clone(atRegions)
 	slices.Sort(want)
 	want = slices.Compact(want)
@@ -214,9 +261,13 @@ func Capture(p trace.Program, atRegions []int, capacityLines int) map[int]Snapsh
 	out := make(map[int]Snapshot, len(want))
 	ps := NewPass(p.Threads(), capacityLines)
 	for _, at := range want {
-		out[at] = ps.Snapshot(p, at)
+		snap, err := ps.Snapshot(p, at, 0)
+		if err != nil {
+			return nil, err
+		}
+		out[at] = snap
 	}
-	return out
+	return out, nil
 }
 
 // Replay restores cache state on a fresh machine by replaying each core's

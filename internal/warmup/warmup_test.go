@@ -13,6 +13,16 @@ import (
 	"barrierpoint/internal/workload"
 )
 
+// capture is Capture for programs that cannot fail to decode.
+func capture(tb testing.TB, p trace.Program, atRegions []int, capacityLines int) map[int]Snapshot {
+	tb.Helper()
+	snaps, err := Capture(p, atRegions, capacityLines)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snaps
+}
+
 func TestEntryRoundTrip(t *testing.T) {
 	f := func(line uint64, dirty bool) bool {
 		line &= (1 << 57) - 1
@@ -61,7 +71,7 @@ func TestTrackerDirtySticky(t *testing.T) {
 func TestCaptureAtRegionStart(t *testing.T) {
 	// The snapshot at region r must reflect regions < r only.
 	p := workload.New("npb-is", 8, workload.WithScale(0.05))
-	snaps := Capture(p, []int{0, 2}, 1<<20)
+	snaps := capture(t, p, []int{0, 2}, 1<<20)
 	if len(snaps[0]) != 8 {
 		t.Fatalf("snapshot has %d cores", len(snaps[0]))
 	}
@@ -87,7 +97,7 @@ func TestReplayRestoresPrivateCaches(t *testing.T) {
 	for i := 0; i < upTo; i++ {
 		gt.RunRegion(p.Region(i))
 	}
-	snaps := Capture(p, []int{upTo}, cfg.L3.Lines())
+	snaps := capture(t, p, []int{upTo}, cfg.L3.Lines())
 	wm := sim.New(cfg)
 	Replay(wm, snaps[upTo])
 
@@ -116,7 +126,7 @@ func TestReplayedRegionTimingClose(t *testing.T) {
 		want = gt.RunRegion(p.Region(i))
 	}
 
-	snaps := Capture(p, []int{r}, cfg.L3.Lines())
+	snaps := capture(t, p, []int{r}, cfg.L3.Lines())
 	warm := sim.New(cfg)
 	Replay(warm, snaps[r])
 	for q := r - 3; q < r; q++ {
@@ -148,7 +158,7 @@ func relDiff(a, b float64) float64 {
 func TestCaptureCapacityTruncation(t *testing.T) {
 	// A tiny capacity keeps only the most recent lines.
 	p := workload.New("npb-ft", 8, workload.WithScale(0.1))
-	snaps := Capture(p, []int{5}, 16)
+	snaps := capture(t, p, []int{5}, 16)
 	for c, entries := range snaps[5] {
 		if len(entries) > 16 {
 			t.Errorf("core %d snapshot exceeds capacity: %d", c, len(entries))
@@ -318,7 +328,10 @@ func TestStreamContract(t *testing.T) {
 	snaps := make(map[int]Snapshot)
 	ps := NewPass(p.Threads(), capacity)
 	for _, r := range []int{0, 2, 5} {
-		s := ps.Snapshot(p, r)
+		s, err := ps.Snapshot(p, r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		emitted = append(emitted, r)
 		replayedAt[r] = len(p.regionCalls)
 		snaps[r] = s
@@ -359,10 +372,10 @@ func TestStreamContract(t *testing.T) {
 	}
 
 	messy := []int{5, 2, -1, 5, 0, base.Regions() + 3, 2}
-	if got := Capture(base, messy, capacity); !reflect.DeepEqual(got, snaps) {
+	if got := capture(t, base, messy, capacity); !reflect.DeepEqual(got, snaps) {
 		t.Error("Capture differs from the snapshots the Pass handed over")
 	}
-	if got := Capture(base, []int{-4, base.Regions()}, capacity); len(got) != 0 {
+	if got := capture(t, base, []int{-4, base.Regions()}, capacity); len(got) != 0 {
 		t.Errorf("Capture of out-of-range regions returned %d snapshots", len(got))
 	}
 }

@@ -219,7 +219,10 @@ func TestMachineGoldens(t *testing.T) {
 				}
 
 				regions := goldenRegions(prog.Regions())
-				snaps := warmup.Capture(prog, regions, gm.cfg.L3.Lines()*gm.cfg.Sockets)
+				snaps, err := warmup.Capture(prog, regions, gm.cfg.L3.Lines()*gm.cfg.Sockets)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, mode := range []bp.WarmupMode{bp.ColdWarmup, bp.MRUWarmup, bp.MRUPrevWarmup} {
 					points, err := bp.LocalRunner{}.RunPoints(prog, regions, gm.cfg, mode)
 					if err != nil {

@@ -133,10 +133,10 @@ func OpenTrace(path string) (*TraceFile, error) {
 // Replay caching: regions of a recorded trace are decoded on every replay
 // by default. A ReplayCache keeps fully decoded regions in a byte-bounded
 // LRU keyed by trace content, so the pipeline stages that revisit regions
-// — warmup capture before SimulatePoints, estimate+simulate pairs over one
-// trace, campaign grids — decode each region once and replay it from
-// memory with zero copies and zero allocations. Cached and uncached
-// replays are bit-identical (see tracefile.RegionCache for the contract).
+// — mru+prev windows, estimate+simulate pairs over one trace, campaign
+// grids — decode each region once and replay it from memory with zero
+// copies and zero allocations; the MRU prefix pass reads past it. Cached
+// and uncached replays are bit-identical (see tracefile.RegionCache).
 
 // ReplayCache is a bounded in-memory cache of decoded trace regions,
 // shareable by any number of open traces and goroutines.
@@ -168,6 +168,14 @@ func (t *CachedTrace) File() *TraceFile { return t.file }
 
 // Close releases the underlying file handle.
 func (t *CachedTrace) Close() error { return t.file.Close() }
+
+// AppendAccesses is the access-only read of tracefile.File.AppendAccesses,
+// through the cache when there is one: what the MRU prefix pass reads.
+func (t *CachedTrace) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
+	return t.Program.(interface {
+		AppendAccesses([]uint64, int, int) ([]uint64, error)
+	}).AppendAccesses(dst, region, tid)
+}
 
 // OpenTraceCached opens a recorded trace for replay through c, keyed by
 // the trace's content address — so two opens of byte-identical traces

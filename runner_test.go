@@ -1,6 +1,9 @@
 package barrierpoint_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +12,8 @@ import (
 
 	bp "barrierpoint"
 	"barrierpoint/internal/sim"
+	"barrierpoint/internal/trace"
+	"barrierpoint/internal/tracefile"
 	"barrierpoint/internal/warmup"
 	"barrierpoint/internal/workload"
 )
@@ -148,7 +153,10 @@ func TestPointsOnReusedMachinesMatchNewOnes(t *testing.T) {
 	for _, sockets := range []int{1, 4} {
 		prog, mc := workload.New("npb-is", 8*sockets, workload.WithScale(0.05)), bp.TableIMachine(sockets)
 		regions := []int{1, 4, 7}
-		snaps := warmup.Capture(prog, regions, mc.L3.Lines()*mc.Sockets)
+		snaps, err := warmup.Capture(prog, regions, mc.L3.Lines()*mc.Sockets)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range regions {
 			m := sim.New(mc)
 			warmup.Replay(m, snaps[r])
@@ -173,5 +181,109 @@ func TestPointsOnReusedMachinesMatchNewOnes(t *testing.T) {
 	wg.Wait()
 	if _, reused := sim.FreeListStats(); reused == reusedBefore {
 		t.Error("no point ran on a reused machine: the test did not exercise the free list")
+	}
+}
+
+// TestCorruptChunkFailsEstimate: a recorded trace whose chunk (region 0,
+// thread 0) is corrupted in place after its analysis — the framing intact,
+// the continuation bit set on the chunk's last byte so its last varint runs
+// off the end — fails an mru estimate, streamed and through a replay cache,
+// rather than estimating from the truncated stream.
+func TestCorruptChunkFailsEstimate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "is.bptrace")
+	if err := bp.SaveTrace(path, workload.New("npb-is", 8, workload.WithScale(0.05))); err != nil {
+		t.Fatal(err)
+	}
+	f, err := bp.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := bp.Analyze(f, bp.DefaultConfig())
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte // nothing before it but the header
+	if _, err := tracefile.DecodeStream(bytes.NewReader(data), func(rc tracefile.RegionChunks) error {
+		if rc.Index == 0 {
+			first = rc.Chunks[0]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data[bytes.Index(data, first)+len(first)-1] |= 0x80
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []*bp.ReplayCache{nil, bp.NewReplayCache(0)} {
+		tr, err := bp.OpenTraceCached(path, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt := *a
+		corrupt.Program = tr
+		if est, err := corrupt.Estimate(bp.TableIMachine(1), bp.MRUWarmup); err == nil {
+			t.Errorf("cache %v: the estimate of a corrupt trace is %+v, and no error", rc != nil, est)
+		}
+		tr.Close()
+	}
+}
+
+// TestColdCacheHoldsReplayedRegionsOnly: after an mru estimate over a cold
+// ReplayCache the cache holds exactly the point regions, because the prefix
+// pass reads past it; under mru+prev it also holds each point's window, the
+// regions the point replays before it, which the pass reads through the
+// cache so that they decode once.
+func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lu.bptrace")
+	if err := bp.SaveTrace(path, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
+		t.Fatal(err)
+	}
+	key, err := bp.TraceKey(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := bp.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a, err := bp.Analyze(f, bp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []bp.WarmupMode{bp.MRUWarmup, bp.MRUPrevWarmup} {
+		held := make(map[int]bool)
+		for _, p := range a.Selection.Points {
+			held[p.Region] = true
+			if mode == bp.MRUPrevWarmup {
+				for q := max(p.Region-12, 0); q < p.Region; q++ { // prevWarmupWindow
+					held[q] = true
+				}
+			}
+		}
+		rc := bp.NewReplayCache(0)
+		cold := *a
+		cold.Program = rc.Program(f, key)
+		if _, err := cold.Estimate(bp.TableIMachine(1), mode); err != nil {
+			t.Fatal(err)
+		}
+		before := rc.Stats()
+		for r := range held { // each a hit: the cache holds every one
+			trace.CountInstrs(cold.Program.Region(r).Thread(0))
+		}
+		after := rc.Stats()
+		if before.Entries != len(held) || before.Evictions != 0 || after.Hits-before.Hits != int64(len(held)) || after.Misses != before.Misses {
+			t.Errorf("%v: the cache holds %d regions (%d evicted), and %d of the %d replayed hit; want exactly the %d replayed regions",
+				mode, before.Entries, before.Evictions, after.Hits-before.Hits, len(held), len(held))
+		}
+		if len(held) == a.Program.Regions() {
+			t.Errorf("%v: the points and windows cover all %d regions: the test shows nothing", mode, len(held))
+		}
 	}
 }
