@@ -497,9 +497,8 @@ func (pp *PrefixPass) Pos() int {
 // the replay — live snapshots are bounded by the points waiting, not by the
 // points taken. p must stay open until the function returns.
 //
-// A region that fails to decode is an error: of the call if the pass tracked
-// it (the pass, half advanced, then starts over from region 0), and of the
-// function if it is the point's own region.
+// A region that fails to decode is an error of the call if the pass tracked
+// it (the pass then starts over from region 0), else of the function.
 func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() (RegionResult, error), error) {
 	if err := checkPoints(p, []int{region}, pp.mc); err != nil {
 		return nil, err

@@ -276,11 +276,12 @@ func TestLocalWorkerRecordsFailedTaskSpan(t *testing.T) {
 	}
 }
 
-// TestExecutorDropsPassAfterDecodeError: a warm task whose advance hits a
-// chunk that does not decode fails, and the executor drops the pass it held,
-// since the pass half advanced: the next warm task of the trace restarts
-// from region 0 rather than resuming.
-func TestExecutorDropsPassAfterDecodeError(t *testing.T) {
+// TestExecutorPassRestartsAfterDecodeError: a warm task whose advance hits a
+// chunk that does not decode fails, and the pass it held, half advanced,
+// is back at region 0: the next warm task of the trace resumes it from
+// there, tracking its prefix afresh, rather than from where the failed
+// advance stopped.
+func TestExecutorPassRestartsAfterDecodeError(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +308,8 @@ func TestExecutorDropsPassAfterDecodeError(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("region 2 after the failure: %+v, %v; want %+v", got, err, want)
 	}
-	if stats, want := exec.PassStats(), (farm.PassStats{Restarted: 2, Regions: 4}); stats != want {
-		t.Errorf("pass stats %+v, want %+v: the failed pass was kept", stats, want)
+	if stats, want := exec.PassStats(), (farm.PassStats{Restarted: 1, Resumed: 1, Regions: 4}); stats != want {
+		t.Errorf("pass stats %+v, want %+v: the failed pass did not start over", stats, want)
 	}
 }
 

@@ -118,12 +118,7 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	}
 	from, t0 := pass.Pos(), time.Now()
 	point, err := pass.Point(prog, t.Region, mode, span.ObserveConcurrent)
-	if err != nil {
-		// A rejected task leaves the pass where it was; a decode error sends it
-		// back to region 0, and the next warm task counts a restart.
-		if pass.Pos() != from {
-			e.pass = nil
-		}
+	if err != nil { // the pass is where it was, or at region 0 after a decode error
 		f.Close()
 		return nil, err
 	}

@@ -25,7 +25,7 @@ const DefaultRegionCacheBytes int64 = 256 << 20
 // grids sweep many configurations over one trace. The cache pays the decode
 // once and serves every later replay from memory as a zero-copy,
 // zero-allocation trace.Stream. The prefix pass, which reads each region
-// once, goes past it (cachedProgram.AppendAccesses).
+// once, goes past it (cachedFile.AppendAccesses).
 //
 // # Keys and identity
 //
@@ -172,6 +172,9 @@ func (c *RegionCache) Program(p trace.Program, id string) trace.Program {
 	for i := range cp.regions {
 		cp.regions[i] = cachedRegion{cp: cp, idx: i}
 	}
+	if f, ok := p.(*File); ok {
+		return &cachedFile{cp, f}
+	}
 	return cp
 }
 
@@ -212,14 +215,18 @@ func (r *cachedRegion) Thread(tid int) trace.Stream {
 	return s
 }
 
-// AppendAccesses is File.AppendAccesses through the cache, for the MRU
-// prefix pass: a region the cache holds (or is decoding) is read from
-// memory, and any other is decoded straight from the underlying program and
-// not inserted, so a pass over a whole trace leaves the cache holding only
-// the regions replayed in full. Such a decode counts as a miss, and its time
-// goes on the decode clock.
-func (cp *cachedProgram) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
-	c := cp.c
+// cachedFile is the view of a File, with the File's access-only reader; a
+// view of any other program has none.
+type cachedFile struct {
+	*cachedProgram
+	f *File
+}
+
+// AppendAccesses is File.AppendAccesses through the cache: a region it holds
+// (or is decoding) is read from memory, any other decoded from the file and
+// not inserted — a miss, timed on the decode clock.
+func (cf *cachedFile) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
+	cp, c := cf.cachedProgram, cf.c
 	c.mu.Lock()
 	el, ok := c.entries[regionKey{cp.id, region}]
 	if ok {
@@ -235,17 +242,7 @@ func (cp *cachedProgram) AppendAccesses(dst []uint64, region, tid int) ([]uint64
 		}
 	}
 	t0 := time.Now()
-	var err error
-	if f, ok := cp.p.(*File); ok {
-		dst, err = f.AppendAccesses(dst, region, tid)
-	} else {
-		s := cp.p.Region(region).Thread(tid)
-		var be trace.BlockExec
-		for s.Next(&be) {
-			dst = appendEntries(dst, be.Accs)
-		}
-		err = trace.Err(s)
-	}
+	dst, err := cf.f.AppendAccesses(dst, region, tid)
 	c.mu.Lock()
 	c.misses++
 	c.decodeNs += time.Since(t0).Nanoseconds()

@@ -85,7 +85,7 @@ func TestAppendAccessesThroughCache(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		f := record(t, workload.New("npb-ft", 4, workload.WithScale(0.05)), WithGzip(gz))
 		c := NewRegionCache(64 << 20)
-		cp := c.Program(f, "access-only").(*cachedProgram)
+		cp := c.Program(f, "access-only").(*cachedFile)
 		n := int64(f.Regions() * f.Threads())
 		check := func(what string) {
 			for r := 0; r < f.Regions(); r++ {

@@ -101,20 +101,15 @@
 //
 // # Replay caching
 //
-// Replay is a cold decode by default: every Region/Thread call reads its
-// chunk's payload with one ReadAt (inflating a gzip chunk whole) into a
-// pooled buffer and varint-decodes it from memory, so an open stream costs
-// O(chunk) and cold replay allocates only per-stream bookkeeping. The MRU
-// prefix pass reads even less: AppendAccesses decodes a chunk straight into
-// line addresses and write flags, building no block records. For regions
-// replayed in full more than once (point regions and their mru+prev
-// windows, estimate+simulate pairs, campaign grids), RegionCache keeps fully
-// decoded regions in a byte-bounded LRU keyed by trace content and serves
-// them as zero-copy, zero-allocation streams; the prefix pass reads from it
-// but never fills it, so it holds the point regions, not the trace's prefix.
-// See RegionCache for the keying, bounding and equivalence contract. The
-// cache defaults to DefaultRegionCacheBytes (256 MiB) and is exposed as
-// -replay-cache-mb on cmd/bpserve and cmd/bpworker, and as
+// Replay is a cold decode by default: a Region/Thread call reads its chunk
+// with one ReadAt into a pooled buffer and decodes it from memory, a gzip
+// chunk through a 64 KiB inflate window, so an open stream costs the chunk
+// as stored, never its inflated size. The MRU prefix pass decodes only line
+// addresses and write flags (AppendAccesses). RegionCache keeps regions
+// replayed in full more than once — point regions and their mru+prev
+// windows, estimate+simulate pairs, campaign grids — decoded in a
+// byte-bounded LRU; the prefix pass reads from it but never fills it. It is
+// -replay-cache-mb on cmd/bpserve and cmd/bpworker, and
 // barrierpoint.NewReplayCache in the public API.
 //
 // # Versioning

@@ -75,20 +75,22 @@ func encodeChunk(buf []byte, s trace.Stream) ([]byte, error) {
 	return buf, nil
 }
 
-// errOverflow is what a varint longer than 64 bits fails with; the text is
-// encoding/binary's.
+// errOverflow is encoding/binary's error for a varint over 64 bits.
 var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-// chunkStream decodes one chunk back into a trace.Stream from the chunk's
-// whole payload in memory (see openChunkStream): the chunk's bytes in place
-// for an uncompressed in-memory region, otherwise a pooled buffer. Its
-// footprint is that payload plus one record's accesses.
+// inflateWindow is the inflated bytes a gzip chunk's stream holds at once,
+// unless a record needs more (see need). Tests lower it.
+var inflateWindow = 64 << 10
+
+// chunkStream decodes one chunk back into a trace.Stream from bytes in
+// memory (see openChunkStream): an uncompressed payload whole, a gzip one a
+// window at a time, so a stream never holds a chunk's inflated size.
 type chunkStream struct {
-	buf []byte // the payload; records decode from buf[pos:]
+	buf []byte // the bytes at hand; records decode from buf[pos:]
 	pos int
-	// tail is the error the payload ended on, if it ended early (a failed
-	// inflate): records before it decode, and it is reported where the bytes
-	// run out, as a lazily read stream would have.
+	src io.Reader // the inflater buf refills from; nil once drained, or raw
+	// tail is the error a failed inflate ended on, reported where the bytes
+	// run out: the records before it decode, as from a lazily read stream.
 	tail      error
 	cb        *chunkBuf // pooled storage, returned when the stream stops
 	prevBlock int64
@@ -115,10 +117,8 @@ func (s *chunkStream) Next(be *trace.BlockExec) bool {
 	return true
 }
 
-// appendAccesses drains the stream, appending LineAddr(addr)<<1 | write for
-// every access to dst, and returns dst and the stream's Err. It decodes
-// every record through record, as Next does, so the two accept and reject
-// the same bytes; it just builds no BlockExec.
+// appendAccesses drains the stream into dst as appendEntries does, through
+// record as Next does, so the two accept and reject the same bytes.
 func (s *chunkStream) appendAccesses(dst []uint64) ([]uint64, error) {
 	for {
 		if _, _, ok := s.record(); !ok {
@@ -140,11 +140,12 @@ func appendEntries(dst []uint64, accs []trace.Access) []uint64 {
 	return dst
 }
 
-// record decodes the next block record: it returns the header and
-// instruction count, advances prevBlock and leaves the accesses in s.accs.
-// At the end of the payload or on a decode error it stops the stream and
-// returns false; reads past a stop return zeros, checked where they count.
+// record decodes the next block record: the header and instruction count,
+// prevBlock advanced and the accesses in s.accs. At the payload's end or on
+// an error it stops the stream and returns false; reads past a stop return
+// zeros, checked where they count.
 func (s *chunkStream) record() (hdr, instrs uint64, ok bool) {
+	s.need(3 * binary.MaxVarintLen64)
 	if !s.done && s.pos == len(s.buf) { // between records: the clean end
 		s.stop(s.tail)
 	}
@@ -159,6 +160,7 @@ func (s *chunkStream) record() (hdr, instrs uint64, ok bool) {
 	s.prevBlock += zigzag(s.uvarint())
 	instrs = s.uvarint()
 	maskLen := int(naccs+7) / 8
+	s.need(maskLen + int(naccs)*binary.MaxVarintLen64)
 	if !s.done && len(s.buf)-s.pos < maskLen {
 		s.short(s.pos < len(s.buf))
 	}
@@ -182,9 +184,8 @@ func (s *chunkStream) record() (hdr, instrs uint64, ok bool) {
 	return hdr, instrs, true
 }
 
-// uvarint decodes the next uvarint. Where binary.Uvarint decodes one, the
-// io.ByteReader decoder (ReadUvarint) decodes the same; uvarintLong does the
-// rest.
+// uvarint decodes the next uvarint: binary.Uvarint where it can (ReadUvarint
+// agrees there), uvarintLong elsewhere.
 func (s *chunkStream) uvarint() uint64 {
 	x, n := binary.Uvarint(s.buf[s.pos:])
 	if n <= 0 {
@@ -192,6 +193,36 @@ func (s *chunkStream) uvarint() uint64 {
 	}
 	s.pos += n
 	return x
+}
+
+// need makes n bytes available at buf[pos:] unless the payload ends first.
+// record asks for the most its next fields can take, so none straddles a
+// refill, and a window outgrows inflateWindow only by 10 bytes per access a
+// record declares. refill moves the bytes at hand to the window's front and
+// inflates until the window is full or the inflater drained.
+func (s *chunkStream) need(n int) {
+	if s.src != nil && len(s.buf)-s.pos < n {
+		s.refill(n)
+	}
+}
+
+func (s *chunkStream) refill(n int) {
+	w := s.cb.win[:cap(s.cb.win)]
+	if len(w) < max(n, inflateWindow) {
+		w = make([]byte, max(n, inflateWindow))
+	}
+	k := copy(w, s.buf[s.pos:])
+	for k < len(w) && s.src != nil {
+		m, err := s.src.Read(w[k:])
+		k += m
+		if err != nil {
+			if err != io.EOF {
+				s.tail = err
+			}
+			s.src = nil
+		}
+	}
+	s.cb.win, s.buf, s.pos = w, w[:k], 0
 }
 
 // zigzag maps a uvarint back to the signed value a varint encodes.
@@ -240,14 +271,14 @@ func (s *chunkStream) short(inField bool) {
 }
 
 // stop ends the stream on err (nil at the clean end) and returns its pooled
-// storage. The stream object itself — including the Err state — stays
-// valid for the caller.
+// storage; the stream's Err stays valid.
 func (s *chunkStream) stop(err error) {
 	if err != nil && s.err == nil {
 		s.err = fmt.Errorf("tracefile: corrupt chunk: %w", err)
 	}
-	s.done, s.buf, s.pos = true, nil, 0
+	s.done, s.buf, s.pos, s.src = true, nil, 0, nil
 	if s.cb != nil {
+		s.cb.src.Reset(nil) // hold no reference to an in-memory region's bytes
 		s.cb.accs = s.accs
 		chunkBufPool.Put(s.cb)
 		s.cb = nil

@@ -272,13 +272,12 @@ func (f *File) Region(i int) trace.Region {
 	return &fileRegion{f: f, idx: i}
 }
 
-// chunkBuf is the pooled storage behind a chunkStream: the payload read off
-// the file, the inflated payload, the gzip inflater (~40 KiB of state fresh)
-// and the record access buffer. A stream returns it when it stops; abandoned
-// streams leave theirs to the GC, and the pool refills on demand.
+// chunkBuf is a chunkStream's pooled storage: payload, inflate window, gzip
+// inflater (~40 KiB fresh) and access buffer. A stream returns it when it
+// stops; an abandoned stream leaves it to the GC.
 type chunkBuf struct {
 	raw  []byte
-	out  bytes.Buffer
+	win  []byte
 	src  bytes.Reader // over the compressed payload while inflating
 	zr   gzip.Reader
 	accs []trace.Access
@@ -286,23 +285,19 @@ type chunkBuf struct {
 
 var chunkBufPool = sync.Pool{New: func() any { return new(chunkBuf) }}
 
-// openChunkStream returns a decode stream over one chunk's payload: in place
-// if uncompressed, else inflated whole into cb, keeping what an inflate that
-// fails midway produced (the stream delivers those records, then the
-// error). This is the single path behind File replay and the in-memory
-// regions DecodeStream hands to the ingest profiler.
+// openChunkStream returns a decode stream over one chunk's payload, in place
+// or inflated through cb's window as the stream reads: the single path
+// behind File replay and the regions DecodeStream hands to ingest.
 func openChunkStream(cb *chunkBuf, payload []byte, gz bool) (*chunkStream, error) {
 	s := &chunkStream{buf: payload, cb: cb, accs: cb.accs}
 	if gz {
 		cb.src.Reset(payload)
 		if err := cb.zr.Reset(&cb.src); err != nil {
+			cb.src.Reset(nil)
 			chunkBufPool.Put(cb)
 			return nil, err
 		}
-		cb.out.Reset()
-		_, s.tail = cb.out.ReadFrom(&cb.zr)
-		cb.src.Reset(nil) // hold no reference to an in-memory region's bytes
-		s.buf = cb.out.Bytes()
+		s.buf, s.src = nil, &cb.zr
 	}
 	return s, nil
 }
@@ -320,10 +315,8 @@ func (f *File) Verify() error {
 }
 
 // AppendAccesses appends LineAddr(addr)<<1 | write for every access of thread
-// tid in region to dst, in stream order, and returns dst and the chunk's
-// decode error. It decodes the chunk as Region(region).Thread(tid) does, and
-// accepts and rejects the same bytes, but builds no block records: the MRU
-// prefix pass (internal/warmup) reads nothing else.
+// tid in region to dst and returns the chunk's decode error: the stream of
+// Region(region).Thread(tid) without block records, for the MRU prefix pass.
 func (f *File) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
 	s, err := f.stream(region, tid)
 	if err != nil {

@@ -15,12 +15,10 @@
 // one hash probe plus a splice to the list tail — O(1), no allocation for
 // a line seen before. A snapshot walks capacity nodes back from the tail —
 // O(capacity), independent of how many lines the core has ever touched, and
-// with no sort. The pass decodes only what the tracker reads: a recorded
-// trace, read directly or through a replay cache, hands each thread's
-// accesses over as packed entries (accessReader), with no block records,
-// and the pass never fills the cache. The window regions a caller replays
-// in full itself are the exception: they are tracked through the program's
-// streams, so a caching view decodes them once for both.
+// with no sort. A recorded trace hands the pass packed entries, no block
+// records (accessReader), past any replay cache — except the window regions
+// a caller replays in full itself, read through the program's streams so
+// that a caching view decodes them once for both.
 //
 // # Why the index is unbounded
 //
@@ -171,15 +169,13 @@ func (t *tracker) track(s trace.Stream) error {
 	return trace.Err(s)
 }
 
-// accessReader is a program that appends one thread's accesses in one region
-// to dst as Entry values, LineAddr(addr)<<1 | write, with no block records,
-// and returns the decode error: tracefile.File and its replay-cache view.
+// accessReader appends one thread's accesses in one region to dst as Entry
+// values and returns the decode error: tracefile.File and its cache view.
 type accessReader interface {
 	AppendAccesses(dst []uint64, region, tid int) ([]uint64, error)
 }
 
-// accessScratch holds the entry buffers an accessReader fills, one per
-// thread being tracked; pooled, so a pass reuses them region after region.
+// accessScratch pools the entry buffers an accessReader fills.
 var accessScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 // trackAccesses tracks one thread of one region from ar.
@@ -220,11 +216,9 @@ func (ps *Pass) Pos() int { return ps.pos }
 // Snapshot tracks regions [Pos, at) of p and returns each core's MRU state at
 // the entry of region at, leaving the pass there: region at itself is not
 // replayed, a snapshot depends only on the regions before it. at must not be
-// behind Pos. Regions are tracked through p's access-only reader when it has
-// one, except the window regions before at: the caller replays those in full
-// itself, so they are tracked through p's streams, and a caching view
-// decodes them once for both (see "Cost model"). A region that fails to
-// decode fails the call, and the pass is spent: start a new one.
+// behind Pos. The window regions before at are read through p's streams (see
+// "Cost model"). A region that fails to decode fails the call and spends the
+// pass: start a new one.
 func (ps *Pass) Snapshot(p trace.Program, at, window int) (Snapshot, error) {
 	if at < ps.pos {
 		panic("warmup: Pass.Snapshot behind the pass; start a new Pass")
