@@ -147,9 +147,14 @@ type Analysis struct {
 type StageObserver func(stage string, d time.Duration)
 
 // Analyze profiles every inter-barrier region of p and selects
-// barrierpoints. This is the "one-time cost" path of the paper's Fig. 2.
+// barrierpoints. This is the "one-time cost" path of the paper's Fig. 2. A
+// region whose stream fails to decode (a damaged trace file) fails it.
 func Analyze(p Program, cfg Config) (*Analysis, error) {
-	return AnalyzeWithProfiles(p, cfg, profile.Program(p))
+	profiles, err := profile.Program(p)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeWithProfiles(p, cfg, profiles)
 }
 
 // AnalyzeWithProfiles runs selection over pre-collected profiles (e.g. to

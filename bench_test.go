@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	bp "barrierpoint"
@@ -22,6 +23,7 @@ import (
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/tracefile"
 	"barrierpoint/internal/warmup"
 	"barrierpoint/internal/workload"
 )
@@ -172,26 +174,28 @@ func newBenchStore(b *testing.B) (*store.Store, string) {
 
 // BenchmarkAnalyzeColdStore measures analyze throughput through the store
 // with the selection artifact AND every cached region profile invalidated
-// each iteration: the full profile+cluster cost plus artifact writes.
+// each iteration: the full profile+cluster cost plus artifact writes. The
+// missing profiles make each analysis run the upload's profile pass over the
+// stored file, so it reads and hashes the whole trace too.
 // Compare to BenchmarkAnalyzeCachedStore for the artifact cache's speedup
 // and to BenchmarkRecluster for the profile cache's.
 func BenchmarkAnalyzeColdStore(b *testing.B) {
 	st, key := newBenchStore(b)
 	cfg := bp.DefaultConfig()
 	name := service.SelectionArtifact(cfg)
-	f, err := st.OpenTrace(key)
+	// The first analysis of the imported trace writes its digest index.
+	if _, _, _, err := service.AnalyzeCached(st, key, cfg, nil); err != nil {
+		b.Fatal(err)
+	}
+	index, err := st.GetArtifact(key, tracefile.DigestIndexName)
 	if err != nil {
 		b.Fatal(err)
 	}
-	digests := make([]string, f.Regions())
+	digests := strings.Fields(string(index))
 	distinct := make(map[string]bool)
-	for i := range digests {
-		if digests[i], err = f.RegionDigest(i); err != nil {
-			b.Fatal(err)
-		}
-		distinct[digests[i]] = true
+	for _, d := range digests {
+		distinct[d] = true
 	}
-	f.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := st.RemoveArtifact(key, name); err != nil {
@@ -202,7 +206,7 @@ func BenchmarkAnalyzeColdStore(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		_, cached, stats, err := service.AnalyzeCached(st, key, cfg, nil, nil)
+		_, cached, stats, err := service.AnalyzeCached(st, key, cfg, nil)
 		if err != nil || cached {
 			b.Fatalf("cold analyze: cached=%v err=%v", cached, err)
 		}
@@ -220,12 +224,12 @@ func BenchmarkAnalyzeColdStore(b *testing.B) {
 func BenchmarkAnalyzeCachedStore(b *testing.B) {
 	st, key := newBenchStore(b)
 	cfg := bp.DefaultConfig()
-	if _, _, _, err := service.AnalyzeCached(st, key, cfg, nil, nil); err != nil {
+	if _, _, _, err := service.AnalyzeCached(st, key, cfg, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, cached, _, err := service.AnalyzeCached(st, key, cfg, nil, nil); err != nil || !cached {
+		if _, cached, _, err := service.AnalyzeCached(st, key, cfg, nil); err != nil || !cached {
 			b.Fatalf("cached analyze: cached=%v err=%v", cached, err)
 		}
 	}
@@ -240,7 +244,7 @@ func BenchmarkAnalyzeCachedStore(b *testing.B) {
 func BenchmarkRecluster(b *testing.B) {
 	st, key := newBenchStore(b)
 	// One cold analysis fills the content-addressed profile cache.
-	if _, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil); err != nil || cached {
+	if _, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), nil); err != nil || cached {
 		b.Fatalf("warm-up analyze: cached=%v err=%v", cached, err)
 	}
 	cfg, err := service.ConfigFor("", 7)
@@ -253,7 +257,7 @@ func BenchmarkRecluster(b *testing.B) {
 		if err := st.RemoveArtifact(key, name); err != nil {
 			b.Fatal(err)
 		}
-		_, cached, stats, err := service.AnalyzeCached(st, key, cfg, nil, nil)
+		_, cached, stats, err := service.AnalyzeCached(st, key, cfg, nil)
 		if err != nil || cached {
 			b.Fatalf("recluster: cached=%v err=%v", cached, err)
 		}
@@ -294,7 +298,7 @@ func BenchmarkReclusterManyRegions(b *testing.B) {
 		if err := st.RemoveArtifact(res.Key, name); err != nil {
 			b.Fatal(err)
 		}
-		_, cached, stats, err := service.AnalyzeCached(st, res.Key, cfg, nil, nil)
+		_, cached, stats, err := service.AnalyzeCached(st, res.Key, cfg, nil)
 		if err != nil || cached || stats.Computed != 0 {
 			b.Fatalf("recluster: cached=%v computed=%d err=%v", cached, stats.Computed, err)
 		}
@@ -361,7 +365,10 @@ func BenchmarkPrefixPassManyRegions(b *testing.B) {
 // BenchmarkSelectManyRegions measures clustering alone on the same shape:
 // signature construction plus cluster.Select over 503 in-memory profiles.
 func BenchmarkSelectManyRegions(b *testing.B) {
-	profiles := profile.Program(workload.New("npb-lu", 8, workload.WithScale(0.2)))
+	profiles, err := profile.Program(workload.New("npb-lu", 8, workload.WithScale(0.2)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := bp.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()

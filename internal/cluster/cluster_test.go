@@ -426,7 +426,10 @@ func TestSelectSameAtAnyWidth(t *testing.T) {
 	// npb-lu x0.2 (503 regions, 43 distinct rows), with regions of equal
 	// content sharing one *RegionData as the service's profile cache hands
 	// them over, so BuildAll shares their vectors too.
-	rds := profile.Program(workload.New("npb-lu", 8, workload.WithScale(0.2)))
+	rds, err := profile.Program(workload.New("npb-lu", 8, workload.WithScale(0.2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	byContent := make(map[string]*signature.RegionData)
 	for i, rd := range rds {
 		key := string(signature.EncodeRegionData(rd))

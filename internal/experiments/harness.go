@@ -114,7 +114,11 @@ func (h *Harness) Full(bench string, cores int) []bp.RegionResult {
 // Profiles returns the (cached) per-region profiles of a benchmark.
 func (h *Harness) Profiles(bench string, cores int) []*signature.RegionData {
 	return memo(h, h.profs, progKey{bench, cores}, func() []*signature.RegionData {
-		return profile.Program(h.Program(bench, cores))
+		profiles, err := profile.Program(h.Program(bench, cores))
+		if err != nil {
+			panic(fmt.Sprintf("experiments: profiling %s/%d: %v", bench, cores, err))
+		}
+		return profiles
 	})
 }
 

@@ -9,6 +9,7 @@
 package profile
 
 import (
+	"fmt"
 	"sync"
 
 	"barrierpoint/internal/bbv"
@@ -68,10 +69,22 @@ func Region(r trace.Region, threads int) *signature.RegionData {
 }
 
 // Program profiles every region of a program, in parallel across regions.
-func Program(p trace.Program) []*signature.RegionData {
+// It returns the first error a region's streams ended on (a damaged trace
+// file) instead of profiles of truncated streams.
+func Program(p trace.Program) ([]*signature.RegionData, error) {
 	out := make([]*signature.RegionData, p.Regions())
-	par.For(len(out), func(i int) { out[i] = Region(p.Region(i), p.Threads()) })
-	return out
+	errs := make([]error, len(out))
+	par.For(len(out), func(i int) {
+		r := trace.CheckedRegion{Region: p.Region(i)}
+		out[i] = Region(&r, p.Threads())
+		errs[i] = r.Err()
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("profile: region %d: %w", i, err)
+		}
+	}
+	return out, nil
 }
 
 // Weights extracts the per-region aggregate instruction counts as float64

@@ -29,7 +29,10 @@ func TestRegionMatchesDirectCollection(t *testing.T) {
 
 func TestProgramParallelConsistent(t *testing.T) {
 	p := workload.New("npb-is", 8, workload.WithScale(0.1))
-	rds := Program(p)
+	rds, err := Program(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rds) != p.Regions() {
 		t.Fatalf("%d profiles for %d regions", len(rds), p.Regions())
 	}
@@ -49,7 +52,10 @@ func TestProgramParallelConsistent(t *testing.T) {
 
 func TestTotalsAndWeights(t *testing.T) {
 	p := workload.New("npb-ft", 8, workload.WithScale(0.1))
-	rds := Program(p)
+	rds, err := Program(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	weights := Weights(rds)
 	var total uint64
 	for i, rd := range rds {

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -27,20 +29,25 @@ func recordWith(t *testing.T, opts ...tracefile.Option) []byte {
 	return buf.Bytes()
 }
 
-// fileDigests hashes every region of the stored trace: the ground truth an
-// index must equal.
+// fileDigests streams the stored trace through tracefile.DecodeStream, the
+// one place a region digest is computed: the ground truth an index must
+// equal.
 func fileDigests(t *testing.T, st *store.Store, key string) []string {
 	t.Helper()
-	f, err := st.OpenTrace(key)
+	path, err := st.TracePath(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	digests := make([]string, f.Regions())
-	for i := range digests {
-		if digests[i], err = f.RegionDigest(i); err != nil {
-			t.Fatal(err)
-		}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests []string
+	if _, err := tracefile.DecodeStream(bytes.NewReader(data), func(rc tracefile.RegionChunks) error {
+		digests = append(digests, rc.Digest)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return digests
 }
@@ -50,7 +57,7 @@ func indexPath(st *store.Store, key string) string {
 }
 
 // wantIndex fails unless the trace's stored index lists exactly the digests
-// its file hashes to.
+// its stored file streams to.
 func wantIndex(t *testing.T, st *store.Store, key string) {
 	t.Helper()
 	b, err := st.GetArtifact(key, tracefile.DigestIndexName)
@@ -58,12 +65,12 @@ func wantIndex(t *testing.T, st *store.Store, key string) {
 		t.Fatalf("no digest index: %v", err)
 	}
 	if want := encodeDigestIndex(fileDigests(t, st, key)); !bytes.Equal(b, want) {
-		t.Fatalf("digest index (%d bytes) differs from File.RegionDigest over the stored trace (%d bytes)", len(b), len(want))
+		t.Fatalf("digest index (%d bytes) differs from the stored trace's stream digests (%d bytes)", len(b), len(want))
 	}
 }
 
 // TestIngestWritesDigestIndex: a streamed upload leaves an index equal to
-// hashing the stored file, only after the commit, once; RemoveTrace takes
+// streaming the stored file, only after the commit, once; RemoveTrace takes
 // it away with the trace.
 func TestIngestWritesDigestIndex(t *testing.T) {
 	for name, data := range map[string][]byte{"plain": recordWith(t), "gzip": recordWith(t, tracefile.WithGzip(true))} {
@@ -112,15 +119,17 @@ func TestIngestWritesDigestIndex(t *testing.T) {
 }
 
 // TestFirstAnalysisWritesDigestIndex: a trace that did not stream in (a
-// PutTrace/ImportTrace'd file) gets its index from the first analysis, and
-// the second analysis hits it.
+// PutTrace/ImportTrace'd file) gets its profiles and its index from the
+// profile pass of its first analysis, which selects what an upload of the
+// same bytes does; the second analysis hits the index and profiles nothing.
 func TestFirstAnalysisWritesDigestIndex(t *testing.T) {
 	cfgA, _ := ConfigFor("", 0)
 	cfgB, _ := ConfigFor("", 7)
 	t.Run("imported", func(t *testing.T) {
+		data := recordWith(t)
 		_, st := newManager(t)
 		path := filepath.Join(t.TempDir(), "t.bptrace")
-		if err := os.WriteFile(path, recordWith(t), 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		key, _, err := st.ImportTrace(path)
@@ -130,20 +139,29 @@ func TestFirstAnalysisWritesDigestIndex(t *testing.T) {
 		if st.HasArtifact(key, tracefile.DigestIndexName) {
 			t.Fatal("index exists before any analysis")
 		}
-		_, _, stats, err := AnalyzeCached(st, key, cfgA, nil, nil)
+		sel, _, stats, err := AnalyzeCached(st, key, cfgA, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.IndexHit || stats.Computed != stats.Regions {
-			t.Fatalf("first analysis stats %+v, want hashed digests and every region profiled", stats)
+			t.Fatalf("first analysis stats %+v, want a profile pass that profiled every region", stats)
 		}
 		wantIndex(t, st, key)
-		_, _, stats, err = AnalyzeCached(st, key, cfgB, nil, nil)
+		_, _, stats, err = AnalyzeCached(st, key, cfgB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !stats.IndexHit || stats.Computed != 0 {
 			t.Fatalf("second analysis stats %+v, want an index hit and nothing profiled", stats)
+		}
+
+		mUp, stUp := newManager(t)
+		up, err := mUp.IngestTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _, _, err := AnalyzeCached(stUp, up.Key, cfgA, nil); err != nil || !bytes.Equal(sel, want) {
+			t.Fatalf("imported trace selects other bytes than the same trace uploaded (err %v)", err)
 		}
 	})
 }
@@ -162,7 +180,8 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // TestIndexedAnalysisReadsNoTraceBytes: with the index and every profile in
 // the store, collecting an analysis's profiles touches the trace file not
 // at all once it is open (header and footer); without the index the same
-// call reads every chunk.
+// call runs the profile pass over the stored trace, which finds every
+// profile stored, computes none and rewrites the index.
 func TestIndexedAnalysisReadsNoTraceBytes(t *testing.T) {
 	data := recordTrace(t)
 	m, st := newManager(t)
@@ -176,7 +195,7 @@ func TestIndexedAnalysisReadsNoTraceBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra.reads.Store(0)
-	profiles, stats, err := profilesFor(st, res.Key, f, f)
+	profiles, stats, err := profilesFor(st, res.Key, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +209,22 @@ func TestIndexedAnalysisReadsNoTraceBytes(t *testing.T) {
 	if err := st.RemoveArtifact(res.Key, tracefile.DigestIndexName); err != nil {
 		t.Fatal(err)
 	}
-	if _, stats, err = profilesFor(st, res.Key, f, f); err != nil || stats.IndexHit || stats.Computed != 0 {
-		t.Fatalf("unindexed analysis: stats %+v, err %v", stats, err)
+	unindexed, stats, err := profilesFor(st, res.Key, f)
+	if want := (ProfileStats{Regions: res.Regions, Cached: res.Regions}); err != nil || stats != want {
+		t.Fatalf("unindexed analysis: stats %+v, err %v; want %+v", stats, err, want)
 	}
-	if n := ra.reads.Load(); n < int64(res.Regions*res.Threads) {
-		t.Errorf("unindexed analysis made %d reads, want at least one per chunk (%d)", n, res.Regions*res.Threads)
+	for i := range profiles {
+		if !bytes.Equal(signature.EncodeRegionData(unindexed[i]), signature.EncodeRegionData(profiles[i])) {
+			t.Fatalf("region %d: unindexed analysis read another profile", i)
+		}
 	}
+	wantIndex(t, st, res.Key)
 }
 
 // TestBadDigestIndexIsAMissAndHeals: an index that is not exactly one
 // well-formed digest per region changes timing, never a result — the
-// analysis hashes the file, selects the same bytes as over a clean store,
-// and leaves a correct index for the next one.
+// analysis runs the profile pass, selects the same bytes as over a clean
+// store, and leaves a correct index for the next one.
 func TestBadDigestIndexIsAMissAndHeals(t *testing.T) {
 	const keyLen = 64 // a digest: hex SHA-256
 	data := recordTrace(t)
@@ -218,7 +241,7 @@ func TestBadDigestIndexIsAMissAndHeals(t *testing.T) {
 	}
 	var want [2][]byte
 	for i, cfg := range []bp.Config{cfgA, cfgB} {
-		if want[i], _, _, err = AnalyzeCached(stClean, clean.Key, cfg, nil, nil); err != nil {
+		if want[i], _, _, err = AnalyzeCached(stClean, clean.Key, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,18 +270,18 @@ func TestBadDigestIndexIsAMissAndHeals(t *testing.T) {
 			if err := st.PutArtifact(res.Key, tracefile.DigestIndexName, bad); err != nil {
 				t.Fatal(err)
 			}
-			sel, _, stats, err := AnalyzeCached(st, res.Key, cfgA, nil, nil)
+			sel, _, stats, err := AnalyzeCached(st, res.Key, cfgA, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if stats.IndexHit || stats.Computed != 0 {
-				t.Errorf("stats %+v over a bad index, want hashed digests and every profile still cached", stats)
+				t.Errorf("stats %+v over a bad index, want a profile pass that finds every profile still cached", stats)
 			}
 			if !bytes.Equal(sel, want[0]) {
 				t.Error("selection over a bad index differs from the clean store's")
 			}
 			wantIndex(t, st, res.Key)
-			sel, _, stats, err = AnalyzeCached(st, res.Key, cfgB, nil, nil)
+			sel, _, stats, err = AnalyzeCached(st, res.Key, cfgB, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,27 +316,130 @@ func TestCorruptProfileBlobIsRepaired(t *testing.T) {
 // TestTruncatedProfilePackIsRepaired: truncating the upload's profile pack
 // turns every one of its names into a miss; the next analysis recomputes and
 // republishes them all, as one new pack, and the one after computes none.
+// With the digest index gone as well, the analysis's first profile pass
+// finds the damaged names still in place and skips them; the read after it
+// removes them, and a second pass recomputes them in the same analysis.
 func TestTruncatedProfilePackIsRepaired(t *testing.T) {
+	for _, dropIndex := range []bool{false, true} {
+		st, res := ingested(t)
+		digests := fileDigests(t, st, res.Key)
+		blob := filepath.Join(st.Root(), "profiles", digests[0]+"."+signature.CodecVersion)
+		fi, err := os.Stat(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(blob, fi.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+		if dropIndex {
+			if err := st.RemoveArtifact(res.Key, tracefile.DigestIndexName); err != nil {
+				t.Fatal(err)
+			}
+		}
+		distinct := make(map[string]bool)
+		for _, d := range digests {
+			distinct[d] = true
+		}
+		if len(distinct) < 2 {
+			t.Fatalf("%d distinct regions: the upload published no pack", len(distinct))
+		}
+		wantRepairs(t, st, res, len(distinct))
+		if n := profileFiles(t, st); n != 1 {
+			t.Errorf("index dropped %v: republished profiles in %d files, want one pack", dropIndex, n)
+		}
+		wantIndex(t, st, res.Key)
+	}
+}
+
+// damagedStore uploads recordTrace's bytes, removes the profile of region
+// 5 (the digest index stays) and applies damage to the stored bytes of that
+// region's thread-0 chunk, data[off:end]. It returns the store, the trace
+// key, and the upload's digest and profile blob of region 5.
+func damagedStore(t *testing.T, damage func(data []byte, off, end int)) (st *store.Store, key, digest string, blob []byte) {
+	t.Helper()
 	st, res := ingested(t)
-	digests := fileDigests(t, st, res.Key)
-	blob := filepath.Join(st.Root(), "profiles", digests[0]+"."+signature.CodecVersion)
-	fi, err := os.Stat(blob)
+	digest = fileDigests(t, st, res.Key)[5]
+	blob, err := st.GetProfile(digest, signature.CodecVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(blob, fi.Size()-1); err != nil {
+	if err := st.RemoveProfile(digest, signature.CodecVersion); err != nil {
 		t.Fatal(err)
 	}
-	distinct := make(map[string]bool)
-	for _, d := range digests {
-		distinct[d] = true
+	path, err := st.TracePath(res.Key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(distinct) < 2 {
-		t.Fatalf("%d distinct regions: the upload published no pack", len(distinct))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantRepairs(t, st, res, len(distinct))
-	if n := profileFiles(t, st); n != 1 {
-		t.Errorf("republished profiles in %d files, want one pack", n)
+	var lens []int // every chunk's length, in file order
+	var first []byte
+	if _, err := tracefile.DecodeStream(bytes.NewReader(data), func(rc tracefile.RegionChunks) error {
+		if rc.Index == 0 {
+			first = rc.Chunks[0]
+		}
+		for _, c := range rc.Chunks {
+			lens = append(lens, len(c))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.Index(data, first) // nothing before it but the header
+	for c := 0; c < 5*res.Threads; c++ {
+		off += lens[c] + len(binary.AppendUvarint(nil, uint64(lens[c+1])))
+	}
+	damage(data, off, off+lens[5*res.Threads])
+	if err := os.Chmod(path, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return st, res.Key, digest, blob
+}
+
+// TestUndecodableStoredChunkFailsAnalysis: an analysis that misses a profile
+// over a stored trace whose chunk no longer decodes (11 bytes of 0xff mid
+// chunk, a varint overflow) fails with ErrFormat, and stores no profile under
+// the upload's digest — rather than profiling the truncated stream into it.
+func TestUndecodableStoredChunkFailsAnalysis(t *testing.T) {
+	st, key, digest, _ := damagedStore(t, func(data []byte, off, end int) {
+		copy(data[(off+end)/2:], bytes.Repeat([]byte{0xff}, 11))
+	})
+	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil); !errors.Is(err, tracefile.ErrFormat) {
+		t.Fatalf("analysis of an undecodable stored chunk: err = %v, want ErrFormat", err)
+	}
+	if st.HasProfile(digest, signature.CodecVersion) {
+		t.Error("a profile was stored under the upload's digest")
+	}
+}
+
+// TestBitFlippedStoredChunkNeverPoisonsProfiles: single-bit flips in a
+// stored chunk whose profile is missing never land a profile under the
+// upload's digest that differs from the upload's: whatever the analysis
+// profiles lands under the digest of the damaged bytes, and the rewritten
+// index lists that digest.
+func TestBitFlippedStoredChunkNeverPoisonsProfiles(t *testing.T) {
+	for k := 1; k <= 5; k++ {
+		st, key, digest, blob := damagedStore(t, func(data []byte, off, end int) {
+			data[off+(end-off)*k/6] ^= 0x04
+		})
+		_, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil)
+		if err != nil && !errors.Is(err, tracefile.ErrFormat) {
+			t.Fatalf("flip %d: %v", k, err)
+		}
+		if got, gerr := st.GetProfile(digest, signature.CodecVersion); gerr == nil && !bytes.Equal(got, blob) {
+			t.Errorf("flip %d: a profile other than the upload's landed under its digest", k)
+		}
+		if err == nil {
+			wantIndex(t, st, key)
+			if damaged := fileDigests(t, st, key)[5]; damaged == digest || !st.HasProfile(damaged, signature.CodecVersion) {
+				t.Errorf("flip %d: no profile under the damaged bytes' digest", k)
+			}
+		}
 	}
 }
 
@@ -336,11 +462,11 @@ func wantRepairs(t *testing.T, st *store.Store, res IngestResult, damaged int) {
 	stClean, clean := ingested(t)
 	for i, maxK := range []int{0, 7} {
 		cfg, _ := ConfigFor("", maxK)
-		want, _, _, err := AnalyzeCached(stClean, clean.Key, cfg, nil, nil)
+		want, _, _, err := AnalyzeCached(stClean, clean.Key, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, _, stats, err := AnalyzeCached(st, res.Key, cfg, nil, nil)
+		sel, _, stats, err := AnalyzeCached(st, res.Key, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"barrierpoint/internal/profile"
 	"barrierpoint/internal/signature"
@@ -29,33 +28,63 @@ type IngestResult struct {
 	ProfilesComputed int `json:"profiles_computed"`
 }
 
-// IngestTrace consumes one trace upload: the bytes are hashed and
-// persisted through a durable store.TraceWriter while, concurrently, each
-// region is profiled into memory the moment its last byte arrives. Once the
-// stream has validated, the new profiles are published as one batch under
-// their regions' content digests (store.PutProfiles), early too whenever
-// store.MaxPack are pending, and only then is the trace committed: on
-// success every region profile is already in the store, with the trace's
-// region-digest index beside it (see profiles.go) — an analyze submitted
-// right after profiles nothing and reads no chunk of the trace.
+// IngestTrace consumes one trace upload: the profile pass (profilePass) runs
+// over the bytes as they stream through a durable store.TraceWriter, and the
+// trace is committed as the pass's last step. On success every region
+// profile is already in the store, with the trace's region-digest index
+// beside it (see profiles.go) — an analyze submitted right after runs no
+// profile pass and reads no chunk of the trace.
 //
 // Failure leaves no partial state: a decode error, a publish error or a
 // commit error aborts the trace write (the temp file is removed, the key
 // never becomes visible) and removes exactly the profile entries this
-// call created — profiles that pre-existed (shared region content) are
-// untouched, as is everything else in the store.
+// call created.
 func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 	tw, err := m.st.NewTraceWriter()
 	if err != nil {
 		return IngestResult{}, err
 	}
+	defer tw.Abort() // a no-op after Commit
+	var res IngestResult
+	info, digests, computed, err := profilePass(m.st, io.TeeReader(r, tw), func() (err error) {
+		res.Key, res.Existed, err = tw.Commit()
+		return err
+	})
+	if err != nil {
+		return IngestResult{}, err
+	}
+	if !m.st.HasArtifact(res.Key, tracefile.DigestIndexName) {
+		// Best effort: the upload is durable and complete without its index,
+		// and the first analysis writes the one that is missing.
+		_ = m.st.PutArtifact(res.Key, tracefile.DigestIndexName, encodeDigestIndex(digests))
+	}
+	res.Name, res.Threads, res.Regions = info.Name, info.Threads, info.Regions
+	res.ProfilesComputed, res.ProfilesCached = computed, info.Regions-computed
+	m.pipe.ingestedTraces.Add(1)
+	m.pipe.ingestedProfiles.Add(int64(computed))
+	m.pipe.profileCacheHits.Add(int64(res.ProfilesCached))
+	m.pipe.profileComputed.Add(int64(computed))
+	return res, nil
+}
+
+// profilePass is the one producer of region profiles and region digests: it
+// decodes the trace read from r (tracefile.DecodeStream, which digests each
+// region) and profiles every distinct region whose profile the store lacks,
+// through trace.CheckedRegion, the moment its last byte arrives. New profiles
+// are published under their digests in batches of store.MaxPack, and the
+// rest once the whole stream has validated; then commit, if not nil, runs. A
+// profile therefore only ever lands under the digest of the bytes it was
+// computed from, and a chunk that does not decode fails the pass with
+// tracefile.ErrFormat. It returns every region's digest in region order (the
+// digest index) and how many profiles it computed; the other regions' were
+// cached. If any step fails, it removes exactly the profile entries it
+// created — profiles that pre-existed (shared region content) are untouched.
+func profilePass(st *store.Store, r io.Reader, commit func() error) (info tracefile.StreamInfo, digests []string, computed int, err error) {
 	var (
-		mu       sync.Mutex
-		pending  = make(map[string][]byte) // profiled, not yet published
-		created  []string                  // digests whose profile entry this ingest created
-		computed int
-		cached   atomic.Int64
-		corrupt  error // the first region that failed to decode
+		mu      sync.Mutex
+		pending = make(map[string][]byte) // profiled, not yet published
+		created []string                  // digests whose profile entry this pass created
+		corrupt error                     // the first region that failed to decode
 	)
 	// publish publishes the pending profiles if at least atLeast are pending.
 	publish := func(atLeast int) error {
@@ -64,27 +93,23 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		if len(pending) < atLeast {
 			return nil
 		}
-		c, err := m.st.PutProfiles(signature.CodecVersion, pending)
+		c, err := st.PutProfiles(signature.CodecVersion, pending)
 		created, computed, pending = append(created, c...), computed+len(pending), make(map[string][]byte)
 		return err
 	}
-	committed := false
+	ok := false
 	defer func() {
-		if committed {
+		if ok {
 			return
 		}
-		tw.Abort()
-		// Mirror RemoveTrace cleanup: a failed upload must not orphan
-		// profile artifacts for a trace that was never stored. PutProfiles
-		// publishes exclusively, so each digest here was created by this
-		// ingest alone — cleanup cannot race another ingest's claim of
-		// creation. One narrow window remains: a concurrent ingest of
+		// PutProfiles publishes exclusively, so each digest here was created
+		// by this pass alone — cleanup cannot race another pass's claim of
+		// creation. One narrow window remains: a concurrent pass over
 		// overlapping region content may have counted one of these entries
-		// as a cache hit before we remove it; its trace's first analyze
-		// recomputes the profile from the stored bytes, so the result is
-		// unchanged and the cache self-heals.
+		// as cached before we remove it; the analysis that then misses it
+		// runs the pass over its stored trace, so the cache self-heals.
 		for _, d := range created {
-			_ = m.st.RemoveProfile(d, signature.CodecVersion)
+			_ = st.RemoveProfile(d, signature.CodecVersion)
 		}
 	}()
 
@@ -99,8 +124,7 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		go func() {
 			defer wg.Done()
 			for rc := range work {
-				if m.st.HasProfile(rc.Digest, signature.CodecVersion) {
-					cached.Add(1)
+				if st.HasProfile(rc.Digest, signature.CodecVersion) {
 					continue
 				}
 				r := trace.CheckedRegion{Region: rc.Region()}
@@ -116,20 +140,18 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 		}()
 	}
 
-	var digests []string // every region's, in region order: the digest index
 	seen := make(map[string]bool)
 	decode := func() (tracefile.StreamInfo, error) {
 		// Drain the pool on every exit, including a panic out of DecodeStream
 		// or the tee'd writer: an HTTP server recovers handler panics, and a
 		// stranded pool of workers per bad request would accumulate silently.
 		defer func() { close(work); wg.Wait() }()
-		return tracefile.DecodeStream(io.TeeReader(r, tw), func(rc tracefile.RegionChunks) error {
+		return tracefile.DecodeStream(r, func(rc tracefile.RegionChunks) error {
 			digests = append(digests, rc.Digest)
 			if seen[rc.Digest] {
 				// Repeated region content is resolved once, by the pool worker
-				// that got its first occurrence; the repeats count as cache
-				// hits and no two workers ever hold the same digest.
-				cached.Add(1)
+				// that got its first occurrence, so no two workers ever hold
+				// the same digest.
 				return nil
 			}
 			seen[rc.Digest] = true
@@ -137,35 +159,13 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 			return publish(store.MaxPack)
 		})
 	}
-	info, err := decode()
+	info, err = decode()
 	if err = cmp.Or(err, corrupt); err == nil {
 		err = publish(0)
 	}
-	if err != nil {
-		return IngestResult{}, err
+	if err == nil && commit != nil {
+		err = commit()
 	}
-
-	key, existed, err := tw.Commit()
-	if err != nil {
-		return IngestResult{}, err
-	}
-	committed = true
-	if !m.st.HasArtifact(key, tracefile.DigestIndexName) {
-		// Best effort: the upload is durable and complete without its index,
-		// and the first analysis writes the one that is missing.
-		_ = m.st.PutArtifact(key, tracefile.DigestIndexName, encodeDigestIndex(digests))
-	}
-	m.pipe.ingestedTraces.Add(1)
-	m.pipe.ingestedProfiles.Add(int64(computed))
-	m.pipe.profileCacheHits.Add(cached.Load())
-	m.pipe.profileComputed.Add(int64(computed))
-	return IngestResult{
-		Key:              key,
-		Existed:          existed,
-		Name:             info.Name,
-		Threads:          info.Threads,
-		Regions:          info.Regions,
-		ProfilesCached:   int(cached.Load()),
-		ProfilesComputed: computed,
-	}, nil
+	ok = err == nil
+	return info, digests, computed, err
 }

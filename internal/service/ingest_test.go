@@ -46,13 +46,13 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 	data := recordTrace(t)
 
 	// Cold reference: plain PutTrace (no profiling) + analyze.
-	mCold, stCold := newManager(t)
+	_, stCold := newManager(t)
 	keyCold, _, err := stCold.PutTrace(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := bp.DefaultConfig()
-	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, mCold.pipe.replay, nil)
+	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatalf("ingest metadata %q/%d threads", res.Name, res.Threads)
 	}
 
-	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, m.pipe.replay, nil)
+	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, m.pipe.replay, nil)
+	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if SelectionArtifact(cfgA) == SelectionArtifact(cfgB) {
 		t.Fatal("different MaxK landed on the same selection artifact")
 	}
-	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, m.pipe.replay, nil)
+	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, m.pipe.replay, nil)
+	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 		t.Errorf("ingest computed %d and reused %d profiles of %d regions, want %d and %d",
 			res.ProfilesComputed, res.ProfilesCached, res.Regions, distinct, regions-distinct)
 	}
-	warmSel, _, stats, err := AnalyzeCached(st, res.Key, cfg, m.pipe.replay, nil)
+	warmSel, _, stats, err := AnalyzeCached(st, res.Key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSel, _, stats, err := AnalyzeCached(stCold, key, cfg, nil, nil)
+	coldSel, _, stats, err := AnalyzeCached(stCold, key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestRepeatedRegionContentProfiledOnce(t *testing.T) {
 	if _, _, err := stSeq.PutTrace(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	seqSel, _, _, err := AnalyzeCached(stSeq, key, cfg, nil, nil)
+	seqSel, _, _, err := AnalyzeCached(stSeq, key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

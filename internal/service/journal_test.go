@@ -425,7 +425,7 @@ func TestRecoversParentWrittenJournal(t *testing.T) {
 	// The crashed coordinator's store held the trace and the analyze's
 	// selection; the estimate and the simulate left nothing durable.
 	st, _ := newTestStore(t)
-	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil); err != nil {
+	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "jobs.wal")

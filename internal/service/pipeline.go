@@ -98,10 +98,10 @@ type plan struct {
 type pipeline struct {
 	st *store.Store
 	// replay is the shared region replay cache: every job that replays a
-	// stored trace — a cold analyze, an estimate's warmup and point
-	// simulations, a ground-truth simulate — decodes regions through it,
-	// keyed by trace content. An estimate+simulate pair over one trace
-	// therefore decodes each region once, not once per job.
+	// stored trace — an estimate's warmup and point simulations, a
+	// ground-truth simulate — decodes regions through it, keyed by trace
+	// content. An estimate+simulate pair over one trace therefore decodes
+	// each region once, not once per job.
 	replay *bp.ReplayCache
 	farm   *farm.Queue // nil until SetFarm; estimates then stay local
 
@@ -126,8 +126,8 @@ func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
 	counterFunc(r, "bp_adaptive_promoted_total", "Regions promoted to detailed simulation by the adaptive sampler.", &p.adaptivePromoted)
 	counterFunc(r, "bp_profile_cache_hits_total", "Region profiles served from the content-addressed profile cache.", &p.profileCacheHits)
 	counterFunc(r, "bp_profile_computed_total", "Region profiles computed (and cached) on profile-cache misses.", &p.profileComputed)
-	counterFunc(r, "bp_region_digest_index_hits_total", "Cold analyses that took their region digests from the trace's digest index (no trace chunk read).", &p.digestIndexHits)
-	counterFunc(r, "bp_region_digest_index_misses_total", "Cold analyses that hashed the trace file for their region digests (index missing or invalid; rewritten).", &p.digestIndexMisses)
+	counterFunc(r, "bp_region_digest_index_hits_total", "Cold analyses served by the trace's digest index and stored profiles (no profile pass, no trace chunk read).", &p.digestIndexHits)
+	counterFunc(r, "bp_region_digest_index_misses_total", "Cold analyses that profiled the stored trace as an upload does (index invalid or a profile missing; index rewritten).", &p.digestIndexMisses)
 	counterFunc(r, "bp_ingest_traces_total", "Traces ingested through the streaming upload path.", &p.ingestedTraces)
 	counterFunc(r, "bp_ingest_profiles_total", "Region profiles stored during streaming ingest, while the upload was still transferring.", &p.ingestedProfiles)
 	r.CounterFunc("bp_store_publishes_total", "Durable store publishes: one data fsync and one directory fsync each, however many entries.",
@@ -276,7 +276,7 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 		pl.stageDur.With(stage).ObserveDuration(d)
 	}
 	if p.kind == KindAnalyze {
-		sel, cached, stats, err := AnalyzeCached(pl.st, p.trace, p.cfg, pl.replay, obsrv)
+		sel, cached, stats, err := AnalyzeCached(pl.st, p.trace, p.cfg, obsrv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -332,8 +332,8 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 // recordProfileStats counts a cold analysis (a selection served from the
 // store is not one, and records nothing) and attributes its profile-cache
 // activity to the job's span (profiles_cached / profiles_computed, the
-// numbers the CI smoke greps for, and region_digests: index when the trace
-// file went unread, hashed otherwise) and to the service-wide counters.
+// numbers the CI smoke greps for, and region_digests: index when no profile
+// pass ran, hashed otherwise) and to the service-wide counters.
 func (pl *pipeline) recordProfileStats(span *obs.Span, cached bool, stats ProfileStats) {
 	if cached {
 		return

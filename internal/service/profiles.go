@@ -1,43 +1,45 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"os"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"barrierpoint/internal/par"
-	"barrierpoint/internal/profile"
 	"barrierpoint/internal/signature"
 	"barrierpoint/internal/store"
-	"barrierpoint/internal/trace"
 	"barrierpoint/internal/tracefile"
 )
 
 // Per-region profile cache plumbing. Region profiles are keyed in the store
 // by region content digest and codec version (see the store package doc),
-// so a profile cached while a trace streamed in (Manager.IngestTrace) serves
-// any later analysis of any trace containing that region, under any
-// signature or clustering knob.
+// so a profile cached by one trace's profile pass serves any later analysis
+// of any trace containing that region, under any signature or clustering
+// knob. The profile pass (profilePass, ingest.go) is the only producer of
+// both profiles and digests: an upload runs it as the bytes stream in
+// (Manager.IngestTrace), and an analysis that misses runs it over the
+// stored trace (profilesFor).
 //
 // The digests are kept too: the region-digest index is an ordinary artifact
 // of the trace (tracefile.DigestIndexName: keyed by the trace's content key
 // and the digest framing version) listing every region's digest in region
-// order, one hex line each. IngestTrace writes it from the digests the
-// streaming decode computed anyway; the first analysis writes it for a trace
-// that arrived another way (ImportTrace, a worker's fetch). It
-// only ever saves work: an index that is missing, unreadable, of the wrong
-// length or not made of digests is a miss — regionDigests hashes the trace
-// file and overwrites it — so a bad index can change how long an analysis
-// takes, never what it selects.
+// order, one hex line each. It only ever saves work: an index that is
+// missing, unreadable, of the wrong length or not made of digests is a miss
+// — the analysis runs the profile pass and overwrites it — so a bad index
+// can change how long an analysis takes, never what it selects.
 
 // ProfileStats reports where an analysis's region profiles came from.
 type ProfileStats struct {
 	Regions  int `json:"regions"`
 	Cached   int `json:"cached"`
 	Computed int `json:"computed"`
-	// IndexHit reports that the region digests came from the trace's
-	// digest index: the analysis read no chunk of the trace file to learn
-	// its cache keys.
+	// IndexHit reports that no profile pass ran: the region digests came
+	// from the trace's digest index and every profile from the store, so
+	// the analysis read no chunk of the trace file.
 	IndexHit bool `json:"index_hit"`
 }
 
@@ -77,77 +79,78 @@ func parseDigestIndex(b []byte, regions int) []string {
 	return digests
 }
 
-// regionDigests returns the content digest of every region of the stored
-// trace, from its digest index when that holds (indexed is true), otherwise
-// by hashing the trace file and (re)writing the index.
-func regionDigests(st *store.Store, key string, f *tracefile.File) (digests []string, indexed bool, err error) {
+// profilesFor collects the per-region profiles of a stored, open trace. The
+// hit path reads the digest index, the distinct digests' profiles
+// (store.GetProfiles, one read per file) and decodes them in parallel.
+// Any miss — no valid index, a profile missing or undecodable — runs the
+// profile pass over the stored trace, rewrites the index and reads again; a
+// second pass recomputes what the first skipped because a damaged entry was
+// still in place (the read after it removes one). Regions with equal content
+// share one read-only *signature.RegionData. Results are ordered by region
+// index and bit-identical to a direct profiling pass (the codec round-trips
+// exact float bits).
+func profilesFor(st *store.Store, key string, f *tracefile.File) ([]*signature.RegionData, ProfileStats, error) {
+	stats := ProfileStats{Regions: f.Regions(), Cached: f.Regions(), IndexHit: true}
 	if b, err := st.GetArtifact(key, tracefile.DigestIndexName); err == nil {
-		if digests = parseDigestIndex(b, f.Regions()); digests != nil {
-			return digests, true, nil
+		if digests := parseDigestIndex(b, f.Regions()); digests != nil {
+			if out := cachedProfiles(st, digests); out != nil {
+				return out, stats, nil
+			}
 		}
 	}
-	digests = make([]string, f.Regions())
-	for i := range digests {
-		if digests[i], err = f.RegionDigest(i); err != nil {
-			return nil, false, fmt.Errorf("service: digesting region %d: %w", i, err)
-		}
-	}
-	// The index is an optimisation: failing to write it costs the next
-	// analysis this same pass, nothing else.
-	_ = st.PutArtifact(key, tracefile.DigestIndexName, encodeDigestIndex(digests))
-	return digests, false, nil
-}
-
-// profilesFor collects the per-region profiles of a stored, open trace.
-// Each distinct region digest is resolved once, in parallel across digests
-// — from the profile cache (store.GetProfiles, one read per file), else by
-// profiling the first region that carries it — and the profiles computed
-// are published as one batch (store.PutProfiles; a failure fails the call).
-// Regions with equal content share one read-only *signature.RegionData and
-// count as cached. Results are ordered by region index and bit-identical to
-// a direct profiling pass (the codec round-trips exact float bits). prog is
-// the replay view to profile misses through (a replay-cache wrapper of f,
-// or f itself).
-func profilesFor(st *store.Store, key string, f *tracefile.File, prog trace.Program) ([]*signature.RegionData, ProfileStats, error) {
-	n := f.Regions()
-	stats := ProfileStats{Regions: n}
-	digests, indexed, err := regionDigests(st, key, f)
+	stats.IndexHit = false
+	path, err := st.TracePath(key)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.IndexHit = indexed
-	classOf := make(map[string]int, n) // digest -> position in first
-	var first []int                    // the first region carrying each distinct digest
-	var firstDigests []string
-	for i, d := range digests {
-		if _, ok := classOf[d]; !ok {
-			classOf[d] = len(first)
-			first, firstDigests = append(first, i), append(firstDigests, d)
+	r, err := os.Open(path)
+	if err != nil {
+		return nil, stats, err
+	}
+	defer r.Close()
+	for range 2 {
+		_, digests, computed, err := profilePass(st, io.NewSectionReader(r, 0, math.MaxInt64), nil)
+		if err != nil {
+			return nil, stats, fmt.Errorf("service: profiling stored trace %s: %w", key, err)
+		}
+		// The index is an optimisation: failing to write it costs the next
+		// analysis this same pass, nothing else.
+		_ = st.PutArtifact(key, tracefile.DigestIndexName, encodeDigestIndex(digests))
+		stats.Computed += computed
+		stats.Cached -= computed
+		if out := cachedProfiles(st, digests); out != nil {
+			return out, stats, nil
 		}
 	}
+	return nil, stats, errors.New("service: region profiles still missing after profiling the stored trace")
+}
 
-	blobs := st.GetProfiles(signature.CodecVersion, firstDigests)
-	distinct := make([]*signature.RegionData, len(first))
-	var mu sync.Mutex
-	fresh := make(map[string][]byte) // computed here, published below
-	par.For(len(first), func(c int) {
-		if distinct[c] = cachedProfile(st, firstDigests[c], blobs[c]); distinct[c] != nil {
-			return
+// cachedProfiles returns the stored profiles of the regions with the given
+// digests, resolving each distinct digest once, or nil if any is a miss.
+func cachedProfiles(st *store.Store, digests []string) []*signature.RegionData {
+	classOf := make(map[string]int, len(digests)) // digest -> position in distinct
+	var distinctDigests []string
+	for _, d := range digests {
+		if _, ok := classOf[d]; !ok {
+			classOf[d] = len(distinctDigests)
+			distinctDigests = append(distinctDigests, d)
 		}
-		distinct[c] = profile.Region(prog.Region(first[c]), f.Threads())
-		blob := signature.EncodeRegionData(distinct[c])
-		mu.Lock()
-		fresh[firstDigests[c]] = blob
-		mu.Unlock()
-	})
-	if _, err := st.PutProfiles(signature.CodecVersion, fresh); err != nil {
-		return nil, stats, fmt.Errorf("service: storing profiles: %w", err)
 	}
-	out := make([]*signature.RegionData, n)
+	blobs := st.GetProfiles(signature.CodecVersion, distinctDigests)
+	distinct := make([]*signature.RegionData, len(distinctDigests))
+	var missed atomic.Bool
+	par.For(len(distinct), func(c int) {
+		// Every blob is decoded, so one read removes every damaged entry.
+		if distinct[c] = cachedProfile(st, distinctDigests[c], blobs[c]); distinct[c] == nil {
+			missed.Store(true)
+		}
+	})
+	if missed.Load() {
+		return nil
+	}
+	out := make([]*signature.RegionData, len(digests))
 	for i, d := range digests {
 		out[i] = distinct[classOf[d]]
 	}
-	stats.Computed = len(fresh)
-	stats.Cached = n - stats.Computed
-	return out, stats, nil
+	return out
 }

@@ -63,16 +63,16 @@ import (
 var analyzeFn = analyzeProfiled
 
 // analyzeProfiled is the default analysis path: per-region profiles come
-// from the store's content-addressed profile cache when present (profilesFor
-// computes and caches the misses), then clustering runs over them. With a
-// fully warm profile cache — the normal state right after a streaming
-// upload — the reported stage is "profile-cache" instead of "profile",
-// because no profiling happened: the analysis paid only decode + k-means.
+// from the store's content-addressed profile cache (profilesFor runs the
+// profile pass on a miss), then clustering runs over them. With a fully warm
+// profile cache — the normal state right after a streaming upload — the
+// reported stage is "profile-cache" instead of "profile", because no
+// profiling happened: the analysis paid only profile reads + k-means.
 // Either way the resulting selection is byte-identical to a cold pass
 // (the profile codec round-trips exact float bits).
-func analyzeProfiled(st *store.Store, key string, f *tracefile.File, prog bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+func analyzeProfiled(st *store.Store, key string, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 	t0 := time.Now()
-	profiles, stats, err := profilesFor(st, key, f, prog)
+	profiles, stats, err := profilesFor(st, key, f)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -84,7 +84,7 @@ func analyzeProfiled(st *store.Store, key string, f *tracefile.File, prog bp.Pro
 		obsrv(stage, time.Since(t0))
 	}
 	t1 := time.Now()
-	a, err := bp.AnalyzeWithProfiles(prog, cfg, profiles)
+	a, err := bp.AnalyzeWithProfiles(f, cfg, profiles)
 	if obsrv != nil {
 		obsrv("cluster", time.Since(t1))
 	}
@@ -180,17 +180,14 @@ var (
 // Computation is single-flight per (store, trace, config) within the
 // process.
 //
-// A cold analysis decodes each region through rc (keyed by the trace's
-// content key), so a following estimate or simulate over the same cache
-// replays regions without touching the trace file; a nil rc streams from
-// disk. It reports its "profile" (or "profile-cache", when every region
-// profile was served from the store) and "cluster" stage durations to
-// obsrv, if non-nil, and where its region profiles came from in stats: a
-// cold run right after a streaming upload has Computed==0. Cache hits and
-// waits on another caller's in-flight computation report nothing — no
-// profiling ran in this call. The observer never influences the computed
-// selection.
-func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (sel []byte, cached bool, stats ProfileStats, err error) {
+// A cold analysis replays no region: it reports its "profile" (or
+// "profile-cache", when every region profile was served from the store) and
+// "cluster" stage durations to obsrv, if non-nil, and where its region
+// profiles came from in stats: a cold run right after a streaming upload has
+// Computed==0 and IndexHit set. Cache hits and waits on another caller's
+// in-flight computation report nothing — no profiling ran in this call. The
+// observer never influences the computed selection.
+func AnalyzeCached(st *store.Store, key string, cfg bp.Config, obsrv bp.StageObserver) (sel []byte, cached bool, stats ProfileStats, err error) {
 	name := SelectionArtifact(cfg)
 	flightKey := st.Root() + "|" + key + "|" + name
 	for {
@@ -209,7 +206,7 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCach
 		analyzeFlights[flightKey] = ch
 		analyzeMu.Unlock()
 
-		sel, stats, err := computeSelection(st, key, cfg, name, rc, obsrv)
+		sel, stats, err := computeSelection(st, key, cfg, name, obsrv)
 		analyzeMu.Lock()
 		delete(analyzeFlights, flightKey)
 		analyzeMu.Unlock()
@@ -227,7 +224,7 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCach
 // additionally receives "bind": parse, open and bind. The caller closes
 // closer when it is done with the analysis' program.
 func BindCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (a *bp.Analysis, closer io.Closer, cached bool, stats ProfileStats, err error) {
-	selBytes, cached, stats, err := AnalyzeCached(st, key, cfg, rc, obsrv)
+	selBytes, cached, stats, err := AnalyzeCached(st, key, cfg, obsrv)
 	if err != nil {
 		return nil, nil, false, stats, err
 	}
@@ -252,13 +249,13 @@ func BindCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, 
 
 // computeSelection runs the cold path: profile (through the per-region
 // profile cache), cluster, serialize, cache.
-func computeSelection(st *store.Store, key string, cfg bp.Config, name string, rc *bp.ReplayCache, obsrv bp.StageObserver) ([]byte, ProfileStats, error) {
+func computeSelection(st *store.Store, key string, cfg bp.Config, name string, obsrv bp.StageObserver) ([]byte, ProfileStats, error) {
 	f, err := st.OpenTrace(key)
 	if err != nil {
 		return nil, ProfileStats{}, err
 	}
 	defer f.Close()
-	a, stats, err := analyzeFn(st, key, f, rc.Program(f, key), cfg, obsrv)
+	a, stats, err := analyzeFn(st, key, f, cfg, obsrv)
 	if err != nil {
 		return nil, stats, err
 	}

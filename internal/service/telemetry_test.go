@@ -172,7 +172,7 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 		ids[i] = snap.ID
 	}
 	// Every estimate uses the default selection of the one trace.
-	selBytes, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil)
+	selBytes, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

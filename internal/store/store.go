@@ -25,11 +25,12 @@
 // trace's region-digest index (see internal/service, profiles.go).
 //
 // Per-region profiles are addressed not by trace but by the region's own
-// content digest (tracefile.File.RegionDigest) plus the encoding version
-// (signature.CodecVersion), so they are shared by every trace containing
-// that region and by every clustering configuration — re-clustering with a
-// different K or signature variant reuses all of them and pays only
-// k-means (see internal/service).
+// content digest (the Digest tracefile.DecodeStream computes for it) plus
+// the encoding version (signature.CodecVersion), so they are shared by
+// every trace containing that region and by every clustering configuration
+// — re-clustering with a different K or signature variant reuses all of
+// them and pays only k-means (see internal/service, whose one profile pass
+// is their only producer).
 //
 // All writes go through a temp file in the destination directory, renamed or
 // linked to its names, so concurrent writers (several jobs, or a CLI racing

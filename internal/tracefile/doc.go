@@ -88,16 +88,18 @@
 // Note the gzip flag changes the bytes, so a compressed and an uncompressed
 // recording of one program are distinct store entries by design.
 //
-// Regions are content-addressed too: RegionDigest (and the Digest field of
-// DecodeStream's RegionChunks) is a SHA-256 over the region's chunk
-// payloads plus the parameters that determine how they decode (gzip flag,
-// thread count). The digest is deliberately independent of the container:
-// DecodeStream computes it incrementally while Open computes it by random
-// access, to the same value. internal/service keys per-region BBV+LDV
-// profiles by (region digest, signature codec version), which is what lets
-// a streaming upload profile regions mid-transfer and lets re-clustering
-// with different knobs (max K, scale, signature variant) reuse every
-// cached profile and pay only k-means.
+// Regions are content-addressed too: the Digest field of DecodeStream's
+// RegionChunks is a SHA-256 over the region's chunk payloads plus the
+// parameters that determine how they decode (gzip flag, thread count), and
+// DecodeStream is the only place one is computed. The digest is
+// deliberately independent of the container: the same region content at any
+// position of any trace digests equal. internal/service keys per-region
+// BBV+LDV profiles by (region digest, signature codec version), and its one
+// profile pass streams a trace through DecodeStream — an upload as it
+// arrives, a stored trace when an analysis misses — so a profile only ever
+// lands under the digest of the bytes it was computed from, and
+// re-clustering with different knobs (max K, scale, signature variant)
+// reuses every cached profile and pays only k-means.
 //
 // # Replay caching
 //

@@ -140,8 +140,9 @@ func FuzzReplay(f *testing.F) {
 // FuzzDecodeStream covers the incremental path: hostile bytes fed to the
 // streaming decoder must error out, never panic or allocate unboundedly,
 // and any region it does deliver must replay without panicking. Whatever
-// it accepts, NewReader accepts too, with the same shape and the same
-// region digests: a trace an upload stores always opens. Its access-only
+// it accepts, NewReader accepts too, with the same shape and the same chunk
+// bytes, and a region's digest is a function of its chunks alone: a trace an
+// upload stores always opens, and re-streams to the same digests. Its access-only
 // reader then agrees with the regions the decoder delivered, chunk by chunk,
 // on the (line, write) sequence and on whether the chunk decodes.
 func FuzzDecodeStream(f *testing.F) {
@@ -150,11 +151,11 @@ func FuzzDecodeStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var be trace.BlockExec
-		var digests []string
+		var delivered []RegionChunks
 		var streamed [][]uint64 // per chunk, in file order
 		var decodes []bool
 		info, err := DecodeStream(bytes.NewReader(data), func(rc RegionChunks) error {
-			digests = append(digests, rc.Digest)
+			delivered = append(delivered, rc)
 			region := rc.Region()
 			for tid := range rc.Chunks {
 				s := region.Thread(tid)
@@ -179,12 +180,19 @@ func FuzzDecodeStream(f *testing.F) {
 		if got := (StreamInfo{Name: tf.Name(), Threads: tf.Threads(), Regions: tf.Regions(), Gzip: tf.Gzipped()}); got != info {
 			t.Fatalf("NewReader reads %+v, DecodeStream %+v", got, info)
 		}
-		for i, want := range digests {
-			if got, err := tf.RegionDigest(i); err != nil || got != want {
-				t.Fatalf("region %d: file digest %s (%v), stream digest %s", i, got, err, want)
+		for i, rc := range delivered {
+			// A digest is the region's chunk bytes and nothing else: equal
+			// chunks digest equal wherever they sit, distinct ones differ.
+			for _, prev := range delivered[:i] {
+				if (prev.Digest == rc.Digest) != slices.EqualFunc(prev.Chunks, rc.Chunks, bytes.Equal) {
+					t.Fatalf("regions %d and %d: digest equality disagrees with chunk equality", prev.Index, i)
+				}
 			}
 			for tid := 0; tid < tf.Threads(); tid++ {
 				c := i*tf.Threads() + tid
+				if !bytes.Equal(rc.Chunks[tid], data[tf.off[c]:tf.end[c]]) {
+					t.Fatalf("region %d thread %d: the stream delivered other bytes than the file indexes", i, tid)
+				}
 				if only, err := tf.AppendAccesses(nil, i, tid); (err == nil) != decodes[c] || !slices.Equal(only, streamed[c]) {
 					t.Fatalf("region %d thread %d: access-only reader %d entries (%v), streamed region %d (decodes %v)", i, tid, len(only), err, len(streamed[c]), decodes[c])
 				}

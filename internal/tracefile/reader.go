@@ -235,34 +235,6 @@ func (f *File) Regions() int { return f.regions }
 // Gzipped reports whether chunks are gzip-compressed.
 func (f *File) Gzipped() bool { return f.gzip }
 
-// RegionDigest returns the content digest of region i: the SHA-256 of the
-// region's encoded chunk payloads under the canonical framing (see
-// digestRegion). Two regions digest equal exactly when they replay
-// identically, independent of which trace file carries them, so
-// per-region derived artifacts (profiles) content-address across traces.
-func (f *File) RegionDigest(i int) (string, error) {
-	if i < 0 || i >= f.regions {
-		return "", fmt.Errorf("tracefile: region %d out of range [0,%d)", i, f.regions)
-	}
-	d := newRegionDigester(f.gzip, f.threads)
-	// One small buffer per call: io.Copy would allocate 32 KB per chunk,
-	// 130 MB of garbage over a 5.7 MB trace of many small regions.
-	buf := make([]byte, 4<<10)
-	for t := 0; t < f.threads; t++ {
-		c := i*f.threads + t
-		d.beginChunk(uint64(f.end[c] - f.off[c]))
-		for off := f.off[c]; off < f.end[c]; {
-			b := buf[:min(int64(len(buf)), f.end[c]-off)]
-			if n, err := f.ra.ReadAt(b, off); n < len(b) {
-				return "", fmt.Errorf("tracefile: digesting region %d thread %d: %w", i, t, err)
-			}
-			d.h.Write(b)
-			off += int64(len(b))
-		}
-	}
-	return d.sum(), nil
-}
-
 // Region implements trace.Program. The returned Region reads its chunks
 // lazily; materializing it costs no trace decoding.
 func (f *File) Region(i int) trace.Region {

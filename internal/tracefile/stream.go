@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"slices"
 
@@ -33,8 +32,8 @@ func errw(err error, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %w", ErrFormat, fmt.Sprintf(format, args...), err)
 }
 
-// digestTag versions the region content digest framing. Bump it if the
-// framing below ever changes, so stale cached profiles can never be
+// digestTag versions the region content digest framing (DecodeStream).
+// Bump it if the framing ever changes, so stale cached profiles can never be
 // mistaken for current ones.
 const digestTag = "bprgn1"
 
@@ -47,41 +46,6 @@ const DigestIndexName = "region-digests-" + digestTag + ".idx"
 // maxStreamName bounds the name length a streaming decoder will accept
 // before it has a footer to sanity-check against.
 const maxStreamName = 1 << 16
-
-// regionDigester accumulates the canonical region content digest: the tag,
-// the gzip flag, the thread count, then every chunk as uvarint(len) +
-// payload. RegionDigest (random access over a File) and DecodeStream
-// (incremental, over a pipe) both produce digests through this one
-// framing, which is what lets a profile computed mid-upload be found
-// later by a reader that only has the stored file. The digest covers the
-// encoded payload bytes — not the decoded accesses — so it is independent
-// of where the region sits in its file.
-type regionDigester struct {
-	h hash.Hash
-	// scratch for the header and the chunk length prefixes; a local array
-	// would escape through h.Write and cost an allocation per chunk.
-	buf [len(digestTag) + 1 + binary.MaxVarintLen64]byte
-}
-
-func newRegionDigester(gz bool, threads int) *regionDigester {
-	d := &regionDigester{h: sha256.New()}
-	var flags byte
-	if gz {
-		flags = flagGzip
-	}
-	n := copy(d.buf[:], digestTag)
-	d.buf[n] = flags
-	n++
-	n += binary.PutUvarint(d.buf[n:], uint64(threads))
-	d.h.Write(d.buf[:n])
-	return d
-}
-
-func (d *regionDigester) beginChunk(size uint64) {
-	d.h.Write(d.buf[:binary.PutUvarint(d.buf[:], size)])
-}
-
-func (d *regionDigester) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // StreamInfo describes a trace consumed by DecodeStream.
 type StreamInfo struct {
@@ -96,7 +60,7 @@ type StreamInfo struct {
 // Chunks; the decoder never reuses them.
 type RegionChunks struct {
 	Index  int      // region index, 0-based, in trace order
-	Digest string   // content digest; equals File.RegionDigest(Index) on the stored bytes
+	Digest string   // content digest: equal for equal region content in any trace
 	Gzip   bool     // whether Chunks are gzip-compressed
 	Chunks [][]byte // one encoded (possibly gzipped) chunk per thread
 }
@@ -153,16 +117,25 @@ func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) 
 	// int outright) and nothing backs them yet. Both lengths and chunks grow
 	// by append, so their growth is bounded by bytes actually read — a
 	// crafted header with huge counts hits EOF on its first missing chunk.
+	//
+	// A region's content digest hashes the tag, the flags byte and the thread
+	// count, then every chunk as uvarint(len) + payload: the encoded bytes,
+	// not the decoded accesses, so it is independent of where the region
+	// sits in its file.
 	var lengths []uint64
+	digestHead := binary.AppendUvarint(append([]byte(digestTag), hdr.flags&flagGzip), hdr.threads)
+	h := sha256.New()
+	var varint [binary.MaxVarintLen64]byte
 	for ri := 0; ri < info.Regions; ri++ {
-		d := newRegionDigester(info.Gzip, info.Threads)
+		h.Reset()
+		h.Write(digestHead)
 		chunks := make([][]byte, 0, min(info.Threads, 64))
 		for t := 0; t < info.Threads; t++ {
 			n, err := binary.ReadUvarint(br)
 			if err != nil {
 				return info, errw(err, "region %d thread %d: reading chunk length", ri, t)
 			}
-			d.beginChunk(n)
+			h.Write(varint[:binary.PutUvarint(varint[:], n)])
 			// Up to 1 MiB a chunk is read straight into a buffer of its
 			// declared size; past that it grows as bytes arrive, so a lying
 			// length prefix hits EOF before forcing a giant allocation.
@@ -175,11 +148,11 @@ func DecodeStream(r io.Reader, fn func(RegionChunks) error) (StreamInfo, error) 
 			if err != nil {
 				return info, errw(err, "region %d thread %d: reading chunk", ri, t)
 			}
-			d.h.Write(chunk)
+			h.Write(chunk)
 			chunks = append(chunks, chunk)
 			lengths = append(lengths, n)
 		}
-		if err := fn(RegionChunks{Index: ri, Digest: d.sum(), Gzip: info.Gzip, Chunks: chunks}); err != nil {
+		if err := fn(RegionChunks{Index: ri, Digest: hex.EncodeToString(h.Sum(nil)), Gzip: info.Gzip, Chunks: chunks}); err != nil {
 			return info, err
 		}
 	}

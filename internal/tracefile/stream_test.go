@@ -2,7 +2,9 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -62,10 +64,44 @@ func TestDecodeStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// framedDigest recomputes a region's digest under the documented framing:
+// the tag, the flags byte and uvarint(threads), then every chunk as
+// uvarint(len) + payload.
+func framedDigest(gz bool, chunks [][]byte) string {
+	b := append([]byte(digestTag), 0)
+	if gz {
+		b[len(b)-1] = flagGzip
+	}
+	b = binary.AppendUvarint(b, uint64(len(chunks)))
+	for _, c := range chunks {
+		b = append(binary.AppendUvarint(b, uint64(len(c))), c...)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// wantFileChunks fails unless the chunks DecodeStream delivered are exactly
+// the bytes the file indexes for each region, so that the stored file
+// re-streams to the digests its upload had.
+func wantFileChunks(t *testing.T, data []byte, regions []RegionChunks) {
+	t.Helper()
+	f, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rc := range regions {
+		for tid, chunk := range rc.Chunks {
+			if c := i*f.Threads() + tid; !bytes.Equal(chunk, data[f.off[c]:f.end[c]]) {
+				t.Fatalf("region %d thread %d: streamed chunk differs from the file's", i, tid)
+			}
+		}
+	}
+}
+
 // TestStreamDigestMatchesFile is the content-addressing keystone: the digest
-// computed incrementally during upload equals the digest computed later by
-// random access over the stored file, and only then can profiles cached at
-// ingest be found by analyze.
+// DecodeStream computes is the documented framing over exactly the chunk
+// bytes the file holds, so an upload and a later pass over the stored file
+// key the same profiles.
 func TestStreamDigestMatchesFile(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		p := workload.New("npb-ft", 4, workload.WithScale(0.05))
@@ -73,19 +109,11 @@ func TestStreamDigestMatchesFile(t *testing.T) {
 		if err := Record(&buf, p, WithGzip(gz)); err != nil {
 			t.Fatal(err)
 		}
-		data := buf.Bytes()
-		_, regions := collectStream(t, data)
-		f, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, regions := collectStream(t, buf.Bytes())
+		wantFileChunks(t, buf.Bytes(), regions)
 		for i, rc := range regions {
-			want, err := f.RegionDigest(i)
-			if err != nil {
-				t.Fatalf("RegionDigest(%d): %v", i, err)
-			}
-			if rc.Digest != want {
-				t.Fatalf("gzip=%v region %d: stream digest %s, file digest %s", gz, i, rc.Digest, want)
+			if want := framedDigest(gz, rc.Chunks); rc.Digest != want {
+				t.Fatalf("gzip=%v region %d: stream digest %s, framed digest %s", gz, i, rc.Digest, want)
 			}
 		}
 	}
@@ -105,16 +133,12 @@ func TestStreamChunkOverOneMiB(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, regions := collectStream(t, buf.Bytes())
-	f, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
+	if chunk := regions[0].Chunks[0]; len(chunk) <= 1<<20 {
+		t.Fatalf("%d-byte chunk: the test needs one over 1 MiB", len(chunk))
 	}
-	want, err := f.RegionDigest(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunk := regions[0].Chunks[0]; len(chunk) <= 1<<20 || !bytes.Contains(buf.Bytes(), chunk) || regions[0].Digest != want {
-		t.Fatalf("%d-byte chunk: in the file %v, digest %s, file digest %s", len(chunk), bytes.Contains(buf.Bytes(), chunk), regions[0].Digest, want)
+	wantFileChunks(t, buf.Bytes(), regions)
+	if want := framedDigest(false, regions[0].Chunks); regions[0].Digest != want {
+		t.Fatalf("stream digest %s, framed digest %s", regions[0].Digest, want)
 	}
 }
 
@@ -136,15 +160,10 @@ func TestDigestIndependentOfPlacement(t *testing.T) {
 		if err := Record(&buf, p); err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, f.Regions())
-		for i := range out {
-			if out[i], err = f.RegionDigest(i); err != nil {
-				t.Fatal(err)
-			}
+		_, regions := collectStream(t, buf.Bytes())
+		out := make([]string, len(regions))
+		for i, rc := range regions {
+			out[i] = rc.Digest
 		}
 		return out
 	}
@@ -276,53 +295,3 @@ func TestDecodeStreamErrors(t *testing.T) {
 type iotest struct{}
 
 func (iotest) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
-
-// TestRegionDigestReadsThroughOneBuffer: RegionDigest hashes a region
-// through one small read buffer — chunks longer than the buffer included —
-// and leaves next to no garbage behind: it is the fallback of every
-// analysis whose trace has no digest index, and a fresh 32 KB per chunk
-// (what io.Copy allocates) was 256 KB per call on an 8-thread trace.
-func TestRegionDigestReadsThroughOneBuffer(t *testing.T) {
-	big := make([]trace.BlockExec, 30000) // encodes to well over one buffer
-	for i := range big {
-		big[i] = trace.BlockExec{Block: i % 97, Instrs: 4, Accs: []trace.Access{{Addr: uint64(i) * 4096}}}
-	}
-	threads := make([][]trace.BlockExec, 8)
-	for tid := range threads {
-		threads[tid] = big[:100*(tid+1)]
-	}
-	threads[3] = big
-	p := &trace.SliceProgram{ProgName: "digest", NumThreads: 8, Rgns: []*trace.SliceRegion{{Threads: threads}, {Threads: threads}}}
-	var buf bytes.Buffer
-	if err := Record(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	_, regions := collectStream(t, data)
-	if n := len(regions[1].Chunks[3]); n <= 32<<10 { // several buffers long
-		t.Fatalf("big chunk is only %d bytes: the test needs one longer than the read buffer", n)
-	}
-	f, err := NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := f.RegionDigest(1); err != nil || got != regions[1].Digest {
-		t.Fatalf("RegionDigest = %s, %v; the stream digested %s", got, err, regions[1].Digest)
-	}
-
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := f.RegionDigest(1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	runtime.ReadMemStats(&after)
-	if allocs > 6 {
-		t.Errorf("RegionDigest makes %v allocations per call, want a handful", allocs)
-	}
-	if perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perCall >= 8<<10 {
-		t.Errorf("RegionDigest allocates %d bytes per call, want < 8 KB", perCall)
-	}
-}

@@ -171,8 +171,14 @@ func TestRoundTripSuiteSignatures(t *testing.T) {
 				gz := (wi+threads)%2 == 0 // alternate compression across cases
 				f := record(t, prog, WithGzip(gz))
 
-				want := profile.Program(prog)
-				got := profile.Program(f)
+				want, err := profile.Program(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := profile.Program(f)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) != len(want) {
 					t.Fatalf("replay has %d region profiles, want %d", len(got), len(want))
 				}

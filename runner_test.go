@@ -203,6 +203,45 @@ func TestCorruptChunkFailsEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	corruptFirstChunk(t, path)
+	for _, rc := range []*bp.ReplayCache{nil, bp.NewReplayCache(0)} {
+		tr, err := bp.OpenTraceCached(path, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt := *a
+		corrupt.Program = tr
+		if est, err := corrupt.Estimate(bp.TableIMachine(1), bp.MRUWarmup); err == nil {
+			t.Errorf("cache %v: the estimate of a corrupt trace is %+v, and no error", rc != nil, est)
+		}
+		tr.Close()
+	}
+}
+
+// TestCorruptChunkFailsAnalyze: bp.Analyze of a recorded trace with one
+// chunk that does not decode fails, rather than clustering a profile of the
+// truncated stream.
+func TestCorruptChunkFailsAnalyze(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "is.bptrace")
+	if err := bp.SaveTrace(path, workload.New("npb-is", 8, workload.WithScale(0.05))); err != nil {
+		t.Fatal(err)
+	}
+	corruptFirstChunk(t, path)
+	f, err := bp.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := bp.Analyze(f, bp.DefaultConfig()); err == nil {
+		t.Error("the analysis of a corrupt trace succeeded")
+	}
+}
+
+// corruptFirstChunk corrupts the chunk (region 0, thread 0) of the trace
+// file at path in place: the framing intact, the continuation bit set on the
+// chunk's last byte so its last varint runs off the end.
+func corruptFirstChunk(t *testing.T, path string) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -219,18 +258,6 @@ func TestCorruptChunkFailsEstimate(t *testing.T) {
 	data[bytes.Index(data, first)+len(first)-1] |= 0x80
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	for _, rc := range []*bp.ReplayCache{nil, bp.NewReplayCache(0)} {
-		tr, err := bp.OpenTraceCached(path, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corrupt := *a
-		corrupt.Program = tr
-		if est, err := corrupt.Estimate(bp.TableIMachine(1), bp.MRUWarmup); err == nil {
-			t.Errorf("cache %v: the estimate of a corrupt trace is %+v, and no error", rc != nil, est)
-		}
-		tr.Close()
 	}
 }
 
