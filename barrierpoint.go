@@ -327,10 +327,11 @@ type LocalRunner struct {
 	// Observer, if set, times the work. It receives "warmup-capture" once per
 	// RunPoints call, with the call's own MRU prefix pass time, when the pass
 	// ends; the pass runs while earlier points already simulate, so the stage
-	// overlaps the caller's simulation stage rather than preceding it. Each
-	// point then reports the phases it ran, once per point and from the pool
-	// goroutine that ran it: "warm-replay" (its snapshot replayed onto a
-	// fresh machine; not under ColdWarmup), "warm-prev" (the preceding regions
+	// overlaps the caller's simulation stage rather than preceding it (and so
+	// does its "trace-decode"; see PrefixPass.Point). Each point then reports
+	// the phases it ran, once per point and from the pool goroutine that ran
+	// it: "warm-replay" (its snapshot replayed onto a fresh machine; not under
+	// ColdWarmup), "warm-prev" (the preceding regions
 	// executed functionally; MRUPrevWarmup only) and "point-detail" (the
 	// detailed simulation of the point itself). Summed over the points they
 	// are time spent across the pool's goroutines, not the call's wall-clock
@@ -493,9 +494,10 @@ func (pp *PrefixPass) Pos() int {
 // pass from region 0; the caller times it ("warmup-capture"). Under
 // ColdWarmup there is no snapshot and the pass is left where it was (its
 // trackers are built by the first MRU point). The function returned is the
-// rest: runPoint, reporting its phases to obsrv. It touches neither the pass
-// nor its trackers, so a caller takes a batch's snapshots in ascending order
-// and runs the functions in parallel, each exactly once. A snapshot must be
+// rest: runPoint, reporting its phases to obsrv (the advance reports its
+// access-only reads as "trace-decode"). It touches neither the pass nor its
+// trackers, so a caller takes a batch's snapshots in ascending order and runs
+// the functions in parallel, each exactly once. A snapshot must be
 // unreachable once its point has replayed it, however long the function stays
 // queued or on a goroutine's stack: the function drops its own reference
 // before it calls runPoint, and runPoint has no use for the snapshot after
@@ -517,10 +519,14 @@ func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageO
 		if mode == MRUPrevWarmup {
 			window = prevWarmupWindow
 		}
+		d0 := pp.pass.Decoded()
 		var err error
 		if snap, err = pp.pass.Snapshot(p, region, window); err != nil {
 			pp.pass = nil
 			return nil, err
+		}
+		if d := pp.pass.Decoded() - d0; d > 0 && obsrv != nil {
+			obsrv("trace-decode", d)
 		}
 	}
 	mc := pp.mc

@@ -89,7 +89,7 @@ func run(args []string, stderr io.Writer) error {
 		maxMB     = fs.Int64("max-upload-mb", 1024, "largest accepted trace upload, MiB")
 		leaseTTL  = fs.Duration("farm-lease-ttl", 30*time.Second, "farm task lease duration (heartbeats renew it)")
 		retries   = fs.Int("farm-retries", 3, "farm task attempts before permanent failure")
-		replayMB  = fs.Int64("replay-cache-mb", 256, "decoded-region replay cache budget, MiB (0 disables)")
+		replayMB  = fs.Int64("replay-cache-mb", 256, "most decoded region data one job holds (an mru+prev estimate's windows), MiB (0 disables)")
 		walPath   = fs.String("wal", "", "farm queue write-ahead log path (default <store>/farm.wal; \"off\" disables durability)")
 		jobWal    = fs.String("job-wal", "", "job journal path (default <store>/jobs.wal; \"off\" disables crash-safe job recovery)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: time allowed for in-flight jobs to finish")
@@ -119,11 +119,7 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	mgr := service.New(st, *workers, *depth)
-	if *replayMB <= 0 {
-		mgr.SetReplayCacheBytes(-1)
-	} else {
-		mgr.SetReplayCacheBytes(*replayMB << 20)
-	}
+	mgr.SetReplayCacheBytes(*replayMB << 20)
 	fcfg := farm.Config{LeaseTTL: *leaseTTL, MaxAttempts: *retries}
 	wal := *walPath
 	if wal == "" {

@@ -359,7 +359,7 @@ func TestFarmEndToEnd(t *testing.T) {
 					c.Fail(task, err.Error())
 					continue
 				}
-				res, err := farm.NewExecutor(wst, nil).Execute(task, nil)
+				res, err := farm.NewExecutor(wst, 0).Execute(task, nil)
 				if err != nil {
 					c.Fail(task, err.Error())
 					continue

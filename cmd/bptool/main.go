@@ -143,7 +143,7 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 // analysis: profiles_cached, profiles_computed, and region_digests = index
 // when it read no chunk of the trace file) and the per-stage breakdown. The
 // sequential stages partition the job's wall clock (the remainder prints
-// as "(other)"); concurrent stages, like replay-cache decode work, overlap
+// as "(other)"); concurrent stages, like the job's trace-decode, overlap
 // them and are listed separately.
 func runTrace(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bptool trace", flag.ContinueOnError)

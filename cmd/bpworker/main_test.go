@@ -82,7 +82,7 @@ func TestWorkerProcessesTasks(t *testing.T) {
 	}
 	// The worker's results must be bit-identical to server-local compute.
 	for _, region := range []int{1, 2} {
-		want, err := farm.NewExecutor(st, nil).Execute(farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}, nil)
+		want, err := farm.NewExecutor(st, 0).Execute(farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestExecutorPassRule(t *testing.T) {
 	a, b := putTrace(t, st, "npb-ft", 8), putTrace(t, st, "npb-is", 8)
 	c := putTrace(t, st, "npb-cg", 16) // 16 threads: a 2-socket machine
 	fresh := &freshPoints{st: st}
-	exec := farm.NewExecutor(st, bp.NewReplayCache(0))
+	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
 
 	steps := []struct {
 		task    farm.Task
@@ -135,7 +135,7 @@ func TestExecutorPassRule(t *testing.T) {
 			farm.Task{TraceKey: c, Region: 4 * r, Sockets: 2, Warmup: "mru"})
 	}
 	rand.New(rand.NewSource(16)).Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
-	exec = farm.NewExecutor(st, bp.NewReplayCache(0))
+	exec = farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
 	var want farm.PassStats
 	heldTrace, heldPos := "", 0
 	for i, tk := range tasks {
@@ -160,6 +160,44 @@ func TestExecutorPassRule(t *testing.T) {
 	}
 }
 
+// TestExecutorCacheLivesWithItsPass: an Executor's decoded regions go with
+// its held pass. Consecutive mru+prev tasks of one trace share it — the
+// second decodes only its own point, its window is held — and a task of
+// another trace starts a pass whose cache holds nothing of the first trace.
+func TestExecutorCacheLivesWithItsPass(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := putTrace(t, st, "npb-ft", 8), putTrace(t, st, "npb-is", 8)
+	fresh := &freshPoints{st: st}
+	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
+	run := func(key string, region int) bp.ReplayCacheStats {
+		tk := farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru+prev"}
+		got, err := exec.Execute(tk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh.want(t, tk)) {
+			t.Errorf("%+v: result differs from a fresh SimulatePoint", tk)
+		}
+		return exec.CacheStats()
+	}
+	// Region 13's window is regions 1-12: with the point, 13 regions held.
+	first := run(a, 13)
+	if first.Entries != 13 || first.Hits == 0 {
+		t.Fatalf("first task: cache %+v, want its window and point held (13 regions) and replayed from memory", first)
+	}
+	second := run(a, 14)
+	if second.Entries != 14 || second.Misses-first.Misses != 1 || second.Hits <= first.Hits {
+		t.Errorf("the next task of one trace decoded more than its point: %+v after %+v", second, first)
+	}
+	// Region 3 of b: a window of regions 0-2 and the point, nothing of a.
+	if other := run(b, 3); other.Entries != 4 || other.Misses != 4 {
+		t.Errorf("a task of another trace: cache %+v, want exactly its 4 regions decoded and held", other)
+	}
+}
+
 // TestExecutorNeverWorseThanOnePassPerTask defeats the pass — two traces
 // strictly alternating — and checks the cost is exactly the parent's: every
 // task restarts, and the regions tracked equal the sum of the task regions,
@@ -172,7 +210,7 @@ func TestExecutorNeverWorseThanOnePassPerTask(t *testing.T) {
 	}
 	a, b := putTrace(t, st, "npb-ft", 8), putTrace(t, st, "npb-is", 8)
 	fresh := &freshPoints{st: st}
-	exec := farm.NewExecutor(st, nil)
+	exec := farm.NewExecutor(st, 0)
 	var n, sum uint64
 	for r := 1; r < 11; r++ {
 		for _, key := range []string{a, b} {
@@ -211,7 +249,7 @@ func TestExecutorShuffledBatchIsOnePass(t *testing.T) {
 	}
 	rand.New(rand.NewSource(4)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 
-	exec := farm.NewExecutor(st, bp.NewReplayCache(0))
+	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
 	slices.SortFunc(batch, farm.PassOrder)
 	results := make([]bp.RegionResult, len(batch))
 	sem := make(chan struct{}, 4) // the worker's -concurrency
@@ -288,7 +326,7 @@ func TestExecutorPassRestartsAfterDecodeError(t *testing.T) {
 	}
 	key := putTrace(t, st, "npb-ft", 8)
 	fresh := &freshPoints{st: st}
-	exec := farm.NewExecutor(st, bp.NewReplayCache(0))
+	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
 	task := func(region int) farm.Task {
 		return farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}
 	}

@@ -193,10 +193,6 @@ type Queue struct {
 	stopSweep chan struct{}
 	sweepDone chan struct{}
 
-	// replay is the decoded-region cache shared by every in-process worker
-	// of this queue (see RunLocalWorker).
-	replay *bp.ReplayCache
-
 	// logger, when set, gives task-attempt failures structured log lines;
 	// taskDur, when set (see Instrument), observes enqueue-to-complete
 	// latency; workerSpans retains the spans recorded by this queue's
@@ -227,7 +223,6 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 		workers:     make(map[string]*WorkerInfo),
 		stopSweep:   make(chan struct{}),
 		sweepDone:   make(chan struct{}),
-		replay:      bp.NewReplayCache(0),
 		workerSpans: obs.NewSpanRecorder(),
 	}
 }

@@ -42,8 +42,7 @@ func loadPoint(st *store.Store, traceKey, artifact string) (res bp.RegionResult,
 // simulate the single point, return the result. This is the one compute
 // path shared by in-process workers and cmd/bpworker, and it ends in the
 // runPoint that LocalRunner and bp.SimulatePoint end in, so farmed results
-// are bit-identical to local ones. Regions decode through rc (keyed by the
-// task's trace content key), and the Executor keeps the MRU prefix pass of
+// are bit-identical to local ones. The Executor keeps the MRU prefix pass of
 // its last warm task: a worker that leases many points of one trace — the
 // common batch shape — decodes and tracks each warmup-prefix region once
 // instead of once per point. The pass rule: a task of the same trace content
@@ -53,16 +52,18 @@ func loadPoint(st *store.Store, traceKey, artifact string) (res bp.RegionResult,
 // a fresh pass from region 0, what every task cost before; cold tasks never
 // touch it. One pass is retained, 16 B of node plus one index slot per
 // distinct line per core of the current trace, until another trace arrives
-// or the worker exits. A nil rc streams from disk; cached, resumed and fresh
-// execution are all bit-identical.
+// or the worker exits, and with it a replay cache of at most budget bytes in
+// which its tasks' mru+prev windows decode once; all else streams. Cached,
+// resumed and fresh execution are all bit-identical.
 type Executor struct {
-	st *store.Store
-	rc *bp.ReplayCache
+	st     *store.Store
+	budget int64 // bytes of the pass's replay cache; <= 0: none
 
 	mu      sync.Mutex     // held pass + counters: advance and snapshot only, never simulation
 	pass    *bp.PrefixPass // nil until the first warm task
-	trace   string         // content key of the trace pass has tracked
-	sockets int            // Table I machine pass tracks for
+	rc      *bp.ReplayCache
+	trace   string // content key of the trace pass has tracked
+	sockets int    // Table I machine pass tracks for
 	stats   PassStats
 }
 
@@ -72,9 +73,9 @@ type Executor struct {
 type PassStats struct{ Resumed, Restarted, Regions uint64 }
 
 // NewExecutor returns an Executor over st (which must hold the tasks'
-// traces) with no pass held yet.
-func NewExecutor(st *store.Store, rc *bp.ReplayCache) *Executor {
-	return &Executor{st: st, rc: rc}
+// traces) with no pass held yet; budget <= 0 caches nothing.
+func NewExecutor(st *store.Store, budget int64) *Executor {
+	return &Executor{st: st, budget: budget}
 }
 
 // PassStats returns the held pass's counters so far.
@@ -82,6 +83,13 @@ func (e *Executor) PassStats() PassStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
+}
+
+// CacheStats returns the activity of the held pass's replay cache.
+func (e *Executor) CacheStats() bp.ReplayCacheStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.rc.Stats()
 }
 
 // PassOrder sorts a leased batch for Warm — trace, machine, region ascending
@@ -107,14 +115,20 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	if err != nil {
 		return nil, err
 	}
-	prog, mc := e.rc.Program(f, t.TraceKey), bp.TableIMachine(t.Sockets)
-	cold := mode == bp.ColdWarmup
+	mc, cold := bp.TableIMachine(t.Sockets), mode == bp.ColdWarmup
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pass := e.pass
+	pass, rc := e.pass, e.rc
 	resumed := !cold && pass != nil && e.trace == t.TraceKey && e.sockets == t.Sockets && t.Region >= pass.Pos()
 	if !resumed {
-		pass = bp.NewPrefixPass(mc)
+		pass, rc = bp.NewPrefixPass(mc), nil
+	}
+	var prog bp.Program = f
+	if mode == bp.MRUPrevWarmup && e.budget > 0 {
+		if rc == nil {
+			rc = bp.NewReplayCache(e.budget)
+		}
+		prog = rc.Program(f, t.TraceKey)
 	}
 	from, t0 := pass.Pos(), time.Now()
 	point, err := pass.Point(prog, t.Region, mode, span.ObserveConcurrent)
@@ -124,7 +138,7 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	}
 	if !cold { // a cold point tracked nothing: its pass is dropped unused
 		span.ObserveConcurrent("warmup-capture", time.Since(t0))
-		e.pass, e.trace, e.sockets = pass, t.TraceKey, t.Sockets
+		e.pass, e.rc, e.trace, e.sockets = pass, rc, t.TraceKey, t.Sockets
 		if resumed {
 			e.stats.Resumed++
 		} else {

@@ -93,7 +93,7 @@ type Worker struct {
 
 	tr     Transport
 	st     *store.Store
-	exec   *Executor // compute path: replay cache and prefix pass shared across tasks
+	exec   *Executor // compute path: prefix pass and its replay cache kept across tasks
 	spans  *obs.SpanRecorder
 	logger *slog.Logger
 
@@ -108,24 +108,24 @@ type Worker struct {
 	held map[string]bool // leases the heartbeat loop renews
 }
 
-// NewWorker returns a worker over tr that reads traces from st through rc
-// (nil streams from disk), records its task spans on spans and logs to logger
-// (nil discards).
-func NewWorker(tr Transport, st *store.Store, rc *bp.ReplayCache, spans *obs.SpanRecorder, logger *slog.Logger) *Worker {
+// NewWorker returns a worker over tr that reads traces from st, holding at
+// most replayBytes of decoded regions (see Executor; <= 0 streams them),
+// records its task spans on spans and logs to logger (nil discards).
+func NewWorker(tr Transport, st *store.Store, replayBytes int64, spans *obs.SpanRecorder, logger *slog.Logger) *Worker {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	r := obs.NewRegistry()
-	w := &Worker{Concurrency: 1, Metrics: r, tr: tr, st: st, exec: NewExecutor(st, rc), spans: spans, logger: logger, held: make(map[string]bool)}
+	w := &Worker{Concurrency: 1, Metrics: r, tr: tr, st: st, exec: NewExecutor(st, replayBytes), spans: spans, logger: logger, held: make(map[string]bool)}
 	w.completed = r.Counter("bpworker_tasks_completed_total", "Tasks simulated and uploaded successfully.")
 	w.failed = r.Counter("bpworker_tasks_failed_total", "Tasks whose fetch or simulation failed (failure reported to the server).")
 	w.taskDur = r.Histogram("bpworker_task_seconds", "End-to-end task latency: trace fetch, simulation, upload.", obs.DefLatencyBuckets)
 	w.fetchDur = r.Histogram("bpworker_trace_fetch_seconds", "Trace fetch latency (cache-hit fetches are near-zero).", obs.DefLatencyBuckets)
-	r.GaugeFunc("bpworker_replay_cache_bytes", "Decoded-region replay cache resident bytes.", func() float64 {
-		return float64(rc.Stats().Bytes)
+	r.GaugeFunc("bpworker_replay_cache_bytes", "Decoded bytes held by the replay cache of the held prefix pass.", func() float64 {
+		return float64(w.exec.CacheStats().Bytes)
 	})
-	r.GaugeFunc("bpworker_replay_cache_entries", "Decoded-region replay cache resident regions.", func() float64 {
-		return float64(rc.Stats().Entries)
+	r.GaugeFunc("bpworker_replay_cache_entries", "Regions held by the replay cache of the held prefix pass.", func() float64 {
+		return float64(w.exec.CacheStats().Entries)
 	})
 	r.CounterFunc("bpworker_prefix_pass_resumed_total", "Warm tasks that continued the MRU prefix pass held from the previous task.", func() float64 { return float64(w.exec.PassStats().Resumed) })
 	r.CounterFunc("bpworker_prefix_pass_restarted_total", "Warm tasks that began a fresh prefix pass: first use, another trace or machine, or a region behind the held pass.", func() float64 { return float64(w.exec.PassStats().Restarted) })
@@ -410,13 +410,11 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 
 // RunLocalWorker runs a Worker against q in this process until ctx is done
 // or q closes: one task at a time over st (which must hold — or share — the
-// traces), decoding through the queue's shared replay cache and recording
-// its spans on q.WorkerSpans(). It powers tests, benchmarks and bpcamp
+// traces), with the default replay cache budget per pass, and recording its
+// spans on q.WorkerSpans(). It powers tests, benchmarks and bpcamp
 // -farm-workers.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
-	// All in-process workers of one queue share a single decoded-region
-	// cache: one budget, and each region decoded once for the whole fleet.
-	w := NewWorker(&queueTransport{q: q}, st, q.replay, q.workerSpans, nil)
+	w := NewWorker(&queueTransport{q: q}, st, bp.DefaultReplayCacheBytes, q.workerSpans, nil)
 	w.Poll = q.cfg.SweepEvery / 2
 	if w.Poll <= 0 || w.Poll > 50*time.Millisecond {
 		w.Poll = 50 * time.Millisecond

@@ -166,7 +166,7 @@ func TestWorkerBudgetCountsDeliveredOutcomes(t *testing.T) {
 	coord.uploadErr = map[string]error{"result-lost": lost, "failure-lost": lost}
 
 	var log bytes.Buffer
-	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(), slog.New(slog.NewTextHandler(&log, nil)))
+	w := NewWorker(coord, st, 0, obs.NewSpanRecorder(), slog.New(slog.NewTextHandler(&log, nil)))
 	w.Concurrency, w.MaxTasks, w.Poll = 4, 2, time.Millisecond
 	if err := w.Run(context.Background(), "w"); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestWorkerStopsRenewingDroppedLease(t *testing.T) {
 	coord.gate = make(chan struct{})
 	coord.ttl = 15 * time.Millisecond
 
-	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(), nil)
+	w := NewWorker(coord, st, 0, obs.NewSpanRecorder(), nil)
 	w.Concurrency, w.Poll, w.IdleExit = 2, time.Millisecond, time.Millisecond
 	done := make(chan error, 1)
 	go func() { done <- w.Run(context.Background(), "w") }()
@@ -234,7 +234,7 @@ func TestWorkerRenewsLeasesWhileDraining(t *testing.T) {
 	coord.gate = make(chan struct{})
 	coord.ttl = 15 * time.Millisecond
 
-	w := NewWorker(coord, st, nil, obs.NewSpanRecorder(), nil)
+	w := NewWorker(coord, st, 0, obs.NewSpanRecorder(), nil)
 	w.Poll = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -270,7 +270,7 @@ func TestWorkerReRegistersAfterRestart(t *testing.T) {
 
 	var log bytes.Buffer
 	spans := obs.NewSpanRecorder()
-	w := NewWorker(coord, st, nil, spans, slog.New(slog.NewTextHandler(&log, nil)))
+	w := NewWorker(coord, st, 0, spans, slog.New(slog.NewTextHandler(&log, nil)))
 	w.Poll, w.MaxTasks = time.Millisecond, 1
 	if err := w.Run(context.Background(), "w"); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestWorkerRegistrationGivesUp(t *testing.T) {
 		for range failures {
 			coord.regErrs = append(coord.regErrs, down)
 		}
-		w := NewWorker(coord, nil, nil, nil, nil)
+		w := NewWorker(coord, nil, 0, nil, nil)
 		w.Poll, w.IdleExit = time.Nanosecond, time.Nanosecond
 		err := w.Run(context.Background(), "w")
 		if gaveUp := failures == maxRegisterFailures; gaveUp != errors.Is(err, down) {
@@ -322,7 +322,7 @@ func TestWorkerBackOffResetsOnSuccess(t *testing.T) {
 	coord.leaseErrs = []error{down, down, nil, down}
 
 	var log bytes.Buffer
-	w := NewWorker(coord, nil, nil, nil, slog.New(slog.NewTextHandler(&log, nil)))
+	w := NewWorker(coord, nil, 0, nil, slog.New(slog.NewTextHandler(&log, nil)))
 	w.Poll, w.IdleExit = time.Microsecond, time.Microsecond
 	if err := w.Run(context.Background(), "w"); err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestWorkerBatchIsOnePrefixPass(t *testing.T) {
 		coord.queue = append(coord.queue, Task{ID: strconv.Itoa(region), TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"})
 	}
 	spans := obs.NewSpanRecorder()
-	w := NewWorker(coord, st, bp.NewReplayCache(0), spans, nil)
+	w := NewWorker(coord, st, bp.DefaultReplayCacheBytes, spans, nil)
 	rng := rand.New(rand.NewSource(16))
 	for settled := 0; settled < len(regions); {
 		tasks, _ := coord.Lease(4)
@@ -369,7 +369,7 @@ func TestWorkerBatchIsOnePrefixPass(t *testing.T) {
 	}
 
 	for _, region := range regions {
-		want, err := NewExecutor(st, nil).Execute(Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}, nil)
+		want, err := NewExecutor(st, 0).Execute(Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestLocalWorkerKeepsLeasePastTTL(t *testing.T) {
 		sp = Spec{TraceKey: key, Region: f.Regions() - 1, Sockets: 1, Warmup: "mru+prev"}
 		f.Close()
 		start := time.Now()
-		if _, err := NewExecutor(st, nil).Execute(Task{TraceKey: key, Region: sp.Region, Sockets: 1, Warmup: sp.Warmup}, nil); err != nil {
+		if _, err := NewExecutor(st, 0).Execute(Task{TraceKey: key, Region: sp.Region, Sockets: 1, Warmup: sp.Warmup}, nil); err != nil {
 			t.Fatal(err)
 		}
 		ttl = time.Since(start) / 4

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,17 +98,16 @@ type plan struct {
 // those and reaches this half through two calls: plan and run.
 type pipeline struct {
 	st *store.Store
-	// replay is the shared region replay cache: every job that replays a
-	// stored trace — an estimate's warmup and point simulations, a
-	// ground-truth simulate — decodes regions through it, keyed by trace
-	// content. An estimate+simulate pair over one trace therefore decodes
-	// each region once, not once per job.
-	replay *bp.ReplayCache
-	farm   *farm.Queue // nil until SetFarm; estimates then stay local
+	// replayBytes budgets an mru+prev estimate's own replay cache (<= 0:
+	// none); live holds running jobs' caches, the replay counters ended ones'.
+	replayBytes int64
+	live        sync.Map    // *bp.ReplayCache → nil
+	farm        *farm.Queue // nil until SetFarm; estimates then stay local
 
 	coldAnalyses, farmed, farmFallbacks, adaptiveRounds, adaptivePromoted atomic.Int64
 	profileCacheHits, profileComputed, ingestedTraces, ingestedProfiles   atomic.Int64
 	digestIndexHits, digestIndexMisses                                    atomic.Int64
+	replayHits, replayMisses, replayEvictions, replayDecodeNs             atomic.Int64
 
 	// jobDur and stageDur are the per-kind job and per-stage latency
 	// histograms.
@@ -115,10 +115,10 @@ type pipeline struct {
 }
 
 // newPipeline builds the compute half over st and bridges its counters and
-// its replay cache into reg. The atomics remain the single source of truth;
-// every family reads them at scrape time.
+// its jobs' replay caches into reg. The atomics remain the single source of
+// truth; every family reads them at scrape time.
 func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
-	p := &pipeline{st: st, replay: bp.NewReplayCache(0)} // DefaultReplayCacheBytes
+	p := &pipeline{st: st, replayBytes: bp.DefaultReplayCacheBytes}
 	counterFunc(r, "bp_cold_analyses_total", "Profiling+clustering runs (selection cache misses).", &p.coldAnalyses)
 	counterFunc(r, "bp_jobs_farmed_total", "Estimate jobs whose points ran on the distributed queue.", &p.farmed)
 	counterFunc(r, "bp_farm_fallbacks_total", "Auto-mode estimates that fell back to local execution after a farm error.", &p.farmFallbacks)
@@ -133,20 +133,17 @@ func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
 	r.CounterFunc("bp_store_publishes_total", "Durable store publishes: one data fsync and one directory fsync each, however many entries.",
 		func() float64 { return float64(st.Publishes()) })
 
-	r.CounterFunc("bp_replay_cache_hits_total", "Replay cache region hits.",
-		func() float64 { return float64(p.replay.Stats().Hits) })
-	r.CounterFunc("bp_replay_cache_misses_total", "Replay cache region misses (decodes).",
-		func() float64 { return float64(p.replay.Stats().Misses) })
-	r.CounterFunc("bp_replay_cache_evictions_total", "Replay cache LRU evictions.",
-		func() float64 { return float64(p.replay.Stats().Evictions) })
-	r.CounterFunc("bp_replay_decode_seconds_total", "Cumulative wall-clock seconds spent decoding regions.",
-		func() float64 { return float64(p.replay.Stats().DecodeNs) / 1e9 })
-	r.GaugeFunc("bp_replay_cache_bytes", "Decoded bytes currently held by the replay cache.",
-		func() float64 { return float64(p.replay.Stats().Bytes) })
-	r.GaugeFunc("bp_replay_cache_max_bytes", "Replay cache byte budget.",
-		func() float64 { return float64(p.replay.Stats().MaxBytes) })
-	r.GaugeFunc("bp_replay_cache_entries", "Regions currently held by the replay cache.",
-		func() float64 { return float64(p.replay.Stats().Entries) })
+	counterFunc(r, "bp_replay_cache_hits_total", "Replay cache region hits, summed over jobs as each ends.", &p.replayHits)
+	counterFunc(r, "bp_replay_cache_misses_total", "Replay cache region misses (decodes), summed over jobs as each ends.", &p.replayMisses)
+	counterFunc(r, "bp_replay_cache_evictions_total", "Replay cache LRU evictions, summed over jobs as each ends.", &p.replayEvictions)
+	r.CounterFunc("bp_replay_decode_seconds_total", "Wall-clock seconds jobs' replay caches spent decoding regions, summed as each job ends.",
+		func() float64 { return float64(p.replayDecodeNs.Load()) / 1e9 })
+	r.GaugeFunc("bp_replay_cache_bytes", "Decoded bytes held by the replay caches of running jobs (0 between jobs).",
+		func() float64 { return float64(p.held().Bytes) })
+	r.GaugeFunc("bp_replay_cache_max_bytes", "Replay cache byte budget of one job (0: caching disabled).",
+		func() float64 { return float64(max(p.replayBytes, 0)) })
+	r.GaugeFunc("bp_replay_cache_entries", "Regions held by the replay caches of running jobs (0 between jobs).",
+		func() float64 { return float64(p.held().Entries) })
 
 	p.jobDur = r.HistogramVec("bp_job_seconds", "Job wall-clock latency by kind.",
 		"kind", obs.DefLatencyBuckets)
@@ -155,15 +152,19 @@ func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
 	return p
 }
 
-// SetReplayCacheBytes resizes the manager's region replay cache budget:
-// 0 restores the default (bp.DefaultReplayCacheBytes), negative disables
-// caching. Call it once, before the first Submit.
-func (m *Manager) SetReplayCacheBytes(n int64) {
-	if n < 0 {
-		m.pipe.replay = nil
-		return
-	}
-	m.pipe.replay = bp.NewReplayCache(n)
+// SetReplayCacheBytes sets the most decoded region data one job holds, the
+// budget of an mru+prev estimate's replay cache (default
+// bp.DefaultReplayCacheBytes; n <= 0 disables it). Call it before any Submit.
+func (m *Manager) SetReplayCacheBytes(n int64) { m.pipe.replayBytes = n }
+
+// held sums the stats of the running jobs' replay caches.
+func (pl *pipeline) held() (sum bp.ReplayCacheStats) {
+	pl.live.Range(func(k, _ any) bool {
+		s := k.(*bp.ReplayCache).Stats()
+		sum.Bytes, sum.Entries = sum.Bytes+s.Bytes, sum.Entries+s.Entries
+		return true
+	})
+	return sum
 }
 
 // counterFunc registers a counter family that reads a at scrape time.
@@ -254,16 +255,8 @@ func (pl *pipeline) plan(req Request) (plan, error) {
 // returns the result bytes. The cached return value reports that the job's
 // own result artifact was already in the store.
 func (pl *pipeline) run(p plan, span *obs.Span) (json.RawMessage, bool, error) {
-	// Region decoding happens inside profiling and simulation, so its time
-	// is attributed as a concurrent stage: the delta in the replay cache's
-	// cumulative decode clock across the job's execution. The clock is
-	// shared, so jobs running at the same time over one cache may attribute
-	// each other's decodes — fine for a concurrent (non-partition) stage.
-	t0, decode0 := time.Now(), pl.replay.Stats().DecodeNs
+	t0 := time.Now()
 	result, cached, err := pl.execute(p, span)
-	if d := pl.replay.Stats().DecodeNs - decode0; d > 0 {
-		span.ObserveConcurrent("trace-decode", time.Duration(d))
-	}
 	pl.jobDur.With(string(p.kind)).ObserveDuration(time.Since(t0))
 	return result, cached, err
 }
@@ -298,7 +291,7 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 		}
 		defer f.Close()
 		sim0 := time.Now()
-		full, err := bp.SimulateFull(pl.replay.Program(f, p.trace), p.mc)
+		full, err := bp.SimulateFull(f, p.mc) // each region replays once: no cache
 		obsrv("simulate-full", time.Since(sim0))
 		if err != nil {
 			return nil, false, err
@@ -306,9 +299,32 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 		return pl.putResult(p, newEstimateResult(bp.ActualFrom(full), p.mc, ""))
 	}
 
-	// The selection is bound to the cached replay view: warmup capture and
-	// the local point runner then replay decoded regions from memory.
-	a, closer, selCached, stats, err := BindCached(pl.st, p.trace, p.cfg, pl.replay, obsrv)
+	// Work inside simulate-points is a concurrent stage, timed by the call that
+	// did it, never another job's; it arrives from the pool's goroutines.
+	concurrent := func(stage string, d time.Duration) {
+		span.ObserveConcurrent(stage, d)
+		pl.stageDur.With(stage).ObserveDuration(d)
+	}
+	// An mru+prev estimate replays each point's window twice (prefix pass,
+	// then before the point), so it decodes them once into a cache of its
+	// own, dropped when it ends; any other estimate streams each region once.
+	var rc *bp.ReplayCache
+	if p.mode == bp.MRUPrevWarmup && pl.replayBytes > 0 {
+		rc = bp.NewReplayCache(pl.replayBytes)
+		pl.live.Store(rc, nil)
+		defer func() {
+			s := rc.Stats()
+			pl.replayHits.Add(s.Hits)
+			pl.replayMisses.Add(s.Misses)
+			pl.replayEvictions.Add(s.Evictions)
+			pl.replayDecodeNs.Add(s.DecodeNs)
+			pl.live.Delete(rc)
+			if s.DecodeNs > 0 {
+				concurrent("trace-decode", time.Duration(s.DecodeNs))
+			}
+		}()
+	}
+	a, closer, selCached, stats, err := BindCached(pl.st, p.trace, p.cfg, rc, obsrv)
 	if err != nil {
 		return nil, false, err
 	}
@@ -318,7 +334,12 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 	// would use, so promotions farm out (and cache per point) exactly
 	// like the initial barrierpoints. With no target it just attaches
 	// intervals to the standard one-point-per-cluster estimate.
-	res, err := adaptive.Run(a, pl.pointRunner(p, span), p.mc, p.mode,
+	runner := pl.pointRunner(p, span, func(stage string, d time.Duration) {
+		if stage != "trace-decode" || rc == nil { // else the pass read through rc, whose clock counts it
+			concurrent(stage, d)
+		}
+	})
+	res, err := adaptive.Run(a, runner, p.mc, p.mode,
 		adaptive.Options{TargetRel: p.targetCI, Observer: obsrv})
 	if err != nil {
 		return nil, false, err
@@ -357,20 +378,11 @@ func (pl *pipeline) recordProfileStats(span *obs.Span, cached bool, stats Profil
 // the store's per-point result cache, so farm runs, local runs and bptool
 // -cache runs all share per-point work. Farm tasks themselves dedup
 // against the same artifacts inside the queue.
-func (pl *pipeline) pointRunner(p plan, span *obs.Span) bp.PointRunner {
-	// The local pool reports what it runs for this job: the MRU prefix pass
-	// (warmup-capture) and, per simulated point, the warm-replay, warm-prev
-	// and point-detail phases. All of it happens inside simulate-points and
-	// overlaps, so these are concurrent span stages, timed by the call that
-	// ran them — never another job's work — and they also feed the per-stage
-	// histogram. The point phases arrive from the pool's goroutines; the span
-	// and the histogram are both safe for that.
-	local := &farm.CachedRunner{St: pl.st, TraceKey: p.trace, Inner: bp.LocalRunner{
-		Observer: func(stage string, d time.Duration) {
-			span.ObserveConcurrent(stage, d)
-			pl.stageDur.With(stage).ObserveDuration(d)
-		},
-	}}
+func (pl *pipeline) pointRunner(p plan, span *obs.Span, concurrent bp.StageObserver) bp.PointRunner {
+	// The local pool reports what it runs for this job to concurrent: the
+	// MRU prefix pass (warmup-capture, and its reads as trace-decode) and,
+	// per simulated point, the warm-replay, warm-prev and point-detail phases.
+	local := &farm.CachedRunner{St: pl.st, TraceKey: p.trace, Inner: bp.LocalRunner{Observer: concurrent}}
 	if pl.farm == nil || p.exec == ExecLocal || p.exec == ExecAuto && pl.farm.LiveWorkers() == 0 {
 		return local
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,46 +99,100 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	}
 }
 
-// TestReplayCacheSharedAcrossJobs proves one manager cache serves every
-// job over a trace: after an estimate and a ground-truth simulate of the
-// same trace, the decoded-region cache has hits (regions decoded by the
-// first job replayed from memory by the second), and the results are the
-// same as a cache-disabled manager's over an identical store.
-func TestReplayCacheSharedAcrossJobs(t *testing.T) {
-	runBoth := func(t *testing.T, disable bool) (est, act json.RawMessage, stats bp.ReplayCacheStats) {
+// TestReplayCacheLivesWithItsJob pins the lifetime of decoded regions: an
+// mru+prev estimate decodes its windows once, into a cache of its own (hits);
+// a cold or mru estimate and a ground-truth simulate stream every region (no
+// cache activity); nothing decoded is held once a job is done; and every
+// result is byte-equal to a manager's with caching disabled.
+func TestReplayCacheLivesWithItsJob(t *testing.T) {
+	reqs := []Request{
+		{Kind: KindEstimate, Warmup: "mru+prev"},
+		{Kind: KindEstimate, Warmup: "cold"},
+		{Kind: KindEstimate, Warmup: "mru"},
+		{Kind: KindSimulate},
+	}
+	// replayed reads the replay series of /metrics.
+	replayed := func(m *Manager) map[string]float64 {
+		out := make(map[string]float64)
+		for name, v := range metricValues(t, m) {
+			if strings.HasPrefix(name, "bp_replay_") && name != "bp_replay_cache_max_bytes" {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	run := func(t *testing.T, disable bool) (results []json.RawMessage, after []map[string]float64) {
 		st, key := newTestStore(t)
 		m := New(st, 2, 0)
 		if disable {
 			m.SetReplayCacheBytes(-1)
 		}
 		defer m.Shutdown(context.Background())
-		for _, kind := range []Kind{KindEstimate, KindSimulate} {
-			snap, err := m.Submit(Request{Kind: kind, Trace: key, Warmup: "mru"})
-			if err != nil {
-				t.Fatal(err)
+		for _, req := range reqs {
+			req.Trace = key
+			done := submitAndWait(t, m, req)
+			if done.Status != StatusDone {
+				t.Fatalf("%s %s job: status=%s error=%s", req.Kind, req.Warmup, done.Status, done.Error)
 			}
-			done, err := m.Wait(context.Background(), snap.ID)
-			if err != nil || done.Status != StatusDone {
-				t.Fatalf("%s job: err=%v status=%s error=%s", kind, err, done.Status, done.Error)
-			}
-			if kind == KindEstimate {
-				est = done.Result
-			} else {
-				act = done.Result
+			results = append(results, done.Result)
+			after = append(after, replayed(m))
+		}
+		return results, after
+	}
+	res, after := run(t, false)
+	if s := after[0]; s["bp_replay_cache_hits_total"] == 0 || s["bp_replay_cache_misses_total"] == 0 || s["bp_replay_decode_seconds_total"] == 0 {
+		t.Errorf("an mru+prev estimate's windows did not replay from its cache: %v", s)
+	}
+	for i, s := range after {
+		if !maps.Equal(s, after[0]) {
+			t.Errorf("%s %s job moved the replay caches from %v to %v", reqs[i].Kind, reqs[i].Warmup, after[0], s)
+		}
+		if s["bp_replay_cache_bytes"] != 0 || s["bp_replay_cache_entries"] != 0 {
+			t.Errorf("decoded regions held after the %s %s job: %v", reqs[i].Kind, reqs[i].Warmup, s)
+		}
+	}
+	resU, afterU := run(t, true)
+	for i := range reqs {
+		if !bytes.Equal(res[i], resU[i]) {
+			t.Errorf("%s %s job: cached and uncached results differ", reqs[i].Kind, reqs[i].Warmup)
+		}
+		for name, v := range afterU[i] {
+			if v != 0 {
+				t.Errorf("disabled caching reports activity: %s = %v", name, v)
 			}
 		}
-		return est, act, m.pipe.replay.Stats()
 	}
-	estC, actC, stats := runBoth(t, false)
-	if stats.Hits == 0 || stats.Misses == 0 {
-		t.Errorf("replay cache unused across jobs: %+v", stats)
+}
+
+// TestNoDecodedRegionsHeldAcrossTraces: after mru+prev estimates of several
+// distinct traces, each of which replayed through a cache, the manager holds
+// no decoded region: every job's cache went with it.
+func TestNoDecodedRegionsHeldAcrossTraces(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	estU, actU, statsU := runBoth(t, true)
-	if statsU.Hits != 0 || statsU.Misses != 0 {
-		t.Errorf("disabled cache reports activity: %+v", statsU)
+	m := New(st, 2, 0)
+	defer m.Shutdown(context.Background())
+	for _, name := range []string{"npb-is", "npb-ft", "npb-mg"} {
+		var buf bytes.Buffer
+		if err := tracefile.Record(&buf, workload.New(name, 8, workload.WithScale(0.05))); err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := st.PutTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := submitAndWait(t, m, Request{Kind: KindEstimate, Trace: key, Warmup: "mru+prev"}); done.Status != StatusDone {
+			t.Fatalf("%s: status=%s error=%s", name, done.Status, done.Error)
+		}
 	}
-	if !bytes.Equal(estC, estU) || !bytes.Equal(actC, actU) {
-		t.Error("cached and uncached job results differ")
+	vals := metricValues(t, m)
+	if vals["bp_replay_cache_hits_total"] == 0 {
+		t.Fatalf("no estimate replayed through a cache: %v", vals)
+	}
+	if b, n := vals["bp_replay_cache_bytes"], vals["bp_replay_cache_entries"]; b != 0 || n != 0 {
+		t.Errorf("after the jobs, %v decoded bytes (%v regions) are held, want 0", b, n)
 	}
 }
 

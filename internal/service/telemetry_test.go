@@ -5,12 +5,15 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/sim"
+	"barrierpoint/internal/store"
+	"barrierpoint/internal/tracefile"
 )
 
 // metricValues renders the manager's registry as /metrics serves it and
@@ -122,6 +125,47 @@ func TestJobSpanAndStageTimings(t *testing.T) {
 	}
 	if vals["bp_cold_analyses_total"] < 1 {
 		t.Fatalf("cold analysis counter did not advance: %v", vals)
+	}
+}
+
+// TestTraceDecodeIsTheJobsOwn: a span's trace-decode stage is its own job's
+// decode time. An analyze, which replays no region, records none, though an
+// mru+prev estimate decodes on another manager worker the whole time it runs.
+func TestTraceDecodeIsTheJobsOwn(t *testing.T) {
+	st, key := newTestStore(t)
+	m := New(st, 2, 0)
+	defer m.Shutdown(context.Background())
+	// The estimate's selection is cached first, so only the analyze (max_k 5)
+	// reaches the stub, which holds it running until the estimate is done.
+	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil); err != nil {
+		t.Fatal(err)
+	}
+	started, estimated := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(estimated) })
+	defer release() // before Shutdown, which waits for the analyze
+	orig := analyzeFn
+	defer func() { analyzeFn = orig }()
+	analyzeFn = func(st *store.Store, key string, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+		close(started)
+		<-estimated
+		return orig(st, key, f, cfg, obsrv)
+	}
+	an, err := m.Submit(Request{Kind: KindAnalyze, Trace: key, MaxK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	est := submitAndWait(t, m, Request{Kind: KindEstimate, Trace: key, Warmup: "mru+prev"})
+	release()
+	if est.Status != StatusDone || stageNs(est.Span, "trace-decode") <= 0 {
+		t.Fatalf("the estimate (status %s, error %q) recorded no trace-decode", est.Status, est.Error)
+	}
+	done := waitDone(t, m, an.ID)
+	if done.Status != StatusDone {
+		t.Fatalf("analyze job: status=%s error=%s", done.Status, done.Error)
+	}
+	if ns := stageNs(done.Span, "trace-decode"); ns != 0 {
+		t.Errorf("the analyze's span has %d ns of trace-decode: another job's decodes", ns)
 	}
 }
 

@@ -19,22 +19,22 @@ const DefaultRegionCacheBytes int64 = 256 << 20
 
 // RegionCache is a bounded, content-keyed LRU cache of fully decoded
 // inter-barrier regions. Replaying a region from a recorded trace costs a
-// gunzip plus a varint decode of every chunk, and the pipeline replays some
-// regions many times over — mru+prev points replay the windows before them,
-// estimate and ground-truth jobs revisit identical regions, and campaign
-// grids sweep many configurations over one trace. The cache pays the decode
-// once and serves every later replay from memory as a zero-copy,
-// zero-allocation trace.Stream. The prefix pass, which reads each region
-// once, goes past it (cachedFile.AppendAccesses).
+// gunzip plus a varint decode of every chunk, and some work replays a region
+// more than once: an mru+prev estimate replays each window in its prefix
+// pass and again before the point (bpserve keeps one cache per such job,
+// bpworker one per prefix pass). The cache pays the decode once and serves
+// every later replay from memory as a zero-copy, zero-allocation
+// trace.Stream. The prefix pass, which reads each region once, goes past it
+// (cachedFile.AppendAccesses).
 //
 // # Keys and identity
 //
 // Entries are keyed by (id, region index), where id is a caller-chosen
 // content identity for the whole trace — by convention the store's
 // SHA-256 trace key. Because the id names the trace bytes, any two Files
-// opened over byte-identical traces (separate jobs, separate opens, the
-// same store) share cache entries. Callers without a content key must
-// pass an id unique to the program instance.
+// opened over byte-identical traces (separate opens, the same store) share
+// the entries of one cache. Callers without a content key must pass an id
+// unique to the program instance.
 //
 // # Bounds and eviction
 //

@@ -108,11 +108,10 @@
 // chunk through a 64 KiB inflate window, so an open stream costs the chunk
 // as stored, never its inflated size. The MRU prefix pass decodes only line
 // addresses and write flags (AppendAccesses). RegionCache keeps regions
-// replayed in full more than once — point regions and their mru+prev
-// windows, estimate+simulate pairs, campaign grids — decoded in a
-// byte-bounded LRU; the prefix pass reads from it but never fills it. It is
-// -replay-cache-mb on cmd/bpserve and cmd/bpworker, and
-// barrierpoint.NewReplayCache in the public API.
+// one job replays in full more than once — its mru+prev windows — decoded
+// in a byte-bounded LRU; the prefix pass reads from it but never fills it.
+// It is -replay-cache-mb on cmd/bpserve (per job) and cmd/bpworker (per
+// prefix pass), and barrierpoint.NewReplayCache in the public API.
 //
 // # Versioning
 //

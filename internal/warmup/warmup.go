@@ -60,6 +60,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"time"
 
 	"barrierpoint/internal/par"
 	"barrierpoint/internal/sim"
@@ -104,8 +105,9 @@ type node struct {
 // its node; int32 links bound a core to 2^31 distinct lines (128 GiB of
 // footprint), far past anything a trace can hold.
 type tracker struct {
-	index sparse.Table[int32]
-	nodes []node
+	index  sparse.Table[int32]
+	nodes  []node
+	decode time.Duration // spent in accessReader reads
 }
 
 func newTracker() *tracker {
@@ -182,8 +184,10 @@ var accessScratch = sync.Pool{New: func() any { return new([]uint64) }}
 func (t *tracker) trackAccesses(ar accessReader, region, tid int) error {
 	buf := accessScratch.Get().(*[]uint64)
 	defer accessScratch.Put(buf)
+	t0 := time.Now()
 	var err error
 	*buf, err = ar.AppendAccesses((*buf)[:0], region, tid)
+	t.decode += time.Since(t0)
 	for _, e := range *buf {
 		t.touch(e>>1, e&1 != 0)
 	}
@@ -212,6 +216,14 @@ func NewPass(threads, capacityLines int) *Pass {
 
 // Pos returns the first region the pass has not tracked yet.
 func (ps *Pass) Pos() int { return ps.pos }
+
+// Decoded returns the time the pass spent in access-only reads, summed over cores.
+func (ps *Pass) Decoded() (d time.Duration) {
+	for _, t := range ps.trackers {
+		d += t.decode
+	}
+	return d
+}
 
 // Snapshot tracks regions [Pos, at) of p and returns each core's MRU state at
 // the entry of region at, leaving the pass there: region at itself is not

@@ -132,14 +132,15 @@ func OpenTrace(path string) (*TraceFile, error) {
 
 // Replay caching: regions of a recorded trace are decoded on every replay
 // by default. A ReplayCache keeps fully decoded regions in a byte-bounded
-// LRU keyed by trace content, so the pipeline stages that revisit regions
-// — mru+prev windows, estimate+simulate pairs over one trace, campaign
-// grids — decode each region once and replay it from memory with zero
-// copies and zero allocations; the MRU prefix pass reads past it. Cached
-// and uncached replays are bit-identical (see tracefile.RegionCache).
+// LRU keyed by trace content, so work that revisits regions — the mru+prev
+// windows an estimate replays in its prefix pass and before each point —
+// decodes each region once and replays it from memory with zero copies and
+// zero allocations; the MRU prefix pass reads past it. Cached and uncached
+// replays are bit-identical (see tracefile.RegionCache).
 
 // ReplayCache is a bounded in-memory cache of decoded trace regions,
-// shareable by any number of open traces and goroutines.
+// shareable by any number of open traces and goroutines, holding what it
+// decoded until dropped: the service keeps one per mru+prev estimate.
 type ReplayCache = tracefile.RegionCache
 
 // ReplayCacheStats is a snapshot of a ReplayCache's activity.
