@@ -22,7 +22,7 @@
 //	GET  /v1/jobs              list jobs
 //	GET  /v1/jobs/{id}         job status; result embedded when done
 //	GET  /healthz              liveness + readiness, and the state of the
-//	                           job journal and farm WAL (recovery included)
+//	                           job journal (recovery included)
 //	GET  /metrics              Prometheus text exposition (bp_-prefixed):
 //	                           every counter, gauge and histogram
 //
@@ -90,7 +90,6 @@ func run(args []string, stderr io.Writer) error {
 		leaseTTL  = fs.Duration("farm-lease-ttl", 30*time.Second, "farm task lease duration (heartbeats renew it)")
 		retries   = fs.Int("farm-retries", 3, "farm task attempts before permanent failure")
 		replayMB  = fs.Int64("replay-cache-mb", 256, "most decoded region data one job holds (an mru+prev estimate's windows), MiB (0 disables)")
-		walPath   = fs.String("wal", "", "farm queue write-ahead log path (default <store>/farm.wal; \"off\" disables durability)")
 		jobWal    = fs.String("job-wal", "", "job journal path (default <store>/jobs.wal; \"off\" disables crash-safe job recovery)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: time allowed for in-flight jobs to finish")
 		faultSpec = fs.String("fault", "", "fault-injection spec, e.g. 'store.put-artifact:p=0.05' (chaos testing; see internal/fault)")
@@ -120,28 +119,9 @@ func run(args []string, stderr io.Writer) error {
 	}
 	mgr := service.New(st, *workers, *depth)
 	mgr.SetReplayCacheBytes(*replayMB << 20)
-	fcfg := farm.Config{LeaseTTL: *leaseTTL, MaxAttempts: *retries}
-	wal := *walPath
-	if wal == "" {
-		wal = filepath.Join(*storeDir, "farm.wal")
-	}
-	if wal == "off" {
-		mgr.SetFarm(farm.NewQueue(st, fcfg))
-	} else {
-		fq, recov, err := farm.NewDurableQueue(st, fcfg, wal)
-		if err != nil {
-			return fmt.Errorf("opening farm wal: %w", err)
-		}
-		if recov.Records > 0 {
-			logger.Info(fmt.Sprintf(
-				"farm wal %s: replayed %d records (%d bytes torn tail dropped): %d pending, %d resolved from store",
-				wal, recov.Records, recov.Dropped, recov.Pending, recov.StoreHits))
-		}
-		mgr.SetFarm(fq)
-	}
-	if q := mgr.Farm(); q != nil {
-		q.SetLogger(logger)
-	}
+	fq := farm.NewQueue(st, farm.Config{LeaseTTL: *leaseTTL, MaxAttempts: *retries})
+	fq.SetLogger(logger)
+	mgr.SetFarm(fq)
 	// The job journal is enabled after the farm is wired so recovered
 	// estimate jobs re-enqueued at startup see the same execution tiers
 	// a fresh submission would.
@@ -466,10 +446,9 @@ func (s *server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth reports liveness, readiness, and the durability and
-// recovery state of the job journal and — when a farm queue is wired — the
-// farm WAL. "ready" is true once the store is readable; orchestration
-// probes can gate worker traffic on it. Activity counters live on /metrics
-// only.
+// recovery state of the job journal. "ready" is true once the store is
+// readable; orchestration probes can gate worker traffic on it. Activity
+// counters live on /metrics only.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_, storeErr := s.st.Traces()
 	body := map[string]any{
@@ -482,13 +461,6 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if rec := s.mgr.JobRecovery(); rec.Records > 0 {
 		body["job_recovery"] = rec
-	}
-	if q := s.mgr.Farm(); q != nil {
-		farmBody := map[string]any{"wal": q.JournalStats()}
-		if rec := q.Recovery(); rec.Records > 0 {
-			farmBody["recovery"] = rec
-		}
-		body["farm"] = farmBody
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -422,8 +422,7 @@ func TestFarmEndToEnd(t *testing.T) {
 // TestMetricsAndHealthEndpoints drives a farmed estimate through the full
 // server and then checks the observability surface: /metrics serves valid
 // Prometheus text with monotone histogram buckets and carries the
-// replay-cache and fleet gauges, and /healthz reports readiness and WAL
-// state.
+// replay-cache and fleet gauges, and /healthz reports readiness.
 func TestMetricsAndHealthEndpoints(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -503,22 +502,14 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 		t.Errorf("bp_farm_live_workers = %v, want 1", samples["bp_farm_live_workers"])
 	}
 
-	// /healthz: readiness plus WAL state.
+	// /healthz: readiness.
 	var health struct {
 		Status string `json:"status"`
 		Ready  bool   `json:"ready"`
-		Farm   struct {
-			WAL struct {
-				Durable bool `json:"durable"`
-			} `json:"wal"`
-		} `json:"farm"`
 	}
 	doJSON(t, "GET", base+"/healthz", nil, http.StatusOK, &health)
 	if health.Status != "ok" || !health.Ready {
 		t.Fatalf("health: %+v", health)
-	}
-	if health.Farm.WAL.Durable {
-		t.Error("in-memory queue reported a durable WAL")
 	}
 }
 
@@ -557,19 +548,19 @@ func scrape(t *testing.T, base string) map[string]float64 {
 }
 
 // TestHealthzKeySet: /healthz carries liveness, readiness and the state of
-// the two journals — exactly those keys — on a bare server, a farm server
-// and a server that replayed both journals of an earlier life. Every value
-// it once copied from a counter reads on /metrics, checked against the
-// sources it was copied from: the job list, the farm queue, the replay
-// budget and the recovery reports /healthz still carries.
+// the job journal — exactly those keys — on a bare server, a farm server
+// and a server that replayed the job journal of an earlier life. Every
+// value it once copied from a counter reads on /metrics, checked against
+// the sources it was copied from: the job list, the farm queue and the
+// replay budget.
 func TestHealthzKeySet(t *testing.T) {
 	var trace bytes.Buffer
 	if err := tracefile.Record(&trace, workload.New("npb-is", 8, workload.WithScale(0.05))); err != nil {
 		t.Fatal(err)
 	}
 	// open builds one coordinator life over dir: with a farm queue when
-	// farmOn, and with the farm WAL and job journal in dir — replaying
-	// whatever an earlier life left there — when durable.
+	// farmOn, and with the job journal in dir — replaying whatever an
+	// earlier life left there — when durable.
 	open := func(t *testing.T, dir string, farmOn, durable bool) *service.Manager {
 		t.Helper()
 		st, err := store.Open(dir)
@@ -578,16 +569,7 @@ func TestHealthzKeySet(t *testing.T) {
 		}
 		m := service.New(st, 2, 0)
 		if farmOn {
-			cfg := farm.Config{LeaseTTL: 5 * time.Second}
-			var q *farm.Queue
-			if durable {
-				if q, _, err = farm.NewDurableQueue(st, cfg, filepath.Join(dir, "farm.wal")); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				q = farm.NewQueue(st, cfg)
-			}
-			m.SetFarm(q)
+			m.SetFarm(farm.NewQueue(st, farm.Config{LeaseTTL: 5 * time.Second}))
 		}
 		if durable {
 			if _, err := m.EnableJournal(filepath.Join(dir, "jobs.wal")); err != nil {
@@ -623,11 +605,11 @@ func TestHealthzKeySet(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		farm, recovery bool
-		keys, farmKeys []string
+		keys           []string
 	}{
-		{"bare", false, false, []string{"job_journal", "ready", "status"}, nil},
-		{"farm", true, false, []string{"farm", "job_journal", "ready", "status"}, []string{"wal"}},
-		{"recovered", true, true, []string{"farm", "job_journal", "job_recovery", "ready", "status"}, []string{"recovery", "wal"}},
+		{"bare", false, false, []string{"job_journal", "ready", "status"}},
+		{"farm", true, false, []string{"job_journal", "ready", "status"}},
+		{"recovered", true, true, []string{"job_journal", "job_recovery", "ready", "status"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -651,20 +633,10 @@ func TestHealthzKeySet(t *testing.T) {
 			if got := slices.Sorted(maps.Keys(health)); !slices.Equal(got, tc.keys) {
 				t.Errorf("/healthz keys %v, want %v", got, tc.keys)
 			}
-			var farmBody map[string]json.RawMessage
-			if raw, ok := health["farm"]; ok {
-				if err := json.Unmarshal(raw, &farmBody); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := slices.Sorted(maps.Keys(farmBody)); !slices.Equal(got, tc.farmKeys) {
-				t.Errorf("/healthz farm keys %v, want %v", got, tc.farmKeys)
-			}
 
 			want := map[string]float64{"bp_replay_cache_max_bytes": float64(bp.DefaultReplayCacheBytes)}
 			for _, name := range []string{"bp_jobs_submitted_total", "bp_jobs_deduped_total", "bp_jobs_done_total",
-				"bp_jobs_failed_total", "bp_job_cache_hits_total", "bp_jobs_farmed_total", "bp_jobs_recovered_total",
-				"bp_farm_tasks_recovered_total"} {
+				"bp_jobs_failed_total", "bp_job_cache_hits_total", "bp_jobs_farmed_total", "bp_jobs_recovered_total"} {
 				want[name] = 0
 			}
 			var jobs struct {
@@ -689,13 +661,6 @@ func TestHealthzKeySet(t *testing.T) {
 				want["bp_farm_live_workers"] = float64(s.LiveWorkers)
 				want["bp_farm_tasks_pending"] = float64(s.Pending)
 				want["bp_farm_tasks_leased"] = float64(s.Leased)
-				var rec farm.Recovery
-				if raw, ok := farmBody["recovery"]; ok {
-					if err := json.Unmarshal(raw, &rec); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want["bp_farm_tasks_recovered_total"] = float64(rec.Pending)
 			}
 			got := scrape(t, base)
 			for name, v := range want {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -60,11 +59,7 @@ func freshAnalysis(b *testing.B, data []byte, cfg *bp.Config) (*store.Store, str
 
 // BenchmarkQueueEnqueueComplete measures the queue's bookkeeping cost per
 // task — one enqueue, lease and complete round trip with a synthetic
-// payload — with and without the write-ahead log, isolating what
-// durability (one fsynced journal append, the enqueue's, per round; both
-// variants publish the result artifact) costs on the coordinator. The
-// spread between the two is the number the bpserve -wal flag trades
-// against crash recovery.
+// payload, the complete publishing the result artifact.
 func BenchmarkQueueEnqueueComplete(b *testing.B) {
 	// A well-formed content key; the queue never opens the trace for
 	// bookkeeping, so no recording is needed.
@@ -73,38 +68,26 @@ func BenchmarkQueueEnqueueComplete(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"nowal", "wal"} {
-		b.Run(mode, func(b *testing.B) {
-			st, err := store.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			var q *farm.Queue
-			if mode == "wal" {
-				q, _, err = farm.NewDurableQueue(st, farm.Config{}, filepath.Join(st.Root(), "farm.wal"))
-				if err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				q = farm.NewQueue(st, farm.Config{})
-			}
-			defer q.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Distinct regions keep every round a real task (no dedup
-				// against earlier artifacts).
-				if _, err := q.Enqueue(farm.Spec{TraceKey: key, Region: i, Sockets: 1, Warmup: "cold"}); err != nil {
-					b.Fatal(err)
-				}
-				tasks := q.Lease("bench", 1)
-				if len(tasks) != 1 {
-					b.Fatal("no task leased")
-				}
-				if err := q.Complete("bench", tasks[0].ID, result); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := farm.NewQueue(st, farm.Config{})
+	defer q.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Distinct regions keep every round a real task (no dedup
+		// against earlier artifacts).
+		if _, err := q.Enqueue(farm.Spec{TraceKey: key, Region: i, Sockets: 1, Warmup: "cold"}); err != nil {
+			b.Fatal(err)
+		}
+		tasks := q.Lease("bench", 1)
+		if len(tasks) != 1 {
+			b.Fatal("no task leased")
+		}
+		if err := q.Complete("bench", tasks[0].ID, result); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -99,54 +99,28 @@
 //
 // # Durability
 //
-// NewDurableQueue journals the transitions whose facts nothing else keeps
-// to a write-ahead log (a store.Journal) before applying them in memory,
-// so a coordinator killed -9 mid-campaign restarts with every task it had
-// not finished. NewQueue remains purely in-memory; cmd/bpserve opens the
-// durable variant by default at <store>/farm.wal (disable with -wal off).
-// Framing, torn-tail truncation, the compaction trigger and what a failed
-// or closed log does are the journal's and are described once, in
-// internal/store/journal.go; what is the queue's own is its records — a
-// JSON walRecord per frame, with an "op" tag:
+// The queue keeps no log of its own. Its tasks live in memory, and a
+// coordinator restart forgets them; what survives is what a restart
+// needs:
 //
-//	enqueue   {op, task{id, trace, region, sockets, warmup, artifact,
-//	           attempt}, failures?}   a task entered the queue (compaction
-//	                                  re-emits live tasks in this form)
-//	requeue   {op, id, msg}           an attempt failed or its lease
-//	                                  expired; task back to pending
-//	fail      {op, id, msg}           attempts exhausted; failed for good
+//   - the job that enqueued the tasks, in the coordinator's job journal
+//     (internal/service/journal.go), which re-runs every estimate that was
+//     live at the crash under its original ID, so its points enqueue again;
+//   - every result a worker uploaded before the crash, as a store artifact
+//     that Complete publishes, fsynced, before it wakes a waiter. The
+//     re-run's Enqueue resolves those points from the store on the spot,
+//     so only the points that never finished run again.
 //
-// A lease is not journaled: a coordinator never runs tasks, so its crash
-// says nothing about the task a worker held. Nor is a completion: Complete
-// publishes the result artifact, fsynced, before it wakes any waiter, and
-// that artifact is the record. A successful task costs the journal one
-// append. Replay skips the "lease" and "complete" records of older logs.
-//
-// Every append is fsynced before its transition is applied in memory, so
-// the journal is never behind memory. A crash between the two is safe:
-// the caller got an error for work the record says happened, and replay
-// converges on the journaled state, which Enqueue's dedup then reconciles
-// with the retrying caller.
-//
-// Recovery (NewDurableQueue on a non-empty log) folds the replayed
-// records into per-task state. Every live task re-enters the pending
-// queue, in the order it last entered it, under its original id (a worker
-// that held it before the crash may still upload, which completes it),
-// having used as many attempts as the journal logged failures; tasks
-// whose result artifact is in the store resolve on the spot. Recovered
-// tasks carry fresh tickets with no waiters — a re-submitted job
-// re-attaches through Enqueue's dedup, so no simulation is lost or
-// repeated.
+// A task's attempts count within one coordinator life: after a restart its
+// point starts again at attempt 1, so the MaxAttempts bound on a poison
+// task holds per life, not across lives.
 //
 // Each queue instance mints a random epoch embedded in the task and worker
 // ids it issues and echoed in register/lease responses. A worker leasing
 // from a restarted coordinator sees the epoch change (ErrServerRestarted),
 // re-registers, and keeps working; the queue likewise refuses to lease to
 // ids minted by a previous life. Since no life reissues another's task ids,
-// a late upload from before a restart completes its own task or nothing,
+// a result for a previous life's task, uploaded after the restart,
+// completes nothing and is dropped (its point is redone in the new life),
 // and no call from such an id adds it to the fleet.
-//
-// The compaction snapshot is the live tasks — one enqueue record each, in
-// pending order, then the tasks out on a worker, each carrying its failed
-// attempts.
 package farm

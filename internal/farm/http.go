@@ -171,10 +171,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Error != "" {
-		if err := s.q.Fail(req.Worker, req.Task, req.Error); err != nil {
-			s.error(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
+		s.q.Fail(req.Worker, req.Task, req.Error)
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "failed"})
 		return
 	}

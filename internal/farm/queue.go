@@ -64,8 +64,7 @@ type Task struct {
 	// Attempt is 1 for the first lease, incremented per retry.
 	Attempt int `json:"attempt"`
 	// TraceID links the task to the coordinator job that enqueued it
-	// (empty for tasks from un-instrumented enqueuers or pre-telemetry
-	// WAL journals). Telemetry only.
+	// (empty for tasks from un-instrumented enqueuers). Telemetry only.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -76,13 +75,9 @@ type task struct {
 	leased   bool
 	worker   string
 	expires  time.Time
-	created  time.Time // enqueue (or recovery) time, for task-latency telemetry
+	created  time.Time // enqueue time, for task-latency telemetry
 	failures []string
 	ticket   *Ticket
-	// seq orders a journal replay's tasks for deterministic requeueing:
-	// assigned when a replayed record puts the task (back) in the pending
-	// queue. The running queue does not read it.
-	seq int
 }
 
 // Ticket is a handle on an enqueued task's eventual result. Tasks
@@ -113,8 +108,7 @@ type WorkerInfo struct {
 	Failed    int64     `json:"failed"`
 }
 
-// Stats counts queue activity since construction (the bp_farm_* series);
-// the write-ahead log's own counters are JournalStats.
+// Stats counts queue activity since construction (the bp_farm_* series).
 type Stats struct {
 	Enqueued      int64
 	DedupStore    int64
@@ -154,13 +148,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Queue is a lease-based work queue of point-simulation tasks over one
-// content-addressed store. All methods are safe for concurrent use.
-// NewQueue builds an in-memory queue: tasks do not survive a server
-// restart, but their results do — completed work lands in the store, so a
-// restarted server re-enqueues only the points that never finished.
-// NewDurableQueue additionally journals enqueues and failed attempts to a
-// write-ahead log and rebuilds the live tasks from it on startup (see
-// wal.go and the package documentation's Durability section).
+// content-addressed store. All methods are safe for concurrent use. Tasks
+// live in memory and do not survive a server restart, but their results
+// do: completed work lands in the store, so a restarted server's
+// re-enqueued points resolve from it and only the points that never
+// finished run again (see the package documentation's Durability section).
 type Queue struct {
 	st  *store.Store
 	cfg Config
@@ -180,15 +172,6 @@ type Queue struct {
 	wseq    int
 	closed  bool
 
-	// wal, when non-nil, journals enqueues and ended attempts before they
-	// are applied (a nil journal records nothing) and recovery holds what
-	// its replay rebuilt. crashHook is a test seam invoked between a WAL
-	// append and its in-memory apply — returning an error simulates a
-	// crash exactly on that edge.
-	wal       *store.Journal[walRecord]
-	recovery  Recovery
-	crashHook func(op string) error
-
 	stats     Stats
 	stopSweep chan struct{}
 	sweepDone chan struct{}
@@ -202,19 +185,9 @@ type Queue struct {
 	workerSpans *obs.SpanRecorder
 }
 
-// NewQueue creates an in-memory queue over st and starts its
-// expired-lease sweeper. For a queue that survives restarts, use
-// NewDurableQueue.
+// NewQueue creates a queue over st and starts its expired-lease sweeper.
 func NewQueue(st *store.Store, cfg Config) *Queue {
-	q := newQueue(st, cfg)
-	go q.sweep()
-	return q
-}
-
-// newQueue builds the queue without starting the sweeper, so
-// NewDurableQueue can replay its journal into it first.
-func newQueue(st *store.Store, cfg Config) *Queue {
-	return &Queue{
+	q := &Queue{
 		st:          st,
 		cfg:         cfg.withDefaults(),
 		epoch:       newEpoch(),
@@ -225,6 +198,16 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 		sweepDone:   make(chan struct{}),
 		workerSpans: obs.NewSpanRecorder(),
 	}
+	go q.sweep()
+	return q
+}
+
+// NewDurableQueue returns NewQueue(st, cfg): it opens and creates no file,
+// and its path argument is ignored. It exists only because bench/probes.go's
+// farm.queue_roundtrip_us probe calls it, until that probe moves onto
+// NewQueue (ROADMAP item 3(c)).
+func NewDurableQueue(st *store.Store, cfg Config, _ string) (*Queue, struct{}, error) {
+	return NewQueue(st, cfg), struct{}{}, nil
 }
 
 // SetLogger directs structured task-failure logging (lease expiries,
@@ -232,28 +215,17 @@ func newQueue(st *store.Store, cfg Config) *Queue {
 // queue is shared; nil disables.
 func (q *Queue) SetLogger(l *slog.Logger) { q.logger = l }
 
-// JournalStats returns the write-ahead log's size and activity counters
-// for health surfaces (zero-valued, not durable, for in-memory queues).
-func (q *Queue) JournalStats() store.JournalStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.wal.Stats()
-}
-
 // WorkerSpans returns the recorder holding spans from this queue's
 // in-process workers (RunLocalWorker) — the coordinator-side view of
 // farmed task execution, queryable by job trace ID.
 func (q *Queue) WorkerSpans() *obs.SpanRecorder { return q.workerSpans }
 
 // Instrument registers the queue's activity as metric families on reg
-// (bp_farm_* and bp_wal_*) and begins observing per-task and per-WAL-op
-// latencies. Call it once per queue, before the registry serves scrapes.
+// (bp_farm_*) and begins observing per-task latencies. Call it once per
+// queue, before the registry serves scrapes.
 func (q *Queue) Instrument(reg *obs.Registry) {
 	stat := func(f func(s Stats) float64) func() float64 {
 		return func() float64 { return f(q.Stats()) }
-	}
-	walStat := func(f func(s store.JournalStats) float64) func() float64 {
-		return func() float64 { return f(q.JournalStats()) }
 	}
 	reg.CounterFunc("bp_farm_tasks_enqueued_total", "Tasks enqueued (post-dedup).",
 		stat(func(s Stats) float64 { return float64(s.Enqueued) }))
@@ -275,23 +247,8 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 		stat(func(s Stats) float64 { return float64(s.Leased) }))
 	reg.GaugeFunc("bp_farm_live_workers", "Workers seen within three lease TTLs.",
 		stat(func(s Stats) float64 { return float64(s.LiveWorkers) }))
-	reg.CounterFunc("bp_wal_appends_total", "Write-ahead-log records appended.",
-		walStat(func(s store.JournalStats) float64 { return float64(s.Appends) }))
-	reg.CounterFunc("bp_wal_errors_total", "Write-ahead-log append/compaction errors.",
-		walStat(func(s store.JournalStats) float64 { return float64(s.Errors) }))
-	reg.CounterFunc("bp_wal_compactions_total", "Write-ahead-log compactions.",
-		walStat(func(s store.JournalStats) float64 { return float64(s.Compactions) }))
-	reg.GaugeFunc("bp_wal_bytes", "Write-ahead-log size in bytes of intact frames.",
-		walStat(func(s store.JournalStats) float64 { return float64(s.Bytes) }))
 	q.taskDur = reg.Histogram("bp_farm_task_seconds",
 		"Farm task latency from enqueue to stored result.", obs.DefLatencyBuckets)
-	if q.wal != nil {
-		walDur := reg.HistogramVec("bp_wal_op_seconds",
-			"Write-ahead-log operation latency.", "op", obs.DefLatencyBuckets)
-		q.wal.SetObserver(func(op string, d time.Duration) {
-			walDur.With(op).ObserveDuration(d)
-		})
-	}
 }
 
 // newEpoch draws a random instance tag for task and worker ids and restart
@@ -334,20 +291,13 @@ func (q *Queue) requeueExpiredLocked(now time.Time) {
 			continue
 		}
 		q.stats.Expired++
-		msg := fmt.Sprintf("attempt %d: lease expired on worker %s", t.Attempt, t.worker)
-		// A journal error leaves the task leased-and-expired; the next
-		// sweep retries the transition.
-		_ = q.endAttemptLocked(t, msg)
+		q.endAttemptLocked(t, fmt.Sprintf("attempt %d: lease expired on worker %s", t.Attempt, t.worker))
 	}
 }
 
 // endAttemptLocked records a failed attempt and either requeues the task
-// or fails it permanently; q.mu must be held. The runtime — not replay —
-// owns the requeue-vs-fail decision, so the journal records which one was
-// taken; if the journal append fails the task is left untouched (still
-// leased) and the error returned, and the expiry sweeper retries the
-// transition on its next pass.
-func (q *Queue) endAttemptLocked(t *task, msg string) error {
+// or fails it permanently; q.mu must be held.
+func (q *Queue) endAttemptLocked(t *task, msg string) {
 	permanent := t.Attempt >= q.cfg.MaxAttempts
 	if q.logger != nil {
 		q.logger.Warn("farm task attempt failed",
@@ -361,13 +311,6 @@ func (q *Queue) endAttemptLocked(t *task, msg string) error {
 			"err", msg,
 			"permanent", permanent)
 	}
-	op := opRequeue
-	if permanent {
-		op = opFail
-	}
-	if err := q.appendWALLocked(walRecord{Op: op, ID: t.ID, Msg: msg}); err != nil {
-		return err
-	}
 	t.failures = append(t.failures, msg)
 	t.leased = false
 	t.worker = ""
@@ -376,11 +319,10 @@ func (q *Queue) endAttemptLocked(t *task, msg string) error {
 			"farm: task %s (trace %.12s region %d) failed after %d attempts: %s",
 			t.ID, t.TraceKey, t.Region, t.Attempt, strings.Join(t.failures, "; ")))
 		q.stats.Failed++
-		return nil
+		return
 	}
 	q.stats.Retries++
 	q.pending = append(q.pending, t)
-	return nil
 }
 
 // finishLocked resolves a live task's ticket and forgets the task;
@@ -443,11 +385,6 @@ func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 		created: time.Now(),
 		ticket:  &Ticket{Region: sp.Region, done: make(chan struct{})},
 	}
-	// Journal before acknowledging: a crash after this append recovers
-	// the task; an append error rejects the enqueue without applying it.
-	if err := q.appendWALLocked(walRecord{Op: opEnqueue, Task: &t.Task}); err != nil {
-		return nil, err
-	}
 	q.tasks[t.ID] = t
 	q.byDedup[dedup] = t
 	q.pending = append(q.pending, t)
@@ -463,7 +400,7 @@ func (q *Queue) Register(name string) string {
 	defer q.mu.Unlock()
 	q.wseq++
 	// The epoch in the id keeps ids from a previous coordinator life from
-	// colliding with this one's (wseq restarts at 1 after a recovery).
+	// colliding with this one's (wseq starts at 1 in every life).
 	id := fmt.Sprintf("w-%s-%04d", q.epoch, q.wseq)
 	q.workers[id] = &WorkerInfo{ID: id, Name: name, LastSeen: time.Now()}
 	return id
@@ -591,35 +528,33 @@ func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
 	if cur, ok := q.tasks[id]; !ok || cur != t {
 		return nil // raced with another completion
 	}
-	// The durable artifact is the completion's only record: a recovering
-	// queue finds it in the store and resolves the task without re-running.
+	// The stored artifact is the completion's durable record: after a
+	// restart, Enqueue finds it and resolves the point without re-running.
 	q.stats.Completed++
 	w.Completed++
-	if !t.created.IsZero() {
-		q.taskDur.ObserveDuration(time.Since(t.created))
-	}
+	q.taskDur.ObserveDuration(time.Since(t.created))
 	q.finishLocked(t, res, nil)
 	return nil
 }
 
 // Fail reports that the worker could not complete the task. The failure
 // is logged on the task, which is retried unless out of attempts.
-func (q *Queue) Fail(workerID, id, msg string) error {
+func (q *Queue) Fail(workerID, id, msg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	w := q.touchWorkerLocked(workerID, time.Now())
 	t, ok := q.tasks[id]
 	if !ok {
-		return nil // completed elsewhere, or duplicate failure report
+		return // completed elsewhere, or duplicate failure report
 	}
 	if !t.leased || t.worker != workerID {
 		// Not this worker's current lease: either it expired and was
 		// already requeued (the expiry logged the attempt), or the task
 		// was reassigned. The current lease's outcome governs.
-		return nil
+		return
 	}
 	w.Failed++
-	return q.endAttemptLocked(t, fmt.Sprintf("attempt %d on worker %s: %s", t.Attempt, workerID, msg))
+	q.endAttemptLocked(t, fmt.Sprintf("attempt %d on worker %s: %s", t.Attempt, workerID, msg))
 }
 
 // LiveWorkers counts workers seen within three lease TTLs — the signal
@@ -685,10 +620,7 @@ func (q *Queue) Stats() Stats {
 // Stats.RequeuedClose), every outstanding ticket fails promptly with
 // ErrClosed, and the sweeper stops. Close is idempotent. Completed
 // results remain in the store, so re-running the same jobs after a
-// restart redoes only the points that never finished. A durable queue
-// deliberately journals nothing here — its unfinished tasks stay in the
-// write-ahead log, so the next NewDurableQueue over the same path
-// recovers them as pending; only the file handle is released.
+// restart redoes only the points that never finished.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	if q.closed {
@@ -706,7 +638,6 @@ func (q *Queue) Close() {
 		q.finishLocked(t, bp.RegionResult{}, ErrClosed)
 	}
 	q.pending = nil
-	q.wal.Close()
 	close(q.stopSweep)
 	q.mu.Unlock()
 	<-q.sweepDone

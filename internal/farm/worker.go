@@ -70,7 +70,10 @@ func (l *queueTransport) Complete(t Task, res bp.RegionResult) error {
 	return l.q.Complete(l.id, t.ID, b)
 }
 
-func (l *queueTransport) Fail(t Task, msg string) error { return l.q.Fail(l.id, t.ID, msg) }
+func (l *queueTransport) Fail(t Task, msg string) error {
+	l.q.Fail(l.id, t.ID, msg)
+	return nil
+}
 
 // FetchTrace has nothing to move: an in-process worker reads the store it was
 // given, and a trace missing from it fails the task in Executor.Warm.
@@ -197,8 +200,8 @@ func (w *Worker) Run(ctx context.Context, name string) error {
 		tasks, err := w.tr.Lease(want)
 		if errors.Is(err, ErrServerRestarted) {
 			// The worker id is void, but nothing is held between batches, so
-			// there is nothing to drain: a restarted coordinator's write-ahead
-			// log already requeued whatever this id had leased.
+			// there is nothing to drain: a restarted coordinator forgot its
+			// leases, and its recovered jobs enqueue those points again.
 			w.logger.Warn("coordinator restarted, re-registering")
 			stopBeats()
 			w.id, stopBeats = "", func() {}

@@ -16,7 +16,7 @@
 //	rpc.fetch       farm.Client trace download
 //	store.put-artifact   store.Store artifact write
 //	store.get-artifact   store.Store artifact read
-//	store.wal.append     store.WAL record append (farm queue + job journal)
+//	store.wal.append     store.WAL record append (job journal)
 //
 // Rules match a site either exactly or by "prefix.*" glob ("rpc.*" arms
 // every client RPC). To add a site, pick a name following the scheme

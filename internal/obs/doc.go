@@ -23,8 +23,7 @@
 //     series with cumulative, monotone buckets ending at le="+Inf".
 //   - At most one label per family, named for its dimension: job
 //     histograms are labeled {kind="analyze|simulate|estimate"}, stage
-//     histograms {stage="profile|cluster|..."}, WAL op histograms
-//     {op="append|rewrite"}.
+//     histograms {stage="profile|cluster|..."}.
 //
 // # Spans and trace IDs
 //

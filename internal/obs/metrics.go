@@ -15,8 +15,7 @@ import (
 )
 
 // DefLatencyBuckets are the default histogram bounds, 100µs to 30s: point
-// simulations and WAL fsyncs live at the low end, whole farmed estimates at
-// the high end.
+// simulations live at the low end, whole farmed estimates at the high end.
 var DefLatencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 

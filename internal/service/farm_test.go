@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -181,89 +183,78 @@ func TestShutdownRequeuesFarmedTasks(t *testing.T) {
 }
 
 // TestFarmedEstimateResumesRecoveredQueue is the durability acceptance
-// test at the service layer: a coordinator dies with a farmed estimate's
-// tasks queued and in flight, a new coordinator rebuilds the queue from
-// the write-ahead log, the re-submitted job re-attaches to every
-// recovered task instead of re-enqueueing, and the finished estimate is
-// byte-identical to a run that was never interrupted.
+// test at the service layer: a coordinator dies with a farmed estimate part
+// done, the next coordinator replays the job journal over a fresh queue,
+// the job re-runs under its original ID, the point finished before the
+// crash resolves from the store instead of running again, and the result
+// is byte-identical to a run that was never interrupted.
 func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 	st, key := newTestStore(t)
-	walPath := filepath.Join(st.Root(), "farm.wal")
-	cfg := farm.Config{LeaseTTL: time.Hour} // recovery, not TTL expiry, must free the lease
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "jobs.wal")
+	cfg := farm.Config{LeaseTTL: time.Hour}
 
-	q1, rec, err := farm.NewDurableQueue(st, cfg, walPath)
+	// First life: the job enqueues its per-point tasks and one worker
+	// completes exactly one of them.
+	q1 := farm.NewQueue(st, cfg)
+	m1 := New(st, 2, 0)
+	m1.SetFarm(q1)
+	if _, err := m1.EnableJournal(journal); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Kind: KindEstimate, Trace: key, Warmup: "mru", Exec: ExecFarm}
+	snap, err := m1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec != (farm.Recovery{}) {
-		t.Fatalf("fresh wal reported recovery %+v", rec)
-	}
-	m1 := New(st, 2, 0)
-	m1.SetFarm(q1)
-
-	// First life: the job enqueues its per-point tasks, a phantom worker
-	// leases one, no one ever completes anything.
-	req := Request{Kind: KindEstimate, Trace: key, Warmup: "mru", Exec: ExecFarm}
-	if _, err := m1.Submit(req); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if tasks := q1.Lease("phantom", 1); len(tasks) == 1 {
-			break
-		}
+	var tasks []farm.Task
+	for deadline := time.Now().Add(20 * time.Second); len(tasks) == 0; time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("job never enqueued a task")
 		}
-		time.Sleep(2 * time.Millisecond)
+		tasks = q1.Lease("w1", 1)
 	}
-	// The coordinator "dies": an expired shutdown context tears it down
-	// without waiting for the farmed job. Close journals nothing — the
-	// queued and leased tasks stay in the log for the next life. (The job
-	// may have been mid-enqueue when it died; whatever made it into the
-	// journal — read after Close, when the count is final — must recover.)
+	res, err := farm.NewExecutor(st, 0).Execute(tasks[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q1.Complete("w1", tasks[0].ID, payload); err != nil {
+		t.Fatal(err)
+	}
+	// The journal as a kill -9 here leaves it: the job's submit record and
+	// no terminal one. Closing the first life then fails the job on the
+	// closed queue, and that record lands in the original file only.
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := filepath.Join(dir, "jobs-at-crash.wal")
+	if err := os.WriteFile(crashed, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	err = m1.Shutdown(ctx)
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first-life Shutdown = %v, want DeadlineExceeded", err)
 	}
-	enqueuedBefore := q1.Stats().Enqueued
 
-	// Second life: replay the journal.
-	q2, rec, err := farm.NewDurableQueue(st, cfg, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The phantom's lease was never journaled: its task is pending like
-	// the rest.
-	if int64(rec.Pending) != enqueuedBefore || rec.StoreHits != 0 {
-		t.Fatalf("recovery = %+v, want all %d tasks enqueued before the crash pending",
-			rec, enqueuedBefore)
-	}
+	// Second life: a fresh queue, the job journal replayed, local workers.
+	q2 := farm.NewQueue(st, cfg)
 	m2 := New(st, 2, 0)
 	m2.SetFarm(q2)
 	defer m2.Shutdown(context.Background())
-	if got := m2.farmRecovered.Load(); got != enqueuedBefore {
-		t.Fatalf("farm_tasks_recovered = %d, want %d", got, enqueuedBefore)
-	}
-
-	// Re-submitting the same request must re-attach to every recovered
-	// task, not duplicate it. No workers run yet, so the dedup count is
-	// exact once the job's enqueue pass finishes.
-	snap, err := m2.Submit(req)
+	rec, err := m2.EnableJournal(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(20 * time.Second)
-	for q2.Stats().DedupInflight != enqueuedBefore {
-		if time.Now().After(deadline) {
-			t.Fatalf("re-submit deduped %d tasks onto the %d recovered ones (stats %+v)",
-				q2.Stats().DedupInflight, enqueuedBefore, q2.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if rec.Requeued != 1 {
+		t.Fatalf("job recovery = %+v, want the farmed job re-enqueued", rec)
 	}
-
 	wctx, wcancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer wcancel()
 	for i := 0; i < 2; i++ {
@@ -273,8 +264,12 @@ func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.Status != StatusDone {
-		t.Fatalf("resumed job failed: %s", done.Error)
+	if done.Status != StatusDone || !done.Recovered {
+		t.Fatalf("job %s after restart: status %s, recovered %v: %s", snap.ID, done.Status, done.Recovered, done.Error)
+	}
+	// The point completed before the crash is not run again.
+	if hits := metricValues(t, m2)["bp_farm_dedup_store_total"]; hits < 1 {
+		t.Errorf("bp_farm_dedup_store_total = %v, want the point finished before the crash resolved from the store", hits)
 	}
 
 	// And the interruption left no trace in the result: byte-identical to

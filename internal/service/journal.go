@@ -17,9 +17,9 @@ import (
 // journal's done record, not the work); the rest re-enter the queue and
 // recompute through the same artifact caches, so recovered results are
 // byte-identical to an uninterrupted run. Framing, replay mechanics and
-// the compaction policy are store.Journal's (internal/store/journal.go,
-// shared with the farm queue); this file holds the record type, the replay
-// fold, turning folded state back into jobs, and the compaction snapshot.
+// the compaction policy are store.Journal's (internal/store/journal.go);
+// this file holds the record type, the replay fold, turning folded state
+// back into jobs, and the compaction snapshot.
 
 // Journal operation tags: only what recovery reads is recorded. Progress
 // (a job starting, a stage finishing) lives in spans and

@@ -111,7 +111,7 @@ type Manager struct {
 	journal     *store.Journal[journalRecord]
 	jobRecovery JobRecovery
 
-	submitted, deduped, done, failed, cacheHits, farmRecovered, recovered atomic.Int64
+	submitted, deduped, done, failed, cacheHits, recovered atomic.Int64
 
 	// Telemetry: reg serves GET /metrics (the atomics above and the
 	// pipeline's stay the source of truth, bridged in via CounterFuncs);
@@ -144,7 +144,6 @@ func New(st *store.Store, workers, depth int) *Manager {
 	counterFunc(m.reg, "bp_jobs_done_total", "Jobs finished successfully.", &m.done)
 	counterFunc(m.reg, "bp_jobs_failed_total", "Jobs finished in error.", &m.failed)
 	counterFunc(m.reg, "bp_job_cache_hits_total", "Jobs answered from the artifact store without recomputation.", &m.cacheHits)
-	counterFunc(m.reg, "bp_farm_tasks_recovered_total", "Tasks rebuilt from the farm write-ahead log at startup.", &m.farmRecovered)
 	counterFunc(m.reg, "bp_jobs_recovered_total", "Jobs restored from the job journal at startup (already terminal, resolved from the store, or re-enqueued).", &m.recovered)
 	for i := 0; i < workers; i++ {
 		m.wg.Add(1)
@@ -171,15 +170,14 @@ func (m *Manager) Store() *store.Store { return m.st }
 
 // SetFarm attaches a distributed work queue; estimates may then farm
 // their barrierpoint simulations out to registered workers. Call it once,
-// before the first Submit. A durable queue (farm.NewDurableQueue) may
-// arrive already holding tasks recovered from its write-ahead log, all
-// pending; a re-submitted estimate job re-attaches to them through the
-// queue's TraceKey+artifact dedup in Enqueue, so a coordinator restart
-// loses no queued or in-flight simulation work.
+// before the first Submit (and before EnableJournal). The queue starts
+// empty after a coordinator restart: the job journal re-runs the
+// estimates that were live, and their points that finished before the
+// restart resolve from the store in Enqueue, so only unfinished points run
+// again.
 func (m *Manager) SetFarm(q *farm.Queue) {
 	m.pipe.farm = q
 	if q != nil {
-		m.farmRecovered.Store(int64(q.Recovery().Pending))
 		q.Instrument(m.reg)
 	}
 }
@@ -286,9 +284,7 @@ func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
 // requeued and every farmed job blocked on them fails promptly with
 // farm.ErrClosed instead of hanging until lease TTLs expire — their
 // completed points are already cached in the store, so a retry after
-// restart redoes only the unfinished ones. A durable farm queue keeps its
-// unfinished tasks journaled in the write-ahead log across Close, so the
-// next coordinator recovers them as pending.
+// restart redoes only the unfinished ones.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.closed {

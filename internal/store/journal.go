@@ -3,16 +3,14 @@ package store
 import (
 	"encoding/json"
 	"io"
-	"time"
 )
 
-// This file is the one journal every crash-safe control plane in the
-// repository is built on: a typed, append-before-acknowledge record log
-// over WAL. The farm queue (internal/farm/wal.go: task transitions) and the
-// job manager (internal/service/journal.go: job lifecycle) each supply a
-// record type, a fold that rebuilds their state from records, and a snapshot
-// of live state for compaction; framing, replay, compaction policy, counters
-// and failure handling live here and nowhere else.
+// This file is the coordinator's crash-safe log: a typed,
+// append-before-acknowledge record log over WAL. Its client, the job
+// manager (internal/service/journal.go: job lifecycle), supplies a record
+// type, a fold that rebuilds its state from records, and a snapshot of live
+// state for compaction; framing, replay, compaction policy, counters and
+// failure handling live here.
 //
 // # Frame format
 //
@@ -188,15 +186,6 @@ func (j *Journal[R]) Stats() JournalStats {
 	s := j.stats
 	s.Durable, s.Bytes = true, j.w.size
 	return s
-}
-
-// SetObserver installs a timing observer for durable operations: op
-// "append" per Append, "rewrite" per Compact. Call it before the journal
-// is shared across goroutines.
-func (j *Journal[R]) SetObserver(fn func(op string, d time.Duration)) {
-	if j != nil {
-		j.w.observer = fn
-	}
 }
 
 // Close stops the journal and releases the file; the log stays on disk for

@@ -306,7 +306,6 @@ func TestJournalClosedAndNilRecordNothing(t *testing.T) {
 	}
 
 	var none *Journal[toyRec]
-	none.SetObserver(nil)
 	if err := none.Append(toyRec{}); err != nil {
 		t.Errorf("nil append: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"barrierpoint/internal/fault"
 )
@@ -90,8 +89,8 @@ type walHooks struct {
 }
 
 // WAL is an append-only, checksummed, fsync-per-record log. Appends are
-// not internally locked — callers (the farm queue, the job manager)
-// serialize them under their own mutex, which also keeps the log ordered
+// not internally locked — its caller (the job manager, through Journal)
+// serializes them under its own mutex, which also keeps the log ordered
 // identically to the in-memory state transitions it journals.
 type WAL struct {
 	path   string
@@ -99,17 +98,6 @@ type WAL struct {
 	size   int64 // bytes of intact frames on disk
 	hooks  *walHooks
 	broken bool
-	// observer, when set (Journal.SetObserver), receives the wall-clock
-	// duration of each durable operation: op "append" per Append, "rewrite"
-	// per Rewrite (compaction). Telemetry only; it runs after the
-	// operation's outcome is decided.
-	observer func(op string, d time.Duration)
-}
-
-func (w *WAL) observe(op string, t0 time.Time) {
-	if w.observer != nil {
-		w.observer(op, time.Since(t0))
-	}
 }
 
 // OpenWAL opens (creating if needed) the log at path for appending. Any
@@ -169,7 +157,6 @@ func (w *WAL) Append(payload []byte) error {
 	if err := fault.Inject("store.wal.append"); err != nil {
 		return err
 	}
-	defer w.observe("append", time.Now())
 	frame := walFrame(payload)
 	err := w.writeFrame(frame)
 	if err == nil {
@@ -206,7 +193,6 @@ func (w *WAL) writeFrame(frame []byte) error {
 // primitive — a crash at any point leaves either the old log or the new
 // one, never a mix.
 func (w *WAL) rewrite(payloads [][]byte) error {
-	defer w.observe("rewrite", time.Now())
 	dir := filepath.Dir(w.path)
 	tmp, err := os.CreateTemp(dir, ".wal-*")
 	if err != nil {

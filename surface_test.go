@@ -21,6 +21,7 @@ import (
 var surfaceAllow = map[string]bool{
 	// Imported by bench/, the end-to-end benchmark (its own module).
 	"internal/adaptive.Intervals":      true,
+	"internal/farm.NewDurableQueue":    true,
 	"internal/farm.Queue.WorkerSpans":  true,
 	"internal/obs.SpanData.StageSumNs": true,
 	"internal/store.OpenWAL":           true,
@@ -40,8 +41,8 @@ var surfaceAllow = map[string]bool{
 
 	// Fixtures, inspectors and drivers of other declarations' tests (several
 	// from other packages): the small machine, cache-content queries, one
-	// task start to finish, journal replay for the fuzzers, span lookup,
-	// fault-injection bookkeeping.
+	// task start to finish, journal replay, span lookup, fault-injection
+	// bookkeeping.
 	"internal/bbv.New":                    true,
 	"internal/bbv.Vector.Add":             true,
 	"internal/bbv.Vector.Get":             true,
