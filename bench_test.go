@@ -337,6 +337,36 @@ func BenchmarkIngestColdManyRegions(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestWarmReupload measures a re-upload, the upload shape of the
+// warm-sweep workload: Manager.IngestTrace of npb-ft x1 (8 threads) into a
+// store that already holds it, so the pass decodes and digests every region
+// and hashes and writes the whole file, computes no profile and drops its
+// copy without syncing it.
+func BenchmarkIngestWarmReupload(b *testing.B) {
+	var buf bytes.Buffer
+	if err := bp.RecordTrace(&buf, workload.New("npb-ft", 8, workload.WithScale(1))); err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := service.New(st, 1, 0)
+	defer m.Shutdown(context.Background())
+	if _, err := m.IngestTrace(bytes.NewReader(buf.Bytes())); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := m.IngestTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil || !res.Existed || res.ProfilesComputed != 0 {
+			b.Fatalf("re-upload: %+v, %v", res, err)
+		}
+	}
+}
+
 // BenchmarkPrefixPassManyRegions measures the MRU prefix pass alone on the
 // same shape: a fresh pass over all 503 regions of npb-lu x0.2, read
 // access-only from the stored file with no replay cache, at the capacity of

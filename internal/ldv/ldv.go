@@ -178,9 +178,10 @@ func (p *Profiler) Access(line uint64) (dist int, cold bool) {
 	}
 	prev, seen := p.last.Swap(line, t)
 	if seen {
-		// Distinct lines accessed strictly after prev: each line's most
-		// recent access position is marked, so a suffix count suffices.
-		dist = p.bitSum(t-1) - p.bitSum(prev)
+		// Distinct lines accessed strictly after prev: each line seen has
+		// one mark, at its latest access and before t, so the prefix sum
+		// over [1, t-1] is the table's size and a suffix count suffices.
+		dist = p.last.Len() - p.bitSum(prev)
 		p.bitAdd(prev, -1)
 	} else {
 		cold = true

@@ -226,8 +226,8 @@ func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The journal as a kill -9 here leaves it: the job's submit record and
-	// no terminal one. Closing the first life then fails the job on the
-	// closed queue, and that record lands in the original file only.
+	// no terminal one. The copy keeps it so whatever the first life's
+	// Shutdown appends lands in the original file only.
 	raw, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +284,54 @@ func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 	if !bytes.Equal(done.Result, local.Result) {
 		t.Fatalf("recovered estimate differs from uninterrupted local run:\nrecovered: %s\nlocal:     %s",
 			done.Result, local.Result)
+	}
+}
+
+// TestDrainTimeoutRequeuesFarmedJob: a Shutdown whose drain times out closes
+// the farm queue, failing every farmed job blocked on it with
+// farm.ErrClosed. That failure must not be journaled as terminal: the next
+// life over the same journal re-enqueues the job, as after a kill -9.
+func TestDrainTimeoutRequeuesFarmedJob(t *testing.T) {
+	st, key := newTestStore(t)
+	journal := filepath.Join(t.TempDir(), "jobs.wal")
+	q := farm.NewQueue(st, farm.Config{LeaseTTL: time.Hour})
+	m1 := New(st, 1, 0)
+	m1.SetFarm(q)
+	if _, err := m1.EnableJournal(journal); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m1.Submit(Request{Kind: KindEstimate, Trace: key, Warmup: "mru", Exec: ExecFarm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No worker ever leases, so the job blocks on its enqueued points.
+	for deadline := time.Now().Add(20 * time.Second); q.Stats().Pending == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("job never enqueued a task")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	err = m1.Shutdown(ctx)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want DeadlineExceeded", err)
+	}
+	if got, _ := m1.Get(snap.ID); got.Status != StatusFailed {
+		t.Fatalf("first-life job status %s, want failed on the closed queue", got.Status)
+	}
+
+	m2 := New(st, 1, 0)
+	m2.SetFarm(farm.NewQueue(st, farm.Config{LeaseTTL: time.Hour}))
+	rec, err := m2.EnableJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The re-enqueued job blocks too (still no workers): drain-timeout again.
+	ctx, cancel = context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	defer m2.Shutdown(ctx)
+	if rec.Requeued != 1 || rec.Terminal != 0 {
+		t.Fatalf("job recovery = %+v, want {Requeued:1 Terminal:0}", rec)
 	}
 }
 

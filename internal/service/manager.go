@@ -281,10 +281,10 @@ func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
 // farm queue (if attached) keeps leasing and accepting results, so
 // in-flight farmed jobs finish normally as workers stream their tasks
 // back. If ctx expires first, the farm queue is closed: leased tasks are
-// requeued and every farmed job blocked on them fails promptly with
-// farm.ErrClosed instead of hanging until lease TTLs expire — their
-// completed points are already cached in the store, so a retry after
-// restart redoes only the unfinished ones.
+// requeued and every farmed job blocked on them stops promptly with
+// farm.ErrClosed instead of hanging until lease TTLs expire. That failure
+// is not journaled, so the job re-enqueues on restart, where its completed
+// points resolve from the store and only the unfinished ones run.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.closed {
@@ -389,8 +389,11 @@ func (m *Manager) run(j *job) {
 	// and is otherwise dropped): the durable truth — the request in the
 	// submit record, the result artifact in the store — already exists, so
 	// recovery reaches the same state without it, and failing the job over
-	// this append would turn a disk hiccup into a lost result.
-	_ = m.appendJournalLocked(terminalRecord(j))
+	// this append would turn a disk hiccup into a lost result. A farmed job
+	// cut off by Shutdown's drain timeout gets none, so recovery re-runs it.
+	if !m.closed || !errors.Is(err, farm.ErrClosed) {
+		_ = m.appendJournalLocked(terminalRecord(j))
+	}
 	delete(m.inflight, j.dedup)
 	m.pruneLocked()
 	m.mu.Unlock()

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +243,134 @@ func TestTraceWriterAbort(t *testing.T) {
 	if len(traces) != 0 {
 		t.Fatal("aborted write left a trace behind")
 	}
+}
+
+// TestTraceWriterKeyIsSHA256: the key is the SHA-256 of every byte however
+// the writes split across the writer's 64 KiB buffers, and the stored file
+// holds exactly those bytes.
+func TestTraceWriterKeyIsSHA256(t *testing.T) {
+	const buf = 64 << 10
+	data := make([]byte, 3*buf+5)
+	for i := range data {
+		data[i] = byte(i * 7 / 3)
+	}
+	for _, tc := range []struct {
+		name   string
+		size   int
+		chunks int // per Write; 0 writes everything at once
+	}{
+		{"1B", 1, 0},
+		{"7B", 7, 0},
+		{"64KiB", buf, 0},
+		{"64KiB+1", buf + 1, 0},
+		{"one-write-over-buffers", len(data), 0},
+		{"odd-writes", len(data), 4099},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := data[:tc.size]
+			w, err := st.NewTraceWriter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rest := want; len(rest) > 0; {
+				n := len(rest)
+				if tc.chunks > 0 {
+					n = min(n, tc.chunks)
+				}
+				if got, err := w.Write(rest[:n]); err != nil || got != n {
+					t.Fatalf("Write = %d, %v; want %d, nil", got, err, n)
+				}
+				rest = rest[n:]
+			}
+			key, existed, err := w.Commit()
+			if err != nil || existed {
+				t.Fatalf("Commit = %s, %v, %v", key, existed, err)
+			}
+			sum := sha256.Sum256(want)
+			if key != hex.EncodeToString(sum[:]) {
+				t.Fatalf("key %s, want the SHA-256 of the bytes %x", key, sum)
+			}
+			if stored, err := os.ReadFile(st.tracePath(key)); err != nil || !bytes.Equal(stored, want) {
+				t.Fatalf("stored trace differs from the written bytes (%v)", err)
+			}
+			assertNoTemps(t, st)
+		})
+	}
+}
+
+// TestTraceWriterStickyWriteError: a failed write of the writer's goroutine
+// fails the next Write and Commit, and nothing is published.
+func TestTraceWriterStickyWriteError(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.NewTraceWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.tmp.Close()
+	// With two buffers queued, the fourth Write can only be accepted once
+	// the first buffer's write has failed, so the fifth sees the error.
+	chunk := make([]byte, 64<<10)
+	var werr error
+	for i := 0; i < 5 && werr == nil; i++ {
+		_, werr = w.Write(chunk)
+	}
+	if werr == nil {
+		t.Fatal("five Writes into a closed temp file all succeeded")
+	}
+	if _, err := w.Write([]byte("x")); err == nil {
+		t.Fatal("write error not sticky")
+	}
+	if key, _, err := w.Commit(); err == nil {
+		t.Fatalf("Commit published %s after a write error", key)
+	}
+	w.Abort() // a no-op now
+	if traces, _ := st.Traces(); len(traces) != 0 {
+		t.Fatalf("store holds %v after a failed write", traces)
+	}
+	assertNoTemps(t, st)
+}
+
+// TestTraceWriterLeavesNoGoroutine: Commit and Abort wait for the writer's
+// goroutine, after a clean write and after a failed one.
+func TestTraceWriterLeavesNoGoroutine(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 300<<10)
+	base := runtime.NumGoroutine()
+	for _, end := range []string{"commit", "abort", "abort-after-error"} {
+		w, err := st.NewTraceWriter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end == "abort-after-error" {
+			w.tmp.Close()
+		}
+		w.Write(data)
+		if end == "commit" {
+			if _, _, err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			w.Abort()
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
+			t.Fatalf("%s: %d goroutines, %d before the writer", end, n, base)
+		}
+	}
+	assertNoTemps(t, st)
 }
 
 func TestProfileCache(t *testing.T) {

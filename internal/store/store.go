@@ -62,6 +62,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -203,34 +204,59 @@ func (s *Store) artifactDir(key string) string {
 // the content key. It exists so an ingest pipeline can tee an upload into
 // the store while simultaneously decoding it (see service.IngestTrace):
 // the caller owns the copy loop instead of handing PutTrace a reader.
-// A TraceWriter is single-use and not safe for concurrent Writes.
+// Write copies p into pooled 64 KiB buffers, at most four in flight, for
+// the writer's own goroutine to hash and write beside the caller's decoding;
+// a write error surfaces at the next Write or at Commit, which publishes
+// nothing. A TraceWriter is single-use and not safe for concurrent Writes.
 type TraceWriter struct {
-	tmp *os.File
-	s   *Store
-	h   hash.Hash
+	tmp   *os.File
+	s     *Store
+	h     hash.Hash
+	queue chan *[]byte          // cap 2: with one in drain and one in Write, four in flight
+	done  chan struct{}         // closed when drain returns
+	err   atomic.Pointer[error] // drain's first write error
 }
 
+var traceBufs = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
+
 // NewTraceWriter starts a trace write. Exactly one of Commit or Abort must
-// eventually be called.
+// eventually be called; both wait for the writer's goroutine.
 func (s *Store) NewTraceWriter() (*TraceWriter, error) {
 	tmp, err := os.CreateTemp(filepath.Join(s.root, "traces"), ".put-*")
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &TraceWriter{tmp: tmp, s: s, h: sha256.New()}, nil
+	w := &TraceWriter{tmp: tmp, s: s, h: sha256.New(), queue: make(chan *[]byte, 2), done: make(chan struct{})}
+	go w.drain()
+	return w, nil
+}
+
+func (w *TraceWriter) drain() {
+	defer close(w.done)
+	for b := range w.queue {
+		if _, err := w.tmp.Write(*b); err != nil {
+			err = fmt.Errorf("store: writing trace: %w", err)
+			w.err.CompareAndSwap(nil, &err)
+		}
+		w.h.Write(*b)
+		traceBufs.Put(b)
+	}
 }
 
 // Write implements io.Writer.
 func (w *TraceWriter) Write(p []byte) (int, error) {
 	if w.tmp == nil {
 		return 0, fmt.Errorf("store: write after Commit/Abort")
+	} else if err := w.err.Load(); err != nil {
+		return 0, *err
 	}
-	n, err := w.tmp.Write(p)
-	w.h.Write(p[:n])
-	if err != nil {
-		return n, fmt.Errorf("store: writing trace: %w", err)
+	for rest := p; len(rest) > 0; {
+		b := traceBufs.Get().(*[]byte)
+		*b = append((*b)[:0], rest[:min(len(rest), cap(*b))]...)
+		rest = rest[len(*b):]
+		w.queue <- b
 	}
-	return n, nil
+	return len(p), nil
 }
 
 // Commit durably publishes the written bytes under their content key, which
@@ -241,8 +267,15 @@ func (w *TraceWriter) Commit() (key string, existed bool, err error) {
 	if w.tmp == nil {
 		return "", false, fmt.Errorf("store: Commit after Commit/Abort")
 	}
+	close(w.queue)
+	<-w.done
 	tmp := w.tmp
 	w.tmp = nil
+	if err := w.err.Load(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return "", false, *err
+	}
 	key = hex.EncodeToString(w.h.Sum(nil))
 	created, err := w.s.publish(tmp, []string{key + ".bptrace"}, true)
 	if err != nil {
@@ -251,14 +284,15 @@ func (w *TraceWriter) Commit() (key string, existed bool, err error) {
 	return key, len(created) == 0, nil
 }
 
-// Abort discards the written bytes. Safe to call after Commit (a no-op).
+var errAborted = errors.New("store: trace write aborted")
+
+// Abort discards the written bytes: it fails the write, so Commit removes
+// the temp file. Safe to call after Commit (a no-op).
 func (w *TraceWriter) Abort() {
-	if w.tmp == nil {
-		return
+	if w.tmp != nil {
+		w.err.CompareAndSwap(nil, &errAborted)
+		w.Commit()
 	}
-	w.tmp.Close()
-	os.Remove(w.tmp.Name())
-	w.tmp = nil
 }
 
 // PutTrace stores the trace read from r under its content key, which it
