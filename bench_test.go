@@ -370,8 +370,11 @@ func BenchmarkIngestWarmReupload(b *testing.B) {
 // BenchmarkPrefixPassManyRegions measures the MRU prefix pass alone on the
 // same shape: a fresh pass over all 503 regions of npb-lu x0.2, read
 // access-only from the stored file with no replay cache, at the capacity of
-// one Table I LLC. Its target is to cost no more than the profiling inside
-// BenchmarkIngestColdManyRegions, measured in the same run.
+// one Table I LLC. Decode and the tracker's touches split its time (see
+// internal/warmup's cost model: one index probe per 16-line page, a splice
+// per access). Its target is to cost no more than the profiling inside
+// BenchmarkIngestColdManyRegions, which CI's benchmark trajectory records
+// in the same run.
 func BenchmarkPrefixPassManyRegions(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "npb-lu.bptrace")
 	if err := bp.SaveTrace(path, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {

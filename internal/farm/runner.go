@@ -50,9 +50,10 @@ func loadPoint(st *store.Store, traceKey, artifact string) (res bp.RegionResult,
 // tracking depth) at or ahead of the held pass advances it; anything else —
 // first use, an earlier region, another trace or machine — replaces it with
 // a fresh pass from region 0, what every task cost before; cold tasks never
-// touch it. One pass is retained, 16 B of node plus one index slot per
-// distinct line per core of the current trace, until another trace arrives
-// or the worker exits, and with it a replay cache of at most budget bytes in
+// touch it. One pass is retained, about 25 B per distinct line per core of
+// the current trace (52 B where lines are scattered over the warmup
+// package's 16-line index pages), until another trace arrives or the worker
+// exits, and with it a replay cache of at most budget bytes in
 // which its tasks' mru+prev windows decode once; all else streams. Cached,
 // resumed and fresh execution are all bit-identical.
 type Executor struct {

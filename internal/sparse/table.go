@@ -63,6 +63,9 @@ func (t *Table[V]) init(size int) {
 // Len returns the number of stored entries.
 func (t *Table[V]) Len() int { return t.n }
 
+// Cap returns the number of slots the table holds storage for.
+func (t *Table[V]) Cap() int { return len(t.keys) }
+
 // Reset removes all entries, keeping allocated storage for reuse.
 func (t *Table[V]) Reset() {
 	clear(t.dist)

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -245,9 +248,23 @@ func TestTraceWriterAbort(t *testing.T) {
 	}
 }
 
+// chunkReader returns at most n bytes per Read (any number when n is 0), as
+// a response body does.
+type chunkReader struct {
+	r *bytes.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	if c.n > 0 && len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
+}
+
 // TestTraceWriterKeyIsSHA256: the key is the SHA-256 of every byte however
-// the writes split across the writer's 64 KiB buffers, and the stored file
-// holds exactly those bytes.
+// the writes, or ReadFrom's reads, split across the writer's 64 KiB buffers,
+// and the stored file holds exactly those bytes.
 func TestTraceWriterKeyIsSHA256(t *testing.T) {
 	const buf = 64 << 10
 	data := make([]byte, 3*buf+5)
@@ -257,14 +274,19 @@ func TestTraceWriterKeyIsSHA256(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		size   int
-		chunks int // per Write; 0 writes everything at once
+		chunks int  // per Write or Read; 0 writes or reads everything at once
+		read   bool // ReadFrom in place of Writes
 	}{
-		{"1B", 1, 0},
-		{"7B", 7, 0},
-		{"64KiB", buf, 0},
-		{"64KiB+1", buf + 1, 0},
-		{"one-write-over-buffers", len(data), 0},
-		{"odd-writes", len(data), 4099},
+		{"1B", 1, 0, false},
+		{"7B", 7, 0, false},
+		{"64KiB", buf, 0, false},
+		{"64KiB+1", buf + 1, 0, false},
+		{"one-write-over-buffers", len(data), 0, false},
+		{"odd-writes", len(data), 4099, false},
+		{"read-empty", 0, 0, true},
+		{"read-64KiB", buf, 0, true},
+		{"read-over-buffers", len(data), 0, true},
+		{"odd-reads", len(data), 4099, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := Open(t.TempDir())
@@ -276,7 +298,12 @@ func TestTraceWriterKeyIsSHA256(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for rest := want; len(rest) > 0; {
+			if tc.read {
+				if n, err := w.ReadFrom(chunkReader{bytes.NewReader(want), tc.chunks}); err != nil || n != int64(len(want)) {
+					t.Fatalf("ReadFrom = %d, %v; want %d, nil", n, err, len(want))
+				}
+			}
+			for rest := want; len(rest) > 0 && !tc.read; {
 				n := len(rest)
 				if tc.chunks > 0 {
 					n = min(n, tc.chunks)
@@ -303,7 +330,7 @@ func TestTraceWriterKeyIsSHA256(t *testing.T) {
 }
 
 // TestTraceWriterStickyWriteError: a failed write of the writer's goroutine
-// fails the next Write and Commit, and nothing is published.
+// fails the next Write, ReadFrom and Commit, and nothing is published.
 func TestTraceWriterStickyWriteError(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -333,6 +360,25 @@ func TestTraceWriterStickyWriteError(t *testing.T) {
 	w.Abort() // a no-op now
 	if traces, _ := st.Traces(); len(traces) != 0 {
 		t.Fatalf("store holds %v after a failed write", traces)
+	}
+
+	// ReadFrom stops on the write error too, and on its reader's error;
+	// PutTrace then publishes nothing.
+	w, err = st.NewTraceWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.tmp.Close()
+	if _, err := w.ReadFrom(bytes.NewReader(make([]byte, 1<<20))); err == nil {
+		t.Fatal("ReadFrom of 1 MiB into a closed temp file succeeded")
+	}
+	w.Abort()
+	readErr := errors.New("connection reset")
+	if key, _, err := st.PutTrace(io.MultiReader(bytes.NewReader(chunk), iotest.ErrReader(readErr))); !errors.Is(err, readErr) {
+		t.Fatalf("PutTrace over a failing reader = %s, %v; want %v", key, err, readErr)
+	}
+	if traces, _ := st.Traces(); len(traces) != 0 {
+		t.Fatalf("store holds %v after a failed read", traces)
 	}
 	assertNoTemps(t, st)
 }

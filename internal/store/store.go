@@ -204,10 +204,11 @@ func (s *Store) artifactDir(key string) string {
 // the content key. It exists so an ingest pipeline can tee an upload into
 // the store while simultaneously decoding it (see service.IngestTrace):
 // the caller owns the copy loop instead of handing PutTrace a reader.
-// Write copies p into pooled 64 KiB buffers, at most four in flight, for
-// the writer's own goroutine to hash and write beside the caller's decoding;
-// a write error surfaces at the next Write or at Commit, which publishes
-// nothing. A TraceWriter is single-use and not safe for concurrent Writes.
+// Write copies p into pooled 64 KiB buffers, and ReadFrom (PutTrace) reads
+// into them, at most four in flight, for the writer's own goroutine to hash
+// and write beside the caller's decoding; a write error surfaces at the next
+// Write or read or at Commit, which publishes nothing. A TraceWriter is
+// single-use and not safe for concurrent Writes.
 type TraceWriter struct {
 	tmp   *os.File
 	s     *Store
@@ -259,6 +260,29 @@ func (w *TraceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// ReadFrom implements io.ReaderFrom: it reads r to EOF straight into the
+// pooled buffers, filling each before queueing it, so a copy from a file or
+// a response body costs no second copy.
+func (w *TraceWriter) ReadFrom(r io.Reader) (n int64, err error) {
+	for err == nil {
+		if _, err = w.Write(nil); err != nil { // sticky, or after Commit/Abort
+			return n, err
+		}
+		b := traceBufs.Get().(*[]byte)
+		*b = (*b)[:cap(*b)]
+		k := 0
+		for m := 0; k < len(*b) && err == nil; k += m {
+			m, err = r.Read((*b)[k:])
+		}
+		*b, n = (*b)[:k], n+int64(k)
+		w.queue <- b
+	}
+	if err == io.EOF {
+		return n, nil
+	}
+	return n, err
+}
+
 // Commit durably publishes the written bytes under their content key, which
 // it returns; existed reports a byte-identical trace was already stored and
 // the copy discarded. A crash before Commit leaves only an invisible temp
@@ -305,7 +329,7 @@ func (s *Store) PutTrace(r io.Reader) (key string, existed bool, err error) {
 	if err != nil {
 		return "", false, err
 	}
-	if _, err := io.Copy(w, r); err != nil {
+	if _, err := w.ReadFrom(r); err != nil {
 		w.Abort()
 		return "", false, err
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,6 +23,41 @@ func recordBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// BenchmarkPutTrace measures a re-put of npb-ft x1 (about 5 MB, 8 threads)
+// from a file, the shape of ImportTrace and of a farm worker's trace fetch:
+// the whole-file hash and temp-file write, and the copy discarded unsynced.
+func BenchmarkPutTrace(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "npb-ft.bptrace")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if err := tracefile.Record(f, workload.New("npb-ft", 8, workload.WithScale(1))); err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := st.ImportTrace(path); err != nil {
+		b.Fatal(err)
+	}
+	if fi, err := f.Stat(); err == nil {
+		b.SetBytes(fi.Size())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		if _, existed, err := st.PutTrace(f); err != nil || !existed {
+			b.Fatalf("re-put: existed=%v err=%v", existed, err)
+		}
+	}
 }
 
 func TestPutTraceContentAddressing(t *testing.T) {

@@ -184,10 +184,20 @@ func (s *chunkStream) record() (hdr, instrs uint64, ok bool) {
 	return hdr, instrs, true
 }
 
-// uvarint decodes the next uvarint: binary.Uvarint where it can (ReadUvarint
+// uvarint decodes the next uvarint: one- and two-byte values inline (most
+// address deltas and headers), then binary.Uvarint where it can (ReadUvarint
 // agrees there), uvarintLong elsewhere.
 func (s *chunkStream) uvarint() uint64 {
-	x, n := binary.Uvarint(s.buf[s.pos:])
+	b := s.buf[s.pos:]
+	if len(b) > 0 && b[0] < 0x80 {
+		s.pos++
+		return uint64(b[0])
+	}
+	if len(b) > 1 && b[1] < 0x80 {
+		s.pos += 2
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7
+	}
+	x, n := binary.Uvarint(b)
 	if n <= 0 {
 		return s.uvarintLong()
 	}

@@ -9,16 +9,17 @@
 // # Cost model
 //
 // The prefix pass must stay cheaper than the detailed simulation it stands
-// in for, so the per-core tracker is a recency list, not a timestamp map:
-// an index (sparse.Table) from line address into a flat node array threaded
-// on an intrusive doubly-linked list ordered LRU→MRU. Touching a line is
-// one hash probe plus a splice to the list tail — O(1), no allocation for
-// a line seen before. A snapshot walks capacity nodes back from the tail —
-// O(capacity), independent of how many lines the core has ever touched, and
-// with no sort. A recorded trace hands the pass packed entries, no block
-// records (accessReader), past any replay cache — except the window regions
-// a caller replays in full itself, read through the program's streams so
-// that a caching view decodes them once for both.
+// in for, so the per-core tracker is a recency list, not a timestamp map: a
+// flat node array threaded on an intrusive doubly-linked list ordered
+// LRU→MRU, indexed by 16-line page (a sparse.Table to the page's node
+// slots). Touching a line is a splice to the list tail plus one hash probe
+// per change of page — O(1), no allocation for a line seen before. A
+// snapshot walks capacity nodes back from the tail — O(capacity),
+// independent of how many lines the core has ever touched, and with no
+// sort. A recorded trace hands the pass packed entries, no block records
+// (accessReader), past any replay cache — except the window regions a
+// caller replays in full itself, read through the program's streams so that
+// a caching view decodes them once for both.
 //
 // # Why the index is unbounded
 //
@@ -26,8 +27,12 @@
 // line's dirty flag is sticky for the whole pass (see tracker.touch), so a
 // line written once, pushed out of the window by capacity other lines and
 // then read again must come back dirty; a bounded LRU would have forgotten
-// the write. Memory is therefore 16 bytes of node plus one index slot per
-// distinct line a core touches over the prefix, as it always was.
+// the write. Memory therefore grows with the distinct lines a core touches
+// over the prefix: 16 B of node per line, and per page touched a 64-byte
+// slot array and one index entry. That is about 25 B per line where lines
+// fill their pages (npb-cg), and about 52 B where they are scattered
+// (npb-is, under three lines per page), against 37 and 51 B for an index
+// entry per line (TestTrackerRetainedBytes).
 //
 // # Streaming contract
 //
@@ -99,36 +104,52 @@ type node struct {
 	prev, next int32
 }
 
+// pageLines is the number of consecutive lines one index entry covers.
+const pageLines = 16
+
 // tracker accumulates one core's most-recent-access ordering. nodes[0] is
 // the sentinel of a circular list: nodes[0].next is the least recently used
-// line, nodes[0].prev the most recently used. index maps a line address to
-// its node; int32 links bound a core to 2^31 distinct lines (128 GiB of
-// footprint), far past anything a trace can hold.
+// line, nodes[0].prev the most recently used. index maps line/pageLines to
+// the page's slots in pages, each a line's node (0 = untracked); lastPage
+// caches the page of the last touch. int32 links bound a core to 2^31
+// distinct lines (128 GiB of footprint), far past anything a trace can hold.
 type tracker struct {
-	index  sparse.Table[int32]
-	nodes  []node
-	decode time.Duration // spent in accessReader reads
+	index    sparse.Table[int32]
+	pages    [][pageLines]int32
+	lastKey  uint64 // line/pageLines of lastPage; no line maps to ^0
+	lastPage int32
+	nodes    []node
+	decode   time.Duration // spent in accessReader reads
 }
 
 func newTracker() *tracker {
 	return &tracker{
-		index: *sparse.NewTable[int32](1024),
-		nodes: make([]node, 1, 1024),
+		index:   *sparse.NewTable[int32](64),
+		lastKey: ^uint64(0),
+		nodes:   make([]node, 1, 1024),
 	}
 }
 
 func (t *tracker) touch(line uint64, write bool) {
-	p, existed := t.index.Upsert(line)
-	if !existed {
+	if key := line / pageLines; key != t.lastKey {
+		p, existed := t.index.Upsert(key)
+		if !existed {
+			*p = int32(len(t.pages))
+			t.pages = append(t.pages, [pageLines]int32{})
+		}
+		t.lastKey, t.lastPage = key, *p
+	}
+	slot := &t.pages[t.lastPage][line%pageLines]
+	if *slot == 0 {
 		i := int32(len(t.nodes))
-		*p = i
+		*slot = i
 		mru := t.nodes[0].prev
 		t.nodes = append(t.nodes, node{entry: NewEntry(line, write), prev: mru, next: 0})
 		t.nodes[mru].next = i
 		t.nodes[0].prev = i
 		return
 	}
-	i := *p
+	i := *slot
 	n := &t.nodes[i]
 	// Dirtiness is sticky: once written, a line that stays resident in the
 	// private hierarchy remains Modified until evicted, so replaying it as

@@ -7,8 +7,10 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"barrierpoint/internal/sim"
+	"barrierpoint/internal/sparse"
 	"barrierpoint/internal/trace"
 	"barrierpoint/internal/workload"
 )
@@ -223,18 +225,17 @@ func (t *refTracker) snapshot(capacityLines int) []Entry {
 	return out
 }
 
-// TestTrackerMatchesReference drives the recency list and the reference
-// tracker with the same seeded random access streams — a small hot set,
-// a wide cold tail and bursts on one line, so lines re-enter the window,
-// leave it and repeat back to back — and compares snapshots taken mid-stream
-// at capacity 1, a capacity inside the footprint, and one past it.
-func TestTrackerMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		footprint := 50 + rng.Intn(2000)
-		tr, ref := newTracker(), newRefTracker()
+// referenceStreams are the seeded line streams TestTrackerMatchesReference
+// drives both trackers with. Each returns a generator over a footprint.
+var referenceStreams = []struct {
+	name string
+	gen  func(rng *rand.Rand, footprint int) func() uint64
+}{
+	// A small hot set, a wide cold tail and bursts on one line, so lines
+	// re-enter the window, leave it and repeat back to back.
+	{"mixed", func(rng *rand.Rand, footprint int) func() uint64 {
 		var line uint64
-		for n := 0; n < 40000; n++ {
+		return func() uint64 {
 			switch rng.Intn(10) {
 			case 0: // burst: same line again
 			case 1, 2, 3: // hot set
@@ -242,17 +243,113 @@ func TestTrackerMatchesReference(t *testing.T) {
 			default:
 				line = uint64(rng.Intn(footprint)) << uint(rng.Intn(3)*10)
 			}
-			write := rng.Intn(4) == 0
-			tr.touch(line, write)
-			ref.touch(line, write)
-			if n%5000 == 4999 {
-				for _, capacity := range []int{1, footprint / 3, 1 << 20} {
-					if got, want := tr.snapshot(capacity), ref.snapshot(capacity); !slices.Equal(got, want) {
-						t.Fatalf("seed %d, access %d, capacity %d: snapshot differs from reference (%d vs %d entries)",
-							seed, n, capacity, len(got), len(want))
+			return line
+		}
+	}},
+	// Runs of up to 64 consecutive lines, up or down from an unaligned start,
+	// so every run crosses page boundaries in both directions.
+	{"sweeps", func(rng *rand.Rand, footprint int) func() uint64 {
+		var line, step uint64
+		left := 0
+		return func() uint64 {
+			if left == 0 {
+				line, step, left = uint64(64+rng.Intn(footprint)), 1, 1+rng.Intn(64)
+				if rng.Intn(2) == 0 {
+					step = ^uint64(0) // -1
+				}
+			}
+			left--
+			line += step
+			return line
+		}
+	}},
+	// One line per page: strided sweeps and random pages at a fixed offset
+	// inside the page, so every touch probes the index.
+	{"strides", func(rng *rand.Rand, footprint int) func() uint64 {
+		off, k := uint64(rng.Intn(pageLines)), 0
+		return func() uint64 {
+			if rng.Intn(2) == 0 {
+				k = (k + 1) % footprint
+				return uint64(k)*pageLines + off
+			}
+			return uint64(rng.Intn(footprint))*pageLines + off
+		}
+	}},
+	// The mixed stream's shape at and above 2^46 (the tag range of the
+	// workload generators) and around 2^57.
+	{"high", func(rng *rand.Rand, footprint int) func() uint64 {
+		bases := []uint64{1 << 46, 1<<57 - uint64(footprint/2)}
+		return func() uint64 {
+			base := bases[rng.Intn(len(bases))]
+			if rng.Intn(4) == 0 {
+				return base + uint64(rng.Intn(16))
+			}
+			return base + uint64(rng.Intn(footprint))
+		}
+	}},
+}
+
+// TestTrackerMatchesReference drives the recency list and the reference
+// tracker with the same seeded streams (referenceStreams) and compares
+// snapshots taken mid-stream at capacity 1, a capacity inside the footprint,
+// and one past it.
+func TestTrackerMatchesReference(t *testing.T) {
+	for _, st := range referenceStreams {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			footprint := 50 + rng.Intn(2000)
+			next := st.gen(rng, footprint)
+			tr, ref := newTracker(), newRefTracker()
+			for n := 0; n < 40000; n++ {
+				line, write := next(), rng.Intn(4) == 0
+				tr.touch(line, write)
+				ref.touch(line, write)
+				if n%5000 == 4999 {
+					for _, capacity := range []int{1, footprint / 3, 1 << 20} {
+						if got, want := tr.snapshot(capacity), ref.snapshot(capacity); !slices.Equal(got, want) {
+							t.Fatalf("%s seed %d, access %d, capacity %d: snapshot differs from reference (%d vs %d entries)",
+								st.name, seed, n, capacity, len(got), len(want))
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestTrackerRetainedBytes pins what the page-grouped index costs per
+// distinct line, counted from the capacities of the tracker's arrays,
+// against the per-line index it replaced (one sparse.Table slot per line,
+// rebuilt here from the tracked lines): below it on npb-cg, whose lines fill
+// their pages, and at most 5 % above it on npb-is, whose lines are scattered
+// (under three per page).
+func TestTrackerRetainedBytes(t *testing.T) {
+	const slotBytes = 8 + 4 + 1 // sparse.Table[int32]: key, value, distance
+	for _, c := range []struct {
+		bench string
+		scale float64
+		limit float64 // bytes per line stay below this share of the per-line index's
+	}{{"npb-cg", 0.5, 1}, {"npb-is", 1, 1.05}} {
+		p := workload.New(c.bench, 8, workload.WithScale(c.scale))
+		ps := NewPass(p.Threads(), 131072)
+		if _, err := ps.Snapshot(p, p.Regions(), 0); err != nil {
+			t.Fatal(err)
+		}
+		var lines, got, old int
+		for _, tr := range ps.trackers {
+			perLine := sparse.NewTable[int32](1024)
+			for _, n := range tr.nodes[1:] {
+				perLine.Upsert(n.entry.Line())
+			}
+			nodeBytes := cap(tr.nodes) * int(unsafe.Sizeof(node{}))
+			lines += len(tr.nodes) - 1
+			got += nodeBytes + cap(tr.pages)*int(unsafe.Sizeof([pageLines]int32{})) + tr.index.Cap()*slotBytes
+			old += nodeBytes + perLine.Cap()*slotBytes
+		}
+		gotPer, oldPer := float64(got)/float64(lines), float64(old)/float64(lines)
+		t.Logf("%s x%g: %d lines, %.1f B per line (per-line index: %.1f)", c.bench, c.scale, lines, gotPer, oldPer)
+		if gotPer >= c.limit*oldPer {
+			t.Errorf("%s x%g: %.1f B per line, want below %.2f x %.1f", c.bench, c.scale, gotPer, c.limit, oldPer)
 		}
 	}
 }

@@ -58,6 +58,7 @@ var surfaceAllow = map[string]bool{
 	"internal/sim.Machine.L2Occupancy":    true,
 	"internal/sim.Machine.LLCOccupancy":   true,
 	"internal/sim.Tiny":                   true,
+	"internal/sparse.Table.Cap":           true,
 	"internal/store.ReplayJournal":        true,
 	"internal/store.Store.RemoveArtifact": true,
 }
