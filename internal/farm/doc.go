@@ -65,9 +65,9 @@
 //
 // Worker is the one worker loop, written against the six calls it makes
 // on a coordinator (Transport): Register, Lease, Heartbeat, Complete, Fail
-// and FetchTrace. Worker.Run owns the whole session: it registers, serves,
-// and registers again when Lease reports a coordinator restart, with one
-// back-off for failed registrations and leases. There are two transports.
+// and FetchTrace. Worker.Run owns the whole session: it registers once and
+// serves under that id, with one back-off for failed registrations and
+// leases. There are two transports.
 // *Client speaks the HTTP protocol below; cmd/bpworker is that plus flags
 // and a metrics listener. RunLocalWorker hands the same loop the Queue in
 // its own process (tests, benchmarks, bpcamp -farm-workers), where
@@ -81,8 +81,8 @@
 //
 // # Protocol (HTTP/JSON, mounted under /farm/ by cmd/bpserve)
 //
-//	POST /farm/register  {name}                → {worker, lease_ms, epoch}
-//	POST /farm/lease     {worker, max}         → {tasks, epoch}
+//	POST /farm/register  {name}                → {worker, lease_ms}
+//	POST /farm/lease     {worker, max}         → {tasks}
 //	POST /farm/heartbeat {worker, tasks}       → {dropped}
 //	POST /farm/result    {worker, task,
 //	                      result | error}      → {status}
@@ -115,12 +115,14 @@
 // point starts again at attempt 1, so the MaxAttempts bound on a poison
 // task holds per life, not across lives.
 //
-// Each queue instance mints a random epoch embedded in the task and worker
-// ids it issues and echoed in register/lease responses. A worker leasing
-// from a restarted coordinator sees the epoch change (ErrServerRestarted),
-// re-registers, and keeps working; the queue likewise refuses to lease to
-// ids minted by a previous life. Since no life reissues another's task ids,
-// a result for a previous life's task, uploaded after the restart,
-// completes nothing and is dropped (its point is redone in the new life),
-// and no call from such an id adds it to the fleet.
+// Nothing else is tied to a coordinator life, so a restart voids nothing a
+// worker holds. A task is named by its point — trace key and PointArtifact —
+// so every life gives a point the same task ID, and a result uploaded after
+// the restart for a point the recovered job enqueued again completes it.
+// A worker keeps the random id it registered with: the restarted queue
+// adds it to the fleet on its first call, as it does any id it does not
+// know. A worker only learns the lease TTL when it registers, so a
+// coordinator restarted with another -farm-lease-ttl reaches a running
+// worker only when that worker restarts; until then a shorter TTL costs
+// only reassigned leases, whose uploads still complete their points.
 package farm

@@ -112,7 +112,7 @@ func TestEnqueueDedupAndStoreReuse(t *testing.T) {
 	if !bytes.Equal(b1, b3) {
 		t.Fatalf("cached result differs: %s vs %s", b3, b1)
 	}
-	if !st.HasArtifact(key, tasks[0].Artifact) {
+	if !st.HasArtifact(key, farm.PointArtifact(1, bp.TableIMachine(1), "cold")) {
 		t.Fatal("point artifact missing from store")
 	}
 }
@@ -122,7 +122,7 @@ func TestEnqueueDedupAndStoreReuse(t *testing.T) {
 // second worker completes it, resolving the original ticket.
 func TestLeaseExpiryRequeue(t *testing.T) {
 	st, key := newTestStore(t)
-	q := farm.NewQueue(st, farm.Config{LeaseTTL: 60 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	q := farm.NewQueue(st, farm.Config{LeaseTTL: 60 * time.Millisecond})
 	defer q.Close()
 
 	tk, err := q.Enqueue(spec(key))
@@ -172,7 +172,7 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 // that stopping them surrenders the task.
 func TestHeartbeatKeepsLease(t *testing.T) {
 	st, key := newTestStore(t)
-	q := farm.NewQueue(st, farm.Config{LeaseTTL: 80 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	q := farm.NewQueue(st, farm.Config{LeaseTTL: 80 * time.Millisecond})
 	defer q.Close()
 
 	if _, err := q.Enqueue(spec(key)); err != nil {
@@ -347,7 +347,7 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 // valid result, and nothing may deadlock.
 func TestConcurrentLeaseHeartbeatResult(t *testing.T) {
 	st, key := newTestStore(t)
-	q := farm.NewQueue(st, farm.Config{LeaseTTL: 20 * time.Millisecond, SweepEvery: 5 * time.Millisecond})
+	q := farm.NewQueue(st, farm.Config{LeaseTTL: 20 * time.Millisecond})
 	defer q.Close()
 
 	tk, err := q.Enqueue(spec(key))
@@ -375,7 +375,7 @@ func TestConcurrentLeaseHeartbeatResult(t *testing.T) {
 					q.Complete(worker, task.ID, payload)
 				}
 			}
-			q.Heartbeat(worker, []string{"task-000001"})
+			q.Heartbeat(worker, []string{"no-such-task"})
 		}
 	}
 	for i := 0; i < 8; i++ {

@@ -82,10 +82,6 @@ type registerRequest struct {
 type registerResponse struct {
 	Worker  string `json:"worker"`
 	LeaseMs int64  `json:"lease_ms"`
-	// Epoch identifies the queue instance; it changes when the
-	// coordinator restarts, voiding worker ids and leases handed out
-	// before.
-	Epoch string `json:"epoch,omitempty"`
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -99,7 +95,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, registerResponse{
 		Worker:  s.q.Register(req.Name),
 		LeaseMs: s.q.LeaseTTL().Milliseconds(),
-		Epoch:   s.q.Epoch(),
 	})
 }
 
@@ -110,7 +105,6 @@ type leaseRequest struct {
 
 type leaseResponse struct {
 	Tasks []Task `json:"tasks"`
-	Epoch string `json:"epoch,omitempty"`
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -126,7 +120,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if tasks == nil {
 		tasks = []Task{}
 	}
-	s.writeJSON(w, http.StatusOK, leaseResponse{Tasks: tasks, Epoch: s.q.Epoch()})
+	s.writeJSON(w, http.StatusOK, leaseResponse{Tasks: tasks})
 }
 
 type heartbeatRequest struct {
@@ -246,10 +240,7 @@ type Client struct {
 	// attempt the 1-based number of the attempt that just failed.
 	OnRetry func(op string, attempt int, err error)
 
-	// worker is the id Register was given and epoch the queue instance that
-	// minted it; a Lease response carrying another epoch means the
-	// coordinator restarted, and Lease returns ErrServerRestarted.
-	worker, epoch string
+	worker string // the id Register was given
 }
 
 // RetryPolicy shapes the client's capped jittered exponential backoff.
@@ -415,22 +406,15 @@ func (c *Client) Register(name string) (id string, leaseTTL time.Duration, err e
 	if err := c.post("register", "/farm/register", registerRequest{Name: name}, &resp); err != nil {
 		return "", 0, err
 	}
-	c.worker, c.epoch = resp.Worker, resp.Epoch
+	c.worker = resp.Worker
 	return resp.Worker, time.Duration(resp.LeaseMs) * time.Millisecond, nil
 }
 
-// Lease asks for up to max tasks. If the server's queue epoch no longer
-// matches the one Register observed, the coordinator restarted — the
-// worker id is stale and any held leases are void (the recovered queue
-// already requeued them) — and Lease returns ErrServerRestarted without
-// taking tasks; the caller should Register again and retry.
+// Lease asks for up to max tasks.
 func (c *Client) Lease(max int) ([]Task, error) {
 	var resp leaseResponse
 	if err := c.post("lease", "/farm/lease", leaseRequest{Worker: c.worker, Max: max}, &resp); err != nil {
 		return nil, err
-	}
-	if resp.Epoch != "" && c.epoch != "" && resp.Epoch != c.epoch {
-		return nil, ErrServerRestarted
 	}
 	return resp.Tasks, nil
 }

@@ -3,7 +3,6 @@ package farm
 import (
 	"context"
 	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,11 +27,6 @@ var (
 	// RegionResult — a client bug, as opposed to a server-side store
 	// failure.
 	ErrBadResult = errors.New("farm: bad result payload")
-	// ErrServerRestarted reports that the server answering a client's
-	// request carries a different queue epoch than the one the client
-	// registered with: the coordinator restarted, old worker ids and
-	// leases are void, and the client should re-register.
-	ErrServerRestarted = errors.New("farm: server restarted (queue epoch changed)")
 )
 
 // Spec describes one point-simulation task to enqueue: simulate region
@@ -53,14 +47,13 @@ type Spec struct {
 
 // Task is the wire form of a leased task handed to a worker.
 type Task struct {
+	// ID names the point: its trace key, "|" and its point artifact (see
+	// PointArtifact), the same in every queue life over one store.
 	ID       string `json:"id"`
 	TraceKey string `json:"trace"`
 	Region   int    `json:"region"`
 	Sockets  int    `json:"sockets"`
 	Warmup   string `json:"warmup"`
-	// Artifact is the store artifact name the result will be filed under;
-	// informational for workers, authoritative for the server.
-	Artifact string `json:"artifact"`
 	// Attempt is 1 for the first lease, incremented per retry.
 	Attempt int `json:"attempt"`
 	// TraceID links the task to the coordinator job that enqueued it
@@ -71,7 +64,7 @@ type Task struct {
 // task is the queue's internal task state.
 type task struct {
 	Task
-	dedup    string
+	artifact string // the store artifact the result is filed under
 	leased   bool
 	worker   string
 	expires  time.Time
@@ -130,8 +123,6 @@ type Config struct {
 	// MaxAttempts bounds lease handouts per task before it fails
 	// permanently (3 if 0).
 	MaxAttempts int
-	// SweepEvery is the expired-lease scan interval (LeaseTTL/4 if 0).
-	SweepEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -140,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.LeaseTTL / 4
 	}
 	return c
 }
@@ -157,19 +145,10 @@ type Queue struct {
 	st  *store.Store
 	cfg Config
 
-	// epoch identifies this queue instance: a random tag embedded in task
-	// and worker ids and echoed in protocol responses, so clients detect a
-	// coordinator restart (their epoch no longer matches) and re-register
-	// instead of carrying void leases. Immutable after construction.
-	epoch string
-
 	mu      sync.Mutex
 	tasks   map[string]*task // live (queued or leased) tasks by id
 	pending []*task          // FIFO of queued tasks
-	byDedup map[string]*task // dedup key → live task
 	workers map[string]*WorkerInfo
-	seq     int
-	wseq    int
 	closed  bool
 
 	stats     Stats
@@ -190,9 +169,7 @@ func NewQueue(st *store.Store, cfg Config) *Queue {
 	q := &Queue{
 		st:          st,
 		cfg:         cfg.withDefaults(),
-		epoch:       newEpoch(),
 		tasks:       make(map[string]*task),
-		byDedup:     make(map[string]*task),
 		workers:     make(map[string]*WorkerInfo),
 		stopSweep:   make(chan struct{}),
 		sweepDone:   make(chan struct{}),
@@ -251,25 +228,12 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 		"Farm task latency from enqueue to stored result.", obs.DefLatencyBuckets)
 }
 
-// newEpoch draws a random instance tag for task and worker ids and restart
-// detection.
-func newEpoch() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "00000000" // degraded but functional: restart detection off
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// Epoch identifies this queue instance; it changes on every restart.
-func (q *Queue) Epoch() string { return q.epoch }
-
 // LeaseTTL returns the queue's lease duration.
 func (q *Queue) LeaseTTL() time.Duration { return q.cfg.LeaseTTL }
 
 func (q *Queue) sweep() {
 	defer close(q.sweepDone)
-	tick := time.NewTicker(q.cfg.SweepEvery)
+	tick := time.NewTicker(q.cfg.LeaseTTL / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -329,7 +293,6 @@ func (q *Queue) endAttemptLocked(t *task, msg string) {
 // q.mu must be held.
 func (q *Queue) finishLocked(t *task, res bp.RegionResult, err error) {
 	delete(q.tasks, t.ID)
-	delete(q.byDedup, t.dedup)
 	// The task may still sit in pending (failed via Fail while queued, or
 	// closed); lazily skipped on lease because q.tasks no longer holds it.
 	t.ticket.res = res
@@ -339,14 +302,16 @@ func (q *Queue) finishLocked(t *task, res bp.RegionResult, err error) {
 
 // Enqueue places a task on the queue, deduplicating against the store
 // (a cached point result resolves the ticket immediately) and against
-// identical live tasks (the existing ticket is shared).
+// identical live tasks (the existing ticket is shared). The task's ID is
+// its point's name, so every queue life over the store gives a Spec the
+// same one.
 func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 	mc := bp.TableIMachine(sp.Sockets)
 	if _, err := bp.ParseWarmup(sp.Warmup); err != nil {
 		return nil, err
 	}
 	artifact := PointArtifact(sp.Region, mc, sp.Warmup)
-	dedup := sp.TraceKey + "|" + artifact
+	id := sp.TraceKey + "|" + artifact
 
 	// Store dedup outside the lock: reads are cheap and idempotent.
 	if res, ok, err := loadPoint(q.st, sp.TraceKey, artifact); err != nil {
@@ -365,74 +330,44 @@ func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 	if q.closed {
 		return nil, ErrClosed
 	}
-	if t, ok := q.byDedup[dedup]; ok {
+	if t, ok := q.tasks[id]; ok {
 		q.stats.DedupInflight++
 		return t.ticket, nil
 	}
-	q.seq++
 	t := &task{
 		Task: Task{
-			// The epoch keeps a previous life's late uploads off this life's tasks.
-			ID:       fmt.Sprintf("task-%s-%06d", q.epoch, q.seq),
+			ID:       id,
 			TraceKey: sp.TraceKey,
 			Region:   sp.Region,
 			Sockets:  sp.Sockets,
 			Warmup:   sp.Warmup,
-			Artifact: artifact,
 			TraceID:  sp.TraceID,
 		},
-		dedup:   dedup,
-		created: time.Now(),
-		ticket:  &Ticket{Region: sp.Region, done: make(chan struct{})},
+		artifact: artifact,
+		created:  time.Now(),
+		ticket:   &Ticket{Region: sp.Region, done: make(chan struct{})},
 	}
-	q.tasks[t.ID] = t
-	q.byDedup[dedup] = t
+	q.tasks[id] = t
 	q.pending = append(q.pending, t)
 	q.stats.Enqueued++
 	return t.ticket, nil
 }
 
-// Register adds a worker and returns its id. Registration is advisory —
-// leasing with an unknown id auto-registers — but gives the worker a
-// stable, named identity in /farm/workers.
+// Register adds a worker under a fresh random id and returns it.
+// Registration is advisory — any call with an id the queue does not know
+// adds that id to the fleet, so a worker keeps the id it registered with
+// across a coordinator restart — but gives the worker a name in
+// /farm/workers.
 func (q *Queue) Register(name string) string {
+	id := "w-" + rand.Text()[:12]
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.wseq++
-	// The epoch in the id keeps ids from a previous coordinator life from
-	// colliding with this one's (wseq starts at 1 in every life).
-	id := fmt.Sprintf("w-%s-%04d", q.epoch, q.wseq)
 	q.workers[id] = &WorkerInfo{ID: id, Name: name, LastSeen: time.Now()}
 	return id
 }
 
-// staleWorkerLocked reports whether id is an epoch-tagged worker id
-// minted by a different queue instance. Free-form ids (anything not
-// matching "w-<8 hex>-…") are never stale — leasing with an unknown id
-// auto-registers, which tests and ad-hoc clients rely on.
-func (q *Queue) staleWorkerLocked(id string) bool {
-	const tagLen = len("w-") + 8
-	if len(id) < tagLen+1 || id[:2] != "w-" || id[tagLen] != '-' {
-		return false
-	}
-	epoch := id[2:tagLen]
-	for i := 0; i < len(epoch); i++ {
-		c := epoch[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return epoch != q.epoch
-}
-
-// touchWorkerLocked marks id seen at now, adding it to the fleet if new. An
-// id minted by a previous queue life joins no fleet: it gets a throwaway
-// entry, so a late heartbeat, result or failure from before a restart
-// leaves no ghost in Workers or LiveWorkers.
+// touchWorkerLocked marks id seen at now, adding it to the fleet if new.
 func (q *Queue) touchWorkerLocked(id string, now time.Time) *WorkerInfo {
-	if q.staleWorkerLocked(id) {
-		return &WorkerInfo{}
-	}
 	w, ok := q.workers[id]
 	if !ok {
 		w = &WorkerInfo{ID: id, Name: id}
@@ -452,13 +387,6 @@ func (q *Queue) Lease(workerID string, max int) []Task {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return nil
-	}
-	if q.staleWorkerLocked(workerID) {
-		// An epoch-tagged id from a previous coordinator life: hand it
-		// nothing (its client is about to see the epoch change and
-		// re-register) rather than leasing work to an identity that is
-		// about to be abandoned.
 		return nil
 	}
 	q.touchWorkerLocked(workerID, now)
@@ -500,7 +428,8 @@ func (q *Queue) Heartbeat(workerID string, ids []string) (dropped []string) {
 
 // Complete uploads a task's result. Uploads are idempotent and accepted
 // from any worker — simulation is deterministic, so a late result from an
-// expired lease is identical to the one that will be (or was) accepted.
+// expired lease, or from a lease of a previous queue life, is identical to
+// the one that will be (or was) accepted.
 // The result is stored as a point artifact before waiters wake, so future
 // runs dedup against it.
 func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
@@ -520,7 +449,7 @@ func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
 	}
 	// Store before resolving so a waiter that re-enqueues immediately
 	// sees the artifact.
-	if err := q.st.PutArtifact(t.TraceKey, t.Artifact, resultJSON); err != nil {
+	if err := q.st.PutArtifact(t.TraceKey, t.artifact, resultJSON); err != nil {
 		return err
 	}
 	q.mu.Lock()

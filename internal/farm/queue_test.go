@@ -2,10 +2,14 @@ package farm
 
 // White-box tests of what a queue life leaves to the next one over the
 // same store: a stored result (the next life's Enqueue resolves the point
-// from it), and nothing else — no task ID, worker ID or lease carries over.
+// from it) and no lease. Nothing else is tied to a life: a task ID names
+// its point and a worker keeps its id, so a previous life's worker serves
+// the next one and its late upload completes the point it names.
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,7 +22,7 @@ import (
 const fakeTraceKey = "abababababababababababababababababababababababababababababababab"
 
 func testConfig() Config {
-	return Config{LeaseTTL: time.Minute, MaxAttempts: 3, SweepEvery: time.Hour}
+	return Config{LeaseTTL: time.Minute, MaxAttempts: 3}
 }
 
 func spec(region int) Spec {
@@ -80,20 +84,20 @@ func TestRecoveryResolvesStoredArtifacts(t *testing.T) {
 	}
 }
 
-// TestStaleWorkerIDGetsNoLease: a worker id minted by a previous queue life
-// leases nothing from the next one, and its late heartbeat, result and
-// failure report make it no member of the new fleet and touch none of the
-// new life's tasks.
-func TestStaleWorkerIDGetsNoLease(t *testing.T) {
+// TestWorkerIDOutlivesRestart: the next queue life over the same store gives
+// each Spec the task ID the previous life gave it, and a worker id the
+// previous life registered leases a re-enqueued point, heartbeats it and is
+// one of the new fleet.
+func TestWorkerIDOutlivesRestart(t *testing.T) {
 	st := openStore(t)
 	q1 := NewQueue(st, testConfig())
-	staleID := q1.Register("old-life")
+	id := q1.Register("old-life")
 	for region := range 2 {
 		if _, err := q1.Enqueue(spec(region)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	held := q1.Lease(staleID, 2)
+	held := q1.Lease(id, 2)
 	if len(held) != 2 {
 		t.Fatalf("first life leased %d tasks, want 2", len(held))
 	}
@@ -107,37 +111,71 @@ func TestStaleWorkerIDGetsNoLease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tasks := q2.Lease(staleID, 1); len(tasks) != 0 {
-		t.Fatalf("restarted queue leased %d tasks to a previous-epoch worker id", len(tasks))
+	got := q2.Lease(id, 1)
+	if len(got) != 1 || got[0].ID != held[0].ID {
+		t.Fatalf("next life leased %+v to the previous life's worker, want task %s", got, held[0].ID)
 	}
-	if dropped := q2.Heartbeat(staleID, []string{held[0].ID, held[1].ID}); len(dropped) != 2 {
-		t.Errorf("stale heartbeat dropped %v, want both leases", dropped)
+	if dropped := q2.Heartbeat(id, []string{held[0].ID, held[1].ID}); !slices.Equal(dropped, []string{held[1].ID}) {
+		t.Errorf("heartbeat dropped %v, want only the unleased %s", dropped, held[1].ID)
 	}
-	if err := q2.Complete(staleID, held[0].ID, resultJSON(t)); err != nil {
+	if w, live := q2.Workers(), q2.LiveWorkers(); len(w) != 1 || w[0].ID != id || w[0].Leased != 1 || live != 1 {
+		t.Errorf("fleet %+v (%d live), want %s alone holding one lease", w, live, id)
+	}
+	if s := q2.Stats(); s.Pending != 1 || s.Leased != 1 {
+		t.Errorf("stats %+v, want one task pending and one leased", s)
+	}
+}
+
+// TestLateUploadAfterRestartCompletesItsPoint: a worker finishing a lease
+// from the previous queue life uploads under that life's task ID, which the
+// next life gives the same point. The upload completes the re-enqueued
+// point: its result is stored as uploaded and its ticket resolves.
+func TestLateUploadAfterRestartCompletesItsPoint(t *testing.T) {
+	st := openStore(t)
+	q1 := NewQueue(st, testConfig())
+	if _, err := q1.Enqueue(spec(0)); err != nil {
 		t.Fatal(err)
 	}
-	q2.Fail(staleID, held[1].ID, "late failure")
-	if w, live := q2.Workers(), q2.LiveWorkers(); len(w) != 0 || live != 0 {
-		t.Errorf("a previous-life id joined the fleet: workers %+v, %d live", w, live)
+	tasks := q1.Lease("w1", 1)
+	if len(tasks) != 1 {
+		t.Fatal("no task leased")
 	}
-	if s := q2.Stats(); s.Pending != 2 || s.Completed != 0 || s.Retries != 0 {
-		t.Errorf("stats %+v, want both re-enqueued tasks pending and untouched", s)
+	q1.Close()
+
+	q2 := NewQueue(st, testConfig())
+	defer q2.Close()
+	tk, err := q2.Enqueue(spec(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Free-form ids still auto-register and lease (test and ad-hoc
-	// clients depend on it).
-	if tasks := q2.Lease("adhoc", 1); len(tasks) != 1 {
-		t.Fatal("free-form worker id could not lease")
+	payload, err := json.Marshal(bp.RegionResult{Cycles: 12345})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q1.Epoch() == q2.Epoch() {
-		t.Error("restarted queue kept the same epoch")
+	if err := q2.Complete("w1", tasks[0].ID, payload); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := st.GetArtifact(fakeTraceKey, PointArtifact(0, bp.TableIMachine(1), "cold"))
+	if err != nil || !bytes.Equal(stored, payload) {
+		t.Errorf("stored result %s (%v), want the uploaded %s", stored, err, payload)
+	}
+	select {
+	case <-tk.Done():
+	default:
+		t.Fatal("the late upload did not resolve the re-enqueued point")
+	}
+	if res, err := tk.Result(); err != nil || res.Cycles != 12345 {
+		t.Errorf("ticket = %+v, %v; want the uploaded result", res, err)
+	}
+	if s := q2.Stats(); s.Completed != 1 || s.Pending != 0 || s.Leased != 0 {
+		t.Errorf("stats = %+v, want one completion and nothing outstanding", s)
 	}
 }
 
 // TestLateUploadAfterRestartCompletesNothing: a worker finishing a lease
-// from the previous queue life uploads under that life's task ID. Had the
-// next life reissued the ID, the result would be filed under another
-// region's artifact; IDs carry the queue epoch, so the upload matches no
-// live task.
+// from the previous queue life uploads under that life's task ID. When the
+// next life never enqueued that point, the upload matches no live task and
+// is stored under no other region's artifact.
 func TestLateUploadAfterRestartCompletesNothing(t *testing.T) {
 	t.Run("in-memory", func(t *testing.T) {
 		st := openStore(t)

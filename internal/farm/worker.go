@@ -24,9 +24,8 @@ type Transport interface {
 	// Register opens a session as name: the calls after it act as the
 	// returned worker id, whose leases last leaseTTL between heartbeats.
 	Register(name string) (id string, leaseTTL time.Duration, err error)
-	// Lease asks for up to max tasks; none is not an error. ErrServerRestarted
-	// voids the session (Worker.Run registers again), ErrClosed ends Run, and
-	// any other error is retried with back-off.
+	// Lease asks for up to max tasks; none is not an error. ErrClosed ends
+	// Run, and any other error is retried with back-off.
 	Lease(max int) ([]Task, error)
 	// Heartbeat renews the listed leases and returns the ones the coordinator
 	// no longer counts as this worker's.
@@ -105,7 +104,7 @@ type Worker struct {
 	taskDur   *obs.Histogram
 	fetchDur  *obs.Histogram
 
-	id string // the worker id of the current registration, "" between them
+	id string // the worker id Run registered as
 
 	mu   sync.Mutex
 	held map[string]bool // leases the heartbeat loop renews
@@ -146,13 +145,14 @@ func NewWorker(tr Transport, st *store.Store, replayBytes int64, spans *obs.Span
 // or be mid-restart, but a worker pointed at nothing should not wait forever.
 const maxRegisterFailures = 21
 
-// Run is the worker's whole session: it registers as name, serves tasks
-// while heartbeating held leases at a third of the lease TTL, and registers
-// again whenever Lease reports ErrServerRestarted. It returns nil once ctx is
-// done, the MaxTasks budget is spent or the queue stayed empty past IdleExit,
-// and an error once maxRegisterFailures registrations in a row failed or
-// Lease reports ErrClosed. The batch in hand is always finished first, with
-// its leases renewed to the end.
+// Run is the worker's whole session: it registers as name once and serves
+// tasks under that id while heartbeating held leases at a third of the lease
+// TTL. A restarted coordinator needs nothing more: it takes the id on the
+// worker's first call. Run returns nil once ctx is done, the MaxTasks budget
+// is spent or the queue stayed empty past IdleExit, and an error once
+// maxRegisterFailures registrations in a row failed or Lease reports
+// ErrClosed. The batch in hand is always finished first, with its leases
+// renewed to the end.
 func (w *Worker) Run(ctx context.Context, name string) error {
 	// Failed registrations and leases back off exponentially (reset on any
 	// success) so a down or flapping coordinator sees a thinning poll rate,
@@ -169,44 +169,35 @@ func (w *Worker) Run(ctx context.Context, name string) error {
 		sleep(delay)
 		delay = min(2*delay, maxDelay)
 	}
-	// settled and idleSince span registrations, so a coordinator restart
-	// resets neither the MaxTasks budget nor the IdleExit clock.
-	var (
-		settled, regFailures int
-		idleSince            time.Time
-		registered           = "registered as "
-		stopBeats            = func() {}
-	)
-	defer func() { stopBeats(); w.id = "" }()
-	for ctx.Err() == nil {
-		if w.id == "" {
-			id, leaseTTL, err := w.tr.Register(name)
-			if err != nil {
-				if regFailures++; regFailures >= maxRegisterFailures {
-					return fmt.Errorf("registering: %w", err)
-				}
-				backOff("register", err)
-				continue
-			}
-			w.id, regFailures, delay = id, 0, w.Poll
-			w.logger.Info(registered+id, "worker", id, "name", name, "concurrency", w.Concurrency)
-			registered = "re-registered as "
-			stopBeats = w.heartbeats(leaseTTL)
+	var leaseTTL time.Duration
+	for failures := 1; ; failures++ {
+		if ctx.Err() != nil {
+			return nil
 		}
+		id, ttl, err := w.tr.Register(name)
+		if err == nil {
+			w.id, leaseTTL = id, ttl
+			break
+		}
+		if failures >= maxRegisterFailures {
+			return fmt.Errorf("registering: %w", err)
+		}
+		backOff("register", err)
+	}
+	delay = w.Poll
+	w.logger.Info("registered as "+w.id, "worker", w.id, "name", name, "concurrency", w.Concurrency)
+	defer w.heartbeats(leaseTTL)()
+
+	var (
+		settled   int
+		idleSince time.Time
+	)
+	for ctx.Err() == nil {
 		want := w.Concurrency
 		if w.MaxTasks > 0 {
 			want = min(want, w.MaxTasks-settled)
 		}
 		tasks, err := w.tr.Lease(want)
-		if errors.Is(err, ErrServerRestarted) {
-			// The worker id is void, but nothing is held between batches, so
-			// there is nothing to drain: a restarted coordinator forgot its
-			// leases, and its recovered jobs enqueue those points again.
-			w.logger.Warn("coordinator restarted, re-registering")
-			stopBeats()
-			w.id, stopBeats = "", func() {}
-			continue
-		}
 		if errors.Is(err, ErrClosed) {
 			return err
 		}
@@ -294,9 +285,10 @@ func (w *Worker) heartbeats(leaseTTL time.Duration) (stop func()) {
 				continue
 			}
 			for _, id := range dropped {
-				// The server reassigned these (e.g. after a network
-				// partition outlasted the TTL); stop renewing. Any
-				// result we still upload is accepted idempotently.
+				// The server reassigned or forgot these (a network
+				// partition outlasted the TTL, or the coordinator
+				// restarted); stop renewing. Any result we still upload
+				// is accepted idempotently.
 				w.release(id)
 			}
 		}
@@ -418,9 +410,7 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 // -farm-workers.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
 	w := NewWorker(&queueTransport{q: q}, st, bp.DefaultReplayCacheBytes, q.workerSpans, nil)
-	w.Poll = q.cfg.SweepEvery / 2
-	if w.Poll <= 0 || w.Poll > 50*time.Millisecond {
-		w.Poll = 50 * time.Millisecond
-	}
+	// Half the queue's sweep interval, so a requeued task is picked up soon.
+	w.Poll = min(q.cfg.LeaseTTL/8, 50*time.Millisecond)
 	w.Run(ctx, name) //nolint:errcheck // ErrClosed: the queue is gone, which is the other way to stop
 }

@@ -260,34 +260,50 @@ func TestWorkerRenewsLeasesWhileDraining(t *testing.T) {
 	}
 }
 
-// TestWorkerReRegistersAfterRestart: a Lease that reports
-// ErrServerRestarted voids the session; Run registers again and serves the
-// next task under the new worker id instead of returning.
-func TestWorkerReRegistersAfterRestart(t *testing.T) {
+// TestWorkerKeepsItsIDWhenLeasesAreForgotten: the coordinator forgets every
+// lease mid-session, as a restarted one does. The worker stops renewing the
+// task it holds but still uploads its result, and Run serves the next task
+// under its first id, after exactly one registration.
+func TestWorkerKeepsItsIDWhenLeasesAreForgotten(t *testing.T) {
 	st, key := workerStore(t, "npb-is", 0.05)
-	coord := newFakeCoord(Task{ID: "after-restart", TraceKey: key, Region: 1, Sockets: 1, Warmup: "cold"})
-	coord.leaseErrs = []error{ErrServerRestarted}
+	coord := newFakeCoord(Task{ID: "before-restart", TraceKey: key, Region: 1, Sockets: 1, Warmup: "cold"})
+	coord.gate = make(chan struct{})
+	coord.ttl = 15 * time.Millisecond
 
-	var log bytes.Buffer
 	spans := obs.NewSpanRecorder()
-	w := NewWorker(coord, st, 0, spans, slog.New(slog.NewTextHandler(&log, nil)))
-	w.Poll, w.MaxTasks = time.Millisecond, 1
-	if err := w.Run(context.Background(), "w"); err != nil {
-		t.Fatal(err)
-	}
-	if coord.sessions != 2 {
-		t.Errorf("%d registrations, want 2", coord.sessions)
-	}
-	if _, ok := coord.results["after-restart"]; !ok {
-		t.Error("no result uploaded after the restart")
-	}
-	for _, want := range []string{"registered as w1", "coordinator restarted, re-registering", "re-registered as w2"} {
-		if !strings.Contains(log.String(), want) {
-			t.Errorf("log lacks %q:\n%s", want, log.String())
+	w := NewWorker(coord, st, 0, spans, nil)
+	w.Poll, w.MaxTasks = time.Millisecond, 2
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background(), "w") }()
+
+	coord.nextBeat(t) // the first task is held
+	coord.mu.Lock()
+	coord.drop = map[string]bool{"before-restart": true, "after-restart": true}
+	coord.queue = append(coord.queue, Task{ID: "after-restart", TraceKey: key, Region: 2, Sockets: 1, Warmup: "cold"})
+	coord.mu.Unlock()
+	for deadline := time.Now().Add(30 * time.Second); len(w.heldIDs()) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker kept renewing a forgotten lease")
 		}
 	}
-	if sp := spans.Spans(); len(sp) != 1 || sp[0].Attrs["worker"] != "w2" {
-		t.Errorf("task spans %+v, want one recorded as worker w2", sp)
+	close(coord.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if coord.sessions != 1 {
+		t.Errorf("%d registrations, want 1", coord.sessions)
+	}
+	if len(coord.results) != 2 {
+		t.Errorf("results %v, want both tasks' (a forgotten lease's result is still uploaded)", coord.results)
+	}
+	sp := spans.Spans()
+	if len(sp) != 2 {
+		t.Fatalf("%d task spans, want 2", len(sp))
+	}
+	for _, s := range sp {
+		if s.Attrs["worker"] != "w1" {
+			t.Errorf("task %s ran as worker %q, want w1", s.Attrs["task"], s.Attrs["worker"])
+		}
 	}
 }
 
@@ -437,7 +453,7 @@ func TestLocalWorkerKeepsLeasePastTTL(t *testing.T) {
 		}
 	}
 
-	q := NewQueue(st, Config{LeaseTTL: ttl, SweepEvery: ttl / 8, MaxAttempts: 1})
+	q := NewQueue(st, Config{LeaseTTL: ttl, MaxAttempts: 1})
 	defer q.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -78,7 +78,7 @@ func TestFarmedEstimateMatchesLocal(t *testing.T) {
 // byte-identical to pure local execution.
 func TestFarmedEstimateSurvivesWorkerLoss(t *testing.T) {
 	st, key := newTestStore(t)
-	q := farm.NewQueue(st, farm.Config{LeaseTTL: 100 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	q := farm.NewQueue(st, farm.Config{LeaseTTL: 100 * time.Millisecond})
 	m := New(st, 2, 0)
 	m.SetFarm(q)
 	defer m.Shutdown(context.Background())

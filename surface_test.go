@@ -22,7 +22,6 @@ var surfaceAllow = map[string]bool{
 	// Imported by bench/, the end-to-end benchmark (its own module).
 	"internal/adaptive.Intervals":      true,
 	"internal/farm.NewDurableQueue":    true,
-	"internal/farm.Queue.WorkerSpans":  true,
 	"internal/obs.SpanData.StageSumNs": true,
 	"internal/store.OpenWAL":           true,
 	"internal/store.Store.GetProfile":  true,
@@ -41,12 +40,13 @@ var surfaceAllow = map[string]bool{
 
 	// Fixtures, inspectors and drivers of other declarations' tests (several
 	// from other packages): the small machine, cache-content queries, one
-	// task start to finish, journal replay, span lookup, fault-injection
-	// bookkeeping.
+	// task start to finish, journal replay, span lookup (a job's, and the
+	// in-process workers' a queue keeps), fault-injection bookkeeping.
 	"internal/bbv.New":                    true,
 	"internal/bbv.Vector.Add":             true,
 	"internal/bbv.Vector.Get":             true,
 	"internal/farm.Executor.Execute":      true,
+	"internal/farm.Queue.WorkerSpans":     true,
 	"internal/fault.Injector.Hits":        true,
 	"internal/fault.Reset":                true,
 	"internal/obs.SpanRecorder.ByTrace":   true,
