@@ -633,6 +633,22 @@ func TestHealthzKeySet(t *testing.T) {
 			if got := slices.Sorted(maps.Keys(health)); !slices.Equal(got, tc.keys) {
 				t.Errorf("/healthz keys %v, want %v", got, tc.keys)
 			}
+			// bench/ reads job_journal.appends; the startup compaction of a
+			// recovered journal shows in it.
+			var journal map[string]json.RawMessage
+			if err := json.Unmarshal(health["job_journal"], &journal); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := slices.Sorted(maps.Keys(journal)), []string{"appends", "bytes", "compactions", "durable", "errors"}; !slices.Equal(got, want) {
+				t.Errorf("job_journal keys %v, want %v", got, want)
+			}
+			var jj struct {
+				Durable     bool
+				Compactions int
+			}
+			if json.Unmarshal(health["job_journal"], &jj); tc.recovery && (!jj.Durable || jj.Compactions < 1) {
+				t.Errorf("recovered job_journal %s, want durable with a startup compaction", health["job_journal"])
+			}
 
 			want := map[string]float64{"bp_replay_cache_max_bytes": float64(bp.DefaultReplayCacheBytes)}
 			for _, name := range []string{"bp_jobs_submitted_total", "bp_jobs_deduped_total", "bp_jobs_done_total",

@@ -82,7 +82,7 @@
 // # Protocol (HTTP/JSON, mounted under /farm/ by cmd/bpserve)
 //
 //	POST /farm/register  {name}                → {worker, lease_ms}
-//	POST /farm/lease     {worker, max}         → {tasks}
+//	POST /farm/lease     {worker, name, max}   → {tasks}
 //	POST /farm/heartbeat {worker, tasks}       → {dropped}
 //	POST /farm/result    {worker, task,
 //	                      result | error}      → {status}
@@ -121,7 +121,7 @@
 // the restart for a point the recovered job enqueued again completes it.
 // A worker keeps the random id it registered with: the restarted queue
 // adds it to the fleet on its first call, as it does any id it does not
-// know. A worker only learns the lease TTL when it registers, so a
+// know, and takes its name from its first lease. A worker only learns the lease TTL when it registers, so a
 // coordinator restarted with another -farm-lease-ttl reaches a running
 // worker only when that worker restarts; until then a shorter TTL costs
 // only reassigned leases, whose uploads still complete their points.

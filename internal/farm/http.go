@@ -100,6 +100,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 type leaseRequest struct {
 	Worker string `json:"worker"`
+	Name   string `json:"name"`
 	Max    int    `json:"max"`
 }
 
@@ -116,7 +117,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "missing worker id")
 		return
 	}
-	tasks := s.q.Lease(req.Worker, req.Max)
+	tasks := s.q.lease(req.Worker, req.Name, req.Max)
 	if tasks == nil {
 		tasks = []Task{}
 	}
@@ -240,7 +241,7 @@ type Client struct {
 	// attempt the 1-based number of the attempt that just failed.
 	OnRetry func(op string, attempt int, err error)
 
-	worker string // the id Register was given
+	worker, name string // the id Register was given, and the name it was given for
 }
 
 // RetryPolicy shapes the client's capped jittered exponential backoff.
@@ -400,20 +401,21 @@ func (c *Client) doPost(ctx context.Context, path string, body []byte, resp any)
 }
 
 // Register obtains a worker identity from the server, which every later
-// call of this Client uses, and the server's lease duration.
+// call of this Client uses, and the server's lease duration. Leases also
+// carry name, so a restarted server lists the worker under it.
 func (c *Client) Register(name string) (id string, leaseTTL time.Duration, err error) {
 	var resp registerResponse
 	if err := c.post("register", "/farm/register", registerRequest{Name: name}, &resp); err != nil {
 		return "", 0, err
 	}
-	c.worker = resp.Worker
+	c.worker, c.name = resp.Worker, name
 	return resp.Worker, time.Duration(resp.LeaseMs) * time.Millisecond, nil
 }
 
 // Lease asks for up to max tasks.
 func (c *Client) Lease(max int) ([]Task, error) {
 	var resp leaseResponse
-	if err := c.post("lease", "/farm/lease", leaseRequest{Worker: c.worker, Max: max}, &resp); err != nil {
+	if err := c.post("lease", "/farm/lease", leaseRequest{Worker: c.worker, Name: c.name, Max: max}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Tasks, nil

@@ -124,6 +124,34 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 // message naming the limit), not truncated into a confusing JSON parse
 // failure; an oversized response body is an explicit client-side error;
 // and payloads under the caps still round-trip.
+// TestHTTPLeaseNamesWorkerAfterRestart: a worker keeps its id across a
+// coordinator restart, and its first lease gives the restarted queue its
+// name, so the fleet listing reads as it did before the restart.
+func TestHTTPLeaseNamesWorkerAfterRestart(t *testing.T) {
+	st, _ := newTestStore(t)
+	q1 := farm.NewQueue(st, farm.Config{})
+	srv1 := httptest.NewServer(farm.NewServer(q1, st))
+	c := &farm.Client{Base: srv1.URL}
+	id, _, err := c.Register("chaos-w1")
+	srv1.Close()
+	q1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q2 := farm.NewQueue(st, farm.Config{})
+	defer q2.Close()
+	srv2 := httptest.NewServer(farm.NewServer(q2, st))
+	defer srv2.Close()
+	c.Base = srv2.URL
+	if _, err := c.Lease(1); err != nil {
+		t.Fatal(err)
+	}
+	if ws := q2.Workers(); len(ws) != 1 || ws[0].ID != id || ws[0].Name != "chaos-w1" {
+		t.Fatalf("restarted queue lists %+v, want %s named chaos-w1", ws, id)
+	}
+}
+
 func TestHTTPBodyLimits(t *testing.T) {
 	st, key := newTestStore(t)
 	q := farm.NewQueue(st, farm.Config{LeaseTTL: 5 * time.Second})

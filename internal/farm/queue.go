@@ -379,7 +379,12 @@ func (q *Queue) touchWorkerLocked(id string, now time.Time) *WorkerInfo {
 
 // Lease hands the worker up to max queued tasks, each leased for
 // LeaseTTL. An empty slice means no work is available right now.
-func (q *Queue) Lease(workerID string, max int) []Task {
+func (q *Queue) Lease(workerID string, max int) []Task { return q.lease(workerID, "", max) }
+
+// lease is Lease for a worker that names itself (a lease over HTTP): a
+// queue that did not register workerID, restarted under a running worker,
+// lists it under its name, not its id.
+func (q *Queue) lease(workerID, name string, max int) []Task {
 	if max <= 0 {
 		max = 1
 	}
@@ -389,7 +394,9 @@ func (q *Queue) Lease(workerID string, max int) []Task {
 	if q.closed {
 		return nil
 	}
-	q.touchWorkerLocked(workerID, now)
+	if w := q.touchWorkerLocked(workerID, now); name != "" {
+		w.Name = name
+	}
 	q.requeueExpiredLocked(now)
 	var out []Task
 	for len(out) < max && len(q.pending) > 0 {

@@ -9,17 +9,17 @@ import (
 )
 
 // This file gives the job manager its durability: a job's acceptance and
-// its terminal state are journaled to a store.Journal before Submit
+// its terminal state are journaled to a store.WAL before Submit
 // acknowledges or a worker moves on, and a restarted coordinator replays
 // the journal to rebuild exactly the jobs it was killed with — same IDs,
 // same trace IDs. Jobs whose result artifact already landed in the
 // content-addressed store resolve on the spot (the crash beat the
 // journal's done record, not the work); the rest re-enter the queue and
 // recompute through the same artifact caches, so recovered results are
-// byte-identical to an uninterrupted run. Framing, replay mechanics and
-// the compaction policy are store.Journal's (internal/store/journal.go);
-// this file holds the record type, the replay fold, turning folded state
-// back into jobs, and the compaction snapshot.
+// byte-identical to an uninterrupted run. Framing, replay, rollback and
+// compaction are store.WAL's (internal/store/wal.go); this file holds the
+// record type and its JSON, the replay fold, turning folded state back into
+// jobs, the compaction policy and its snapshot.
 
 // Journal operation tags: only what recovery reads is recorded. Progress
 // (a job starting, a stage finishing) lives in spans and
@@ -29,6 +29,16 @@ const (
 	jopSubmit = "submit" // job accepted (or re-emitted by compaction)
 	jopDone   = "done"   // result stored; Artifact names where
 	jopFailed = "failed" // terminal failure with its message
+)
+
+// The journal is compacted to the retained jobs before an append once it
+// holds at least journalCompactMinRecords records and journalCompactFactor
+// records per retained job: a small log is never rewritten, a large busy one
+// not while it is still mostly live state, so the file is bounded by
+// retention (maxRetained), not by history.
+const (
+	journalCompactMinRecords = 1024
+	journalCompactFactor     = 4
 )
 
 // journalRecord is the JSON payload of one job-journal WAL frame.
@@ -79,10 +89,14 @@ type journalState struct {
 }
 
 // apply folds one record into the state. Records that do not resolve
-// against the current state (an unknown id, an unknown op, a malformed
-// payload) are skipped: replay must accept any intact prefix the framing
-// layer delivers.
-func (s *journalState) apply(rec journalRecord) {
+// against the current state (an unknown id, an unknown op, a payload that
+// is not a record) are skipped: replay must accept any intact prefix the
+// framing layer delivers.
+func (s *journalState) apply(payload []byte) {
+	var rec journalRecord
+	if json.Unmarshal(payload, &rec) != nil {
+		return
+	}
 	switch rec.Op {
 	case jopSubmit:
 		if rec.ID == "" || rec.Req == nil {
@@ -126,11 +140,11 @@ func (s *journalState) apply(rec journalRecord) {
 // points) and before the first Submit.
 func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 	state := &journalState{jobs: make(map[string]*job)}
-	w, replay, err := store.OpenJournal(path, state.apply)
+	w, dropped, err := store.ReplayWAL(path, state.apply)
 	if err != nil {
 		return JobRecovery{}, err
 	}
-	rec := JobRecovery{Records: replay.Records, Dropped: replay.Dropped}
+	rec := JobRecovery{Records: w.Records(), Dropped: dropped}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -247,10 +261,20 @@ func terminalRecord(j *job) journalRecord {
 }
 
 // appendJournalLocked journals one record (a no-op for in-memory
-// managers, whose m.journal is nil, and after the journal closed); m.mu
-// must be held. The record is durable before this returns nil.
+// managers, whose m.journal is nil, and after the journal closed), first
+// compacting a journal grown past the policy above; m.mu must be held. The
+// record is durable before this returns nil.
 func (m *Manager) appendJournalLocked(rec journalRecord) error {
-	return m.journal.AppendLive(rec, len(m.jobs), m.retainedRecordsLocked)
+	if n := m.journal.Records(); n >= journalCompactMinRecords && n >= journalCompactFactor*len(m.jobs) {
+		if err := m.journal.Compact(m.retainedRecordsLocked()); err != nil {
+			return err
+		}
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	return m.journal.Append(b)
 }
 
 // retainedRecordsLocked is the compaction snapshot: a submit record per
@@ -258,16 +282,20 @@ func (m *Manager) appendJournalLocked(rec journalRecord) error {
 // from the retention window drop out of the journal here, so the log
 // tracks the manager's bounded memory, not its full history. m.mu must be
 // held (or the manager not yet shared).
-func (m *Manager) retainedRecordsLocked() []journalRecord {
-	recs := make([]journalRecord, 0, 2*len(m.order))
+func (m *Manager) retainedRecordsLocked() [][]byte {
+	recs := make([][]byte, 0, 2*len(m.order))
+	add := func(rec journalRecord) {
+		b, _ := json.Marshal(rec) // cannot fail: a retained job's request was JSON at submit or replay
+		recs = append(recs, b)
+	}
 	for _, id := range m.order {
 		j, ok := m.jobs[id]
 		if !ok {
 			continue
 		}
-		recs = append(recs, submitRecord(j))
+		add(submitRecord(j))
 		if j.Terminal() {
-			recs = append(recs, terminalRecord(j))
+			add(terminalRecord(j))
 		}
 	}
 	return recs
@@ -275,7 +303,7 @@ func (m *Manager) retainedRecordsLocked() []journalRecord {
 
 // JournalStats returns the job journal's size and activity counters for
 // health surfaces (zero-valued when no journal is enabled).
-func (m *Manager) JournalStats() store.JournalStats {
+func (m *Manager) JournalStats() store.WALStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.journal.Stats()

@@ -14,6 +14,7 @@ import (
 
 	bp "barrierpoint"
 	"barrierpoint/internal/farm"
+	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
 )
 
@@ -162,12 +163,7 @@ func TestJournalColdStoreRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.Open(filepath.Join(jdir, "jobs.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	_, _, err = store.ReplayJournal(full, func(rec json.RawMessage) {
+	full, _, err := store.ReplayWAL(filepath.Join(jdir, "jobs.wal"), func(rec []byte) {
 		var jr journalRecord
 		if err := json.Unmarshal(rec, &jr); err != nil {
 			t.Fatal(err)
@@ -181,6 +177,7 @@ func TestJournalColdStoreRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full.Close()
 	w.Close()
 
 	// Fresh store: same trace content → same key, zero artifacts.
@@ -235,16 +232,12 @@ func TestJournalShutdownOrdering(t *testing.T) {
 	}
 	// The journal must already hold the terminal record — no in-memory
 	// state survives this point.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	state := &journalState{jobs: make(map[string]*job)}
-	_, _, err = store.ReplayJournal(f, state.apply)
-	f.Close()
+	w, _, err := store.ReplayWAL(path, state.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Close()
 	jj, ok := state.jobs[snap.ID]
 	if !ok || jj.Status != StatusDone {
 		t.Fatalf("journal state after clean shutdown: %+v", jj)
@@ -264,6 +257,100 @@ func TestJournalShutdownOrdering(t *testing.T) {
 	defer m2.Shutdown(context.Background())
 	if rec.Terminal != 1 || rec.Requeued != 0 || rec.Resolved != 0 {
 		t.Fatalf("clean-shutdown journal recovered as %+v, want 1 terminal", rec)
+	}
+}
+
+// TestJournalSkipsForeignFrames: an intact frame that is not a job record
+// (not JSON, JSON of another shape, a submit without its job) is counted and
+// skipped by the fold without hiding the records around it.
+func TestJournalSkipsForeignFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	w, err := store.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := stubReq("a")
+	sub, _ := json.Marshal(journalRecord{Op: jopSubmit, ID: "job-000001", Req: &req})
+	done, _ := json.Marshal(journalRecord{Op: jopDone, ID: "job-000001", Artifact: "stub-a.json"})
+	req2 := stubReq("b")
+	sub2, _ := json.Marshal(journalRecord{Op: jopSubmit, ID: "job-000002", Req: &req2})
+	for _, p := range []string{string(sub), "not json at all", `[1,2]`, string(done), `{"op":"submit"}`, string(sub2)} {
+		if err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+
+	m, _, release := stubbedManager(t, 1, 0)
+	close(release)
+	if err := m.st.PutArtifact(stubTrace, "stub-a.json", []byte(`"stored a"`)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := m.EnableJournal(path)
+	if want := (JobRecovery{Records: 6, Terminal: 1, Requeued: 1}); err != nil || rec != want {
+		t.Fatalf("recovery = %+v, %v; want %+v", rec, err, want)
+	}
+	if got := waitDone(t, m, "job-000001"); string(got.Result) != `"stored a"` {
+		t.Errorf("job-000001 restored as %s %s", got.Status, got.Result)
+	}
+	if got := waitDone(t, m, "job-000002"); got.Status != StatusDone || len(m.Jobs()) != 2 {
+		t.Errorf("job-000002 recovered as %s among %d jobs", got.Status, len(m.Jobs()))
+	}
+}
+
+// TestJournalCompactionFixpointAndBound churns jobs through a journaled
+// manager far past its retention window. The policy must compact the
+// journal, bounding it by the retained jobs, and the compacted journal must
+// be a replay fixpoint: a restart replays it to the retained jobs and
+// compacts it to the same bytes.
+func TestJournalCompactionFixpointAndBound(t *testing.T) {
+	m, _, _ := stubbedManager(t, 1, 0)
+	m.compute = func(p plan, _ *obs.Span) (json.RawMessage, bool, error) {
+		res := json.RawMessage(`"computed ` + p.artifact + `"`)
+		return res, false, m.st.PutArtifact(p.trace, p.artifact, res)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if _, err := m.EnableJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for i := 0; i < 3*maxRetained+100; i++ {
+		snap, err := m.Submit(stubReq(fmt.Sprint(i % 8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, m, snap.ID)
+		m.mu.Lock()
+		peak = max(peak, m.journal.Records())
+		m.mu.Unlock()
+	}
+	// One compaction at startup, then one per 2·maxRetained records.
+	if st := m.JournalStats(); st.Compactions < 3 || st.Errors != 0 {
+		t.Fatalf("journal stats %+v after %d jobs", st, 3*maxRetained+100)
+	}
+	if bound := journalCompactFactor*(maxRetained+1) + 1; peak > bound {
+		t.Fatalf("journal peaked at %d records, want <= %d", peak, bound)
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var compacted [2][]byte
+	var terminal [2]int
+	for i := range compacted {
+		m2 := New(m.st, 1, 0)
+		rec, err := m2.EnableJournal(path)
+		if err != nil || rec.Terminal < maxRetained || rec.Terminal > 2*maxRetained || rec.Requeued+rec.Resolved+rec.Unrecoverable != 0 {
+			t.Fatalf("restart %d recovered %+v, %v; want only terminal jobs, bounded by retention", i, rec, err)
+		}
+		if compacted[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		terminal[i] = rec.Terminal
+		m2.Shutdown(context.Background())
+	}
+	if terminal[0] != terminal[1] || !bytes.Equal(compacted[0], compacted[1]) {
+		t.Fatalf("compaction is not a replay fixpoint: %d then %d jobs", terminal[0], terminal[1])
 	}
 }
 

@@ -200,7 +200,7 @@ func TestLifecycleFailedSubmitAppendLeavesNoTrace(t *testing.T) {
 // plan's verdict and which result artifacts the store holds.
 func TestLifecycleRecoveryTaxonomy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.wal")
-	w, _, err := store.OpenJournal(path, func(journalRecord) {})
+	w, err := store.OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func TestLifecycleRecoveryTaxonomy(t *testing.T) {
 		{Op: jopDone, ID: "job-000006", Artifact: "stub-vanished.json", Cached: true, FinishedNs: 60},
 		submit(7, "pending"), // live twin of job 4: only a damaged journal holds one
 	} {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
+		if b, _ := json.Marshal(rec); w.Append(b) != nil {
+			t.Fatal("append failed")
 		}
 	}
 	w.Close()

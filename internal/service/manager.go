@@ -108,7 +108,7 @@ type Manager struct {
 
 	// Job journal (EnableJournal): lifecycle records appended under m.mu
 	// so the log's order matches the in-memory transitions it mirrors.
-	journal     *store.Journal[journalRecord]
+	journal     *store.WAL
 	jobRecovery JobRecovery
 
 	submitted, deduped, done, failed, cacheHits, recovered atomic.Int64

@@ -76,6 +76,9 @@ func TestWALShortWriteRollsBack(t *testing.T) {
 			if err := w.Append([]byte("after")); err != nil {
 				t.Fatalf("append after rollback: %v", err)
 			}
+			if st := w.Stats(); st.Appends != 2 || st.Errors != 1 || w.Records() != 2 {
+				t.Fatalf("%d records, stats %+v; want 2 appends and 1 error", w.Records(), st)
+			}
 			w.Close()
 			recs, _ := replayAll(t, path)
 			if len(recs) != 2 || string(recs[0]) != "before" || string(recs[1]) != "after" {
@@ -122,6 +125,21 @@ func TestWALBrokenWhenRollbackFails(t *testing.T) {
 	recs, _ := replayAll(t, path)
 	if len(recs) != 2 || string(recs[0]) != "good" || string(recs[1]) != "recovered" {
 		t.Fatalf("replay after reopen = %q, want [good recovered]", recs)
+	}
+
+	// So does compacting the broken log in place.
+	if err := w.Compact([][]byte{[]byte("good")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("mended")); err != nil {
+		t.Fatalf("append after compaction: %v", err)
+	}
+	if st := w.Stats(); st.Errors != 2 || st.Appends != 2 || st.Compactions != 1 {
+		t.Fatalf("stats %+v, want 2 errors, 2 appends, 1 compaction", st)
+	}
+	w.Close()
+	if recs, _ = replayAll(t, path); len(recs) != 2 || string(recs[1]) != "mended" {
+		t.Fatalf("replay after compaction = %q, want [good mended]", recs)
 	}
 }
 

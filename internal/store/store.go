@@ -140,9 +140,10 @@ type Store struct {
 func (s *Store) Publishes() int64 { return s.publishes.Load() }
 
 // Open opens (creating if needed) the store rooted at dir. Stale temp
-// files left behind by crashed writers are swept from the content
-// directories; they are invisible to readers either way (nothing lists or
-// opens `.put-*` names), so the sweep only reclaims disk.
+// files left behind by crashed writers (a job journal's compaction beside
+// it included) are swept from anywhere under dir; they are invisible to
+// readers either way (nothing lists or opens `.put-*` names), so the sweep
+// only reclaims disk.
 func Open(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "traces"), filepath.Join(dir, "artifacts"), filepath.Join(dir, "profiles")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -301,7 +302,7 @@ func (w *TraceWriter) Commit() (key string, existed bool, err error) {
 		return "", false, *err
 	}
 	key = hex.EncodeToString(w.h.Sum(nil))
-	created, err := w.s.publish(tmp, []string{key + ".bptrace"}, true)
+	created, err := publish(tmp, []string{key + ".bptrace"}, true, &w.s.publishes)
 	if err != nil {
 		return "", false, err
 	}
@@ -517,7 +518,7 @@ func (s *Store) putBlobs(dir string, blobs map[string][]byte, excl bool) (publis
 			os.Remove(tmp.Name())
 			return published, fmt.Errorf("store: writing %s: %w", batch[0], err)
 		}
-		p, err := s.publish(tmp, batch, excl)
+		p, err := publish(tmp, batch, excl, &s.publishes)
 		if published = append(published, p...); err != nil {
 			return published, err
 		}
@@ -560,9 +561,11 @@ func (s *Store) HasArtifact(key, name string) bool {
 // and is dropped before the sync, so a re-upload does not write back
 // megabytes it is about to delete. Any other name is replaced by renaming tmp,
 // or a link to it, over it. It is the one publish path behind traces,
-// artifacts, campaign manifests and profiles; it removes tmp and returns the
-// names it created or replaced, also on error.
-func (s *Store) publish(tmp *os.File, names []string, excl bool) (published []string, err error) {
+// artifacts, campaign manifests, profiles and the compacted job journal
+// (WAL.Compact); it counts itself in publishes (a Store's, for Publishes;
+// nil counts nothing), removes tmp and returns the names it created or
+// replaced, also on error.
+func publish(tmp *os.File, names []string, excl bool, publishes *atomic.Int64) (published []string, err error) {
 	defer os.Remove(tmp.Name()) // nothing left to remove after a rename
 	defer tmp.Close()
 	dir := filepath.Dir(tmp.Name())
@@ -578,7 +581,9 @@ func (s *Store) publish(tmp *os.File, names []string, excl bool) (published []st
 	if err := tmp.Close(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.publishes.Add(1)
+	if publishes != nil {
+		publishes.Add(1)
+	}
 	for i, name := range names {
 		dst := filepath.Join(dir, name)
 		switch {

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // replayAll replays the log at path into a slice of record payloads.
@@ -18,13 +20,7 @@ func replayAll(t *testing.T, path string) ([][]byte, int64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	valid, n, err := replayFrames(f, func(rec []byte) error {
-		recs = append(recs, append([]byte(nil), rec...))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("replaying %s: %v", path, err)
-	}
+	valid, n := replayFrames(f, func(rec []byte) { recs = append(recs, rec) })
 	if n != len(recs) {
 		t.Fatalf("replay reported %d records, delivered %d", n, len(recs))
 	}
@@ -160,11 +156,57 @@ func TestWALReplayStopsAtCorruptRecord(t *testing.T) {
 }
 
 func TestOpenWALMissingFile(t *testing.T) {
-	w, n, dropped, err := openWAL(filepath.Join(t.TempDir(), "nope.wal"), nil)
-	if err != nil || w.size != 0 || n != 0 || dropped != 0 {
-		t.Fatalf("missing file: size %d n %d dropped %d err %v, want an empty log", w.size, n, dropped, err)
+	w, dropped, err := ReplayWAL(filepath.Join(t.TempDir(), "sub", "nope.wal"), func([]byte) {})
+	if err != nil || w.Records() != 0 || dropped != 0 || w.Stats() != (WALStats{Durable: true}) {
+		t.Fatalf("missing file: %d records, %d dropped, stats %+v, err %v; want an empty log", w.Records(), dropped, w.Stats(), err)
 	}
 	w.Close()
+}
+
+// TestWALReplayEveryPrefix cuts a log at every byte offset — every frame
+// boundary and every position inside a frame — and checks that reopening
+// replays exactly the records wholly before the cut, reports the rest as
+// dropped, and appends cleanly after it.
+func TestWALReplayEveryPrefix(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(filepath.Join(dir, "full.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{0}
+	for i := 0; i < 6; i++ {
+		if err := w.Append([]byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, w.Stats().Bytes)
+	}
+	w.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, "full.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut <= len(raw); cut++ {
+		whole := 0
+		for whole < 6 && bounds[whole+1] <= int64(cut) {
+			whole++
+		}
+		path := filepath.Join(dir, fmt.Sprintf("cut-%04d.wal", cut))
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		w, dropped, err := ReplayWAL(path, func(p []byte) { got = append(got, string(p)) })
+		if err != nil || w.Records() != whole || len(got) != whole || dropped != int64(cut)-bounds[whole] {
+			t.Fatalf("cut %d: replayed %q (%d records), dropped %d, err %v; want %d records", cut, got, w.Records(), dropped, err, whole)
+		}
+		if err := w.Append([]byte("after")); err != nil {
+			t.Fatalf("cut %d: append after recovery: %v", cut, err)
+		}
+		w.Close()
+		if recs, _ := replayAll(t, path); len(recs) != whole+1 || string(recs[whole]) != "after" {
+			t.Fatalf("cut %d: after append replayed %q", cut, recs)
+		}
+	}
 }
 
 func TestWALRewriteCompaction(t *testing.T) {
@@ -178,12 +220,15 @@ func TestWALRewriteCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.rewrite([][]byte{[]byte("live-a"), []byte("live-b")}); err != nil {
+	if err := w.Compact([][]byte{[]byte("live-a"), []byte("live-b")}); err != nil {
 		t.Fatal(err)
 	}
 	// The handle keeps working against the new file.
 	if err := w.Append([]byte("post")); err != nil {
 		t.Fatal(err)
+	}
+	if st := w.Stats(); w.Records() != 3 || st.Appends != 11 || st.Compactions != 1 || st.Errors != 0 {
+		t.Fatalf("%d records, stats %+v after compaction", w.Records(), st)
 	}
 	w.Close()
 	recs, _ := replayAll(t, path)
@@ -205,5 +250,79 @@ func TestWALRewriteCompaction(t *testing.T) {
 		if e.Name() != filepath.Base(path) {
 			t.Errorf("leftover file %s after rewrite", e.Name())
 		}
+	}
+}
+
+// TestWALCompactionCrashLeavesNoLitter: a crash mid-compaction, after the
+// snapshot is written but before it is published, leaves the old log and
+// the compaction's temp file beside it. The temp is the store's kind, so
+// the next Open sweeps it once aged, and the log replays as before.
+func TestWALCompactionCrashLeavesNoLitter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	var temp string
+	var frames []byte
+	w.hooks = &walHooks{writeFrame: func(f *os.File, frame []byte) error {
+		temp, frames = f.Name(), frame
+		return errors.New("crash before publish")
+	}}
+	if err := w.Compact([][]byte{[]byte("live")}); err == nil || temp == "" {
+		t.Fatalf("compaction through a crashing seam: %v, temp %q", err, temp)
+	}
+	w.Close()
+	// What the crash leaves (Compact cleans up after a mere error).
+	if err := os.WriteFile(temp, frames, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * tempMaxAge)
+	if err := os.Chtimes(temp, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(temp); !os.IsNotExist(err) {
+		t.Fatalf("compaction temp %s survived the sweep", filepath.Base(temp))
+	}
+	if recs, _ := replayAll(t, path); len(recs) != 1 || string(recs[0]) != "old" {
+		t.Fatalf("log after the sweep replays %q, want [old]", recs)
+	}
+}
+
+// TestWALClosedAndNilRecordNothing pins the no-second-code-path contract: a
+// closed log and a nil one accept every call and write nothing.
+func TestWALClosedAndNilRecordNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Stats()
+	for i, w := range []*WAL{w, w, nil} {
+		if err := w.Close(); err != nil {
+			t.Errorf("close %d: %v", i, err)
+		}
+		if err := w.Append([]byte("lost")); err != nil {
+			t.Errorf("append %d after close: %v, want nil no-op", i, err)
+		}
+		if err := w.Compact(nil); err != nil || w.Records() != 0 {
+			t.Errorf("compact %d after close: %v, %d records", i, err, w.Records())
+		}
+	}
+	if after := w.Stats(); after != before || (*WAL)(nil).Stats() != (WALStats{}) {
+		t.Errorf("stats moved after close: %+v -> %+v", before, after)
+	}
+	if recs, _ := replayAll(t, path); len(recs) != 1 || string(recs[0]) != "kept" {
+		t.Fatalf("closed log wrote to disk: %q", recs)
 	}
 }

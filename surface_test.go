@@ -40,8 +40,8 @@ var surfaceAllow = map[string]bool{
 
 	// Fixtures, inspectors and drivers of other declarations' tests (several
 	// from other packages): the small machine, cache-content queries, one
-	// task start to finish, journal replay, span lookup (a job's, and the
-	// in-process workers' a queue keeps), fault-injection bookkeeping.
+	// task start to finish, span lookup (a job's, and the in-process
+	// workers' a queue keeps), fault-injection bookkeeping.
 	"internal/bbv.New":                    true,
 	"internal/bbv.Vector.Add":             true,
 	"internal/bbv.Vector.Get":             true,
@@ -59,7 +59,6 @@ var surfaceAllow = map[string]bool{
 	"internal/sim.Machine.LLCOccupancy":   true,
 	"internal/sim.Tiny":                   true,
 	"internal/sparse.Table.Cap":           true,
-	"internal/store.ReplayJournal":        true,
 	"internal/store.Store.RemoveArtifact": true,
 }
 
