@@ -26,21 +26,17 @@
 // internal/tracefile for the file format and cmd/bptool's record and info
 // subcommands for the CLI.
 //
-// Because the analysis is a pure function of the trace bytes, its outputs
-// cache by content: TraceKey addresses a recorded trace by the SHA-256 of
-// its file, and the analysis service (internal/store, internal/service,
-// cmd/bpserve, bptool -cache) files selections and estimates under that
-// key plus a hash of every parameter they depend on — analysis config for
-// selections, machine config and warmup mode for estimates. Repeat
-// analyses of byte-identical traces are cache hits that never re-profile;
-// the paper's "one-time cost" (Fig. 2) is paid once per trace content.
+// The analysis is a pure function of the trace bytes, so its outputs cache
+// by content: the analysis service (internal/store, internal/service,
+// cmd/bpserve, bptool -cache) files a trace under the SHA-256 of its bytes,
+// and selections and estimates under that key plus a hash of every
+// parameter they depend on (analysis config; machine config and warmup
+// mode). Repeat analyses of byte-identical traces never re-profile: the
+// paper's "one-time cost" (Fig. 2) is paid once per trace content.
 //
-// The same content keys drive in-memory replay caching: a ReplayCache
-// (NewReplayCache, OpenTraceCached) holds fully decoded regions of
-// recorded traces in a byte-bounded LRU, so pipeline stages that revisit
-// regions — mru+prev windows, estimate plus ground truth over one trace —
-// decode each region once and replay it zero-copy.
-// Cached and uncached replays produce bit-identical results.
+// Within one job or run, internal/tracefile.RegionCache keeps decoded
+// regions that stages revisit (mru+prev windows, estimate plus ground
+// truth), so each decodes once; cached and uncached replays are identical.
 package barrierpoint
 
 import (

@@ -432,16 +432,12 @@ func BenchmarkBarrierPointSimulation(b *testing.B) {
 
 // coldCacheEstimator records an 8-thread trace of the named workload,
 // analyzes it once, and returns the sampled estimate as a freshly uploaded
-// trace pays for it: replayed through a ReplayCache that starts empty on
+// trace pays for it: replayed through a RegionCache that starts empty on
 // every call, so region decode, the MRU prefix pass and the point
 // simulations are all inside the call and the selection is outside it.
 func coldCacheEstimator(tb testing.TB, name string, scale float64, gz bool, mode bp.WarmupMode) func() {
 	path := filepath.Join(tb.TempDir(), name+".bptrace")
 	if err := bp.SaveTrace(path, workload.New(name, 8, workload.WithScale(scale)), bp.WithTraceGzip(gz)); err != nil {
-		tb.Fatal(err)
-	}
-	key, err := bp.TraceKey(path)
-	if err != nil {
 		tb.Fatal(err)
 	}
 	f, err := bp.OpenTrace(path)
@@ -456,7 +452,7 @@ func coldCacheEstimator(tb testing.TB, name string, scale float64, gz bool, mode
 	mc := bp.TableIMachine(1)
 	return func() {
 		cold := *a
-		cold.Program = bp.NewReplayCache(0).Program(f, key)
+		cold.Program = tracefile.NewRegionCache(0).Program(f, path)
 		if _, err := cold.Estimate(mc, mode); err != nil {
 			tb.Fatal(err)
 		}

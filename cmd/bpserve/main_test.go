@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/service"
 	"barrierpoint/internal/store"
@@ -650,7 +649,7 @@ func TestHealthzKeySet(t *testing.T) {
 				t.Errorf("recovered job_journal %s, want durable with a startup compaction", health["job_journal"])
 			}
 
-			want := map[string]float64{"bp_replay_cache_max_bytes": float64(bp.DefaultReplayCacheBytes)}
+			want := map[string]float64{"bp_replay_cache_max_bytes": float64(tracefile.DefaultRegionCacheBytes)}
 			for _, name := range []string{"bp_jobs_submitted_total", "bp_jobs_deduped_total", "bp_jobs_done_total",
 				"bp_jobs_failed_total", "bp_job_cache_hits_total", "bp_jobs_farmed_total", "bp_jobs_recovered_total"} {
 				want[name] = 0

@@ -48,6 +48,7 @@ import (
 	"barrierpoint/internal/stats"
 	"barrierpoint/internal/store"
 	"barrierpoint/internal/trace"
+	"barrierpoint/internal/tracefile"
 	"barrierpoint/internal/workload"
 )
 
@@ -301,7 +302,7 @@ func runInfo(args []string, stdout, stderr io.Writer) error {
 // already cached, skipping profiling and clustering entirely, and binds it
 // to the store's copy of the trace: the analysis' program replays exactly the
 // bytes the key addresses. The caller closes the returned closer.
-func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.ReplayCache) (*bp.Analysis, io.Closer, string, string, error) {
+func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *tracefile.RegionCache) (*bp.Analysis, io.Closer, string, string, error) {
 	var key string
 	var err error
 	if tracePath != "" {
@@ -374,19 +375,19 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	// One replay cache serves the whole pipeline run: analyze, warmup
 	// capture, point simulation and the ground-truth pass then decode each
 	// region of a recorded trace once.
-	var rc *bp.ReplayCache
+	var rc *tracefile.RegionCache
 	if *replayMB > 0 {
-		rc = bp.NewReplayCache(*replayMB << 20)
+		rc = tracefile.NewRegionCache(*replayMB << 20)
 	}
 
 	var prog bp.Program
 	if *tracePath != "" {
-		f, err := bp.OpenTraceCached(*tracePath, rc)
+		f, err := bp.OpenTrace(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		prog = f
+		prog = rc.Program(f, *tracePath) // this run's cache: the path names the trace
 	} else {
 		if err := checkWorkload(*name, *cores); err != nil {
 			return err

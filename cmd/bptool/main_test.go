@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -121,6 +122,36 @@ func TestAnalyzeAdaptive(t *testing.T) {
 	}
 	if !strings.Contains(out, "CI covers actual: yes") {
 		t.Errorf("±2%% interval does not cover the ground truth:\n%s", out)
+	}
+}
+
+// TestTraceReplayCacheIsInvisible runs a recorded trace through the whole
+// pipeline in both warm modes, full simulation included, with the default
+// replay cache and with none: once the timings are masked the two outputs
+// (selection, estimate, actual and error lines) are identical. Under mru the
+// prefix pass reads every region before the last point access-only, which
+// the cache serves from the regions the analysis decoded.
+func TestTraceReplayCacheIsInvisible(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "is.bptrace")
+	exec(t, "record", "-workload", "npb-is", "-cores", "8", "-scale", "0.05", "-gzip", "-o", path)
+	timing := regexp.MustCompile(`(analysis in|warmup,|full simulation,) [0-9.hmnsµ]+`)
+	for _, mode := range []string{"mru", "mru+prev"} {
+		var outs [2]string
+		for i, args := range [][]string{nil, {"-replay-cache-mb", "0"}} {
+			out := exec(t, append([]string{"-trace", path, "-warmup", mode}, args...)...)
+			if n := len(timing.FindAllString(out, -1)); n != 3 {
+				t.Fatalf("%s %v: masked %d timings, want 3 (analysis, estimate, full simulation):\n%s", mode, args, n, out)
+			}
+			outs[i] = timing.ReplaceAllString(out, "$1 T")
+		}
+		for _, want := range []string{"estimate (" + mode + " warmup, T)", "actual   (full simulation, T)", "runtime error "} {
+			if !strings.Contains(outs[0], want) {
+				t.Errorf("%s: output lacks %q:\n%s", mode, want, outs[0])
+			}
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s: the replay cache changed the output:\ncached:\n%s\nuncached:\n%s", mode, outs[0], outs[1])
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func TestExecutorPassRule(t *testing.T) {
 	a, b := putTrace(t, st, "npb-ft", 8), putTrace(t, st, "npb-is", 8)
 	c := putTrace(t, st, "npb-cg", 16) // 16 threads: a 2-socket machine
 	fresh := &freshPoints{st: st}
-	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
+	exec := farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
 
 	steps := []struct {
 		task    farm.Task
@@ -135,7 +135,7 @@ func TestExecutorPassRule(t *testing.T) {
 			farm.Task{TraceKey: c, Region: 4 * r, Sockets: 2, Warmup: "mru"})
 	}
 	rand.New(rand.NewSource(16)).Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
-	exec = farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
+	exec = farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
 	var want farm.PassStats
 	heldTrace, heldPos := "", 0
 	for i, tk := range tasks {
@@ -171,8 +171,8 @@ func TestExecutorCacheLivesWithItsPass(t *testing.T) {
 	}
 	a, b := putTrace(t, st, "npb-ft", 8), putTrace(t, st, "npb-is", 8)
 	fresh := &freshPoints{st: st}
-	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
-	run := func(key string, region int) bp.ReplayCacheStats {
+	exec := farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
+	run := func(key string, region int) tracefile.CacheStats {
 		tk := farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru+prev"}
 		got, err := exec.Execute(tk, nil)
 		if err != nil {
@@ -249,7 +249,7 @@ func TestExecutorShuffledBatchIsOnePass(t *testing.T) {
 	}
 	rand.New(rand.NewSource(4)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 
-	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
+	exec := farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
 	slices.SortFunc(batch, farm.PassOrder)
 	results := make([]bp.RegionResult, len(batch))
 	sem := make(chan struct{}, 4) // the worker's -concurrency
@@ -326,7 +326,7 @@ func TestExecutorPassRestartsAfterDecodeError(t *testing.T) {
 	}
 	key := putTrace(t, st, "npb-ft", 8)
 	fresh := &freshPoints{st: st}
-	exec := farm.NewExecutor(st, bp.DefaultReplayCacheBytes)
+	exec := farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
 	task := func(region int) farm.Task {
 		return farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}
 	}

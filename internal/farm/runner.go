@@ -13,6 +13,7 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/tracefile"
 )
 
 // PointArtifact names the cached per-point simulation result for a region
@@ -62,7 +63,7 @@ type Executor struct {
 
 	mu      sync.Mutex     // held pass + counters: advance and snapshot only, never simulation
 	pass    *bp.PrefixPass // nil until the first warm task
-	rc      *bp.ReplayCache
+	rc      *tracefile.RegionCache
 	trace   string // content key of the trace pass has tracked
 	sockets int    // Table I machine pass tracks for
 	stats   PassStats
@@ -87,7 +88,7 @@ func (e *Executor) PassStats() PassStats {
 }
 
 // CacheStats returns the activity of the held pass's replay cache.
-func (e *Executor) CacheStats() bp.ReplayCacheStats {
+func (e *Executor) CacheStats() tracefile.CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.rc.Stats()
@@ -127,7 +128,7 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 	var prog bp.Program = f
 	if mode == bp.MRUPrevWarmup && e.budget > 0 {
 		if rc == nil {
-			rc = bp.NewReplayCache(e.budget)
+			rc = tracefile.NewRegionCache(e.budget)
 		}
 		prog = rc.Program(f, t.TraceKey)
 	}

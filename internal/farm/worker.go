@@ -15,6 +15,7 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/tracefile"
 )
 
 // Transport is the coordinator as a Worker sees it: the six calls the
@@ -409,7 +410,7 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 // spans on q.WorkerSpans(). It powers tests, benchmarks and bpcamp
 // -farm-workers.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
-	w := NewWorker(&queueTransport{q: q}, st, bp.DefaultReplayCacheBytes, q.workerSpans, nil)
+	w := NewWorker(&queueTransport{q: q}, st, tracefile.DefaultRegionCacheBytes, q.workerSpans, nil)
 	// Half the queue's sweep interval, so a requeued task is picked up soon.
 	w.Poll = min(q.cfg.LeaseTTL/8, 50*time.Millisecond)
 	w.Run(ctx, name) //nolint:errcheck // ErrClosed: the queue is gone, which is the other way to stop

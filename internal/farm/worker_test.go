@@ -376,7 +376,7 @@ func TestWorkerBatchIsOnePrefixPass(t *testing.T) {
 		coord.queue = append(coord.queue, Task{ID: strconv.Itoa(region), TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"})
 	}
 	spans := obs.NewSpanRecorder()
-	w := NewWorker(coord, st, bp.DefaultReplayCacheBytes, spans, nil)
+	w := NewWorker(coord, st, tracefile.DefaultRegionCacheBytes, spans, nil)
 	rng := rand.New(rand.NewSource(16))
 	for settled := 0; settled < len(regions); {
 		tasks, _ := coord.Lease(4)

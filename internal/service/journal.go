@@ -73,7 +73,7 @@ type JobRecovery struct {
 	// the queue under their original IDs.
 	Requeued int `json:"jobs_requeued"`
 	// Terminal jobs had finished (done or failed) before the crash and
-	// are restored for status polling.
+	// are restored for status polling, as many as a manager retains.
 	Terminal int `json:"jobs_terminal"`
 	// Unrecoverable jobs no longer validate (e.g. their trace left the
 	// store); they are restored as failed rather than silently dropped.
@@ -153,6 +153,7 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 		return JobRecovery{}, ErrClosed
 	}
 	m.journal = w
+	var finished []string // the jobs restored as terminal
 	for _, id := range state.order {
 		j := state.jobs[id]
 		if n := jobSeq(id); n > m.seq {
@@ -170,12 +171,18 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 		}
 		if terminal {
 			close(j.done)
-			rec.Terminal++
+			finished = append(finished, j.ID)
 		} else {
 			m.recoverLiveLocked(j, &rec)
 		}
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
+	}
+	m.pruneLocked() // a journal holds up to journalCompactFactor×maxRetained jobs
+	for _, id := range finished {
+		if _, kept := m.jobs[id]; kept {
+			rec.Terminal++
+		}
 	}
 	m.recovered.Store(int64(rec.Resolved + rec.Requeued + rec.Terminal))
 	m.jobRecovery = rec

@@ -340,8 +340,11 @@ func TestJournalCompactionFixpointAndBound(t *testing.T) {
 	for i := range compacted {
 		m2 := New(m.st, 1, 0)
 		rec, err := m2.EnableJournal(path)
-		if err != nil || rec.Terminal < maxRetained || rec.Terminal > 2*maxRetained || rec.Requeued+rec.Resolved+rec.Unrecoverable != 0 {
-			t.Fatalf("restart %d recovered %+v, %v; want only terminal jobs, bounded by retention", i, rec, err)
+		if err != nil || rec.Terminal != maxRetained || rec.Requeued+rec.Resolved+rec.Unrecoverable != 0 {
+			t.Fatalf("restart %d recovered %+v, %v; want only terminal jobs, exactly the %d retained", i, rec, err, maxRetained)
+		}
+		if n := len(m2.Jobs()); n > maxRetained {
+			t.Fatalf("restart %d keeps %d jobs, want <= %d", i, n, maxRetained)
 		}
 		if compacted[i], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
+	"barrierpoint/internal/tracefile"
 )
 
 // Kind is a job type.
@@ -101,7 +102,7 @@ type pipeline struct {
 	// replayBytes budgets an mru+prev estimate's own replay cache (<= 0:
 	// none); live holds running jobs' caches, the replay counters ended ones'.
 	replayBytes int64
-	live        sync.Map    // *bp.ReplayCache → nil
+	live        sync.Map    // *tracefile.RegionCache → nil
 	farm        *farm.Queue // nil until SetFarm; estimates then stay local
 
 	coldAnalyses, farmed, farmFallbacks, adaptiveRounds, adaptivePromoted atomic.Int64
@@ -118,7 +119,7 @@ type pipeline struct {
 // its jobs' replay caches into reg. The atomics remain the single source of
 // truth; every family reads them at scrape time.
 func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
-	p := &pipeline{st: st, replayBytes: bp.DefaultReplayCacheBytes}
+	p := &pipeline{st: st, replayBytes: tracefile.DefaultRegionCacheBytes}
 	counterFunc(r, "bp_cold_analyses_total", "Profiling+clustering runs (selection cache misses).", &p.coldAnalyses)
 	counterFunc(r, "bp_jobs_farmed_total", "Estimate jobs whose points ran on the distributed queue.", &p.farmed)
 	counterFunc(r, "bp_farm_fallbacks_total", "Auto-mode estimates that fell back to local execution after a farm error.", &p.farmFallbacks)
@@ -153,14 +154,14 @@ func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
 }
 
 // SetReplayCacheBytes sets the most decoded region data one job holds, the
-// budget of an mru+prev estimate's replay cache (default
-// bp.DefaultReplayCacheBytes; n <= 0 disables it). Call it before any Submit.
+// budget of an mru+prev estimate's replay cache (default 256 MiB; n <= 0
+// disables it). Call it before any Submit.
 func (m *Manager) SetReplayCacheBytes(n int64) { m.pipe.replayBytes = n }
 
 // held sums the stats of the running jobs' replay caches.
-func (pl *pipeline) held() (sum bp.ReplayCacheStats) {
+func (pl *pipeline) held() (sum tracefile.CacheStats) {
 	pl.live.Range(func(k, _ any) bool {
-		s := k.(*bp.ReplayCache).Stats()
+		s := k.(*tracefile.RegionCache).Stats()
 		sum.Bytes, sum.Entries = sum.Bytes+s.Bytes, sum.Entries+s.Entries
 		return true
 	})
@@ -308,9 +309,9 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 	// An mru+prev estimate replays each point's window twice (prefix pass,
 	// then before the point), so it decodes them once into a cache of its
 	// own, dropped when it ends; any other estimate streams each region once.
-	var rc *bp.ReplayCache
+	var rc *tracefile.RegionCache
 	if p.mode == bp.MRUPrevWarmup && pl.replayBytes > 0 {
-		rc = bp.NewReplayCache(pl.replayBytes)
+		rc = tracefile.NewRegionCache(pl.replayBytes)
 		pl.live.Store(rc, nil)
 		defer func() {
 			s := rc.Stats()

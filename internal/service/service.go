@@ -223,7 +223,7 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, obsrv bp.StageObs
 // — so every later stage streams exactly the bytes the key addresses. obsrv
 // additionally receives "bind": parse, open and bind. The caller closes
 // closer when it is done with the analysis' program.
-func BindCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (a *bp.Analysis, closer io.Closer, cached bool, stats ProfileStats, err error) {
+func BindCached(st *store.Store, key string, cfg bp.Config, rc *tracefile.RegionCache, obsrv bp.StageObserver) (a *bp.Analysis, closer io.Closer, cached bool, stats ProfileStats, err error) {
 	selBytes, cached, stats, err := AnalyzeCached(st, key, cfg, obsrv)
 	if err != nil {
 		return nil, nil, false, stats, err

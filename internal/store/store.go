@@ -118,16 +118,6 @@ func ReaderKey(r io.Reader) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// FileKey computes the content key of the trace file at path.
-func FileKey(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return ReaderKey(f)
-}
-
 // Store is a content-addressed trace and artifact store rooted at one
 // directory. Methods are safe for concurrent use from multiple goroutines
 // (and, thanks to atomic renames, from multiple processes).

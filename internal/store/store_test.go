@@ -153,12 +153,12 @@ func TestImportTrace(t *testing.T) {
 	if existed {
 		t.Error("fresh import reported existed")
 	}
-	fileKey, err := FileKey(path)
+	wantKey, err := ReaderKey(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key != fileKey {
-		t.Errorf("ImportTrace key %s != FileKey %s", key, fileKey)
+	if key != wantKey {
+		t.Errorf("ImportTrace key %s != ReaderKey %s", key, wantKey)
 	}
 	if !st.HasTrace(key) {
 		t.Error("HasTrace false after import")

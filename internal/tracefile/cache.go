@@ -225,6 +225,9 @@ type cachedFile struct {
 // AppendAccesses is File.AppendAccesses through the cache: a region it holds
 // (or is decoding) is read from memory, any other decoded from the file and
 // not inserted — a miss, timed on the decode clock.
+// bptool's analysis fills its cache first, so here every read hits (npb-cg
+// ×0.5, gzip, 8 cores, mru: 272 of 272; reading past the cache cost ~10%,
+// 310 → 341 ms); a bpserve job's fresh cache did not (mru+prev: 0 of 96).
 func (cf *cachedFile) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
 	cp, c := cf.cachedProgram, cf.c
 	c.mu.Lock()

@@ -110,8 +110,8 @@
 // addresses and write flags (AppendAccesses). RegionCache keeps regions
 // one job replays in full more than once — its mru+prev windows — decoded
 // in a byte-bounded LRU; the prefix pass reads from it but never fills it.
-// It is -replay-cache-mb on cmd/bpserve (per job) and cmd/bpworker (per
-// prefix pass), and barrierpoint.NewReplayCache in the public API.
+// It is -replay-cache-mb on cmd/bpserve (per job), cmd/bpworker (per
+// prefix pass) and cmd/bptool (per run).
 //
 // # Versioning
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"barrierpoint/internal/store"
 	"barrierpoint/internal/tracefile"
 )
 
@@ -129,82 +128,3 @@ func RecordTrace(w io.Writer, p Program, opts ...TraceOption) error {
 func OpenTrace(path string) (*TraceFile, error) {
 	return tracefile.Open(path)
 }
-
-// Replay caching: regions of a recorded trace are decoded on every replay
-// by default. A ReplayCache keeps fully decoded regions in a byte-bounded
-// LRU keyed by trace content, so work that revisits regions — the mru+prev
-// windows an estimate replays in its prefix pass and before each point —
-// decodes each region once and replays it from memory with zero copies and
-// zero allocations; the MRU prefix pass reads past it. Cached and uncached
-// replays are bit-identical (see tracefile.RegionCache).
-
-// ReplayCache is a bounded in-memory cache of decoded trace regions,
-// shareable by any number of open traces and goroutines, holding what it
-// decoded until dropped: the service keeps one per mru+prev estimate.
-type ReplayCache = tracefile.RegionCache
-
-// ReplayCacheStats is a snapshot of a ReplayCache's activity.
-type ReplayCacheStats = tracefile.CacheStats
-
-// DefaultReplayCacheBytes is the default ReplayCache budget (256 MiB).
-const DefaultReplayCacheBytes = tracefile.DefaultRegionCacheBytes
-
-// NewReplayCache returns a replay cache bounded to maxBytes of decoded
-// region data (DefaultReplayCacheBytes if maxBytes <= 0).
-func NewReplayCache(maxBytes int64) *ReplayCache {
-	return tracefile.NewRegionCache(maxBytes)
-}
-
-// CachedTrace is an open recorded trace whose regions replay through a
-// ReplayCache. It implements Program; Close releases the underlying file
-// (cache entries survive and are shared with any other trace of the same
-// content).
-type CachedTrace struct {
-	Program
-	file *TraceFile
-}
-
-// File returns the underlying trace file.
-func (t *CachedTrace) File() *TraceFile { return t.file }
-
-// Close releases the underlying file handle.
-func (t *CachedTrace) Close() error { return t.file.Close() }
-
-// AppendAccesses is the access-only read of tracefile.File.AppendAccesses,
-// through the cache when there is one: what the MRU prefix pass reads.
-func (t *CachedTrace) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
-	return t.Program.(interface {
-		AppendAccesses([]uint64, int, int) ([]uint64, error)
-	}).AppendAccesses(dst, region, tid)
-}
-
-// OpenTraceCached opens a recorded trace for replay through c, keyed by
-// the trace's content address — so two opens of byte-identical traces
-// share cached regions. A nil cache degrades to plain streaming replay
-// without paying the content-hashing pass over the file.
-func OpenTraceCached(path string, c *ReplayCache) (*CachedTrace, error) {
-	f, err := tracefile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if c == nil {
-		return &CachedTrace{Program: f, file: f}, nil
-	}
-	key, err := store.FileKey(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &CachedTrace{Program: c.Program(f, key), file: f}, nil
-}
-
-// TraceKey returns the content address of the recorded trace at path: the
-// lowercase hex SHA-256 of its file bytes. This is the key under which the
-// analysis service (internal/store, used by bptool -cache and bpserve)
-// files the trace and every artifact derived from it, so byte-identical
-// traces — recorded twice, or uploaded from different machines — share one
-// cache entry.
-func TraceKey(path string) (string, error) { return store.FileKey(path) }
-
-// TraceKeyReader computes the content address of a trace read from r.
-func TraceKeyReader(r io.Reader) (string, error) { return store.ReaderKey(r) }

@@ -2,11 +2,13 @@ package barrierpoint_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/store"
 	"barrierpoint/internal/workload"
 )
 
@@ -92,15 +94,21 @@ type renamed struct {
 
 func (r renamed) Name() string { return r.name }
 
-// TestTraceKey checks the public content-address helpers: file and reader
-// keys agree, are stable for identical content, and differ across content.
+// TestTraceKey checks that a trace files under one content key however it
+// was recorded: SaveTrace and RecordTrace of one program give the same key
+// (the SHA-256 of the file bytes the store addresses it by), and different
+// bytes give a different one.
 func TestTraceKey(t *testing.T) {
 	prog := workload.New("npb-is", 8, workload.WithScale(0.05))
 	path := filepath.Join(t.TempDir(), "is.bptrace")
 	if err := bp.SaveTrace(path, prog); err != nil {
 		t.Fatal(err)
 	}
-	fileKey, err := bp.TraceKey(path)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileKey, err := store.ReaderKey(bytes.NewReader(saved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +116,12 @@ func TestTraceKey(t *testing.T) {
 	if err := bp.RecordTrace(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
-	readerKey, err := bp.TraceKeyReader(bytes.NewReader(buf.Bytes()))
+	readerKey, err := store.ReaderKey(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fileKey != readerKey {
-		t.Errorf("TraceKey %s != TraceKeyReader %s for identical recordings", fileKey, readerKey)
+		t.Errorf("SaveTrace key %s != RecordTrace key %s for identical recordings", fileKey, readerKey)
 	}
 	if len(fileKey) != 64 {
 		t.Errorf("key %q is not a hex SHA-256", fileKey)
@@ -123,7 +131,7 @@ func TestTraceKey(t *testing.T) {
 	if err := bp.RecordTrace(&gz, prog, bp.WithTraceGzip(true)); err != nil {
 		t.Fatal(err)
 	}
-	gzKey, err := bp.TraceKeyReader(bytes.NewReader(gz.Bytes()))
+	gzKey, err := store.ReaderKey(bytes.NewReader(gz.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

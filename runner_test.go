@@ -204,13 +204,13 @@ func TestCorruptChunkFailsEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptFirstChunk(t, path)
-	for _, rc := range []*bp.ReplayCache{nil, bp.NewReplayCache(0)} {
-		tr, err := bp.OpenTraceCached(path, rc)
+	for _, rc := range []*tracefile.RegionCache{nil, tracefile.NewRegionCache(0)} {
+		tr, err := bp.OpenTrace(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		corrupt := *a
-		corrupt.Program = tr
+		corrupt.Program = rc.Program(tr, path)
 		if est, err := corrupt.Estimate(bp.TableIMachine(1), bp.MRUWarmup); err == nil {
 			t.Errorf("cache %v: the estimate of a corrupt trace is %+v, and no error", rc != nil, est)
 		}
@@ -262,17 +262,13 @@ func corruptFirstChunk(t *testing.T, path string) {
 }
 
 // TestColdCacheHoldsReplayedRegionsOnly: after an mru estimate over a cold
-// ReplayCache the cache holds exactly the point regions, because the prefix
-// pass reads past it; under mru+prev it also holds each point's window, the
-// regions the point replays before it, which the pass reads through the
-// cache so that they decode once.
+// RegionCache the cache holds exactly the point regions, because the prefix
+// pass reads from it but never fills it; under mru+prev it also holds each
+// point's window, the regions the point replays before it, which the pass
+// reads through the cache so that they decode once.
 func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lu.bptrace")
 	if err := bp.SaveTrace(path, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
-		t.Fatal(err)
-	}
-	key, err := bp.TraceKey(path)
-	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := bp.OpenTrace(path)
@@ -294,9 +290,9 @@ func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
 				}
 			}
 		}
-		rc := bp.NewReplayCache(0)
+		rc := tracefile.NewRegionCache(0)
 		cold := *a
-		cold.Program = rc.Program(f, key)
+		cold.Program = rc.Program(f, path)
 		if _, err := cold.Estimate(bp.TableIMachine(1), mode); err != nil {
 			t.Fatal(err)
 		}

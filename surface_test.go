@@ -37,6 +37,7 @@ var surfaceAllow = map[string]bool{
 	"internal/bbv.ManhattanDistance": true,
 	"internal/cluster.projEntry":     true,
 	"internal/ldv.Collect":           true,
+	"internal/store.ReaderKey":       true,
 
 	// Fixtures, inspectors and drivers of other declarations' tests (several
 	// from other packages): the small machine, cache-content queries, one
