@@ -10,7 +10,7 @@
 //     LRU stack distance vectors), clusters them SimPoint-style, and
 //     selects representative regions — barrierpoints — with multipliers.
 //  2. SimulatePoints runs only the barrierpoints in detail (in parallel,
-//     each on its own machine, warmed by MRU cache-line replay).
+//     each run of them on its own machine, warmed by MRU cache-line replay).
 //  3. Estimate reconstructs whole-program execution time and other
 //     metrics as Σ metric_j · multiplier_j.
 //
@@ -164,9 +164,6 @@ func AnalyzeWithProfiles(p Program, cfg Config, profiles []*signature.RegionData
 	return &Analysis{Program: p, Config: cfg, Selection: sel}, nil
 }
 
-// BarrierPoints returns the selected representative regions.
-func (a *Analysis) BarrierPoints() []BarrierPoint { return a.Selection.Points }
-
 // TotalInstrs returns the program's aggregate instruction count.
 func (a *Analysis) TotalInstrs() uint64 {
 	var t float64
@@ -257,6 +254,11 @@ const (
 	// kernel's predictor entries are re-trained. The paper notes
 	// core-structure warmup is unnecessary for multi-million-instruction
 	// regions; our scaled-down regions are short enough that it matters.
+	//
+	// That warming is paid once per run of consecutive barrierpoints (see
+	// Runs): only the run's head is warmed, and each later member continues
+	// on the head's machine right after its predecessor's detailed
+	// simulation, with the true state and no warming of its own.
 	MRUPrevWarmup
 )
 
@@ -265,6 +267,31 @@ const (
 // every workload in the suite, so each static kernel re-trains its branch
 // predictor entries before detailed simulation.
 const prevWarmupWindow = 12
+
+// Runs groups the regions a PointRunner is asked for into the runs it
+// simulates, each on one machine (see runPoint): ascending, without
+// duplicates and, under MRUPrevWarmup, split into maximal runs of
+// consecutive regions. Under ColdWarmup and MRUWarmup every region is a run
+// of its own. A run's first region is its head; a later member's result
+// depends on its head, so a cache names it by both. Those two modes keep
+// independent points because re-selections of one trace (new signature or
+// max k) share stored point results only where the points are the same
+// heads; runs there would multiply what a re-selection simulates.
+func Runs(regions []int, mode WarmupMode) [][]int {
+	regions = slices.Clone(regions)
+	slices.Sort(regions)
+	regions = slices.Compact(regions)
+	var runs [][]int
+	for i := 0; i < len(regions); {
+		j := i + 1
+		for mode == MRUPrevWarmup && j < len(regions) && regions[j] == regions[j-1]+1 {
+			j++
+		}
+		runs = append(runs, regions[i:j:j])
+		i = j
+	}
+	return runs
+}
 
 // ParseWarmup parses a warmup mode label as printed by WarmupMode.String.
 // It is the single vocabulary shared by the CLI, the service API and the
@@ -302,9 +329,13 @@ func (w WarmupMode) String() string {
 // while internal/farm provides runners that cache per-point results in a
 // content-addressed store or distribute the points across a fleet of
 // bpworker machines. All runners must produce bit-identical RegionResults
-// for the same program, machine and warmup mode — each point is simulated
-// on a fresh machine whose warmup state depends only on the trace prefix
-// before the point, never on which other points run or where.
+// for the same program, regions, machine and warmup mode: they simulate the
+// Runs of the listed regions, each run's head on a fresh machine whose
+// warmup state depends only on the trace prefix before the head, and each
+// later member in detail on that machine right after its predecessor. A
+// region's result thus depends on the trace, machine, mode and its run's
+// head, never on which other runs there are, or where or in which order
+// they run.
 type PointRunner interface {
 	// RunPoints simulates each listed region of p in detail and returns
 	// the results keyed by region index. regions may contain duplicates;
@@ -314,42 +345,42 @@ type PointRunner interface {
 
 // LocalRunner is the default PointRunner: a bounded in-process worker pool
 // of Workers goroutines (GOMAXPROCS if <= 0) draining a shared queue of
-// barrierpoints. The calling goroutine takes the points from one PrefixPass
-// in ascending region order; the pool is already running, so a point starts
-// simulating the moment the pass reaches its region and detailed simulation
-// overlaps the rest of the pass.
+// runs (see Runs). The calling goroutine takes each run's head snapshot from
+// one PrefixPass in ascending region order; the pool is already running, so
+// a run starts simulating the moment the pass reaches its head and detailed
+// simulation overlaps the rest of the pass. A run's members simulate one
+// after another on its goroutine: a long run gives up point parallelism, and
+// saves its members' snapshots and warming.
 type LocalRunner struct {
 	Workers int
 	// Observer, if set, times the work. It receives "warmup-capture" once per
 	// RunPoints call, with the call's own MRU prefix pass time, when the pass
-	// ends; the pass runs while earlier points already simulate, so the stage
+	// ends; the pass runs while earlier runs already simulate, so the stage
 	// overlaps the caller's simulation stage rather than preceding it (and so
-	// does its "trace-decode"; see PrefixPass.Point). Each point then reports
-	// the phases it ran, once per point and from the pool goroutine that ran
-	// it: "warm-replay" (its snapshot replayed onto a fresh machine; not under
-	// ColdWarmup), "warm-prev" (the preceding regions
-	// executed functionally; MRUPrevWarmup only) and "point-detail" (the
-	// detailed simulation of the point itself). Summed over the points they
-	// are time spent across the pool's goroutines, not the call's wall-clock
-	// time: how an estimate's cost splits between functional warming and
-	// detailed simulation.
+	// does its "trace-decode"; see PrefixPass.Run). Each run then reports the
+	// phases it ran from the pool goroutine that ran it: once per run,
+	// "warm-replay" (its head's snapshot replayed onto a fresh machine; not
+	// under ColdWarmup) and "warm-prev" (the regions preceding the head
+	// executed functionally; MRUPrevWarmup only), and once per point
+	// "point-detail" (the detailed simulation of the point itself). Summed
+	// they are time spent across the pool's goroutines, not the call's
+	// wall-clock time: how an estimate's cost splits between functional
+	// warming and detailed simulation.
 	Observer StageObserver
 }
 
 // RunPoints implements PointRunner on the local worker pool.
 func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode WarmupMode) (map[int]RegionResult, error) {
-	regions = slices.Clone(regions)
-	slices.Sort(regions)
-	regions = slices.Compact(regions)
 	if err := checkPoints(p, regions, mc); err != nil {
 		return nil, err
 	}
+	runs := Runs(regions, mode)
 
 	// Bounded worker pool: at most Workers goroutines drain a shared
-	// queue of barrierpoints, rather than spawning one goroutine per point
-	// gated by a semaphore — large selections would otherwise park
-	// thousands of goroutines on the semaphore and churn the scheduler.
-	// The queue holds every point, so feeding it never blocks the pass.
+	// queue of runs, rather than spawning one goroutine per run gated by
+	// a semaphore — large selections would otherwise park thousands of
+	// goroutines on the semaphore and churn the scheduler. The queue
+	// holds every run, so feeding it never blocks the pass.
 	out := make(map[int]RegionResult, len(regions))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -357,8 +388,8 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(regions))
-	next := make(chan func(), len(regions))
+	workers = min(workers, len(runs))
+	next := make(chan func(), len(runs))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -371,16 +402,19 @@ func (lr LocalRunner) RunPoints(p Program, regions []int, mc MachineConfig, mode
 	pass := NewPrefixPass(mc)
 	t0 := time.Now()
 	var err, pointErr error
-	for _, r := range regions {
-		var point func() (RegionResult, error)
-		if point, err = pass.Point(p, r, mode, lr.Observer); err != nil {
+	for _, run := range runs {
+		var simulate func() ([]RegionResult, error)
+		if simulate, err = pass.Run(p, run[0], len(run), mode, lr.Observer); err != nil {
 			break
 		}
 		next <- func() {
-			res, err := point()
+			res, err := simulate()
 			mu.Lock()
-			out[r], pointErr = res, cmp.Or(pointErr, err)
-			mu.Unlock()
+			defer mu.Unlock()
+			for i, r := range res {
+				out[run[i]] = r
+			}
+			pointErr = cmp.Or(pointErr, err)
 		}
 	}
 	if pass.pass != nil && lr.Observer != nil { // the pass tracked: an MRU mode
@@ -410,16 +444,19 @@ func checkPoints(p Program, regions []int, mc MachineConfig) error {
 // mruCapacity is mc's MRU tracking depth in lines: its largest total shared LLC.
 func mruCapacity(mc MachineConfig) int { return mc.L3.Lines() * mc.Sockets }
 
-// runPoint simulates one barrierpoint on a fresh machine with the given
-// warmup snapshot. This is the single code path every runner ends in (see
-// PrefixPass.Point), so in-process and farmed execution cannot diverge. Fresh
-// means in the state of sim.New, not newly allocated: the machine is a Reset
-// one from sim's free list (exact: see that package's comment) and returns
-// there once the result, which shares no memory with it, is in hand. Each
-// phase that runs is reported to obsrv as it ends; the first one includes
-// obtaining the machine. The pass that took the snapshot checked that the
-// regions before the point decode; the point's own region is checked here.
-func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) (RegionResult, error) {
+// runPoint simulates one run of barrierpoints, the n consecutive regions
+// from head (see Runs): head on a fresh machine warmed with the given
+// snapshot, then each later member in detail on the same machine right after
+// its predecessor, as the full simulation would. This is the single code path
+// every runner ends in (see PrefixPass.Run), so in-process and farmed
+// execution cannot diverge. Fresh means in the state of sim.New, not newly
+// allocated: the machine is a Reset one from sim's free list (exact: see that
+// package's comment) and returns there once the results, which share no
+// memory with it, are in hand. Each phase that runs is reported to obsrv as
+// it ends; the first one includes obtaining the machine. The pass that took
+// the snapshot checked that the regions before head decode; the run's own
+// regions are checked here.
+func runPoint(p Program, head, n int, mc MachineConfig, mode WarmupMode, snap warmup.Snapshot, obsrv StageObserver) ([]RegionResult, error) {
 	t := time.Now()
 	lap := func(stage string) {
 		if obsrv != nil {
@@ -435,49 +472,59 @@ func runPoint(p Program, region int, mc MachineConfig, mode WarmupMode, snap war
 		lap("warm-replay")
 	}
 	if mode == MRUPrevWarmup {
-		for q := max(region-prevWarmupWindow, 0); q < region; q++ {
+		for q := max(head-prevWarmupWindow, 0); q < head; q++ {
 			m.WarmRegion(p.Region(q))
 		}
 		lap("warm-prev")
 	}
-	r := trace.CheckedRegion{Region: p.Region(region)}
-	res := m.RunRegion(&r)
-	lap("point-detail")
-	return res, r.Err()
+	out := make([]RegionResult, n)
+	for i := range out {
+		r := trace.CheckedRegion{Region: p.Region(head + i)}
+		out[i] = m.RunRegion(&r)
+		lap("point-detail")
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// SimulatePoint runs the detailed simulation of a single selected region,
-// producing a RegionResult bit-identical to the one SimulatePoints would
-// compute for that region: the warmup snapshot captured at a region's
-// entry is a pure function of the trace prefix before it, so simulating
-// one point in isolation — on another machine, in another process —
-// yields exactly the local result. It is the first Point of a fresh
+// SimulatePoint runs the detailed simulation of a single region as a run
+// of its own, producing a RegionResult bit-identical to the one any runner
+// computes for that region as a run's head: the warmup snapshot captured at
+// a region's entry is a pure function of the trace prefix before it, so
+// simulating one point in isolation — on another machine, in another
+// process — yields exactly the local result. It is the first Run of a fresh
 // PrefixPass: one prefix pass from region 0 per call.
 func SimulatePoint(p Program, region int, mc MachineConfig, mode WarmupMode) (RegionResult, error) {
-	point, err := NewPrefixPass(mc).Point(p, region, mode, nil)
+	simulate, err := NewPrefixPass(mc).Run(p, region, 1, mode, nil)
 	if err != nil {
 		return RegionResult{}, err
 	}
-	return point()
+	res, err := simulate()
+	if err != nil {
+		return RegionResult{}, err
+	}
+	return res[0], nil
 }
 
 // PrefixPass is the one producer of point simulations: the MRU prefix pass
-// of one trace on one machine, handing out each point it reaches. A snapshot
-// is a pure function of the trace prefix, so whoever simulates points of one
+// of one trace on one machine, handing out each run it reaches. A snapshot
+// is a pure function of the trace prefix, so whoever simulates runs of one
 // trace in ascending order — LocalRunner within a call, a farm worker across
 // its tasks — continues the pass rather than repeating it, with bit-identical
 // results. A pass is not safe for concurrent use; when to keep it and when to
 // start over is the caller's policy (see farm.Executor).
 type PrefixPass struct {
 	mc   MachineConfig
-	pass *warmup.Pass // nil until the first MRU point
+	pass *warmup.Pass // nil until the first MRU run
 }
 
 // NewPrefixPass returns a pass at region 0 for points simulated on mc.
 func NewPrefixPass(mc MachineConfig) *PrefixPass { return &PrefixPass{mc: mc} }
 
-// Pos returns the first region the pass has not tracked; Point accepts
-// regions from Pos on.
+// Pos returns the first region the pass has not tracked; Run accepts heads
+// from Pos on.
 func (pp *PrefixPass) Pos() int {
 	if pp.pass == nil {
 		return 0
@@ -485,25 +532,28 @@ func (pp *PrefixPass) Pos() int {
 	return pp.pass.Pos()
 }
 
-// Point is one point simulation in two halves. Under an MRU mode the call
-// tracks regions [Pos, region) of p and snapshots — the advance only, not a
-// pass from region 0; the caller times it ("warmup-capture"). Under
-// ColdWarmup there is no snapshot and the pass is left where it was (its
-// trackers are built by the first MRU point). The function returned is the
-// rest: runPoint, reporting its phases to obsrv (the advance reports its
-// access-only reads as "trace-decode"). It touches neither the pass nor its
-// trackers, so a caller takes a batch's snapshots in ascending order and runs
-// the functions in parallel, each exactly once. A snapshot must be
-// unreachable once its point has replayed it, however long the function stays
-// queued or on a goroutine's stack: the function drops its own reference
-// before it calls runPoint, and runPoint has no use for the snapshot after
-// the replay — live snapshots are bounded by the points waiting, not by the
-// points taken. p must stay open until the function returns.
+// Run is the simulation of one run — the n >= 1 consecutive regions from
+// head — in two halves. Under an MRU mode the call tracks the regions from where
+// the pass stands up to head and snapshots — the advance only, not a pass
+// from region 0; the caller times it ("warmup-capture"). head must not be
+// behind an earlier call's head. Under ColdWarmup there is no snapshot and
+// the pass is left where it was (its trackers are built by the first MRU
+// run). The function returned is the rest: runPoint, returning the members'
+// results in region order and reporting its phases to obsrv (the advance
+// reports its access-only reads as "trace-decode"). It touches neither the
+// pass nor its trackers, so a caller takes a batch's snapshots in ascending
+// order and runs the functions in parallel, each exactly once. A snapshot
+// must be unreachable once its run has replayed it, however long the
+// function stays queued or on a goroutine's stack: the function drops its
+// own reference before it calls runPoint, and runPoint has no use for the
+// snapshot after the replay — live snapshots are bounded by the runs
+// waiting, not by the runs taken. p must stay open until the function
+// returns.
 //
 // A region that fails to decode is an error of the call if the pass tracked
 // it (the pass then starts over from region 0), else of the function.
-func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageObserver) (func() (RegionResult, error), error) {
-	if err := checkPoints(p, []int{region}, pp.mc); err != nil {
+func (pp *PrefixPass) Run(p Program, head, n int, mode WarmupMode, obsrv StageObserver) (func() ([]RegionResult, error), error) {
+	if err := checkPoints(p, []int{head, head + n - 1}, pp.mc); err != nil {
 		return nil, err
 	}
 	var snap warmup.Snapshot
@@ -517,7 +567,7 @@ func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageO
 		}
 		d0 := pp.pass.Decoded()
 		var err error
-		if snap, err = pp.pass.Snapshot(p, region, window); err != nil {
+		if snap, err = pp.pass.Snapshot(p, head, window); err != nil {
 			pp.pass = nil
 			return nil, err
 		}
@@ -526,17 +576,18 @@ func (pp *PrefixPass) Point(p Program, region int, mode WarmupMode, obsrv StageO
 		}
 	}
 	mc := pp.mc
-	return func() (RegionResult, error) {
+	return func() ([]RegionResult, error) {
 		s := snap
 		snap = nil
-		return runPoint(p, region, mc, mode, s, obsrv)
+		return runPoint(p, head, n, mc, mode, s, obsrv)
 	}, nil
 }
 
-// SimulatePoints runs the selected barrierpoints in detail, each on its own
-// fresh machine, in parallel across available CPUs. With MRUWarmup, one
-// functional pass over the program captures per-core MRU cache lines at
-// each barrierpoint entry; each machine replays its snapshot first.
+// SimulatePoints runs the selected barrierpoints in detail, each run of them
+// (see Runs) on its own fresh machine, in parallel across available CPUs.
+// With an MRU mode, one functional pass over the program captures per-core
+// MRU cache lines at each run's head; each machine replays its snapshot
+// first.
 func (a *Analysis) SimulatePoints(mc MachineConfig, mode WarmupMode) (map[int]RegionResult, error) {
 	return a.SimulatePointsWith(LocalRunner{}, mc, mode)
 }

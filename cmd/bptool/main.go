@@ -428,17 +428,20 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	fmt.Fprintf(stdout, "%s, %d threads: %d regions, %d barrierpoints (analysis in %v%s)\n\n",
-		prog.Name(), prog.Threads(), prog.Regions(), len(analysis.BarrierPoints()),
+		prog.Name(), prog.Threads(), prog.Regions(), len(analysis.Selection.Points),
 		time.Since(start).Round(time.Millisecond), note)
 
 	t := report.NewTable("Selected barrierpoints", "region", "multiplier", "weight")
-	for _, p := range analysis.BarrierPoints() {
+	regions := make([]int, 0, len(analysis.Selection.Points))
+	for _, p := range analysis.Selection.Points {
 		t.AddRow(fmt.Sprintf("%d", p.Region), fmt.Sprintf("%.2f", p.Multiplier), fmt.Sprintf("%.4f", p.Weight))
+		regions = append(regions, p.Region)
 	}
 	t.Render(stdout)
 
 	fmt.Fprintf(stdout, "\nserial speedup %.1fx, parallel speedup %.1fx, resource reduction %.1fx\n",
 		analysis.SerialSpeedup(), analysis.ParallelSpeedup(), analysis.ResourceReduction())
+	fmt.Fprintf(stdout, "%s warmup simulates %d points in %d runs\n", mode, len(regions), len(bp.Runs(regions, mode)))
 
 	start = time.Now()
 	// Every estimate goes through the adaptive controller: with no target it

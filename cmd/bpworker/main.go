@@ -1,8 +1,8 @@
 // Command bpworker is a farm worker: it registers with a bpserve server
 // and runs farm.Worker over the HTTP/JSON farm protocol (see internal/farm),
 // which pulls leased point-simulation tasks, fetches any trace it is
-// missing into its own content-addressed store, simulates each point, and
-// uploads the results. This file is the daemon around that loop: flags,
+// missing into its own content-addressed store, simulates each task's run
+// of points, and uploads the results. This file is the daemon around that loop: flags,
 // logging, fault injection and the metrics listener.
 // Workers are stateless and interchangeable — start as many as there are
 // machines, kill them at will; the server's lease queue requeues whatever

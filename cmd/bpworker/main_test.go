@@ -87,7 +87,7 @@ func TestWorkerProcessesTasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := res[region]
-		if got.Cycles != want.Cycles || got.Counters != want.Counters {
+		if got.Cycles != want[0].Cycles || got.Counters != want[0].Counters {
 			t.Fatalf("region %d: worker %+v != local %+v", region, got, want)
 		}
 	}

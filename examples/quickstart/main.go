@@ -23,8 +23,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d regions -> %d barrierpoints\n", prog.Regions(), len(analysis.BarrierPoints()))
-	for _, p := range analysis.BarrierPoints() {
+	fmt.Printf("%d regions -> %d barrierpoints\n", prog.Regions(), len(analysis.Selection.Points))
+	for _, p := range analysis.Selection.Points {
 		fmt.Printf("  region %2d  multiplier %6.2f  weight %.3f\n", p.Region, p.Multiplier, p.Weight)
 	}
 

@@ -23,7 +23,7 @@ func TestEPDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := a.BarrierPoints()
+	pts := a.Selection.Points
 	if len(pts) != 1 || pts[0].Multiplier != 1 || pts[0].Region != 0 {
 		t.Fatalf("ep selection = %+v", pts)
 	}

@@ -49,7 +49,7 @@ func TestPipelineAccuracyFT(t *testing.T) {
 
 	// The paper's ft finds exactly 9 barrierpoints; our schedule has 9
 	// distinct behaviours by construction.
-	if got := len(a.BarrierPoints()); got != 9 {
+	if got := len(a.Selection.Points); got != 9 {
 		t.Errorf("ft selected %d barrierpoints, want 9", got)
 	}
 }
@@ -98,8 +98,8 @@ func TestEveryRegionItsOwnPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.BarrierPoints()) != prog.Regions() {
-		t.Skipf("clustering merged some of is's regions (K=%d)", len(a.BarrierPoints()))
+	if len(a.Selection.Points) != prog.Regions() {
+		t.Skipf("clustering merged some of is's regions (K=%d)", len(a.Selection.Points))
 	}
 	est, err := a.EstimateFrom(a.PerfectWarmup(full))
 	if err != nil {
@@ -159,7 +159,7 @@ func TestCrossArchitectureTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both selections must cover the same phase structure.
-	if got, want := len(a32.BarrierPoints()), len(a8.BarrierPoints()); got != want {
+	if got, want := len(a32.Selection.Points), len(a8.Selection.Points); got != want {
 		t.Logf("note: 8-core selected %d, 32-core %d barrierpoints", want, got)
 	}
 	est, err := a32.EstimateFrom(a32.PerfectWarmup(full32))
@@ -211,7 +211,7 @@ func TestDeterministicPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a.BarrierPoints(), est.TimeNs
+		return a.Selection.Points, est.TimeNs
 	}
 	p1, t1 := run()
 	p2, t2 := run()

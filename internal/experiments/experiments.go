@@ -74,7 +74,7 @@ func (h *Harness) Fig3() ([]Fig3Data, *report.Table) {
 	perfect := a.PerfectWarmup(full)
 
 	isBP := make(map[int]bool)
-	for _, p := range a.BarrierPoints() {
+	for _, p := range a.Selection.Points {
 		isBP[p.Region] = true
 	}
 	out := make([]Fig3Data, len(full))

@@ -163,7 +163,7 @@ func BenchmarkFarmWorkerTasksOneTrace(b *testing.B) {
 	cfg := bp.DefaultConfig()
 	st, key, a, done := freshAnalysis(b, buf.Bytes(), &cfg)
 	done()
-	points := a.BarrierPoints()
+	points := a.Selection.Points
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,17 +1,21 @@
 // Package farm is the distributed work-distribution tier: it decomposes a
-// barrierpoint estimate into independent per-point simulation tasks,
-// places them on a lease-based in-memory queue served over HTTP by
-// cmd/bpserve, and assembles the per-region results as a fleet of
-// cmd/bpworker processes streams them back. The paper's core observation
+// barrierpoint estimate into independent simulation tasks, one per run of
+// points (bp.Runs), places them on a lease-based in-memory queue served
+// over HTTP by cmd/bpserve, and assembles the per-region results as a fleet
+// of cmd/bpworker processes streams them back. The paper's core observation
 // (conf_ispass_CarlsonHCE14 §III) is that barrierpoint simulations are
 // mutually independent — each starts from a fresh machine whose warmup
 // state is a pure function of the trace prefix — so simulation throughput
 // is horizontal: adding workers on other machines shortens the critical
-// path down to the single largest point (the paper's "parallel speedup").
+// path down to the single largest run (the paper's "parallel speedup",
+// when every point is a run of its own). Under mru+prev consecutive points
+// form one run: its head starts as an independent point would, and each
+// later member continues on the head's machine, so a run is one task.
 //
 // # Task lifecycle
 //
-// A task is one (trace, region, machine, warmup) simulation. Its life:
+// A task is one (trace, head region, run length, machine, warmup)
+// simulation; under cold and mru every run is one point. Its life:
 //
 //		          Enqueue                Lease                Complete
 //		  spec ────────────▶ queued ────────────▶ leased ────────────▶ done
@@ -22,11 +26,12 @@
 //		                                             (attempts == max)
 //
 //	  - Enqueue deduplicates twice: against the content-addressed store
-//	    (the task's result artifact — named by trace key, machine-config
-//	    hash and warmup mode, see PointArtifact — may already exist from an
-//	    earlier farm run, a local cached run, or another job), and against
-//	    live tasks (an identical task already queued or leased is shared,
-//	    both waiters get the same Ticket).
+//	    (the result artifacts of every region of the run — named by trace
+//	    key, region, machine-config hash, warmup mode and, for a member
+//	    after the head, the head; see PointArtifact — may already exist
+//	    from an earlier farm run, a local cached run, or another job), and
+//	    against live tasks (an identical task already queued or leased is
+//	    shared, both waiters get the same Ticket).
 //	  - Lease hands a worker up to max tasks, each with a lease that
 //	    expires LeaseTTL from now. A worker holding leases must call
 //	    Heartbeat before they expire; each heartbeat renews the full TTL.
@@ -35,30 +40,32 @@
 //	    that leases. After MaxAttempts leases end in failure or expiry the
 //	    task fails permanently, and every waiter sees the accumulated
 //	    per-attempt failure log.
-//	  - Complete uploads the simulated RegionResult. Uploads are
-//	    idempotent and unconditionally accepted, even from a worker whose
-//	    lease has expired and whose task was already reassigned or
-//	    completed by someone else: point simulation is deterministic, so a
-//	    late duplicate result is byte-identical to the accepted one and is
-//	    simply acknowledged. The first upload stores the result as a store
-//	    artifact (so future runs dedup against it) and wakes the waiters.
+//	  - Complete uploads the run's RegionResults, one per member. Uploads
+//	    are idempotent and unconditionally accepted, even from a worker
+//	    whose lease has expired and whose task was already reassigned or
+//	    completed by someone else: simulation is deterministic, so a late
+//	    duplicate result is byte-identical to the accepted one and is
+//	    simply acknowledged. The first upload stores every member's result
+//	    as a store artifact (so future runs dedup against it) and wakes the
+//	    waiters.
 //
 // # Determinism
 //
 // Every execution path — LocalRunner's in-process pool, CachedRunner's
-// store-backed reuse, QueueRunner's farm distribution — takes its points
-// from the one producer of point simulations, bp.PrefixPass, which warms a
-// fresh machine from a snapshot that depends only on the trace bytes before
-// the region. A farmed estimate is
-// therefore bit-identical to the local one, regardless of worker count,
-// task interleaving, retries, or mid-run worker loss.
+// store-backed reuse, QueueRunner's farm distribution — groups its points
+// into the same runs (bp.Runs) and takes each run from the one producer of
+// point simulations, bp.PrefixPass, which warms a fresh machine for the
+// run's head from a snapshot that depends only on the trace bytes before
+// the head. A farmed estimate is therefore bit-identical to the local one,
+// regardless of worker count, task interleaving, retries, or mid-run worker
+// loss.
 //
 // For the same reason a worker does not rebuild the snapshot from region 0
 // per task: its Executor, the compute path under Worker, keeps the MRU
 // prefix pass of its last warm task, advances it
 // for a task of the same trace at or ahead of it and replaces it otherwise
 // (the full rule and its memory cost are on Executor), so a worker that
-// leases many points of one trace decodes and tracks each warmup-prefix
+// leases many runs of one trace decodes and tracks each warmup-prefix
 // region once. The coordinator and the protocol know nothing of it.
 //
 // # Worker
@@ -74,8 +81,8 @@
 // FetchTrace has nothing to move. A batch is what one Lease returned, up to Concurrency
 // tasks: its serial half — fetch, then Executor.Warm — runs task by task in
 // PassOrder, so a batch of one trace is one advance of the held prefix
-// pass; each task's parallel half — snapshot replay, detailed simulation,
-// upload — starts as soon as its own snapshot is taken. Every lease of the
+// pass; each task's parallel half — snapshot replay, detailed simulation of
+// the run, upload — starts as soon as its own snapshot is taken. Every lease of the
 // batch is renewed at a third of the TTL until its task settles, a signal
 // included; only outcomes the coordinator received count as settled.
 //
@@ -88,6 +95,10 @@
 //	                      result | error}      → {status}
 //	GET  /farm/workers                         → {workers}
 //	GET  /farm/trace/{key}                     → raw .bptrace bytes
+//
+// A leased task carries its run as its head "region" and, for a run longer
+// than one, "len"; its "result" is the run's RegionResults in region order:
+// one object for a run of one, an array for a longer run.
 //
 // Workers are stateless: they hold no queue state, fetch any trace they
 // are missing from /farm/trace/{key} into their own content-addressed
@@ -116,9 +127,10 @@
 // task holds per life, not across lives.
 //
 // Nothing else is tied to a coordinator life, so a restart voids nothing a
-// worker holds. A task is named by its point — trace key and PointArtifact —
-// so every life gives a point the same task ID, and a result uploaded after
-// the restart for a point the recovered job enqueued again completes it.
+// worker holds. A task is named by its run — trace key, the head's
+// PointArtifact and the run's length — so every life gives a run the same
+// task ID, and a result uploaded after the restart for a run the recovered
+// job enqueued again completes it.
 // A worker keeps the random id it registered with: the restarted queue
 // adds it to the fleet on its first call, as it does any id it does not
 // know, and takes its name from its first lease. A worker only learns the lease TTL when it registers, so a

@@ -36,14 +36,14 @@ func putTrace(t testing.TB, st *store.Store, name string, threads int) string {
 }
 
 // freshPoints answers "what does bp.SimulatePoint say": each distinct task
-// is simulated once, on a trace file opened for it and closed after, with
-// its own prefix pass from region 0.
+// of one point is simulated once, on a trace file opened for it and closed
+// after, with its own prefix pass from region 0.
 type freshPoints struct {
 	st   *store.Store
-	seen map[farm.Task]bp.RegionResult
+	seen map[farm.Task][]bp.RegionResult
 }
 
-func (fp *freshPoints) want(t *testing.T, tk farm.Task) bp.RegionResult {
+func (fp *freshPoints) want(t *testing.T, tk farm.Task) []bp.RegionResult {
 	t.Helper()
 	if res, ok := fp.seen[tk]; ok {
 		return res
@@ -62,10 +62,10 @@ func (fp *freshPoints) want(t *testing.T, tk farm.Task) bp.RegionResult {
 		t.Fatal(err)
 	}
 	if fp.seen == nil {
-		fp.seen = make(map[farm.Task]bp.RegionResult)
+		fp.seen = make(map[farm.Task][]bp.RegionResult)
 	}
-	fp.seen[tk] = res
-	return res
+	fp.seen[tk] = []bp.RegionResult{res}
+	return fp.seen[tk]
 }
 
 // TestExecutorPassRule walks one Executor through every branch of the pass
@@ -251,7 +251,7 @@ func TestExecutorShuffledBatchIsOnePass(t *testing.T) {
 
 	exec := farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
 	slices.SortFunc(batch, farm.PassOrder)
-	results := make([]bp.RegionResult, len(batch))
+	results := make([][]bp.RegionResult, len(batch))
 	sem := make(chan struct{}, 4) // the worker's -concurrency
 	var wg sync.WaitGroup
 	for i, tk := range batch {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func spec(key string) farm.Spec {
 }
 
 // waitTicket fails the test if the ticket does not resolve in time.
-func waitTicket(t *testing.T, tk *farm.Ticket) (bp.RegionResult, error) {
+func waitTicket(t *testing.T, tk *farm.Ticket) ([]bp.RegionResult, error) {
 	t.Helper()
 	select {
 	case <-tk.Done():
@@ -49,7 +50,7 @@ func completeJSON(t *testing.T, st *store.Store, tk farm.Task) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(res)
+	b, err := json.Marshal(res[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestEnqueueDedupAndStoreReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Cycles == 0 || res1.Counters.Instrs == 0 {
+	if res1[0].Cycles == 0 || res1[0].Counters.Instrs == 0 {
 		t.Fatalf("implausible result: %+v", res1)
 	}
 
@@ -112,7 +113,7 @@ func TestEnqueueDedupAndStoreReuse(t *testing.T) {
 	if !bytes.Equal(b1, b3) {
 		t.Fatalf("cached result differs: %s vs %s", b3, b1)
 	}
-	if !st.HasArtifact(key, farm.PointArtifact(1, bp.TableIMachine(1), "cold")) {
+	if !st.HasArtifact(key, farm.PointArtifact(1, 1, bp.TableIMachine(1), "cold")) {
 		t.Fatal("point artifact missing from store")
 	}
 }
@@ -445,6 +446,75 @@ func TestRunLocalWorkerEndToEnd(t *testing.T) {
 		lb, _ := json.Marshal(lres)
 		if !bytes.Equal(fb, lb) {
 			t.Fatalf("region %d: farmed %s != local %s", r, fb, lb)
+		}
+	}
+}
+
+// TestRunsIdenticalAcrossRunners: an mru+prev point set of three runs
+// (bp.Runs: [1 2 3], [6] and [8 9]) gives byte-identical results from
+// LocalRunner, from CachedRunner over a cold store, from CachedRunner after
+// one member's artifact is deleted (it re-simulates that run from its head
+// and stores only the missing member), and from QueueRunner on two
+// in-process workers, which farms one task per run. Member 9's result is
+// not the one it gets simulated alone.
+func TestRunsIdenticalAcrossRunners(t *testing.T) {
+	st, key := newTestStore(t)
+	f, err := st.OpenTrace(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mc, mode := bp.TableIMachine(1), bp.MRUPrevWarmup
+	regions := []int{9, 1, 2, 3, 6, 8}
+	local, err := bp.LocalRunner{}.RunPoints(f, regions, mc, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone, err := bp.SimulatePoint(f, 9, mc, mode); err != nil || reflect.DeepEqual(alone, local[9]) {
+		t.Fatalf("member 9 simulated alone: %v; the same as in its run, so the test shows nothing", err)
+	}
+	want, _ := json.Marshal(local)
+	check := func(name string, got map[int]bp.RegionResult, err error) {
+		t.Helper()
+		if b, _ := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("%s: %s, %v; LocalRunner: %s", name, b, err, want)
+		}
+	}
+
+	cold := &farm.CachedRunner{St: st, TraceKey: key, Inner: bp.LocalRunner{}}
+	got, err := cold.RunPoints(f, regions, mc, mode)
+	check("CachedRunner, cold store", got, err)
+	member := farm.PointArtifact(1, 2, mc, mode.String())
+	if cold.Misses != 6 || !st.HasArtifact(key, member) {
+		t.Errorf("cold store: %d misses, member artifact stored %v; want 6 and true", cold.Misses, st.HasArtifact(key, member))
+	}
+	if err := st.RemoveArtifact(key, member); err != nil {
+		t.Fatal(err)
+	}
+	partial := &farm.CachedRunner{St: st, TraceKey: key, Inner: bp.LocalRunner{}}
+	got, err = partial.RunPoints(f, regions, mc, mode)
+	check("CachedRunner, one member deleted", got, err)
+	if partial.Hits != 5 || partial.Misses != 1 || !st.HasArtifact(key, member) {
+		t.Errorf("one member deleted: %d hits, %d misses; want 5 and 1, and the member stored again", partial.Hits, partial.Misses)
+	}
+
+	fst, fkey := newTestStore(t) // a fresh store: nothing resolves from it
+	q := farm.NewQueue(fst, farm.Config{})
+	defer q.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		go farm.RunLocalWorker(ctx, q, fst, "runs")
+	}
+	got, err = farm.QueueRunner{Q: q, TraceKey: fkey}.RunPoints(f, regions, mc, mode)
+	check("QueueRunner, two workers", got, err)
+	if s := q.Stats(); s.Enqueued != 3 || s.Completed != 3 {
+		t.Errorf("queue stats %+v, want 3 tasks (one per run) enqueued and completed", s)
+	}
+	for _, r := range []int{2, 3, 9} {
+		head := map[int]int{2: 1, 3: 1, 9: 8}[r]
+		if !fst.HasArtifact(fkey, farm.PointArtifact(head, r, mc, mode.String())) {
+			t.Errorf("the farm stored no result for member %d of the run from %d", r, head)
 		}
 	}
 }

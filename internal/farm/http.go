@@ -17,7 +17,7 @@ import (
 )
 
 // DefaultMaxBody caps farm request bodies (result uploads are the big
-// ones: a RegionResult per simulated barrierpoint).
+// ones: a RegionResult per simulated barrierpoint of a run).
 const DefaultMaxBody = 64 << 20
 
 // Server exposes a Queue over the HTTP/JSON protocol described in the
@@ -431,9 +431,9 @@ func (c *Client) Heartbeat(ids []string) (dropped []string, err error) {
 	return resp.Dropped, nil
 }
 
-// Complete uploads a task's simulation result.
-func (c *Client) Complete(t Task, res bp.RegionResult) error {
-	b, err := json.Marshal(res)
+// Complete uploads the simulation results of a task's run.
+func (c *Client) Complete(t Task, res []bp.RegionResult) error {
+	b, err := encodeResults(res)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -84,7 +85,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycles != want.Cycles || got.Counters != want.Counters {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("HTTP result %+v != local %+v", got, want)
 	}
 

@@ -29,12 +29,14 @@ var (
 	ErrBadResult = errors.New("farm: bad result payload")
 )
 
-// Spec describes one point-simulation task to enqueue: simulate region
-// Region of the stored trace TraceKey on the Table I machine with Sockets
-// sockets under the Warmup mode (a bp.ParseWarmup label).
+// Spec describes one simulation task to enqueue: simulate the run of Len
+// consecutive regions from region Region (see bp.Runs; a Len of 0 or 1 is
+// one point) of the stored trace TraceKey on the Table I machine with
+// Sockets sockets under the Warmup mode (a bp.ParseWarmup label).
 type Spec struct {
 	TraceKey string
 	Region   int
+	Len      int
 	Sockets  int
 	Warmup   string
 	// TraceID is the telemetry trace ID of the job enqueueing this task
@@ -47,11 +49,14 @@ type Spec struct {
 
 // Task is the wire form of a leased task handed to a worker.
 type Task struct {
-	// ID names the point: its trace key, "|" and its point artifact (see
-	// PointArtifact), the same in every queue life over one store.
+	// ID names the run by its head's point: its trace key, "|" and the
+	// head's point artifact (see PointArtifact), then "|" and the run's
+	// length if it is longer than one; the same in every queue life over
+	// one store.
 	ID       string `json:"id"`
 	TraceKey string `json:"trace"`
-	Region   int    `json:"region"`
+	Region   int    `json:"region"`        // the run's head
+	Len      int    `json:"len,omitempty"` // the run's regions; 0 is 1
 	Sockets  int    `json:"sockets"`
 	Warmup   string `json:"warmup"`
 	// Attempt is 1 for the first lease, incremented per retry.
@@ -64,32 +69,32 @@ type Task struct {
 // task is the queue's internal task state.
 type task struct {
 	Task
-	artifact string // the store artifact the result is filed under
-	leased   bool
-	worker   string
-	expires  time.Time
-	created  time.Time // enqueue time, for task-latency telemetry
-	failures []string
-	ticket   *Ticket
+	artifacts []string // the store artifacts the run's results are filed under
+	leased    bool
+	worker    string
+	expires   time.Time
+	created   time.Time // enqueue time, for task-latency telemetry
+	failures  []string
+	ticket    *Ticket
 }
 
 // Ticket is a handle on an enqueued task's eventual result. Tasks
 // deduplicated onto the same underlying work share one ticket.
 type Ticket struct {
-	// Region is the task's region index, for assembling result maps.
+	// Region is the task's head region index, for assembling result maps.
 	Region int
 
 	done chan struct{}
-	res  bp.RegionResult
+	res  []bp.RegionResult
 	err  error
 }
 
 // Done is closed when the result (or a permanent failure) is available.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
-// Result returns the simulated region result; it must only be called
-// after Done is closed.
-func (t *Ticket) Result() (bp.RegionResult, error) { return t.res, t.err }
+// Result returns the simulated results of the task's run, in region order
+// from Region; it must only be called after Done is closed.
+func (t *Ticket) Result() ([]bp.RegionResult, error) { return t.res, t.err }
 
 // WorkerInfo is a point-in-time view of one registered worker.
 type WorkerInfo struct {
@@ -279,7 +284,7 @@ func (q *Queue) endAttemptLocked(t *task, msg string) {
 	t.leased = false
 	t.worker = ""
 	if permanent {
-		q.finishLocked(t, bp.RegionResult{}, fmt.Errorf(
+		q.finishLocked(t, nil, fmt.Errorf(
 			"farm: task %s (trace %.12s region %d) failed after %d attempts: %s",
 			t.ID, t.TraceKey, t.Region, t.Attempt, strings.Join(t.failures, "; ")))
 		q.stats.Failed++
@@ -291,7 +296,7 @@ func (q *Queue) endAttemptLocked(t *task, msg string) {
 
 // finishLocked resolves a live task's ticket and forgets the task;
 // q.mu must be held.
-func (q *Queue) finishLocked(t *task, res bp.RegionResult, err error) {
+func (q *Queue) finishLocked(t *task, res []bp.RegionResult, err error) {
 	delete(q.tasks, t.ID)
 	// The task may still sit in pending (failed via Fail while queued, or
 	// closed); lazily skipped on lease because q.tasks no longer holds it.
@@ -301,22 +306,35 @@ func (q *Queue) finishLocked(t *task, res bp.RegionResult, err error) {
 }
 
 // Enqueue places a task on the queue, deduplicating against the store
-// (a cached point result resolves the ticket immediately) and against
-// identical live tasks (the existing ticket is shared). The task's ID is
-// its point's name, so every queue life over the store gives a Spec the
-// same one.
+// (cached results for every region of the run resolve the ticket
+// immediately) and against identical live tasks (the existing ticket is
+// shared). The task's ID is its run's name, so every queue life over the
+// store gives a Spec the same one.
 func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 	mc := bp.TableIMachine(sp.Sockets)
 	if _, err := bp.ParseWarmup(sp.Warmup); err != nil {
 		return nil, err
 	}
-	artifact := PointArtifact(sp.Region, mc, sp.Warmup)
-	id := sp.TraceKey + "|" + artifact
+	sp.Len = max(sp.Len, 1)
+	artifacts := make([]string, sp.Len)
+	for i := range artifacts {
+		artifacts[i] = PointArtifact(sp.Region, sp.Region+i, mc, sp.Warmup)
+	}
+	id := sp.TraceKey + "|" + artifacts[0]
+	if sp.Len > 1 {
+		id += fmt.Sprintf("|%d", sp.Len)
+	}
 
 	// Store dedup outside the lock: reads are cheap and idempotent.
-	if res, ok, err := loadPoint(q.st, sp.TraceKey, artifact); err != nil {
-		return nil, err
-	} else if ok {
+	res := make([]bp.RegionResult, sp.Len)
+	ok := true
+	for i := 0; ok && i < sp.Len; i++ {
+		var err error
+		if res[i], ok, err = loadPoint(q.st, sp.TraceKey, artifacts[i]); err != nil {
+			return nil, err
+		}
+	}
+	if ok {
 		q.mu.Lock()
 		q.stats.DedupStore++
 		q.mu.Unlock()
@@ -343,9 +361,12 @@ func (q *Queue) Enqueue(sp Spec) (*Ticket, error) {
 			Warmup:   sp.Warmup,
 			TraceID:  sp.TraceID,
 		},
-		artifact: artifact,
-		created:  time.Now(),
-		ticket:   &Ticket{Region: sp.Region, done: make(chan struct{})},
+		artifacts: artifacts,
+		created:   time.Now(),
+		ticket:    &Ticket{Region: sp.Region, done: make(chan struct{})},
+	}
+	if sp.Len > 1 {
+		t.Len = sp.Len
 	}
 	q.tasks[id] = t
 	q.pending = append(q.pending, t)
@@ -433,15 +454,15 @@ func (q *Queue) Heartbeat(workerID string, ids []string) (dropped []string) {
 	return dropped
 }
 
-// Complete uploads a task's result. Uploads are idempotent and accepted
-// from any worker — simulation is deterministic, so a late result from an
-// expired lease, or from a lease of a previous queue life, is identical to
-// the one that will be (or was) accepted.
-// The result is stored as a point artifact before waiters wake, so future
-// runs dedup against it.
+// Complete uploads a task's result: its run's results as encodeResults
+// writes them. Uploads are idempotent and accepted from any worker —
+// simulation is deterministic, so a late result from an expired lease, or
+// from a lease of a previous queue life, is identical to the one that will
+// be (or was) accepted. Every member's result is stored as a point artifact
+// before waiters wake, so future runs dedup against it.
 func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
-	var res bp.RegionResult
-	if err := json.Unmarshal(resultJSON, &res); err != nil {
+	res, err := decodeResults(resultJSON)
+	if err != nil {
 		return fmt.Errorf("task %s: %w: %v", id, ErrBadResult, err)
 	}
 	q.mu.Lock()
@@ -454,9 +475,18 @@ func (q *Queue) Complete(workerID, id string, resultJSON []byte) error {
 		// distinguishing them would require unbounded task history.
 		return nil
 	}
+	if len(res) != len(t.artifacts) {
+		return fmt.Errorf("task %s: %w: %d results for a run of %d", id, ErrBadResult, len(res), len(t.artifacts))
+	}
 	// Store before resolving so a waiter that re-enqueues immediately
-	// sees the artifact.
-	if err := q.st.PutArtifact(t.TraceKey, t.artifact, resultJSON); err != nil {
+	// sees the artifacts.
+	batch := make(map[string][]byte, len(res))
+	for i, r := range res {
+		if batch[t.artifacts[i]], err = json.Marshal(r); err != nil {
+			return err
+		}
+	}
+	if err := q.st.PutArtifacts(t.TraceKey, batch); err != nil {
 		return err
 	}
 	q.mu.Lock()
@@ -571,7 +601,7 @@ func (q *Queue) Close() {
 			t.leased = false
 			t.worker = ""
 		}
-		q.finishLocked(t, bp.RegionResult{}, ErrClosed)
+		q.finishLocked(t, nil, ErrClosed)
 	}
 	q.pending = nil
 	close(q.stopSweep)
@@ -593,7 +623,9 @@ func WaitAll(ctx context.Context, tickets []*Ticket) (map[int]bp.RegionResult, e
 		if err != nil {
 			return nil, err
 		}
-		out[tk.Region] = res
+		for i, r := range res {
+			out[tk.Region+i] = r
+		}
 	}
 	return out, nil
 }

@@ -155,7 +155,7 @@ func TestLateUploadAfterRestartCompletesItsPoint(t *testing.T) {
 	if err := q2.Complete("w1", tasks[0].ID, payload); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := st.GetArtifact(fakeTraceKey, PointArtifact(0, bp.TableIMachine(1), "cold"))
+	stored, err := st.GetArtifact(fakeTraceKey, PointArtifact(0, 0, bp.TableIMachine(1), "cold"))
 	if err != nil || !bytes.Equal(stored, payload) {
 		t.Errorf("stored result %s (%v), want the uploaded %s", stored, err, payload)
 	}
@@ -164,7 +164,7 @@ func TestLateUploadAfterRestartCompletesItsPoint(t *testing.T) {
 	default:
 		t.Fatal("the late upload did not resolve the re-enqueued point")
 	}
-	if res, err := tk.Result(); err != nil || res.Cycles != 12345 {
+	if res, err := tk.Result(); err != nil || len(res) != 1 || res[0].Cycles != 12345 {
 		t.Errorf("ticket = %+v, %v; want the uploaded result", res, err)
 	}
 	if s := q2.Stats(); s.Completed != 1 || s.Pending != 0 || s.Leased != 0 {
@@ -197,7 +197,7 @@ func TestLateUploadAfterRestartCompletesNothing(t *testing.T) {
 		if err := q2.Complete("w1", tasks[0].ID, resultJSON(t)); err != nil {
 			t.Fatal(err)
 		}
-		if st.HasArtifact(fakeTraceKey, PointArtifact(1, bp.TableIMachine(1), "cold")) {
+		if st.HasArtifact(fakeTraceKey, PointArtifact(1, 1, bp.TableIMachine(1), "cold")) {
 			t.Error("late upload under a previous life's task ID was stored as region 1's result")
 		}
 		if s := q2.Stats(); s.Pending != 1 || s.Completed != 0 {

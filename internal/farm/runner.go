@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -16,13 +17,19 @@ import (
 	"barrierpoint/internal/tracefile"
 )
 
-// PointArtifact names the cached per-point simulation result for a region
-// under a machine config and warmup mode. The name hashes everything the
-// result depends on (store.HashJSON, the store-wide convention), so a
-// farm run, a later bptool -cache run and a service job over the same
-// store all share the same work.
-func PointArtifact(region int, mc bp.MachineConfig, warmup string) string {
-	return fmt.Sprintf("point-%06d-%s-%s.json", region, store.HashJSON(mc), store.SanitizeLabel(warmup))
+// PointArtifact names the cached simulation result of region, a member of
+// the run headed by head (see bp.Runs), under a machine config and warmup
+// mode. The name hashes everything the result depends on (store.HashJSON,
+// the store-wide convention), so a farm run, a later bptool -cache run and a
+// service job over the same store all share the same work. A head is an
+// independent point and keeps the name points had before runs; a later
+// member's name also carries its head, on which its result depends.
+func PointArtifact(head, region int, mc bp.MachineConfig, warmup string) string {
+	name := fmt.Sprintf("point-%06d-%s-%s", region, store.HashJSON(mc), store.SanitizeLabel(warmup))
+	if region != head {
+		name += fmt.Sprintf("-run%06d", head)
+	}
+	return name + ".json"
 }
 
 // loadPoint reads a cached point result. ok is false when the artifact is
@@ -39,14 +46,37 @@ func loadPoint(st *store.Store, traceKey, artifact string) (res bp.RegionResult,
 	return res, ok, nil
 }
 
+// encodeResults is a task's result on the wire: its run's RegionResults in
+// region order, one object for a run of one — a point's wire form — and an
+// array for a longer run.
+func encodeResults(res []bp.RegionResult) ([]byte, error) {
+	if len(res) == 1 {
+		return json.Marshal(res[0])
+	}
+	return json.Marshal(res)
+}
+
+// decodeResults parses what encodeResults wrote.
+func decodeResults(b []byte) ([]bp.RegionResult, error) {
+	if b = bytes.TrimSpace(b); len(b) > 0 && b[0] == '[' {
+		var run []bp.RegionResult
+		return run, json.Unmarshal(b, &run)
+	}
+	var one bp.RegionResult
+	err := json.Unmarshal(b, &one)
+	return []bp.RegionResult{one}, err
+}
+
 // Executor performs leased tasks against a local store: open the trace,
-// simulate the single point, return the result. This is the one compute
-// path shared by in-process workers and cmd/bpworker, and it ends in the
-// runPoint that LocalRunner and bp.SimulatePoint end in, so farmed results
-// are bit-identical to local ones. The Executor keeps the MRU prefix pass of
-// its last warm task: a worker that leases many points of one trace — the
-// common batch shape — decodes and tracks each warmup-prefix region once
-// instead of once per point. The pass rule: a task of the same trace content
+// simulate the task's run — its head warmed as an independent point, each
+// later member continuing on the head's machine — and return the members'
+// results. This is the one compute path shared by in-process workers and
+// cmd/bpworker, and it ends in the runPoint that LocalRunner and
+// bp.SimulatePoint end in, so farmed results are bit-identical to local
+// ones. The Executor keeps the MRU prefix pass of its last warm task: a
+// worker that leases many runs of one trace — the common batch shape —
+// decodes and tracks each warmup-prefix region once instead of once per
+// run. The pass rule: a task of the same trace content
 // and socket count (which fixes a Table I machine's thread count and
 // tracking depth) at or ahead of the held pass advances it; anything else —
 // first use, an earlier region, another trace or machine — replaces it with
@@ -101,14 +131,14 @@ func PassOrder(a, b Task) int {
 }
 
 // Warm is the serial half of a task: open the trace and, unless the task is
-// cold, take its warm-up snapshot from the held pass. The function returned
-// is the parallel half — snapshot replay and detailed simulation — and must
-// be called exactly once (it closes the trace); a batch calls Warm in
-// PassOrder and runs the returned functions concurrently. span (may be nil)
-// gets the point's phases as concurrent stages and, for a warm task, the
-// advance as "warmup-capture" with prefix_from/prefix_to, the regions
-// [from, to) it made the pass track.
-func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error), error) {
+// cold, take its head's warm-up snapshot from the held pass. The function
+// returned is the parallel half — snapshot replay and detailed simulation of
+// the run — and must be called exactly once (it closes the trace); a batch
+// calls Warm in PassOrder and runs the returned functions concurrently. span
+// (may be nil) gets the run's phases as concurrent stages and, for a warm
+// task, the advance as "warmup-capture" with prefix_from/prefix_to, the
+// regions [from, to) it made the pass track.
+func (e *Executor) Warm(t Task, span *obs.Span) (func() ([]bp.RegionResult, error), error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
 		return nil, err
@@ -133,7 +163,7 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 		prog = rc.Program(f, t.TraceKey)
 	}
 	from, t0 := pass.Pos(), time.Now()
-	point, err := pass.Point(prog, t.Region, mode, span.ObserveConcurrent)
+	run, err := pass.Run(prog, t.Region, max(t.Len, 1), mode, span.ObserveConcurrent)
 	if err != nil { // the pass is where it was, or at region 0 after a decode error
 		f.Close()
 		return nil, err
@@ -150,24 +180,25 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() (bp.RegionResult, error)
 		span.SetAttr("prefix_from", strconv.Itoa(from))
 		span.SetAttr("prefix_to", strconv.Itoa(t.Region))
 	}
-	return func() (bp.RegionResult, error) {
+	return func() ([]bp.RegionResult, error) {
 		defer f.Close()
-		return point()
+		return run()
 	}, nil
 }
 
 // Execute performs one task start to finish.
-func (e *Executor) Execute(t Task, span *obs.Span) (bp.RegionResult, error) {
+func (e *Executor) Execute(t Task, span *obs.Span) ([]bp.RegionResult, error) {
 	run, err := e.Warm(t, span)
 	if err != nil {
-		return bp.RegionResult{}, err
+		return nil, err
 	}
 	return run()
 }
 
-// QueueRunner is a bp.PointRunner that farms each point out as a queue
-// task and assembles the results as workers stream them back. Only Table
-// I machines are supported: tasks describe their machine by socket count.
+// QueueRunner is a bp.PointRunner that farms each run of points (see
+// bp.Runs) out as a queue task and assembles the results as workers stream
+// them back. Only Table I machines are supported: tasks describe their
+// machine by socket count.
 type QueueRunner struct {
 	Q        *Queue
 	TraceKey string
@@ -176,10 +207,10 @@ type QueueRunner struct {
 	TraceID string
 }
 
-// RunPoints implements bp.PointRunner by enqueueing one task per distinct
-// region and waiting for the fleet (or the store cache) to resolve all of
-// them. The passed program is not simulated locally — workers replay
-// their own copy of the trace — so p is only used for validation.
+// RunPoints implements bp.PointRunner by enqueueing one task per run and
+// waiting for the fleet (or the store cache) to resolve all of them. The
+// passed program is not simulated locally — workers replay their own copy
+// of the trace — so p is only used for validation.
 func (r QueueRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfig, mode bp.WarmupMode) (map[int]bp.RegionResult, error) {
 	if store.HashJSON(bp.TableIMachine(mc.Sockets)) != store.HashJSON(mc) {
 		return nil, fmt.Errorf("farm: only Table I machines can be farmed (got a custom %d-socket config)", mc.Sockets)
@@ -187,16 +218,13 @@ func (r QueueRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfig,
 	if p.Threads() != mc.Cores() {
 		return nil, fmt.Errorf("farm: program has %d threads but machine has %d cores", p.Threads(), mc.Cores())
 	}
-	seen := make(map[int]bool, len(regions))
-	tickets := make([]*Ticket, 0, len(regions))
-	for _, region := range regions {
-		if seen[region] {
-			continue
-		}
-		seen[region] = true
+	runs := bp.Runs(regions, mode)
+	tickets := make([]*Ticket, 0, len(runs))
+	for _, run := range runs {
 		tk, err := r.Q.Enqueue(Spec{
 			TraceKey: r.TraceKey,
-			Region:   region,
+			Region:   run[0],
+			Len:      len(run),
 			Sockets:  mc.Sockets,
 			Warmup:   mode.String(),
 			TraceID:  r.TraceID,
@@ -211,9 +239,11 @@ func (r QueueRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfig,
 
 // CachedRunner is a bp.PointRunner that serves points from the
 // content-addressed store when their artifacts exist and delegates the
-// misses to Inner, caching what it computes as one batch. It is how local
-// execution (bptool -cache, bpserve local jobs) shares per-point work with
-// the farm.
+// misses to Inner, caching what it computes as one batch. A member of a run
+// (see bp.Runs) is named by its head too, and a missing one is re-simulated
+// from its head: Inner gets each run up to its last missing member, which
+// it groups into the same runs. It is how local execution (bptool -cache,
+// bpserve local jobs) shares per-point work with the farm.
 type CachedRunner struct {
 	St       *store.Store
 	TraceKey string
@@ -227,36 +257,39 @@ type CachedRunner struct {
 // RunPoints implements bp.PointRunner with read-through caching per point.
 func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfig, mode bp.WarmupMode) (map[int]bp.RegionResult, error) {
 	out := make(map[int]bp.RegionResult, len(regions))
-	var missing []int
-	seen := make(map[int]bool, len(regions))
-	for _, region := range regions {
-		if seen[region] {
-			continue
+	var redo []int                  // each run with a miss, up to its last one
+	missing := make(map[int]string) // artifact names of the regions no artifact holds
+	for _, run := range bp.Runs(regions, mode) {
+		last := -1
+		for i, region := range run {
+			name := PointArtifact(run[0], region, mc, mode.String())
+			if res, ok, err := loadPoint(r.St, r.TraceKey, name); err != nil {
+				return nil, err
+			} else if ok {
+				out[region] = res
+				r.Hits++
+				continue
+			}
+			missing[region], last = name, i
+			r.Misses++
 		}
-		seen[region] = true
-		if res, ok, err := loadPoint(r.St, r.TraceKey, PointArtifact(region, mc, mode.String())); err != nil {
-			return nil, err
-		} else if ok {
-			out[region] = res
-			r.Hits++
-			continue
-		}
-		missing = append(missing, region)
-		r.Misses++
+		redo = append(redo, run[:last+1]...)
 	}
-	if len(missing) == 0 {
+	if len(redo) == 0 {
 		return out, nil
 	}
-	computed, err := r.Inner.RunPoints(p, missing, mc, mode)
+	computed, err := r.Inner.RunPoints(p, redo, mc, mode)
 	if err != nil {
 		return nil, err
 	}
-	batch := make(map[string][]byte, len(computed))
+	batch := make(map[string][]byte, len(missing))
 	for region, res := range computed {
-		if batch[PointArtifact(region, mc, mode.String())], err = json.MarshalIndent(res, "", "  "); err != nil {
-			return nil, err
-		}
 		out[region] = res
+		if name, ok := missing[region]; ok { // else stored: its run was redone past it
+			if batch[name], err = json.MarshalIndent(res, "", "  "); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if err := r.St.PutArtifacts(r.TraceKey, batch); err != nil {
 		return nil, err

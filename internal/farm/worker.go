@@ -2,7 +2,6 @@ package farm
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -31,7 +30,8 @@ type Transport interface {
 	// Heartbeat renews the listed leases and returns the ones the coordinator
 	// no longer counts as this worker's.
 	Heartbeat(ids []string) (dropped []string, err error)
-	Complete(t Task, res bp.RegionResult) error
+	// Complete uploads the results of t's run, in region order.
+	Complete(t Task, res []bp.RegionResult) error
 	Fail(t Task, msg string) error
 	// FetchTrace makes the trace readable from st; a no-op when it already is.
 	FetchTrace(st *store.Store, key string) error
@@ -62,8 +62,8 @@ func (l *queueTransport) Heartbeat(ids []string) ([]string, error) {
 	return l.q.Heartbeat(l.id, ids), nil
 }
 
-func (l *queueTransport) Complete(t Task, res bp.RegionResult) error {
-	b, err := json.Marshal(res)
+func (l *queueTransport) Complete(t Task, res []bp.RegionResult) error {
+	b, err := encodeResults(res)
 	if err != nil {
 		return err
 	}
@@ -362,7 +362,7 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 	err := w.tr.FetchTrace(w.st, t.TraceKey)
 	stop()
 	w.fetchDur.ObserveDuration(time.Since(start))
-	var run func() (bp.RegionResult, error)
+	var run func() ([]bp.RegionResult, error)
 	if err == nil {
 		stop = span.StartStage("simulate")
 		run, err = w.exec.Warm(t, span)
@@ -373,7 +373,7 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 			span.Finish()
 			w.spans.Record(span.Data())
 		}()
-		var res bp.RegionResult
+		var res []bp.RegionResult
 		if err == nil {
 			stop := span.StartStage("simulate")
 			res, err = run()

@@ -54,7 +54,7 @@ type fakeCoord struct {
 	asked     []int            // max of every Lease call
 	uploadErr map[string]error // Complete and Fail refuse delivery for these task ids
 	drop      map[string]bool  // Heartbeat reports these ids dropped
-	results   map[string]bp.RegionResult
+	results   map[string][]bp.RegionResult
 	failures  map[string]string // delivered failure reports
 	gate      chan struct{}     // when set, Complete blocks until it is closed
 	// beats receives the ids of every Heartbeat call; the buffer outlasts any
@@ -63,7 +63,7 @@ type fakeCoord struct {
 }
 
 func newFakeCoord(tasks ...Task) *fakeCoord {
-	return &fakeCoord{ttl: time.Minute, queue: tasks, results: map[string]bp.RegionResult{}, failures: map[string]string{}, beats: make(chan []string, 4096)}
+	return &fakeCoord{ttl: time.Minute, queue: tasks, results: map[string][]bp.RegionResult{}, failures: map[string]string{}, beats: make(chan []string, 4096)}
 }
 
 func (f *fakeCoord) Register(string) (string, time.Duration, error) {
@@ -111,7 +111,7 @@ func (f *fakeCoord) Heartbeat(ids []string) ([]string, error) {
 	return dropped, nil
 }
 
-func (f *fakeCoord) Complete(t Task, res bp.RegionResult) error {
+func (f *fakeCoord) Complete(t Task, res []bp.RegionResult) error {
 	if f.gate != nil {
 		<-f.gate
 	}

@@ -189,7 +189,18 @@ func TestShutdownRequeuesFarmedTasks(t *testing.T) {
 // crash resolves from the store instead of running again, and the result
 // is byte-identical to a run that was never interrupted.
 func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
-	st, key := newTestStore(t)
+	for _, warmup := range []string{"mru", "mru+prev"} {
+		t.Run(warmup, func(t *testing.T) { resumeRecoveredQueue(t, warmup) })
+	}
+}
+
+// resumeRecoveredQueue is TestFarmedEstimateResumesRecoveredQueue under one
+// warmup mode. Under mru+prev a task is a run of points (bp.Runs): npb-ft's
+// selection is two runs, of four and five points (npb-is's is one run, which
+// would finish the job before the crash).
+func resumeRecoveredQueue(t *testing.T, warmup string) {
+	name := map[string]string{"mru": "npb-is", "mru+prev": "npb-ft"}[warmup]
+	st, key := newStoreWith(t, name)
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "jobs.wal")
 	cfg := farm.Config{LeaseTTL: time.Hour}
@@ -202,7 +213,7 @@ func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 	if _, err := m1.EnableJournal(journal); err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Kind: KindEstimate, Trace: key, Warmup: "mru", Exec: ExecFarm}
+	req := Request{Kind: KindEstimate, Trace: key, Warmup: warmup, Exec: ExecFarm}
 	snap, err := m1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -274,16 +285,19 @@ func TestFarmedEstimateResumesRecoveredQueue(t *testing.T) {
 
 	// And the interruption left no trace in the result: byte-identical to
 	// a never-crashed local run on a fresh store.
-	st2, key2 := newTestStore(t)
+	st2, key2 := newStoreWith(t, name)
 	m3 := New(st2, 2, 0)
 	defer m3.Shutdown(context.Background())
-	local := submitAndWait(t, m3, Request{Kind: KindEstimate, Trace: key2, Warmup: "mru", Exec: ExecLocal})
+	local := submitAndWait(t, m3, Request{Kind: KindEstimate, Trace: key2, Warmup: warmup, Exec: ExecLocal})
 	if local.Status != StatusDone {
 		t.Fatalf("local job failed: %s", local.Error)
 	}
 	if !bytes.Equal(done.Result, local.Result) {
 		t.Fatalf("recovered estimate differs from uninterrupted local run:\nrecovered: %s\nlocal:     %s",
 			done.Result, local.Result)
+	}
+	if continued := local.Span.Attrs["points_continued"]; (warmup == "mru+prev") != (continued != "0") {
+		t.Errorf("%s: %s points continued a run", warmup, continued)
 	}
 }
 

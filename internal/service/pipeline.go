@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -306,9 +307,10 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 		span.ObserveConcurrent(stage, d)
 		pl.stageDur.With(stage).ObserveDuration(d)
 	}
-	// An mru+prev estimate replays each point's window twice (prefix pass,
-	// then before the point), so it decodes them once into a cache of its
-	// own, dropped when it ends; any other estimate streams each region once.
+	// An mru+prev estimate replays each run head's window twice (prefix
+	// pass, then before the head), so it decodes them once into a cache of
+	// its own, dropped when it ends; any other estimate streams each region
+	// once.
 	var rc *tracefile.RegionCache
 	if p.mode == bp.MRUPrevWarmup && pl.replayBytes > 0 {
 		rc = tracefile.NewRegionCache(pl.replayBytes)
@@ -331,6 +333,15 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 	}
 	defer closer.Close()
 	pl.recordProfileStats(span, selCached, stats)
+	// How the selection's points group into runs (bp.Runs), each one
+	// simulation: a continued point had no snapshot or window of its own.
+	regions := make([]int, len(a.Selection.Points))
+	for i, pt := range a.Selection.Points {
+		regions[i] = pt.Region
+	}
+	runs := len(bp.Runs(regions, p.mode))
+	span.SetAttr("runs", strconv.Itoa(runs))
+	span.SetAttr("points_continued", strconv.Itoa(len(regions)-runs))
 	// The adaptive controller drives the same runner the plain estimate
 	// would use, so promotions farm out (and cache per point) exactly
 	// like the initial barrierpoints. With no target it just attaches
@@ -381,8 +392,9 @@ func (pl *pipeline) recordProfileStats(span *obs.Span, cached bool, stats Profil
 // against the same artifacts inside the queue.
 func (pl *pipeline) pointRunner(p plan, span *obs.Span, concurrent bp.StageObserver) bp.PointRunner {
 	// The local pool reports what it runs for this job to concurrent: the
-	// MRU prefix pass (warmup-capture, and its reads as trace-decode) and,
-	// per simulated point, the warm-replay, warm-prev and point-detail phases.
+	// MRU prefix pass (warmup-capture, and its reads as trace-decode), per
+	// simulated run the warm-replay and warm-prev phases, and per point its
+	// point-detail.
 	local := &farm.CachedRunner{St: pl.st, TraceKey: p.trace, Inner: bp.LocalRunner{Observer: concurrent}}
 	if pl.farm == nil || p.exec == ExecLocal || p.exec == ExecAuto && pl.farm.LiveWorkers() == 0 {
 		return local

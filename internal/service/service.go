@@ -100,7 +100,19 @@ func SelectionArtifact(cfg bp.Config) string {
 // EstimateArtifact names the cached estimate artifact for a machine,
 // warmup mode and analysis config.
 func EstimateArtifact(cfg bp.Config, mc bp.MachineConfig, mode bp.WarmupMode) string {
-	return fmt.Sprintf("estimate-%s-%s-%s.json", store.HashJSON(mc), store.SanitizeLabel(mode.String()), store.HashJSON(cfg))
+	return fmt.Sprintf("estimate-%s-%s-%s.json", store.HashJSON(mc), warmupLabel(mode), store.HashJSON(cfg))
+}
+
+// warmupLabel names a warmup mode in estimate artifact names, with the
+// version of the mode's point-simulation rule where it has changed, so a
+// store never serves an estimate an older rule computed: mru+prev is at
+// rule 2 since a run of consecutive points became one simulation (bp.Runs).
+func warmupLabel(mode bp.WarmupMode) string {
+	label := store.SanitizeLabel(mode.String())
+	if mode == bp.MRUPrevWarmup {
+		label += "-rule2"
+	}
+	return label
 }
 
 // AdaptiveEstimateArtifact names the cached estimate artifact for an
@@ -112,7 +124,7 @@ func AdaptiveEstimateArtifact(cfg bp.Config, mc bp.MachineConfig, mode bp.Warmup
 		return EstimateArtifact(cfg, mc, mode)
 	}
 	return fmt.Sprintf("estimate-%s-%s-%s-ci%s.json",
-		store.HashJSON(mc), store.SanitizeLabel(mode.String()), store.HashJSON(cfg), store.SanitizeLabel(fmt.Sprintf("%g", targetCI)))
+		store.HashJSON(mc), warmupLabel(mode), store.HashJSON(cfg), store.SanitizeLabel(fmt.Sprintf("%g", targetCI)))
 }
 
 // ActualArtifact names the cached ground-truth (full simulation) artifact

@@ -22,12 +22,18 @@ import (
 // returns it with the trace's content key.
 func newTestStore(t *testing.T) (*store.Store, string) {
 	t.Helper()
+	return newStoreWith(t, "npb-is")
+}
+
+// newStoreWith is newTestStore over the named workload.
+func newStoreWith(t *testing.T, workloadName string) (*store.Store, string) {
+	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	prog := workload.New("npb-is", 8, workload.WithScale(0.05))
+	prog := workload.New(workloadName, 8, workload.WithScale(0.05))
 	if err := tracefile.Record(&buf, prog); err != nil {
 		t.Fatal(err)
 	}

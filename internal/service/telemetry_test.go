@@ -195,7 +195,9 @@ func stageCount(sp *obs.SpanData, name string) (n int) {
 // its own simulate-points, and the histogram holds one sample per pass.
 // The per-point phases — reported from the pool's goroutines, so this is
 // also their -race test — land on the job that simulated the points: one
-// observation per point of exactly the phases its warm-up mode runs.
+// point-detail per point, and one observation per run (bp.Runs) of each
+// warming phase its warm-up mode runs, which the span's runs and
+// points_continued attributes count.
 func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 	st, key := newTestStore(t)
 	m := New(st, 4, 0)
@@ -225,6 +227,10 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 		t.Fatalf("selection has no points: %v", err)
 	}
 	points := len(sel.Points)
+	regions := make([]int, points)
+	for i, pt := range sel.Points {
+		regions[i] = pt.Region
+	}
 	for i, id := range ids {
 		done, err := m.Wait(context.Background(), id)
 		if err != nil || done.Status != StatusDone {
@@ -238,17 +244,29 @@ func TestWarmupCaptureStageIsPerJob(t *testing.T) {
 		}
 		want := map[string]int{"warm-replay": 0, "warm-prev": 0, "point-detail": 0}
 		if reqs[i].Kind == KindEstimate {
-			want["point-detail"] = points
-			if strings.HasPrefix(reqs[i].Warmup, "mru") {
-				want["warm-replay"] = points
+			mode, err := bp.ParseWarmup(reqs[i].Warmup)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if reqs[i].Warmup == "mru+prev" {
-				want["warm-prev"] = points
+			runs := len(bp.Runs(regions, mode))
+			if mode == bp.MRUPrevWarmup && runs == points {
+				t.Fatalf("the mru+prev selection %v has no run of two points: the test shows nothing", regions)
+			}
+			attrs := done.Span.Attrs
+			if attrs["runs"] != strconv.Itoa(runs) || attrs["points_continued"] != strconv.Itoa(points-runs) {
+				t.Errorf("%+v: span attrs %v, want runs=%d points_continued=%d", reqs[i], attrs, runs, points-runs)
+			}
+			want["point-detail"] = points
+			if mode != bp.ColdWarmup {
+				want["warm-replay"] = runs
+			}
+			if mode == bp.MRUPrevWarmup {
+				want["warm-prev"] = runs
 			}
 		}
 		for stage, n := range want {
 			if got := stageCount(done.Span, stage); got != n {
-				t.Errorf("%+v: %d %s observations, want %d (one per simulated point)", reqs[i], got, stage, n)
+				t.Errorf("%+v: %d %s observations, want %d", reqs[i], got, stage, n)
 			}
 			if n > 0 && stageNs(done.Span, stage) <= 0 {
 				t.Errorf("%+v: %s recorded no time", reqs[i], stage)

@@ -67,7 +67,7 @@ var machineGoldens = map[string]string{
 	"tiny-16/npb-cg/cold":                "fe030ad4cc952bc033e757265090879dccb9b1cf88922f6dac89614a45c5e6bc",
 	"tiny-16/npb-cg/full":                "36e5e347a4560ba5d337f10c047dbb4b1861dc877c985a40703c9f970a1a9580",
 	"tiny-16/npb-cg/mru":                 "d4d376aa45a7a404bd139168b061ac30707dc4c37c16c0cc3aa6fbaae79c01cf",
-	"tiny-16/npb-cg/mru+prev":            "9c6d72899f6d918b59ad8e65037cbde1b1152d4c959833de3f70662beae79e8f",
+	"tiny-16/npb-cg/mru+prev":            "c0bc7045d93c7c1ac876c7322c154bb9a337124b146e1d73d5a225feb1c90f90",
 	"tiny-16/npb-ft/cold":                "e7a36adeb99eeda647d1ea91c5db1f611265220b71c87ce60e892893077fc50f",
 	"tiny-16/npb-ft/full":                "360bbe26407ad97677df04a03f81774f226e51c801051a7992b5228641f1d5f9",
 	"tiny-16/npb-ft/mru":                 "87f22fe09385b02b077129b028eb072178c738f8fa01dd3fc13090b1589320b9",
@@ -75,7 +75,7 @@ var machineGoldens = map[string]string{
 	"tiny-16/npb-is/cold":                "ae674139a31b3c2116a1bcc04e6e96c49845dc6f87166a4fb39c09175294d135",
 	"tiny-16/npb-is/full":                "bdddd18debd5dfee757271eb99684a1b29c94aeaf79e2e0efe38b64175e19bdc",
 	"tiny-16/npb-is/mru":                 "4ea3b0808cb636f0235a9b2d730f1fa4469f417734a528451664bc6de1e16728",
-	"tiny-16/npb-is/mru+prev":            "ca9c376226b434bd3fa9a271fdd140f87526286678c2f1086abd146d5e66c86a",
+	"tiny-16/npb-is/mru+prev":            "a0e3eaac8e57981a13f024bc863b9177b4d856bf5a25df3b020f6a0abb755758",
 	"tiny-16/npb-lu/cold":                "237d568b7cf644b610d74df70248606ca93df6f9b8a8b88fda4a4d3f76c9d4cf",
 	"tiny-16/npb-lu/full":                "7c582970b961e9f9d0b9638a871e795921498ae47d2f7702d3d51a88fb3b5650",
 	"tiny-16/npb-lu/mru":                 "ffe6a4a980eb131076dc0eb769c70a01204b238516aa7b39c16303cc7fefa3e5",
@@ -83,19 +83,19 @@ var machineGoldens = map[string]string{
 	"tiny-16/parsec-bodytrack/cold":      "ee6852b766976a7fbd2d089852f20751fb0ad28e06c76b6209a90698d51590cc",
 	"tiny-16/parsec-bodytrack/full":      "de37284e850c7618aef1db79378ab1cd0763d907fb297010ddfd4e127acc4eba",
 	"tiny-16/parsec-bodytrack/mru":       "d53cffa1f2d070404c5665f889515ffa41ba3fbd804df514a9d3d4878160c84a",
-	"tiny-16/parsec-bodytrack/mru+prev":  "35a5132b5d37bbe3c9fedc9366f665ed2987e21af209733fed6284a4caa2ebc1",
+	"tiny-16/parsec-bodytrack/mru+prev":  "7cdf133c13dc99ae0736381708d4a13d9628fa4dae48675f4010191fb6f071d5",
 	"tiny-8/npb-cg/cold":                 "8293863652d01513b7f05f3704fc175435797e11d45573ff4f8e25b7b0010683",
 	"tiny-8/npb-cg/full":                 "e945888649822996c30fb7e9c964eeee3d001344129a7afc785986c2d2203083",
 	"tiny-8/npb-cg/mru":                  "094c7a782015c954a94d45d7c397d31b4658d68da2a63b6edb88a7a3e4fb7a8a",
-	"tiny-8/npb-cg/mru+prev":             "9f2a273bf5cd3a40550856bde3aeea14ac312fc244feff191fb7d4aa0eccf9c8",
+	"tiny-8/npb-cg/mru+prev":             "f65bbd7e28933a949538fc7a65a8c704e3f3fe3e028a3afb5b77701f98cd733d",
 	"tiny-8/npb-ft/cold":                 "8e58604f4fab2372d1bf9d295cd57b1e6e6f5cfdb537eeda0df9c96ecb127134",
 	"tiny-8/npb-ft/full":                 "e398b2a84f3249be4a53ab80c5b03b84aa9b6068ee25396ca503fcd25a0ec5d9",
 	"tiny-8/npb-ft/mru":                  "1802184d6968e0d9d63c93e9755a27887041936b0d3a755552b6b97eabc80026",
-	"tiny-8/npb-ft/mru+prev":             "ef07c5792829cb9c0be25147daeb3b12b192d7eacb496b9638533a21cf66f07f",
+	"tiny-8/npb-ft/mru+prev":             "63938a6096d9bef5307697fd13b246bd724297d92beb7d9473377ea5782218e9",
 	"tiny-8/npb-is/cold":                 "956a6878f4d5535a793bd01f88e5e3e231e4ec65ef9e5576a15c934534fed109",
 	"tiny-8/npb-is/full":                 "7fc04ee7cbd55ea0bca276f4e1e2658694c4b4dc3d19163e3543498a5ee26040",
 	"tiny-8/npb-is/mru":                  "7211257e59dd31606c8a10908ec1ae6572cc4a34b7995a0b652eabeff9043191",
-	"tiny-8/npb-is/mru+prev":             "a04abf226cbdaccbe39446662ea9b5a41e0dcb660ee7ed08bd0e7a83ef9782ad",
+	"tiny-8/npb-is/mru+prev":             "c7b2b6d7487f8dcd01fae144f77dfe99f8d10caf79f7245642469b1738866526",
 	"tiny-8/npb-lu/cold":                 "1f2b4a4dea925fff8ee5b0d99334761320c7244c31f51b5933830e6ef8e88376",
 	"tiny-8/npb-lu/full":                 "fadadd01a5d9c14253453501fadae9052b09f316846308c4988adb48270e90de",
 	"tiny-8/npb-lu/mru":                  "839a9531ee2614310fe8698349480ca479fa8a7380b18f8783a4c3d4beac620f",
@@ -103,7 +103,7 @@ var machineGoldens = map[string]string{
 	"tiny-8/parsec-bodytrack/cold":       "3b5bda4062cab226020293dc19d8044464a4ad5cc82cce2efb7c8047ea5502d8",
 	"tiny-8/parsec-bodytrack/full":       "d58fde41aa4a59fd6e92610e3c7474ed16a6dab525661ee764ac11520b2d920c",
 	"tiny-8/parsec-bodytrack/mru":        "58a6650b8ace0fa1d9393bc4ea05001404da4954c18149809632e4733bab280f",
-	"tiny-8/parsec-bodytrack/mru+prev":   "040e1991941bd940c9f853777682a8b5a1bbbaf3c115119d357c443b4656b1a2",
+	"tiny-8/parsec-bodytrack/mru+prev":   "9095c3e9e4e932285655d5cdddc248b90c2a175ce828b039f034189f1121a614",
 }
 
 // goldenMachines lists the machines the digests cover with the scale their
@@ -165,24 +165,20 @@ func digestPoints(results map[int]bp.RegionResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// prevWindow mirrors the unexported prevWarmupWindow of the root package: the
-// regions MRUPrevWarmup executes functionally ahead of a point. If the two
-// drift apart the stepwise replica stops matching RunPoints.
-const prevWindow = 12
-
 // goldenRegions picks the sampled points by a fixed rule rather than by
 // clustering, so the digests depend on the simulator alone: the first two
-// regions (short or empty warm-up windows), three spread through the
-// program, and the last.
+// regions (short or empty warm-up windows, and under MRUPrevWarmup a run of
+// two), three spread through the program, and the last.
 func goldenRegions(n int) []int {
 	return []int{0, 1, n / 3, n / 2, 2 * n / 3, n - 1}
 }
 
 // TestMachineGoldens pins the simulator end to end: SimulateFull and
 // LocalRunner.RunPoints in every warm-up mode must reproduce the committed
-// digests, a step-by-step replica of each run must agree with them, and the
-// inclusive-hierarchy invariant must hold after every region of every run
-// (detailed, functionally warmed or replayed from a snapshot).
+// digests, a step-by-step replica of each simulation — each run of points
+// (bp.Runs) on one machine — must agree with them, and the
+// inclusive-hierarchy invariant must hold after every region of every
+// simulation (detailed, functionally warmed or replayed from a snapshot).
 func TestMachineGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-machine goldens simulate 20 programs")
@@ -229,27 +225,29 @@ func TestMachineGoldens(t *testing.T) {
 						t.Fatal(err)
 					}
 					check(t, key+mode.String(), digestPoints(points))
-					for _, r := range regions {
-						m := sim.New(gm.cfg)
+					for _, run := range bp.Runs(regions, mode) {
+						m, head := sim.New(gm.cfg), run[0]
 						inclusion := func(after string) {
 							if err := m.CheckInclusion(); err != nil {
-								t.Fatalf("%v, point %d, after %s: %v", mode, r, after, err)
+								t.Fatalf("%v, run from %d, after %s: %v", mode, head, after, err)
 							}
 						}
 						if mode != bp.ColdWarmup {
-							warmup.Replay(m, snaps[r])
+							warmup.Replay(m, snaps[head])
 							inclusion("snapshot replay")
 						}
 						if mode == bp.MRUPrevWarmup {
-							for q := max(r-prevWindow, 0); q < r; q++ {
+							for q := max(head-bp.PrevWarmupWindow, 0); q < head; q++ {
 								m.WarmRegion(prog.Region(q))
 								inclusion("warming a region")
 							}
 						}
-						if got := m.RunRegion(prog.Region(r)); !reflect.DeepEqual(got, points[r]) {
-							t.Errorf("%v, point %d: stepwise run differs from RunPoints", mode, r)
+						for _, r := range run {
+							if got := m.RunRegion(prog.Region(r)); !reflect.DeepEqual(got, points[r]) {
+								t.Errorf("%v, point %d: stepwise run differs from RunPoints", mode, r)
+							}
+							inclusion("a detailed region")
 						}
-						inclusion("the detailed region")
 					}
 				}
 			})

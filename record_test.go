@@ -70,7 +70,7 @@ func TestRecordedTraceEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(aMem.Selection.Assignment, aReplay.Selection.Assignment) {
 				t.Fatal("cluster assignments differ between in-memory and replayed analysis")
 			}
-			memPts, repPts := aMem.BarrierPoints(), aReplay.BarrierPoints()
+			memPts, repPts := aMem.Selection.Points, aReplay.Selection.Points
 			if len(memPts) != len(repPts) {
 				t.Fatalf("selected %d barrierpoints from memory, %d from replay", len(memPts), len(repPts))
 			}

@@ -32,10 +32,11 @@ var goldenEstimates = map[bp.WarmupMode]bp.Estimate{
 }
 
 // TestRunPointsMatchesSimulatePointAndGolden: for every warm-up mode and
-// pool width, LocalRunner.RunPoints (points fed from the streaming pass
-// while it runs), per-point SimulatePoint (one prefix pass each, the farm's
-// unit of work) and the pre-change goldens agree exactly. Run under -race
-// it also covers the pass feeding a live pool.
+// pool width, LocalRunner.RunPoints (runs fed from the streaming pass while
+// it runs), per-run simulation (one prefix pass each, the farm's unit of
+// work; SimulatePoint for a run of one) and the goldens agree exactly. The
+// mru+prev selection has runs of several points. Run under -race it also
+// covers the pass feeding a live pool.
 func TestRunPointsMatchesSimulatePointAndGolden(t *testing.T) {
 	prog := workload.New("npb-ft", 8, workload.WithScale(0.1))
 	mc := bp.TableIMachine(1)
@@ -44,14 +45,27 @@ func TestRunPointsMatchesSimulatePointAndGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var regions []int
-	for _, pt := range a.BarrierPoints() {
+	for _, pt := range a.Selection.Points {
 		regions = append(regions, pt.Region)
 	}
 	for _, mode := range []bp.WarmupMode{bp.ColdWarmup, bp.MRUWarmup, bp.MRUPrevWarmup} {
+		runs := bp.Runs(regions, mode)
+		if mode == bp.MRUPrevWarmup && len(runs) == len(regions) {
+			t.Fatalf("the selection %v has no run of two points", regions)
+		}
 		single := make(map[int]bp.RegionResult, len(regions))
-		for _, r := range regions {
-			if single[r], err = bp.SimulatePoint(prog, r, mc, mode); err != nil {
+		for _, run := range runs {
+			res, err := bp.SimulateRun(prog, run[0], len(run), mc, mode)
+			if err != nil {
 				t.Fatal(err)
+			}
+			for i, r := range run {
+				single[r] = res[i]
+			}
+			if len(run) == 1 {
+				if pt, err := bp.SimulatePoint(prog, run[0], mc, mode); err != nil || !reflect.DeepEqual(pt, res[0]) {
+					t.Errorf("%v: SimulatePoint(%d) differs from its run of one (%v)", mode, run[0], err)
+				}
 			}
 		}
 		est, err := a.EstimateFrom(single)
@@ -67,7 +81,7 @@ func TestRunPointsMatchesSimulatePointAndGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, single) {
-				t.Errorf("%v, %d workers: RunPoints differs from per-point SimulatePoint", mode, workers)
+				t.Errorf("%v, %d workers: RunPoints differs from per-run simulation", mode, workers)
 			}
 		}
 	}
@@ -107,17 +121,20 @@ func TestRunPointsDuplicatesAndRange(t *testing.T) {
 	}
 }
 
-// TestRunPointsReportsOneCapture: an observed RunPoints call owns one prefix
-// pass and reports it once, however many points it hands out — exactly one
-// "warmup-capture" under an MRU mode, none under cold — beside one set of
-// phases per point.
-func TestRunPointsReportsOneCapture(t *testing.T) {
+// TestRunPointsWarmsOncePerRun is the deterministic measure of what runs
+// save, since tier-1 cannot gate wall time: under mru+prev a run of
+// consecutive points replays one snapshot and warms one window, and each
+// of its points is one detailed simulation; under mru and cold every point
+// is a run of its own. An observed call also owns one prefix pass and
+// reports it once, however many runs it hands out: one "warmup-capture"
+// under an MRU mode, none under cold.
+func TestRunPointsWarmsOncePerRun(t *testing.T) {
 	prog := workload.New("npb-is", 8, workload.WithScale(0.05))
-	regions := []int{1, 3, 6}
+	regions := []int{9, 1, 2, 3, 6, 8} // mru+prev: runs [1 2 3], [6] and [8 9]
 	for mode, phases := range map[bp.WarmupMode]map[string]int{
-		bp.ColdWarmup:    {"point-detail": 3},
-		bp.MRUWarmup:     {"warmup-capture": 1, "warm-replay": 3, "point-detail": 3},
-		bp.MRUPrevWarmup: {"warmup-capture": 1, "warm-replay": 3, "warm-prev": 3, "point-detail": 3},
+		bp.ColdWarmup:    {"point-detail": 6},
+		bp.MRUWarmup:     {"warmup-capture": 1, "warm-replay": 6, "point-detail": 6},
+		bp.MRUPrevWarmup: {"warmup-capture": 1, "warm-replay": 3, "warm-prev": 3, "point-detail": 6},
 	} {
 		var mu sync.Mutex
 		got := make(map[string]int)
@@ -126,12 +143,12 @@ func TestRunPointsReportsOneCapture(t *testing.T) {
 			got[stage]++
 			mu.Unlock()
 		}}
-		_, err := lr.RunPoints(prog, regions, bp.TableIMachine(1), mode)
+		res, err := lr.RunPoints(prog, regions, bp.TableIMachine(1), mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, phases) {
-			t.Errorf("%v: observed stages %v, want %v", mode, got, phases)
+		if len(res) != len(regions) || !reflect.DeepEqual(got, phases) {
+			t.Errorf("%v: %d results, observed stages %v; want %d results and %v", mode, len(res), got, len(regions), phases)
 		}
 	}
 }
@@ -264,7 +281,7 @@ func corruptFirstChunk(t *testing.T, path string) {
 // TestColdCacheHoldsReplayedRegionsOnly: after an mru estimate over a cold
 // RegionCache the cache holds exactly the point regions, because the prefix
 // pass reads from it but never fills it; under mru+prev it also holds each
-// point's window, the regions the point replays before it, which the pass
+// run head's window, the regions the head replays before it, which the pass
 // reads through the cache so that they decode once.
 func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lu.bptrace")
@@ -282,12 +299,14 @@ func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
 	}
 	for _, mode := range []bp.WarmupMode{bp.MRUWarmup, bp.MRUPrevWarmup} {
 		held := make(map[int]bool)
+		var regions []int
 		for _, p := range a.Selection.Points {
 			held[p.Region] = true
-			if mode == bp.MRUPrevWarmup {
-				for q := max(p.Region-12, 0); q < p.Region; q++ { // prevWarmupWindow
-					held[q] = true
-				}
+			regions = append(regions, p.Region)
+		}
+		for _, run := range bp.Runs(regions, mode) {
+			for q := max(run[0]-bp.PrevWarmupWindow, 0); mode == bp.MRUPrevWarmup && q < run[0]; q++ {
+				held[q] = true
 			}
 		}
 		rc := tracefile.NewRegionCache(0)
