@@ -34,9 +34,10 @@
 // mode). Repeat analyses of byte-identical traces never re-profile: the
 // paper's "one-time cost" (Fig. 2) is paid once per trace content.
 //
-// Within one job or run, internal/tracefile.RegionCache keeps decoded
-// regions that stages revisit (mru+prev windows, estimate plus ground
-// truth), so each decodes once; cached and uncached replays are identical.
+// Every replay streams its regions from the trace, decoding as it goes;
+// bptool -trace alone keeps one internal/tracefile.RegionCache across its
+// analysis, estimate and ground truth. Cached and uncached replays are
+// identical.
 package barrierpoint
 
 import (
@@ -538,15 +539,16 @@ func (pp *PrefixPass) Pos() int {
 // from region 0; the caller times it ("warmup-capture"). head must not be
 // behind an earlier call's head. Under ColdWarmup there is no snapshot and
 // the pass is left where it was (its trackers are built by the first MRU
-// run). The function returned is the rest: runPoint, returning the members'
-// results in region order and reporting its phases to obsrv (the advance
-// reports its access-only reads as "trace-decode"). It touches neither the
-// pass nor its trackers, so a caller takes a batch's snapshots in ascending
-// order and runs the functions in parallel, each exactly once. A snapshot
-// must be unreachable once its run has replayed it, however long the
-// function stays queued or on a goroutine's stack: the function drops its
-// own reference before it calls runPoint, and runPoint has no use for the
-// snapshot after the replay — live snapshots are bounded by the runs
+// run). The advance reads each region access-only where p offers it and
+// reports those reads as "trace-decode"; the function returned is the rest,
+// runPoint, which decodes its own window and members, returns the members'
+// results in region order and reports its phases to obsrv. It touches
+// neither the pass nor its trackers, so a caller takes a batch's snapshots
+// in ascending order and runs the functions in parallel, each exactly once.
+// A snapshot must be unreachable once its run has replayed it, however
+// long the function stays queued or on a goroutine's stack: the function
+// drops its own reference before it calls runPoint, and runPoint has no use
+// for the snapshot after the replay — live snapshots are bounded by the runs
 // waiting, not by the runs taken. p must stay open until the function
 // returns.
 //
@@ -561,13 +563,9 @@ func (pp *PrefixPass) Run(p Program, head, n int, mode WarmupMode, obsrv StageOb
 		if pp.pass == nil {
 			pp.pass = warmup.NewPass(pp.mc.Cores(), mruCapacity(pp.mc))
 		}
-		window := 0 // the regions runPoint replays in full before the point
-		if mode == MRUPrevWarmup {
-			window = prevWarmupWindow
-		}
 		d0 := pp.pass.Decoded()
 		var err error
-		if snap, err = pp.pass.Snapshot(p, head, window); err != nil {
+		if snap, err = pp.pass.Snapshot(p, head); err != nil {
 			pp.pass = nil
 			return nil, err
 		}

@@ -389,7 +389,7 @@ func BenchmarkPrefixPassManyRegions(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := warmup.NewPass(f.Threads(), mc.L3.Lines()*mc.Sockets).Snapshot(f, f.Regions(), 0); err != nil {
+		if _, err := warmup.NewPass(f.Threads(), mc.L3.Lines()*mc.Sockets).Snapshot(f, f.Regions()); err != nil {
 			b.Fatal(err)
 		}
 	}

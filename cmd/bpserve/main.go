@@ -89,12 +89,12 @@ func run(args []string, stderr io.Writer) error {
 		maxMB     = fs.Int64("max-upload-mb", 1024, "largest accepted trace upload, MiB")
 		leaseTTL  = fs.Duration("farm-lease-ttl", 30*time.Second, "farm task lease duration (heartbeats renew it)")
 		retries   = fs.Int("farm-retries", 3, "farm task attempts before permanent failure")
-		replayMB  = fs.Int64("replay-cache-mb", 256, "most decoded region data one job holds (an mru+prev estimate's windows), MiB (0 disables)")
 		jobWal    = fs.String("job-wal", "", "job journal path (default <store>/jobs.wal; \"off\" disables crash-safe job recovery)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: time allowed for in-flight jobs to finish")
 		faultSpec = fs.String("fault", "", "fault-injection spec, e.g. 'store.put-artifact:p=0.05' (chaos testing; see internal/fault)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
+	fs.Int64("replay-cache-mb", 256, "ignored: no job holds a replay cache; parsed so existing command lines still start (ROADMAP 2(c))")
 	lf := obs.RegisterLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -118,7 +118,6 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	mgr := service.New(st, *workers, *depth)
-	mgr.SetReplayCacheBytes(*replayMB << 20)
 	fq := farm.NewQueue(st, farm.Config{LeaseTTL: *leaseTTL, MaxAttempts: *retries})
 	fq.SetLogger(logger)
 	mgr.SetFarm(fq)

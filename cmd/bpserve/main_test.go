@@ -358,7 +358,7 @@ func TestFarmEndToEnd(t *testing.T) {
 					c.Fail(task, err.Error())
 					continue
 				}
-				res, err := farm.NewExecutor(wst, 0).Execute(task, nil)
+				res, err := farm.NewExecutor(wst).Execute(task, nil)
 				if err != nil {
 					c.Fail(task, err.Error())
 					continue
@@ -493,9 +493,11 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 			samples[`bp_farm_task_seconds_bucket{le="+Inf"}`], samples["bp_farm_task_seconds_count"])
 	}
 
-	// The replay cache and the fleet are on /metrics.
-	if samples["bp_replay_cache_max_bytes"] <= 0 {
-		t.Errorf("bp_replay_cache_max_bytes = %v", samples["bp_replay_cache_max_bytes"])
+	// The fleet is on /metrics, and no job's replay cache is: jobs hold none.
+	for name := range samples {
+		if strings.HasPrefix(name, "bp_replay_") {
+			t.Errorf("/metrics exports %s", name)
+		}
 	}
 	if samples["bp_farm_live_workers"] != 1 {
 		t.Errorf("bp_farm_live_workers = %v, want 1", samples["bp_farm_live_workers"])
@@ -649,7 +651,7 @@ func TestHealthzKeySet(t *testing.T) {
 				t.Errorf("recovered job_journal %s, want durable with a startup compaction", health["job_journal"])
 			}
 
-			want := map[string]float64{"bp_replay_cache_max_bytes": float64(tracefile.DefaultRegionCacheBytes)}
+			want := make(map[string]float64)
 			for _, name := range []string{"bp_jobs_submitted_total", "bp_jobs_deduped_total", "bp_jobs_done_total",
 				"bp_jobs_failed_total", "bp_job_cache_hits_total", "bp_jobs_farmed_total", "bp_jobs_recovered_total"} {
 				want[name] = 0
@@ -683,7 +685,7 @@ func TestHealthzKeySet(t *testing.T) {
 					t.Errorf("/metrics %s = %v (exported: %v), want %v", name, g, ok, v)
 				}
 			}
-			for _, name := range []string{"bp_uptime_seconds", "bp_replay_cache_bytes", "bp_cold_analyses_total",
+			for _, name := range []string{"bp_uptime_seconds", "bp_cold_analyses_total",
 				"bp_adaptive_rounds_total", "bp_adaptive_promoted_total", "bp_profile_cache_hits_total",
 				"bp_profile_computed_total", "bp_ingest_traces_total", "bp_ingest_profiles_total"} {
 				if _, ok := got[name]; !ok {

@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		poll        = fs.Duration("poll", 500*time.Millisecond, "sleep between empty lease polls")
 		maxTasks    = fs.Int("max-tasks", 0, "exit after settling this many tasks (0 = run forever); transient RPC trouble retries instead of burning budget")
 		idleExit    = fs.Duration("idle-exit", 0, "exit after the queue stays empty this long (0 = never)")
-		replayMB    = fs.Int64("replay-cache-mb", 256, "most decoded region data one prefix pass holds (its mru+prev windows), MiB (0 disables)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/spans on this address (empty disables)")
 		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
 		faultSpec   = fs.String("fault", "", "fault-injection spec, e.g. 'rpc.lease:p=0.1;rpc.result:p=0.1' (chaos testing; see internal/fault)")
@@ -111,7 +110,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	c := &farm.Client{Base: *server}
 
 	spans := obs.NewSpanRecorder()
-	w := farm.NewWorker(c, st, *replayMB<<20, spans, logger)
+	w := farm.NewWorker(c, st, spans, logger)
 	w.Concurrency, w.Poll, w.MaxTasks, w.IdleExit = *concurrency, *poll, *maxTasks, *idleExit
 	obs.RegisterProcess(w.Metrics, sim.FreeListStats)
 	rpcRetries := w.Metrics.Counter("bp_rpc_retries_total", "Farm RPC attempts that failed transiently and were retried with backoff.")

@@ -15,7 +15,7 @@ var daemonFlags = map[string][]string{
 	"bpserve": {"addr", "drain-timeout", "farm-lease-ttl", "farm-retries", "fault", "job-wal", "log-json",
 		"log-level", "max-upload-mb", "pprof", "queue", "replay-cache-mb", "store", "workers"},
 	"bpworker": {"concurrency", "fault", "idle-exit", "log-json", "log-level", "max-tasks", "metrics-addr",
-		"name", "poll", "pprof", "replay-cache-mb", "server", "store"},
+		"name", "poll", "pprof", "server", "store"},
 	"bptool": {"cache", "confidence", "cores", "list", "replay-cache-mb", "scale", "skip-full", "target-ci",
 		"trace", "warmup", "workload"},
 	"bpcamp": {"exec", "farm-workers", "format", "list", "max-cells", "q", "spec", "store", "target-ci",

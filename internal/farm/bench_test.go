@@ -167,7 +167,7 @@ func BenchmarkFarmWorkerTasksOneTrace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exec := farm.NewExecutor(st, tracefile.DefaultRegionCacheBytes)
+		exec := farm.NewExecutor(st)
 		for _, pt := range points {
 			if _, err := exec.Execute(farm.Task{TraceKey: key, Region: pt.Region, Sockets: 1, Warmup: "mru"}, nil); err != nil {
 				b.Fatal(err)

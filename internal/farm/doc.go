@@ -66,7 +66,9 @@
 // for a task of the same trace at or ahead of it and replaces it otherwise
 // (the full rule and its memory cost are on Executor), so a worker that
 // leases many runs of one trace decodes and tracks each warmup-prefix
-// region once. The coordinator and the protocol know nothing of it.
+// region once. The pass reads regions access-only and a run decodes its own
+// window and members: a worker holds no decoded region between tasks. The
+// coordinator and the protocol know nothing of it.
 //
 // # Worker
 //

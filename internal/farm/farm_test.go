@@ -46,7 +46,7 @@ func waitTicket(t *testing.T, tk *farm.Ticket) ([]bp.RegionResult, error) {
 // payload a worker would upload.
 func completeJSON(t *testing.T, st *store.Store, tk farm.Task) []byte {
 	t.Helper()
-	res, err := farm.NewExecutor(st, 0).Execute(tk, nil)
+	res, err := farm.NewExecutor(st).Execute(tk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

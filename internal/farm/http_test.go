@@ -70,7 +70,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 		t.Fatalf("heartbeat: dropped %v err %v", dropped, err)
 	}
 
-	res, err := farm.NewExecutor(wst, 0).Execute(task, nil)
+	res, err := farm.NewExecutor(wst).Execute(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := farm.NewExecutor(st, 0).Execute(task, nil)
+	want, err := farm.NewExecutor(st).Execute(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestHTTPBodyLimits(t *testing.T) {
 	if err := c.FetchTrace(wst, task.TraceKey); err != nil {
 		t.Fatal(err)
 	}
-	out, err := farm.NewExecutor(wst, 0).Execute(task, nil)
+	out, err := farm.NewExecutor(wst).Execute(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
-	"barrierpoint/internal/tracefile"
 )
 
 // PointArtifact names the cached simulation result of region, a member of
@@ -84,18 +83,16 @@ func decodeResults(b []byte) ([]bp.RegionResult, error) {
 // touch it. One pass is retained, about 25 B per distinct line per core of
 // the current trace (52 B where lines are scattered over the warmup
 // package's 16-line index pages), until another trace arrives or the worker
-// exits, and with it a replay cache of at most budget bytes in
-// which its tasks' mru+prev windows decode once; all else streams. Cached,
-// resumed and fresh execution are all bit-identical.
+// exits. Every region streams: the pass reads it access-only, and a run
+// decodes its own window and members. Resumed and fresh execution are
+// bit-identical.
 type Executor struct {
-	st     *store.Store
-	budget int64 // bytes of the pass's replay cache; <= 0: none
+	st *store.Store
 
 	mu      sync.Mutex     // held pass + counters: advance and snapshot only, never simulation
 	pass    *bp.PrefixPass // nil until the first warm task
-	rc      *tracefile.RegionCache
-	trace   string // content key of the trace pass has tracked
-	sockets int    // Table I machine pass tracks for
+	trace   string         // content key of the trace pass has tracked
+	sockets int            // Table I machine pass tracks for
 	stats   PassStats
 }
 
@@ -105,23 +102,14 @@ type Executor struct {
 type PassStats struct{ Resumed, Restarted, Regions uint64 }
 
 // NewExecutor returns an Executor over st (which must hold the tasks'
-// traces) with no pass held yet; budget <= 0 caches nothing.
-func NewExecutor(st *store.Store, budget int64) *Executor {
-	return &Executor{st: st, budget: budget}
-}
+// traces) with no pass held yet.
+func NewExecutor(st *store.Store) *Executor { return &Executor{st: st} }
 
 // PassStats returns the held pass's counters so far.
 func (e *Executor) PassStats() PassStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
-}
-
-// CacheStats returns the activity of the held pass's replay cache.
-func (e *Executor) CacheStats() tracefile.CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rc.Stats()
 }
 
 // PassOrder sorts a leased batch for Warm — trace, machine, region ascending
@@ -150,27 +138,20 @@ func (e *Executor) Warm(t Task, span *obs.Span) (func() ([]bp.RegionResult, erro
 	mc, cold := bp.TableIMachine(t.Sockets), mode == bp.ColdWarmup
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pass, rc := e.pass, e.rc
+	pass := e.pass
 	resumed := !cold && pass != nil && e.trace == t.TraceKey && e.sockets == t.Sockets && t.Region >= pass.Pos()
 	if !resumed {
-		pass, rc = bp.NewPrefixPass(mc), nil
-	}
-	var prog bp.Program = f
-	if mode == bp.MRUPrevWarmup && e.budget > 0 {
-		if rc == nil {
-			rc = tracefile.NewRegionCache(e.budget)
-		}
-		prog = rc.Program(f, t.TraceKey)
+		pass = bp.NewPrefixPass(mc)
 	}
 	from, t0 := pass.Pos(), time.Now()
-	run, err := pass.Run(prog, t.Region, max(t.Len, 1), mode, span.ObserveConcurrent)
+	run, err := pass.Run(f, t.Region, max(t.Len, 1), mode, span.ObserveConcurrent)
 	if err != nil { // the pass is where it was, or at region 0 after a decode error
 		f.Close()
 		return nil, err
 	}
 	if !cold { // a cold point tracked nothing: its pass is dropped unused
 		span.ObserveConcurrent("warmup-capture", time.Since(t0))
-		e.pass, e.rc, e.trace, e.sockets = pass, rc, t.TraceKey, t.Sockets
+		e.pass, e.trace, e.sockets = pass, t.TraceKey, t.Sockets
 		if resumed {
 			e.stats.Resumed++
 		} else {

@@ -14,7 +14,6 @@ import (
 	bp "barrierpoint"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
-	"barrierpoint/internal/tracefile"
 )
 
 // Transport is the coordinator as a Worker sees it: the six calls the
@@ -96,7 +95,7 @@ type Worker struct {
 
 	tr     Transport
 	st     *store.Store
-	exec   *Executor // compute path: prefix pass and its replay cache kept across tasks
+	exec   *Executor // compute path: prefix pass kept across tasks
 	spans  *obs.SpanRecorder
 	logger *slog.Logger
 
@@ -111,25 +110,18 @@ type Worker struct {
 	held map[string]bool // leases the heartbeat loop renews
 }
 
-// NewWorker returns a worker over tr that reads traces from st, holding at
-// most replayBytes of decoded regions (see Executor; <= 0 streams them),
-// records its task spans on spans and logs to logger (nil discards).
-func NewWorker(tr Transport, st *store.Store, replayBytes int64, spans *obs.SpanRecorder, logger *slog.Logger) *Worker {
+// NewWorker returns a worker over tr that reads traces from st, records its
+// task spans on spans and logs to logger (nil discards).
+func NewWorker(tr Transport, st *store.Store, spans *obs.SpanRecorder, logger *slog.Logger) *Worker {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	r := obs.NewRegistry()
-	w := &Worker{Concurrency: 1, Metrics: r, tr: tr, st: st, exec: NewExecutor(st, replayBytes), spans: spans, logger: logger, held: make(map[string]bool)}
+	w := &Worker{Concurrency: 1, Metrics: r, tr: tr, st: st, exec: NewExecutor(st), spans: spans, logger: logger, held: make(map[string]bool)}
 	w.completed = r.Counter("bpworker_tasks_completed_total", "Tasks simulated and uploaded successfully.")
 	w.failed = r.Counter("bpworker_tasks_failed_total", "Tasks whose fetch or simulation failed (failure reported to the server).")
 	w.taskDur = r.Histogram("bpworker_task_seconds", "End-to-end task latency: trace fetch, simulation, upload.", obs.DefLatencyBuckets)
 	w.fetchDur = r.Histogram("bpworker_trace_fetch_seconds", "Trace fetch latency (cache-hit fetches are near-zero).", obs.DefLatencyBuckets)
-	r.GaugeFunc("bpworker_replay_cache_bytes", "Decoded bytes held by the replay cache of the held prefix pass.", func() float64 {
-		return float64(w.exec.CacheStats().Bytes)
-	})
-	r.GaugeFunc("bpworker_replay_cache_entries", "Regions held by the replay cache of the held prefix pass.", func() float64 {
-		return float64(w.exec.CacheStats().Entries)
-	})
 	r.CounterFunc("bpworker_prefix_pass_resumed_total", "Warm tasks that continued the MRU prefix pass held from the previous task.", func() float64 { return float64(w.exec.PassStats().Resumed) })
 	r.CounterFunc("bpworker_prefix_pass_restarted_total", "Warm tasks that began a fresh prefix pass: first use, another trace or machine, or a region behind the held pass.", func() float64 { return float64(w.exec.PassStats().Restarted) })
 	r.CounterFunc("bpworker_prefix_pass_regions_total", "Prefix regions actually tracked for warm tasks (a pass per task would track the sum of their region indices).", func() float64 { return float64(w.exec.PassStats().Regions) })
@@ -406,11 +398,10 @@ func (w *Worker) runTask(t Task) func() (bool, error) {
 
 // RunLocalWorker runs a Worker against q in this process until ctx is done
 // or q closes: one task at a time over st (which must hold — or share — the
-// traces), with the default replay cache budget per pass, and recording its
-// spans on q.WorkerSpans(). It powers tests, benchmarks and bpcamp
-// -farm-workers.
+// traces), recording its spans on q.WorkerSpans(). It powers tests,
+// benchmarks and bpcamp -farm-workers.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
-	w := NewWorker(&queueTransport{q: q}, st, tracefile.DefaultRegionCacheBytes, q.workerSpans, nil)
+	w := NewWorker(&queueTransport{q: q}, st, q.workerSpans, nil)
 	// Half the queue's sweep interval, so a requeued task is picked up soon.
 	w.Poll = min(q.cfg.LeaseTTL/8, 50*time.Millisecond)
 	w.Run(ctx, name) //nolint:errcheck // ErrClosed: the queue is gone, which is the other way to stop

@@ -17,7 +17,7 @@
 //     relabeling rule.
 //   - Counters end in _total and only ever increase; gauges carry no
 //     suffix and report current level (bp_farm_tasks_pending,
-//     bp_replay_cache_bytes).
+//     bp_go_heap_live_bytes).
 //   - Histograms carry a unit suffix — _seconds for latencies, _bytes for
 //     sizes — and expose the standard _bucket{le="..."}/_sum/_count
 //     series with cumulative, monotone buckets ending at le="+Inf".

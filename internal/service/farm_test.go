@@ -225,7 +225,7 @@ func resumeRecoveredQueue(t *testing.T, warmup string) {
 		}
 		tasks = q1.Lease("w1", 1)
 	}
-	res, err := farm.NewExecutor(st, 0).Execute(tasks[0], nil)
+	res, err := farm.NewExecutor(st).Execute(tasks[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

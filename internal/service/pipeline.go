@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/store"
-	"barrierpoint/internal/tracefile"
 )
 
 // Kind is a job type.
@@ -99,28 +97,23 @@ type plan struct {
 // deduplication, retention or the journal — the Manager (manager.go) owns
 // those and reaches this half through two calls: plan and run.
 type pipeline struct {
-	st *store.Store
-	// replayBytes budgets an mru+prev estimate's own replay cache (<= 0:
-	// none); live holds running jobs' caches, the replay counters ended ones'.
-	replayBytes int64
-	live        sync.Map    // *tracefile.RegionCache → nil
-	farm        *farm.Queue // nil until SetFarm; estimates then stay local
+	st   *store.Store
+	farm *farm.Queue // nil until SetFarm; estimates then stay local
 
 	coldAnalyses, farmed, farmFallbacks, adaptiveRounds, adaptivePromoted atomic.Int64
 	profileCacheHits, profileComputed, ingestedTraces, ingestedProfiles   atomic.Int64
 	digestIndexHits, digestIndexMisses                                    atomic.Int64
-	replayHits, replayMisses, replayEvictions, replayDecodeNs             atomic.Int64
 
 	// jobDur and stageDur are the per-kind job and per-stage latency
 	// histograms.
 	jobDur, stageDur *obs.HistogramVec
 }
 
-// newPipeline builds the compute half over st and bridges its counters and
-// its jobs' replay caches into reg. The atomics remain the single source of
-// truth; every family reads them at scrape time.
+// newPipeline builds the compute half over st and bridges its counters into
+// reg. The atomics remain the single source of truth; every family reads
+// them at scrape time.
 func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
-	p := &pipeline{st: st, replayBytes: tracefile.DefaultRegionCacheBytes}
+	p := &pipeline{st: st}
 	counterFunc(r, "bp_cold_analyses_total", "Profiling+clustering runs (selection cache misses).", &p.coldAnalyses)
 	counterFunc(r, "bp_jobs_farmed_total", "Estimate jobs whose points ran on the distributed queue.", &p.farmed)
 	counterFunc(r, "bp_farm_fallbacks_total", "Auto-mode estimates that fell back to local execution after a farm error.", &p.farmFallbacks)
@@ -135,38 +128,11 @@ func newPipeline(st *store.Store, r *obs.Registry) *pipeline {
 	r.CounterFunc("bp_store_publishes_total", "Durable store publishes: one data fsync and one directory fsync each, however many entries.",
 		func() float64 { return float64(st.Publishes()) })
 
-	counterFunc(r, "bp_replay_cache_hits_total", "Replay cache region hits, summed over jobs as each ends.", &p.replayHits)
-	counterFunc(r, "bp_replay_cache_misses_total", "Replay cache region misses (decodes), summed over jobs as each ends.", &p.replayMisses)
-	counterFunc(r, "bp_replay_cache_evictions_total", "Replay cache LRU evictions, summed over jobs as each ends.", &p.replayEvictions)
-	r.CounterFunc("bp_replay_decode_seconds_total", "Wall-clock seconds jobs' replay caches spent decoding regions, summed as each job ends.",
-		func() float64 { return float64(p.replayDecodeNs.Load()) / 1e9 })
-	r.GaugeFunc("bp_replay_cache_bytes", "Decoded bytes held by the replay caches of running jobs (0 between jobs).",
-		func() float64 { return float64(p.held().Bytes) })
-	r.GaugeFunc("bp_replay_cache_max_bytes", "Replay cache byte budget of one job (0: caching disabled).",
-		func() float64 { return float64(max(p.replayBytes, 0)) })
-	r.GaugeFunc("bp_replay_cache_entries", "Regions held by the replay caches of running jobs (0 between jobs).",
-		func() float64 { return float64(p.held().Entries) })
-
 	p.jobDur = r.HistogramVec("bp_job_seconds", "Job wall-clock latency by kind.",
 		"kind", obs.DefLatencyBuckets)
 	p.stageDur = r.HistogramVec("bp_job_stage_seconds", "Pipeline stage latency by stage.",
 		"stage", obs.DefLatencyBuckets)
 	return p
-}
-
-// SetReplayCacheBytes sets the most decoded region data one job holds, the
-// budget of an mru+prev estimate's replay cache (default 256 MiB; n <= 0
-// disables it). Call it before any Submit.
-func (m *Manager) SetReplayCacheBytes(n int64) { m.pipe.replayBytes = n }
-
-// held sums the stats of the running jobs' replay caches.
-func (pl *pipeline) held() (sum tracefile.CacheStats) {
-	pl.live.Range(func(k, _ any) bool {
-		s := k.(*tracefile.RegionCache).Stats()
-		sum.Bytes, sum.Entries = sum.Bytes+s.Bytes, sum.Entries+s.Entries
-		return true
-	})
-	return sum
 }
 
 // counterFunc registers a counter family that reads a at scrape time.
@@ -307,27 +273,7 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 		span.ObserveConcurrent(stage, d)
 		pl.stageDur.With(stage).ObserveDuration(d)
 	}
-	// An mru+prev estimate replays each run head's window twice (prefix
-	// pass, then before the head), so it decodes them once into a cache of
-	// its own, dropped when it ends; any other estimate streams each region
-	// once.
-	var rc *tracefile.RegionCache
-	if p.mode == bp.MRUPrevWarmup && pl.replayBytes > 0 {
-		rc = tracefile.NewRegionCache(pl.replayBytes)
-		pl.live.Store(rc, nil)
-		defer func() {
-			s := rc.Stats()
-			pl.replayHits.Add(s.Hits)
-			pl.replayMisses.Add(s.Misses)
-			pl.replayEvictions.Add(s.Evictions)
-			pl.replayDecodeNs.Add(s.DecodeNs)
-			pl.live.Delete(rc)
-			if s.DecodeNs > 0 {
-				concurrent("trace-decode", time.Duration(s.DecodeNs))
-			}
-		}()
-	}
-	a, closer, selCached, stats, err := BindCached(pl.st, p.trace, p.cfg, rc, obsrv)
+	a, closer, selCached, stats, err := BindCached(pl.st, p.trace, p.cfg, nil, obsrv)
 	if err != nil {
 		return nil, false, err
 	}
@@ -346,11 +292,7 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 	// would use, so promotions farm out (and cache per point) exactly
 	// like the initial barrierpoints. With no target it just attaches
 	// intervals to the standard one-point-per-cluster estimate.
-	runner := pl.pointRunner(p, span, func(stage string, d time.Duration) {
-		if stage != "trace-decode" || rc == nil { // else the pass read through rc, whose clock counts it
-			concurrent(stage, d)
-		}
-	})
+	runner := pl.pointRunner(p, span, concurrent)
 	res, err := adaptive.Run(a, runner, p.mc, p.mode,
 		adaptive.Options{TargetRel: p.targetCI, Observer: obsrv})
 	if err != nil {

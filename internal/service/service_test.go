@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	bp "barrierpoint"
+	"barrierpoint/internal/adaptive"
 	"barrierpoint/internal/store"
 	"barrierpoint/internal/tracefile"
 	"barrierpoint/internal/workload"
@@ -105,100 +105,53 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	}
 }
 
-// TestReplayCacheLivesWithItsJob pins the lifetime of decoded regions: an
-// mru+prev estimate decodes its windows once, into a cache of its own (hits);
-// a cold or mru estimate and a ground-truth simulate stream every region (no
-// cache activity); nothing decoded is held once a job is done; and every
-// result is byte-equal to a manager's with caching disabled.
-func TestReplayCacheLivesWithItsJob(t *testing.T) {
-	reqs := []Request{
+// TestJobsHoldNoReplayCache: no job decodes into a cache of its own. After
+// an mru+prev, an mru and a cold estimate and a ground-truth simulate,
+// /metrics exports no bp_replay_ series, and the mru+prev result is
+// byte-equal to one computed outside the manager by bp.LocalRunner on the
+// same selection.
+func TestJobsHoldNoReplayCache(t *testing.T) {
+	st, key := newTestStore(t)
+	m := New(st, 2, 0)
+	defer m.Shutdown(context.Background())
+	var got json.RawMessage
+	for _, req := range []Request{
 		{Kind: KindEstimate, Warmup: "mru+prev"},
-		{Kind: KindEstimate, Warmup: "cold"},
 		{Kind: KindEstimate, Warmup: "mru"},
+		{Kind: KindEstimate, Warmup: "cold"},
 		{Kind: KindSimulate},
-	}
-	// replayed reads the replay series of /metrics.
-	replayed := func(m *Manager) map[string]float64 {
-		out := make(map[string]float64)
-		for name, v := range metricValues(t, m) {
-			if strings.HasPrefix(name, "bp_replay_") && name != "bp_replay_cache_max_bytes" {
-				out[name] = v
-			}
+	} {
+		req.Trace = key
+		done := submitAndWait(t, m, req)
+		if done.Status != StatusDone {
+			t.Fatalf("%s %s job: status=%s error=%s", req.Kind, req.Warmup, done.Status, done.Error)
 		}
-		return out
-	}
-	run := func(t *testing.T, disable bool) (results []json.RawMessage, after []map[string]float64) {
-		st, key := newTestStore(t)
-		m := New(st, 2, 0)
-		if disable {
-			m.SetReplayCacheBytes(-1)
-		}
-		defer m.Shutdown(context.Background())
-		for _, req := range reqs {
-			req.Trace = key
-			done := submitAndWait(t, m, req)
-			if done.Status != StatusDone {
-				t.Fatalf("%s %s job: status=%s error=%s", req.Kind, req.Warmup, done.Status, done.Error)
-			}
-			results = append(results, done.Result)
-			after = append(after, replayed(m))
-		}
-		return results, after
-	}
-	res, after := run(t, false)
-	if s := after[0]; s["bp_replay_cache_hits_total"] == 0 || s["bp_replay_cache_misses_total"] == 0 || s["bp_replay_decode_seconds_total"] == 0 {
-		t.Errorf("an mru+prev estimate's windows did not replay from its cache: %v", s)
-	}
-	for i, s := range after {
-		if !maps.Equal(s, after[0]) {
-			t.Errorf("%s %s job moved the replay caches from %v to %v", reqs[i].Kind, reqs[i].Warmup, after[0], s)
-		}
-		if s["bp_replay_cache_bytes"] != 0 || s["bp_replay_cache_entries"] != 0 {
-			t.Errorf("decoded regions held after the %s %s job: %v", reqs[i].Kind, reqs[i].Warmup, s)
+		if req.Warmup == "mru+prev" {
+			got = done.Result
 		}
 	}
-	resU, afterU := run(t, true)
-	for i := range reqs {
-		if !bytes.Equal(res[i], resU[i]) {
-			t.Errorf("%s %s job: cached and uncached results differ", reqs[i].Kind, reqs[i].Warmup)
-		}
-		for name, v := range afterU[i] {
-			if v != 0 {
-				t.Errorf("disabled caching reports activity: %s = %v", name, v)
-			}
+	for name := range metricValues(t, m) {
+		if strings.HasPrefix(name, "bp_replay_") {
+			t.Errorf("/metrics exports %s", name)
 		}
 	}
-}
 
-// TestNoDecodedRegionsHeldAcrossTraces: after mru+prev estimates of several
-// distinct traces, each of which replayed through a cache, the manager holds
-// no decoded region: every job's cache went with it.
-func TestNoDecodedRegionsHeldAcrossTraces(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	a, closer, _, _, err := BindCached(st, key, bp.DefaultConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(st, 2, 0)
-	defer m.Shutdown(context.Background())
-	for _, name := range []string{"npb-is", "npb-ft", "npb-mg"} {
-		var buf bytes.Buffer
-		if err := tracefile.Record(&buf, workload.New(name, 8, workload.WithScale(0.05))); err != nil {
-			t.Fatal(err)
-		}
-		key, _, err := st.PutTrace(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done := submitAndWait(t, m, Request{Kind: KindEstimate, Trace: key, Warmup: "mru+prev"}); done.Status != StatusDone {
-			t.Fatalf("%s: status=%s error=%s", name, done.Status, done.Error)
-		}
+	defer closer.Close()
+	mc := bp.TableIMachine(1)
+	res, err := adaptive.Run(a, bp.LocalRunner{}, mc, bp.MRUPrevWarmup, adaptive.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	vals := metricValues(t, m)
-	if vals["bp_replay_cache_hits_total"] == 0 {
-		t.Fatalf("no estimate replayed through a cache: %v", vals)
+	want, err := json.MarshalIndent(newIntervalResult(res.Estimate, mc, "mru+prev", len(res.Simulated), len(res.Rounds), 0, res.Met), "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b, n := vals["bp_replay_cache_bytes"], vals["bp_replay_cache_entries"]; b != 0 || n != 0 {
-		t.Errorf("after the jobs, %v decoded bytes (%v regions) are held, want 0", b, n)
+	if !bytes.Equal(got, want) {
+		t.Errorf("the mru+prev job's result differs from LocalRunner's:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -129,10 +129,13 @@ func TestJobSpanAndStageTimings(t *testing.T) {
 }
 
 // TestTraceDecodeIsTheJobsOwn: a span's trace-decode stage is its own job's
-// decode time. An analyze, which replays no region, records none, though an
-// mru+prev estimate decodes on another manager worker the whole time it runs.
+// decode time, the access-only reads of its prefix pass. An analyze, which
+// replays no region, records none, though an mru+prev estimate decodes on
+// another manager worker the whole time it runs. npb-ft's mru+prev selection
+// is two runs, so the pass reads the regions before the second head (npb-is's
+// is one run from region 0, before which the pass reads nothing).
 func TestTraceDecodeIsTheJobsOwn(t *testing.T) {
-	st, key := newTestStore(t)
+	st, key := newStoreWith(t, "npb-ft")
 	m := New(st, 2, 0)
 	defer m.Shutdown(context.Background())
 	// The estimate's selection is cached first, so only the analyze (max_k 5)

@@ -19,13 +19,12 @@ const DefaultRegionCacheBytes int64 = 256 << 20
 
 // RegionCache is a bounded, content-keyed LRU cache of fully decoded
 // inter-barrier regions. Replaying a region from a recorded trace costs a
-// gunzip plus a varint decode of every chunk, and some work replays a region
-// more than once: an mru+prev estimate replays each window in its prefix
-// pass and again before the point (bpserve keeps one cache per such job,
-// bpworker one per prefix pass). The cache pays the decode once and serves
-// every later replay from memory as a zero-copy, zero-allocation
-// trace.Stream. The prefix pass, which reads each region once, goes past it
-// (cachedFile.AppendAccesses).
+// gunzip plus a varint decode of every chunk, and bptool -trace replays a
+// region in its analysis, its estimate and its ground truth (one cache per
+// run; the daemons keep none, and stream every region). The cache pays the
+// decode once and serves every later replay from memory as a zero-copy,
+// zero-allocation trace.Stream. The prefix pass, which reads each region
+// once, goes past it (cachedFile.AppendAccesses).
 //
 // # Keys and identity
 //
@@ -227,7 +226,7 @@ type cachedFile struct {
 // not inserted — a miss, timed on the decode clock.
 // bptool's analysis fills its cache first, so here every read hits (npb-cg
 // ×0.5, gzip, 8 cores, mru: 272 of 272; reading past the cache cost ~10%,
-// 310 → 341 ms); a bpserve job's fresh cache did not (mru+prev: 0 of 96).
+// 310 → 341 ms).
 func (cf *cachedFile) AppendAccesses(dst []uint64, region, tid int) ([]uint64, error) {
 	cp, c := cf.cachedProgram, cf.c
 	c.mu.Lock()

@@ -64,7 +64,7 @@ func TestPassResumesBitIdentical(t *testing.T) {
 				}
 				from := ps.Pos()
 				p := &countingProgram{Program: base}
-				got, err := ps.Snapshot(p, at, 0)
+				got, err := ps.Snapshot(p, at)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,11 +100,11 @@ func TestPassResumesBitIdentical(t *testing.T) {
 func TestPassSnapshotBehindPanics(t *testing.T) {
 	p := workload.New("npb-is", 4, workload.WithScale(0.05))
 	ps := NewPass(p.Threads(), 64)
-	ps.Snapshot(p, 2, 0)
+	ps.Snapshot(p, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("Snapshot behind Pos did not panic")
 		}
 	}()
-	ps.Snapshot(p, 1, 0)
+	ps.Snapshot(p, 1)
 }

@@ -16,10 +16,9 @@
 // per change of page — O(1), no allocation for a line seen before. A
 // snapshot walks capacity nodes back from the tail — O(capacity),
 // independent of how many lines the core has ever touched, and with no
-// sort. A recorded trace hands the pass packed entries, no block records
-// (accessReader), past any replay cache — except the window regions a
-// caller replays in full itself, read through the program's streams so that
-// a caching view decodes them once for both.
+// sort. A program that offers an access-only read (accessReader: a recorded
+// trace, or a caching view of one) hands the pass packed entries, never
+// block records, for every region.
 //
 // # Why the index is unbounded
 //
@@ -36,7 +35,7 @@
 //
 // # Streaming contract
 //
-// Pass is the one prefix-pass implementation. Pass.Snapshot(p, at, window)
+// Pass is the one prefix-pass implementation. Pass.Snapshot(p, at)
 // tracks regions up to (not including) at and returns the snapshot at its
 // entry, or the first decode error, which spends the pass. So a caller
 // asking for its regions in ascending order walks the prefix once, gets each
@@ -249,10 +248,10 @@ func (ps *Pass) Decoded() (d time.Duration) {
 // Snapshot tracks regions [Pos, at) of p and returns each core's MRU state at
 // the entry of region at, leaving the pass there: region at itself is not
 // replayed, a snapshot depends only on the regions before it. at must not be
-// behind Pos. The window regions before at are read through p's streams (see
-// "Cost model"). A region that fails to decode fails the call and spends the
-// pass: start a new one.
-func (ps *Pass) Snapshot(p trace.Program, at, window int) (Snapshot, error) {
+// behind Pos. Each region is read access-only where p offers it (see "Cost
+// model"). A region that fails to decode fails the call and spends the pass:
+// start a new one.
+func (ps *Pass) Snapshot(p trace.Program, at int) (Snapshot, error) {
 	if at < ps.pos {
 		panic("warmup: Pass.Snapshot behind the pass; start a new Pass")
 	}
@@ -261,7 +260,7 @@ func (ps *Pass) Snapshot(p trace.Program, at, window int) (Snapshot, error) {
 	errs := make([]error, threads)
 	for ; ps.pos < at; ps.pos++ {
 		q := ps.pos
-		if ar != nil && q < at-window {
+		if ar != nil {
 			par.For(threads, func(t int) { errs[t] = ps.trackers[t].trackAccesses(ar, q, t) })
 		} else {
 			r := p.Region(q)
@@ -288,7 +287,7 @@ func Capture(p trace.Program, atRegions []int, capacityLines int) (map[int]Snaps
 	out := make(map[int]Snapshot, len(want))
 	ps := NewPass(p.Threads(), capacityLines)
 	for _, at := range want {
-		snap, err := ps.Snapshot(p, at, 0)
+		snap, err := ps.Snapshot(p, at)
 		if err != nil {
 			return nil, err
 		}

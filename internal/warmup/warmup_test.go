@@ -332,7 +332,7 @@ func TestTrackerRetainedBytes(t *testing.T) {
 	}{{"npb-cg", 0.5, 1}, {"npb-is", 1, 1.05}} {
 		p := workload.New(c.bench, 8, workload.WithScale(c.scale))
 		ps := NewPass(p.Threads(), 131072)
-		if _, err := ps.Snapshot(p, p.Regions(), 0); err != nil {
+		if _, err := ps.Snapshot(p, p.Regions()); err != nil {
 			t.Fatal(err)
 		}
 		var lines, got, old int
@@ -425,7 +425,7 @@ func TestStreamContract(t *testing.T) {
 	snaps := make(map[int]Snapshot)
 	ps := NewPass(p.Threads(), capacity)
 	for _, r := range []int{0, 2, 5} {
-		s, err := ps.Snapshot(p, r, 0)
+		s, err := ps.Snapshot(p, r)
 		if err != nil {
 			t.Fatal(err)
 		}

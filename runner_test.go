@@ -278,11 +278,15 @@ func corruptFirstChunk(t *testing.T, path string) {
 	}
 }
 
-// TestColdCacheHoldsReplayedRegionsOnly: after an mru estimate over a cold
-// RegionCache the cache holds exactly the point regions, because the prefix
-// pass reads from it but never fills it; under mru+prev it also holds each
-// run head's window, the regions the head replays before it, which the pass
-// reads through the cache so that they decode once.
+// TestColdCacheHoldsReplayedRegionsOnly: the prefix pass reads every region
+// access-only and fills no cache, and each run decodes its own window and
+// members, so a cold RegionCache ends up holding exactly the regions the runs
+// replay in full: the points, and under mru+prev each run head's window. An
+// estimate over the cache shows what it holds. The same runs taken stepwise
+// on a fresh cache, the whole pass before any run, show the counts: the pass
+// inserts nothing (its reads all go past the cache, each a miss of one
+// thread), and the runs' decodes then equal the entries and the replayed
+// regions, so each of those decodes exactly once.
 func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lu.bptrace")
 	if err := bp.SaveTrace(path, workload.New("npb-lu", 8, workload.WithScale(0.2))); err != nil {
@@ -326,6 +330,32 @@ func TestColdCacheHoldsReplayedRegionsOnly(t *testing.T) {
 		}
 		if len(held) == a.Program.Regions() {
 			t.Errorf("%v: the points and windows cover all %d regions: the test shows nothing", mode, len(held))
+		}
+
+		rc = tracefile.NewRegionCache(0)
+		prog := rc.Program(f, path)
+		pass := bp.NewPrefixPass(bp.TableIMachine(1))
+		var simulate []func() ([]bp.RegionResult, error)
+		for _, run := range bp.Runs(regions, mode) {
+			fn, err := pass.Run(prog, run[0], len(run), mode, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simulate = append(simulate, fn)
+		}
+		read := rc.Stats()
+		if want := int64(pass.Pos() * f.Threads()); read.Entries != 0 || read.Hits != 0 || read.Misses != want {
+			t.Errorf("%v: the pass left the cache at %+v, want %d reads past it and nothing held", mode, read, want)
+		}
+		for _, fn := range simulate {
+			if _, err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := rc.Stats()
+		if decoded := s.Misses - read.Misses; decoded != int64(s.Entries) || s.Entries != len(held) || s.Evictions != 0 {
+			t.Errorf("%v: the runs decoded %d regions into %d entries (%d evicted), want each of the %d replayed regions once",
+				mode, decoded, s.Entries, s.Evictions, len(held))
 		}
 	}
 }

@@ -42,25 +42,27 @@ var surfaceAllow = map[string]bool{
 	// Fixtures, inspectors and drivers of other declarations' tests (several
 	// from other packages): the small machine, cache-content queries, one
 	// task start to finish, span lookup (a job's, and the in-process
-	// workers' a queue keeps), fault-injection bookkeeping.
-	"internal/bbv.New":                    true,
-	"internal/bbv.Vector.Add":             true,
-	"internal/bbv.Vector.Get":             true,
-	"internal/farm.Executor.Execute":      true,
-	"internal/farm.Queue.WorkerSpans":     true,
-	"internal/fault.Injector.Hits":        true,
-	"internal/fault.Reset":                true,
-	"internal/obs.SpanRecorder.ByTrace":   true,
-	"internal/service.Manager.Spans":      true,
-	"internal/sim.Machine.CheckInclusion": true,
-	"internal/sim.Machine.Counters":       true,
-	"internal/sim.Machine.L1DHas":         true,
-	"internal/sim.Machine.L2Has":          true,
-	"internal/sim.Machine.L2Occupancy":    true,
-	"internal/sim.Machine.LLCOccupancy":   true,
-	"internal/sim.Tiny":                   true,
-	"internal/sparse.Table.Cap":           true,
-	"internal/store.Store.RemoveArtifact": true,
+	// workers' a queue keeps), fault-injection bookkeeping, a replay
+	// cache's counters.
+	"internal/bbv.New":                     true,
+	"internal/bbv.Vector.Add":              true,
+	"internal/bbv.Vector.Get":              true,
+	"internal/farm.Executor.Execute":       true,
+	"internal/farm.Queue.WorkerSpans":      true,
+	"internal/fault.Injector.Hits":         true,
+	"internal/fault.Reset":                 true,
+	"internal/obs.SpanRecorder.ByTrace":    true,
+	"internal/service.Manager.Spans":       true,
+	"internal/sim.Machine.CheckInclusion":  true,
+	"internal/sim.Machine.Counters":        true,
+	"internal/sim.Machine.L1DHas":          true,
+	"internal/sim.Machine.L2Has":           true,
+	"internal/sim.Machine.L2Occupancy":     true,
+	"internal/sim.Machine.LLCOccupancy":    true,
+	"internal/sim.Tiny":                    true,
+	"internal/sparse.Table.Cap":            true,
+	"internal/store.Store.RemoveArtifact":  true,
+	"internal/tracefile.RegionCache.Stats": true,
 }
 
 // TestSurface type-checks every non-test file of the module (bench/ is its
