@@ -105,12 +105,13 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	}
 }
 
-// TestJobsHoldNoReplayCache: no job decodes into a cache of its own. After
-// an mru+prev, an mru and a cold estimate and a ground-truth simulate,
-// /metrics exports no bp_replay_ series, and the mru+prev result is
-// byte-equal to one computed outside the manager by bp.LocalRunner on the
-// same selection.
-func TestJobsHoldNoReplayCache(t *testing.T) {
+// TestReplayCacheLivesWithItsJob pins the lifetime of decoded regions: no
+// job keeps a replay cache, so a region decoded for a job lives no longer
+// than the simulation that reads it. After an mru+prev, an mru and a cold
+// estimate and a ground-truth simulate, /metrics exports no bp_replay_
+// series, and the mru+prev result is byte-equal to one computed outside
+// the manager by bp.LocalRunner on the same selection.
+func TestReplayCacheLivesWithItsJob(t *testing.T) {
 	st, key := newTestStore(t)
 	m := New(st, 2, 0)
 	defer m.Shutdown(context.Background())
@@ -129,13 +130,58 @@ func TestJobsHoldNoReplayCache(t *testing.T) {
 		if req.Warmup == "mru+prev" {
 			got = done.Result
 		}
+		noReplaySeries(t, m)
 	}
+	if want := localMRUPrev(t, st, key); !bytes.Equal(got, want) {
+		t.Errorf("the mru+prev job's result differs from LocalRunner's:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestNoDecodedRegionsHeldAcrossTraces: mru+prev estimates of several
+// distinct traces on one manager hold no decoded region between jobs (no
+// bp_replay_ series), and carry nothing from one trace into the next: each
+// result is byte-equal to bp.LocalRunner's on that trace alone.
+func TestNoDecodedRegionsHeldAcrossTraces(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(st, 2, 0)
+	defer m.Shutdown(context.Background())
+	for _, name := range []string{"npb-is", "npb-ft", "npb-mg"} {
+		var buf bytes.Buffer
+		if err := tracefile.Record(&buf, workload.New(name, 8, workload.WithScale(0.05))); err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := st.PutTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := submitAndWait(t, m, Request{Kind: KindEstimate, Trace: key, Warmup: "mru+prev"})
+		if done.Status != StatusDone {
+			t.Fatalf("%s: status=%s error=%s", name, done.Status, done.Error)
+		}
+		noReplaySeries(t, m)
+		if want := localMRUPrev(t, st, key); !bytes.Equal(done.Result, want) {
+			t.Errorf("%s: the mru+prev job's result differs from LocalRunner's:\n%s\nwant\n%s", name, done.Result, want)
+		}
+	}
+}
+
+// noReplaySeries fails t if m's /metrics exports a bp_replay_ series.
+func noReplaySeries(t *testing.T, m *Manager) {
+	t.Helper()
 	for name := range metricValues(t, m) {
 		if strings.HasPrefix(name, "bp_replay_") {
 			t.Errorf("/metrics exports %s", name)
 		}
 	}
+}
 
+// localMRUPrev is the result an mru+prev estimate job of the stored trace
+// key should return, computed outside a Manager by bp.LocalRunner.
+func localMRUPrev(t *testing.T, st *store.Store, key string) json.RawMessage {
+	t.Helper()
 	a, closer, _, _, err := BindCached(st, key, bp.DefaultConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +196,7 @@ func TestJobsHoldNoReplayCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("the mru+prev job's result differs from LocalRunner's:\n%s\nwant\n%s", got, want)
-	}
+	return want
 }
 
 // TestConcurrentSubmitDedup race-submits N identical analyze jobs; they
