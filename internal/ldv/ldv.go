@@ -3,16 +3,19 @@
 // vectors", LDVs) BarrierPoint uses to characterize the data reuse behaviour
 // of inter-barrier regions.
 //
-// The profiler uses the classic Olken/Fenwick-tree algorithm: every cache
-// line's most recent access time is marked in a binary indexed tree, so the
-// number of distinct lines touched since the previous access to a given line
-// (its LRU stack distance) is a suffix count, computed in O(log n) per
-// access.
+// The profiler follows Olken's algorithm: every cache line's most recent
+// access time is marked, so the number of distinct lines touched since the
+// previous access to a given line (its LRU stack distance) is the count of
+// marks after that access. The marks are a bitmap, one bit per access time,
+// under a Fenwick tree of per-64-bit-word counts: a reuse costs a popcount
+// and O(log(n/64)) tree steps, and a reuse within the clock's own word no
+// tree step at all.
 package ldv
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"barrierpoint/internal/sparse"
@@ -117,47 +120,76 @@ func (h *Histogram) String() string {
 // Profiler computes LRU stack distances of a cache line access stream.
 // The zero value is not usable; call NewProfiler.
 //
-// The per-line last-access index is a sparse.Table, not a Go map: Access
-// is the innermost loop of the profiling pass, the map measured slower end
-// to end (see sparse.Table), and Reset is a metadata clear, so profilers
-// pool cleanly across regions (see internal/profile).
+// Each line's last access time lives in a sparse.Lines page index: one hash
+// probe per change of 16-line page, not per access. The times that are some
+// line's latest access are marked in a bitmap, one bit per time, and a
+// Fenwick tree sums the marks per 64-bit word; the clock's own word is
+// counted in pending and joins the tree when the clock leaves it. Reset
+// clears only the words used, so profilers pool cleanly across regions (see
+// internal/profile).
 type Profiler struct {
-	last sparse.Table[int] // line -> most recent access time (1-based)
-	bit  []int             // Fenwick tree over access times; bit[0] unused
-	time int               // number of accesses processed
+	last    sparse.Lines[int] // line -> most recent access time (1-based; 0 = never)
+	n       int               // distinct lines seen: marks set
+	marks   []uint64          // bit t set iff time t is a line's most recent access
+	tree    []int             // Fenwick tree of marks per word before word; tree[0] unused
+	word    int               // the clock's word, whose marks pending counts
+	pending int
+	time    int // accesses processed; an int clock does not wrap
 }
 
 // NewProfiler returns a profiler expecting roughly hint accesses (the hint
 // only pre-sizes internal storage; any number of accesses is supported).
 func NewProfiler(hint int) *Profiler {
-	if hint < 16 {
-		hint = 16
-	}
+	words := hint/64 + 1
 	return &Profiler{
-		last: *sparse.NewTable[int](hint / 4),
-		bit:  make([]int, hint+1),
+		last:  *sparse.NewLines[int](hint / 64),
+		marks: make([]uint64, words),
+		tree:  make([]int, words+1),
 	}
 }
 
 // Reset clears all profiler state, keeping allocated storage.
 func (p *Profiler) Reset() {
 	p.last.Reset()
-	clear(p.bit)
-	p.time = 0
+	clear(p.marks[:p.word+1])
+	clear(p.tree)
+	p.n, p.word, p.pending, p.time = 0, 0, 0, 0
 }
 
-func (p *Profiler) bitAdd(i, delta int) {
-	for ; i < len(p.bit); i += i & (-i) {
-		p.bit[i] += delta
+func (p *Profiler) treeAdd(w, delta int) {
+	for i := w + 1; i < len(p.tree); i += i & (-i) {
+		p.tree[i] += delta
 	}
 }
 
-func (p *Profiler) bitSum(i int) int { // prefix sum over [1, i]
-	s := 0
-	for ; i > 0; i -= i & (-i) {
-		s += p.bit[i]
+// before returns the number of marks at times [1, t].
+func (p *Profiler) before(t int) int {
+	w := t / 64
+	s := bits.OnesCount64(p.marks[w] & (2<<(uint(t)%64) - 1))
+	for i := w; i > 0; i -= i & (-i) {
+		s += p.tree[i]
 	}
 	return s
+}
+
+// advance moves the clock into word w, the one after p.word: the old word's
+// marks join the tree, and the bitmap doubles once the clock leaves it.
+func (p *Profiler) advance(w int) {
+	p.treeAdd(p.word, p.pending)
+	p.word, p.pending = w, 0
+	if w < len(p.marks) {
+		return
+	}
+	// A new high tree node covers existing words, so the tree is rebuilt
+	// from the bitmap in one linear pass; word w holds no marks yet.
+	p.marks = append(p.marks, make([]uint64, len(p.marks))...)
+	p.tree = make([]int, len(p.marks)+1)
+	for i := 1; i < len(p.tree); i++ {
+		p.tree[i] += bits.OnesCount64(p.marks[i-1])
+		if j := i + i&(-i); j < len(p.tree) {
+			p.tree[j] += p.tree[i]
+		}
+	}
 }
 
 // Access processes one access to the given cache line and returns its LRU
@@ -167,26 +199,32 @@ func (p *Profiler) bitSum(i int) int { // prefix sum over [1, i]
 func (p *Profiler) Access(line uint64) (dist int, cold bool) {
 	p.time++
 	t := p.time
-	if t >= len(p.bit) {
-		// Grow the Fenwick tree. Zero-extension would corrupt it — a new
-		// high node covers a range of existing positions — so rebuild
-		// from the active positions (each line's most recent access).
-		p.bit = make([]int, 2*len(p.bit))
-		p.last.Range(func(_ uint64, at int) {
-			p.bitAdd(at, 1)
-		})
+	if w := t / 64; w != p.word {
+		p.advance(w)
 	}
-	prev, seen := p.last.Swap(line, t)
-	if seen {
-		// Distinct lines accessed strictly after prev: each line seen has
-		// one mark, at its latest access and before t, so the prefix sum
-		// over [1, t-1] is the table's size and a suffix count suffices.
-		dist = p.last.Len() - p.bitSum(prev)
-		p.bitAdd(prev, -1)
-	} else {
+	slot := p.last.Slot(line)
+	prev := *slot
+	*slot = t
+	if prev == 0 {
+		p.n++
 		cold = true
+	} else {
+		// Every line seen has one mark, at its latest access and before
+		// t, so the lines accessed strictly after prev are the marks
+		// after it.
+		pw, bit := prev/64, uint64(1)<<(uint(prev)%64)
+		if pw == p.word {
+			// No marks after the clock's word: count within it alone.
+			dist = bits.OnesCount64(p.marks[pw] &^ (bit<<1 - 1))
+			p.pending--
+		} else {
+			dist = p.n - p.before(prev)
+			p.treeAdd(pw, -1)
+		}
+		p.marks[pw] &^= bit
 	}
-	p.bitAdd(t, 1)
+	p.marks[t/64] |= uint64(1) << (uint(t) % 64)
+	p.pending++
 	return dist, cold
 }
 

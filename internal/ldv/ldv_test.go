@@ -71,6 +71,65 @@ func TestProfilerQuick(t *testing.T) {
 	}
 }
 
+// TestProfilerEdgeCases checks the profiler against naiveStackDistance
+// where the random tests above do not reach: lines over hundreds of pages
+// with keys up to 2^40, streams many 64-access words long from the smallest
+// profiler (so the bitmap grows several times), reuses at the first access
+// of a word (when the previous word's marks join the tree), and a short
+// stream, then a long one, after Reset, as the profiling pass's pool reuses
+// profilers.
+func TestProfilerEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := func(n, lines int, base uint64, stride uint64) []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = base + uint64(rng.Intn(lines))*stride
+		}
+		return s
+	}
+	// wordReuse reuses a line at every access that opens a 64-access word
+	// (access times count from 1): a recent one, marked in the word being
+	// left, or an old one.
+	wordReuse := func(n int) []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			switch t := i + 1; {
+			case t%64 != 0:
+				s[i] = uint64(1000 + i)
+			case t%128 == 0:
+				s[i] = s[i-1-rng.Intn(10)]
+			default:
+				s[i] = s[rng.Intn(i)]
+			}
+		}
+		return s
+	}
+	cases := []struct {
+		name    string
+		streams [][]uint64 // profiled in turn, with a Reset between
+	}{
+		{"pages", [][]uint64{random(3000, 400, 0, 16*7)}},
+		{"high keys", [][]uint64{random(3000, 900, 1<<40-500*16, 16)}},
+		{"growth", [][]uint64{random(3000, 200, 1<<20, 3)}},
+		{"word reuse", [][]uint64{wordReuse(2000)}},
+		{"reset", [][]uint64{random(2500, 600, 1<<30, 5), random(40, 8, 1<<30, 5), random(3000, 300, 1<<30, 5)}},
+	}
+	for _, c := range cases {
+		p := NewProfiler(4)
+		for si, stream := range c.streams {
+			for i, line := range stream {
+				want := naiveStackDistance(stream[:i], line)
+				dist, cold := p.Access(line)
+				if cold != (want == -1) || (!cold && dist != want) {
+					t.Fatalf("%s: stream %d access %d line %#x: (dist %d, cold %v), want %d (-1 = cold)",
+						c.name, si, i, line, dist, cold, want)
+				}
+			}
+			p.Reset()
+		}
+	}
+}
+
 func TestProfilerSequentialSweep(t *testing.T) {
 	// Sweeping N lines cyclically: every revisit has distance N-1.
 	const n = 100

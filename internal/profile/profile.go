@@ -21,8 +21,8 @@ import (
 )
 
 // Profiling scratch state, pooled across regions: the LDV profiler's
-// last-access table and Fenwick tree, and the BBV accumulator, are the two
-// big per-region structures. Both reset to clean state without releasing
+// last-access page index, mark bitmap and word tree, and the BBV
+// accumulator, are the two big per-region structures. Both reset to clean state without releasing
 // storage, so the steady-state profiling pass allocates only the retained
 // per-region results. Objects are Reset before Put, never after Get.
 var (

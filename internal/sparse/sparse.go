@@ -1,8 +1,9 @@
 // Package sparse provides the flat sparse-vector representation behind the
 // signature pipeline hot paths: sorted []Entry vectors with merge-join
 // distance, plus an open-addressing robin-hood hash table used both to
-// accumulate vectors without map churn and to back the LDV profiler's
-// last-access index.
+// accumulate vectors without map churn and to index per-line state by
+// 16-line page (Lines: the LDV profiler's last access times, the warm-up
+// tracker's recency nodes).
 //
 // The package exists because profiling and clustering dominate the
 // BarrierPoint one-time cost (paper §III, the 20-30x Pintool slowdown), and

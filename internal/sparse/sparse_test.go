@@ -30,11 +30,12 @@ func TestTableAgainstMap(t *testing.T) {
 			k = rng.Uint64()
 		}
 		keys = append(keys, k)
-		prev, existed := tab.Swap(k, i)
+		p, existed := tab.Upsert(k)
 		refPrev, refExisted := ref[k]
-		if existed != refExisted || (existed && prev != refPrev) {
-			t.Fatalf("op %d key %d: Swap = (%d,%v), want (%d,%v)", i, k, prev, existed, refPrev, refExisted)
+		if existed != refExisted || (existed && *p != refPrev) {
+			t.Fatalf("op %d key %d: Upsert = (%d,%v), want (%d,%v)", i, k, *p, existed, refPrev, refExisted)
 		}
+		*p = i
 		ref[k] = i
 	}
 	if tab.Len() != len(ref) {
@@ -52,11 +53,12 @@ func TestTableAgainstMap(t *testing.T) {
 	if tab.Len() != 0 {
 		t.Error("Len after Reset != 0")
 	}
-	if _, existed := tab.Swap(keys[0], 1); existed {
+	if p, existed := tab.Upsert(keys[0]); existed || *p != 0 {
 		t.Error("found an entry after Reset")
 	}
-	tab.Swap(7, 7)
-	if v, existed := tab.Swap(7, 8); !existed || v != 7 {
+	p, _ := tab.Upsert(7)
+	*p = 7
+	if p, existed := tab.Upsert(7); !existed || *p != 7 {
 		t.Error("table unusable after Reset")
 	}
 }
@@ -64,11 +66,42 @@ func TestTableAgainstMap(t *testing.T) {
 // TestTableZeroKey: key 0 is a legal key (line address 0 exists).
 func TestTableZeroKey(t *testing.T) {
 	tab := NewTable[int](4)
-	if _, existed := tab.Swap(0, 9); existed {
+	p, existed := tab.Upsert(0)
+	if existed {
 		t.Error("zero key reported present in empty table")
 	}
-	if v, existed := tab.Swap(0, 10); !existed || v != 9 {
-		t.Errorf("second Swap(0) = (%d,%v)", v, existed)
+	*p = 9
+	if p, existed := tab.Upsert(0); !existed || *p != 9 {
+		t.Errorf("second Upsert(0) = (%d,%v)", *p, existed)
+	}
+}
+
+// TestLinesAgainstMap drives Lines with runs inside a page, jumps across
+// pages, line 0 and lines next to the top of the key space against a map,
+// through a Reset.
+func TestLinesAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := NewLines[int](1)
+	for round := 0; round < 2; round++ {
+		ref := make(map[uint64]int)
+		line := uint64(0)
+		for i := 1; i <= 20000; i++ {
+			switch rng.Intn(4) {
+			case 0:
+				line = uint64(rng.Intn(4096))
+			case 1:
+				line = ^uint64(0) - uint64(rng.Intn(64))
+			default:
+				line++
+			}
+			p := x.Slot(line)
+			if *p != ref[line] {
+				t.Fatalf("round %d op %d line %#x: slot holds %d, want %d", round, i, line, *p, ref[line])
+			}
+			*p = i
+			ref[line] = i
+		}
+		x.Reset()
 	}
 }
 

@@ -16,14 +16,16 @@ func hash(x uint64) uint64 {
 }
 
 // Table is an open-addressing robin-hood hash table keyed by uint64, for
-// the profiling hot loops: two flat arrays plus one metadata byte per
-// slot, linear probes bounded by robin-hood displacement, and a Reset that
-// reuses all storage. Go 1.24's built-in map in its place passed every
-// test and pin, but bench/run.sh cold-big-regions (2-core Xeon VM, two
-// alternating pairs) read upload_ms 130.1 / 138.6 → 160.3 / 163.8 ms.
+// the profiling hot loops: the BBV Accumulator and the page index of Lines.
+// Two flat arrays plus one metadata byte per slot, linear probes bounded by
+// robin-hood displacement, and a Reset that reuses all storage. When the
+// LDV profiler still probed it once per access, Go 1.24's built-in map in
+// its place passed every test and pin, but bench/run.sh cold-big-regions
+// (2-core Xeon VM, two alternating pairs) read upload_ms 130.1 / 138.6 →
+// 160.3 / 163.8 ms.
 //
-// Entries cannot be deleted; the profiler only ever upserts. The zero
-// value is ready to use.
+// Entries cannot be deleted; both users only ever upsert. The zero value is
+// ready to use.
 type Table[V any] struct {
 	keys []uint64
 	vals []V
@@ -89,7 +91,7 @@ func (t *Table[V]) grow() {
 
 // Upsert returns a pointer to the value stored under k, inserting a zero
 // value first if k is absent. existed reports whether k was already
-// present. The pointer is valid until the next Upsert, Swap or Reset.
+// present. The pointer is valid until the next Upsert or Reset.
 func (t *Table[V]) Upsert(k uint64) (p *V, existed bool) {
 	if t.dist == nil {
 		t.init(16)
@@ -162,16 +164,6 @@ retry:
 		i = (i + 1) & t.mask
 		d++
 	}
-}
-
-// Swap stores v under k and returns the previous value, if any. It is the
-// single-operation form of the LDV profiler's "read last access time, write
-// new one" step.
-func (t *Table[V]) Swap(k uint64, v V) (prev V, existed bool) {
-	p, existed := t.Upsert(k)
-	prev = *p
-	*p = v
-	return prev, existed
 }
 
 // Range calls fn for every entry, in unspecified order.

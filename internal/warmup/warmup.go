@@ -11,8 +11,8 @@
 // The prefix pass must stay cheaper than the detailed simulation it stands
 // in for, so the per-core tracker is a recency list, not a timestamp map: a
 // flat node array threaded on an intrusive doubly-linked list ordered
-// LRU→MRU, indexed by 16-line page (a sparse.Table to the page's node
-// slots). Touching a line is a splice to the list tail plus one hash probe
+// LRU→MRU, indexed by 16-line page (a sparse.Lines of node numbers).
+// Touching a line is a splice to the list tail plus one hash probe
 // per change of page — O(1), no allocation for a line seen before. A
 // snapshot walks capacity nodes back from the tail — O(capacity),
 // independent of how many lines the core has ever touched, and with no
@@ -103,42 +103,26 @@ type node struct {
 	prev, next int32
 }
 
-// pageLines is the number of consecutive lines one index entry covers.
-const pageLines = 16
-
 // tracker accumulates one core's most-recent-access ordering. nodes[0] is
 // the sentinel of a circular list: nodes[0].next is the least recently used
-// line, nodes[0].prev the most recently used. index maps line/pageLines to
-// the page's slots in pages, each a line's node (0 = untracked); lastPage
-// caches the page of the last touch. int32 links bound a core to 2^31
+// line, nodes[0].prev the most recently used. index maps each line to its
+// node (0 = untracked), by 16-line page. int32 links bound a core to 2^31
 // distinct lines (128 GiB of footprint), far past anything a trace can hold.
 type tracker struct {
-	index    sparse.Table[int32]
-	pages    [][pageLines]int32
-	lastKey  uint64 // line/pageLines of lastPage; no line maps to ^0
-	lastPage int32
-	nodes    []node
-	decode   time.Duration // spent in accessReader reads
+	index  sparse.Lines[int32]
+	nodes  []node
+	decode time.Duration // spent in accessReader reads
 }
 
 func newTracker() *tracker {
 	return &tracker{
-		index:   *sparse.NewTable[int32](64),
-		lastKey: ^uint64(0),
-		nodes:   make([]node, 1, 1024),
+		index: *sparse.NewLines[int32](64),
+		nodes: make([]node, 1, 1024),
 	}
 }
 
 func (t *tracker) touch(line uint64, write bool) {
-	if key := line / pageLines; key != t.lastKey {
-		p, existed := t.index.Upsert(key)
-		if !existed {
-			*p = int32(len(t.pages))
-			t.pages = append(t.pages, [pageLines]int32{})
-		}
-		t.lastKey, t.lastPage = key, *p
-	}
-	slot := &t.pages[t.lastPage][line%pageLines]
+	slot := t.index.Slot(line)
 	if *slot == 0 {
 		i := int32(len(t.nodes))
 		*slot = i

@@ -266,13 +266,13 @@ var referenceStreams = []struct {
 	// One line per page: strided sweeps and random pages at a fixed offset
 	// inside the page, so every touch probes the index.
 	{"strides", func(rng *rand.Rand, footprint int) func() uint64 {
-		off, k := uint64(rng.Intn(pageLines)), 0
+		off, k := uint64(rng.Intn(sparse.PageLines)), 0
 		return func() uint64 {
 			if rng.Intn(2) == 0 {
 				k = (k + 1) % footprint
-				return uint64(k)*pageLines + off
+				return uint64(k)*sparse.PageLines + off
 			}
-			return uint64(rng.Intn(footprint))*pageLines + off
+			return uint64(rng.Intn(footprint))*sparse.PageLines + off
 		}
 	}},
 	// The mixed stream's shape at and above 2^46 (the tag range of the
@@ -343,7 +343,8 @@ func TestTrackerRetainedBytes(t *testing.T) {
 			}
 			nodeBytes := cap(tr.nodes) * int(unsafe.Sizeof(node{}))
 			lines += len(tr.nodes) - 1
-			got += nodeBytes + cap(tr.pages)*int(unsafe.Sizeof([pageLines]int32{})) + tr.index.Cap()*slotBytes
+			pages, slots := tr.index.Cap()
+			got += nodeBytes + pages*int(unsafe.Sizeof([sparse.PageLines]int32{})) + slots*slotBytes
 			old += nodeBytes + perLine.Cap()*slotBytes
 		}
 		gotPer, oldPer := float64(got)/float64(lines), float64(old)/float64(lines)

@@ -60,7 +60,7 @@ var surfaceAllow = map[string]bool{
 	"internal/sim.Machine.L2Occupancy":     true,
 	"internal/sim.Machine.LLCOccupancy":    true,
 	"internal/sim.Tiny":                    true,
-	"internal/sparse.Table.Cap":            true,
+	"internal/sparse.Lines.Cap":            true,
 	"internal/store.Store.RemoveArtifact":  true,
 	"internal/tracefile.RegionCache.Stats": true,
 }
