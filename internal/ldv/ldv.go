@@ -131,7 +131,7 @@ type Profiler struct {
 	last    sparse.Lines[int] // line -> most recent access time (1-based; 0 = never)
 	n       int               // distinct lines seen: marks set
 	marks   []uint64          // bit t set iff time t is a line's most recent access
-	tree    []int             // Fenwick tree of marks per word before word; tree[0] unused
+	tree    []int             // Fenwick tree of per-word mark counts, words before word; tree[0] unused
 	word    int               // the clock's word, whose marks pending counts
 	pending int
 	time    int // accesses processed; an int clock does not wrap

@@ -47,7 +47,7 @@ func TestProfilerAgainstNaive(t *testing.T) {
 }
 
 func TestProfilerQuick(t *testing.T) {
-	// Property: for arbitrary short traces, the Fenwick profiler matches
+	// Property: for arbitrary short traces, the profiler matches
 	// the naive reference exactly.
 	f := func(raw []uint8) bool {
 		p := NewProfiler(4)
@@ -169,7 +169,7 @@ func TestProfilerReset(t *testing.T) {
 }
 
 func TestProfilerGrowth(t *testing.T) {
-	// Exceed the initial hint to exercise Fenwick growth.
+	// Exceed the initial hint to exercise bitmap growth.
 	p := NewProfiler(4)
 	for i := 0; i < 10000; i++ {
 		p.Access(uint64(i % 50))
@@ -263,8 +263,8 @@ func TestCollect(t *testing.T) {
 }
 
 // TestAccessSteadyStateAllocs is the allocation-regression cap for the
-// profiling inner loop: once the table and Fenwick tree have grown to the
-// working set, Access never allocates.
+// profiling inner loop: once the page index and the bitmap have grown to
+// the working set, Access never allocates.
 func TestAccessSteadyStateAllocs(t *testing.T) {
 	p := NewProfiler(16)
 	for i := 0; i < 4096; i++ { // grow to the working set

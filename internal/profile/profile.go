@@ -22,9 +22,10 @@ import (
 
 // Profiling scratch state, pooled across regions: the LDV profiler's
 // last-access page index, mark bitmap and word tree, and the BBV
-// accumulator, are the two big per-region structures. Both reset to clean state without releasing
-// storage, so the steady-state profiling pass allocates only the retained
-// per-region results. Objects are Reset before Put, never after Get.
+// accumulator, are the two big per-region structures. Both reset to clean
+// state without releasing storage, so the steady-state profiling pass
+// allocates only the retained per-region results. Objects are Reset before
+// Put, never after Get.
 var (
 	profilerPool = sync.Pool{New: func() any { return ldv.NewProfiler(4096) }}
 	accPool      = sync.Pool{New: func() any { return sparse.NewAccumulator(256) }}

@@ -16,16 +16,16 @@ func hash(x uint64) uint64 {
 }
 
 // Table is an open-addressing robin-hood hash table keyed by uint64, for
-// the profiling hot loops: the BBV Accumulator and the page index of Lines.
-// Two flat arrays plus one metadata byte per slot, linear probes bounded by
-// robin-hood displacement, and a Reset that reuses all storage. When the
-// LDV profiler still probed it once per access, Go 1.24's built-in map in
-// its place passed every test and pin, but bench/run.sh cold-big-regions
-// (2-core Xeon VM, two alternating pairs) read upload_ms 130.1 / 138.6 →
-// 160.3 / 163.8 ms.
+// the hot loops: the BBV Accumulator, the page index of Lines and the
+// projection's row memo (internal/cluster). Two flat arrays plus one
+// metadata byte per slot, linear probes bounded by robin-hood displacement,
+// and a Reset that reuses all storage. When the LDV profiler still probed
+// it once per access, Go 1.24's built-in map in its place passed every test
+// and pin, but bench/run.sh cold-big-regions (2-core Xeon VM, two
+// alternating pairs) read upload_ms 130.1 / 138.6 → 160.3 / 163.8 ms.
 //
-// Entries cannot be deleted; both users only ever upsert. The zero value is
-// ready to use.
+// Entries cannot be deleted; every user only ever upserts. The zero value
+// is ready to use.
 type Table[V any] struct {
 	keys []uint64
 	vals []V
