@@ -28,16 +28,14 @@
 //
 // The analysis is a pure function of the trace bytes, so its outputs cache
 // by content: the analysis service (internal/store, internal/service,
-// cmd/bpserve, bptool -cache) files a trace under the SHA-256 of its bytes,
+// cmd/bpserve, cmd/bptool) files a trace under the SHA-256 of its bytes,
 // and selections and estimates under that key plus a hash of every
 // parameter they depend on (analysis config; machine config and warmup
 // mode). Repeat analyses of byte-identical traces never re-profile: the
 // paper's "one-time cost" (Fig. 2) is paid once per trace content.
 //
-// Every replay streams its regions from the trace, decoding as it goes;
-// bptool -trace alone keeps one internal/tracefile.RegionCache across its
-// analysis, estimate and ground truth. Cached and uncached replays are
-// identical.
+// Every replay streams its regions from the trace, decoding as it goes: no
+// command keeps decoded regions between replays.
 package barrierpoint
 
 import (

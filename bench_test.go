@@ -155,17 +155,15 @@ func BenchmarkProfiling(b *testing.B) {
 // store, returning the store and the trace's key.
 func newBenchStore(b *testing.B) (*store.Store, string) {
 	b.Helper()
-	dir := b.TempDir()
-	st, err := store.Open(filepath.Join(dir, "store"))
+	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(dir, "ft.bptrace")
-	prog := workload.New("npb-ft", 8, workload.WithScale(benchScale))
-	if err := bp.SaveTrace(path, prog); err != nil {
+	var buf bytes.Buffer
+	if err := bp.RecordTrace(&buf, workload.New("npb-ft", 8, workload.WithScale(benchScale))); err != nil {
 		b.Fatal(err)
 	}
-	key, _, err := st.ImportTrace(path)
+	key, _, err := st.PutTrace(&buf)
 	if err != nil {
 		b.Fatal(err)
 	}

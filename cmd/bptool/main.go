@@ -21,13 +21,18 @@
 // telemetry span: the trace ID (shared with any farm tasks the job ran)
 // and a per-stage timing breakdown.
 //
-// With -cache, analysis artifacts live in a content-addressed store shared
-// with the bpserve service: the first analyze of a trace profiles and
-// clusters it, every later analyze of byte-identical content reuses the
-// cached selection.
+// Every analysis runs the road a bpserve job runs: the trace (a built-in
+// workload is recorded first) enters a content-addressed store through the
+// upload's ingest pass, the selection is bound from the store, and point
+// results are stored beside it. With -cache that store is a directory shared
+// with bpserve: the first analyze of a trace profiles and clusters it, and
+// every later analyze of byte-identical content reuses the cached selection
+// and point results. Without it, the store is a temporary directory removed
+// when the run ends.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -48,7 +53,6 @@ import (
 	"barrierpoint/internal/stats"
 	"barrierpoint/internal/store"
 	"barrierpoint/internal/trace"
-	"barrierpoint/internal/tracefile"
 	"barrierpoint/internal/workload"
 )
 
@@ -295,38 +299,23 @@ func runInfo(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// cachedAnalysis runs the analyze stage through a content-addressed store
-// shared with bpserve: the trace is filed under its content key (in-memory
-// workloads are recorded first), and the service's binder — the one bpserve
-// jobs and campaign cells run — serves the selection from the store when
-// already cached, skipping profiling and clustering entirely, and binds it
-// to the store's copy of the trace: the analysis' program replays exactly the
-// bytes the key addresses. The caller closes the returned closer.
-func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *tracefile.RegionCache) (*bp.Analysis, io.Closer, string, string, error) {
-	var key string
-	var err error
-	if tracePath != "" {
-		key, _, err = st.ImportTrace(tracePath)
-	} else {
-		// Stream the recording straight into the store: the bytes are
-		// written once, and PutTrace discards them again if byte-identical
-		// content is already filed.
-		pr, pw := io.Pipe()
-		go func() { pw.CloseWithError(bp.RecordTrace(pw, prog)) }()
-		key, _, err = st.PutTrace(pr)
+// ingest files the run's input in st through the ingest pass bpserve runs
+// on every upload (service.Manager.IngestTrace): the trace file at
+// tracePath streams from disk, or else the built-in workload p is recorded
+// through a pipe. Region profiles are computed as the bytes pass, and a
+// trace whose chunks do not decode is never filed.
+func ingest(st *store.Store, tracePath string, p bp.Program) (service.IngestResult, error) {
+	m := service.New(st, 1, 1)
+	defer m.Shutdown(context.Background())
+	if tracePath == "" {
+		return m.IngestProgram(p)
 	}
+	f, err := os.Open(tracePath)
 	if err != nil {
-		return nil, nil, "", "", err
+		return service.IngestResult{}, err
 	}
-	a, closer, cached, _, err := service.BindCached(st, key, bp.DefaultConfig(), rc, nil)
-	if err != nil {
-		return nil, nil, "", "", err
-	}
-	note := ", selection computed and cached"
-	if cached {
-		note = ", selection reused from cache"
-	}
-	return a, closer, fmt.Sprintf("%s, trace %s", note, key[:12]), key, nil
+	defer f.Close()
+	return m.IngestTrace(f)
 }
 
 // runAnalyze is the classic pipeline: analyze, estimate, and (optionally)
@@ -344,7 +333,6 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 		warmupFl  = fs.String("warmup", "mru+prev", "warmup mode: cold, mru, mru+prev")
 		skipFull  = fs.Bool("skip-full", false, "skip the ground-truth simulation (no error report)")
 		list      = fs.Bool("list", false, "list available workloads and exit")
-		replayMB  = fs.Int64("replay-cache-mb", 256, "decoded-region replay cache budget for recorded traces, MiB (0 disables)")
 		targetCI  = fs.Float64("target-ci", 0, "target relative confidence interval on the runtime estimate; promotes extra regions adaptively until met (0 disables)")
 		confid    = fs.Float64("confidence", adaptive.DefaultConfidence, "confidence level for the estimate's error bars")
 	)
@@ -371,61 +359,53 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	// One replay cache serves the whole pipeline run: analyze, warmup
-	// capture, point simulation and the ground-truth pass then decode each
-	// region of a recorded trace once.
-	var rc *tracefile.RegionCache
-	if *replayMB > 0 {
-		rc = tracefile.NewRegionCache(*replayMB << 20)
-	}
-
 	var prog bp.Program
-	if *tracePath != "" {
-		f, err := bp.OpenTrace(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		prog = rc.Program(f, *tracePath) // this run's cache: the path names the trace
-	} else {
+	if *tracePath == "" {
 		if err := checkWorkload(*name, *cores); err != nil {
 			return err
 		}
 		prog = workload.New(*name, *cores, workload.WithScale(*scale))
 	}
-	if err := checkCores(prog.Threads()); err != nil {
+
+	// Every analysis takes the road bpserve jobs and campaign cells take:
+	// ingest into a content-addressed store, bind the selection the store
+	// caches, and run points through the store's point results. With -cache
+	// the store is shared with them and outlives the run; otherwise it is
+	// this run's alone.
+	dir := *cacheDir
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "bptool-store-*"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
 		return err
 	}
-	mc := bp.TableIMachine(prog.Threads() / 8)
 
 	start := time.Now()
-	var analysis *bp.Analysis
+	in, err := ingest(st, *tracePath, prog)
+	if err != nil {
+		return err
+	}
+	if err := checkCores(in.Threads); err != nil {
+		return err
+	}
+	analysis, closer, cached, _, err := service.BindCached(st, in.Key, bp.DefaultConfig(), nil)
+	if err != nil {
+		return err
+	}
+	defer closer.Close()
+	prog = analysis.Program
+	mc := bp.TableIMachine(prog.Threads() / 8)
 	var note string
-	// With -cache, point simulations also go through the store: results
-	// computed here are reused by later runs, by bpserve jobs, and by farm
-	// workers over the same store — and vice versa.
-	var pointRunner *farm.CachedRunner
 	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
-		if err != nil {
-			return err
+		note = ", selection computed and cached"
+		if cached {
+			note = ", selection reused from cache"
 		}
-		var key string
-		var closer io.Closer
-		analysis, closer, note, key, err = cachedAnalysis(st, prog, *tracePath, rc)
-		if err != nil {
-			return err
-		}
-		defer closer.Close()
-		prog = analysis.Program
-		pointRunner = &farm.CachedRunner{St: st, TraceKey: key, Inner: bp.LocalRunner{}}
-	} else {
-		var err error
-		analysis, err = bp.Analyze(prog, bp.DefaultConfig())
-		if err != nil {
-			return err
-		}
+		note += ", trace " + in.Key[:12]
 	}
 	fmt.Fprintf(stdout, "%s, %d threads: %d regions, %d barrierpoints (analysis in %v%s)\n\n",
 		prog.Name(), prog.Threads(), prog.Regions(), len(analysis.Selection.Points),
@@ -447,23 +427,17 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	// Every estimate goes through the adaptive controller: with no target it
 	// reproduces the standard one-rep-per-cluster reconstruction bit for bit
 	// and just attaches error bars; with -target-ci it also promotes regions
-	// until the runtime CI meets the target.
-	var runner bp.PointRunner = bp.LocalRunner{}
-	if pointRunner != nil {
-		runner = pointRunner
-	}
+	// until the runtime CI meets the target. Point results live in the
+	// store, shared with later runs, bpserve jobs and farm workers over it —
+	// and vice versa.
+	runner := &farm.CachedRunner{St: st, TraceKey: in.Key, Inner: bp.LocalRunner{}}
 	res, err := adaptive.Run(analysis, runner, mc, mode, adaptive.Options{TargetRel: *targetCI, Confidence: *confid})
 	if err != nil {
 		return err
 	}
-	var pointNote string
-	if pointRunner != nil {
-		pointNote = fmt.Sprintf(", %d/%d point results reused from cache",
-			pointRunner.Hits, pointRunner.Hits+pointRunner.Misses)
-	}
 	est := res.Estimate.Estimate
-	fmt.Fprintf(stdout, "\nestimate (%s warmup, %v%s): runtime %s ms (±%s%% at %g%% confidence), IPC %.2f, DRAM APKI %.2f\n",
-		mode, time.Since(start).Round(time.Millisecond), pointNote,
+	fmt.Fprintf(stdout, "\nestimate (%s warmup, %v, %d/%d point results reused from cache): runtime %s ms (±%s%% at %g%% confidence), IPC %.2f, DRAM APKI %.2f\n",
+		mode, time.Since(start).Round(time.Millisecond), runner.Hits, runner.Hits+runner.Misses,
 		report.FormatInterval(est.TimeNs/1e6, res.Estimate.Margin.TimeNs/1e6, 3),
 		report.FormatMetric(res.Estimate.RelTime()*100, 2), *confid*100,
 		est.IPC(), est.DRAMAPKI())

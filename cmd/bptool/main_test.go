@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -125,34 +127,95 @@ func TestAnalyzeAdaptive(t *testing.T) {
 	}
 }
 
-// TestTraceReplayCacheIsInvisible runs a recorded trace through the whole
-// pipeline in both warm modes, full simulation included, with the default
-// replay cache and with none: once the timings are masked the two outputs
-// (selection, estimate, actual and error lines) are identical. Under mru the
-// prefix pass reads every region before the last point access-only, which
-// the cache serves from the regions the analysis decoded.
-func TestTraceReplayCacheIsInvisible(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "is.bptrace")
-	exec(t, "record", "-workload", "npb-is", "-cores", "8", "-scale", "0.05", "-gzip", "-o", path)
+// TestTraceAndWorkloadAgree: a built-in workload and its recording take the
+// same road, so in both warm modes, full simulation included, `-workload W`
+// and `-trace` of W's recording print the same output once the timings are
+// masked, trace key included (each run on a store of its own, so both
+// compute and cache their selection).
+func TestTraceAndWorkloadAgree(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "is.bptrace")
+	builtin := []string{"-workload", "npb-is", "-cores", "8", "-scale", "0.05"}
+	exec(t, append([]string{"record", "-o", path}, builtin...)...)
 	timing := regexp.MustCompile(`(analysis in|warmup,|full simulation,) [0-9.hmnsµ]+`)
 	for _, mode := range []string{"mru", "mru+prev"} {
 		var outs [2]string
-		for i, args := range [][]string{nil, {"-replay-cache-mb", "0"}} {
-			out := exec(t, append([]string{"-trace", path, "-warmup", mode}, args...)...)
+		for i, args := range [][]string{{"-trace", path}, builtin} {
+			cache := filepath.Join(dir, fmt.Sprintf("store-%d-%s", i, mode))
+			out := exec(t, append(args, "-warmup", mode, "-cache", cache)...)
 			if n := len(timing.FindAllString(out, -1)); n != 3 {
 				t.Fatalf("%s %v: masked %d timings, want 3 (analysis, estimate, full simulation):\n%s", mode, args, n, out)
 			}
 			outs[i] = timing.ReplaceAllString(out, "$1 T")
 		}
-		for _, want := range []string{"estimate (" + mode + " warmup, T)", "actual   (full simulation, T)", "runtime error "} {
+		for _, want := range []string{"selection computed and cached, trace ", "estimate (" + mode + " warmup, T, 0/",
+			"actual   (full simulation, T)", "runtime error "} {
 			if !strings.Contains(outs[0], want) {
 				t.Errorf("%s: output lacks %q:\n%s", mode, want, outs[0])
 			}
 		}
 		if outs[0] != outs[1] {
-			t.Errorf("%s: the replay cache changed the output:\ncached:\n%s\nuncached:\n%s", mode, outs[0], outs[1])
+			t.Errorf("%s: the recording and the workload print differently:\n-trace:\n%s\n-workload:\n%s", mode, outs[0], outs[1])
 		}
 	}
+}
+
+// TestCorruptTraceIsNeverFiled: a trace whose header and index open but one
+// of whose chunks does not decode fails the run in the ingest pass, as a
+// bpserve upload of it does, and the store is left as it was: no trace and
+// no profile. Neither that run nor a good one without -cache leaves anything
+// in the temporary directory.
+func TestCorruptTraceIsNeverFiled(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", tmp)
+	emptyTmp := func(when string) {
+		t.Helper()
+		if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+			t.Errorf("%s: TMPDIR holds %v (%v), want nothing", when, ents, err)
+		}
+	}
+
+	good := filepath.Join(dir, "is.bptrace")
+	exec(t, "record", "-workload", "npb-is", "-cores", "8", "-scale", "0.05", "-o", good)
+	exec(t, "-trace", good, "-warmup", "mru", "-skip-full")
+	emptyTmp("after a good run")
+
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(data)/2 - 32; i < len(data)/2+32; i++ {
+		data[i] ^= 0xff
+	}
+	bad := filepath.Join(dir, "bad.bptrace")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exec(t, "info", bad) // header and index are intact
+
+	cache := filepath.Join(dir, "store")
+	if err := execErr(t, "-trace", bad, "-cache", cache, "-warmup", "mru", "-skip-full"); !strings.Contains(err.Error(), "tracefile") {
+		t.Errorf("corrupt trace: error %v, want a tracefile error", err)
+	}
+	st, err := store.Open(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := st.Traces(); err != nil || len(keys) != 0 {
+		t.Errorf("the store filed %v (%v), want no trace", keys, err)
+	}
+	filepath.WalkDir(filepath.Join(cache, "profiles"), func(path string, d iofs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("profile %s left behind", path)
+		}
+		return nil
+	})
+	execErr(t, "-trace", bad, "-warmup", "mru", "-skip-full")
+	emptyTmp("after a corrupt run")
 }
 
 // TestAnalyzeWithCache drives the -cache flag twice over one recording:
@@ -223,7 +286,7 @@ func TestAnalyzeWithCache(t *testing.T) {
 	if got, err := service.CachedSelection(st, key, cfg); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("selection artifact changed under the service and the campaign (%v)", err)
 	}
-	a, closer, cached, _, err := service.BindCached(st, key, cfg, nil, nil)
+	a, closer, cached, _, err := service.BindCached(st, key, cfg, nil)
 	if err != nil || !cached {
 		t.Fatalf("binding bptool's selection: cached=%v err=%v", cached, err)
 	}
@@ -238,7 +301,12 @@ func TestAnalyzeWithCache(t *testing.T) {
 		"bpserve": func(st *store.Store) {
 			m := service.New(st, 2, 0)
 			defer m.Shutdown(context.Background())
-			if _, _, err := st.ImportTrace(tracePath); err != nil {
+			f, err := os.Open(tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := m.IngestTrace(f); err != nil {
 				t.Fatal(err)
 			}
 			snap, err := m.Submit(service.Request{Kind: service.KindEstimate, Trace: key, Warmup: "cold"})

@@ -1,5 +1,5 @@
 // Service example: the analysis service driven in-process — a recorded
-// trace enters a content-addressed store, async jobs analyze it and
+// trace is uploaded into a content-addressed store, async jobs analyze it and
 // estimate runtimes for both warmup modes, and a repeat analyze
 // demonstrates the cache hit (no re-profiling).
 //
@@ -27,7 +27,9 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// 1. Record a workload and file it in the store under its content key.
+	// 1. Record a workload and upload it the way bpserve's POST /v1/traces
+	//    does: the ingest pass checks every chunk, profiles every region as
+	//    the bytes stream through, and files the trace under its content key.
 	prog := workload.New("npb-ft", 8, workload.WithScale(0.2))
 	tracePath := filepath.Join(dir, "ft.bptrace")
 	if err := bp.SaveTrace(tracePath, prog); err != nil {
@@ -37,15 +39,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	key, _, err := st.ImportTrace(tracePath)
+	mgr := service.New(st, 0, 0)
+	defer mgr.Shutdown(context.Background())
+	f, err := os.Open(tracePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("stored %s as %s…\n", prog.Name(), key[:12])
+	up, err := mgr.IngestTrace(f)
+	f.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	key := up.Key
+	fmt.Printf("stored %s as %s… (%d region profiles computed)\n", up.Name, key[:12], up.ProfilesComputed)
 
 	// 2. Submit async jobs; identical in-flight requests would coalesce.
-	mgr := service.New(st, 0, 0)
-	defer mgr.Shutdown(context.Background())
 	ctx := context.Background()
 
 	run := func(req service.Request) service.Snapshot {

@@ -109,16 +109,8 @@ func (r *ServiceRunner) ensureTrace(c Cell) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// Stream the recording straight into the store; byte-identical
-	// content already filed (a previous run, a sibling campaign) is
-	// discarded at commit, and its cached region profiles are reused.
-	pr, pw := io.Pipe()
-	go func() { pw.CloseWithError(bp.RecordTrace(pw, prog)) }()
-	res, err := r.M.IngestTrace(pr)
+	res, err := r.M.IngestProgram(prog)
 	if err != nil {
-		// Unblock the recorder if ingest bailed before draining the
-		// pipe (e.g. a failed temp-file write), or it leaks.
-		pr.CloseWithError(err)
 		return "", fmt.Errorf("campaign: recording %s: %w", id, err)
 	}
 	key := res.Key
@@ -177,7 +169,7 @@ func (r *ServiceRunner) RunCell(c Cell) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	a, closer, _, _, err := service.BindCached(r.M.Store(), key, cfg, nil, nil)
+	a, closer, _, _, err := service.BindCached(r.M.Store(), key, cfg, nil)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("campaign: binding selection for cell %s: %w", c.ID(), err)
 	}

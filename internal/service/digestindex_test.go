@@ -119,7 +119,7 @@ func TestIngestWritesDigestIndex(t *testing.T) {
 }
 
 // TestFirstAnalysisWritesDigestIndex: a trace that did not stream in (a
-// PutTrace/ImportTrace'd file) gets its profiles and its index from the
+// PutTrace'd file) gets its profiles and its index from the
 // profile pass of its first analysis, which selects what an upload of the
 // same bytes does; the second analysis hits the index and profiles nothing.
 func TestFirstAnalysisWritesDigestIndex(t *testing.T) {
@@ -128,11 +128,7 @@ func TestFirstAnalysisWritesDigestIndex(t *testing.T) {
 	t.Run("imported", func(t *testing.T) {
 		data := recordWith(t)
 		_, st := newManager(t)
-		path := filepath.Join(t.TempDir(), "t.bptrace")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		key, _, err := st.ImportTrace(path)
+		key, _, err := st.PutTrace(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}

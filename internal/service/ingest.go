@@ -67,6 +67,26 @@ func (m *Manager) IngestTrace(r io.Reader) (IngestResult, error) {
 	return res, nil
 }
 
+// IngestProgram records p straight into IngestTrace through a pipe: the
+// bytes are written once, and byte-identical content already filed (an
+// earlier recording, an upload) is discarded at commit with its cached
+// region profiles reused. Workload generation is deterministic, so a
+// program's recording always lands on the same key.
+func (m *Manager) IngestProgram(p trace.Program) (IngestResult, error) {
+	pr, pw := io.Pipe()
+	recorded := make(chan struct{})
+	go func() {
+		defer close(recorded)
+		pw.CloseWithError(tracefile.Record(pw, p))
+	}()
+	res, err := m.IngestTrace(pr)
+	// Unblock the recorder if ingest bailed before draining the pipe (e.g.
+	// a failed temp-file write): its next write fails, and it returns.
+	pr.CloseWithError(err)
+	<-recorded
+	return res, err
+}
+
 // profilePass is the one producer of region profiles and region digests: it
 // decodes the trace read from r (tracefile.DecodeStream, which digests each
 // region) and profiles every distinct region whose profile the store lacks,

@@ -202,6 +202,32 @@ func TestIngestFailureLeavesNoOrphans(t *testing.T) {
 	}
 }
 
+// TestIngestProgram: a program recorded through IngestProgram lands on the
+// key of its recording's bytes, and a failed ingest returns only once the
+// recorder has: IngestProgram waits for it, so a recorder left blocked on
+// the pipe would hang the test.
+func TestIngestProgram(t *testing.T) {
+	m, st := newManager(t)
+	res, err := m.IngestProgram(workload.New("npb-is", 8, workload.WithScale(0.05)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := store.ReaderKey(bytes.NewReader(recordTrace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Key != want || res.Existed || res.ProfilesComputed != res.Regions {
+		t.Errorf("IngestProgram = %+v, want key %.12s, new, every region profiled", res, want)
+	}
+
+	if err := os.RemoveAll(filepath.Join(st.Root(), "traces")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.IngestProgram(workload.New("npb-is", 8, workload.WithScale(0.1))); err == nil {
+		t.Error("ingest into a store with no traces directory succeeded")
+	}
+}
+
 // TestIngestRejectsUndecodableChunk: a chunk whose framing is intact but
 // whose records do not decode — the continuation bit set on its last byte,
 // so its last varint runs off the end — fails the upload with ErrFormat and

@@ -273,7 +273,7 @@ func (pl *pipeline) execute(p plan, span *obs.Span) (json.RawMessage, bool, erro
 		span.ObserveConcurrent(stage, d)
 		pl.stageDur.With(stage).ObserveDuration(d)
 	}
-	a, closer, selCached, stats, err := BindCached(pl.st, p.trace, p.cfg, nil, obsrv)
+	a, closer, selCached, stats, err := BindCached(pl.st, p.trace, p.cfg, obsrv)
 	if err != nil {
 		return nil, false, err
 	}

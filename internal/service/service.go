@@ -1,5 +1,5 @@
 // Package service is the analysis service behind cmd/bpserve, cmd/bpcamp and
-// cmd/bptool -cache: cached single-flight access to the expensive BarrierPoint
+// cmd/bptool: cached single-flight access to the expensive BarrierPoint
 // pipeline stages over a content-addressed store (see internal/store), plus
 // an async job service that runs them on a bounded worker pool.
 //
@@ -228,14 +228,14 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, obsrv bp.StageObs
 }
 
 // BindCached is the one road from a stored trace to an Analysis bound to it,
-// taken by the pipeline's estimate jobs, bptool -cache and campaign cells
-// alike: the selection comes from AnalyzeCached (computed and cached on a
-// miss; cached, stats and what obsrv hears of it are AnalyzeCached's), is
-// parsed, and is bound to the store's copy of the trace replaying through rc
-// — so every later stage streams exactly the bytes the key addresses. obsrv
-// additionally receives "bind": parse, open and bind. The caller closes
-// closer when it is done with the analysis' program.
-func BindCached(st *store.Store, key string, cfg bp.Config, rc *tracefile.RegionCache, obsrv bp.StageObserver) (a *bp.Analysis, closer io.Closer, cached bool, stats ProfileStats, err error) {
+// taken by the pipeline's estimate jobs, bptool and campaign cells alike:
+// the selection comes from AnalyzeCached (computed and cached on a miss;
+// cached, stats and what obsrv hears of it are AnalyzeCached's), is parsed,
+// and is bound to the store's copy of the trace — so every later stage
+// streams exactly the bytes the key addresses. obsrv additionally receives
+// "bind": parse, open and bind. The caller closes closer when it is done
+// with the analysis' program.
+func BindCached(st *store.Store, key string, cfg bp.Config, obsrv bp.StageObserver) (a *bp.Analysis, closer io.Closer, cached bool, stats ProfileStats, err error) {
 	selBytes, cached, stats, err := AnalyzeCached(st, key, cfg, obsrv)
 	if err != nil {
 		return nil, nil, false, stats, err
@@ -249,7 +249,7 @@ func BindCached(st *store.Store, key string, cfg bp.Config, rc *tracefile.Region
 	if err != nil {
 		return nil, nil, false, stats, err
 	}
-	if a, err = sel.Bind(rc.Program(f, key)); err != nil {
+	if a, err = sel.Bind(f); err != nil {
 		f.Close()
 		return nil, nil, false, stats, err
 	}

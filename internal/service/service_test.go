@@ -182,7 +182,7 @@ func noReplaySeries(t *testing.T, m *Manager) {
 // key should return, computed outside a Manager by bp.LocalRunner.
 func localMRUPrev(t *testing.T, st *store.Store, key string) json.RawMessage {
 	t.Helper()
-	a, closer, _, _, err := BindCached(st, key, bp.DefaultConfig(), nil, nil)
+	a, closer, _, _, err := BindCached(st, key, bp.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,16 +327,6 @@ func (s *Store) PutTrace(r io.Reader) (key string, existed bool, err error) {
 	return w.Commit()
 }
 
-// ImportTrace stores the trace file at path under its content key.
-func (s *Store) ImportTrace(path string) (key string, existed bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", false, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return s.PutTrace(f)
-}
-
 // HasTrace reports whether the store holds a trace with the given key.
 func (s *Store) HasTrace(key string) bool {
 	return ValidKey(key) && hasBlob(s.tracePath(key))

@@ -26,7 +26,7 @@ func recordBytes(t *testing.T) []byte {
 }
 
 // BenchmarkPutTrace measures a re-put of npb-ft x1 (about 5 MB, 8 threads)
-// from a file, the shape of ImportTrace and of a farm worker's trace fetch:
+// from a file, the shape of a farm worker's trace fetch:
 // the whole-file hash and temp-file write, and the copy discarded unsynced.
 func BenchmarkPutTrace(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "npb-ft.bptrace")
@@ -42,7 +42,10 @@ func BenchmarkPutTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := st.ImportTrace(path); err != nil {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := st.PutTrace(f); err != nil {
 		b.Fatal(err)
 	}
 	if fi, err := f.Stat(); err == nil {
@@ -133,35 +136,6 @@ func TestPutTraceContentAddressing(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".put-") {
 			t.Errorf("leftover temp file %s", e.Name())
 		}
-	}
-}
-
-func TestImportTrace(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := recordBytes(t)
-	path := filepath.Join(t.TempDir(), "is.bptrace")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	key, existed, err := st.ImportTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if existed {
-		t.Error("fresh import reported existed")
-	}
-	wantKey, err := ReaderKey(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != wantKey {
-		t.Errorf("ImportTrace key %s != ReaderKey %s", key, wantKey)
-	}
-	if !st.HasTrace(key) {
-		t.Error("HasTrace false after import")
 	}
 }
 

@@ -19,12 +19,14 @@ const DefaultRegionCacheBytes int64 = 256 << 20
 
 // RegionCache is a bounded, content-keyed LRU cache of fully decoded
 // inter-barrier regions. Replaying a region from a recorded trace costs a
-// gunzip plus a varint decode of every chunk, and bptool -trace replays a
-// region in its analysis, its estimate and its ground truth (one cache per
-// run; the daemons keep none, and stream every region). The cache pays the
-// decode once and serves every later replay from memory as a zero-copy,
-// zero-allocation trace.Stream. The prefix pass, which reads each region
-// once, goes past it (cachedFile.AppendAccesses).
+// gunzip plus a varint decode of every chunk; the cache pays the decode once
+// and serves every later replay from memory as a zero-copy, zero-allocation
+// trace.Stream. The prefix pass, which reads each region once, goes past it
+// (cachedFile.AppendAccesses). No command uses it: bpserve, bpworker and
+// bptool stream every region. It is kept only for the end-to-end
+// benchmark's tracefile.replay_cached_ms probe and the tests that compare a
+// cached replay with a streamed one, and goes with that probe (ROADMAP item
+// 2(c)).
 //
 // # Keys and identity
 //

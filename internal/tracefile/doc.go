@@ -107,11 +107,11 @@
 // with one ReadAt into a pooled buffer and decodes it from memory, a gzip
 // chunk through a 64 KiB inflate window, so an open stream costs the chunk
 // as stored, never its inflated size. The MRU prefix pass decodes only line
-// addresses and write flags (AppendAccesses), for every region. RegionCache
-// keeps regions one bptool run replays in full more than once — analysis,
-// estimate and ground truth — decoded in a byte-bounded LRU; the prefix
-// pass reads from it but never fills it. It is cmd/bptool -replay-cache-mb;
-// the daemons hold no decoded region between replays.
+// addresses and write flags (AppendAccesses), for every region. No command
+// holds a decoded region between replays. RegionCache, a byte-bounded LRU of
+// decoded regions that the prefix pass reads from but never fills, is kept
+// only for the end-to-end benchmark's replay_cached_ms probe until that
+// probe goes (ROADMAP item 2(c)).
 //
 // # Versioning
 //

@@ -20,13 +20,15 @@ import (
 // together with the code that uses it.
 var surfaceAllow = map[string]bool{
 	// Imported by bench/, the end-to-end benchmark (its own module).
-	"internal/adaptive.Intervals":      true,
-	"internal/farm.NewDurableQueue":    true,
-	"internal/obs.SpanData.StageSumNs": true,
-	"internal/store.OpenWAL":           true,
-	"internal/store.Store.GetProfile":  true,
-	"internal/store.Store.PutProfile":  true,
-	"internal/warmup.Capture":          true,
+	"internal/adaptive.Intervals":            true,
+	"internal/farm.NewDurableQueue":          true,
+	"internal/obs.SpanData.StageSumNs":       true,
+	"internal/store.OpenWAL":                 true,
+	"internal/store.Store.GetProfile":        true,
+	"internal/store.Store.PutProfile":        true,
+	"internal/tracefile.NewRegionCache":      true,
+	"internal/tracefile.RegionCache.Program": true,
+	"internal/warmup.Capture":                true,
 
 	// Methods of a type package barrierpoint re-exports (bp.RegionResult).
 	"internal/sim.RegionResult.DRAMAPKI": true,
